@@ -171,8 +171,15 @@ def renorm_data(diagram, horizon=40):
             # boundedness of lam**-k (A_(0..k) l) pins the direction of
             # A_(0..L) l to the right eigenvector of the repeating matrix
             P = [list(r) for r in cocycle_product(diagram, 0, L).matrix]
-            sol = solve_linear(P, list(pd.right))
-            if sol is not None and all(x > 0 for x in sol):
+            right = list(pd.right)
+            sol = solve_linear(P, right)
+            if sol is not None and not all(x > 0 for x in sol):
+                # a singular P leaves a family of solutions; right * lam^-L
+                # is a positive member whenever it solves the system
+                sol = [x * lam ** (-L) for x in right]
+                if mat_vec(P, sol) != right:
+                    sol = None
+            if sol is not None:
                 scale = sum(si * x0 for si, x0 in zip(sol, xi0))
                 roof = [si / scale for si in sol]
                 cert = {"stationary_exact": True, "roof_residual": 0.0}

@@ -12,8 +12,11 @@ only.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths, eventual_image,
                        materialize, max_source_map, min_source_map,
@@ -43,6 +46,18 @@ class ApproxComplex:
         for x in self.lengths[1:]:
             total = total + x
         return total
+
+    # Float tables for the metric, computed once per instance; they are not
+    # fields, so equality and hashing see only the exact data.
+
+    @cached_property
+    def float_distances(self):
+        return tuple(tuple(None if x is None else as_float(x) for x in row)
+                     for row in class_distances(self))
+
+    @cached_property
+    def float_diameter(self):
+        return as_float(diameter(self))
 
 
 def roof_heights(diagram, renorm, k):
@@ -184,18 +199,6 @@ def wrapping(diagram, renorm, k):
     return wm
 
 
-def compose_wrappings(outer, inner):
-    """Single map equal to applying inner (finer) then outer."""
-    if inner.level != outer.level + 1:
-        raise ValueError("wrapping levels do not chain")
-    words = tuple(tuple(w for mid in inner.words[v] for w in outer.words[mid])
-                  for v in range(len(inner.words)))
-    return WrappingMap(level=inner.level, words=words,
-                       fine_lengths=inner.fine_lengths,
-                       coarse_lengths=outer.coarse_lengths,
-                       stretch=inner.stretch * outer.stretch)
-
-
 # ---------------------------------------------------------------------------
 # conjugacy with path space
 
@@ -208,37 +211,57 @@ class SolenoidPoint:
     def coordinate(self, k):
         return self.coords[k]
 
+    @cached_property
+    def float_coords(self):
+        """(edge, offset, edge length - offset) per level, each float the
+        rounding of an exact value, so route sums do not cancel."""
+        return tuple((v, as_float(t), as_float(cx.lengths[v] - t))
+                     for (v, t), cx in zip(self.coords, self.complexes))
 
-_COMPLEX_CACHE = {}
+
+# Complexes per (diagram, level, Perron data), most recently used last.
+_COMPLEX_CACHE = OrderedDict()
+COMPLEX_CACHE_SIZE = 16
 
 
 def cached_complexes(diagram, renorm, n):
     key = (diagram, n, renorm.lam_float, tuple(as_float(x)
                                                for x in renorm.roof))
-    if key not in _COMPLEX_CACHE:
-        _COMPLEX_CACHE[key] = tuple(build_complex(diagram, renorm, k)
-                                    for k in range(n + 1))
-    return _COMPLEX_CACHE[key]
+    got = _COMPLEX_CACHE.get(key)
+    if got is None:
+        got = tuple(build_complex(diagram, renorm, k) for k in range(n + 1))
+        _COMPLEX_CACHE[key] = got
+        if len(_COMPLEX_CACHE) > COMPLEX_CACHE_SIZE:
+            _COMPLEX_CACHE.popitem(last=False)
+    else:
+        _COMPLEX_CACHE.move_to_end(key)
+    return got
 
 
 def conjugacy_point(diagram, renorm, p):
     """Point of the truncated inverse limit whose level-i coordinate lies on
-    the tower edge of p's level-i range, at the exact height of p's floor."""
+    the tower edge of p's level-i range, at the exact height of p's floor.
+
+    Offsets follow the wrapping recurrence
+    offset_i = lam^-1 (offset_(i-1) + sum of len_(i-1)[s(f)] over the
+    in-edges f before e_i), which equals lam^-i times the floor height."""
     n = p.level
-    height = 0
+    complexes = cached_complexes(diagram, renorm, n)
+    inv = _scale(renorm, 1)
+    offset = 0
     coords = [(path_source(diagram, p), 0)]
     for i in range(1, n + 1):
         ld = diagram.level(i)
         e = p.edges[i - 1]
         v = ld.range(e)
-        below = roof_heights(diagram, renorm, i - 1)
+        below = complexes[i - 1].lengths
         for f in ld.in_order[v]:
             if f == e:
                 break
-            height = height + below[ld.source(f)]
-        coords.append((v, _scale(renorm, i) * height))
-    return SolenoidPoint(level=n, coords=tuple(coords),
-                         complexes=cached_complexes(diagram, renorm, n))
+            offset = offset + below[ld.source(f)]
+        offset = inv * offset
+        coords.append((v, offset))
+    return SolenoidPoint(level=n, coords=tuple(coords), complexes=complexes)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +271,6 @@ def conjugacy_point(diagram, renorm, p):
 def class_distances(cx):
     """All-pairs shortest path between vertex classes, exact scalars."""
     n = len(cx.classes)
-    big = None
     dist = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = 0
@@ -296,40 +318,74 @@ def point_distance(cx, p, q):
     return best
 
 
+def _combine(coefs, xs):
+    """Sum of c*x for small integer coefficients c, by additions where c is
+    0 or +-1."""
+    total = 0
+    for c, x in zip(coefs, xs):
+        if c == 1:
+            total = total + x
+        elif c == -1:
+            total = total - x
+        elif c:
+            total = total + c * x
+    return total
+
+
+def _adjugate3(mat):
+    """Adjugate and determinant of a 3x3 integer matrix."""
+    (a, b, c), (d, e, f), (g, h, i) = mat
+    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
+           (f * g - d * i, a * i - c * g, c * d - a * f),
+           (d * h - e * g, b * g - a * h, a * e - b * d))
+    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
+
+
+def _cramer(adj_row, det, rhs):
+    """One coordinate of the solution adj * rhs / det, exact."""
+    x = _combine(adj_row, rhs)
+    if det == 1:
+        return x
+    if det == -1:
+        return -x
+    return x / Fraction(det)
+
+
 def _lp_max_min(rows, box):
     """Exact max of min of linear forms a*t + b*s + c over a polygon given
-    by extra constraints (also linear, >= 0).  Enumerates basic solutions of
-    the lifted problem max z, z <= forms."""
-    from .scalars import solve_linear
+    by extra constraints (also linear, >= 0).  Enumerates the vertices of
+    the lifted problem max z, z <= forms: the region is pointed and bounded
+    above in z, so its maximum sits at a vertex.  All coefficients are
+    integers, so each vertex is an integer adjugate applied to the exact
+    right-hand sides, and its t and s are only needed when its z improves
+    on the best feasible z so far."""
     cons = []  # (at, as_, az, rhs) meaning at*t + as*s + az*z <= rhs
     for a, b, c in rows:
         cons.append((-a, -b, 1, c))
     for a, b, c in box:  # a*t + b*s + c >= 0
         cons.append((-a, -b, 0, c))
     best = None
-    m = len(cons)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                mat = [list(cons[i][:3]), list(cons[j][:3]),
-                       list(cons[k][:3])]
-                rhs = [cons[i][3], cons[j][3], cons[k][3]]
-                sol = solve_linear(mat, rhs)
-                if sol is None:
-                    continue
-                t, s, z = sol
-                ok = True
-                for at, as_, az, r in cons:
-                    viol = at * t + as_ * s + az * z - r
-                    if is_exact(viol):
-                        if viol > 0:
-                            ok = False
-                            break
-                    elif viol > 1e-9:
-                        ok = False
-                        break
-                if ok and (best is None or z > best):
-                    best = z
+    for tri in combinations(cons, 3):
+        adj, det = _adjugate3([con[:3] for con in tri])
+        if det == 0:
+            continue
+        rhs = [con[3] for con in tri]
+        z = _cramer(adj[2], det, rhs)
+        if best is not None and z <= best:
+            continue
+        sol = (_cramer(adj[0], det, rhs), _cramer(adj[1], det, rhs), z)
+        ok = True
+        for con in cons:
+            viol = _combine(con[:3], sol) - con[3]
+            if is_exact(viol):
+                if viol > 0:
+                    ok = False
+                    break
+            elif viol > 1e-9:
+                ok = False
+                break
+        if ok:
+            best = z
     return best
 
 
@@ -369,7 +425,29 @@ def solenoid_metric(y, z, lam):
     return metric_report(y, z, lam)["value"]
 
 
+def _float_distance(cx, p, q):
+    """point_distance over the same routes in floats, for float coordinates
+    (edge, offset, remaining length).  Each route through the vertex
+    classes sums three rounded nonnegative terms, so it is within a few ulps
+    of its exact value, and a near-tie moves the minimum by no more; the
+    same-edge route |t - s| is off by at most an ulp of the offsets."""
+    u, t, tr = p
+    v, s, sr = q
+    dist = cx.float_distances
+    routes = [abs(t - s)] if u == v else []
+    for du, tu in ((dist[cx.start_class[u]], t), (dist[cx.end_class[u]], tr)):
+        for end_v, sv in ((cx.start_class[v], s), (cx.end_class[v], sr)):
+            if du[end_v] is not None:
+                routes.append(tu + du[end_v] + sv)
+    if not routes:
+        raise NumericError("complex is disconnected")
+    return min(routes)
+
+
 def metric_report(y, z, lam):
+    """Per-level graph distances and the weighted metric, in floats: the
+    lengths and coordinates are exact, the distances are evaluated from
+    their roundings (point_distance and diameter stay exact)."""
     if y.level != z.level:
         raise ValueError("points truncated at different levels")
     if y.complexes is None or z.complexes is None:
@@ -377,13 +455,13 @@ def metric_report(y, z, lam):
     lamf = as_float(lam)
     total = 0.0
     per_level = []
-    for k in range(y.level + 1):
-        cx = y.complexes[k]
-        dk = point_distance(cx, y.coords[k], z.coords[k])
-        dm = diameter(cx)
-        term = lamf ** (-k) * as_float(dk) / as_float(dm)
-        per_level.append({"level": k, "distance": as_float(dk),
-                          "diameter": as_float(dm), "term": term})
+    for k, (cx, p, q) in enumerate(zip(y.complexes, y.float_coords,
+                                       z.float_coords)):
+        dk = _float_distance(cx, p, q)
+        dm = cx.float_diameter
+        term = lamf ** (-k) * dk / dm
+        per_level.append({"level": k, "distance": dk, "diameter": dm,
+                          "term": term})
         total += term
     return {
         "value": total,

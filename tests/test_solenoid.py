@@ -1,16 +1,20 @@
 """Graph approximants, wrapping maps, and the finite-level conjugacy."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from adic.diagrams import enumerate_paths
+from adic import solenoid
+from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
+                           path_source)
 from adic.errors import NumericError
 from adic.measures import renorm_data
 from adic.scalars import as_float
-from adic.solenoid import (bilip_check, build_complex, conjugacy_point,
-                           diameter, euler_characteristic, flow_step,
-                           solenoid_metric, wrapping)
+from adic.solenoid import (bilip_check, build_complex, cached_complexes,
+                           conjugacy_point, diameter, euler_characteristic,
+                           flow_step, metric_report, point_distance,
+                           roof_heights, solenoid_metric, wrapping)
 
 
 def test_complex_shapes(odo2, fib, pisot31):
@@ -107,3 +111,59 @@ def test_bilip_small_sample(odo2, fib):
         assert rep["worst_upper_slack"] <= 0.0
         assert rep["lower_constant"] > 0.0
         assert rep["pairs_checked"] == len(pairs)
+
+
+def _floor_coords(d, rd, p, heights):
+    """Reference coordinates: lam^-i times the floor height of p at level
+    i, summed from the level-(i-1) tower heights."""
+    height = 0
+    coords = [(path_source(d, p), 0)]
+    for i in range(1, p.level + 1):
+        ld = d.level(i)
+        e = p.edges[i - 1]
+        v = ld.range(e)
+        for f in ld.in_order[v]:
+            if f == e:
+                break
+            height = height + heights[i - 1][ld.source(f)]
+        coords.append((v, rd.lambda_mu ** (-i) * height))
+    return tuple(coords)
+
+
+def test_float_metric_matches_exact(odo2, fib, pisot31):
+    extra = 3
+    for d in (odo2, fib, pisot31):
+        rd = renorm_data(d)
+        heights = [roof_heights(d, rd, k) for k in range(5 + extra)]
+        for level in range(6):
+            deep = [materialize(d, LazyPath(p, TAIL_MIN), level + extra)
+                    for p in enumerate_paths(d, 0, level)]
+            pts = [conjugacy_point(d, rd, p) for p in deep]
+            for p, y in zip(deep, pts):
+                assert y.coords == _floor_coords(d, rd, p, heights)
+            # neighbours in path order (close points) and points half the
+            # list apart (far points); pisot31 is thinned for speed
+            n = len(pts)
+            step = max(1, n // 64)
+            for i in range(0, n, step):
+                for j in (i + 1, i + n // 2):
+                    y, z = pts[i], pts[j % n]
+                    rep = metric_report(y, z, rd.lambda_mu)
+                    for k, row in enumerate(rep["per_level"]):
+                        cx = y.complexes[k]
+                        dk = as_float(point_distance(cx, y.coords[k],
+                                                     z.coords[k]))
+                        dm = as_float(diameter(cx))
+                        assert math.isclose(row["distance"], dk,
+                                            rel_tol=1e-12)
+                        assert math.isclose(row["diameter"], dm,
+                                            rel_tol=1e-12)
+
+
+def test_complex_cache_is_bounded(odo2):
+    rd = renorm_data(odo2)
+    bound = solenoid.COMPLEX_CACHE_SIZE
+    for n in range(bound + 4):
+        got = cached_complexes(odo2, rd, n)
+    assert len(solenoid._COMPLEX_CACHE) == bound
+    assert cached_complexes(odo2, rd, bound + 3) is got

@@ -7,10 +7,11 @@ import pytest
 from conftest import rand_function, rng
 
 from adic.cohomology import limit_rank
-from adic.diagrams import FinitePath, LazyPath, TAIL_MIN, successor
+from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MIN,
+                           enumerate_paths, make_level, successor)
 from adic.errors import ObstructedError
-from adic.martingale import (compose_phi, constant_function, from_vector,
-                             lift, nu_mean)
+from adic.martingale import (CylinderFunction, compose_phi,
+                             constant_function, from_vector, lift, nu_mean)
 from adic.measures import renorm_data
 from adic.solver import (birkhoff, chained_constant, regularity_report,
                          solution_norms, solve)
@@ -40,6 +41,21 @@ def test_round_trip_exact(odo2, fib):
             top = max(sol.g.level, g0.level)
             diff = lift(d, sol.g, top) - lift(d, g0, top)
             assert len(set(diff.values.values())) == 1
+
+
+def test_singular_repeating_matrix_is_not_obstructed():
+    # A = [[2,1],[2,1]] is singular, so the pivot solution of
+    # A_(0..L) x = right is not positive; the roof must still be exact
+    level = make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)],
+                       [[2, 1, 0], [5, 3, 4]])
+    d = OrderedDiagram((level,), stationary=True)
+    rd = renorm_data(d)
+    assert rd.exact is True
+    paths = enumerate_paths(d, 0, 1)
+    g0 = CylinderFunction(level=1, values={
+        p.edges: Fraction(i % 3) for i, p in enumerate(paths)})
+    sol = solve(_coboundary(d, g0), _tower(d))
+    assert sol.residual == 0
 
 
 def test_constant_is_obstructed(odo2):
