@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
 from .cohomology import distributions, is_coboundary_class, limit_rank
-from .diagrams import (diagram_from_json_dict, enumerate_paths,
+from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme_min_lazy, lazy_from_json_dict,
                        lazy_to_json_dict, materialize, successor, validate)
 from .errors import AdicError, ObstructedError, ParseError
@@ -202,7 +202,20 @@ def _load_start(diagram, ref):
     else:
         with open(ref) as fh:
             data = json.load(fh)
-    return lazy_from_json_dict(data)
+    p = lazy_from_json_dict(data)
+    check_path(diagram, p.prefix)
+    if p.tail.kind == "PERIODIC":
+        # the word repeats from level len(prefix)+1; past the materialized
+        # levels one period covers every (word index, level) pairing
+        word, pl = p.tail.word, len(p.prefix.edges)
+        top = max(pl, diagram.materialized) + len(word)
+        if not diagram.stationary:
+            top = min(top, diagram.materialized)
+        for k in range(pl + 1, top + 1):
+            e = word[(k - pl - 1) % len(word)]
+            if not 0 <= e < len(diagram.level(k).edges):
+                raise ParseError("periodic tail edge index out of range")
+    return p
 
 
 def _lenient_diagram(ref):

@@ -21,8 +21,8 @@ from .errors import (GluingInconsistencyError, InsufficientStabilizationError,
                      RankNotStabilizedError)
 from .martingale import constant_function
 from .measures import cocycle_product
-from .scalars import as_float, is_exact, mat_mul, mat_vec, nullspace, rank, \
-    solve_linear
+from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
+    nullspace, rank, solve_linear
 from .solenoid import build_complex
 
 
@@ -196,15 +196,6 @@ class ClassTower:
     stabilized: bool
 
 
-def _mat_power(m, j):
-    n = len(m)
-    out = tuple(tuple(1 if i == jj else 0 for jj in range(n))
-                for i in range(n))
-    for _ in range(j):
-        out = mat_mul(m, out)
-    return out
-
-
 def _column_space(m):
     cols = [tuple(row[j] for row in m) for j in range(len(m[0]))]
     basis = []
@@ -215,7 +206,7 @@ def _column_space(m):
     return tuple(tuple(b) for b in basis)
 
 
-def limit_rank(diagram, renorm, max_level=8, window=3):
+def limit_rank(diagram, renorm, max_level=8):
     spaces = tuple(cohomology_basis(build_complex(diagram, renorm, k))
                    for k in range(max_level + 1))
     maps = tuple(induced_map(diagram, renorm, k)
@@ -225,7 +216,7 @@ def limit_rank(diagram, renorm, max_level=8, window=3):
         dim = len(m)
         ranks = [dim]
         k_prime = 0
-        power = _mat_power(m, 0)
+        power = mat_pow(m, 0)
         while True:
             nxt = mat_mul(m, power)
             r = rank([list(row) for row in nxt])
@@ -236,7 +227,7 @@ def limit_rank(diagram, renorm, max_level=8, window=3):
             power = nxt
             if k_prime > dim:
                 raise RankNotStabilizedError()
-        w_basis = _column_space(_mat_power(m, k_prime)) if k_prime else \
+        w_basis = _column_space(mat_pow(m, k_prime)) if k_prime else \
             tuple(tuple(1 if i == j else 0 for j in range(dim))
                   for i in range(dim))
         return ClassTower(diagram=diagram, renorm=renorm,
@@ -245,7 +236,7 @@ def limit_rank(diagram, renorm, max_level=8, window=3):
                           w_basis=w_basis, ranks=tuple(ranks),
                           stabilized=True)
     # non-stationary diagrams cannot reach here: their complexes already
-    # refuse to glue; the window parameter is kept for interface stability
+    # refuse to glue
     raise RankNotStabilizedError()
 
 
@@ -307,10 +298,10 @@ def _fitting_split(tower, k_eval, coords):
     m = tower.maps[0]
     dim = len(m)
     shift = k_eval - tower.k_prime
-    w_vecs = [mat_vec(_mat_power(m, shift), list(v)) if shift else list(v)
+    w_vecs = [mat_vec(mat_pow(m, shift), list(v)) if shift else list(v)
               for v in tower.w_basis]
     kern = [list(v) for v in nullspace([list(r)
-                                        for r in _mat_power(m, dim)])]
+                                        for r in mat_pow(m, dim)])]
     cols = w_vecs + kern
     if not cols:
         return [0] * dim, w_vecs

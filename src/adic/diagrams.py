@@ -208,6 +208,51 @@ def eventual_image(fmap):
     return sorted(cur)
 
 
+@lru_cache(maxsize=None)
+def step_table(ld, direction=1):
+    """The carry columns of one level, in the in-order (direction=1) or its
+    reverse (direction=-1): the next in-edge after each edge at its range
+    (-1 at the end), the first in-edge of each vertex, the source of each
+    edge."""
+    orders = ld.in_order if direction == 1 else \
+        tuple(o[::-1] for o in ld.in_order)
+    nxt = [-1] * len(ld.edges)
+    for order in orders:
+        for a, b in zip(order, order[1:]):
+            nxt[a] = b
+    first = tuple(order[0] if order else -1 for order in orders)
+    return tuple(nxt), first, tuple(s for s, _ in ld.edges)
+
+
+def step_tables(diagram, n, direction=1):
+    """The step_table columns of levels 1..n, split by kind: (next, first,
+    source), each a tuple whose entry k-1 belongs to level k."""
+    return tuple(zip(*(step_table(diagram.level(k), direction)
+                       for k in range(1, n + 1))))
+
+
+def step(tables, digits):
+    """Move a finite prefix (level-1 edge first) in place to its successor
+    within its own length, or its predecessor for tables of direction -1:
+    bump the lowest non-extreme edge and refill the levels below it with the
+    extreme chain into its source.  Returns False, leaving the prefix as it
+    is, when every edge is extreme."""
+    nxt, first, src = tables
+    i, top = 0, len(digits)
+    while i < top and nxt[i][digits[i]] < 0:
+        i += 1
+    if i == top:
+        return False
+    e = nxt[i][digits[i]]
+    digits[i] = e
+    v = src[i][e]
+    for j in range(i - 1, -1, -1):
+        e = first[j][v]
+        digits[j] = e
+        v = src[j][e]
+    return True
+
+
 # ---------------------------------------------------------------------------
 # paths
 
@@ -348,14 +393,6 @@ class PathWalker:
         # usable for cycle detection once k exceeds the materialized levels
         lvl = min(self.k, len(self.diagram.levels))
         return (lvl, self.vertex, self.phase())
-
-
-def edge_at(diagram, lazy, k):
-    w = PathWalker(diagram, lazy)
-    e = None
-    for _ in range(k):
-        _, e = w.advance()
-    return e
 
 
 def materialize(diagram, lazy, k):
@@ -503,6 +540,7 @@ def successor(diagram, p, direction=1):
     w = PathWalker(diagram, p)
     seen = set()
     pl = len(p.prefix.edges)
+    digits = []
     while True:
         past = w.k >= pl and w.k >= len(diagram.levels)
         if past:
@@ -518,27 +556,16 @@ def successor(diagram, p, direction=1):
                 return ext
             seen.add(st)
         k, e = w.advance()
-        ld = diagram.level(k)
-        v = ld.range(e)
-        pos = order_pos(ld)[e]
-        last = len(ld.in_order[v]) - 1
-        hit = pos < last if direction == 1 else pos > 0
-        if hit:
-            nxt = ld.in_order[v][pos + direction]
-            chain = (min_chain if direction == 1 else max_chain)(
-                diagram, ld.source(nxt), k - 1)
-            new_edges = chain.edges + (nxt,)
+        digits.append(e)
+        if step_table(diagram.level(k), direction)[0][e] >= 0:
+            step(step_tables(diagram, k, direction), digits)
+            tail = p.tail
             if k < pl:
-                new_edges = new_edges + p.prefix.edges[k:]
-                tail = p.tail
-            else:
-                tail = p.tail
-                if tail.kind == "PERIODIC":
-                    n = len(tail.word)
-                    shift = (k - pl) % n
-                    tail = Tail("PERIODIC",
-                                tail.word[shift:] + tail.word[:shift])
-            return LazyPath(FinitePath(tuple(new_edges)), tail)
+                digits.extend(p.prefix.edges[k:])
+            elif tail.kind == "PERIODIC":
+                shift = (k - pl) % len(tail.word)
+                tail = Tail("PERIODIC", tail.word[shift:] + tail.word[:shift])
+            return LazyPath(FinitePath(tuple(digits)), tail)
 
 
 def predecessor(diagram, p):
@@ -607,13 +634,6 @@ def path_rank(diagram, p):
         cvec = [sum(cvec[ld.source(f)] for f in ld.in_order[u])
                 for u in range(ld.num_ranges)]
     return total
-
-
-def global_rank(diagram, p):
-    """Index of p in enumerate_paths(diagram, start, level): range-major."""
-    v = path_range(diagram, p)
-    counts = count_paths(diagram, p.start, p.level)
-    return sum(counts[u] for u in range(v)) + path_rank(diagram, p)
 
 
 def is_strongly_minimal(diagram, horizon):

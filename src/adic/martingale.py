@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .diagrams import (LazyPath, FinitePath, enumerate_paths, materialize,
-                       max_chain, min_chain, eventual_image, min_source_map,
-                       max_source_map, order_pos, extreme_min_lazy,
-                       extreme_max_lazy, path_range, path_source)
+                       eventual_image, min_source_map, max_source_map,
+                       extreme_min_lazy, extreme_max_lazy, path_range,
+                       path_source, step, step_tables)
 from .errors import BumpSmoothnessError, NotProperlyOrderedError
 from .measures import xi_vector
 from .scalars import as_float
@@ -268,11 +268,8 @@ class LevelComponent:
     level: int
     peak: float  # max |delta_k h| over level-k cylinders
     bump: BumpProfile = None
-    raw_cr: float = None  # direct C^r norm override (test vectors)
 
     def cr_norm(self, r, lam):
-        if self.raw_cr is not None:
-            return self.raw_cr
         lamf = as_float(lam)
         return sum(lamf ** (j * self.level) * self.bump.deriv_sup(j)
                    for j in range(r + 1)) * self.peak
@@ -288,17 +285,6 @@ def decompose(diagram, h, renorm, bump=None):
         peak = max((abs(as_float(v)) for v in d.values.values()), default=0.0)
         comps.append(LevelComponent(level=k, peak=peak, bump=bump))
     return comps
-
-
-def bumpified_norm(diagram, h, r, beta, renorm, bump=None):
-    """Sum over levels of lam^(beta k) times the C^r norm of the k-th
-    smoothed component; finite because delta_k h = 0 above h.level."""
-    if r > 3:
-        raise BumpSmoothnessError()
-    lamf = renorm.lam_float
-    comps = decompose(diagram, h, renorm, bump)
-    return sum(lamf ** (beta * c.level) * c.cr_norm(r, renorm.lambda_mu)
-               for c in comps)
 
 
 def weighted_norms(components, r, alpha, epsilon, lam):
@@ -334,44 +320,30 @@ def phi_transient(diagram, direction=1):
 
 
 def compose_phi(diagram, h, power=1):
-    """h composed with the adic map (power=1) or its inverse (power=-1),
-    exactly, as a cylinder function of level h.level + |power| * transient.
+    """h composed with phi^power exactly, as a cylinder function of level
+    L = max(h.level + |power| * T, 1), T the transient of the min (or, for
+    negative powers, max) in-edge source map.
 
-    Repeated single steps; each step needs the relevant extreme path to be
-    unique, else the composition is not transversally locally constant."""
-    out = h
-    for _ in range(abs(power)):
-        out = _compose_once(diagram, out, 1 if power > 0 else -1)
-    return out
-
-
-def _compose_once(diagram, h, direction):
+    One pass: every level-L path is stepped |power| times by the carry
+    kernel, and a prefix whose edges are all extreme wraps to the extreme
+    path.  After j steps its first L - j*T edges agree with phi^j of every
+    point of the cylinder, since extreme chains reach v* within T levels;
+    this needs the relevant extreme path to be unique, else the composition
+    is not transversally locally constant."""
+    if power == 0:
+        return h
+    direction = 1 if power > 0 else -1
     T, _ = phi_transient(diagram, direction)
     m = h.level
-    L = max(m + T, 1)
+    L = max(m + abs(power) * T, 1)
     ext = (extreme_min_lazy if direction == 1 else extreme_max_lazy)(diagram)
-    wrap_key = _path_key(diagram, materialize(diagram, ext, max(m, 1)), m)
+    wrapped = materialize(diagram, ext, L).edges
+    tables = step_tables(diagram, L, direction)
     vals = {}
     for p in enumerate_paths(diagram, 0, L):
-        img = _step_prefix(diagram, p.edges, direction)
-        key = cylinder_key(diagram, img, m) if img is not None else wrap_key
-        vals[p.edges] = h.values[key]
+        digits = list(p.edges)
+        for _ in range(abs(power)):
+            if not step(tables, digits):
+                digits = list(wrapped)
+        vals[p.edges] = h.values[cylinder_key(diagram, digits, m)]
     return CylinderFunction(L, vals)
-
-
-def _step_prefix(diagram, edges, direction):
-    """Successor (or predecessor) of a finite prefix within its own length;
-    None when every edge is extremal (the wrap-around case)."""
-    for i, e in enumerate(edges):
-        ld = diagram.level(i + 1)
-        v = ld.range(e)
-        pos = order_pos(ld)[e]
-        if direction == 1 and pos < len(ld.in_order[v]) - 1:
-            nxt = ld.in_order[v][pos + 1]
-            chain = min_chain(diagram, ld.source(nxt), i)
-            return chain.edges + (nxt,) + edges[i + 1:]
-        if direction == -1 and pos > 0:
-            prv = ld.in_order[v][pos - 1]
-            chain = max_chain(diagram, ld.source(prv), i)
-            return chain.edges + (prv,) + edges[i + 1:]
-    return None

@@ -13,14 +13,13 @@ only.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import combinations
 
-from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths, eventual_image,
-                       materialize, max_source_map, min_source_map,
-                       order_pos, path_range, path_source)
+from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
+                       max_source_map, min_source_map, path_source)
 from .errors import GluingUndefinedError, NumericError
 from .measures import cocycle_product
 from .scalars import as_float, is_exact, mat_vec
@@ -30,7 +29,10 @@ STRETCH_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ApproxComplex:
-    level: int
+    # The level is not part of the geometry: complexes of different levels
+    # with equal lengths and gluing compare equal, so the value-keyed caches
+    # of class_distances and diameter compute each geometry once.
+    level: int = field(compare=False)
     lengths: tuple        # exact scalar per edge (one edge per vertex)
     start_class: tuple    # vertex class of the negative end of each edge
     end_class: tuple      # vertex class of the positive end of each edge

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .cohomology import is_coboundary_class
 from .diagrams import (FinitePath, LazyPath, Tail, enumerate_paths,
-                       materialize, successor)
+                       materialize, step, step_tables, successor)
 from .errors import ObstructedError
 from .martingale import (CylinderFunction, _path_key, bump_from_roof,
                          compose_phi, holder_norm, lift, nu_mean)
@@ -188,12 +188,12 @@ def _fit_exponent(points, n_total):
 def birkhoff(diagram, h, start, n_total, checkpoints=None):
     """S_n = sum_{j<n} h(phi^j start) at checkpoints, with an exponent fit.
 
-    The orbit is driven by an in-place digit counter: each step finds the
-    lowest non-maximal edge, bumps it, and refills the levels below with the
-    minimal chain.  Exits past the materialized window (including the full
-    wrap at the maximal path) are delegated to the lazy successor, which is
-    exact and rare.  Rational inputs are accumulated as integers against a
-    common denominator, so every reported S_n is exact."""
+    The orbit is driven by the carry kernel `diagrams.step` on a finite
+    window of digits, moved in place.  When every edge of the window is
+    maximal, the step is delegated to the lazy successor, which is exact and
+    rare, and the window grows to the new path's prefix.  Rational inputs
+    are accumulated as integers against a common denominator, so every
+    reported S_n is exact."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     hh = h if h.level >= 1 else lift(diagram, h, 1)
@@ -212,24 +212,10 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
     single = m == 1
     keyed = {(k[0] if single else k): v for k, v in table.items()}
 
-    nxt_tab, min_tab, src_tab = [], [], []
-
-    def ensure_levels(n):
-        while len(nxt_tab) < n:
-            ld = diagram.level(len(nxt_tab) + 1)
-            nx = [-1] * len(ld.edges)
-            for order in ld.in_order:
-                for a, b in zip(order, order[1:]):
-                    nx[a] = b
-            nxt_tab.append(nx)
-            min_tab.append([order[0] if order else -1
-                            for order in ld.in_order])
-            src_tab.append([s for (s, _) in ld.edges])
-
     base = start
     digits = list(materialize(diagram, base,
                               max(m, len(start.prefix.edges), 4)).edges)
-    ensure_levels(len(digits))
+    tables = step_tables(diagram, len(digits))
 
     def rotated(tail, consumed):
         if tail.kind != "PERIODIC":
@@ -238,7 +224,7 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
         return Tail("PERIODIC", tail.word[s:] + tail.word[:s])
 
     def wrap():
-        nonlocal base, digits
+        nonlocal base, digits, tables
         here = LazyPath(FinitePath(tuple(digits)),
                         rotated(base.tail,
                                 len(digits) - len(base.prefix.edges)))
@@ -246,22 +232,7 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
         digits = list(materialize(
             diagram, base,
             max(len(digits), len(base.prefix.edges), m)).edges)
-        ensure_levels(len(digits))
-
-    def advance():
-        i, top = 0, len(digits)
-        while i < top and nxt_tab[i][digits[i]] < 0:
-            i += 1
-        if i == top:
-            wrap()
-            return
-        e2 = nxt_tab[i][digits[i]]
-        digits[i] = e2
-        v = src_tab[i][e2]
-        for j in range(i - 1, -1, -1):
-            e = min_tab[j][v]
-            digits[j] = e
-            v = src_tab[j][e]
+        tables = step_tables(diagram, len(digits))
 
     cps = sorted(set(int(c) for c in (checkpoints
                                       if checkpoints is not None
@@ -277,8 +248,8 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
         if ci < len(cps) and n == cps[ci]:
             out.append((n, Fraction(acc, q) if q else acc))
             ci += 1
-        if n < n_total:
-            advance()
+        if n < n_total and not step(tables, digits):
+            wrap()
     final = Fraction(acc, q) if q else acc
     slope, r2, ok = _fit_exponent(out, n_total)
     return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),

@@ -70,6 +70,30 @@ def test_orbit_csv(capsys):
                    "3,1 1 0\n4,0 0 1\n")
 
 
+@pytest.mark.parametrize("start", [
+    '{"prefix": [0, 7], "tail": "MIN"}',           # edge index out of range
+    '{"prefix": [0], "tail": {"periodic": [9]}}',  # periodic word out of range
+    '{"prefix": [0, 1], "tail": "MIN"}',           # edges do not chain
+])
+def test_orbit_rejects_bad_start(capsys, start):
+    rc, out, err = run(capsys, ["orbit", "--diagram", "fib",
+                                "--start", start, "-N", "2"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("start", [
+    '{"prefix": [0, 2], "tail": "MIN"}',
+    '{"prefix": [1], "tail": {"periodic": [0, 5]}}',
+])
+def test_birkhoff_rejects_bad_start(capsys, work, start):
+    rc, out, err = run(capsys, ["birkhoff", "--diagram", "odo2",
+                                "--function", str(work / "h.json"),
+                                "--start", start, "-N", "8"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: ")
+
+
 LYAPUNOV_FIB = """\
 {
   "certificates": {

@@ -167,3 +167,14 @@ def test_complex_cache_is_bounded(odo2):
         got = cached_complexes(odo2, rd, n)
     assert len(solenoid._COMPLEX_CACHE) == bound
     assert cached_complexes(odo2, rd, bound + 3) is got
+
+
+def test_diameter_cache_ignores_level(fib):
+    # complexes of a stationary diagram with the Perron roof differ only in
+    # their level, which is not part of the geometry
+    rd = renorm_data(fib)
+    diameter.cache_clear()
+    d0 = diameter(build_complex(fib, rd, 0))
+    d5 = diameter(build_complex(fib, rd, 5))
+    assert d0 == d5
+    assert diameter.cache_info().misses == 1
