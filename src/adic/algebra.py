@@ -35,8 +35,7 @@ from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
                        first_disagreement, materialize, successor)
 from .errors import (LevelOverflowError, NormTooLargeError,
                      NotProperlyOrderedError, PreconditionError)
-from .martingale import (CylinderFunction, compose_phi, constant_function,
-                         holder_norm, lift)
+from .martingale import compose_phi, constant_function, holder_norm, lift
 from .measures import renorm_data
 from .scalars import as_float
 

@@ -23,20 +23,17 @@ from fractions import Fraction
 
 from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
-from .cohomology import distributions, is_coboundary_class, limit_rank
+from .cohomology import distributions, limit_rank
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme_min_lazy, lazy_from_json_dict,
-                       lazy_to_json_dict, materialize, successor, validate)
+                       lazy_to_json_dict, materialize, path_table, successor,
+                       validate)
 from .errors import AdicError, ObstructedError, ParseError
-from .martingale import (CylinderFunction, as_vector, bump_from_roof,
-                         compose_phi, constant_function, decompose,
-                         from_vector, holder_norm, lift, nu_mean,
-                         weighted_norms)
+from .martingale import constant_function, decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .scalars import as_float
 from .solenoid import build_complex, diameter, euler_characteristic
 from .solver import birkhoff, chained_constant, solve
-from .cohomology import ClassTower
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +136,7 @@ def load_function(diagram, path):
         raw = dict(data.get("values", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed function file: %s" % exc) from None
-    if level == 0:
-        n = diagram.level(1).num_sources
-    else:
-        n = len(enumerate_paths(diagram, 0, level))
+    n = path_table(diagram, level).offsets[-1]
     vec = [Fraction(0)] * n
     for key, v in raw.items():
         try:
@@ -158,8 +152,7 @@ def load_function(diagram, path):
 
 
 def function_out(diagram, h):
-    vec = as_vector(diagram, h)
-    values = {str(i): _scalar_out(v) for i, v in enumerate(vec)
+    values = {str(i): _scalar_out(v) for i, v in enumerate(h.values)
               if not (v == 0)}
     return {"level": h.level, "values": values}
 
@@ -417,9 +410,9 @@ def cmd_birkhoff(args):
 def _rand_function(rng, diagram, level):
     if level == 0:
         return constant_function(diagram, Fraction(rng.randint(-8, 8), 4), 0)
-    vals = {p.edges: Fraction(rng.randint(-8, 8), 4)
-            for p in enumerate_paths(diagram, 0, level)}
-    return CylinderFunction(level=level, values=vals)
+    return from_vector(diagram, level, [
+        Fraction(rng.randint(-8, 8), 4)
+        for _ in range(path_table(diagram, level).offsets[-1])])
 
 
 def _rand_element(rng, diagram, lam, alpha, max_level=2, window=2,

@@ -16,11 +16,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import enumerate_paths, path_range
+from .diagrams import path_table
 from .errors import (GluingInconsistencyError, InsufficientStabilizationError,
                      RankNotStabilizedError)
-from .martingale import constant_function
-from .measures import cocycle_product
+from .martingale import constant_function, lift
 from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
     nullspace, rank, solve_linear
 from .solenoid import build_complex
@@ -248,10 +247,13 @@ def birkhoff_cochain(diagram, h, k):
     of h over the paths climbing that tower."""
     if k < h.level:
         raise ValueError("cochain level below the function level")
-    vals = [0] * diagram.num_vertices(k)
-    for p in enumerate_paths(diagram, 0, k):
-        v = path_range(diagram, p)
-        vals[v] = vals[v] + h.evaluate(diagram, p)
+    hv = lift(diagram, h, k).values
+    vals = []
+    for a, b in path_table(diagram, k).blocks():
+        total = 0
+        for x in hv[a:b]:
+            total = total + x
+        vals.append(total)
     return tuple(vals)
 
 

@@ -18,7 +18,7 @@ canonical extreme paths are produced in exact PERIODIC form by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (HorizonExceededError, LevelOverflowError,
@@ -604,6 +604,52 @@ def enumerate_paths(diagram, m, n, target=None):
     return out
 
 
+PATH_TABLE_CACHE_SIZE = 256
+
+
+@dataclass(frozen=True)
+class PathTable:
+    """Index columns of E_{0,k} in `enumerate_paths` order.  The order is
+    range-major, so the paths into vertex v of V_k form the block
+    offsets[v]:offsets[v+1]; inside it the paths through each in-edge e of
+    v form one run, starting at first[e], in the order of their parents."""
+    offsets: tuple  # per vertex of V_k its block start, then |E_{0,k}|
+    parent: tuple   # per path: index of its first k-1 edges at level k-1
+    first: tuple    # per edge of level k: index of the first path through it
+
+    def blocks(self):
+        """(start, stop) of the block of each vertex of V_k."""
+        return zip(self.offsets, self.offsets[1:])
+
+
+@lru_cache(maxsize=PATH_TABLE_CACHE_SIZE)
+def path_table(diagram, k):
+    """The PathTable of level k; level 0 lists the vertices of V_0."""
+    if k == 0:
+        return PathTable(tuple(range(diagram.num_vertices(0) + 1)), (), ())
+    ld = diagram.level(k)
+    below = path_table(diagram, k - 1).offsets
+    offsets, parent, first = [0], [], [0] * len(ld.edges)
+    for order in ld.in_order:
+        for e in order:
+            first[e] = len(parent)
+            s = ld.source(e)
+            parent.extend(range(below[s], below[s + 1]))
+        offsets.append(len(parent))
+    return PathTable(tuple(offsets), tuple(parent), tuple(first))
+
+
+def path_index(diagram, p, k):
+    """Index of the level-k cylinder of the rooted path p in the order of
+    `enumerate_paths(diagram, 0, k)`."""
+    i = path_source(diagram, p)
+    for j in range(1, k + 1):
+        e = p.edges[j - 1]
+        i += path_table(diagram, j).first[e] - \
+            path_table(diagram, j - 1).offsets[diagram.level(j).source(e)]
+    return i
+
+
 def count_paths(diagram, m, n):
     """Vector over V_n: |E_{m,n}| path counts into each vertex."""
     c = [1] * diagram.num_vertices(m)
@@ -612,28 +658,6 @@ def count_paths(diagram, m, n):
         c = [sum(c[ld.source(e)] for e in ld.in_order[v])
              for v in range(ld.num_ranges)]
     return c
-
-
-def path_rank(diagram, p):
-    """Index of p within the lexicographic order of E_{r(p)} (same start).
-
-    Paths smaller than p agree with it above some level j and take an
-    in-order-earlier edge there; below j they are arbitrary, contributing
-    the path count into that edge's source.
-    """
-    total = 0
-    cvec = [1] * diagram.num_vertices(p.start)
-    for i, e in enumerate(p.edges):
-        ld = diagram.level(p.start + 1 + i)
-        before = 0
-        for f in ld.in_order[ld.range(e)]:
-            if f == e:
-                break
-            before += cvec[ld.source(f)]
-        total += before
-        cvec = [sum(cvec[ld.source(f)] for f in ld.in_order[u])
-                for u in range(ld.num_ranges)]
-    return total
 
 
 def is_strongly_minimal(diagram, horizon):

@@ -1,14 +1,17 @@
 """Cylinder functions, conditional expectations, Hoelder norms, and the
 weighted norms of bump-smoothed level components.
 
-A CylinderFunction of level m >= 1 assigns a value to every path prefix in
-E_{0,m}, keyed by the edge tuple; a level-0 function is keyed by the source
-vertex.  Values may be Fractions, quadratic-field elements, or floats, and
-projection/difference operations stay in the same field.  The bump profile
-used for smoothing is the fixed polynomial c*(1 - (5t/tau)^2)^3, whose
-integral is exactly one and whose derivative sup-norms have closed forms; it
-is C^2 at the support boundary (u, u', u'' vanish there) while its third
-derivative is bounded but jumps there.
+A CylinderFunction of level m >= 0 is the vector of its values on the
+level-m cylinders, in the order of `enumerate_paths(diagram, 0, m)`; at
+level 0 that is the vertex order of V_0.  Lifts, projections, means and
+compositions act on these vectors through the per-level parent tables and
+block offsets of `diagrams.path_table`.  Values may be Fractions,
+quadratic-field elements, or floats, and projection/difference operations
+stay in the same field.  The bump profile used for smoothing is the fixed
+polynomial c*(1 - (5t/tau)^2)^3, whose integral is exactly one and whose
+derivative sup-norms have closed forms; it is C^2 at the support boundary
+(u, u', u'' vanish there) while its third derivative is bounded but jumps
+there.
 """
 
 from __future__ import annotations
@@ -17,48 +20,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diagrams import (LazyPath, FinitePath, enumerate_paths, materialize,
-                       eventual_image, min_source_map, max_source_map,
-                       extreme_min_lazy, extreme_max_lazy, path_range,
-                       path_source, step, step_tables)
+from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
+                       extreme_min_lazy, materialize, max_source_map,
+                       min_source_map, path_index, path_range, path_table)
 from .errors import BumpSmoothnessError, NotProperlyOrderedError
 from .measures import xi_vector
 from .scalars import as_float
 
 
-def cylinder_key(diagram, edges, k):
-    """Canonical dict key of the level-k cylinder containing a path with the
-    given edge tuple: the first k edges, or the source vertex when k == 0."""
-    if k == 0:
-        if not edges:
-            raise ValueError("need at least one edge to locate the source")
-        return diagram.level(1).source(edges[0])
-    return tuple(edges[:k])
-
-
-def _path_key(diagram, p, k):
-    if k == 0:
-        return path_source(diagram, p)
-    return p.edges[:k]
-
-
 @dataclass
 class CylinderFunction:
     level: int
-    values: dict  # level-k edge tuple (or vertex when level == 0) -> scalar
+    values: list  # one scalar per level-m path, in enumerate_paths order
 
     def evaluate(self, diagram, x):
         if isinstance(x, LazyPath):
-            key = _path_key(diagram,
-                            materialize(diagram, x, max(self.level, 1)),
-                            self.level)
-        elif isinstance(x, FinitePath):
-            if len(x.edges) < self.level or x.start != 0:
-                raise ValueError("path too short for this cylinder function")
-            key = _path_key(diagram, x, self.level)
-        else:
-            key = cylinder_key(diagram, tuple(x), self.level)
-        return self.values[key]
+            x = materialize(diagram, x, max(self.level, 1))
+        elif len(x.edges) < self.level or x.start != 0:
+            raise ValueError("path too short for this cylinder function")
+        return self.values[path_index(diagram, x, self.level)]
 
     def __add__(self, other):
         return _pointwise(self, other, lambda a, b: a + b)
@@ -69,62 +49,56 @@ class CylinderFunction:
     def __mul__(self, other):
         if isinstance(other, CylinderFunction):
             return _pointwise(self, other, lambda a, b: a * b)
-        return CylinderFunction(self.level,
-                                {k: v * other for k, v in self.values.items()})
+        return CylinderFunction(self.level, [v * other for v in self.values])
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __neg__(self):
-        return CylinderFunction(self.level,
-                                {k: -v for k, v in self.values.items()})
+        return CylinderFunction(self.level, [-v for v in self.values])
 
     def sup_norm(self):
-        return max((abs(as_float(v)) for v in self.values.values()),
-                   default=0.0)
+        return max((abs(as_float(v)) for v in self.values), default=0.0)
 
     def is_zero(self):
-        return all(v == 0 for v in self.values.values())
+        return all(v == 0 for v in self.values)
 
 
 def constant_function(diagram, value, level=0):
-    vals = {_path_key(diagram, p, level): value
-            for p in enumerate_paths(diagram, 0, level)}
-    return CylinderFunction(level, vals)
+    return CylinderFunction(level,
+                            [value] * path_table(diagram, level).offsets[-1])
 
 
 def _pointwise(a, b, op):
     if a.level != b.level:
         raise ValueError("align levels with lift() before combining")
-    if set(a.values) != set(b.values):
+    if len(a.values) != len(b.values):
         raise ValueError("cylinder supports differ")
-    return CylinderFunction(a.level, {k: op(a.values[k], b.values[k])
-                                      for k in a.values})
+    return CylinderFunction(a.level, [op(x, y)
+                                      for x, y in zip(a.values, b.values)])
 
 
 def from_vector(diagram, level, vec):
-    paths = enumerate_paths(diagram, 0, level)
-    if len(vec) != len(paths):
-        raise ValueError("expected %d values, got %d" % (len(paths), len(vec)))
-    return CylinderFunction(level, {_path_key(diagram, p, level): v
-                                    for p, v in zip(paths, vec)})
+    n = path_table(diagram, level).offsets[-1]
+    if len(vec) != n:
+        raise ValueError("expected %d values, got %d" % (n, len(vec)))
+    return CylinderFunction(level, list(vec))
 
 
 def as_vector(diagram, h):
-    return [h.values[_path_key(diagram, p, h.level)]
-            for p in enumerate_paths(diagram, 0, h.level)]
+    return list(h.values)
 
 
 def lift(diagram, h, k):
-    """Re-key h on level-k prefixes (k >= h.level)."""
+    """h on the level-k cylinders (k >= h.level): every path takes the
+    value of its parent, one level at a time."""
     if k < h.level:
         raise ValueError("lift goes to finer levels only")
     if k == h.level:
         return h
-    vals = {}
-    for p in enumerate_paths(diagram, 0, k):
-        vals[_path_key(diagram, p, k)] = h.values[_path_key(diagram, p,
-                                                            h.level)]
+    vals = h.values
+    for j in range(h.level + 1, k + 1):
+        vals = [vals[i] for i in path_table(diagram, j).parent]
     return CylinderFunction(k, vals)
 
 
@@ -132,28 +106,31 @@ def nu_mean(diagram, h):
     """Integral against the unique tail-invariant probability measure."""
     xi = xi_vector(diagram, h.level)
     total = 0
-    for p in enumerate_paths(diagram, 0, h.level):
-        total = total + xi[path_range(diagram, p)] * \
-            h.values[_path_key(diagram, p, h.level)]
+    for x, (a, b) in zip(xi, path_table(diagram, h.level).blocks()):
+        for v in h.values[a:b]:
+            total = total + x * v
     return total
 
 
 def project(diagram, h, k):
-    """Conditional expectation onto level-k cylinders (exact in the field)."""
+    """Conditional expectation onto level-k cylinders (exact in the field):
+    the xi-weighted values of each level-k cylinder's descendants, summed
+    into it and divided by its own weight."""
     if k >= h.level:
         return lift(diagram, h, k)
-    xi_m = xi_vector(diagram, h.level)
-    xi_k = xi_vector(diagram, k)
-    acc = {}
-    for p in enumerate_paths(diagram, 0, h.level):
-        key = _path_key(diagram, p, k)
-        w = xi_m[path_range(diagram, p)] * h.values[_path_key(diagram, p,
-                                                              h.level)]
-        acc[key] = acc.get(key, 0) + w
-    out = {}
-    for q in enumerate_paths(diagram, 0, k):
-        out[_path_key(diagram, q, k)] = \
-            acc[_path_key(diagram, q, k)] / xi_k[path_range(diagram, q)]
+    m = h.level
+    anc = path_table(diagram, m).parent
+    for j in range(m - 1, k, -1):
+        parent = path_table(diagram, j).parent
+        anc = [parent[i] for i in anc]
+    top, low = path_table(diagram, m), path_table(diagram, k)
+    acc = [0] * low.offsets[-1]
+    for x, (a, b) in zip(xi_vector(diagram, m), top.blocks()):
+        for i in range(a, b):
+            acc[anc[i]] = acc[anc[i]] + x * h.values[i]
+    out = []
+    for x, (a, b) in zip(xi_vector(diagram, k), low.blocks()):
+        out.extend(w / x for w in acc[a:b])
     return CylinderFunction(k, out)
 
 
@@ -171,40 +148,30 @@ def holder_norm(diagram, h, alpha, lam):
     """Exact-attained Hoelder data of a cylinder function.
 
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
-    level-m cylinders; per disagreement level j the extremal spread is found
-    with a prefix tree (top-2 bookkeeping avoids same-subtree pairs)."""
+    level-m cylinders; per disagreement level j the extremal spread is the
+    largest gap between the value ranges of two distinct level-j cylinders
+    that share their first j-1 edges."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
     lamf = as_float(lam)
     semi = 0.0
-    groups = {(): [(k if isinstance(k, tuple) else (), v)
-                   for k, v in h.values.items()]}
-    for j in range(1, m + 1):
-        best = 0.0
-        nxt = {}
-        for pref, items in groups.items():
-            per_child = {}
-            for edges, v in items:
-                per_child.setdefault(edges[j - 1], []).append((edges, v))
-                nxt.setdefault(edges[:j], []).append((edges, v))
-            if len(per_child) > 1:
-                stats = []
-                for ch, its in per_child.items():
-                    vals = [as_float(v) for _, v in its]
-                    stats.append((min(vals), max(vals), ch))
-                lo = sorted(stats, key=lambda t: t[0])
-                hi = sorted(stats, key=lambda t: -t[1])
-                if lo[0][2] != hi[0][2]:
-                    spread = hi[0][1] - lo[0][0]
-                else:
-                    spread = max(
-                        hi[0][1] - (lo[1][0] if len(lo) > 1 else hi[0][1]),
-                        (hi[1][1] if len(hi) > 1 else lo[0][0]) - lo[0][0])
-                best = max(best, spread)
+    lo = hi = [as_float(v) for v in h.values]
+    for j in range(m, 0, -1):
+        if j == 1:
+            # distinct level-1 cylinders lie at distance 1, whatever their
+            # sources
+            kids = [range(len(lo))]
+        else:
+            kids = [[] for _ in range(path_table(diagram, j - 1).offsets[-1])]
+            for c, g in enumerate(path_table(diagram, j).parent):
+                kids[g].append(c)
+        best = max((hi[a] - lo[b] for cs in kids for a in cs for b in cs
+                    if a != b), default=0.0)
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
-        groups = nxt
+        lo = [min((lo[c] for c in cs), default=math.inf) for cs in kids]
+        hi = [max((hi[c] for c in cs), default=-math.inf) for cs in kids]
     sup = h.sup_norm()
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
@@ -282,7 +249,7 @@ def decompose(diagram, h, renorm, bump=None):
     comps = []
     for k in range(h.level + 1):
         d = delta(diagram, h, k)
-        peak = max((abs(as_float(v)) for v in d.values.values()), default=0.0)
+        peak = max((abs(as_float(v)) for v in d.values), default=0.0)
         comps.append(LevelComponent(level=k, peak=peak, bump=bump))
     return comps
 
@@ -324,26 +291,35 @@ def compose_phi(diagram, h, power=1):
     L = max(h.level + |power| * T, 1), T the transient of the min (or, for
     negative powers, max) in-edge source map.
 
-    One pass: every level-L path is stepped |power| times by the carry
-    kernel, and a prefix whose edges are all extreme wraps to the extreme
-    path.  After j steps its first L - j*T edges agree with phi^j of every
-    point of the cylinder, since extreme chains reach v* within T levels;
-    this needs the relevant extreme path to be unique, else the composition
-    is not transversally locally constant."""
+    On level-L paths phi is the next path in the block of its range vertex
+    (the tower order that `diagrams.step` follows), and the last path of a
+    block goes to the level-L prefix of the extreme path, the first (for
+    negative powers, the last) path of its block w.  So |power| steps shift
+    an index inside its block, and an index that runs off the block goes on
+    from the extreme path, cycling through block w.  After j steps the
+    first L - j*T edges agree with phi^j of every point of the cylinder,
+    since extreme chains reach v* within T levels; this needs the relevant
+    extreme path to be unique, else the composition is not transversally
+    locally constant."""
     if power == 0:
         return h
     direction = 1 if power > 0 else -1
     T, _ = phi_transient(diagram, direction)
-    m = h.level
-    L = max(m + abs(power) * T, 1)
+    n = abs(power)
+    L = max(h.level + n * T, 1)
     ext = (extreme_min_lazy if direction == 1 else extreme_max_lazy)(diagram)
-    wrapped = materialize(diagram, ext, L).edges
-    tables = step_tables(diagram, L, direction)
-    vals = {}
-    for p in enumerate_paths(diagram, 0, L):
-        digits = list(p.edges)
-        for _ in range(abs(power)):
-            if not step(tables, digits):
-                digits = list(wrapped)
-        vals[p.edges] = h.values[cylinder_key(diagram, digits, m)]
-    return CylinderFunction(L, vals)
+    table = path_table(diagram, L)
+    w = path_range(diagram, materialize(diagram, ext, L))
+    wa, wb = table.offsets[w], table.offsets[w + 1]
+    idx = []
+    for a, b in table.blocks():
+        if direction == 1:
+            idx.extend(range(a + n, b))
+            idx.extend(wa + (i + n - b) % (wb - wa)
+                       for i in range(max(a, b - n), b))
+        else:
+            idx.extend(wb - 1 - (a + n - 1 - i) % (wb - wa)
+                       for i in range(a, min(a + n, b)))
+            idx.extend(range(a, b - n))
+    vals = lift(diagram, h, L).values
+    return CylinderFunction(L, [vals[i] for i in idx])

@@ -25,11 +25,11 @@ from fractions import Fraction
 
 from .cohomology import is_coboundary_class
 from .diagrams import (FinitePath, LazyPath, Tail, enumerate_paths,
-                       materialize, step, step_tables, successor)
+                       materialize, path_table, step, step_tables, successor)
 from .errors import ObstructedError
-from .martingale import (CylinderFunction, _path_key, bump_from_roof,
-                         compose_phi, holder_norm, lift, nu_mean)
-from .scalars import as_float, is_exact
+from .martingale import (CylinderFunction, bump_from_roof, compose_phi,
+                         holder_norm, lift, nu_mean)
+from .scalars import as_float
 from .solenoid import build_complex, diameter
 
 
@@ -56,7 +56,7 @@ def _residual(diagram, h, g):
     top = max(h.level, g.level, gphi.level, 1)
     diff = lift(diagram, h, top) - (lift(diagram, gphi, top) -
                                     lift(diagram, g, top))
-    return _sup_abs(diff.values.values())
+    return _sup_abs(diff.values)
 
 
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
@@ -71,16 +71,16 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     level = verdict["certificate"]["level"]
     beta = verdict["certificate"]["beta"]
     cx = tower.spaces[level].complex
-    vals = {}
-    for v in range(diagram.num_vertices(level)):
+    hv = lift(diagram, h, level).values
+    vals = []
+    for v, (a, b) in enumerate(path_table(diagram, level).blocks()):
         anchor = beta[cx.start_class[v]]
         run = 0
-        for p in enumerate_paths(diagram, 0, level, target=v):
-            vals[_path_key(diagram, p, level)] = anchor + run
-            run = run + h.evaluate(diagram, p)
-    raw = CylinderFunction(level, vals)
-    gauge = nu_mean(diagram, raw)
-    g = CylinderFunction(level, {k: x - gauge for k, x in raw.values.items()})
+        for x in hv[a:b]:
+            vals.append(anchor + run)
+            run = run + x
+    gauge = nu_mean(diagram, CylinderFunction(level, vals))
+    g = CylinderFunction(level, [x - gauge for x in vals])
     norms = None
     if alpha is not None:
         norms = solution_norms(diagram, tower.renorm, h, g, alpha, epsilon)
@@ -198,19 +198,19 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
         raise ValueError("need at least one iterate")
     hh = h if h.level >= 1 else lift(diagram, h, 1)
     m = hh.level
-    rational = all(isinstance(v, (int, Fraction))
-                   for v in hh.values.values())
+    rational = all(isinstance(v, (int, Fraction)) for v in hh.values)
     if rational:
         q = 1
-        for v in hh.values.values():
+        for v in hh.values:
             d = Fraction(v).denominator
             q = q * d // math.gcd(q, d)
-        table = {k: int(v * q) for k, v in hh.values.items()}
+        table = [int(v * q) for v in hh.values]
     else:
         q = None
-        table = dict(hh.values)
+        table = hh.values
     single = m == 1
-    keyed = {(k[0] if single else k): v for k, v in table.items()}
+    keyed = {(p.edges[0] if single else p.edges): v
+             for p, v in zip(enumerate_paths(diagram, 0, m), table)}
 
     base = start
     digits = list(materialize(diagram, base,

@@ -5,7 +5,7 @@ import pytest
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import enumerate_paths
-from adic.martingale import CylinderFunction, constant_function
+from adic.martingale import constant_function, from_vector
 
 
 @pytest.fixture(scope="session")
@@ -35,6 +35,6 @@ def rng(seed):
 def rand_function(r, diagram, level, den=4, lo=-8, hi=8):
     if level == 0:
         return constant_function(diagram, Fraction(r.randint(lo, hi), den), 0)
-    vals = {p.edges: Fraction(r.randint(lo, hi), den)
-            for p in enumerate_paths(diagram, 0, level)}
-    return CylinderFunction(level=level, values=vals)
+    return from_vector(diagram, level,
+                       [Fraction(r.randint(lo, hi), den)
+                        for _ in enumerate_paths(diagram, 0, level)])

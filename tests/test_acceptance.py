@@ -76,7 +76,7 @@ def test_criterion_02_constructed_coboundaries(odo2, fib):
                 continue
             top = max(sol.g.level, g0.level)
             diff = lift(d, sol.g, top) - lift(d, g0, top)
-            if len(set(diff.values.values())) != 1:
+            if len(set(diff.values)) != 1:
                 bad += 1
     dt = time.perf_counter() - t0
     ok = bad == 0 and dt < 30.0

@@ -12,7 +12,7 @@ from adic.algebra import (add, complement_support, convolve, element,
                           scale, subtract, trace, triangle_phi, unit, unitary)
 from adic.cohomology import limit_rank
 from adic.errors import LevelOverflowError, NormTooLargeError
-from adic.martingale import CylinderFunction, compose_phi, constant_function
+from adic.martingale import compose_phi, constant_function, from_vector
 from adic.measures import renorm_data
 
 SLACK = 1e-9
@@ -152,8 +152,7 @@ def test_jolissaint_identity_exact(odo2, pisot31):
 
 def test_neumann_inversion(odo2):
     u = unit(odo2, 2, 3)
-    ind = CylinderFunction(level=1, values={(0,): Fraction(1, 5),
-                                            (1,): Fraction(0)})
+    ind = from_vector(odo2, 1, [Fraction(1, 5), Fraction(0)])
     h = subtract(u, element(odo2, 2, 3, {0: ind}))
     res = neumann_invert(h, tol=1e-10)
     assert res.residual <= 1e-10

@@ -10,8 +10,8 @@ from adic.cohomology import (birkhoff_cochain, cohomology_basis,
                              distributions, induced_map,
                              is_coboundary_class, limit_rank)
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
-from adic.martingale import (CylinderFunction, compose_phi,
-                             constant_function, lift, nu_mean)
+from adic.martingale import (compose_phi, constant_function, from_vector,
+                             lift, nu_mean)
 from adic.measures import renorm_data
 from adic.solenoid import build_complex
 
@@ -123,8 +123,8 @@ def test_fib_distributions_are_independent(fib):
     tower = _tower(fib)
     cols = []
     for e in range(3):
-        vals = {(i,): Fraction(1 if i == e else 0) for i in range(3)}
-        dvs = distributions(CylinderFunction(level=1, values=vals), tower)
+        vals = [Fraction(1 if i == e else 0) for i in range(3)]
+        dvs = distributions(from_vector(fib, 1, vals), tower)
         assert len(dvs) == 2
         cols.append([dv.value for dv in dvs])
     assert np.linalg.matrix_rank(np.array(cols).T) == 2

@@ -1,0 +1,151 @@
+"""Cylinder functions as vectors in `enumerate_paths` order, and the
+per-level path tables behind them, against brute force: a reference dict
+keyed by edge tuples (by source vertex at level 0), built inline from
+`enumerate_paths`."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from test_step import _random_diagram
+
+from adic.catalog import builtin_diagram
+from adic.cohomology import birkhoff_cochain
+from adic.diagrams import (PATH_TABLE_CACHE_SIZE, FinitePath, LazyPath,
+                           OrderedDiagram, TAIL_MAX, TAIL_MIN,
+                           enumerate_paths, extreme_max_lazy,
+                           extreme_min_lazy, make_level, materialize,
+                           path_index, path_range, path_source, path_table,
+                           step, step_tables)
+from adic.errors import NotProperlyOrderedError
+from adic.martingale import (compose_phi, from_vector, holder_norm, lift,
+                             nu_mean, phi_transient, project)
+from adic.measures import xi_vector
+
+TOP = 3
+
+
+@pytest.fixture(scope="module")
+def diagrams():
+    out = [builtin_diagram(name)
+           for name in ("odo2", "odo3", "fib", "pisot31")]
+    r = random.Random(7)
+    return out + [_random_diagram(r, n, 6) for n in (2, 3, 3)]
+
+
+def _key(d, p, m):
+    """The reference key of the level-m cylinder of a rooted path p."""
+    return p.edges[:m] if m else path_source(d, p)
+
+
+def _random_pair(r, d, m):
+    """A random level-m function and its reference dict."""
+    paths = enumerate_paths(d, 0, m)
+    vals = [Fraction(r.randint(-8, 8), 4) for _ in paths]
+    return from_vector(d, m, vals), {_key(d, p, m): v
+                                     for p, v in zip(paths, vals)}
+
+
+def test_path_tables_match_enumeration(diagrams):
+    for d in diagrams:
+        for k in range(TOP + 1):
+            paths = enumerate_paths(d, 0, k)
+            t = path_table(d, k)
+            assert t.offsets[-1] == len(paths)
+            for v, (a, b) in enumerate(t.blocks()):
+                assert all(path_range(d, p) == v for p in paths[a:b])
+            for i, p in enumerate(paths):
+                assert path_index(d, p, k) == i
+            if k == 0:
+                continue
+            above = {p.edges: i for i, p in enumerate(enumerate_paths(
+                d, 0, k - 1))} if k > 1 else None
+            for i, p in enumerate(paths):
+                want = above[p.edges[:-1]] if above else path_source(d, p)
+                assert t.parent[i] == want
+                assert t.first[p.edges[-1]] == min(
+                    j for j, q in enumerate(paths)
+                    if q.edges[-1] == p.edges[-1])
+
+
+def test_vector_operations_match_reference(diagrams):
+    r = random.Random(11)
+    for d in diagrams:
+        paths = {k: enumerate_paths(d, 0, k) for k in range(TOP + 1)}
+        xi = {k: xi_vector(d, k) for k in range(TOP + 1)}
+        for m in range(TOP + 1):
+            h, ref = _random_pair(r, d, m)
+            for k in range(m, TOP + 1):
+                assert lift(d, h, k).values == \
+                    [ref[_key(d, p, m)] for p in paths[k]]
+                assert birkhoff_cochain(d, h, k) == tuple(
+                    sum((ref[_key(d, p, m)] for p in paths[k]
+                         if path_range(d, p) == v), Fraction(0))
+                    for v in range(d.num_vertices(k)))
+            for k in range(m):
+                want = []
+                for q in paths[k]:
+                    mass = sum((xi[m][path_range(d, p)] * ref[_key(d, p, m)]
+                                for p in paths[m]
+                                if _key(d, p, k) == _key(d, q, k)),
+                               Fraction(0))
+                    want.append(mass / xi[k][path_range(d, q)])
+                assert project(d, h, k).values == want
+            assert nu_mean(d, h) == sum(
+                xi[m][path_range(d, p)] * ref[_key(d, p, m)]
+                for p in paths[m])
+            # sup plus the largest |h(x) - h(y)| lam^((j-1) alpha) over
+            # pairs first differing at edge j
+            items = [(p.edges, float(ref[_key(d, p, m)]))
+                     for p in paths[max(m, 1)]]
+            semi = max((abs(u - w) * 2.0 ** (3.0 * next(
+                j for j, (e, f) in enumerate(zip(p, q)) if e != f))
+                for i, (p, u) in enumerate(items)
+                for q, w in items[i + 1:]), default=0.0)
+            assert holder_norm(d, h, 3.0, 2.0)["norm"] == \
+                max(abs(u) for _, u in items) + semi
+            for p in paths[TOP]:
+                assert h.evaluate(d, p) == ref[_key(d, p, m)]
+                for cut, tail in ((TOP, TAIL_MIN), (1, TAIL_MAX)):
+                    x = LazyPath(FinitePath(p.edges[:cut]), tail)
+                    assert h.evaluate(d, x) == \
+                        ref[_key(d, materialize(d, x, max(m, 1)), m)]
+
+
+def test_compose_phi_matches_stepped_reference(diagrams):
+    r = random.Random(13)
+    for d in diagrams:
+        for m in range(3):
+            h, ref = _random_pair(r, d, m)
+            for power in (1, 2, 3, -1, -2, -3):
+                direction = 1 if power > 0 else -1
+                try:
+                    T, _ = phi_transient(d, direction)
+                except NotProperlyOrderedError:
+                    continue
+                L = max(m + abs(power) * T, 1)
+                ext = (extreme_min_lazy if direction == 1
+                       else extreme_max_lazy)(d)
+                wrapped = materialize(d, ext, L).edges
+                tables = step_tables(d, L, direction)
+                want = []
+                for p in enumerate_paths(d, 0, L):
+                    digits = list(p.edges)
+                    for _ in range(abs(power)):
+                        if not step(tables, digits):
+                            digits = list(wrapped)
+                    want.append(ref[_key(d, FinitePath(tuple(digits)), m)])
+                got = compose_phi(d, h, power)
+                assert got.level == L and got.values == want, (d, m, power)
+
+
+def test_path_table_cache_is_bounded():
+    # one edge per level: a single path at every level, however deep
+    d = OrderedDiagram((make_level(1, 1, [(0, 0)], [[0]]),), True)
+    path_table.cache_clear()
+    for k in range(PATH_TABLE_CACHE_SIZE + 4):
+        path_table(d, k)
+    info = path_table.cache_info()
+    assert info.maxsize == PATH_TABLE_CACHE_SIZE
+    assert info.currsize == PATH_TABLE_CACHE_SIZE

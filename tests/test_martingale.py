@@ -5,8 +5,8 @@ from fractions import Fraction
 from conftest import rand_function, rng
 
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
-from adic.martingale import (CylinderFunction, bump_from_roof, compose_phi,
-                             constant_function, decompose, delta,
+from adic.martingale import (bump_from_roof, compose_phi,
+                             constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, phi_transient,
                              project)
 from adic.measures import renorm_data
@@ -51,8 +51,7 @@ def test_holder_norm_examples(odo2):
     c = constant_function(odo2, Fraction(5, 2), 0)
     n = holder_norm(odo2, c, 3, 2)
     assert n["sup"] == 2.5 and n["seminorm"] == 0.0 and n["norm"] == 2.5
-    ind = CylinderFunction(level=1, values={(0,): Fraction(1),
-                                            (1,): Fraction(0)})
+    ind = from_vector(odo2, 1, [Fraction(1), Fraction(0)])
     # the two level-1 cylinders are at distance 1, so seminorm = sup = 1
     n1 = holder_norm(odo2, ind, 1, 2)
     assert n1["sup"] == 1.0 and n1["seminorm"] == 1.0 and n1["norm"] == 2.0
@@ -63,16 +62,15 @@ def test_holder_norm_examples(odo2):
 def test_holder_seminorm_scales_with_level(odo2):
     # indicator of a level-2 cylinder: nearest distinct cylinder sits at
     # distance 1/2, so the alpha-seminorm is 2^alpha
-    vals = {p.edges: Fraction(0) for p in enumerate_paths(odo2, 0, 2)}
-    vals[(0, 0)] = Fraction(1)
-    h = CylinderFunction(level=2, values=vals)
+    paths = enumerate_paths(odo2, 0, 2)
+    h = from_vector(odo2, 2, [Fraction(1 if p.edges == (0, 0) else 0)
+                              for p in paths])
     n = holder_norm(odo2, h, 2, 2)
     assert n["seminorm"] == 4.0
 
 
 def test_compose_phi_odometer_rotation(odo2):
-    ind0 = CylinderFunction(level=1, values={(0,): Fraction(1),
-                                             (1,): Fraction(0)})
+    ind0 = from_vector(odo2, 1, [Fraction(1), Fraction(0)])
     moved = compose_phi(odo2, ind0, 1)
     # h(phi x) = 1 iff phi x starts with 0 iff x starts with 1
     for p in enumerate_paths(odo2, 0, max(moved.level, 1)):
@@ -102,9 +100,9 @@ def test_compose_phi_shifts_level_by_transient(pisot31):
 
 def test_decompose_peaks(odo2):
     rd = renorm_data(odo2)
-    vals = {(0, 0): Fraction(1), (1, 0): Fraction(-1),
-            (0, 1): Fraction(1), (1, 1): Fraction(-1)}
-    h = CylinderFunction(level=2, values=vals)
+    # odo2's level-2 paths in order: (0, 0), (1, 0), (0, 1), (1, 1)
+    h = from_vector(odo2, 2, [Fraction(1), Fraction(-1),
+                              Fraction(1), Fraction(-1)])
     comps = decompose(odo2, h, rd)
     # mean zero: no level-0 component; all variation enters at level 1
     assert comps[0].peak == 0.0

@@ -12,7 +12,7 @@ from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
                            enumerate_paths, make_level, step, step_tables,
                            successor)
 from adic.errors import NotProperlyOrderedError
-from adic.martingale import CylinderFunction, compose_phi, phi_transient
+from adic.martingale import compose_phi, from_vector, phi_transient
 
 
 def _random_diagram(r, n, max_edges):
@@ -71,9 +71,8 @@ def test_compose_phi_matches_lazy_successors(diagrams):
     for d in diagrams:
         # level 0 already separates the vertices of a multi-vertex diagram
         level = 1 if d.num_vertices(0) == 1 else 0
-        h = CylinderFunction(level, {
-            (p.edges if level else p.root): Fraction(i, 3)
-            for i, p in enumerate(enumerate_paths(d, 0, level))})
+        h = from_vector(d, level, [
+            Fraction(i, 3) for i in range(len(enumerate_paths(d, 0, level)))])
         for k in (1, 2, 3, 4, -1, -2, -3, -4):
             direction = 1 if k > 0 else -1
             try:
@@ -89,5 +88,5 @@ def test_compose_phi_matches_lazy_successors(diagrams):
                     x = LazyPath(p, tail)
                     for _ in range(abs(k)):
                         x = successor(d, x, direction)
-                    assert c.values[p.edges] == h.evaluate(d, x), \
+                    assert c.evaluate(d, p) == h.evaluate(d, x), \
                         (d, k, p.edges, tail.kind)
