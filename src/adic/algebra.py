@@ -2,10 +2,12 @@
 
 An element is a finitely supported map k -> cylinder function standing for
 the formal sum of a(k) u^k, with u the shift unitary of the adic map.
-Multiplication convolves coefficients and conjugates by powers of the map,
-which raises cylinder levels by the carry depth of each composition; all of
-that is computed exactly, with a hard level cap instead of silent
-truncation.
+Multiplication convolves coefficients and conjugates by powers of the map.
+A composition with phi^k raises the cylinder level by the transient T of
+the extreme source map, and by more only while the tower over its fixed
+vertex holds fewer than |k| paths, so levels grow like log|k| (not at all
+on the odometers, where T = 0); all of that is computed exactly, with a
+hard level cap instead of silent truncation.
 
 The distortion constant of the adic map enters every weighted norm, and it
 is only ever available as a certified lower bound from a finite pair sweep.
@@ -40,6 +42,7 @@ from .measures import renorm_data
 from .scalars import as_float
 
 LEVEL_CAP = 20
+TRIANGLE_CACHE_SIZE = 16
 
 
 @dataclass(frozen=True)
@@ -214,7 +217,7 @@ def _direction_sweep(diagram, paths, reps, images, lamf, depth):
             (paths[keep[u]].edges, paths[keep[v]].edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TRIANGLE_CACHE_SIZE)
 def triangle_phi(diagram, L, lam=None):
     """Certified lower bound for the bi-Lipschitz distortion of the adic
     map, from the exhaustive sweep of level-L cylinder pairs (minimal-tail

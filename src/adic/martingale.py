@@ -288,25 +288,39 @@ def phi_transient(diagram, direction=1):
 
 def compose_phi(diagram, h, power=1):
     """h composed with phi^power exactly, as a cylinder function of level
-    L = max(h.level + |power| * T, 1), T the transient of the min (or, for
-    negative powers, max) in-edge source map.
+    L = max(min(m + n*T, T + max(m, n*)), 1).  Here n = |power|; T and v*
+    come from `phi_transient` (the min in-edge source map, or the max one
+    for negative powers); m is h.level, raised to the first repeating level
+    of the diagram when that is deeper; n* is the least level whose tower
+    over v* holds at least n paths.
 
     On level-L paths phi is the next path in the block of its range vertex
     (the tower order that `diagrams.step` follows), and the last path of a
     block goes to the level-L prefix of the extreme path, the first (for
-    negative powers, the last) path of its block w.  So |power| steps shift
-    an index inside its block, and an index that runs off the block goes on
+    negative powers, the last) path of its block w.  So n steps shift an
+    index inside its block, and an index that runs off the block goes on
     from the extreme path, cycling through block w.  After j steps the
     first L - j*T edges agree with phi^j of every point of the cylinder,
-    since extreme chains reach v* within T levels; this needs the relevant
-    extreme path to be unique, else the composition is not transversally
-    locally constant."""
+    since extreme chains of repeating levels reach v* within T levels; this
+    needs the relevant extreme path to be unique, else the composition is
+    not transversally locally constant.  That gives L = m + n*T.
+
+    At L = T + max(m, n*) one carry is all there is.  Within n steps a
+    level-L path carries past level L at most once; its first L - T edges
+    are then the extreme chain into v*, and the remaining steps stay inside
+    the tower over v* at level L - T, whose height is at least n.  Those
+    paths, extended by the extreme chain, are the first (last) paths of
+    block w, so the same shift reads them and never wraps.  So the level
+    grows like log n, not like n."""
     if power == 0:
         return h
     direction = 1 if power > 0 else -1
-    T, _ = phi_transient(diagram, direction)
-    n = abs(power)
-    L = max(h.level + n * T, 1)
+    T, v = phi_transient(diagram, direction)
+    n, m = abs(power), max(h.level, len(diagram.levels) - 1)
+    j = m
+    while T + j < m + n * T and _height(diagram, v, j) < n:
+        j += 1
+    L = max(min(m + n * T, T + j), 1)
     ext = (extreme_min_lazy if direction == 1 else extreme_max_lazy)(diagram)
     table = path_table(diagram, L)
     w = path_range(diagram, materialize(diagram, ext, L))
@@ -323,3 +337,9 @@ def compose_phi(diagram, h, power=1):
             idx.extend(range(a, b - n))
     vals = lift(diagram, h, L).values
     return CylinderFunction(L, [vals[i] for i in idx])
+
+
+def _height(diagram, v, k):
+    """The number of level-k paths into vertex v."""
+    offsets = path_table(diagram, k).offsets
+    return offsets[v + 1] - offsets[v]

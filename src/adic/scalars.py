@@ -34,11 +34,33 @@ def square_free(n):
     return s, d * n
 
 
+def _field_op(method):
+    """A binary QuadExt method: a float operand gives the float result, as
+    it does for Fraction; a QuadExt, int or Fraction operand reaches method
+    as a QuadExt of the same field; anything else is NotImplemented."""
+    name = method.__name__
+
+    def op(self, other):
+        if isinstance(other, QuadExt):
+            if other.d != self.d:
+                raise TypeError("mixed quadratic fields")
+        elif isinstance(other, (int, Fraction)):
+            other = QuadExt(other, 0, self.d)
+        elif isinstance(other, float):
+            return getattr(float(self), name)(other)
+        else:
+            return NotImplemented
+        return method(self, other)
+    op.__name__ = name
+    return op
+
+
 class QuadExt:
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     d is a square-free integer > 1, shared by both operands of any binary
-    operation.  Comparisons are exact (sign analysis, no floats).
+    operation.  Comparisons are exact (sign analysis, no floats) unless the
+    other operand is a float.
     """
 
     __slots__ = ("a", "b", "d")
@@ -48,39 +70,22 @@ class QuadExt:
         self.b = Fraction(b)
         self.d = int(d)
 
-    def _coerce(self, other):
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise TypeError("mixed quadratic fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadExt(other, 0, self.d)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __add__(self, o):
         return QuadExt(self.a + o.a, self.b + o.b, self.d)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __sub__(self, o):
         return QuadExt(self.a - o.a, self.b - o.b, self.d)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rsub__(self, o):
         return QuadExt(o.a - self.a, o.b - self.b, self.d)
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __mul__(self, o):
         return QuadExt(self.a * o.a + self.b * o.b * self.d,
                        self.a * o.b + self.b * o.a, self.d)
 
@@ -92,16 +97,12 @@ class QuadExt:
             raise ZeroDivisionError("division by zero in quadratic field")
         return QuadExt(self.a / n, -self.b / n, self.d)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __truediv__(self, o):
         return self * o.inverse()
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __rtruediv__(self, o):
         return o * self.inverse()
 
     def __pow__(self, k):
@@ -139,10 +140,8 @@ class QuadExt:
             return 1 if aa > bb else (0 if aa == bb else -1)
         return -1 if aa > bb else (0 if aa == bb else 1)
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __eq__(self, o):
         return self.a == o.a and self.b == o.b
 
     def __hash__(self):
@@ -150,28 +149,20 @@ class QuadExt:
             return hash(self.a)
         return hash((self.a, self.b, self.d))
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __lt__(self, o):
         return (self - o)._sign() < 0
 
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __le__(self, o):
         return (self - o)._sign() <= 0
 
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __gt__(self, o):
         return (self - o)._sign() > 0
 
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    @_field_op
+    def __ge__(self, o):
         return (self - o)._sign() >= 0
 
     def __float__(self):

@@ -6,10 +6,11 @@ import pytest
 
 from conftest import rand_function, rng
 
-from adic.algebra import (add, complement_support, convolve, element,
-                          equal_elements, involution, lemma_constant,
-                          neumann_invert, norms, power, project_support,
-                          scale, subtract, trace, triangle_phi, unit, unitary)
+from adic.algebra import (TRIANGLE_CACHE_SIZE, add, complement_support,
+                          convolve, element, equal_elements, involution,
+                          lemma_constant, neumann_invert, norms, power,
+                          project_support, scale, subtract, trace,
+                          triangle_phi, unit, unitary)
 from adic.cohomology import limit_rank
 from adic.errors import LevelOverflowError, NormTooLargeError
 from adic.martingale import compose_phi, constant_function, from_vector
@@ -49,6 +50,15 @@ def test_triangle_values(odo2, odo3, fib, pisot31):
             prev = est.value
             if est.value > 1.0:
                 assert est.attained_pair is not None
+
+
+def test_triangle_cache_is_bounded(odo2):
+    triangle_phi.cache_clear()
+    for i in range(TRIANGLE_CACHE_SIZE + 4):
+        triangle_phi(odo2, 1, 2.0 + i)
+    info = triangle_phi.cache_info()
+    assert info.maxsize == TRIANGLE_CACHE_SIZE
+    assert info.currsize == TRIANGLE_CACHE_SIZE
 
 
 def test_unit_and_unitaries(odo2):

@@ -270,6 +270,24 @@ def test_solve_obstructed_exit_code(capsys, work):
     assert err == "error: obstructed: D = [1.0]\n"
 
 
+@pytest.mark.parametrize("command, code", [
+    ("decompose", 0), ("distributions", 0),
+    ("solve", 3),  # float values never certify a zero distribution
+])
+def test_float_values_on_quadratic_diagram(capsys, tmp_path, command, code):
+    # fib's weights live in Q(sqrt 5), and they meet float values here
+    f = tmp_path / "hf.json"
+    f.write_text(json.dumps({"level": 2, "values": {
+        "0": 0.5, "1": -0.25, "2": 1.5, "3": 0.75, "4": -1.0}}))
+    rc, out, err = run(capsys, [command, "--diagram", "fib",
+                                "--function", str(f)])
+    assert rc == code
+    if code:
+        assert out == "" and err.startswith("error: obstructed: D = [")
+    else:
+        assert out and err == ""
+
+
 def test_birkhoff_csv(capsys, work):
     rc, out, _ = run(capsys, ["birkhoff", "--diagram", "odo2",
                               "--function", str(work / "h.json"),

@@ -98,6 +98,20 @@ def test_compose_phi_shifts_level_by_transient(pisot31):
     assert compose_phi(pisot31, h, -2).level <= 4
 
 
+def test_compose_phi_level_grows_like_log_of_power(odo2, pisot31):
+    # T = 1 and the tower over v* holds 16 paths at level 2, so the
+    # composition works at level 1 + max(4, 2) instead of 4 + |k|
+    h = rand_function(rng(105), pisot31, 4)
+    for k in (5, -5, 8):
+        c = compose_phi(pisot31, h, k)
+        assert c.level == 5 and len(c.values) == 2048
+    # T = 0: an odometer composition keeps the level of h (at least 1)
+    for m in range(1, 5):
+        h = rand_function(rng(106), odo2, m)
+        for k in range(-9, 10):
+            assert compose_phi(odo2, h, k).level == m
+
+
 def test_decompose_peaks(odo2):
     rd = renorm_data(odo2)
     # odo2's level-2 paths in order: (0, 0), (1, 0), (0, 1), (1, 1)

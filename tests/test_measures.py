@@ -6,7 +6,7 @@ from fractions import Fraction
 from adic.diagrams import enumerate_paths, path_range
 from adic.measures import (cocycle_product, condition1_report, renorm_data,
                            xi_vector)
-from adic.scalars import as_float
+from adic.scalars import QuadExt, as_float
 
 
 def test_odo2_exact_doubling(odo2):
@@ -15,6 +15,19 @@ def test_odo2_exact_doubling(odo2):
     assert as_float(rd.lambda_mu) == 2.0
     assert [as_float(x) for x in rd.roof] == [1.0]
     assert as_float(xi_vector(odo2, 5)[0]) == 2.0 ** -5
+
+
+def test_quadratic_field_meets_floats():
+    # a float operand gives the float result, as it does for Fraction
+    phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+    golden = (1 + math.sqrt(5)) / 2
+    for got, want in ((phi * 2.0, 2 * golden), (1.0 - phi, 1 - golden),
+                      (phi / 4.0, golden / 4), (1.0 / phi, 1 / golden),
+                      (0.5 + phi, golden + 0.5)):
+        assert type(got) is float and math.isclose(got, want)
+    assert 1.5 < phi < 2.0 and phi == golden
+    # exact operands stay in the field
+    assert phi * phi - phi == 1
 
 
 def test_fib_golden_ratio(fib):

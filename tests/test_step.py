@@ -2,6 +2,7 @@
 `enumerate_paths`, and `compose_phi` against pointwise evaluation at lazy
 successors."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -44,12 +45,36 @@ def _random_diagram(r, n, max_edges):
         return d
 
 
+def _prefixed(d):
+    """d behind one more first level, which does not repeat: every vertex
+    of V_0 into vertex 0, and vertex 0 into every other vertex.  Its
+    extreme chains differ from those of the repeating level."""
+    n = d.num_vertices(0)
+    edges = [(s, 0) for s in range(n)] + [(0, v) for v in range(1, n)]
+    in_order = [[e for e, (_, r) in enumerate(edges) if r == v]
+                for v in range(n)]
+    return OrderedDiagram((make_level(n, n, edges, in_order),) + d.levels,
+                          True)
+
+
 @pytest.fixture(scope="module")
 def diagrams():
     out = [builtin_diagram(name)
            for name in ("odo2", "odo3", "fib", "pisot31")]
     r = random.Random(2024)
-    return out + [_random_diagram(r, n, 6) for n in (2, 2, 3)]
+    out += [_random_diagram(r, n, 6) for n in (2, 2, 3)]
+    return out + [_prefixed(out[3])]
+
+
+@pytest.fixture(scope="module")
+def transient_two():
+    """A properly ordered diagram whose min and max source maps both take
+    two steps to reach their fixed vertex."""
+    r = random.Random(5)
+    while True:
+        d = _random_diagram(r, 3, 7)
+        if phi_transient(d, 1)[0] == phi_transient(d, -1)[0] == 2:
+            return d
 
 
 def test_step_follows_tower_order(diagrams):
@@ -67,22 +92,29 @@ def test_step_follows_tower_order(diagrams):
                 assert tuple(digits) == tower[max(i - 1, 0)]
 
 
-def test_compose_phi_matches_lazy_successors(diagrams):
-    for d in diagrams:
+def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
+    one_carry = 0
+    for d, powers in [(d, range(1, 5)) for d in diagrams] + \
+            [(transient_two, range(1, 9))]:
         # level 0 already separates the vertices of a multi-vertex diagram
         level = 1 if d.num_vertices(0) == 1 else 0
         h = from_vector(d, level, [
             Fraction(i, 3) for i in range(len(enumerate_paths(d, 0, level)))])
-        for k in (1, 2, 3, 4, -1, -2, -3, -4):
+        for k in [s * p for p in powers for s in (1, -1)]:
             direction = 1 if k > 0 else -1
             try:
-                T, _ = phi_transient(d, direction)
+                T, v = phi_transient(d, direction)
             except NotProperlyOrderedError:
                 with pytest.raises(NotProperlyOrderedError):
                     compose_phi(d, h, k)
                 continue
+            # the least level whose tower over v holds |k| paths
+            n_star = next(j for j in itertools.count()
+                          if len(enumerate_paths(d, 0, j, target=v)) >= abs(k))
+            m = max(h.level, len(d.levels) - 1)
             c = compose_phi(d, h, k)
-            assert c.level == max(h.level + abs(k) * T, 1)
+            assert c.level == max(min(m + abs(k) * T, T + max(m, n_star)), 1)
+            one_carry += n_star >= 2 and c.level < m + abs(k) * T
             for p in enumerate_paths(d, 0, c.level):
                 for tail in (TAIL_MIN, TAIL_MAX):
                     x = LazyPath(p, tail)
@@ -90,3 +122,4 @@ def test_compose_phi_matches_lazy_successors(diagrams):
                         x = successor(d, x, direction)
                     assert c.evaluate(d, p) == h.evaluate(d, x), \
                         (d, k, p.edges, tail.kind)
+    assert one_carry
