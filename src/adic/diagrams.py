@@ -150,7 +150,12 @@ def validate(diagram):
 # ---------------------------------------------------------------------------
 # per-level caches
 
-@lru_cache(maxsize=None)
+# Entries per cache keyed by a LevelData (and a direction): both directions
+# of every level of some 500 one-level diagrams.
+LEVEL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def order_pos(ld):
     pos = {}
     for v, lst in enumerate(ld.in_order):
@@ -159,7 +164,7 @@ def order_pos(ld):
     return pos
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def out_edges(ld):
     out = [[] for _ in range(ld.num_sources)]
     for e, (s, r) in enumerate(ld.edges):
@@ -167,7 +172,7 @@ def out_edges(ld):
     return tuple(tuple(x) for x in out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def forward_choice(ld):
     """Per source vertex: (min edge, max edge) by (in-order position, range)."""
     pos = order_pos(ld)
@@ -190,12 +195,12 @@ def max_in(ld, v):
     return ld.in_order[v][-1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def min_source_map(ld):
     return tuple(ld.source(min_in(ld, v)) for v in range(ld.num_ranges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def max_source_map(ld):
     return tuple(ld.source(max_in(ld, v)) for v in range(ld.num_ranges))
 
@@ -208,7 +213,7 @@ def eventual_image(fmap):
     return sorted(cur)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def step_table(ld, direction=1):
     """The carry columns of one level, in the in-order (direction=1) or its
     reverse (direction=-1): the next in-edge after each edge at its range

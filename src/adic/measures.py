@@ -64,7 +64,11 @@ def hilbert_diameter(columns):
     return best
 
 
-@lru_cache(maxsize=None)
+# Diagrams whose stationary measure data is kept.
+MEASURE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=MEASURE_CACHE_SIZE)
 def _stationary_measure(diagram):
     """(lam, xi list for levels 0..L, pd) with L = len(levels), exact scalars
     when the Perron data is exact.  xi beyond L continues as lam**-1 steps."""

@@ -224,6 +224,8 @@ class SolenoidPoint:
 # Complexes per (diagram, level, Perron data), most recently used last.
 _COMPLEX_CACHE = OrderedDict()
 COMPLEX_CACHE_SIZE = 16
+# Complexes whose class distances and diameter are kept.
+METRIC_CACHE_SIZE = 64
 
 
 def cached_complexes(diagram, renorm, n):
@@ -269,7 +271,7 @@ def conjugacy_point(diagram, renorm, p):
 # ---------------------------------------------------------------------------
 # metric
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=METRIC_CACHE_SIZE)
 def class_distances(cx):
     """All-pairs shortest path between vertex classes, exact scalars."""
     n = len(cx.classes)
@@ -410,7 +412,7 @@ def _pair_diameter(cx, u, v):
     return r1 if r2 is None or (r1 is not None and r1 >= r2) else r2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=METRIC_CACHE_SIZE)
 def diameter(cx):
     """Exact diameter over all point pairs of the metric graph."""
     best = None

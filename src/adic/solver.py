@@ -15,6 +15,16 @@ Regularity bookkeeping is deliberately two-sided: exact attained Hoelder
 norms of h and g give an empirical ratio, while the assembled theoretical
 constant is the product of three factors computed from the diagram data
 (bump profile, graph diameter, scale gaps), never asserted a priori.
+
+Orbit sums are read from tower tables, not stepped.  The forward orbit of a
+path x is the rest of its level-m block, then, for each level k > m, the
+level-(k-1) towers over the sources of the in-edges after x_k.  Each tower
+is summarized as (height, sum, max prefix sum, min prefix sum), level by
+level from the blocks of h, by the associative fold
+(n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2, max(M1, s1+M2),
+min(mu1, s1+mu2)).  A tower that a checkpoint cuts is split one level down.
+When every remaining edge of x is maximal the orbit wraps to the minimal
+path, phi(max) = min.
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import is_coboundary_class
-from .diagrams import (FinitePath, LazyPath, Tail, enumerate_paths,
-                       materialize, path_table, step, step_tables, successor)
-from .errors import ObstructedError
+from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
+                       path_index, path_table)
+from .errors import HorizonExceededError, ObstructedError
 from .martingale import (CylinderFunction, bump_from_roof, compose_phi,
                          holder_norm, lift, nu_mean)
 from .scalars import as_float
@@ -185,74 +195,143 @@ def _fit_exponent(points, n_total):
     return slope, r2, r2 >= 0.9
 
 
+def _fold(runs):
+    """The summary of consecutive runs from their summaries (height, sum,
+    max prefix sum, min prefix sum), prefixes being nonempty.  Two runs
+    combine as (n1+n2, s1+s2, max(M1, s1+M2), min(mu1, s1+mu2))."""
+    n, s, hi, lo = 0, 0, 0, 0
+    for rn, rs, rhi, rlo in runs:
+        top, bottom = s + rhi, s + rlo
+        if not n or top > hi:
+            hi = top
+        if not n or bottom < lo:
+            lo = bottom
+        n, s = n + rn, s + rs
+    return n, s, hi, lo
+
+
+class _Towers:
+    """Summaries of h along towers, built upward on demand.  Depth 0 holds
+    the level-m cylinders one by one; depth j >= 1 holds, per vertex v of
+    V_(m+j-1), the tower of level-(m+j-1) paths into v, which is the block
+    of v at level m for j = 1 and otherwise the depth-(j-1) towers over the
+    sources of the in-edges of v, in the in-order."""
+
+    def __init__(self, diagram, m, values):
+        self.diagram, self.m = diagram, m
+        self.offsets = path_table(diagram, m).offsets
+        cells = [(1, x, x, x) for x in values]
+        self.depths = [cells, [_fold(cells[a:b]) for a, b in
+                               zip(self.offsets, self.offsets[1:])]]
+
+    def summary(self, j, key):
+        while len(self.depths) <= j:
+            ld = self.diagram.level(self.m + len(self.depths) - 1)
+            below = self.depths[-1]
+            self.depths.append([_fold(below[ld.source(e)] for e in order)
+                                for order in ld.in_order])
+        return self.depths[j][key]
+
+    def parts(self, j, key):
+        """The runs of depth j - 1 that make up a tower, in orbit order."""
+        if j == 1:
+            return [(0, i) for i in range(self.offsets[key],
+                                          self.offsets[key + 1])]
+        ld = self.diagram.level(self.m + j - 1)
+        return [(j - 1, ld.source(e)) for e in ld.in_order[key]]
+
+
+def _orbit_runs(diagram, start, towers):
+    """The forward orbit of `start` as consecutive runs (depth, key) of
+    `towers`: the rest of its level-m block, then at each level k > m the
+    nonempty level-(k-1) towers over the sources of the in-edges after x_k.
+    When no path follows (the walker state repeats with no tower between),
+    the orbit goes on from the minimal path: phi(max) = min."""
+    m, offsets, x = towers.m, towers.offsets, start
+    while True:
+        w = PathWalker(diagram, x)
+        cell = FinitePath(tuple(w.advance()[1] for _ in range(m)))
+        yield from ((0, i) for i in range(path_index(diagram, cell, m),
+                                          offsets[w.vertex + 1]))
+        pl, seen = len(x.prefix.edges), set()
+        while True:
+            if w.k >= pl and w.k >= diagram.materialized:
+                if not diagram.stationary:
+                    raise HorizonExceededError()
+                if w.state() in seen:
+                    break
+                seen.add(w.state())
+            k, e = w.advance()
+            ld = diagram.level(k)
+            order = ld.in_order[ld.range(e)]
+            for f in order[order_pos(ld)[e] + 1:]:
+                if towers.summary(k - m, ld.source(f))[0]:
+                    seen.clear()
+                    yield k - m, ld.source(f)
+        x = extreme_min_lazy(diagram)
+
+
 def birkhoff(diagram, h, start, n_total, checkpoints=None):
     """S_n = sum_{j<n} h(phi^j start) at checkpoints, with an exponent fit.
 
-    The orbit is driven by the carry kernel `diagrams.step` on a finite
-    window of digits, moved in place.  When every edge of the window is
-    maximal, the step is delegated to the lazy successor, which is exact and
-    rare, and the window grows to the new path's prefix.  Rational inputs
-    are accumulated as integers against a common denominator, so every
-    reported S_n is exact."""
+    The orbit is a sequence of whole towers (`_orbit_runs`), so the sums are
+    read from per-level tables (`_Towers`) of each tower's height, sum and
+    extreme prefix sums, built only as far up as the orbit reaches: about
+    log n levels.  A tower that straddles a checkpoint or n_total is split
+    into its parts one level down, so a call costs O(levels * in-degree) per
+    checkpoint, not one step per iterate.  sup_abs is read off the extreme
+    prefix sums, so it is exact.  Rational and float values are summed
+    exactly as integers over a common denominator; float input reports the
+    float nearest each exact sum."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     hh = h if h.level >= 1 else lift(diagram, h, 1)
     m = hh.level
-    rational = all(isinstance(v, (int, Fraction)) for v in hh.values)
+    # a finite float is the dyadic rational it stores
+    rational = all(isinstance(v, (int, Fraction)) or
+                   isinstance(v, float) and math.isfinite(v)
+                   for v in hh.values)
     if rational:
-        q = 1
-        for v in hh.values:
-            d = Fraction(v).denominator
-            q = q * d // math.gcd(q, d)
-        table = [int(v * q) for v in hh.values]
+        exact = [Fraction(v) for v in hh.values]
+        q = math.lcm(*(v.denominator for v in exact))
+        table = [int(v * q) for v in exact]
+        floats = any(isinstance(v, float) for v in hh.values)
+
+        def value(a):
+            return float(Fraction(a, q)) if floats else Fraction(a, q)
     else:
-        q = None
         table = hh.values
-    single = m == 1
-    keyed = {(p.edges[0] if single else p.edges): v
-             for p, v in zip(enumerate_paths(diagram, 0, m), table)}
 
-    base = start
-    digits = list(materialize(diagram, base,
-                              max(m, len(start.prefix.edges), 4)).edges)
-    tables = step_tables(diagram, len(digits))
-
-    def rotated(tail, consumed):
-        if tail.kind != "PERIODIC":
-            return tail
-        s = consumed % len(tail.word)
-        return Tail("PERIODIC", tail.word[s:] + tail.word[:s])
-
-    def wrap():
-        nonlocal base, digits, tables
-        here = LazyPath(FinitePath(tuple(digits)),
-                        rotated(base.tail,
-                                len(digits) - len(base.prefix.edges)))
-        base = successor(diagram, here, 1)
-        digits = list(materialize(
-            diagram, base,
-            max(len(digits), len(base.prefix.edges), m)).edges)
-        tables = step_tables(diagram, len(digits))
+        def value(a):
+            return a
 
     cps = sorted(set(int(c) for c in (checkpoints
                                       if checkpoints is not None
                                       else _geometric_checkpoints(n_total))))
     if cps and (cps[0] < 1 or cps[-1] > n_total):
         raise ValueError("checkpoints out of range")
-    acc, sup, ci, out = 0, 0, 0, []
-    for n in range(1, n_total + 1):
-        acc = acc + keyed[digits[0] if single else tuple(digits[:m])]
-        mag = -acc if acc < 0 else acc
-        if mag > sup:
-            sup = mag
-        if ci < len(cps) and n == cps[ci]:
-            out.append((n, Fraction(acc, q) if q else acc))
-            ci += 1
-        if n < n_total and not step(tables, digits):
-            wrap()
-    final = Fraction(acc, q) if q else acc
+    towers = _Towers(diagram, m, table)
+    runs = _orbit_runs(diagram, start, towers)
+    wanted = set(cps)
+    acc, sup, n, out, stack = 0, 0, 0, [], []
+    for stop in sorted(wanted | {n_total}):
+        while n < stop:
+            j, key = stack.pop() if stack else next(runs)
+            size, s, hi, lo = towers.summary(j, key)
+            if n + size > stop:
+                stack.extend(reversed(towers.parts(j, key)))
+                continue
+            top, bottom = acc + hi, -(acc + lo)
+            if top > sup:
+                sup = top
+            if bottom > sup:
+                sup = bottom
+            acc, n = acc + s, n + size
+        if stop in wanted:
+            out.append((n, value(acc)))
+    final = value(acc)
     slope, r2, ok = _fit_exponent(out, n_total)
     return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),
-                          sup_abs=Fraction(sup, q) if q else sup,
+                          sup_abs=value(sup),
                           mean_rate=as_float(final) / n_total,
                           exponent=slope, r_squared=r2, claimed=ok)

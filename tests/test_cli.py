@@ -17,6 +17,7 @@ def work(tmp_path):
         "h.json": {"level": 2, "values": {"0": "1/2", "1": "-1/2",
                                           "2": "1/2", "3": "-1/2"}},
         "obst.json": {"level": 0, "values": {"0": 1}},
+        "fib1.json": {"level": 1, "values": {"0": "1"}},
         "f0.json": {"level": 1, "values": {"0": "4/5", "1": "1"}},
         "g0.json": {"level": 1, "values": {"0": "3/4", "1": "1"}},
         "e.json": {"diagram": "odo2", "alpha": 3,
@@ -92,6 +93,21 @@ def test_birkhoff_rejects_bad_start(capsys, work, start):
                                 "--start", start, "-N", "8"])
     assert (rc, out) == (2, "")
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", [
+    ["orbit"],
+    ["birkhoff", "--function", "fib1.json"],
+])
+@pytest.mark.parametrize("word", [[2, 2], [2]])
+def test_non_chaining_periodic_start_is_rejected(capsys, work, command, word):
+    # on fib, edge 0 and edge 2 both leave vertex 0, but edge 2 ends at
+    # vertex 1, so the word cannot follow itself
+    argv = [str(work / a) if a.endswith(".json") else a for a in command]
+    start = json.dumps({"prefix": [0], "tail": {"periodic": word}})
+    rc, out, err = run(capsys, argv + ["--diagram", "fib", "--start", start,
+                                       "-N", "1"])
+    assert (rc, out, err) == (2, "", "error: periodic tail does not chain\n")
 
 
 LYAPUNOV_FIB = """\

@@ -1,18 +1,22 @@
 """Coboundary solving, norm bookkeeping, and orbit sums."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_function, rng
 
+from test_step import _random_diagram
+
 from adic.cohomology import limit_rank
-from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MIN,
-                           enumerate_paths, make_level, successor)
-from adic.errors import ObstructedError
+from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
+                           TAIL_MIN, enumerate_paths, extreme_max_lazy,
+                           make_level, predecessor, successor)
+from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
-from adic.measures import renorm_data
+from adic.measures import renorm_data, xi_vector
 from adic.solver import (birkhoff, chained_constant, regularity_report,
                          solution_norms, solve)
 
@@ -113,28 +117,6 @@ def test_birkhoff_constant_function(odo2):
     assert rep.mean_rate == 1.0
 
 
-def test_birkhoff_matches_naive_orbit(odo2, pisot31):
-    r = rng(404)
-    for d in (odo2, pisot31):
-        h = rand_function(r, d, 2)
-        start = LazyPath(FinitePath(()), TAIL_MIN)
-        n = 512
-        rep = birkhoff(d, h, start, n)
-        # naive oracle: iterate the successor and sum evaluations
-        p = start
-        acc = Fraction(0)
-        sums = {}
-        sup = Fraction(0)
-        for i in range(1, n + 1):
-            acc += h.evaluate(d, p)
-            sup = max(sup, abs(acc))
-            sums[i] = acc
-            p = successor(d, p)
-        for cn, cs in rep.checkpoints:
-            assert sums[cn] == cs, (cn, cs, sums[cn])
-        assert rep.sup_abs == sup
-
-
 def test_birkhoff_exact_mean_at_full_cycles(odo2):
     r = rng(405)
     h = rand_function(r, odo2, 3)
@@ -169,3 +151,97 @@ def test_solved_coboundary_has_bounded_sums(odo2):
     start = LazyPath(FinitePath(()), TAIL_MIN)
     rep = birkhoff(odo2, h, start, 2 ** 13)
     assert float(rep.sup_abs) <= bound + 1e-12
+
+
+def _orbit_starts(r, d):
+    """The minimal path; the all-max paths (the one of a properly ordered
+    diagram; on fib, which has two, the MAX tails from both vertices of
+    V_0) and predecessors of them, whose orbits wrap to the minimal path at
+    step 1, 2, 6 and 21; random prefixes with MIN and MAX tails."""
+    out = [LazyPath(FinitePath(()), TAIL_MIN)]
+    try:
+        tops = [extreme_max_lazy(d)]
+    except NotProperlyOrderedError:
+        tops = [LazyPath(FinitePath((), root=v), TAIL_MAX)
+                for v in range(d.num_vertices(0))]
+    for p in tops:
+        for back in range(21):
+            if back in (0, 1, 5, 20):
+                out.append(p)
+            p = predecessor(d, p)
+    for tail in (TAIL_MIN, TAIL_MAX, TAIL_MIN, TAIL_MAX):
+        v, edges = r.randrange(d.num_vertices(0)), []
+        for k in range(1, r.randint(1, 5) + 1):
+            ld = d.level(k)
+            e = r.choice([e for e, (s, _) in enumerate(ld.edges) if s == v])
+            edges.append(e)
+            v = ld.range(e)
+        out.append(LazyPath(FinitePath(tuple(edges)), tail))
+    return out
+
+
+def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
+    # every checkpoint and sup_abs against lazy successors and evaluate, for
+    # h of levels 0-3 on the builtins and random diagrams, Fraction and
+    # (on fib) QuadExt values, default and sparse custom checkpoints
+    r = rng(407)
+    cases = [(d, lambda: Fraction(r.randint(-8, 8), 4))
+             for d in (odo2, odo3, fib, pisot31)]
+    cases += [(_random_diagram(r, n, 6), cases[0][1]) for n in (2, 2, 3)]
+    xi = xi_vector(fib, 3)
+    cases.append((fib, lambda: r.choice(xi) * r.randint(-2, 2)))
+    n = 120
+    for d, value in cases:
+        hs = [from_vector(d, level, [value() for _ in
+                                     enumerate_paths(d, 0, level)])
+              for level in range(4)]
+        for start in _orbit_starts(r, d):
+            orbit = [start]
+            while len(orbit) < n:
+                orbit.append(successor(d, orbit[-1]))
+            custom = sorted({1, n} | set(r.sample(range(2, n), 4)))
+            for h in hs:
+                sums, acc = [], 0
+                for x in orbit:
+                    acc = acc + h.evaluate(d, x)
+                    sums.append(acc)
+                sup = max(abs(s) for s in sums)
+                for cps in (None, custom):
+                    rep = birkhoff(d, h, start, n, checkpoints=cps)
+                    assert [c for c, _ in rep.checkpoints] == \
+                        (custom if cps else [1, 2, 4, 8, 16, 32, 64, n])
+                    for c, s in rep.checkpoints:
+                        assert s == sums[c - 1], (d, start, h.level, c)
+                    assert rep.sup_abs == sup, (d, start, h.level)
+
+
+def test_birkhoff_cost_grows_like_log_n(odo2, pisot31):
+    # one step per iterate would never finish either call
+    h = rand_function(rng(408), odo2, 3)
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+    rep = birkhoff(odo2, h, start, 2 ** 40)
+    assert dict(rep.checkpoints)[2 ** 40] == nu_mean(odo2, h) * 2 ** 40
+    h = rand_function(rng(409), pisot31, 2)
+    rep = birkhoff(pisot31, h, start, 10 ** 12)
+    assert [n for n, _ in rep.checkpoints] == \
+        [2 ** i for i in range(40)] + [10 ** 12]
+
+
+def test_birkhoff_float_sums_are_exact_then_rounded(fib):
+    # each float is summed as the dyadic rational it is; the report holds
+    # the float nearest each exact sum, not a sequentially rounded one
+    r = rng(410)
+    exact = [Fraction(r.randint(-99, 99), 10) for _ in range(5)]
+    fh = from_vector(fib, 2, [float(v) for v in exact])
+    qh = from_vector(fib, 2, [Fraction(float(v)) for v in exact])
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+    cps = [1, 3, 10, 100, 999, 1000]
+    got = birkhoff(fib, fh, start, 1000, checkpoints=cps)
+    want = birkhoff(fib, qh, start, 1000, checkpoints=cps)
+    assert got.checkpoints == tuple((n, float(s)) for n, s in want.checkpoints)
+    assert all(isinstance(s, float) for _, s in got.checkpoints)
+    assert got.sup_abs == float(want.sup_abs)
+    assert got.mean_rate == want.mean_rate
+    # NaN is no rational; it is summed as a float, as before
+    nan = birkhoff(fib, from_vector(fib, 2, [math.nan] * 5), start, 10)
+    assert math.isnan(nan.checkpoints[-1][1])
