@@ -13,7 +13,7 @@ carries the distributions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import path_table
@@ -193,6 +193,9 @@ class ClassTower:
     w_basis: tuple    # coordinate vectors spanning W at level k_prime
     ranks: tuple
     stabilized: bool
+    # level -> Functionals, filled by `level_functionals` on first use
+    functionals: dict = field(default_factory=dict, repr=False,
+                              compare=False)
 
 
 def _column_space(m):
@@ -265,10 +268,6 @@ class DistributionValue:
     exact_zero: bool
 
 
-def _weights(space):
-    return tuple(space.complex.lengths[e] for e in space.basis_edges)
-
-
 def _dot(w, x, y):
     total = 0
     for wi, xi, yi in zip(w, x, y):
@@ -294,28 +293,62 @@ def _gram_schmidt(vectors, w):
     return basis
 
 
-def _fitting_split(tower, k_eval, coords):
-    """Component of coords in the pushed stabilized image W, where the
-    complement is the eventual kernel of the induced map."""
+def _projection(tower, k):
+    """The projection onto the pushed stabilized image W along the eventual
+    kernel of the induced map, as a dim x dim matrix, with the spanning
+    vectors of W at level k."""
     m = tower.maps[0]
     dim = len(m)
-    shift = k_eval - tower.k_prime
+    shift = k - tower.k_prime
     w_vecs = [mat_vec(mat_pow(m, shift), list(v)) if shift else list(v)
               for v in tower.w_basis]
     kern = [list(v) for v in nullspace([list(r)
                                         for r in mat_pow(m, dim)])]
     cols = w_vecs + kern
-    if not cols:
-        return [0] * dim, w_vecs
     mat = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-    sol = solve_linear(mat, list(coords))
-    if sol is None:
-        raise GluingInconsistencyError()
-    x_w = [0] * dim
-    for j in range(len(w_vecs)):
-        for i in range(dim):
-            x_w[i] = x_w[i] + sol[j] * w_vecs[j][i]
-    return x_w, w_vecs
+    proj = [[0] * dim for _ in range(dim)]
+    for c in range(dim):
+        sol = solve_linear(mat, [1 if i == c else 0 for i in range(dim)])
+        if sol is None:
+            raise GluingInconsistencyError()
+        for j in range(len(w_vecs)):
+            for i in range(dim):
+                proj[i][c] = proj[i][c] + sol[j] * w_vecs[j][i]
+    return proj, w_vecs
+
+
+@dataclass(frozen=True)
+class Functionals:
+    """The h-independent part of the distributions at one level: row i is
+    the exact linear functional x -> <W-component of x, b_i>_w on H1
+    coordinates, for the w-weighted Gram basis b_i of the measure direction
+    and W, and norms[i] = <b_i, b_i>_w."""
+    rows: tuple
+    norms: tuple
+
+
+def level_functionals(tower, k):
+    """The distribution functionals of `tower` at level k, built on first
+    use and kept on the tower (one entry per level, so at most
+    max_level + 1)."""
+    found = tower.functionals.get(k)
+    if found is not None:
+        return found
+    space = tower.spaces[k]
+    proj, w_vecs = _projection(tower, k)
+    one = constant_function(tower.diagram, Fraction(1), 0)
+    mu_coords, _ = reduce_cochain(space, birkhoff_cochain(tower.diagram,
+                                                          one, k))
+    w = tuple(space.complex.lengths[e] for e in space.basis_edges)
+    basis = _gram_schmidt([list(mu_coords)] + w_vecs, w)
+    rows = []
+    for b in basis:
+        wb = [wi * bi for wi, bi in zip(w, b)]
+        rows.append(tuple(sum(wb[i] * proj[i][j] for i in range(len(wb)))
+                          for j in range(len(proj))))
+    found = tower.functionals[k] = Functionals(
+        rows=tuple(rows), norms=tuple(_dot(w, b, b) for b in basis))
+    return found
 
 
 def evaluation_level(tower, h):
@@ -329,29 +362,42 @@ def distributions(h, tower, at_level=None):
     """The d invariant-distribution values on h, measure direction first.
 
     Values are floats (the Gram normalizer is a square root); the exact
-    pairing numerators decide vanishing."""
-    diagram = tower.diagram
+    pairing numerators decide vanishing.  A call reduces the tower sums of
+    h to H1 coordinates and applies the level's cached `level_functionals`."""
     k_eval = evaluation_level(tower, h) if at_level is None else at_level
     if at_level is not None and (at_level < max(h.level, tower.k_prime)
                                  or at_level > tower.max_level):
         raise InsufficientStabilizationError("insufficient stabilization level")
-    space = tower.spaces[k_eval]
-    c = birkhoff_cochain(diagram, h, k_eval)
-    coords, _ = reduce_cochain(space, c)
-    x_w, w_vecs = _fitting_split(tower, k_eval, coords)
-    one = constant_function(diagram, Fraction(1), 0)
-    mu_coords, _ = reduce_cochain(space, birkhoff_cochain(diagram, one,
-                                                          k_eval))
-    w = _weights(space)
-    basis = _gram_schmidt([list(mu_coords)] + w_vecs, w)
+    coords, _ = reduce_cochain(tower.spaces[k_eval],
+                               birkhoff_cochain(tower.diagram, h, k_eval))
+    fn = level_functionals(tower, k_eval)
     out = []
-    for i, b in enumerate(basis):
-        num = _dot(w, x_w, b)
-        den = _dot(w, b, b)
+    for i, (row, den) in enumerate(zip(fn.rows, fn.norms)):
+        num = 0
+        for f, x in zip(row, coords):
+            num = num + f * x
         val = as_float(num) / math.sqrt(as_float(den))
         out.append(DistributionValue(index=i + 1, value=val, numerator=num,
                                      exact_zero=is_exact_zero(num)))
     return out
+
+
+def certificate(h, tower):
+    """The potential beta at the first level from the evaluation level on
+    where the tower sums of h are exactly a coboundary on the class graph,
+    as {"level", "beta"}; None when there is none up to max_level.  A
+    certificate makes h a coboundary, so every distribution vanishes on it;
+    when all distributions vanish, the reduced class dies within dim + 1
+    induced-map steps."""
+    k_eval = evaluation_level(tower, h)
+    dim = len(tower.maps[0]) if tower.maps else 0
+    for level in range(k_eval, min(k_eval + dim + 2, tower.max_level + 1)):
+        coords, beta = reduce_cochain(tower.spaces[level],
+                                      birkhoff_cochain(tower.diagram, h,
+                                                       level))
+        if all(is_exact_zero(x) for x in coords):
+            return {"level": level, "beta": beta}
+    return None
 
 
 def is_coboundary_class(h, tower):
@@ -360,23 +406,9 @@ def is_coboundary_class(h, tower):
     When every distribution vanishes, the reduced class dies under finitely
     many induced-map steps; the certificate is the potential beta at the
     first level where the pushed cochain is exactly a coboundary."""
-    diagram = tower.diagram
     dvals = distributions(h, tower)
     flag = all(dv.exact_zero for dv in dvals)
-    cert = None
-    if flag:
-        k_eval = evaluation_level(tower, h)
-        dim = len(tower.maps[0]) if tower.maps else 0
-        for t in range(dim + 2):
-            level = k_eval + t
-            if level > tower.max_level:
-                break
-            space = tower.spaces[level]
-            c = birkhoff_cochain(diagram, h, level)
-            coords, beta = reduce_cochain(space, c)
-            if all(is_exact_zero(x) for x in coords):
-                cert = {"level": level, "beta": beta}
-                break
+    cert = certificate(h, tower) if flag else None
     return {
         "is_coboundary": flag and cert is not None,
         "distributions": dvals,

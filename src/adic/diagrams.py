@@ -130,6 +130,10 @@ def validate(diagram):
                 out.append("level %d: edge %d source out of range" % (i, e))
             if not (0 <= r < ld.num_ranges):
                 out.append("level %d: edge %d range out of range" % (i, e))
+        ranges = {r for _, r in ld.edges}
+        for v in range(ld.num_ranges):
+            if v not in ranges:
+                out.append("level %d vertex %d: no incoming edge" % (i, v))
         if len(ld.in_order) != ld.num_ranges:
             out.append("level %d: in_order has wrong vertex count" % i)
         else:

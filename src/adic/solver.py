@@ -33,13 +33,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import is_coboundary_class
+from .cohomology import certificate, distributions
 from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
                        path_index, path_table)
 from .errors import HorizonExceededError, ObstructedError
 from .martingale import (CylinderFunction, bump_from_roof, compose_phi,
                          holder_norm, lift, nu_mean)
-from .scalars import as_float
+from .scalars import QuadExt, as_float
 from .solenoid import build_complex, diameter
 
 
@@ -61,7 +61,44 @@ def _sup_abs(values):
     return out
 
 
+def _integer_parts(values):
+    """Integer vectors over one common denominator q: the rational parts
+    a_i * q and, when some value lies in Q(sqrt d), the sqrt(d) parts b_i * q
+    of the values a_i + b_i sqrt(d).  None for any other value."""
+    if not all(isinstance(v, (int, Fraction, QuadExt)) for v in values):
+        return None
+    quad = [v for v in values if isinstance(v, QuadExt)]
+    if len({v.d for v in quad}) > 1:
+        return None
+    # an int is its own numerator over the denominator 1
+    cols = [[v.a if isinstance(v, QuadExt) else v for v in values]]
+    if quad:
+        cols.append([v.b if isinstance(v, QuadExt) else 0 for v in values])
+    q = math.lcm(*(x.denominator for col in cols for x in col))
+    return [[x.numerator * (q // x.denominator) for x in col]
+            for col in cols]
+
+
 def _residual(diagram, h, g):
+    """sup |h - (g o phi - g)|, exactly.  For rational and quadratic values
+    the equation is checked first on integer vectors over a common
+    denominator, read through index gathers: the composition and the lifts
+    move indices, not field elements.  Only a nonzero residual is then
+    evaluated in the field, to report its exact value."""
+    # each part holds h's integers, then g's from index nh on
+    parts = _integer_parts(h.values + g.values)
+    if parts is not None:
+        nh = len(h.values)
+        gi = CylinderFunction(g.level, list(range(len(g.values))))
+        gphi = compose_phi(diagram, gi, 1)
+        top = max(h.level, g.level, gphi.level, 1)
+        ih = lift(diagram, CylinderFunction(h.level, list(range(nh))),
+                  top).values
+        ig = lift(diagram, gi, top).values
+        iphi = lift(diagram, gphi, top).values
+        if all(p[a] == p[nh + b] - p[nh + c] for p in parts
+               for a, b, c in zip(ih, iphi, ig)):
+            return 0
     gphi = compose_phi(diagram, g, 1)
     top = max(h.level, g.level, gphi.level, 1)
     diff = lift(diagram, h, top) - (lift(diagram, gphi, top) -
@@ -72,14 +109,14 @@ def _residual(diagram, h, g):
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     """Solve h = g o phi - g, gauge-fixed to nu-mean 0.
 
-    Requires the class of h to vanish; otherwise ObstructedError carries the
-    distribution values.  The returned residual is computed, not assumed."""
+    The certificate search runs once; only when it finds none are the
+    distributions computed, for the ObstructedError they carry.  The
+    returned residual is computed, not assumed."""
     diagram = tower.diagram
-    verdict = is_coboundary_class(h, tower)
-    if not verdict["is_coboundary"]:
-        raise ObstructedError([dv.value for dv in verdict["distributions"]])
-    level = verdict["certificate"]["level"]
-    beta = verdict["certificate"]["beta"]
+    cert = certificate(h, tower)
+    if cert is None:
+        raise ObstructedError([dv.value for dv in distributions(h, tower)])
+    level, beta = cert["level"], cert["beta"]
     cx = tower.spaces[level].complex
     hv = lift(diagram, h, level).values
     vals = []

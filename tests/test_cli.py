@@ -56,6 +56,27 @@ def test_validate_reports_broken_order(capsys, work):
                    '  ],\n  "ok": false\n}\n')
 
 
+def test_vertex_without_in_edges_is_a_parse_error(capsys, work):
+    spec = {"levels": [{"num_sources": 2, "num_ranges": 2,
+                        "edges": [[0, 0], [1, 0]],
+                        "in_order": [[0, 1], []]}],
+            "stationary": True}
+    (work / "no_in.json").write_text(json.dumps(spec))
+    rc, out, _ = run(capsys,
+                     ["validate", "--diagram", str(work / "no_in.json")])
+    assert rc == 0
+    assert out == ('{\n  "diagnostics": [\n'
+                   '    "level 1 vertex 1: no incoming edge"\n'
+                   '  ],\n  "ok": false\n}\n')
+    (work / "h2.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "1", "1": "2"}}))
+    rc, _, err = run(capsys, ["birkhoff", "--diagram",
+                              str(work / "no_in.json"), "--function",
+                              str(work / "h2.json"), "-N", "7"])
+    assert rc == 2
+    assert "no incoming edge" in err
+
+
 def test_paths_csv(capsys):
     rc, out, _ = run(capsys, ["paths", "--diagram", "odo2",
                               "--level", "2", "--emit", "csv"])

@@ -6,6 +6,8 @@ import pytest
 
 from conftest import rand_function, rng
 
+from test_step import _random_diagram
+
 from adic.cohomology import (birkhoff_cochain, cohomology_basis,
                              distributions, induced_map,
                              is_coboundary_class, limit_rank)
@@ -157,3 +159,33 @@ def test_rank_sequence_decreasing(fib, pisot31):
         rs = list(t.ranks)
         assert all(rs[i] >= rs[i + 1] for i in range(len(rs) - 1))
         assert rs[-1] == t.d
+
+
+def _dump(dvs):
+    return repr([(dv.index, dv.value, dv.numerator, dv.exact_zero)
+                 for dv in dvs])
+
+
+def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
+    # the per-level functionals kept on a tower give the same values and
+    # numerators, to the repr, as a tower that builds them for this call;
+    # D_i(h o phi - h) is an exact zero for every i and level
+    r = rng(305)
+    ds = [odo2, odo3, fib, pisot31] + [_random_diagram(r, 2, m)
+                                       for m in (4, 5, 6)]
+    for d in ds:
+        rd = renorm_data(d)
+        assert rd.exact
+        warm = limit_rank(d, rd, max_level=5)
+        for level in range(4):
+            h = rand_function(r, d, level)
+            moved = compose_phi(d, h, 1)
+            f = moved - lift(d, h, moved.level)
+            for k in range(max(warm.k_prime, level), warm.max_level + 1):
+                fresh = limit_rank(d, rd, max_level=5)
+                assert _dump(distributions(h, fresh, at_level=k)) == \
+                    _dump(distributions(h, warm, at_level=k))
+                if k >= f.level:
+                    assert all(dv.exact_zero for dv in
+                               distributions(f, warm, at_level=k))
+        assert len(warm.functionals) <= warm.max_level + 1

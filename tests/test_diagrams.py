@@ -1,5 +1,6 @@
 """Path spaces, orders, the metric, and the adic successor."""
 
+import json
 import math
 from fractions import Fraction
 
@@ -10,9 +11,10 @@ from conftest import rand_function, rng
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, enumerate_paths,
                            extreme_paths, first_disagreement,
-                           is_strongly_minimal, make_level, materialize,
-                           metric, predecessor, successor, validate)
-from adic.errors import NotProperlyOrderedError
+                           is_strongly_minimal, load_diagram, make_level,
+                           materialize, metric, predecessor, successor,
+                           validate)
+from adic.errors import NotProperlyOrderedError, ParseError
 
 
 def test_validate_builtins_clean(odo2, fib, pisot31):
@@ -32,6 +34,18 @@ def test_validate_reports_vertex_mismatch():
     l2 = make_level(1, 1, [(0, 0)], [[0]])
     bad = OrderedDiagram((l1, l2), stationary=False)
     assert any("vertex counts disagree" in d for d in validate(bad))
+
+
+def test_validate_reports_vertex_without_in_edges(tmp_path):
+    # vertex 1 has no in-edge: the successor and the extreme paths would
+    # fail on it, so loading refuses the diagram
+    level = make_level(2, 2, [(0, 0), (1, 0)], [[0, 1], []])
+    bad = OrderedDiagram((level,), stationary=True)
+    assert validate(bad) == ["level 1 vertex 1: no incoming edge"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad.to_json_dict()))
+    with pytest.raises(ParseError, match="level 1 vertex 1: no incoming edge"):
+        load_diagram(str(path))
 
 
 def test_enumerate_odo2_binary_counting(odo2):

@@ -9,7 +9,9 @@ from conftest import rand_function, rng
 
 from test_step import _random_diagram
 
-from adic.cohomology import limit_rank
+import adic.cohomology
+import adic.solver
+from adic.cohomology import certificate, is_coboundary_class, limit_rank
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme_max_lazy,
                            make_level, predecessor, successor)
@@ -17,6 +19,7 @@ from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
 from adic.measures import renorm_data, xi_vector
+from adic.scalars import QuadExt
 from adic.solver import (birkhoff, chained_constant, regularity_report,
                          solution_norms, solve)
 
@@ -45,6 +48,75 @@ def test_round_trip_exact(odo2, fib):
             top = max(sol.g.level, g0.level)
             diff = lift(d, sol.g, top) - lift(d, g0, top)
             assert len(set(diff.values)) == 1
+
+
+def test_solve_runs_the_distributions_only_when_obstructed(monkeypatch,
+                                                          odo2, fib):
+    calls = []
+    original = adic.cohomology.distributions
+
+    def counted(h, tower, at_level=None):
+        calls.append(h)
+        return original(h, tower, at_level)
+
+    monkeypatch.setattr(adic.cohomology, "distributions", counted)
+    monkeypatch.setattr(adic.solver, "distributions", counted)
+    r = rng(411)
+    for d in (odo2, fib):
+        tower = _tower(d)
+        for _ in range(5):
+            h = _coboundary(d, rand_function(r, d, r.randint(0, 3)))
+            del calls[:]
+            sol = solve(h, tower)
+            assert calls == []
+            rep = is_coboundary_class(h, tower)
+            assert rep["is_coboundary"] is True
+            assert rep["certificate"] == certificate(h, tower)
+            assert rep["certificate"]["level"] == sol.level
+            obstructed = h + constant_function(d, Fraction(1, 3), h.level)
+            del calls[:]
+            with pytest.raises(ObstructedError) as ei:
+                solve(obstructed, tower)
+            assert calls == [obstructed]
+            want = original(obstructed, tower)
+            assert ei.value.distribution_values == [dv.value for dv in want]
+            rep = is_coboundary_class(obstructed, tower)
+            assert rep["is_coboundary"] is False
+            assert rep["certificate"] is None
+
+
+def _pointwise_residual(d, h, g):
+    """max |h(x) - (g(phi x) - g(x))| over one point of each cylinder of a
+    level where all three are locally constant, in the field of the
+    values."""
+    level = max(h.level, compose_phi(d, g, 1).level)
+    out = 0
+    for p in enumerate_paths(d, 0, level):
+        x = LazyPath(p, TAIL_MIN)
+        v = h.evaluate(d, x) - (g.evaluate(d, successor(d, x)) -
+                                g.evaluate(d, x))
+        out = max(out, abs(v))
+    return out
+
+
+def test_nonzero_residual_is_reported_exactly(odo2, fib, pisot31):
+    # a g that is off on one cylinder leaves a residual, which falls back
+    # to field arithmetic; on fib the offset is a pure sqrt(5) multiple, so
+    # an integer check that skipped the sqrt(d) part would miss it
+    r = rng(412)
+    for d, bump in ((odo2, Fraction(3, 7)), (pisot31, Fraction(-5, 2)),
+                    (fib, QuadExt(0, Fraction(1, 3), 5))):
+        tower = _tower(d)
+        h = _coboundary(d, rand_function(r, d, 2))
+        g = solve(h, tower).g
+        assert adic.solver._residual(d, h, g) == 0
+        vals = list(g.values)
+        vals[r.randrange(len(vals))] += bump
+        off = from_vector(d, g.level, vals)
+        got = adic.solver._residual(d, h, off)
+        assert got != 0
+        assert got == _pointwise_residual(d, h, off)
+        assert type(got) is type(bump)
 
 
 def test_singular_repeating_matrix_is_not_obstructed():
