@@ -277,7 +277,7 @@ def _renorm_out(d, rd, xi_levels):
 
 def cmd_measure(args):
     d = resolve_diagram(args.diagram)
-    rd = renorm_data(d, horizon=args.horizon)
+    rd = renorm_data(d)
     _emit_json(_renorm_out(d, rd, args.level if args.level is not None else 5))
     return 0
 
@@ -563,7 +563,6 @@ def _build_parser():
 
     p = add("measure", cmd_measure, help="invariant measure data")
     p.add_argument("--diagram", required=True)
-    p.add_argument("--horizon", type=int, default=40)
     p.add_argument("--level", type=int, default=None,
                    help="deepest xi vector to include")
 

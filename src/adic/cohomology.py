@@ -1,4 +1,4 @@
-"""First cohomology of the graph approximants, the induced tower maps, the
+"""First cohomology of the graph approximants, the induced tower map, the
 limit rank, and the invariant distributions obstructing transfer equations.
 
 Edge cochains assign a scalar to each tower edge; vertex cochains live on
@@ -7,7 +7,10 @@ spanning forest of the class graph, all arithmetic exact.  The pullback of
 an edge cochain under the wrapping map sums the cochain over each wrapped
 word, which on matrices is the level's incidence matrix acting on cochain
 vectors; descended to H1 this yields the tower whose stabilized image
-carries the distributions.
+carries the distributions.  On a stationary diagram with L materialized
+levels the complexes of levels L - 1 and up share their gluing and the
+wrapping words between them repeat, so every H1 from level L - 1 on has one
+dimension and one induced map, that of level L, carries each to the next.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from fractions import Fraction
 
 from .diagrams import path_table
 from .errors import (GluingInconsistencyError, InsufficientStabilizationError,
-                     RankNotStabilizedError)
+                     ParseError, RankNotStabilizedError)
 from .martingale import constant_function, lift
 from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
     nullspace, rank, solve_linear
@@ -186,8 +189,8 @@ class ClassTower:
     diagram: object
     renorm: object
     max_level: int
-    spaces: tuple
-    maps: tuple       # maps[k-1]: H1(k-1) -> H1(k)
+    spaces: tuple     # spaces[k]: H1 presentation of level k
+    map: tuple        # H1(k-1) -> H1(k) for every k >= len(levels)
     k_prime: int
     d: int
     w_basis: tuple    # coordinate vectors spanning W at level k_prime
@@ -209,37 +212,35 @@ def _column_space(m):
 
 
 def limit_rank(diagram, renorm, max_level=8):
+    """The H1 spaces of levels 0..max_level and the induced map of the first
+    repeating level, with the level k' at which the ranks of its powers
+    stop falling and the image W there."""
+    if max_level < 0:
+        raise ParseError("max level must be >= 0, got %d" % max_level)
     spaces = tuple(cohomology_basis(build_complex(diagram, renorm, k))
                    for k in range(max_level + 1))
-    maps = tuple(induced_map(diagram, renorm, k)
-                 for k in range(1, max_level + 1))
-    if diagram.stationary:
-        m = maps[0]
-        dim = len(m)
-        ranks = [dim]
-        k_prime = 0
-        power = mat_pow(m, 0)
-        while True:
-            nxt = mat_mul(m, power)
-            r = rank([list(row) for row in nxt])
-            ranks.append(r)
-            if r == ranks[k_prime]:
-                break
-            k_prime += 1
-            power = nxt
-            if k_prime > dim:
-                raise RankNotStabilizedError()
-        w_basis = _column_space(mat_pow(m, k_prime)) if k_prime else \
-            tuple(tuple(1 if i == j else 0 for j in range(dim))
-                  for i in range(dim))
-        return ClassTower(diagram=diagram, renorm=renorm,
-                          max_level=max_level, spaces=spaces, maps=maps,
-                          k_prime=k_prime, d=ranks[k_prime],
-                          w_basis=w_basis, ranks=tuple(ranks),
-                          stabilized=True)
-    # non-stationary diagrams cannot reach here: their complexes already
-    # refuse to glue
-    raise RankNotStabilizedError()
+    m = induced_map(diagram, renorm, len(diagram.levels))
+    dim = len(m)
+    ranks = [dim]
+    k_prime = 0
+    power = mat_pow(m, 0)
+    while True:
+        nxt = mat_mul(m, power)
+        r = rank([list(row) for row in nxt])
+        ranks.append(r)
+        if r == ranks[k_prime]:
+            break
+        k_prime += 1
+        power = nxt
+        if k_prime > dim:
+            raise RankNotStabilizedError()
+    w_basis = _column_space(mat_pow(m, k_prime)) if k_prime else \
+        tuple(tuple(1 if i == j else 0 for j in range(dim))
+              for i in range(dim))
+    return ClassTower(diagram=diagram, renorm=renorm, max_level=max_level,
+                      spaces=spaces, map=m, k_prime=k_prime,
+                      d=ranks[k_prime], w_basis=w_basis, ranks=tuple(ranks),
+                      stabilized=True)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +298,7 @@ def _projection(tower, k):
     """The projection onto the pushed stabilized image W along the eventual
     kernel of the induced map, as a dim x dim matrix, with the spanning
     vectors of W at level k."""
-    m = tower.maps[0]
+    m = tower.map
     dim = len(m)
     shift = k - tower.k_prime
     w_vecs = [mat_vec(mat_pow(m, shift), list(v)) if shift else list(v)
@@ -352,7 +353,10 @@ def level_functionals(tower, k):
 
 
 def evaluation_level(tower, h):
-    k_eval = max(tower.k_prime, h.level)
+    """The least level at which the distributions of h can be read: past
+    k', past the level of h, and at least len(levels) - 1, the first level
+    from which every H1 space has the same dimension."""
+    k_eval = max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
     if k_eval > tower.max_level:
         raise InsufficientStabilizationError("insufficient stabilization level")
     return k_eval
@@ -364,10 +368,12 @@ def distributions(h, tower, at_level=None):
     Values are floats (the Gram normalizer is a square root); the exact
     pairing numerators decide vanishing.  A call reduces the tower sums of
     h to H1 coordinates and applies the level's cached `level_functionals`."""
-    k_eval = evaluation_level(tower, h) if at_level is None else at_level
-    if at_level is not None and (at_level < max(h.level, tower.k_prime)
-                                 or at_level > tower.max_level):
-        raise InsufficientStabilizationError("insufficient stabilization level")
+    k_eval = evaluation_level(tower, h)
+    if at_level is not None:
+        if not k_eval <= at_level <= tower.max_level:
+            raise InsufficientStabilizationError(
+                "insufficient stabilization level")
+        k_eval = at_level
     coords, _ = reduce_cochain(tower.spaces[k_eval],
                                birkhoff_cochain(tower.diagram, h, k_eval))
     fn = level_functionals(tower, k_eval)
@@ -390,7 +396,7 @@ def certificate(h, tower):
     when all distributions vanish, the reduced class dies within dim + 1
     induced-map steps."""
     k_eval = evaluation_level(tower, h)
-    dim = len(tower.maps[0]) if tower.maps else 0
+    dim = len(tower.map)
     for level in range(k_eval, min(k_eval + dim + 2, tower.max_level + 1)):
         coords, beta = reduce_cochain(tower.spaces[level],
                                       birkhoff_cochain(tower.diagram, h,

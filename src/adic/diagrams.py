@@ -415,7 +415,7 @@ def first_disagreement(diagram, p, q, max_scan=100000):
 
     Provable equality uses cycle detection on the joint walker state, valid
     for stationary diagrams; non-stationary diagrams raise beyond the
-    materialized horizon when tails are not syntactically aligned.
+    materialized horizon.
     """
     wp, wq = PathWalker(diagram, p), PathWalker(diagram, q)
     seen = set()
@@ -424,9 +424,6 @@ def first_disagreement(diagram, p, q, max_scan=100000):
                 and wp.k >= len(diagram.levels))
         if past:
             if not diagram.stationary:
-                if wp.lazy.tail == wq.lazy.tail and wp.phase() == wq.phase() \
-                        and wp.vertex == wq.vertex:
-                    return 0
                 raise HorizonExceededError()
             st = (wp.state(), wq.state())
             if st in seen:
@@ -508,25 +505,16 @@ def extreme_max_lazy(diagram):
 
 
 def extreme_vertex_sets(diagram, k):
-    """Vertices of V_k that infinite all-min / all-max paths pass through.
-
-    Exact for stationary diagrams; for non-stationary ones this is the
-    horizon-limited image of the chain maps, a certificate only.
-    """
-    if diagram.stationary:
-        ld = diagram.level(len(diagram.levels) + 1)
-        lo = set(eventual_image(min_source_map(ld)))
-        hi = set(eventual_image(max_source_map(ld)))
-        # walk down from deep levels to level k through the materialized part
-        for j in range(len(diagram.levels), k, -1):
-            ldj = diagram.level(j)
-            lo = {min_source_map(ldj)[v] for v in lo}
-            hi = {max_source_map(ldj)[v] for v in hi}
-        return sorted(lo), sorted(hi)
-    H = len(diagram.levels)
-    lo = set(range(diagram.num_vertices(H)))
-    hi = set(lo)
-    for j in range(H, k, -1):
+    """Vertices of V_k that infinite all-min / all-max paths pass through,
+    exactly; a non-stationary diagram raises beyond its materialized
+    horizon."""
+    if not diagram.stationary:
+        raise HorizonExceededError()
+    ld = diagram.level(len(diagram.levels) + 1)
+    lo = set(eventual_image(min_source_map(ld)))
+    hi = set(eventual_image(max_source_map(ld)))
+    # walk down from deep levels to level k through the materialized part
+    for j in range(len(diagram.levels), k, -1):
         ldj = diagram.level(j)
         lo = {min_source_map(ldj)[v] for v in lo}
         hi = {max_source_map(ldj)[v] for v in hi}
@@ -535,7 +523,7 @@ def extreme_vertex_sets(diagram, k):
 
 def extreme_paths(diagram, horizon):
     """Finite all-min/all-max paths at `horizon` that extend to infinite
-    extreme paths (as far as certifiable), plus the properness flag."""
+    extreme paths, plus the properness flag."""
     lo, hi = extreme_vertex_sets(diagram, horizon)
     return {
         "minimal": [min_chain(diagram, v, horizon) for v in lo],

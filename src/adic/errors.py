@@ -41,13 +41,8 @@ class GluingUndefinedError(PreconditionError):
         super().__init__(msg)
 
 
-class CannotShiftError(PreconditionError):
-    def __init__(self, msg="cannot shift"):
-        super().__init__(msg)
-
-
-class UniqueErgodicityError(NumericError):
-    def __init__(self, msg="unique ergodicity not certified"):
+class NotStationaryError(PreconditionError):
+    def __init__(self, msg="needs a stationary diagram"):
         super().__init__(msg)
 
 

@@ -1,5 +1,5 @@
 """Cylinder functions, conditional expectations, Hoelder norms, and the
-weighted norms of bump-smoothed level components.
+level components of the bump-smoothed martingale expansion.
 
 A CylinderFunction of level m >= 0 is the vector of its values on the
 level-m cylinders, in the order of `enumerate_paths(diagram, 0, m)`; at
@@ -25,7 +25,7 @@ from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
                        min_source_map, path_index, path_range, path_table)
 from .errors import BumpSmoothnessError, NotProperlyOrderedError
 from .measures import xi_vector
-from .scalars import as_float
+from .scalars import as_float, is_exact
 
 
 @dataclass
@@ -103,12 +103,18 @@ def lift(diagram, h, k):
 
 
 def nu_mean(diagram, h):
-    """Integral against the unique tail-invariant probability measure."""
+    """Integral against the unique tail-invariant probability measure: every
+    cylinder of a block has its vertex's weight, so each block is summed
+    before an exact weight multiplies it.  A float weight (an inexact Perron
+    root) multiplies each value, so the float result keeps its rounding."""
     xi = xi_vector(diagram, h.level)
     total = 0
     for x, (a, b) in zip(xi, path_table(diagram, h.level).blocks()):
-        for v in h.values[a:b]:
-            total = total + x * v
+        if is_exact(x):
+            total = total + x * sum(h.values[a:b])
+        else:
+            for v in h.values[a:b]:
+                total = total + x * v
     return total
 
 
@@ -177,7 +183,7 @@ def holder_norm(diagram, h, alpha, lam):
 
 
 # ---------------------------------------------------------------------------
-# bump profile and weighted norms
+# bump profile and level components
 
 _INT_FACTOR = Fraction(32, 35)  # integral of (1-s^2)^3 over [-1, 1]
 
@@ -252,16 +258,6 @@ def decompose(diagram, h, renorm, bump=None):
         peak = max((abs(as_float(v)) for v in d.values), default=0.0)
         comps.append(LevelComponent(level=k, peak=peak, bump=bump))
     return comps
-
-
-def weighted_norms(components, r, alpha, epsilon, lam):
-    lamf = as_float(lam)
-    vals = [(c.level, c.cr_norm(r, lam)) for c in components]
-    return {
-        "sum_norm": sum(lamf ** (alpha * k) * v for k, v in vals),
-        "sup_norm": max((lamf ** ((alpha - epsilon) * k) * v
-                         for k, v in vals), default=0.0),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,25 @@ def test_cohomology_and_alias(capsys):
     assert json.loads(out2)["d"] == 2
 
 
+def test_max_level_zero_and_negative(capsys, work):
+    rc, out, _ = run(capsys, ["cohomology", "--diagram", "fib",
+                              "--max-level", "0"])
+    assert rc == 0
+    assert json.loads(out)["per_level_dims"] == [2]
+    rc, out, _ = run(capsys, ["distributions", "--diagram", "odo2",
+                              "--function", str(work / "obst.json"),
+                              "--max-level", "0"])
+    assert rc == 0
+    assert json.loads(out)["D"] == [1.0]
+    for command in (["cohomology"],
+                    ["distributions", "--function", str(work / "h.json")],
+                    ["solve", "--function", str(work / "h.json")]):
+        rc, out, err = run(capsys, command + ["--diagram", "odo2",
+                                              "--max-level", "-1"])
+        assert (rc, out) == (2, "")
+        assert err == "error: max level must be >= 0, got -1\n"
+
+
 def test_distributions_coboundary(capsys, work):
     rc, out, _ = run(capsys, ["distributions", "--diagram", "odo2",
                               "--function", str(work / "h.json")])
@@ -421,3 +440,44 @@ def test_algebra_invert_rejects_large_norm(capsys, work):
                               "--tol", "1e-10"])
     assert rc == 3
     assert "norm too large" in err
+
+
+@pytest.fixture()
+def non_stationary(tmp_path):
+    """60 levels alternating two 2-vertex levels, not repeating, and a
+    level-1 function on it."""
+    a = {"num_sources": 2, "num_ranges": 2,
+         "edges": [[0, 0], [1, 0], [0, 1]], "in_order": [[0, 1], [2]]}
+    b = {"num_sources": 2, "num_ranges": 2,
+         "edges": [[0, 0], [1, 0], [0, 1], [1, 1]],
+         "in_order": [[1, 0], [2, 3]]}
+    (tmp_path / "ns.json").write_text(json.dumps(
+        {"levels": [a, b] * 30, "stationary": False}))
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "1", "1": "-1"}}))
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", [
+    ["measure"], ["lyapunov"], ["decompose", "--function", "h.json"],
+    ["cohomology"], ["solve", "--function", "h.json"],
+    ["complex", "--level", "1"],
+])
+def test_compute_commands_refuse_non_stationary(capsys, non_stationary,
+                                                command):
+    argv = [str(non_stationary / a) if a.endswith(".json") else a
+            for a in command]
+    rc, out, err = run(capsys, argv + ["--diagram",
+                                       str(non_stationary / "ns.json")])
+    assert (rc, out, err) == (3, "", "error: needs a stationary diagram\n")
+
+
+def test_validate_and_paths_take_non_stationary(capsys, non_stationary):
+    ns = str(non_stationary / "ns.json")
+    rc, out, _ = run(capsys, ["validate", "--diagram", ns])
+    assert (rc, out) == (0, '{\n  "diagnostics": [],\n  "ok": true\n}\n')
+    rc, out, _ = run(capsys, ["paths", "--diagram", ns, "--level", "2",
+                              "--emit", "csv"])
+    assert rc == 0
+    assert out == ("index,edges\n0,2 1\n1,0 0\n2,1 0\n3,0 2\n"
+                   "4,1 2\n5,2 3\n")

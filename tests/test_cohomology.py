@@ -1,16 +1,18 @@
 """Class complexes, invariant distributions, and the obstruction rank."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_function, rng
 
-from test_step import _random_diagram
+from test_step import _prefixed, _random_diagram
 
 from adic.cohomology import (birkhoff_cochain, cohomology_basis,
                              distributions, induced_map,
                              is_coboundary_class, limit_rank)
+from adic.catalog import builtin_diagram
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
@@ -189,3 +191,24 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
                     assert all(dv.exact_zero for dv in
                                distributions(f, warm, at_level=k))
         assert len(warm.functionals) <= warm.max_level + 1
+
+
+def test_tower_of_a_diagram_with_a_non_repeating_first_level():
+    # behind the extra first level of `_prefixed`, H1 of level 0 is smaller
+    # than H1 of the repeating levels, so the tower's one map is the one of
+    # the first repeating level
+    r = random.Random(7)
+    draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
+    for d in (_prefixed(d) for d in draws if d.num_vertices(0) == 3):
+        tower = _tower(d)
+        assert [sp.dim_h1 for sp in tower.spaces] == [2] + [3] * 8
+        assert len(tower.map) == 3 and tower.d == 3
+    r = rng(306)
+    for name in ("fib", "odo2", "odo3"):
+        d = _prefixed(builtin_diagram(name))
+        tower = _tower(d)
+        for level in (1, 2) * 5:
+            g = rand_function(r, d, level)
+            moved = compose_phi(d, g, 1)
+            f = moved - lift(d, g, moved.level)
+            assert all(dv.exact_zero for dv in distributions(f, tower))
