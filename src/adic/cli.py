@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
-from .cohomology import distributions, limit_rank
+from .cohomology import distributions, limit_rank, vanishes
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme_min_lazy, lazy_from_json_dict,
                        lazy_to_json_dict, materialize, path_table, successor,
@@ -344,7 +344,8 @@ def cmd_cohomology(args):
     _emit_json({
         "d": tower.d,
         "k_prime": tower.k_prime,
-        "per_level_dims": [sp.dim_h1 for sp in tower.spaces],
+        "per_level_dims": [1 - euler_characteristic(build_complex(d, rd, k))
+                           for k in range(args.max_level + 1)],
         "ranks": list(tower.ranks),
         "stabilized": tower.stabilized,
     })
@@ -360,7 +361,7 @@ def cmd_distributions(args):
     _emit_json({
         "D": [dv.value for dv in dvs],
         "exact_zero": [dv.exact_zero for dv in dvs],
-        "coboundary": all(dv.exact_zero for dv in dvs),
+        "coboundary": vanishes(h, tower, at_level=args.level),
     })
     return 0
 

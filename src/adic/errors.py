@@ -51,13 +51,6 @@ class RankNotStabilizedError(NumericError):
         super().__init__(msg)
 
 
-class GluingInconsistencyError(AdicError):
-    # descent failure is a construction bug, not a user error
-    def __init__(self, msg="gluing/order inconsistency"):
-        super().__init__(msg)
-    exit_code = 4
-
-
 class InsufficientStabilizationError(PreconditionError):
     def __init__(self, msg="insufficient stabilization level"):
         super().__init__(msg)

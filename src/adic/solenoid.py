@@ -122,10 +122,16 @@ def gluing_pairs(diagram, k):
     return tuple(sorted(pairs))
 
 
-def build_complex(diagram, renorm, k):
-    heights = roof_heights(diagram, renorm, k)
+def tower_lengths(diagram, renorm, k):
+    """Exact level-k tower lengths lam^(-k) * (A_(0..k) roof)_v: the edge
+    lengths of the level-k approximant and the Gram weights of the
+    invariant distributions."""
     scale = _scale(renorm, k)
-    lengths = tuple(scale * h for h in heights)
+    return tuple(scale * h for h in roof_heights(diagram, renorm, k))
+
+
+def build_complex(diagram, renorm, k):
+    lengths = tower_lengths(diagram, renorm, k)
     n = len(lengths)
     pairs = gluing_pairs(diagram, k)
     uf = _UnionFind(2 * n)  # boundary ids: 2v start, 2v+1 end

@@ -1,15 +1,16 @@
 """Constructive transfer-equation solver and orbit-sum instrumentation.
 
-The solver turns the vanishing certificate of a cylinder class into an
-explicit solution of  h = g o phi - g.  At the certificate level the tower
-sums of h form an exact vertex-potential coboundary on the class graph; g is
-then read off cylinder by cylinder as the partial sum of h over the
-predecessors of that cylinder inside its tower, anchored by the potential at
-the tower floor.  Interior steps telescope by construction, and tower exits
-are absorbed by the boundary gluing, which identifies the ceiling class of
-each tower with the floor class of every tower the successor map can land
-in.  The residual is therefore zero exactly, not to within a tolerance, and
-is verified as such.
+The solver turns the certificate of a cylinder class into an explicit
+solution of  h = g o phi - g.  At the certificate level every block sum of
+h, its sum over the paths of one tower, is exactly 0.  There is one exactly
+when the block sums project to 0 on W, the eventual image of the repeating
+matrix A, where the invariant distributions are read: the traces tau_i on
+K_0 (x) Q = lim (Q^V, A).  g is then read off cylinder by cylinder as the
+partial sum of h over the predecessors of that cylinder inside its tower,
+so it is 0 at every tower floor.  Interior steps telescope by construction,
+and a step out of the ceiling of a tower into the floor of the next one
+gives 0 - (block sum - h) = h.  The residual is therefore zero exactly, not
+to within a tolerance, and is verified as such.
 
 Regularity bookkeeping is deliberately two-sided: exact attained Hoelder
 norms of h and g give an empirical ratio, while the assembled theoretical
@@ -116,15 +117,13 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     cert = certificate(h, tower)
     if cert is None:
         raise ObstructedError([dv.value for dv in distributions(h, tower)])
-    level, beta = cert["level"], cert["beta"]
-    cx = tower.spaces[level].complex
+    level = cert["level"]
     hv = lift(diagram, h, level).values
     vals = []
-    for v, (a, b) in enumerate(path_table(diagram, level).blocks()):
-        anchor = beta[cx.start_class[v]]
+    for a, b in path_table(diagram, level).blocks():
         run = 0
         for x in hv[a:b]:
-            vals.append(anchor + run)
+            vals.append(run)
             run = run + x
     gauge = nu_mean(diagram, CylinderFunction(level, vals))
     g = CylinderFunction(level, [x - gauge for x in vals])

@@ -5,10 +5,15 @@ and prints floats with repr-faithful precision, so any drift in numerics or
 formatting shows up as a diff, not as a tolerance miss."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from test_step import _prefixed
+
+from adic.catalog import builtin_diagram
 from adic.cli import main
+from adic.martingale import compose_phi, constant_function, from_vector, lift
 
 
 @pytest.fixture()
@@ -279,6 +284,31 @@ def test_distributions_coboundary(capsys, work):
     assert rc == 0
     assert out == ('{\n  "D": [\n    0\n  ],\n  "coboundary": true,\n'
                    '  "exact_zero": [\n    true\n  ]\n}\n')
+
+
+def test_distributions_verdict_is_exact_on_an_inexact_roof(capsys, tmp_path):
+    # the roof of `_prefixed(pisot31)` is a float, so no numerator of a true
+    # coboundary is an exact zero; the joint verdict is exact all the same
+    d = _prefixed(builtin_diagram("pisot31"))
+    g0 = from_vector(d, 2, [Fraction(i % 3, 2) for i in range(12)])
+    moved = compose_phi(d, g0, 1)
+    h = moved - lift(d, g0, moved.level)
+    (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
+    one = constant_function(d, Fraction(1), h.level)
+    for name, f in (("h.json", h), ("h1.json", h + one)):
+        values = {str(i): str(v) for i, v in enumerate(f.values)}
+        (tmp_path / name).write_text(json.dumps({"level": f.level,
+                                                 "values": values}))
+    verdicts = []
+    for name in ("h.json", "h1.json"):
+        rc, out, _ = run(capsys, ["distributions", "--diagram",
+                                  str(tmp_path / "d.json"), "--function",
+                                  str(tmp_path / name)])
+        assert rc == 0
+        data = json.loads(out)
+        assert data["exact_zero"] == [False, False]
+        verdicts.append(data["coboundary"])
+    assert verdicts == [True, False]
 
 
 SOLVE_GOLDEN = """\

@@ -1,5 +1,7 @@
-"""Class complexes, invariant distributions, and the obstruction rank."""
+"""The class tower (Q^V, A), invariant distributions, and the obstruction
+rank."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -9,8 +11,9 @@ from conftest import rand_function, rng
 
 from test_step import _prefixed, _random_diagram
 
-from adic.cohomology import (birkhoff_cochain, cohomology_basis,
-                             distributions, induced_map,
+import adic
+from adic.cli import main
+from adic.cohomology import (birkhoff_cochain, certificate, distributions,
                              is_coboundary_class, limit_rank)
 from adic.catalog import builtin_diagram
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
@@ -18,25 +21,76 @@ from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
 from adic.measures import renorm_data
 from adic.solenoid import build_complex
+from adic.solver import solve
 
 
 def _tower(d, max_level=8):
     return limit_rank(d, renorm_data(d), max_level=max_level)
 
 
-def test_h1_dimensions(odo2, fib, pisot31):
+def _h1_dim(cx):
+    """edges - classes + components of the class graph of a complex, the
+    components counted by breadth-first search: the reference for the
+    1 - euler_characteristic that `adic cohomology` prints, which assumes
+    one component."""
+    adj = [[] for _ in cx.classes]
+    for a, b in zip(cx.start_class, cx.end_class):
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, components = set(), 0
+    for root in range(len(cx.classes)):
+        if root in seen:
+            continue
+        components += 1
+        seen.add(root)
+        queue = [root]
+        while queue:
+            c = queue.pop(0)
+            for nb in adj[c]:
+                if nb not in seen:
+                    seen.add(nb)
+                    queue.append(nb)
+    return cx.num_edges - len(cx.classes) + components
+
+
+def _cli_dims(capsys, tmp_path, d):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(d.to_json_dict()))
+    assert main(["cohomology", "--diagram", str(path)]) == 0
+    dims = json.loads(capsys.readouterr().out)["per_level_dims"]
+    rd = renorm_data(d)
+    assert dims == [_h1_dim(build_complex(d, rd, k)) for k in range(9)]
+    return dims
+
+
+def test_h1_dimensions(capsys, tmp_path, odo2, fib, pisot31):
     for d, dim in ((odo2, 1), (fib, 2), (pisot31, 2)):
-        rd = renorm_data(d)
-        for k in (0, 1, 2):
-            sp = cohomology_basis(build_complex(d, rd, k))
-            assert sp.dim_h1 == dim
+        assert _cli_dims(capsys, tmp_path, d) == [dim] * 9
 
 
 def test_induced_maps_hand_values(odo2, fib):
     # odometer: the single loop wraps twice; fib: the substitution matrix
-    rd2, rdf = renorm_data(odo2), renorm_data(fib)
-    assert induced_map(odo2, rd2, 1) == ((2,),)
-    assert induced_map(fib, rdf, 1) == ((1, 1), (1, 0))
+    assert _tower(odo2).map == ((2,),)
+    assert _tower(fib).map == ((1, 1), (1, 0))
+
+
+def test_tower_builds_no_complex(monkeypatch, odo2, odo3, fib, pisot31):
+    # the tower, the distributions, the certificate and the solver read the
+    # repeating matrix and block sums only, never an approximant complex
+    def refuse(*args):
+        raise AssertionError("build_complex called")
+
+    for name in ("solenoid", "solver", "cli"):
+        monkeypatch.setattr(getattr(adic, name), "build_complex", refuse)
+    r = rng(307)
+    for d in (odo2, odo3, fib, pisot31):
+        tower = _tower(d)
+        g0 = rand_function(r, d, 2)
+        moved = compose_phi(d, g0, 1)
+        h = moved - lift(d, g0, moved.level)
+        assert all(dv.exact_zero for dv in distributions(h, tower))
+        assert certificate(h, tower) is not None
+        assert solve(h, tower).residual == 0
 
 
 def test_limit_rank_values(odo2, fib):
@@ -193,15 +247,16 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
         assert len(warm.functionals) <= warm.max_level + 1
 
 
-def test_tower_of_a_diagram_with_a_non_repeating_first_level():
-    # behind the extra first level of `_prefixed`, H1 of level 0 is smaller
-    # than H1 of the repeating levels, so the tower's one map is the one of
-    # the first repeating level
+def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
+                                                             tmp_path):
+    # behind the extra first level of `_prefixed`, the level-0 complex has
+    # a smaller first Betti number than those of the repeating levels, and
+    # the tower is the repeating matrix
     r = random.Random(7)
     draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
     for d in (_prefixed(d) for d in draws if d.num_vertices(0) == 3):
         tower = _tower(d)
-        assert [sp.dim_h1 for sp in tower.spaces] == [2] + [3] * 8
+        assert _cli_dims(capsys, tmp_path, d) == [2] + [3] * 8
         assert len(tower.map) == 3 and tower.d == 3
     r = rng(306)
     for name in ("fib", "odo2", "odo3"):

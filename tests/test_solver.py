@@ -1,17 +1,20 @@
 """Coboundary solving, norm bookkeeping, and orbit sums."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_function, rng
 
-from test_step import _random_diagram
+from test_step import _prefixed, _random_diagram
 
 import adic.cohomology
 import adic.solver
-from adic.cohomology import certificate, is_coboundary_class, limit_rank
+from adic.catalog import builtin_diagram
+from adic.cohomology import (certificate, distributions, is_coboundary_class,
+                             limit_rank)
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme_max_lazy,
                            make_level, predecessor, successor)
@@ -131,6 +134,80 @@ def test_singular_repeating_matrix_is_not_obstructed():
     g0 = from_vector(d, 1, [Fraction(i % 3) for i in range(len(paths))])
     sol = solve(_coboundary(d, g0), _tower(d))
     assert sol.residual == 0
+
+
+def _square(mat, in_order=None):
+    """The stationary diagram of a square matrix whose entry (v, w) counts
+    the edges w -> v, with the given in-orders or edge-index order."""
+    n = len(mat)
+    edges = [(w, v) for v in range(n) for w in range(n)
+             for _ in range(mat[v][w])]
+    if in_order is None:
+        in_order = [[e for e, (_, t) in enumerate(edges) if t == v]
+                    for v in range(n)]
+    return OrderedDiagram((make_level(n, n, edges, in_order),), True)
+
+
+def _hard_diagrams():
+    """Repeating matrices of rank one, with two classes of glued ends at
+    every level ([[1,1],[1,1]] in both proper orders); the singular
+    [[2,1],[2,1]]; a cubic Perron root; and first levels that do not
+    repeat, where the roof is inexact."""
+    out = [_square([[1, 1], [1, 1]], [[0, 1], [2, 3]]),
+           _square([[1, 1], [1, 1]], [[1, 0], [3, 2]]),
+           OrderedDiagram((make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1),
+                                             (1, 1), (0, 1)],
+                                      [[2, 1, 0], [5, 3, 4]]),), True),
+           _square([[1, 1, 0], [0, 0, 1], [3, 1, 1]]),
+           _prefixed(builtin_diagram("pisot31"))]
+    r = random.Random(7)
+    draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
+    return out + [_prefixed(d) for d in draws if d.num_vertices(0) == 3]
+
+
+def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
+    # a true coboundary is never reported obstructed, whether or not the
+    # roof is exact, and h + 1 always is; with an exact roof the solution is
+    # exact and every distribution numerator is an exact zero
+    r = rng(412)
+    for d in _hard_diagrams():
+        rd = renorm_data(d)
+        tower = limit_rank(d, rd, max_level=8)
+        for level in (1, 2):
+            g0 = rand_function(r, d, level)
+            h = _coboundary(d, g0)
+            assert is_coboundary_class(h, tower)["is_coboundary"] is True
+            sol = solve(h, tower)
+            obstructed = h + constant_function(d, Fraction(1), h.level)
+            assert is_coboundary_class(obstructed, tower)["is_coboundary"] \
+                is False
+            with pytest.raises(ObstructedError):
+                solve(obstructed, tower)
+            if not rd.exact:
+                continue
+            assert sol.residual == 0
+            assert isinstance(sol.residual, (int, Fraction))
+            diffs = set()
+            for p in enumerate_paths(d, 0, max(sol.g.level, g0.level)):
+                x = LazyPath(p, TAIL_MIN)
+                diffs.add(sol.g.evaluate(d, x) - g0.evaluate(d, x))
+            assert len(diffs) == 1
+            assert all(dv.exact_zero and dv.numerator == 0
+                       for dv in distributions(h, tower))
+
+
+def test_certificate_may_pass_max_level():
+    # the block sums (1, -2) of h at level 1 are not 0, but A sends them to
+    # 0, so h is a coboundary whose certificate is level 2, above max_level
+    level = make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)],
+                       [[2, 1, 0], [5, 3, 4]])
+    d = OrderedDiagram((level,), stationary=True)
+    h = from_vector(d, 1, [Fraction(x) for x in (1, 0, 0, -1, -1, 0)])
+    tower = limit_rank(d, renorm_data(d), max_level=1)
+    rep = is_coboundary_class(h, tower)
+    assert rep["is_coboundary"] is True and rep["certificate"] == {"level": 2}
+    sol = solve(h, tower)
+    assert (sol.level, sol.residual) == (2, 0)
 
 
 def test_constant_is_obstructed(odo2):
