@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
-from .cohomology import distributions, limit_rank, vanishes
+from .cohomology import certificate, distributions, limit_rank
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme_min_lazy, lazy_from_json_dict,
                        lazy_to_json_dict, materialize, path_table, successor,
@@ -32,7 +32,8 @@ from .errors import AdicError, ObstructedError, ParseError
 from .martingale import constant_function, decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .scalars import as_float
-from .solenoid import build_complex, diameter, euler_characteristic
+from .solenoid import build_complex, diameter, euler_characteristic, \
+    first_betti_number
 from .solver import birkhoff, chained_constant, solve
 
 
@@ -344,7 +345,7 @@ def cmd_cohomology(args):
     _emit_json({
         "d": tower.d,
         "k_prime": tower.k_prime,
-        "per_level_dims": [1 - euler_characteristic(build_complex(d, rd, k))
+        "per_level_dims": [first_betti_number(build_complex(d, rd, k))
                            for k in range(args.max_level + 1)],
         "ranks": list(tower.ranks),
         "stabilized": tower.stabilized,
@@ -361,7 +362,7 @@ def cmd_distributions(args):
     _emit_json({
         "D": [dv.value for dv in dvs],
         "exact_zero": [dv.exact_zero for dv in dvs],
-        "coboundary": vanishes(h, tower, at_level=args.level),
+        "coboundary": certificate(h, tower) is not None,
     })
     return 0
 

@@ -176,7 +176,6 @@ class Functionals:
     W; norms[i] = <b_i, b_i>_w."""
     rows: tuple
     norms: tuple
-    proj: tuple
 
 
 def level_functionals(tower, k):
@@ -198,8 +197,7 @@ def level_functionals(tower, k):
         rows.append(tuple(sum(wb[i] * proj[i][j] for i in range(len(wb)))
                           for j in range(len(proj))))
     found = tower.functionals[k] = Functionals(
-        rows=tuple(rows), norms=tuple(_dot(w, b, b) for b in basis),
-        proj=tuple(tuple(row) for row in proj))
+        rows=tuple(rows), norms=tuple(_dot(w, b, b) for b in basis))
     return found
 
 
@@ -213,23 +211,18 @@ def evaluation_level(tower, h):
     return k_eval
 
 
-def _read_level(tower, h, at_level):
-    k_eval = evaluation_level(tower, h)
-    if at_level is not None:
-        if not k_eval <= at_level <= tower.max_level:
-            raise InsufficientStabilizationError(
-                "insufficient stabilization level")
-        k_eval = at_level
-    return k_eval
-
-
 def distributions(h, tower, at_level=None):
     """The d invariant-distribution values on h, measure direction first.
 
     Values are floats (the Gram normalizer is a square root); the exact
     pairing numerators decide vanishing one by one.  A call takes the block
     sums of h and applies the level's cached `level_functionals`."""
-    k_eval = _read_level(tower, h, at_level)
+    k_eval = evaluation_level(tower, h)
+    if at_level is not None:
+        if not k_eval <= at_level <= tower.max_level:
+            raise InsufficientStabilizationError(
+                "insufficient stabilization level")
+        k_eval = at_level
     sums = birkhoff_cochain(tower.diagram, h, k_eval)
     fn = level_functionals(tower, k_eval)
     out = []
@@ -243,23 +236,17 @@ def distributions(h, tower, at_level=None):
     return out
 
 
-def vanishes(h, tower, at_level=None):
-    """The joint verdict on all distributions: whether the projection of the
-    block sums of h onto W is exactly 0.  The projection is rational, so the
-    verdict needs no roof and no Perron root; float values never vanish."""
-    k_eval = _read_level(tower, h, at_level)
-    sums = birkhoff_cochain(tower.diagram, h, k_eval)
-    return all(is_exact_zero(x)
-               for x in mat_vec(level_functionals(tower, k_eval).proj, sums))
-
-
 def certificate(h, tower):
     """The first level from the evaluation level on at which every block sum
     of h is exactly 0, as {"level"}; None when there is none.  Block sums
     one level up are A times these, so they stay 0, and h is a coboundary.
     The eventual kernel of A is the kernel of A^k', so the search ends k'
-    levels up, where block sums are 0 exactly when `vanishes` holds; it may
-    pass max_level, which bounds where distributions are read."""
+    levels up: a certificate exists exactly when the block sums lie in the
+    eventual kernel, i.e. when their projection onto W is 0.  That is the
+    exact joint verdict; it is rational, so it needs no roof and no Perron
+    root, and float values never pass it.  The certificate may lie up to
+    k' <= dim levels above max_level, which bounds only where distributions
+    are read, so `solver.solve` may work at up to max_level + k' levels."""
     k_eval = evaluation_level(tower, h)
     sums = birkhoff_cochain(tower.diagram, h, k_eval)
     for level in range(k_eval, k_eval + tower.k_prime + 1):
@@ -272,13 +259,12 @@ def certificate(h, tower):
 
 def is_coboundary_class(h, tower):
     """Exact obstruction test with a constructive certificate: the joint
-    verdict of `vanishes`, the distributions, and the certificate level when
-    the verdict holds."""
+    verdict (a certificate exists), the distributions, and the certificate
+    level."""
     dvals = distributions(h, tower)
-    flag = vanishes(h, tower)
-    cert = certificate(h, tower) if flag else None
+    cert = certificate(h, tower)
     return {
-        "is_coboundary": flag and cert is not None,
+        "is_coboundary": cert is not None,
         "distributions": dvals,
         "certificate": cert,
     }

@@ -156,6 +156,15 @@ def euler_characteristic(cx):
     return len(cx.classes) - cx.num_edges
 
 
+def first_betti_number(cx):
+    """dim H1 of the class graph: edges - classes + components."""
+    uf = _UnionFind(len(cx.classes))
+    for a, b in zip(cx.start_class, cx.end_class):
+        uf.union(a, b)
+    components = len({uf.find(i) for i in range(len(cx.classes))})
+    return cx.num_edges - len(cx.classes) + components
+
+
 # ---------------------------------------------------------------------------
 # wrapping maps
 

@@ -31,8 +31,7 @@ def _tower(d, max_level=8):
 def _h1_dim(cx):
     """edges - classes + components of the class graph of a complex, the
     components counted by breadth-first search: the reference for the
-    1 - euler_characteristic that `adic cohomology` prints, which assumes
-    one component."""
+    `solenoid.first_betti_number` that `adic cohomology` prints."""
     adj = [[] for _ in cx.classes]
     for a, b in zip(cx.start_class, cx.end_class):
         adj[a].append(b)

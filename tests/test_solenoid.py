@@ -11,8 +11,9 @@ from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
 from adic.errors import NumericError
 from adic.measures import renorm_data
 from adic.scalars import as_float
-from adic.solenoid import (bilip_check, build_complex, cached_complexes,
-                           conjugacy_point, diameter, euler_characteristic,
+from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
+                           cached_complexes, conjugacy_point, diameter,
+                           euler_characteristic, first_betti_number,
                            flow_step, metric_report, point_distance,
                            roof_heights, solenoid_metric, wrapping)
 
@@ -24,6 +25,16 @@ def test_complex_shapes(odo2, fib, pisot31):
             cx = build_complex(d, rd, k)
             assert cx.num_edges == d.level(1).num_sources
             assert euler_characteristic(cx) == chi
+
+
+def test_first_betti_number_counts_components():
+    # two loops on separate classes: 1 - chi would say 1, H1 has dimension 2
+    loops = ApproxComplex(level=0, lengths=(1, 1), start_class=(0, 1),
+                          end_class=(0, 1),
+                          classes=((("-", 0), ("+", 0)), (("-", 1), ("+", 1))),
+                          glued_pairs=((0, 0), (1, 1)))
+    assert 1 - euler_characteristic(loops) == 1
+    assert first_betti_number(loops) == 2
 
 
 def test_total_length_and_diameter_stationary_invariance(odo2, fib, pisot31):
