@@ -256,7 +256,7 @@ def _coeff_norm(a, k):
                        as_float(a.lam))["norm"]
 
 
-def norms(a, s, q, n_cap=None, triangle=None):
+def norms(a, s, q, triangle=None):
     """{l1_alpha, s_alpha, mu_q} of a finitely supported element.
 
     The weight regime follows the distortion estimate: powers of the
@@ -273,8 +273,6 @@ def norms(a, s, q, n_cap=None, triangle=None):
                         else (1.0 + abs(k)) ** sf)
                   for k, nk in by_k.items())
     n_max = max((abs(k) for k in a.coeffs), default=0)
-    if n_cap is not None:
-        n_max = min(n_max, int(n_cap))
     mu = 0.0
     for n in range(-1, n_max + 1):
         tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
@@ -306,28 +304,30 @@ class NeumannInverse:
     terms: int        # highest power of (1 - h) included
 
 
-def neumann_invert(h, tol=1e-10, max_terms=200, triangle=None,
-                   level_cap=LEVEL_CAP):
+NEUMANN_MAX_TERMS = 200
+
+
+def neumann_invert(h, tol=1e-10):
     """Partial geometric series for h^{-1} when ||1 - h|| < 1/2 in the
-    alpha-weighted norm, with enough terms for a 2^{-M} tail below tol and
-    the residual certified by direct multiplication."""
-    tri = _default_triangle(h.diagram, h.lam) if triangle is None \
-        else as_float(triangle)
+    alpha-weighted norm, with enough terms for a 2^{-M} tail below tol (at
+    most NEUMANN_MAX_TERMS) and the residual certified by direct
+    multiplication."""
+    tri = _default_triangle(h.diagram, h.lam)
     one = unit(h.diagram, h.lam, h.alpha)
     f = subtract(one, h)
     small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     if not small < 0.5:
         raise NormTooLargeError()
     m = max(1, math.ceil(math.log2(1.0 / tol)) + 1)
-    m = min(m, int(max_terms))
+    m = min(m, NEUMANN_MAX_TERMS)
     inv, term, used = one, one, 0
     for n in range(1, m + 1):
-        term = convolve(term, f, level_cap)
+        term = convolve(term, f)
         if not term.coeffs:
             break
         inv = add(inv, term)
         used = n
-    residual = subtract(convolve(h, inv, level_cap), one)
+    residual = subtract(convolve(h, inv), one)
     res = norms(residual, 0, 1, triangle=tri)["l1_alpha"]
     return NeumannInverse(element=inv, residual=res, terms=used)
 

@@ -158,10 +158,10 @@ def function_out(diagram, h):
     return {"level": h.level, "values": values}
 
 
-def load_element(path, diagram=None, lam=None, alpha=None):
+def load_element(path, diagram=None, alpha=None):
     """{"alpha": a, "coeffs": {"k": function-file-ref}} with refs relative
-    to the element file; optional "diagram" and "lam" keys supply what the
-    flags leave out."""
+    to the element file; an optional "diagram" key supplies what the flags
+    leave out, and an optional "lam" key the multiplier."""
     import os
     with open(path) as fh:
         try:
@@ -177,7 +177,7 @@ def load_element(path, diagram=None, lam=None, alpha=None):
     a = alpha if alpha is not None else data.get("alpha")
     if a is None:
         raise ParseError("element file has no alpha")
-    lam_val = lam if lam is not None else data.get("lam")
+    lam_val = data.get("lam")
     if lam_val is None:
         lam_val = renorm_data(diagram).lambda_mu
     base = os.path.dirname(os.path.abspath(path))
@@ -341,22 +341,23 @@ def cmd_decompose(args):
 def cmd_cohomology(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
-    tower = limit_rank(d, rd, max_level=args.max_level)
+    if args.max_level < 0:
+        raise ParseError("max level must be >= 0, got %d" % args.max_level)
+    tower = limit_rank(d, rd)
     _emit_json({
         "d": tower.d,
         "k_prime": tower.k_prime,
         "per_level_dims": [first_betti_number(build_complex(d, rd, k))
                            for k in range(args.max_level + 1)],
         "ranks": list(tower.ranks),
-        "stabilized": tower.stabilized,
+        "stabilized": tower.ranks[-1] == tower.ranks[-2],
     })
     return 0
 
 
 def cmd_distributions(args):
     d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
-    tower = limit_rank(d, rd, max_level=args.max_level)
+    tower = limit_rank(d, renorm_data(d))
     h = load_function(d, args.function)
     dvs = distributions(h, tower, at_level=args.level)
     _emit_json({
@@ -370,7 +371,7 @@ def cmd_distributions(args):
 def cmd_solve(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
-    tower = limit_rank(d, rd, max_level=args.max_level)
+    tower = limit_rank(d, rd)
     h = load_function(d, args.function)
     sol = solve(h, tower, alpha=args.alpha,
                 epsilon=Fraction(args.eps).limit_denominator(10 ** 6))
@@ -482,17 +483,16 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
                     alg.power(p, k), alg.convolve(qq, alg.power(f, n - 1 - k))))
             note("jolissaint_n%d" % n,
                  alg.equal_elements(total, alg.power(f, n)))
-    if tower is not None:
-        ba = alg.convolve(b, a)
-        lev = max([f2.level for e in (ab, ba) if 0 in e.coeffs
-                   for f2 in (e.coeffs[0],)] + [1])
-        ta = alg.trace(ab, tower, at_level=lev)
-        tb = alg.trace(ba, tower, at_level=lev)
-        note("trace_commutator", all(
-            x.numerator == y.numerator for x, y in zip(ta, tb)))
-        aa = alg.convolve(alg.involution(a), a)
-        note("trace_positive",
-             alg.trace(aa, tower, at_level=None)[0].value >= -1e-15)
+    ba = alg.convolve(b, a)
+    lev = max([f2.level for e in (ab, ba) if 0 in e.coeffs
+               for f2 in (e.coeffs[0],)] + [1])
+    ta = alg.trace(ab, tower, at_level=lev)
+    tb = alg.trace(ba, tower, at_level=lev)
+    note("trace_commutator", all(
+        x.numerator == y.numerator for x, y in zip(ta, tb)))
+    aa = alg.convolve(alg.involution(a), a)
+    note("trace_positive",
+         alg.trace(aa, tower, at_level=None)[0].value >= -1e-15)
 
 
 def cmd_algebra_check(args):
@@ -502,10 +502,7 @@ def cmd_algebra_check(args):
     alpha = args.alpha if args.alpha is not None else 3
     tri = alg.triangle_phi(d, 3, as_float(lam)).value
     rng = random.Random(args.seed)
-    try:
-        tower = limit_rank(d, rd, max_level=8)
-    except AdicError:
-        tower = None
+    tower = limit_rank(d, rd)
     failures, counts = [], {}
     for _ in range(args.trials):
         _check_once(rng, d, lam, alpha, tri, tower, failures, counts)
@@ -590,7 +587,6 @@ def _build_parser():
             help="invariant distribution values of a function")
     p.add_argument("--diagram", required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--max-level", type=int, default=8)
     p.add_argument("--level", type=int, default=None,
                    help="evaluation level override")
 
@@ -599,7 +595,6 @@ def _build_parser():
     p.add_argument("--function", required=True)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--eps", type=float, default=0.25)
-    p.add_argument("--max-level", type=int, default=8)
 
     p = add("birkhoff", cmd_birkhoff, help="orbit sums along the Vershik map")
     p.add_argument("--diagram", required=True)

@@ -6,16 +6,17 @@ Over the rationals, K_0 of the crossed product is the dimension group
 lim (Q^V, A) of the repeating matrix A (Herman, Putnam and Skau 1992;
 Giordano, Putnam and Skau 1995).  A cylinder function h of level m is read
 at a level k >= m by its block sums, the sums of h over the level-k paths
-into each vertex; one level up they are A times these.  On a diagram with L
-materialized levels every step from level L - 1 on is A, so the tower is A
-alone: the level k' at which the ranks of its powers stop falling, and W,
-the eventual image.  The invariant distributions are the traces tau_i on
-K_0 (x) Q: exact functionals of the block sums that factor through the
-projection onto W along the eventual kernel, Gram-orthogonalized against the
-tower lengths of the vertices, the measure direction first.  h is a
-coboundary exactly when that projection of its block sums is 0; they then
-die under A within k' levels, and the first level at which every block sum
-is 0 is the certificate that `solver.solve` builds the solution from.
+into each vertex; one level up they are the incidence matrix of that level
+times these.  On a diagram with L materialized levels every step from level
+L - 1 on is A, so the tower is A alone: the level k' at which the ranks of
+its powers stop falling, and W, the eventual image.  The invariant
+distributions are the traces tau_i on K_0 (x) Q: exact functionals of the
+block sums that factor through the projection onto W along the eventual
+kernel, Gram-orthogonalized against the tower lengths of the vertices, the
+measure direction first.  h is a coboundary exactly when that projection of
+its block sums is 0; they then die under A within k' levels, and the first
+level at which every block sum is 0 is the certificate that `solver.solve`
+builds the solution from.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import path_table
-from .errors import (InsufficientStabilizationError, ParseError,
-                     RankNotStabilizedError)
-from .martingale import constant_function, lift
+from .errors import InsufficientStabilizationError
+from .martingale import constant_function
 from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
     nullspace, rank, solve_linear
 from .solenoid import tower_lengths
@@ -44,13 +44,11 @@ def is_exact_zero(x):
 class ClassTower:
     diagram: object
     renorm: object
-    max_level: int
     map: tuple        # A, carrying the block sums of level k-1 to level k
     k_prime: int
     d: int
     w_basis: tuple    # vectors spanning W at level k_prime
     ranks: tuple
-    stabilized: bool
     # level -> Functionals, filled by `level_functionals` on first use
     functionals: dict = field(default_factory=dict, repr=False,
                               compare=False)
@@ -66,33 +64,20 @@ def _column_space(m):
     return tuple(tuple(b) for b in basis)
 
 
-def limit_rank(diagram, renorm, max_level=8):
-    """The tower of the repeating matrix A, readable at levels up to
-    max_level, with the level k' at which the ranks of the powers of A stop
-    falling and the image W there."""
-    if max_level < 0:
-        raise ParseError("max level must be >= 0, got %d" % max_level)
+def limit_rank(diagram, renorm):
+    """The tower of the repeating matrix A, with the level k' at which the
+    ranks of the powers of A stop falling and the image W there.  The rank
+    falls at every step up to k', so k' <= dim."""
     m = tuple(tuple(row) for row in diagram.matrix(len(diagram.levels)))
-    dim = len(m)
-    ranks = [dim]
-    k_prime = 0
-    power = mat_pow(m, 0)
-    while True:
-        nxt = mat_mul(m, power)
-        r = rank([list(row) for row in nxt])
-        ranks.append(r)
-        if r == ranks[k_prime]:
-            break
-        k_prime += 1
-        power = nxt
-        if k_prime > dim:
-            raise RankNotStabilizedError()
-    w_basis = _column_space(mat_pow(m, k_prime)) if k_prime else \
-        tuple(tuple(1 if i == j else 0 for j in range(dim))
-              for i in range(dim))
-    return ClassTower(diagram=diagram, renorm=renorm, max_level=max_level,
-                      map=m, k_prime=k_prime, d=ranks[k_prime],
-                      w_basis=w_basis, ranks=tuple(ranks), stabilized=True)
+    ranks, power = [len(m), rank(m)], m
+    while ranks[-1] < ranks[-2]:
+        power = mat_mul(m, power)
+        ranks.append(rank(power))
+    k_prime = len(ranks) - 2
+    return ClassTower(diagram=diagram, renorm=renorm, map=m,
+                      k_prime=k_prime, d=ranks[-1],
+                      w_basis=_column_space(mat_pow(m, k_prime)),
+                      ranks=tuple(ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -100,16 +85,18 @@ def limit_rank(diagram, renorm, max_level=8):
 
 def birkhoff_cochain(diagram, h, k):
     """The block sums of h at level k: per vertex v of V_k, the sum of h
-    over the level-k paths into v, the tower over v."""
+    over the level-k paths into v, the tower over v.  They are summed at
+    the level of h and stepped up through the incidence matrices."""
     if k < h.level:
         raise ValueError("cochain level below the function level")
-    hv = lift(diagram, h, k).values
     vals = []
-    for a, b in path_table(diagram, k).blocks():
+    for a, b in path_table(diagram, h.level).blocks():
         total = 0
-        for x in hv[a:b]:
+        for x in h.values[a:b]:
             total = total + x
         vals.append(total)
+    for j in range(h.level + 1, k + 1):
+        vals = mat_vec(diagram.matrix(j), vals)
     return tuple(vals)
 
 
@@ -151,8 +138,7 @@ def _projection(tower, k):
     dim x dim matrix, with the spanning vectors of W pushed to level k."""
     m = tower.map
     dim = len(m)
-    shift = k - tower.k_prime
-    w_vecs = [mat_vec(mat_pow(m, shift), list(v)) if shift else list(v)
+    w_vecs = [mat_vec(mat_pow(m, k - tower.k_prime), v)
               for v in tower.w_basis]
     kern = [list(v) for v in nullspace([list(r)
                                         for r in mat_pow(m, dim)])]
@@ -178,14 +164,19 @@ class Functionals:
     norms: tuple
 
 
+FUNCTIONALS_PER_TOWER = 16
+
+
 def level_functionals(tower, k):
     """The distribution functionals of `tower` at level k, built on first
-    use and kept on the tower (one entry per level, so at most
-    max_level + 1).  The measure direction is the block sums of the
-    constant 1, and the weights are the tower lengths of the vertices."""
+    use and kept on the tower for the last FUNCTIONALS_PER_TOWER levels
+    built.  The measure direction is the block sums of the constant 1, and
+    the weights are the tower lengths of the vertices."""
     found = tower.functionals.get(k)
     if found is not None:
         return found
+    if len(tower.functionals) >= FUNCTIONALS_PER_TOWER:
+        del tower.functionals[next(iter(tower.functionals))]
     proj, w_vecs = _projection(tower, k)
     one = constant_function(tower.diagram, Fraction(1), 0)
     mu = birkhoff_cochain(tower.diagram, one, k)
@@ -205,10 +196,7 @@ def evaluation_level(tower, h):
     """The least level at which the distributions of h can be read: past
     k', past the level of h, and at least len(levels) - 1, the first level
     from which A carries the block sums of each level to the next."""
-    k_eval = max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
-    if k_eval > tower.max_level:
-        raise InsufficientStabilizationError("insufficient stabilization level")
-    return k_eval
+    return max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
 
 
 def distributions(h, tower, at_level=None):
@@ -216,10 +204,11 @@ def distributions(h, tower, at_level=None):
 
     Values are floats (the Gram normalizer is a square root); the exact
     pairing numerators decide vanishing one by one.  A call takes the block
-    sums of h and applies the level's cached `level_functionals`."""
+    sums of h and applies the level's cached `level_functionals`, at the
+    evaluation level or at a higher at_level."""
     k_eval = evaluation_level(tower, h)
     if at_level is not None:
-        if not k_eval <= at_level <= tower.max_level:
+        if at_level < k_eval:
             raise InsufficientStabilizationError(
                 "insufficient stabilization level")
         k_eval = at_level
@@ -244,9 +233,7 @@ def certificate(h, tower):
     levels up: a certificate exists exactly when the block sums lie in the
     eventual kernel, i.e. when their projection onto W is 0.  That is the
     exact joint verdict; it is rational, so it needs no roof and no Perron
-    root, and float values never pass it.  The certificate may lie up to
-    k' <= dim levels above max_level, which bounds only where distributions
-    are read, so `solver.solve` may work at up to max_level + k' levels."""
+    root, and float values never pass it."""
     k_eval = evaluation_level(tower, h)
     sums = birkhoff_cochain(tower.diagram, h, k_eval)
     for level in range(k_eval, k_eval + tower.k_prime + 1):

@@ -191,22 +191,23 @@ def forward_choice(ld):
     return tuple(lo), tuple(hi)
 
 
-def min_in(ld, v):
-    return ld.in_order[v][0]
-
-
-def max_in(ld, v):
-    return ld.in_order[v][-1]
+def _in_edge(ld, v, end):
+    """The first (end=0) or last (end=-1) in-edge of vertex v of a level;
+    a vertex with none is malformed input."""
+    if not ld.in_order[v]:
+        raise ParseError("vertex %d: no incoming edge" % v)
+    return ld.in_order[v][end]
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def min_source_map(ld):
-    return tuple(ld.source(min_in(ld, v)) for v in range(ld.num_ranges))
+    return tuple(ld.source(_in_edge(ld, v, 0)) for v in range(ld.num_ranges))
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def max_source_map(ld):
-    return tuple(ld.source(max_in(ld, v)) for v in range(ld.num_ranges))
+    return tuple(ld.source(_in_edge(ld, v, -1))
+                 for v in range(ld.num_ranges))
 
 
 def eventual_image(fmap):
@@ -410,16 +411,17 @@ def materialize(diagram, lazy, k):
     return FinitePath(tuple(w.advance()[1] for _ in range(k)))
 
 
-def first_disagreement(diagram, p, q, max_scan=100000):
+def first_disagreement(diagram, p, q):
     """Smallest level where p and q differ; 0 if provably equal.
 
     Provable equality uses cycle detection on the joint walker state, valid
     for stationary diagrams; non-stationary diagrams raise beyond the
-    materialized horizon.
+    materialized horizon.  Past the horizon the joint state takes finitely
+    many values, so the scan ends.
     """
     wp, wq = PathWalker(diagram, p), PathWalker(diagram, q)
     seen = set()
-    for _ in range(max_scan):
+    while True:
         past = (wp.k >= len(p.prefix.edges) and wq.k >= len(q.prefix.edges)
                 and wp.k >= len(diagram.levels))
         if past:
@@ -436,7 +438,6 @@ def first_disagreement(diagram, p, q, max_scan=100000):
             raise HorizonExceededError() from None
         if ep != eq:
             return kp
-    raise HorizonExceededError("horizon exceeded")
 
 
 def metric(diagram, p, q, lam):
@@ -450,21 +451,12 @@ def metric(diagram, p, q, lam):
 # ---------------------------------------------------------------------------
 # extreme paths and the successor map
 
-def min_chain(diagram, v, k):
-    """The unique all-min finite path from V_0 to vertex v at level k."""
+def _extreme_chain(diagram, v, k, end):
+    """The unique all-min (end=0) or all-max (end=-1) finite path from V_0
+    to vertex v at level k."""
     edges = []
     for j in range(k, 0, -1):
-        e = min_in(diagram.level(j), v)
-        edges.append(e)
-        v = diagram.level(j).source(e)
-    edges.reverse()
-    return FinitePath(tuple(edges), root=v if not edges else None)
-
-
-def max_chain(diagram, v, k):
-    edges = []
-    for j in range(k, 0, -1):
-        e = max_in(diagram.level(j), v)
+        e = _in_edge(diagram.level(j), v, end)
         edges.append(e)
         v = diagram.level(j).source(e)
     edges.reverse()
@@ -479,11 +471,9 @@ def _stationary_extreme(diagram, which):
     cyc = eventual_image(fmap)
     if len(cyc) != 1:
         return None
-    v = cyc[0]
-    L = len(diagram.levels)
-    word_edge = (min_in if which == "MIN" else max_in)(ld, v)
-    chain = (min_chain if which == "MIN" else max_chain)(diagram, v, L)
-    return LazyPath(chain, Tail("PERIODIC", (word_edge,)))
+    v, end = cyc[0], 0 if which == "MIN" else -1
+    chain = _extreme_chain(diagram, v, len(diagram.levels), end)
+    return LazyPath(chain, Tail("PERIODIC", (_in_edge(ld, v, end),)))
 
 
 def extreme_min_lazy(diagram):
@@ -526,8 +516,8 @@ def extreme_paths(diagram, horizon):
     extreme paths, plus the properness flag."""
     lo, hi = extreme_vertex_sets(diagram, horizon)
     return {
-        "minimal": [min_chain(diagram, v, horizon) for v in lo],
-        "maximal": [max_chain(diagram, v, horizon) for v in hi],
+        "minimal": [_extreme_chain(diagram, v, horizon, 0) for v in lo],
+        "maximal": [_extreme_chain(diagram, v, horizon, -1) for v in hi],
         "properly_ordered": len(lo) == 1 and len(hi) == 1,
     }
 

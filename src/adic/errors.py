@@ -46,11 +46,6 @@ class NotStationaryError(PreconditionError):
         super().__init__(msg)
 
 
-class RankNotStabilizedError(NumericError):
-    def __init__(self, msg="rank not stabilized"):
-        super().__init__(msg)
-
-
 class InsufficientStabilizationError(PreconditionError):
     def __init__(self, msg="insufficient stabilization level"):
         super().__init__(msg)

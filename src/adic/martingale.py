@@ -248,10 +248,9 @@ class LevelComponent:
                    for j in range(r + 1)) * self.peak
 
 
-def decompose(diagram, h, renorm, bump=None):
+def decompose(diagram, h, renorm):
     """Level components of the bump-smoothed martingale expansion of h."""
-    if bump is None:
-        bump = bump_from_roof(renorm)
+    bump = bump_from_roof(renorm)
     comps = []
     for k in range(h.level + 1):
         d = delta(diagram, h, k)

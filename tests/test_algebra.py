@@ -202,7 +202,7 @@ def test_tracial_identity_exact(odo2, pisot31):
     r = rng(506)
     lamp = renorm_data(pisot31).lam_float
     for d, lam in ((odo2, 2), (pisot31, lamp)):
-        tower = limit_rank(d, renorm_data(d), max_level=8)
+        tower = limit_rank(d, renorm_data(d))
         for _ in range(12):
             a = rand_element(r, d, lam, 3, 2, 2, 4)
             b = rand_element(r, d, lam, 3, 2, 2, 4)
@@ -219,7 +219,7 @@ def test_tracial_identity_exact(odo2, pisot31):
 
 def test_trace_positive_on_squares(odo2):
     r = rng(507)
-    tower = limit_rank(odo2, renorm_data(odo2), max_level=8)
+    tower = limit_rank(odo2, renorm_data(odo2))
     for _ in range(10):
         a = rand_element(r, odo2, 2, 3, 2, 2, 4)
         aa = convolve(involution(a), a)
@@ -227,7 +227,7 @@ def test_trace_positive_on_squares(odo2):
 
 
 def test_trace_of_unit(odo2):
-    tower = limit_rank(odo2, renorm_data(odo2), max_level=8)
+    tower = limit_rank(odo2, renorm_data(odo2))
     tv = trace(unit(odo2, 2, 3), tower)
     assert [(dv.index, dv.value) for dv in tv] == [(1, 1.0)]
     assert not tv[0].exact_zero

@@ -260,22 +260,37 @@ def test_cohomology_and_alias(capsys):
 
 
 def test_max_level_zero_and_negative(capsys, work):
+    # --max-level is the range of `per_level_dims` of `cohomology` only
     rc, out, _ = run(capsys, ["cohomology", "--diagram", "fib",
                               "--max-level", "0"])
     assert rc == 0
     assert json.loads(out)["per_level_dims"] == [2]
-    rc, out, _ = run(capsys, ["distributions", "--diagram", "odo2",
-                              "--function", str(work / "obst.json"),
-                              "--max-level", "0"])
+    rc, out, err = run(capsys, ["cohomology", "--diagram", "odo2",
+                                "--max-level", "-1"])
+    assert (rc, out) == (2, "")
+    assert err == "error: max level must be >= 0, got -1\n"
+    for command in ("distributions", "solve"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--diagram", "odo2",
+                  "--function", str(work / "h.json"), "--max-level", "8"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-level" in capsys.readouterr().err
+
+
+def test_functions_of_any_level_are_read(capsys, tmp_path):
+    # a level-9 coboundary on odo2, 512 values, is read and solved at its
+    # own level
+    (tmp_path / "h9.json").write_text(json.dumps(
+        {"level": 9, "values": {"0": "1", "511": "-1"}}))
+    argv = ["--diagram", "odo2", "--function", str(tmp_path / "h9.json")]
+    rc, out, _ = run(capsys, ["distributions"] + argv)
     assert rc == 0
-    assert json.loads(out)["D"] == [1.0]
-    for command in (["cohomology"],
-                    ["distributions", "--function", str(work / "h.json")],
-                    ["solve", "--function", str(work / "h.json")]):
-        rc, out, err = run(capsys, command + ["--diagram", "odo2",
-                                              "--max-level", "-1"])
-        assert (rc, out) == (2, "")
-        assert err == "error: max level must be >= 0, got -1\n"
+    assert json.loads(out) == {"D": [0], "coboundary": True,
+                               "exact_zero": [True]}
+    rc, out, _ = run(capsys, ["solve"] + argv)
+    assert rc == 0
+    data = json.loads(out)
+    assert (data["level"], data["residual"]) == (9, 0)
 
 
 def test_distributions_coboundary(capsys, work):

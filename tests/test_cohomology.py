@@ -13,10 +13,11 @@ from test_step import _prefixed, _random_diagram
 
 import adic
 from adic.cli import main
-from adic.cohomology import (birkhoff_cochain, certificate, distributions,
-                             is_coboundary_class, limit_rank)
+from adic.cohomology import (FUNCTIONALS_PER_TOWER, birkhoff_cochain,
+                             certificate, distributions, is_coboundary_class,
+                             limit_rank)
 from adic.catalog import builtin_diagram
-from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
+from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths, path_table
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
 from adic.measures import renorm_data
@@ -24,8 +25,8 @@ from adic.solenoid import build_complex
 from adic.solver import solve
 
 
-def _tower(d, max_level=8):
-    return limit_rank(d, renorm_data(d), max_level=max_level)
+def _tower(d):
+    return limit_rank(d, renorm_data(d))
 
 
 def _h1_dim(cx):
@@ -94,24 +95,34 @@ def test_tower_builds_no_complex(monkeypatch, odo2, odo3, fib, pisot31):
 
 def test_limit_rank_values(odo2, fib):
     t2 = _tower(odo2)
-    assert t2.d == 1 and t2.stabilized and t2.k_prime <= 5
+    assert t2.d == 1 and t2.ranks[-1] == t2.ranks[-2] and t2.k_prime <= 5
     tf = _tower(fib)
-    assert tf.d == 2 and tf.stabilized and tf.k_prime <= 5
+    assert tf.d == 2 and tf.ranks[-1] == tf.ranks[-2] and tf.k_prime <= 5
 
 
-def test_birkhoff_cochain_matches_direct_sums(odo2, fib):
+def test_birkhoff_cochain_matches_direct_sums(odo2, fib, pisot31):
+    # the block sums are stepped up from the level of h; on the prefixed
+    # diagrams the steps cross the non-repeating first level
     r = rng(301)
-    for d in (odo2, fib):
-        h = rand_function(r, d, 2)
-        k = 3
-        co = birkhoff_cochain(d, h, k)
-        # direct oracle: sum h over E_v in tower order for each vertex v
-        num_v = build_complex(d, renorm_data(d), k).num_edges
-        for v in range(num_v):
-            total = Fraction(0)
-            for p in enumerate_paths(d, 0, k, target=v):
-                total += h.evaluate(d, LazyPath(p, TAIL_MIN))
-            assert co[v] == total
+    draws = [_random_diagram(random.Random(7), n, 6)
+             for n in (2, 2, 2, 3, 3, 2, 3)]
+    three = next(d for d in draws if d.num_vertices(0) == 3)
+    for d in (odo2, fib, _prefixed(pisot31), _prefixed(three)):
+        for m in range(3):
+            h = rand_function(r, d, m)
+            for k in range(m, m + 4):
+                co = birkhoff_cochain(d, h, k)
+                # lift-and-sum reference: h lifted to level k, summed over
+                # the block of each vertex of V_k
+                hv = lift(d, h, k).values
+                assert co == tuple(sum(hv[a:b], Fraction(0)) for a, b in
+                                   path_table(d, k).blocks())
+                # direct oracle: sum h over E_v in tower order for each v
+                for v in range(d.num_vertices(k)):
+                    total = Fraction(0)
+                    for p in enumerate_paths(d, 0, k, target=v):
+                        total += h.evaluate(d, LazyPath(p, TAIL_MIN))
+                    assert co[v] == total
 
 
 def test_single_distribution_is_the_mean_functional(odo2):
@@ -231,19 +242,26 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
     for d in ds:
         rd = renorm_data(d)
         assert rd.exact
-        warm = limit_rank(d, rd, max_level=5)
+        warm = limit_rank(d, rd)
         for level in range(4):
             h = rand_function(r, d, level)
             moved = compose_phi(d, h, 1)
             f = moved - lift(d, h, moved.level)
-            for k in range(max(warm.k_prime, level), warm.max_level + 1):
-                fresh = limit_rank(d, rd, max_level=5)
+            for k in range(max(warm.k_prime, level), 6):
+                fresh = limit_rank(d, rd)
                 assert _dump(distributions(h, fresh, at_level=k)) == \
                     _dump(distributions(h, warm, at_level=k))
                 if k >= f.level:
                     assert all(dv.exact_zero for dv in
                                distributions(f, warm, at_level=k))
-        assert len(warm.functionals) <= warm.max_level + 1
+        assert len(warm.functionals) <= 6
+    # a tower keeps the functionals of a bounded number of levels
+    tower = _tower(odo2)
+    one = constant_function(odo2, Fraction(1), 0)
+    for k in range(2 * FUNCTIONALS_PER_TOWER):
+        distributions(one, tower, at_level=k)
+    assert sorted(tower.functionals) == list(
+        range(FUNCTIONALS_PER_TOWER, 2 * FUNCTIONALS_PER_TOWER))
 
 
 def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,

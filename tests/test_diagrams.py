@@ -10,11 +10,14 @@ from conftest import rand_function, rng
 
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, enumerate_paths,
-                           extreme_paths, first_disagreement,
+                           extreme_min_lazy, extreme_paths,
+                           first_disagreement,
                            is_strongly_minimal, load_diagram, make_level,
                            materialize, metric, predecessor, successor,
                            validate)
 from adic.errors import NotProperlyOrderedError, ParseError
+from adic.martingale import from_vector
+from adic.solver import birkhoff
 
 
 def test_validate_builtins_clean(odo2, fib, pisot31):
@@ -177,6 +180,20 @@ def test_extreme_paths_parallel_towers_not_proper():
     rep = extreme_paths(d, 3)
     assert rep["properly_ordered"] is False
     assert len(rep["minimal"]) == 2
+
+
+def test_vertex_without_in_edges_is_a_parse_error():
+    # the constructor accepts the level, so `validate` can report it; the
+    # extreme paths and the orbit sums refuse it as malformed input
+    level = make_level(2, 2, [(0, 0), (1, 0)], [[0, 1], []])
+    d = OrderedDiagram((level,), True)
+    assert "level 1 vertex 1: no incoming edge" in validate(d)
+    h = from_vector(d, 1, [Fraction(1), Fraction(2)])
+    start = LazyPath(FinitePath((0,), 0), TAIL_MIN)
+    for call in (lambda: extreme_min_lazy(d),
+                 lambda: birkhoff(d, h, start, 7)):
+        with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
+            call()
 
 
 def test_strong_minimality(odo2, fib):

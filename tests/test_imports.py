@@ -1,13 +1,16 @@
 """Every name a module of the package imports is read somewhere in it, and
-every function or class it defines is used somewhere.
+every function or class it defines is used somewhere, and every option it
+offers is set somewhere.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
 `__init__.py` is skipped, since it imports to re-export.  A top-level `def`
 or `class` must be read in its own module, or imported or reached as an
-attribute of its module from the sources, the tests or the benchmark."""
+attribute of its module from the sources, the tests or the benchmark.  A
+parameter with a default must be set by some call there."""
 
 import ast
+import math
 import pathlib
 
 import adic
@@ -123,3 +126,82 @@ def test_scan_finds_an_unused_definition():
 
 def test_package_has_no_unused_definitions():
     assert unused_definitions(_package_sources(), _user_sources()) == []
+
+
+def defaulted_parameters(source):
+    """{(def name, parameter): index} of the parameters with a default on
+    the defs of the source.  The index is the number of positional
+    arguments a call must pass to set the parameter, not counting the self
+    of a method; None for a keyword-only parameter."""
+    tree = ast.parse(source)
+    methods = {id(node) for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in getattr(node, "decorator_list", ()))}
+    out = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        skip = 1 if id(node) in methods else 0
+        for i in range(len(positional) - len(args.defaults), len(positional)):
+            out[(node.name, positional[i].arg)] = i + 1 - skip
+        out.update(((node.name, a.arg), None) for a, d in
+                   zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return out
+
+
+def calls(source):
+    """(callee name, positional count, keyword names) of each call of the
+    source.  The callee is the name called or the attribute looked up, so
+    matching is by name only.  A *args passes every position and a
+    **kwargs every keyword (None in the names)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            getattr(func, "attr", None)
+        count = math.inf if any(isinstance(a, ast.Starred)
+                                for a in node.args) else len(node.args)
+        out.append((name, count, {k.arg for k in node.keywords}))
+    return out
+
+
+def unset_parameters(modules, users):
+    """Sorted "def.parameter" of the defaulted parameters of `modules`
+    ({module: source}) that no call in `users` sets, by keyword or by
+    position.  Calls are matched to defs by name only, so a call of a
+    namesake counts too: the seven positional arguments of the benchmark's
+    own `oracles.norms` would cover any defaulted parameter of
+    `algebra.norms`."""
+    made = {}
+    for src in users:
+        for name, count, keywords in calls(src):
+            made.setdefault(name, []).append((count, keywords))
+    out = set()
+    for source in modules.values():
+        for (name, param), index in defaulted_parameters(source).items():
+            if not any(param in kw or None in kw
+                       or index is not None and count >= index
+                       for count, kw in made.get(name, ())):
+                out.add("%s.%s" % (name, param))
+    return sorted(out)
+
+
+def test_scan_finds_an_unset_parameter():
+    modules = {"scalars": (PACKAGE / "scalars.py").read_text()
+               + "\n\ndef orphan(x, knob=1, *, mode=None):\n    return x\n"}
+    users = _user_sources()
+    assert unset_parameters(modules, users + ["orphan(1)\n"]) == \
+        ["orphan.knob", "orphan.mode"]
+    assert unset_parameters(modules, users + ["orphan(1, 2, mode=3)\n"]) \
+        == []
+    assert unset_parameters(modules, users + ["s.orphan(1, knob=2)\n",
+                                              "orphan(**o)\n"]) == []
+
+
+def test_package_has_no_unset_parameters():
+    assert unset_parameters(_package_sources(), _user_sources()) == []

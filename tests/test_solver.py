@@ -28,7 +28,7 @@ from adic.solver import (birkhoff, chained_constant, regularity_report,
 
 
 def _tower(d):
-    return limit_rank(d, renorm_data(d), max_level=8)
+    return limit_rank(d, renorm_data(d))
 
 
 def _coboundary(d, g0):
@@ -172,7 +172,7 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
     r = rng(412)
     for d in _hard_diagrams():
         rd = renorm_data(d)
-        tower = limit_rank(d, rd, max_level=8)
+        tower = limit_rank(d, rd)
         for level in (1, 2):
             g0 = rand_function(r, d, level)
             h = _coboundary(d, g0)
@@ -196,14 +196,15 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
                        for dv in distributions(h, tower))
 
 
-def test_certificate_may_pass_max_level():
-    # the block sums (1, -2) of h at level 1 are not 0, but A sends them to
-    # 0, so h is a coboundary whose certificate is level 2, above max_level
+def test_certificate_may_lie_above_the_evaluation_level():
+    # the block sums (1, -2) of h at level 1, its evaluation level, are not
+    # 0, but A sends them to 0, so h is a coboundary whose certificate is
+    # level 2
     level = make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)],
                        [[2, 1, 0], [5, 3, 4]])
     d = OrderedDiagram((level,), stationary=True)
     h = from_vector(d, 1, [Fraction(x) for x in (1, 0, 0, -1, -1, 0)])
-    tower = limit_rank(d, renorm_data(d), max_level=1)
+    tower = limit_rank(d, renorm_data(d))
     rep = is_coboundary_class(h, tower)
     assert rep["is_coboundary"] is True and rep["certificate"] == {"level": 2}
     sol = solve(h, tower)
