@@ -32,11 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cohomology import distributions
+from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
                        first_disagreement, materialize, successor)
-from .errors import (LevelOverflowError, NormTooLargeError,
-                     NotProperlyOrderedError, PreconditionError)
+from .errors import (InsufficientStabilizationError, LevelOverflowError,
+                     NormTooLargeError, NotProperlyOrderedError,
+                     PreconditionError)
 from .martingale import compose_phi, constant_function, holder_norm, lift
 from .measures import renorm_data
 from .scalars import as_float
@@ -337,6 +338,11 @@ def neumann_invert(h, tol=1e-10):
 
 def trace(a, tower, at_level=None):
     """tau_i(a) = D_i(a(0)): the d distribution values of the zero-shift
-    coefficient.  Pass at_level to pin the evaluation level when comparing
-    traces of different elements."""
-    return distributions(a.coeff(0), tower, at_level=at_level)
+    coefficient.  The distributions read the same values at every level,
+    so traces of different elements compare as they are; an at_level below
+    the evaluation level of a(0) is refused, and it has no other effect."""
+    h = a.coeff(0)
+    if at_level is not None and at_level < evaluation_level(tower, h):
+        raise InsufficientStabilizationError(
+            "insufficient stabilization level")
+    return distributions(h, tower)

@@ -113,15 +113,14 @@ def _scalar_out(x):
 # file formats
 
 def _parse_value(v):
-    if isinstance(v, str):
-        return Fraction(v)
+    """A rational string, an integer, or a float read exactly as the dyadic
+    rational it is."""
     if isinstance(v, bool):
         raise ParseError("boolean is not a function value")
-    if isinstance(v, int):
+    try:
         return Fraction(v)
-    if isinstance(v, float):
-        return v
-    raise ParseError("unsupported function value %r" % (v,))
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParseError("unsupported function value %r" % (v,)) from None
 
 
 def load_function(diagram, path):
@@ -359,7 +358,7 @@ def cmd_distributions(args):
     d = resolve_diagram(args.diagram)
     tower = limit_rank(d, renorm_data(d))
     h = load_function(d, args.function)
-    dvs = distributions(h, tower, at_level=args.level)
+    dvs = distributions(h, tower)
     _emit_json({
         "D": [dv.value for dv in dvs],
         "exact_zero": [dv.exact_zero for dv in dvs],
@@ -484,15 +483,13 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
             note("jolissaint_n%d" % n,
                  alg.equal_elements(total, alg.power(f, n)))
     ba = alg.convolve(b, a)
-    lev = max([f2.level for e in (ab, ba) if 0 in e.coeffs
-               for f2 in (e.coeffs[0],)] + [1])
-    ta = alg.trace(ab, tower, at_level=lev)
-    tb = alg.trace(ba, tower, at_level=lev)
+    ta = alg.trace(ab, tower)
+    tb = alg.trace(ba, tower)
     note("trace_commutator", all(
         x.numerator == y.numerator for x, y in zip(ta, tb)))
     aa = alg.convolve(alg.involution(a), a)
     note("trace_positive",
-         alg.trace(aa, tower, at_level=None)[0].value >= -1e-15)
+         alg.trace(aa, tower)[0].value >= -1e-15)
 
 
 def cmd_algebra_check(args):
@@ -587,8 +584,6 @@ def _build_parser():
             help="invariant distribution values of a function")
     p.add_argument("--diagram", required=True)
     p.add_argument("--function", required=True)
-    p.add_argument("--level", type=int, default=None,
-                   help="evaluation level override")
 
     p = add("solve", cmd_solve, help="constructive coboundary solver")
     p.add_argument("--diagram", required=True)

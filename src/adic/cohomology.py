@@ -10,13 +10,17 @@ into each vertex; one level up they are the incidence matrix of that level
 times these.  On a diagram with L materialized levels every step from level
 L - 1 on is A, so the tower is A alone: the level k' at which the ranks of
 its powers stop falling, and W, the eventual image.  The invariant
-distributions are the traces tau_i on K_0 (x) Q: exact functionals of the
-block sums that factor through the projection onto W along the eventual
-kernel, Gram-orthogonalized against the tower lengths of the vertices, the
-measure direction first.  h is a coboundary exactly when that projection of
-its block sums is 0; they then die under A within k' levels, and the first
-level at which every block sum is 0 is the certificate that `solver.solve`
-builds the solution from.
+distributions are the traces tau_i on K_0 (x) Q, one set per tower, built
+once at the base level b = max(k', L - 1): exact functionals of the block
+sums that factor through the projection P onto W along the eventual kernel,
+Gram-orthogonalized against the tower lengths of level b, the measure
+direction first.  A trace is compatible across levels, so the functionals
+of level k + 1 are those of level k times the Drazin inverse of A (the
+inverse of A on W, 0 on the kernel), and a function reads the same values
+at every level it is lifted to.  h is a coboundary exactly when P kills its
+block sums; they then die under A within k' levels, and the first level at
+which every block sum is 0 is the certificate that `solver.solve` builds
+the solution from.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import path_table
-from .errors import InsufficientStabilizationError
 from .martingale import constant_function
 from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
     nullspace, rank, solve_linear
@@ -49,19 +52,17 @@ class ClassTower:
     d: int
     w_basis: tuple    # vectors spanning W at level k_prime
     ranks: tuple
-    # level -> Functionals, filled by `level_functionals` on first use
-    functionals: dict = field(default_factory=dict, repr=False,
-                              compare=False)
+    # the distribution functionals, built by `tower_functionals` on first use
+    functionals: object = field(default=None, repr=False, compare=False)
 
 
-def _column_space(m):
-    cols = [tuple(row[j] for row in m) for j in range(len(m[0]))]
+def _independent(vectors):
+    """The vectors, in order, that raise the rank of those kept before."""
     basis = []
-    for c in cols:
-        test = basis + [list(c)]
-        if rank([list(b) for b in test]) > len(basis):
+    for c in vectors:
+        if rank(basis + [list(c)]) > len(basis):
             basis.append(list(c))
-    return tuple(tuple(b) for b in basis)
+    return basis
 
 
 def limit_rank(diagram, renorm):
@@ -76,7 +77,8 @@ def limit_rank(diagram, renorm):
     k_prime = len(ranks) - 2
     return ClassTower(diagram=diagram, renorm=renorm, map=m,
                       k_prime=k_prime, d=ranks[-1],
-                      w_basis=_column_space(mat_pow(m, k_prime)),
+                      w_basis=tuple(map(tuple, _independent(
+                          zip(*mat_pow(m, k_prime))))),
                       ranks=tuple(ranks))
 
 
@@ -116,80 +118,84 @@ def _dot(w, x, y):
 
 
 def _gram_schmidt(vectors, w):
+    """The w-weighted Gram basis of linearly independent vectors, each
+    with its first nonzero entry positive."""
     basis = []
     for v in vectors:
         cur = list(v)
         for b in basis:
             coef = _dot(w, cur, b) / _dot(w, b, b)
             cur = [c - coef * bb for c, bb in zip(cur, b)]
-        if all(is_exact_zero(c) if is_exact(c) else abs(c) < 1e-12
-               for c in cur):
-            continue
-        lead = next(c for c in cur if not (is_exact_zero(c) if is_exact(c)
-                                           else abs(c) < 1e-12))
-        if as_float(lead) < 0:
+        if as_float(next(c for c in cur if c != 0)) < 0:
             cur = [-c for c in cur]
         basis.append(cur)
     return basis
 
 
-def _projection(tower, k):
+def _inverse(mat):
+    """The inverse of an invertible rational matrix."""
+    dim = len(mat)
+    cols = [solve_linear(mat, [1 if i == c else 0 for i in range(dim)])
+            for c in range(dim)]
+    return [[col[i] for col in cols] for i in range(dim)]
+
+
+def _projection(tower):
     """The projection onto W along the eventual kernel of A, as a rational
-    dim x dim matrix, with the spanning vectors of W pushed to level k."""
+    dim x dim matrix."""
     m = tower.map
-    dim = len(m)
-    w_vecs = [mat_vec(mat_pow(m, k - tower.k_prime), v)
-              for v in tower.w_basis]
-    kern = [list(v) for v in nullspace([list(r)
-                                        for r in mat_pow(m, dim)])]
-    cols = w_vecs + kern
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(dim)]
-    proj = [[0] * dim for _ in range(dim)]
-    for c in range(dim):
-        # W and the eventual kernel split Q^V, so mat is invertible
-        sol = solve_linear(mat, [1 if i == c else 0 for i in range(dim)])
-        for j in range(len(w_vecs)):
-            for i in range(dim):
-                proj[i][c] = proj[i][c] + sol[j] * w_vecs[j][i]
-    return proj, w_vecs
+    w_vecs = [list(v) for v in tower.w_basis]
+    cols = w_vecs + nullspace(mat_pow(m, len(m)))
+    # W and the eventual kernel split Q^V, so the basis matrix is invertible
+    inv = _inverse([list(row) for row in zip(*cols)])
+    return mat_mul([list(row) for row in zip(*w_vecs)], inv[:len(w_vecs)])
 
 
 @dataclass(frozen=True)
 class Functionals:
-    """The h-independent part of the distributions at one level: row i is
-    the exact trace x -> <P x, b_i>_w on block sums, for the projection P
-    onto W and the w-weighted Gram basis b_i of the measure direction and
-    W; norms[i] = <b_i, b_i>_w."""
-    rows: tuple
+    """The h-independent part of the distributions of a tower: rows[j]
+    holds the d vertex rows of level base + j, norms the Gram norms, and
+    step the Drazin inverse of A, which carries the rows one level up."""
+    base: int
+    step: list
     norms: tuple
+    rows: list
 
 
-FUNCTIONALS_PER_TOWER = 16
+def tower_functionals(tower):
+    """The distribution functionals of `tower`, built on first use at the
+    base level b = max(k', L - 1).  Row i at level b is x -> <P x, b_i>_w
+    on block sums, for the projection P onto W and the Gram basis b_i of W
+    (P times the block sums of 1 first) weighted by the tower lengths w of
+    level b.  A^D = (A + I - P)^-1 P inverts A on W and is 0 on the
+    eventual kernel, so A^D A = P: rows times A^D read lifts of h as h."""
+    fn = tower.functionals
+    if fn is not None:
+        return fn
+    diagram, m = tower.diagram, tower.map
+    one = constant_function(diagram, Fraction(1), 0)
+    base = evaluation_level(tower, one)
+    proj = _projection(tower)
+    mu = mat_vec(proj, birkhoff_cochain(diagram, one, base))
+    push = mat_pow(m, base - tower.k_prime)
+    w = tower_lengths(diagram, tower.renorm, base)
+    basis = _gram_schmidt(
+        _independent([mu] + [mat_vec(push, v) for v in tower.w_basis]), w)
+    shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]
+                for j in range(len(m))] for i in range(len(m))]
+    fn = tower.functionals = Functionals(
+        base=base, step=mat_mul(_inverse(shifted), proj),
+        norms=tuple(_dot(w, b, b) for b in basis),
+        rows=[mat_mul([[wi * bi for wi, bi in zip(w, b)] for b in basis],
+                      proj)])
+    return fn
 
 
-def level_functionals(tower, k):
-    """The distribution functionals of `tower` at level k, built on first
-    use and kept on the tower for the last FUNCTIONALS_PER_TOWER levels
-    built.  The measure direction is the block sums of the constant 1, and
-    the weights are the tower lengths of the vertices."""
-    found = tower.functionals.get(k)
-    if found is not None:
-        return found
-    if len(tower.functionals) >= FUNCTIONALS_PER_TOWER:
-        del tower.functionals[next(iter(tower.functionals))]
-    proj, w_vecs = _projection(tower, k)
-    one = constant_function(tower.diagram, Fraction(1), 0)
-    mu = birkhoff_cochain(tower.diagram, one, k)
-    w = tower_lengths(tower.diagram, tower.renorm, k)
-    basis = _gram_schmidt([list(mu)] + w_vecs, w)
-    rows = []
-    for b in basis:
-        wb = [wi * bi for wi, bi in zip(w, b)]
-        rows.append(tuple(sum(wb[i] * proj[i][j] for i in range(len(wb)))
-                          for j in range(len(proj))))
-    found = tower.functionals[k] = Functionals(
-        rows=tuple(rows), norms=tuple(_dot(w, b, b) for b in basis))
-    return found
+def _rows_at(fn, k):
+    """The vertex rows of level k >= base, extending fn.rows up to k."""
+    while len(fn.rows) <= k - fn.base:
+        fn.rows.append(mat_mul(fn.rows[-1], fn.step))
+    return fn.rows[k - fn.base]
 
 
 def evaluation_level(tower, h):
@@ -199,30 +205,22 @@ def evaluation_level(tower, h):
     return max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
 
 
-def distributions(h, tower, at_level=None):
+def distributions(h, tower):
     """The d invariant-distribution values on h, measure direction first.
 
     Values are floats (the Gram normalizer is a square root); the exact
     pairing numerators decide vanishing one by one.  A call takes the block
-    sums of h and applies the level's cached `level_functionals`, at the
-    evaluation level or at a higher at_level."""
+    sums of h at its evaluation level and applies the vertex rows of that
+    level from `tower_functionals`, so h and every lift of h read the same
+    values."""
+    fn = tower_functionals(tower)
     k_eval = evaluation_level(tower, h)
-    if at_level is not None:
-        if at_level < k_eval:
-            raise InsufficientStabilizationError(
-                "insufficient stabilization level")
-        k_eval = at_level
-    sums = birkhoff_cochain(tower.diagram, h, k_eval)
-    fn = level_functionals(tower, k_eval)
-    out = []
-    for i, (row, den) in enumerate(zip(fn.rows, fn.norms)):
-        num = 0
-        for f, x in zip(row, sums):
-            num = num + f * x
-        val = as_float(num) / math.sqrt(as_float(den))
-        out.append(DistributionValue(index=i + 1, value=val, numerator=num,
-                                     exact_zero=is_exact_zero(num)))
-    return out
+    nums = mat_vec(_rows_at(fn, k_eval),
+                   birkhoff_cochain(tower.diagram, h, k_eval))
+    return [DistributionValue(index=i + 1, numerator=num,
+                              value=as_float(num) / math.sqrt(as_float(den)),
+                              exact_zero=is_exact_zero(num))
+            for i, (num, den) in enumerate(zip(nums, fn.norms))]
 
 
 def certificate(h, tower):

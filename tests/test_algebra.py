@@ -12,7 +12,8 @@ from adic.algebra import (TRIANGLE_CACHE_SIZE, add, complement_support,
                           project_support, scale, subtract, trace,
                           triangle_phi, unit, unitary)
 from adic.cohomology import limit_rank
-from adic.errors import LevelOverflowError, NormTooLargeError
+from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
+                         NormTooLargeError)
 from adic.martingale import compose_phi, constant_function, from_vector
 from adic.measures import renorm_data
 
@@ -206,15 +207,22 @@ def test_tracial_identity_exact(odo2, pisot31):
         for _ in range(12):
             a = rand_element(r, d, lam, 3, 2, 2, 4)
             b = rand_element(r, d, lam, 3, 2, 2, 4)
-            ab = convolve(a, b)
-            ba = convolve(b, a)
-            lv = max([1] + [e.coeffs[0].level
-                            for e in (ab, ba) if 0 in e.coeffs])
-            ta = trace(ab, tower, at_level=lv)
-            tb = trace(ba, tower, at_level=lv)
+            ta = trace(convolve(a, b), tower)
+            tb = trace(convolve(b, a), tower)
             assert len(ta) == len(tb)
             for da, db in zip(ta, tb):
                 assert da.numerator == db.numerator
+
+
+def test_trace_refuses_a_level_below_the_evaluation_level(odo2):
+    # at_level only guards the evaluation level; it does not move the trace
+    r = rng(508)
+    tower = limit_rank(odo2, renorm_data(odo2))
+    a = rand_element(r, odo2, 2, 3, 2, 2, 4)
+    h = a.coeff(0)
+    assert trace(a, tower, at_level=h.level + 3) == trace(a, tower)
+    with pytest.raises(InsufficientStabilizationError):
+        trace(a, tower, at_level=h.level - 1)
 
 
 def test_trace_positive_on_squares(odo2):

@@ -269,12 +269,16 @@ def test_max_level_zero_and_negative(capsys, work):
                                 "--max-level", "-1"])
     assert (rc, out) == (2, "")
     assert err == "error: max level must be >= 0, got -1\n"
-    for command in ("distributions", "solve"):
+    # no other command takes a level bound, and distributions are read at
+    # no chosen level
+    for command, flag in (("distributions", "--max-level"),
+                          ("solve", "--max-level"),
+                          ("distributions", "--level")):
         with pytest.raises(SystemExit) as exc:
             main([command, "--diagram", "odo2",
-                  "--function", str(work / "h.json"), "--max-level", "8"])
+                  "--function", str(work / "h.json"), flag, "1"])
         assert exc.value.code == 2
-        assert "unrecognized arguments: --max-level" in capsys.readouterr().err
+        assert "unrecognized arguments: %s" % flag in capsys.readouterr().err
 
 
 def test_functions_of_any_level_are_read(capsys, tmp_path):
@@ -373,10 +377,11 @@ def test_solve_obstructed_exit_code(capsys, work):
 
 @pytest.mark.parametrize("command, code", [
     ("decompose", 0), ("distributions", 0),
-    ("solve", 3),  # float values never certify a zero distribution
+    ("solve", 3),  # this h is no coboundary
 ])
 def test_float_values_on_quadratic_diagram(capsys, tmp_path, command, code):
-    # fib's weights live in Q(sqrt 5), and they meet float values here
+    # float values are read as the dyadic rationals they are, so fib's
+    # weights in Q(sqrt 5) meet exact values
     f = tmp_path / "hf.json"
     f.write_text(json.dumps({"level": 2, "values": {
         "0": 0.5, "1": -0.25, "2": 1.5, "3": 0.75, "4": -1.0}}))
@@ -387,6 +392,23 @@ def test_float_values_on_quadratic_diagram(capsys, tmp_path, command, code):
         assert out == "" and err.startswith("error: obstructed: D = [")
     else:
         assert out and err == ""
+
+
+def test_float_values_solve_exactly(capsys, tmp_path):
+    # 0.5 and -0.5 are read exactly, so this true coboundary is solved with
+    # a zero residual, as it is from "1/2" and "-1/2"
+    f = tmp_path / "hf.json"
+    f.write_text(json.dumps({"level": 1, "values": {"0": 0.5, "1": -0.5}}))
+    rc, out, err = run(capsys, ["solve", "--diagram", "odo2",
+                                "--function", str(f)])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["residual"] == 0
+    for bad in (float("nan"), float("inf")):
+        f.write_text(json.dumps({"level": 1, "values": {"0": bad}}))
+        rc, out, err = run(capsys, ["solve", "--diagram", "odo2",
+                                    "--function", str(f)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: unsupported function value")
 
 
 def test_birkhoff_csv(capsys, work):

@@ -13,9 +13,8 @@ from test_step import _prefixed, _random_diagram
 
 import adic
 from adic.cli import main
-from adic.cohomology import (FUNCTIONALS_PER_TOWER, birkhoff_cochain,
-                             certificate, distributions, is_coboundary_class,
-                             limit_rank)
+from adic.cohomology import (birkhoff_cochain, certificate, distributions,
+                             is_coboundary_class, limit_rank)
 from adic.catalog import builtin_diagram
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths, path_table
 from adic.martingale import (compose_phi, constant_function, from_vector,
@@ -127,13 +126,13 @@ def test_birkhoff_cochain_matches_direct_sums(odo2, fib, pisot31):
 
 def test_single_distribution_is_the_mean_functional(odo2):
     # rank one: the only distribution is a fixed positive multiple of the
-    # nu-mean and vanishes exactly when the mean does
+    # nu-mean, at every level, and vanishes exactly when the mean does
     r = rng(302)
     tower = _tower(odo2)
     ratio = None
     for _ in range(20):
-        h = rand_function(r, odo2, 2)
-        (dv,) = distributions(h, tower, at_level=4)
+        h = rand_function(r, odo2, r.randint(0, 4))
+        (dv,) = distributions(h, tower)
         mean = nu_mean(odo2, h)
         assert dv.exact_zero == (mean == 0)
         if mean != 0:
@@ -145,15 +144,15 @@ def test_single_distribution_is_the_mean_functional(odo2):
 
 
 def test_distribution_values_are_linear(fib):
-    # the numerators are exact linear functionals at a pinned level
+    # the numerators are exact linear functionals
     r = rng(303)
     tower = _tower(fib)
     for _ in range(10):
         h1 = rand_function(r, fib, 2)
         h2 = rand_function(r, fib, 2)
-        d1 = distributions(h1, tower, at_level=4)
-        d2 = distributions(h2, tower, at_level=4)
-        ds = distributions(h1 + h2, tower, at_level=4)
+        d1 = distributions(h1, tower)
+        d2 = distributions(h2, tower)
+        ds = distributions(h1 + h2, tower)
         for a, b, s in zip(d1, d2, ds):
             assert a.numerator + b.numerator == s.numerator
 
@@ -233,9 +232,9 @@ def _dump(dvs):
 
 
 def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
-    # the per-level functionals kept on a tower give the same values and
-    # numerators, to the repr, as a tower that builds them for this call;
-    # D_i(h o phi - h) is an exact zero for every i and level
+    # the functionals kept on a tower give the same values and numerators,
+    # to the repr, as a tower that builds them for this call; D_i(h o phi - h)
+    # is an exact zero for every i and every lift
     r = rng(305)
     ds = [odo2, odo3, fib, pisot31] + [_random_diagram(r, 2, m)
                                        for m in (4, 5, 6)]
@@ -249,19 +248,56 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
             f = moved - lift(d, h, moved.level)
             for k in range(max(warm.k_prime, level), 6):
                 fresh = limit_rank(d, rd)
-                assert _dump(distributions(h, fresh, at_level=k)) == \
-                    _dump(distributions(h, warm, at_level=k))
+                assert _dump(distributions(lift(d, h, k), fresh)) == \
+                    _dump(distributions(lift(d, h, k), warm))
                 if k >= f.level:
                     assert all(dv.exact_zero for dv in
-                               distributions(f, warm, at_level=k))
-        assert len(warm.functionals) <= 6
-    # a tower keeps the functionals of a bounded number of levels
+                               distributions(lift(d, f, k), warm))
+        # one row list per tower, from its base level to the highest read
+        fn = warm.functionals
+        assert len(fn.rows) == 6 - fn.base
+    # reading higher levels extends the list, and lower ones leave it
     tower = _tower(odo2)
     one = constant_function(odo2, Fraction(1), 0)
-    for k in range(2 * FUNCTIONALS_PER_TOWER):
-        distributions(one, tower, at_level=k)
-    assert sorted(tower.functionals) == list(
-        range(FUNCTIONALS_PER_TOWER, 2 * FUNCTIONALS_PER_TOWER))
+    for k in (12, 3, 0):
+        assert distributions(lift(odo2, one, k), tower)[0].value == 1.0
+        assert len(tower.functionals.rows) == 13
+
+
+def _dump_diagrams():
+    """The 4 builtins, the 7 draws `_random_diagram(random.Random(7), n, 6)`
+    and the `_prefixed` forms of both."""
+    base = [builtin_diagram(name)
+            for name in ("odo2", "odo3", "fib", "pisot31")]
+    r = random.Random(7)
+    base += [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
+    return base + [_prefixed(d) for d in base]
+
+
+def test_distributions_are_compatible_across_levels():
+    # a trace on the dimension group is compatible across levels, so h and
+    # every lift of h read the same d = rank K_0 distributions: numerator by
+    # numerator, to the repr, where the roof is exact, and to rounding where
+    # it is not.  The count holds also on the singular `_prefixed` draw,
+    # whose measure direction lies outside W at level 1, and on the float
+    # roof of `_prefixed(pisot31)` from level 8 on
+    r = rng(308)
+    for d in _dump_diagrams():
+        rd = renorm_data(d)
+        tower = limit_rank(d, rd)
+        for m in range(4):
+            h = rand_function(r, d, m)
+            ref = distributions(h, tower)
+            scale = max(abs(dv.value) for dv in ref)
+            for k in range(m, 9):
+                got = distributions(lift(d, h, k), tower)
+                assert len(got) == tower.d
+                if rd.exact:
+                    assert [repr(dv.numerator) for dv in got] == \
+                        [repr(dv.numerator) for dv in ref]
+                else:
+                    assert all(abs(a.value - b.value) <= 1e-9 * scale
+                               for a, b in zip(got, ref))
 
 
 def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,

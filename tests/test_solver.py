@@ -58,9 +58,9 @@ def test_solve_runs_the_distributions_only_when_obstructed(monkeypatch,
     calls = []
     original = adic.cohomology.distributions
 
-    def counted(h, tower, at_level=None):
+    def counted(h, tower):
         calls.append(h)
-        return original(h, tower, at_level)
+        return original(h, tower)
 
     monkeypatch.setattr(adic.cohomology, "distributions", counted)
     monkeypatch.setattr(adic.solver, "distributions", counted)
