@@ -3,11 +3,16 @@
 An element is a finitely supported map k -> cylinder function standing for
 the formal sum of a(k) u^k, with u the shift unitary of the adic map.
 Multiplication convolves coefficients and conjugates by powers of the map.
-A composition with phi^k raises the cylinder level by the transient T of
-the extreme source map, and by more only while the tower over its fixed
-vertex holds fewer than |k| paths, so levels grow like log|k| (not at all
-on the odometers, where T = 0); all of that is computed exactly, with a
-hard level cap instead of silent truncation.
+Products and involutions read coefficients through cached index gathers
+(`martingale.gather`): composing with a power of the map and lifting to a
+finer level move indices, never field elements, and products are summed as
+integers over a common denominator (`martingale.integer_parts`), so float
+coefficients are read as the dyadic rationals they store.  A composition
+with phi^k raises the cylinder level by the transient T of the extreme
+source map, and by more only while the tower over its fixed vertex holds
+fewer than |k| paths, so levels grow like log|k| (not at all on the
+odometers, where T = 0); all of that is computed exactly, with a hard level
+cap instead of silent truncation.
 
 The distortion constant of the adic map enters every weighted norm, and it
 is only ever available as a certified lower bound from a finite pair sweep.
@@ -38,9 +43,10 @@ from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
 from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      PreconditionError)
-from .martingale import compose_phi, constant_function, holder_norm, lift
+from .martingale import (CylinderFunction, compose_level, constant_function,
+                         gather, holder_norm, integer_parts, lift)
 from .measures import renorm_data
-from .scalars import as_float
+from .scalars import QuadExt, as_float
 
 LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
@@ -125,34 +131,95 @@ def equal_elements(a, b):
 
 
 def convolve(a, b, level_cap=LEVEL_CAP):
-    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), computed exactly."""
+    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), computed exactly.
+
+    Every coefficient is read once as integer columns over one common
+    denominator (`integer_parts`).  The terms of one output shift are read
+    at the highest level among them, each factor through a cached index
+    gather (`martingale.gather`), so composing with phi^{-i} and lifting
+    move indices, not field elements; the terms are summed as integers over
+    the lcm of their denominators, and one Fraction per distinct value, or
+    one QuadExt per value when an input held one, is built from them.
+    Every level is checked against level_cap before any gather is built;
+    coefficients of two quadratic fields raise PreconditionError."""
     _compatible(a, b)
     diagram = a.diagram
+    parts = {(side, k): integer_parts(f.values)
+             for side, x in ((0, a), (1, b)) for k, f in x.coeffs.items()}
+    fields = {d for _, _, d in parts.values() if d is not None}
+    if len(fields) > 1:
+        raise PreconditionError("coefficients of mixed quadratic fields")
+    field = fields.pop() if fields else None
     terms = {}
     for i, ai in a.coeffs.items():
         for j, bj in b.coeffs.items():
-            comp = bj if i == 0 else compose_phi(diagram, bj, -i)
-            top = max(ai.level, comp.level)
+            top = max(ai.level, compose_level(diagram, bj.level, -i))
             if top > level_cap:
                 raise LevelOverflowError("convolution exceeds level cap %d"
                                          % level_cap)
-            prod = lift(diagram, ai, top) * lift(diagram, comp, top)
-            terms.setdefault(i + j, []).append(prod)
-    return element(diagram, a.lam, a.alpha,
-                   {k: _fsum(diagram, fs) for k, fs in terms.items()})
+            terms.setdefault(i + j, []).append((i, j, top))
+    out = {}
+    for k, ijt in terms.items():
+        top = max(t for _, _, t in ijt)
+        q = math.lcm(*(parts[0, i][0] * parts[1, j][0] for i, j, _ in ijt))
+        acc = None
+        for i, j, _ in ijt:
+            (qa, ca, _), (qb, cb, _) = parts[0, i], parts[1, j]
+            s = q // (qa * qb)
+            if s != 1:
+                ca = [[s * x for x in c] for c in ca]
+            acc = _accumulate(acc, ca, cb,
+                              gather(diagram, a.coeffs[i].level, 0, top),
+                              gather(diagram, b.coeffs[j].level, -i, top),
+                              field)
+        if not any(map(any, acc)):
+            continue
+        if field is None:
+            # products repeat values, and equal values share one Fraction
+            memo = {x: Fraction(x, q) for x in set(acc[0])}
+            out[k] = CylinderFunction(top, list(map(memo.__getitem__,
+                                                    acc[0])))
+        else:
+            out[k] = CylinderFunction(top, [
+                QuadExt(Fraction(x, q), Fraction(y, q), field)
+                for x, y in zip(*acc)])
+    return AlgebraElement(diagram, a.lam, a.alpha, out)
+
+
+def _accumulate(acc, ca, cb, ga, gb, field):
+    """acc plus the product of the integer columns ca and cb read through
+    the gathers ga and gb (acc is None for the first term).  Rational
+    values have one column; in Q(sqrt field) the columns (x, y) and
+    (x', y') multiply to (x x' + field y y', x y' + x' y), a function
+    without a sqrt column having y = 0."""
+    if field is None:
+        (x,), (x2,) = ca, cb
+        if acc is None:
+            return [[x[u] * x2[v] for u, v in zip(ga, gb)]]
+        return [[p + x[u] * x2[v] for p, u, v in zip(acc[0], ga, gb)]]
+    (x, y), (x2, y2) = (c if len(c) == 2 else (c[0], [0] * len(c[0]))
+                        for c in (ca, cb))
+    prod = [[x[u] * x2[v] + field * y[u] * y2[v] for u, v in zip(ga, gb)],
+            [x[u] * y2[v] + y[u] * x2[v] for u, v in zip(ga, gb)]]
+    if acc is None:
+        return prod
+    return [[p + r for p, r in zip(pc, rc)] for pc, rc in zip(acc, prod)]
 
 
 def involution(a, level_cap=LEVEL_CAP):
     """a*(k) = a(-k) o phi^{-k}; coefficients are real, so conjugation is
-    the identity."""
+    the identity.  The composition reads each coefficient through a cached
+    index gather."""
     diagram = a.diagram
     out = {}
     for k, f in a.coeffs.items():
-        comp = f if k == 0 else compose_phi(diagram, f, k)
-        if comp.level > level_cap:
+        level = compose_level(diagram, f.level, k)
+        if level > level_cap:
             raise LevelOverflowError("involution exceeds level cap %d"
                                      % level_cap)
-        out[-k] = comp
+        vals = f.values
+        out[-k] = CylinderFunction(level, [
+            vals[x] for x in gather(diagram, f.level, k, level)])
     return element(diagram, a.lam, a.alpha, out)
 
 
@@ -312,14 +379,17 @@ def neumann_invert(h, tol=1e-10):
     """Partial geometric series for h^{-1} when ||1 - h|| < 1/2 in the
     alpha-weighted norm, with enough terms for a 2^{-M} tail below tol (at
     most NEUMANN_MAX_TERMS) and the residual certified by direct
-    multiplication."""
+    multiplication.  tol must be a finite number > 0."""
+    if not 0 < tol < math.inf:
+        raise PreconditionError("tol must be finite and > 0, got %r"
+                                % (tol,))
     tri = _default_triangle(h.diagram, h.lam)
     one = unit(h.diagram, h.lam, h.alpha)
     f = subtract(one, h)
     small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     if not small < 0.5:
         raise NormTooLargeError()
-    m = max(1, math.ceil(math.log2(1.0 / tol)) + 1)
+    m = max(1, math.ceil(-math.log2(tol)) + 1)
     m = min(m, NEUMANN_MAX_TERMS)
     inv, term, used = one, one, 0
     for n in range(1, m + 1):

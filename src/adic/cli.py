@@ -17,6 +17,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -112,15 +113,22 @@ def _scalar_out(x):
 # ---------------------------------------------------------------------------
 # file formats
 
-def _parse_value(v):
+def _parse_value(v, what="function value"):
     """A rational string, an integer, or a float read exactly as the dyadic
     rational it is."""
     if isinstance(v, bool):
-        raise ParseError("boolean is not a function value")
+        raise ParseError("boolean is not a %s" % what)
     try:
         return Fraction(v)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ParseError("unsupported function value %r" % (v,)) from None
+        raise ParseError("unsupported %s %r" % (what, v)) from None
+
+
+def _positive(name, v):
+    """v when it is a finite number > 0; NaN fails both comparisons."""
+    if not 0 < v < math.inf:
+        raise ParseError("%s must be finite and > 0, got %s" % (name, v))
+    return v
 
 
 def load_function(diagram, path):
@@ -179,12 +187,19 @@ def load_element(path, diagram=None, alpha=None):
     lam_val = data.get("lam")
     if lam_val is None:
         lam_val = renorm_data(diagram).lambda_mu
+    else:
+        lam_val = _positive("lam", _parse_value(lam_val, "lam"))
     base = os.path.dirname(os.path.abspath(path))
     coeffs = {}
     for k, ref in dict(data.get("coeffs", {})).items():
+        try:
+            shift = int(k)
+        except ValueError:
+            raise ParseError("shift %r is not an integer" % (k,)) from None
         fp = ref if os.path.isabs(ref) else os.path.join(base, ref)
-        coeffs[int(k)] = load_function(diagram, fp)
-    return alg.element(diagram, lam_val, _parse_value(a), coeffs)
+        coeffs[shift] = load_function(diagram, fp)
+    return alg.element(diagram, lam_val,
+                       _positive("alpha", _parse_value(a, "alpha")), coeffs)
 
 
 def _load_start(diagram, ref):
@@ -493,10 +508,12 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
 
 
 def cmd_algebra_check(args):
+    alpha = 3 if args.alpha is None else _positive("alpha", args.alpha)
+    if args.trials < 0:
+        raise ParseError("trials must be >= 0, got %d" % args.trials)
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
     lam = rd.lambda_mu
-    alpha = args.alpha if args.alpha is not None else 3
     tri = alg.triangle_phi(d, 3, as_float(lam)).value
     rng = random.Random(args.seed)
     tower = limit_rank(d, rd)
@@ -512,8 +529,9 @@ def cmd_algebra_check(args):
 
 def cmd_algebra_invert(args):
     diagram = resolve_diagram(args.diagram) if args.diagram else None
+    tol = _positive("tol", args.tol)
     a = load_element(args.element, diagram=diagram, alpha=args.alpha)
-    res = alg.neumann_invert(a, tol=args.tol)
+    res = alg.neumann_invert(a, tol=tol)
     inv = res.element
     _emit_json({
         "terms": res.terms,

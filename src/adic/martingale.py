@@ -7,11 +7,14 @@ level 0 that is the vertex order of V_0.  Lifts, projections, means and
 compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
 quadratic-field elements, or floats, and projection/difference operations
-stay in the same field.  The bump profile used for smoothing is the fixed
-polynomial c*(1 - (5t/tau)^2)^3, whose integral is exactly one and whose
-derivative sup-norms have closed forms; it is C^2 at the support boundary
-(u, u', u'' vanish there) while its third derivative is bounded but jumps
-there.
+stay in the same field.  `gather` caches the index maps of composition and
+lift, and `integer_parts` reads values as integer columns over one common
+denominator, so products of coefficients (`algebra.convolve`) and the
+solver's residual check move indices and add integers.  The bump profile
+used for smoothing is the fixed polynomial c*(1 - (5t/tau)^2)^3, whose
+integral is exactly one and whose derivative sup-norms have closed forms; it
+is C^2 at the support boundary (u, u', u'' vanish there) while its third
+derivative is bounded but jumps there.
 """
 
 from __future__ import annotations
@@ -19,13 +22,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
                        extreme_min_lazy, materialize, max_source_map,
                        min_source_map, path_index, path_range, path_table)
-from .errors import BumpSmoothnessError, NotProperlyOrderedError
+from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
+                     PreconditionError)
 from .measures import xi_vector
-from .scalars import as_float, is_exact
+from .scalars import QuadExt, as_float, is_exact
+
+GATHER_CACHE_SIZE = 256
 
 
 @dataclass
@@ -47,8 +54,9 @@ class CylinderFunction:
         return _pointwise(self, other, lambda a, b: a - b)
 
     def __mul__(self, other):
+        # products of functions are formed by algebra.convolve
         if isinstance(other, CylinderFunction):
-            return _pointwise(self, other, lambda a, b: a * b)
+            return NotImplemented
         return CylinderFunction(self.level, [v * other for v in self.values])
 
     def __rmul__(self, other):
@@ -76,6 +84,29 @@ def _pointwise(a, b, op):
         raise ValueError("cylinder supports differ")
     return CylinderFunction(a.level, [op(x, y)
                                       for x, y in zip(a.values, b.values)])
+
+
+def integer_parts(values):
+    """(q, cols, d): the values as integer columns over one common
+    denominator q.  cols[0] holds the rational parts a_i * q.  When some
+    value lies in Q(sqrt d), cols[1] holds the sqrt(d) parts b_i * q of the
+    values a_i + b_i sqrt(d); otherwise d is None.  A finite float is read
+    as the dyadic rational it stores.  Values of two quadratic fields, or
+    of no exact field, raise PreconditionError."""
+    fields = {v.d for v in values if isinstance(v, QuadExt)}
+    if len(fields) > 1:
+        raise PreconditionError("values of mixed quadratic fields")
+    cols = [values]
+    if fields:
+        cols = [[v.a if isinstance(v, QuadExt) else v for v in values],
+                [v.b if isinstance(v, QuadExt) else 0 for v in values]]
+    try:
+        ratios = [[x.as_integer_ratio() for x in col] for col in cols]
+    except (AttributeError, ValueError, OverflowError):
+        raise PreconditionError("values lie in no exact field") from None
+    q = math.lcm(*(den for col in ratios for _, den in col))
+    return (q, [[num * (q // den) for num, den in col] for col in ratios],
+            fields.pop() if fields else None)
 
 
 def from_vector(diagram, level, vec):
@@ -310,12 +341,7 @@ def compose_phi(diagram, h, power=1):
     if power == 0:
         return h
     direction = 1 if power > 0 else -1
-    T, v = phi_transient(diagram, direction)
-    n, m = abs(power), max(h.level, len(diagram.levels) - 1)
-    j = m
-    while T + j < m + n * T and _height(diagram, v, j) < n:
-        j += 1
-    L = max(min(m + n * T, T + j), 1)
+    n, L = abs(power), compose_level(diagram, h.level, power)
     ext = (extreme_min_lazy if direction == 1 else extreme_max_lazy)(diagram)
     table = path_table(diagram, L)
     w = path_range(diagram, materialize(diagram, ext, L))
@@ -332,6 +358,29 @@ def compose_phi(diagram, h, power=1):
             idx.extend(range(a, b - n))
     vals = lift(diagram, h, L).values
     return CylinderFunction(L, [vals[i] for i in idx])
+
+
+@lru_cache(maxsize=GATHER_CACHE_SIZE)
+def compose_level(diagram, m, power):
+    """The level of h o phi^power for h of level m, as in `compose_phi`."""
+    if power == 0:
+        return m
+    T, v = phi_transient(diagram, 1 if power > 0 else -1)
+    n, m = abs(power), max(m, len(diagram.levels) - 1)
+    j = m
+    while T + j < m + n * T and _height(diagram, v, j) < n:
+        j += 1
+    return max(min(m + n * T, T + j), 1)
+
+
+@lru_cache(maxsize=GATHER_CACHE_SIZE)
+def gather(diagram, m, power, k):
+    """The indices into a level-m vector that read h o phi^power lifted to
+    level k >= compose_level(diagram, m, power), for every h of level m:
+    composition and lift applied once to the indices themselves."""
+    ident = CylinderFunction(m, list(range(path_table(diagram, m)
+                                           .offsets[-1])))
+    return tuple(lift(diagram, compose_phi(diagram, ident, power), k).values)
 
 
 def _height(diagram, v, k):

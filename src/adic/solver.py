@@ -38,9 +38,9 @@ from .cohomology import certificate, distributions
 from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
                        path_index, path_table)
 from .errors import HorizonExceededError, ObstructedError
-from .martingale import (CylinderFunction, bump_from_roof, compose_phi,
-                         holder_norm, lift, nu_mean)
-from .scalars import QuadExt, as_float
+from .martingale import (CylinderFunction, bump_from_roof, compose_level,
+                         gather, holder_norm, integer_parts, lift, nu_mean)
+from .scalars import as_float
 from .solenoid import build_complex, diameter
 
 
@@ -62,49 +62,24 @@ def _sup_abs(values):
     return out
 
 
-def _integer_parts(values):
-    """Integer vectors over one common denominator q: the rational parts
-    a_i * q and, when some value lies in Q(sqrt d), the sqrt(d) parts b_i * q
-    of the values a_i + b_i sqrt(d).  None for any other value."""
-    if not all(isinstance(v, (int, Fraction, QuadExt)) for v in values):
-        return None
-    quad = [v for v in values if isinstance(v, QuadExt)]
-    if len({v.d for v in quad}) > 1:
-        return None
-    # an int is its own numerator over the denominator 1
-    cols = [[v.a if isinstance(v, QuadExt) else v for v in values]]
-    if quad:
-        cols.append([v.b if isinstance(v, QuadExt) else 0 for v in values])
-    q = math.lcm(*(x.denominator for col in cols for x in col))
-    return [[x.numerator * (q // x.denominator) for x in col]
-            for col in cols]
-
-
 def _residual(diagram, h, g):
-    """sup |h - (g o phi - g)|, exactly.  For rational and quadratic values
-    the equation is checked first on integer vectors over a common
-    denominator, read through index gathers: the composition and the lifts
-    move indices, not field elements.  Only a nonzero residual is then
-    evaluated in the field, to report its exact value."""
-    # each part holds h's integers, then g's from index nh on
-    parts = _integer_parts(h.values + g.values)
-    if parts is not None:
-        nh = len(h.values)
-        gi = CylinderFunction(g.level, list(range(len(g.values))))
-        gphi = compose_phi(diagram, gi, 1)
-        top = max(h.level, g.level, gphi.level, 1)
-        ih = lift(diagram, CylinderFunction(h.level, list(range(nh))),
-                  top).values
-        ig = lift(diagram, gi, top).values
-        iphi = lift(diagram, gphi, top).values
-        if all(p[a] == p[nh + b] - p[nh + c] for p in parts
-               for a, b, c in zip(ih, iphi, ig)):
-            return 0
-    gphi = compose_phi(diagram, g, 1)
-    top = max(h.level, g.level, gphi.level, 1)
-    diff = lift(diagram, h, top) - (lift(diagram, gphi, top) -
-                                    lift(diagram, g, top))
-    return _sup_abs(diff.values)
+    """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
+    level through cached index gathers, so the composition and the lifts
+    move indices, not field elements.  The equation is checked first on
+    integer vectors over a common denominator; only a nonzero residual is
+    then evaluated in the field, to report its exact value."""
+    top = max(h.level, compose_level(diagram, g.level, 1))
+    ih = gather(diagram, h.level, 0, top)
+    ig = gather(diagram, g.level, 0, top)
+    iphi = gather(diagram, g.level, 1, top)
+    # each column holds h's integers, then g's from index nh on
+    nh = len(h.values)
+    if all(p[a] == p[nh + b] - p[nh + c]
+           for p in integer_parts(h.values + g.values)[1]
+           for a, b, c in zip(ih, iphi, ig)):
+        return 0
+    hv, gv = h.values, g.values
+    return _sup_abs([hv[a] - (gv[b] - gv[c]) for a, b, c in zip(ih, iphi, ig)])
 
 
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):

@@ -1,21 +1,29 @@
 """Crossed-product elements: products, norms, inversion, traces."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import rand_function, rng
+from test_step import _prefixed, _random_diagram
 
 from adic.algebra import (TRIANGLE_CACHE_SIZE, add, complement_support,
                           convolve, element, equal_elements, involution,
                           lemma_constant, neumann_invert, norms, power,
                           project_support, scale, subtract, trace,
                           triangle_phi, unit, unitary)
+from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
+from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
+                           successor)
 from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
-                         NormTooLargeError)
-from adic.martingale import compose_phi, constant_function, from_vector
+                         NormTooLargeError, NotProperlyOrderedError,
+                         PreconditionError)
+from adic.martingale import (compose_phi, constant_function, from_vector,
+                             phi_transient)
 from adic.measures import renorm_data
+from adic.scalars import QuadExt
 
 SLACK = 1e-9
 
@@ -192,6 +200,13 @@ def test_neumann_mixed_support(odo2):
     assert len(res.element.support()) > 1
 
 
+@pytest.mark.parametrize("tol", [0, -1.0, float("nan"), float("inf"),
+                                 1e-400])
+def test_neumann_rejects_bad_tolerance(odo2, tol):
+    with pytest.raises(PreconditionError, match="tol must be finite"):
+        neumann_invert(unit(odo2, 2, 3), tol=tol)
+
+
 def test_level_cap_overflow(odo2):
     r = rng(505)
     a = element(odo2, 2, 3, {0: rand_function(r, odo2, 2)})
@@ -239,3 +254,137 @@ def test_trace_of_unit(odo2):
     tv = trace(unit(odo2, 2, 3), tower)
     assert [(dv.index, dv.value) for dv in tv] == [(1, 1.0)]
     assert not tv[0].exact_zero
+
+
+# ---------------------------------------------------------------------------
+# products against brute force
+
+
+@pytest.fixture(scope="module")
+def oracle_diagrams():
+    """odo2, fib, pisot31 and two random diagrams on 2 and 3 vertices, each
+    also behind a non-repeating first level."""
+    out = [builtin_diagram(name) for name in ("odo2", "fib", "pisot31")]
+    r = random.Random(2025)
+    out += [_random_diagram(r, n, 6) for n in (2, 3)]
+    return out + [_prefixed(d) for d in out]
+
+
+def _phi(diagram, x, power):
+    """phi^power x, one lazy successor at a time."""
+    for _ in range(abs(power)):
+        x = successor(diagram, x, 1 if power > 0 else -1)
+    return x
+
+
+def _points(diagram, level):
+    """Two points in every level-`level` cylinder: its minimal and maximal
+    tails."""
+    return [LazyPath(p, tail) for p in enumerate_paths(diagram, 0, level)
+            for tail in (TAIL_MIN, TAIL_MAX)]
+
+
+def _check_product(diagram, a, b, ab):
+    """(ab)(k)(x) = sum_i a(i)(x) * b(k - i)(phi^{-i} x) at two points of
+    every cylinder of the level of (ab)(k), and at the points of one level
+    below the finest input level where the sum is not supported."""
+    spare = max(f.level for f in (*a.coeffs.values(), *b.coeffs.values()))
+    for k in {i + j for i in a.coeffs for j in b.coeffs} | set(ab.coeffs):
+        got = ab.coeffs.get(k)
+        for x in _points(diagram, got.level if got else spare + 1):
+            want = 0
+            for i, ai in a.coeffs.items():
+                if k - i in b.coeffs:
+                    want = want + ai.evaluate(diagram, x) * \
+                        b.coeffs[k - i].evaluate(diagram, _phi(diagram, x, -i))
+            assert (got.evaluate(diagram, x) if got else 0) == want, \
+                (k, x.prefix.edges, x.tail.kind)
+
+
+def _check_involution(diagram, a, star):
+    """a*(k)(x) = a(-k)(phi^{-k} x) on every shift of a*."""
+    assert set(star.coeffs) == {-k for k in a.coeffs}
+    for k, f in star.coeffs.items():
+        for x in _points(diagram, f.level):
+            assert f.evaluate(diagram, x) == \
+                a.coeffs[-k].evaluate(diagram, _phi(diagram, x, -k))
+
+
+def _oracle_element(r, diagram, value, shifts=range(-2, 3), max_level=2,
+                    max_support=3):
+    ks = r.sample(shifts, k=r.randint(1, min(max_support, len(shifts))))
+    return element(diagram, 2, 3, {k: from_vector(diagram, lv, [
+        value(r) for _ in enumerate_paths(diagram, 0, lv)])
+        for k in ks for lv in [r.randint(0, max_level)]})
+
+
+def _quarter(r):
+    return Fraction(r.randint(-8, 8), 4)
+
+
+def _backward_ok(diagram):
+    """Whether phi^-1 is defined: the all-max path is unique."""
+    try:
+        phi_transient(diagram, -1)
+    except NotProperlyOrderedError:
+        return False
+    return True
+
+
+def test_convolve_and_involution_match_brute_force(oracle_diagrams):
+    r = rng(509)
+    for d in oracle_diagrams:
+        # without phi^-1, a(i) b(j) needs i <= 0 and a*(k) needs k >= 0
+        both = _backward_ok(d)
+        left = range(-2, 3) if both else range(-2, 1)
+        right = range(-2, 3) if both else range(0, 3)
+        for _ in range(8):
+            a = _oracle_element(r, d, _quarter, left)
+            b = _oracle_element(r, d, _quarter)
+            _check_product(d, a, b, convolve(a, b))
+            c = _oracle_element(r, d, _quarter, right)
+            _check_involution(d, c, involution(c))
+
+
+def test_convolve_in_the_quadratic_field(fib):
+    r = rng(510)
+
+    def quad(r):
+        return QuadExt(_quarter(r), _quarter(r), 5)
+    for _ in range(4):
+        a = _oracle_element(r, fib, quad, range(-2, 1))
+        b = _oracle_element(r, fib, _quarter, range(-2, 1))
+        for x, y in ((a, b), (b, a), (a, a)):
+            xy = convolve(x, y)
+            _check_product(fib, x, y, xy)
+            assert all(isinstance(v, QuadExt) for f in xy.coeffs.values()
+                       for v in f.values)
+
+
+def test_float_values_are_read_exactly(odo2, pisot31):
+    r = rng(511)
+    for d in (odo2, pisot31):
+        for _ in range(4):
+            a = _oracle_element(r, d, lambda r: r.randint(-64, 64) / 16)
+            b = _oracle_element(r, d, lambda r: r.uniform(-1, 1))
+            exact = [element(d, 2, 3, {k: from_vector(
+                d, f.level, [Fraction(v) for v in f.values])
+                for k, f in x.coeffs.items()}) for x in (a, b)]
+            got, want = convolve(a, b), convolve(*exact)
+            assert equal_elements(got, want)
+            assert all(type(v) is Fraction for f in got.coeffs.values()
+                       for v in f.values)
+
+
+def test_mixed_quadratic_fields_are_refused(fib):
+    root5 = element(fib, 2, 3, {0: constant_function(fib, QuadExt(0, 1, 5))})
+    root2 = element(fib, 2, 3, {1: constant_function(fib, QuadExt(0, 1, 2))})
+    with pytest.raises(PreconditionError, match="mixed quadratic fields"):
+        convolve(root5, root2)
+    both = element(fib, 2, 3, {0: from_vector(
+        fib, 0, [QuadExt(0, 1, 5), QuadExt(0, 1, 2)])})
+    with pytest.raises(PreconditionError, match="mixed quadratic fields"):
+        convolve(both, unit(fib, 2, 3))
+    nan = element(fib, 2, 3, {0: constant_function(fib, float("nan"))})
+    with pytest.raises(PreconditionError, match="no exact field"):
+        convolve(nan, nan)

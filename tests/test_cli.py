@@ -509,6 +509,40 @@ def test_algebra_invert_rejects_large_norm(capsys, work):
     assert "norm too large" in err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1e-400"])
+def test_algebra_invert_rejects_bad_tolerance(capsys, work, tol):
+    rc, out, err = run(capsys, ["algebra", "invert",
+                                "--element", str(work / "e.json"),
+                                "--tol", tol])
+    assert (rc, out) == (2, "")
+    assert "tol must be finite and > 0" in err
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--alpha", "-1"],
+                                   ["--alpha", "inf"], ["--trials", "-2"]])
+def test_algebra_check_rejects_bad_numbers(capsys, flags):
+    rc, out, err = run(capsys, ["algebra", "check", "--diagram", "odo2"]
+                       + flags)
+    assert (rc, out) == (2, "")
+    assert flags[0][2:] in err
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"coeffs": {"a": "f0.json"}}, "shift 'a' is not an integer"),
+    ({"lam": "x"}, "unsupported lam 'x'"),
+    ({"alpha": -3}, "alpha must be finite and > 0"),
+    ({"lam": 0}, "lam must be finite and > 0"),
+])
+def test_element_file_rejects_bad_entries(capsys, work, change, message):
+    spec = {"diagram": "odo2", "alpha": 3, "coeffs": {"0": "f0.json"}}
+    spec.update(change)
+    (work / "bad_e.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["algebra", "invert",
+                                "--element", str(work / "bad_e.json")])
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
 @pytest.fixture()
 def non_stationary(tmp_path):
     """60 levels alternating two 2-vertex levels, not repeating, and a
