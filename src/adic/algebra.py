@@ -44,9 +44,10 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
-                         gather, holder_norm, integer_parts, lift)
+                         field_values, gather, holder_norm, integer_parts,
+                         lift)
 from .measures import renorm_data
-from .scalars import QuadExt, as_float
+from .scalars import as_float
 
 LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
@@ -138,8 +139,8 @@ def convolve(a, b, level_cap=LEVEL_CAP):
     at the highest level among them, each factor through a cached index
     gather (`martingale.gather`), so composing with phi^{-i} and lifting
     move indices, not field elements; the terms are summed as integers over
-    the lcm of their denominators, and one Fraction per distinct value, or
-    one QuadExt per value when an input held one, is built from them.
+    the lcm of their denominators, and `field_values` builds one Fraction
+    per distinct value, or one QuadExt per value when an input held one.
     Every level is checked against level_cap before any gather is built;
     coefficients of two quadratic fields raise PreconditionError."""
     _compatible(a, b)
@@ -172,17 +173,8 @@ def convolve(a, b, level_cap=LEVEL_CAP):
                               gather(diagram, a.coeffs[i].level, 0, top),
                               gather(diagram, b.coeffs[j].level, -i, top),
                               field)
-        if not any(map(any, acc)):
-            continue
-        if field is None:
-            # products repeat values, and equal values share one Fraction
-            memo = {x: Fraction(x, q) for x in set(acc[0])}
-            out[k] = CylinderFunction(top, list(map(memo.__getitem__,
-                                                    acc[0])))
-        else:
-            out[k] = CylinderFunction(top, [
-                QuadExt(Fraction(x, q), Fraction(y, q), field)
-                for x, y in zip(*acc)])
+        if any(map(any, acc)):
+            out[k] = CylinderFunction(top, field_values(q, acc, field))
     return AlgebraElement(diagram, a.lam, a.alpha, out)
 
 

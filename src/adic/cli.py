@@ -132,18 +132,24 @@ def _positive(name, v):
 
 
 def load_function(diagram, path):
-    """{"level": m, "values": {"path-index": value}}, indices in the
-    lexicographic order of enumerate_paths."""
+    """A function file: {"level": m, "values": {"path-index": value}}, as
+    read by `function_from_dict`."""
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError("malformed function file: %s" % exc) from None
+    return function_from_dict(diagram, data)
+
+
+def function_from_dict(diagram, data):
+    """{"level": m, "values": {"path-index": value}}, indices in the
+    lexicographic order of enumerate_paths."""
     try:
         level = int(data["level"])
         raw = dict(data.get("values", {}))
     except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError("malformed function file: %s" % exc) from None
+        raise ParseError("malformed function: %s" % exc) from None
     n = path_table(diagram, level).offsets[-1]
     vec = [Fraction(0)] * n
     for key, v in raw.items():
@@ -166,9 +172,10 @@ def function_out(diagram, h):
 
 
 def load_element(path, diagram=None, alpha=None):
-    """{"alpha": a, "coeffs": {"k": function-file-ref}} with refs relative
-    to the element file; an optional "diagram" key supplies what the flags
-    leave out, and an optional "lam" key the multiplier."""
+    """{"alpha": a, "coeffs": {"k": function}}, each function a path to a
+    function file, relative to the element file, or an inline function
+    object; an optional "diagram" key supplies what the flags leave out,
+    and an optional "lam" key the multiplier."""
     import os
     with open(path) as fh:
         try:
@@ -196,8 +203,13 @@ def load_element(path, diagram=None, alpha=None):
             shift = int(k)
         except ValueError:
             raise ParseError("shift %r is not an integer" % (k,)) from None
-        fp = ref if os.path.isabs(ref) else os.path.join(base, ref)
-        coeffs[shift] = load_function(diagram, fp)
+        if isinstance(ref, dict):
+            coeffs[shift] = function_from_dict(diagram, ref)
+        elif isinstance(ref, str):
+            coeffs[shift] = load_function(diagram, os.path.join(base, ref))
+        else:
+            raise ParseError("coefficient %r is neither a function file "
+                             "nor a function object" % (ref,))
     return alg.element(diagram, lam_val,
                        _positive("alpha", _parse_value(a, "alpha")), coeffs)
 

@@ -7,20 +7,23 @@ lim (Q^V, A) of the repeating matrix A (Herman, Putnam and Skau 1992;
 Giordano, Putnam and Skau 1995).  A cylinder function h of level m is read
 at a level k >= m by its block sums, the sums of h over the level-k paths
 into each vertex; one level up they are the incidence matrix of that level
-times these.  On a diagram with L materialized levels every step from level
-L - 1 on is A, so the tower is A alone: the level k' at which the ranks of
-its powers stop falling, and W, the eventual image.  The invariant
-distributions are the traces tau_i on K_0 (x) Q, one set per tower, built
-once at the base level b = max(k', L - 1): exact functionals of the block
-sums that factor through the projection P onto W along the eventual kernel,
-Gram-orthogonalized against the tower lengths of level b, the measure
-direction first.  A trace is compatible across levels, so the functionals
-of level k + 1 are those of level k times the Drazin inverse of A (the
-inverse of A on W, 0 on the kernel), and a function reads the same values
-at every level it is lifted to.  h is a coboundary exactly when P kills its
-block sums; they then die under A within k' levels, and the first level at
-which every block sum is 0 is the certificate that `solver.solve` builds
-the solution from.
+times these.  They are summed as integers over one denominator
+(`martingale.integer_parts`, a finite float read as the dyadic rational it
+stores) and divided by it only at the end.  On a diagram with L
+materialized levels every step from level L - 1 on is A, so the tower is A
+alone: the level k' at which the ranks of its powers stop falling, and W,
+the eventual image.  The invariant distributions are the traces tau_i on
+K_0 (x) Q, one set per tower, built once at the base level
+b = max(k', L - 1): exact functionals of the block sums that factor through
+the projection P onto W along the eventual kernel, Gram-orthogonalized
+against the tower lengths of level b, the measure direction first.  A
+trace is compatible across levels, so the functionals of level k + 1
+(`vertex_functionals`) are those of level k times the Drazin inverse of A
+(the inverse of A on W, 0 on the kernel), and a function reads the same
+values at every level it is lifted to.  h is a coboundary exactly
+when P kills its block sums; they then die under A within k' levels, and
+the first level at which every block sum is 0 is the certificate that
+`solver.solve` builds the solution from.
 """
 
 from __future__ import annotations
@@ -30,14 +33,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import path_table
-from .martingale import constant_function
+from .martingale import constant_function, field_values, integer_parts
 from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
     nullspace, rank, solve_linear
 from .solenoid import tower_lengths
-
-
-def is_exact_zero(x):
-    return is_exact(x) and x == 0
 
 
 # ---------------------------------------------------------------------------
@@ -85,21 +84,27 @@ def limit_rank(diagram, renorm):
 # ---------------------------------------------------------------------------
 # block sums and distributions
 
+def block_sums(diagram, m, cols, k):
+    """Per integer column of a level-m function (`integer_parts`), its
+    block sums at level k >= m: summed over each block of level m, then
+    stepped up through the integer incidence matrices."""
+    sums = [[sum(col[a:b]) for a, b in path_table(diagram, m).blocks()]
+            for col in cols]
+    for j in range(m + 1, k + 1):
+        mat = diagram.matrix(j)
+        sums = [mat_vec(mat, s) for s in sums]
+    return sums
+
+
 def birkhoff_cochain(diagram, h, k):
     """The block sums of h at level k: per vertex v of V_k, the sum of h
-    over the level-k paths into v, the tower over v.  They are summed at
-    the level of h and stepped up through the incidence matrices."""
+    over the level-k paths into v, the tower over v.  They are summed as
+    integers over one denominator q (`block_sums`), which divides them
+    only at the end."""
     if k < h.level:
         raise ValueError("cochain level below the function level")
-    vals = []
-    for a, b in path_table(diagram, h.level).blocks():
-        total = 0
-        for x in h.values[a:b]:
-            total = total + x
-        vals.append(total)
-    for j in range(h.level + 1, k + 1):
-        vals = mat_vec(diagram.matrix(j), vals)
-    return tuple(vals)
+    q, cols, d = integer_parts(h.values)
+    return tuple(field_values(q, block_sums(diagram, h.level, cols, k), d))
 
 
 @dataclass(frozen=True)
@@ -191,11 +196,16 @@ def tower_functionals(tower):
     return fn
 
 
-def _rows_at(fn, k):
-    """The vertex rows of level k >= base, extending fn.rows up to k."""
-    while len(fn.rows) <= k - fn.base:
+def vertex_functionals(tower, m):
+    """The trace on K_0 at level m >= base: the d vertex rows c_i of level
+    m, so that tau_i of a level-m cylinder into v is c_i(v) and the i-th
+    distribution numerator of h is c_i times its block sums.  The rows are
+    kept per tower and extended up to m on demand; a trace is compatible
+    across levels, so the rows of level m + 1 times A are those of m."""
+    fn = tower_functionals(tower)
+    while len(fn.rows) <= m - fn.base:
         fn.rows.append(mat_mul(fn.rows[-1], fn.step))
-    return fn.rows[k - fn.base]
+    return fn.rows[m - fn.base]
 
 
 def evaluation_level(tower, h):
@@ -215,15 +225,15 @@ def distributions(h, tower):
     values."""
     fn = tower_functionals(tower)
     k_eval = evaluation_level(tower, h)
-    nums = mat_vec(_rows_at(fn, k_eval),
+    nums = mat_vec(vertex_functionals(tower, k_eval),
                    birkhoff_cochain(tower.diagram, h, k_eval))
     return [DistributionValue(index=i + 1, numerator=num,
                               value=as_float(num) / math.sqrt(as_float(den)),
-                              exact_zero=is_exact_zero(num))
+                              exact_zero=is_exact(num) and num == 0)
             for i, (num, den) in enumerate(zip(nums, fn.norms))]
 
 
-def certificate(h, tower):
+def certificate(h, tower, cols=None):
     """The first level from the evaluation level on at which every block sum
     of h is exactly 0, as {"level"}; None when there is none.  Block sums
     one level up are A times these, so they stay 0, and h is a coboundary.
@@ -231,13 +241,15 @@ def certificate(h, tower):
     levels up: a certificate exists exactly when the block sums lie in the
     eventual kernel, i.e. when their projection onto W is 0.  That is the
     exact joint verdict; it is rational, so it needs no roof and no Perron
-    root, and float values never pass it."""
+    root.  The block sums are integers (`block_sums` of cols, h's integer
+    columns, read here unless given), tested for 0."""
     k_eval = evaluation_level(tower, h)
-    sums = birkhoff_cochain(tower.diagram, h, k_eval)
+    sums = block_sums(tower.diagram, h.level,
+                      cols or integer_parts(h.values)[1], k_eval)
     for level in range(k_eval, k_eval + tower.k_prime + 1):
         if level > k_eval:
-            sums = mat_vec(tower.map, sums)
-        if all(is_exact_zero(x) for x in sums):
+            sums = [mat_vec(tower.map, s) for s in sums]
+        if not any(map(any, sums)):
             return {"level": level}
     return None
 

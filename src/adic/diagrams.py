@@ -18,7 +18,7 @@ canonical extreme paths are produced in exact PERIODIC form by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import (HorizonExceededError, LevelOverflowError,
@@ -31,6 +31,16 @@ class LevelData:
     num_ranges: int
     edges: tuple  # of (source, range) pairs
     in_order: tuple  # per range vertex, tuple of edge indices
+    # the hash of the compared fields, taken once: every lru_cache lookup
+    # keyed by a diagram hashes its levels
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((
+            self.num_sources, self.num_ranges, self.edges, self.in_order)))
+
+    def __hash__(self):
+        return self._hash
 
     def source(self, e):
         return self.edges[e][0]
@@ -49,6 +59,14 @@ def make_level(num_sources, num_ranges, edges, in_order):
 class OrderedDiagram:
     levels: tuple
     stationary: bool = False
+    # taken once, as for LevelData
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.levels, self.stationary)))
+
+    def __hash__(self):
+        return self._hash
 
     def level(self, k):
         if k < 1:

@@ -109,6 +109,26 @@ def integer_parts(values):
             fields.pop() if fields else None)
 
 
+def field_values(q, cols, d):
+    """The values that `integer_parts` reads as (q, cols, d): Fractions,
+    or elements of Q(sqrt d) when d is not None."""
+    if d is None:
+        # values repeat, and equal values share one Fraction
+        memo = {a: Fraction(a, q) for a in set(cols[0])}
+        return list(map(memo.__getitem__, cols[0]))
+    return [QuadExt(Fraction(a, q), Fraction(b, q), d)
+            for a, b in zip(*cols)]
+
+
+def float_values(q, cols, d):
+    """The floats `as_float` gives for the values of (q, cols, d): integer
+    true division rounds correctly, so a / q is float(Fraction(a, q))."""
+    if d is None:
+        return [a / q for a in cols[0]]
+    r = math.sqrt(d)
+    return [a / q + b / q * r for a, b in zip(*cols)]
+
+
 def from_vector(diagram, level, vec):
     n = path_table(diagram, level).offsets[-1]
     if len(vec) != n:
@@ -193,7 +213,8 @@ def holder_norm(diagram, h, alpha, lam):
     m = h.level
     lamf = as_float(lam)
     semi = 0.0
-    lo = hi = [as_float(v) for v in h.values]
+    lo = hi = list(map(float, h.values))
+    sup = max(map(abs, lo), default=0.0)
     for j in range(m, 0, -1):
         if j == 1:
             # distinct level-1 cylinders lie at distance 1, whatever their
@@ -209,7 +230,6 @@ def holder_norm(diagram, h, alpha, lam):
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
         lo = [min((lo[c] for c in cs), default=math.inf) for cs in kids]
         hi = [max((hi[c] for c in cs), default=-math.inf) for cs in kids]
-    sup = h.sup_norm()
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 

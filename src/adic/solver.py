@@ -10,7 +10,11 @@ partial sum of h over the predecessors of that cylinder inside its tower,
 so it is 0 at every tower floor.  Interior steps telescope by construction,
 and a step out of the ceiling of a tower into the floor of the next one
 gives 0 - (block sum - h) = h.  The residual is therefore zero exactly, not
-to within a tolerance, and is verified as such.
+to within a tolerance, and is verified as such.  h is read once per call as
+integer columns over one denominator (`martingale.integer_parts`, a finite
+float as the dyadic rational it stores): the certificate, the partial sums,
+the gauge totals and the residual check run on integers, and g is built
+once from its own integer columns.
 
 Regularity bookkeeping is deliberately two-sided: exact attained Hoelder
 norms of h and g give an empirical ratio, while the assembled theoretical
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from fractions import Fraction
 
 from .cohomology import certificate, distributions
@@ -39,8 +44,10 @@ from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
                        path_index, path_table)
 from .errors import HorizonExceededError, ObstructedError
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
-                         gather, holder_norm, integer_parts, lift, nu_mean)
-from .scalars import as_float
+                         field_values, float_values, gather, holder_norm,
+                         integer_parts, lift, nu_mean)
+from .measures import xi_vector
+from .scalars import as_float, is_exact
 from .solenoid import build_complex, diameter
 
 
@@ -53,60 +60,86 @@ class TransferSolution:
     norms: object        # {"h_norm","g_norm","k_ratio"} when alpha was given
 
 
-def _sup_abs(values):
-    out = 0
-    for v in values:
-        a = -v if v < 0 else v
-        if a > out:
-            out = a
-    return out
-
-
-def _residual(diagram, h, g):
+def _residual(diagram, h, g, hparts, gparts):
     """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
     level through cached index gathers, so the composition and the lifts
-    move indices, not field elements.  The equation is checked first on
-    integer vectors over a common denominator; only a nonzero residual is
-    then evaluated in the field, to report its exact value."""
+    move indices, not field elements.  The equation is checked first on the
+    integer columns (`integer_parts`) of h and of g, a missing sqrt(d)
+    column being 0; only a nonzero residual is then evaluated in the field,
+    to report its exact value."""
     top = max(h.level, compose_level(diagram, g.level, 1))
     ih = gather(diagram, h.level, 0, top)
     ig = gather(diagram, g.level, 0, top)
     iphi = gather(diagram, g.level, 1, top)
-    # each column holds h's integers, then g's from index nh on
-    nh = len(h.values)
-    if all(p[a] == p[nh + b] - p[nh + c]
-           for p in integer_parts(h.values + g.values)[1]
+    (hq, hcols, _), (gq, gcols, _) = hparts, gparts
+    width = max(len(hcols), len(gcols))
+    hcols = hcols + [[0] * len(h.values)] * (width - len(hcols))
+    gcols = gcols + [[0] * len(g.values)] * (width - len(gcols))
+    if all(p[a] * gq == (r[b] - r[c]) * hq for p, r in zip(hcols, gcols)
            for a, b, c in zip(ih, iphi, ig)):
         return 0
     hv, gv = h.values, g.values
-    return _sup_abs([hv[a] - (gv[b] - gv[c]) for a, b, c in zip(ih, iphi, ig)])
+    return max([0] + [abs(hv[a] - (gv[b] - gv[c]))
+                      for a, b, c in zip(ih, iphi, ig)])
+
+
+def _gauged(q, runs, d, gauge):
+    """(G, cols, d): the integer columns over G = lcm(q, denominator of the
+    gauge) of runs / q - gauge, for an exact gauge."""
+    gq, gcols, gd = integer_parts([gauge])
+    big = math.lcm(q, gq)
+    width = max(len(runs), len(gcols))
+    runs = runs + [[0] * len(runs[0])] * (width - len(runs))
+    gcols = gcols + [[0]] * (width - len(gcols))
+    return big, [[r * (big // q) - c * (big // gq) for r in run]
+                 for run, (c,) in zip(runs, gcols)], d or gd
 
 
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     """Solve h = g o phi - g, gauge-fixed to nu-mean 0.
 
-    The certificate search runs once; only when it finds none are the
-    distributions computed, for the ObstructedError they carry.  The
-    returned residual is computed, not assumed."""
+    h is read once as integer columns over one denominator q
+    (`integer_parts`); the certificate search, the partial sums of h along
+    each tower and the residual check run on integers.  The gauge is exact
+    xi times the integer tower totals of the partial sums, divided by q, and
+    g is built once from its own integer columns.  Only when the
+    certificate search finds none are the distributions computed, for the
+    ObstructedError they carry.  The returned residual is computed, not
+    assumed."""
     diagram = tower.diagram
-    cert = certificate(h, tower)
+    q, cols, d = integer_parts(h.values)
+    cert = certificate(h, tower, cols)
     if cert is None:
         raise ObstructedError([dv.value for dv in distributions(h, tower)])
     level = cert["level"]
-    hv = lift(diagram, h, level).values
-    vals = []
-    for a, b in path_table(diagram, level).blocks():
-        run = 0
-        for x in hv[a:b]:
-            vals.append(run)
-            run = run + x
-    gauge = nu_mean(diagram, CylinderFunction(level, vals))
-    g = CylinderFunction(level, [x - gauge for x in vals])
+    idx = gather(diagram, h.level, 0, level)
+    blocks = list(path_table(diagram, level).blocks())
+    runs = []
+    for col in cols:
+        lifted = [col[i] for i in idx]
+        runs.append([x for a, b in blocks
+                     for x in accumulate(lifted[a:b - 1], initial=0)])
+    xi = xi_vector(diagram, level)
+    if all(is_exact(x) for x in xi):
+        totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
+        gauge = sum(x * t for x, t in zip(xi, field_values(q, totals, d)))
+        gparts = _gauged(q, runs, d, gauge)
+        g = CylinderFunction(level, field_values(*gparts))
+    else:
+        # an inexact Perron root: the float gauge of nu_mean
+        vals = field_values(q, runs, d)
+        gauge = nu_mean(diagram, CylinderFunction(level, vals))
+        g = CylinderFunction(level, [x - gauge for x in vals])
+        gparts = integer_parts(g.values)
     norms = None
     if alpha is not None:
-        norms = solution_norms(diagram, tower.renorm, h, g, alpha, epsilon)
+        norms = solution_norms(
+            diagram, tower.renorm,
+            CylinderFunction(h.level, float_values(q, cols, d)),
+            CylinderFunction(level, float_values(*gparts)), alpha, epsilon)
     return TransferSolution(g=g, gauge=gauge,
-                            residual=_residual(diagram, h, g),
+                            residual=_residual(diagram, h, g, (q, cols, d),
+                                               gparts),
                             level=level, norms=norms)
 
 
@@ -147,18 +180,13 @@ def chained_constant(diagram, renorm, alpha, epsilon):
 def regularity_report(diagram, renorm, h, g, alpha, epsilon_grid):
     """Per-epsilon table: exact Hoelder norms of both sides, the empirical
     ratio (0 by convention when h vanishes), and the chained constant."""
-    lam = renorm.lam_float
-    hn = holder_norm(diagram, h, as_float(alpha), lam)["norm"]
     rows = []
     for eps in epsilon_grid:
-        gn = holder_norm(diagram, g,
-                         as_float(alpha) - 2.0 - as_float(eps), lam)["norm"]
-        theory = chained_constant(diagram, renorm, alpha, eps)
-        rows.append({"epsilon": as_float(eps),
-                     "h_norm": hn,
-                     "g_norm": gn,
-                     "empirical_k": 0.0 if hn == 0.0 else gn / hn,
-                     "theoretical_k": theory["constant"]})
+        norms = solution_norms(diagram, renorm, h, g, alpha, eps)
+        rows.append({"epsilon": as_float(eps), "h_norm": norms["h_norm"],
+                     "g_norm": norms["g_norm"],
+                     "empirical_k": norms["k_ratio"], "theoretical_k":
+                     chained_constant(diagram, renorm, alpha, eps)["constant"]})
     return rows
 
 
@@ -177,13 +205,8 @@ class BirkhoffReport:
 
 
 def _geometric_checkpoints(n_total):
-    out = []
-    c = 1
-    while c < n_total:
-        out.append(c)
-        c *= 2
-    out.append(n_total)
-    return out
+    """The powers of 2 below n_total, then n_total."""
+    return [1 << i for i in range((n_total - 1).bit_length())] + [n_total]
 
 
 def _fit_exponent(points, n_total):
@@ -292,24 +315,21 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
     into its parts one level down, so a call costs O(levels * in-degree) per
     checkpoint, not one step per iterate.  sup_abs is read off the extreme
     prefix sums, so it is exact.  Rational and float values are summed
-    exactly as integers over a common denominator; float input reports the
-    float nearest each exact sum."""
+    exactly as the integers of `integer_parts`; float input reports the
+    float nearest each exact sum.  Other values (Q(sqrt d), NaN) are
+    summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     hh = h if h.level >= 1 else lift(diagram, h, 1)
     m = hh.level
     # a finite float is the dyadic rational it stores
-    rational = all(isinstance(v, (int, Fraction)) or
-                   isinstance(v, float) and math.isfinite(v)
-                   for v in hh.values)
-    if rational:
-        exact = [Fraction(v) for v in hh.values]
-        q = math.lcm(*(v.denominator for v in exact))
-        table = [int(v * q) for v in exact]
+    if all(isinstance(v, (int, Fraction)) or
+           isinstance(v, float) and math.isfinite(v) for v in hh.values):
+        q, (table,), _ = integer_parts(hh.values)
         floats = any(isinstance(v, float) for v in hh.values)
 
         def value(a):
-            return float(Fraction(a, q)) if floats else Fraction(a, q)
+            return a / q if floats else Fraction(a, q)
     else:
         table = hh.values
 

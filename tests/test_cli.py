@@ -490,6 +490,41 @@ def test_algebra_invert_golden(capsys, work):
 """
 
 
+def test_algebra_invert_readme_inline_coefficient(capsys, tmp_path):
+    # the README's element, its f0.json the unit: one coefficient a file,
+    # one inline; it reads as the same element with both in files
+    inline = {"level": 0, "values": {"0": "1/50"}}
+    (tmp_path / "f0.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "1", "1": "1"}}))
+    (tmp_path / "c1.json").write_text(json.dumps(inline))
+    (tmp_path / "readme.json").write_text(json.dumps(
+        {"diagram": "odo2", "alpha": 3,
+         "coeffs": {"0": "f0.json", "1": inline}}))
+    (tmp_path / "filed.json").write_text(json.dumps(
+        {"diagram": "odo2", "alpha": 3,
+         "coeffs": {"0": "f0.json", "1": "c1.json"}}))
+    outs = []
+    for name in ("readme.json", "filed.json"):
+        rc, out, _ = run(capsys, ["algebra", "invert", "--element",
+                                  str(tmp_path / name), "--tol", "0.01"])
+        assert rc == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["coeffs"]["1"] == {"level": 0,
+                                                   "values": {"0": "-1/50"}}
+
+
+def test_algebra_invert_bad_coefficient_ref_exit_code(capsys, work):
+    (work / "bad.json").write_text(json.dumps(
+        {"diagram": "odo2", "alpha": 3,
+         "coeffs": {"0": "f0.json", "1": 5}}))
+    rc, out, err = run(capsys, ["algebra", "invert", "--element",
+                                str(work / "bad.json"), "--tol", "0.01"])
+    assert rc == 2
+    assert out == ""
+    assert "neither a function file nor a function object" in err
+
+
 def test_algebra_invert_tight_tolerance(capsys, work):
     rc, out, _ = run(capsys, ["algebra", "invert",
                               "--element", str(work / "e.json"),

@@ -102,8 +102,8 @@ def record():
             rec = {"diagram": i, "input": name}
             rec.update(_path(d, tower, h))
             if name.startswith(("rational", "coboundary")):
-                # the same values as floats: only the orbit sums are
-                # frozen, the rest is read exactly (test below)
+                # the same values as floats: the orbit sums report floats;
+                # the rest reads them exactly (test below)
                 rec["float_birkhoff"] = _birkhoff(d, _as_floats(h))
             out.append(rec)
     return out
@@ -116,6 +116,21 @@ def test_coboundary_path_matches_golden():
     assert len(got) == len(golden)
     for want, have in zip(golden, got):
         assert have == want, (want["diagram"], want["input"])
+
+
+def test_float_values_read_as_the_rationals_they_store():
+    # distributions, certificate and solve read a finite float as the
+    # dyadic rational it stores, so float h gives what its rational twin
+    # gives; the orbit sums alone report floats (`float_birkhoff` above)
+    r = random.Random(1508)
+    for d in _dump_diagrams():
+        tower = limit_rank(d, renorm_data(d))
+        for name, h in _inputs(d, r):
+            if name.startswith(("rational", "coboundary")):
+                want = _path(d, tower, h)
+                got = _path(d, tower, _as_floats(h))
+                del want["birkhoff"], got["birkhoff"]
+                assert got == want, name
 
 
 if __name__ == "__main__":

@@ -14,12 +14,14 @@ from test_step import _prefixed, _random_diagram
 import adic
 from adic.cli import main
 from adic.cohomology import (birkhoff_cochain, certificate, distributions,
-                             is_coboundary_class, limit_rank)
+                             is_coboundary_class, limit_rank,
+                             tower_functionals, vertex_functionals)
 from adic.catalog import builtin_diagram
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths, path_table
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean)
 from adic.measures import renorm_data
+from adic.scalars import mat_mul
 from adic.solenoid import build_complex
 from adic.solver import solve
 
@@ -298,6 +300,31 @@ def test_distributions_are_compatible_across_levels():
                 else:
                     assert all(abs(a.value - b.value) <= 1e-9 * scale
                                for a, b in zip(got, ref))
+
+
+def test_vertex_functionals_are_a_trace_on_the_dimension_group():
+    # tau on K_0 = lim (Z^V, A) is compatible across levels: the vertex
+    # rows of level m + 1 times A are those of level m.  Exactly where the
+    # roof is exact; `_prefixed(pisot31)` has a float roof (its exact roof
+    # has a zero entry, which `renorm_data` rejects), so there to rounding
+    r = random.Random(7)
+    exact = [builtin_diagram(name)
+             for name in ("odo2", "odo3", "fib", "pisot31")]
+    exact += [_random_diagram(r, 2, 6), _random_diagram(r, 2, 6),
+              _prefixed(builtin_diagram("fib"))]
+    for d in exact + [_prefixed(builtin_diagram("pisot31"))]:
+        tower = _tower(d)
+        a = [list(row) for row in tower.map]
+        base = tower_functionals(tower).base
+        for m in range(base, base + 4):
+            up = mat_mul(vertex_functionals(tower, m + 1), a)
+            here = vertex_functionals(tower, m)
+            assert len(here) == tower.d
+            if d in exact:
+                assert up == here
+            else:
+                assert all(abs(x - y) <= 1e-12 for ru, rh in zip(up, here)
+                           for x, y in zip(ru, rh))
 
 
 def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,

@@ -2,6 +2,7 @@
 
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -9,15 +10,32 @@ import pytest
 from conftest import rand_function, rng
 
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
-                           TAIL_MIN, count_paths, enumerate_paths,
-                           extreme_min_lazy, extreme_paths,
+                           TAIL_MIN, count_paths, diagram_from_json_dict,
+                           enumerate_paths, extreme_min_lazy, extreme_paths,
                            first_disagreement,
                            is_strongly_minimal, load_diagram, make_level,
-                           materialize, metric, predecessor, successor,
-                           validate)
+                           materialize, metric, path_table, predecessor,
+                           successor, validate)
 from adic.errors import NotProperlyOrderedError, ParseError
 from adic.martingale import from_vector
 from adic.solver import birkhoff
+
+
+def test_equal_diagrams_hash_equal_and_share_cache_entries(pisot31):
+    # the hash is taken once per instance, from the compared fields only
+    twin = diagram_from_json_dict(pisot31.to_json_dict())
+    assert twin is not pisot31 and twin == pisot31
+    assert hash(twin) == hash(pisot31) == hash((pisot31.levels, True))
+    assert hash(twin.levels[0]) == hash(pisot31.levels[0])
+    assert repr(twin) == repr(pisot31) == (
+        "OrderedDiagram(levels=(%r,), stationary=True)" % (twin.levels[0],))
+    assert "_hash" not in repr(twin.levels[0])
+    assert pickle.loads(pickle.dumps(twin)) == pisot31
+    assert twin.to_json_dict() == pisot31.to_json_dict()
+    table = path_table(pisot31, 7)
+    hits = path_table.cache_info().hits
+    assert path_table(twin, 7) is table
+    assert path_table.cache_info().hits == hits + 1
 
 
 def test_validate_builtins_clean(odo2, fib, pisot31):
