@@ -29,7 +29,7 @@ from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme_min_lazy, lazy_from_json_dict,
                        lazy_to_json_dict, materialize, path_table, successor,
                        validate)
-from .errors import AdicError, ObstructedError, ParseError
+from .errors import AdicError, ParseError
 from .martingale import constant_function, decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .scalars import as_float
@@ -128,6 +128,13 @@ def _positive(name, v):
     """v when it is a finite number > 0; NaN fails both comparisons."""
     if not 0 < v < math.inf:
         raise ParseError("%s must be finite and > 0, got %s" % (name, v))
+    return v
+
+
+def _at_least(name, v, low):
+    """v when it is >= low."""
+    if v < low:
+        raise ParseError("%s must be >= %d, got %d" % (name, low, v))
     return v
 
 
@@ -277,7 +284,7 @@ def cmd_orbit(args):
     d = resolve_diagram(args.diagram)
     p = _load_start(d, args.start)
     steps = [p]
-    for _ in range(args.n):
+    for _ in range(_at_least("N", args.n, 0)):
         p = successor(d, p, 1)
         steps.append(p)
     if args.emit == "csv":
@@ -305,21 +312,14 @@ def _renorm_out(d, rd, xi_levels):
 def cmd_measure(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
-    _emit_json(_renorm_out(d, rd, args.level if args.level is not None else 5))
-    return 0
-
-
-def cmd_lyapunov(args):
-    d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
-    _emit_json(_renorm_out(d, rd, 3))
+    _emit_json(_renorm_out(d, rd, _at_least("level", args.level, 0)))
     return 0
 
 
 def cmd_complex(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
-    cx = build_complex(d, rd, args.level)
+    cx = build_complex(d, rd, _at_least("level", args.level, 0))
     if args.emit == "dot":
         lines = ["digraph approx {", "  graph [rankdir=LR];"]
         for c in range(len(cx.classes)):
@@ -367,8 +367,7 @@ def cmd_decompose(args):
 def cmd_cohomology(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
-    if args.max_level < 0:
-        raise ParseError("max level must be >= 0, got %d" % args.max_level)
+    _at_least("max level", args.max_level, 0)
     tower = limit_rank(d, rd)
     _emit_json({
         "d": tower.d,
@@ -395,12 +394,18 @@ def cmd_distributions(args):
 
 
 def cmd_solve(args):
+    _positive("eps", args.eps)
+    # read as a rational of denominator at most 10**6, which must stay > 0
+    eps = _positive("eps", Fraction(args.eps).limit_denominator(10 ** 6))
+    if args.alpha is not None and \
+            not _positive("alpha", args.alpha) - 2 - as_float(eps) > 0:
+        raise ParseError("alpha must be > 2 + eps, got alpha %s and eps %s"
+                         % (args.alpha, args.eps))
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
     tower = limit_rank(d, rd)
     h = load_function(d, args.function)
-    sol = solve(h, tower, alpha=args.alpha,
-                epsilon=Fraction(args.eps).limit_denominator(10 ** 6))
+    sol = solve(h, tower, alpha=args.alpha, epsilon=eps)
     out = {
         "level": sol.level,
         "gauge": _scalar_out(sol.gauge),
@@ -409,8 +414,7 @@ def cmd_solve(args):
         "norms": sol.norms,
     }
     if args.alpha is not None:
-        out["chained_constant"] = chained_constant(
-            d, rd, args.alpha, Fraction(args.eps).limit_denominator(10 ** 6))
+        out["chained_constant"] = chained_constant(d, rd, args.alpha, eps)
     _emit_json(out)
     return 0
 
@@ -419,7 +423,7 @@ def cmd_birkhoff(args):
     d = resolve_diagram(args.diagram)
     h = load_function(d, args.function)
     start = _load_start(d, args.start)
-    rep = birkhoff(d, h, start, args.n)
+    rep = birkhoff(d, h, start, _at_least("N", args.n, 1))
     if args.emit == "csv":
         _emit_csv(["n", "S_n"], rep.checkpoints)
     else:
@@ -499,16 +503,14 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
         note("norm_le_tail", le(nq["s_alpha"], cc * n2q["mu_q"]))
     f = _rand_element(rng, d, lam, alpha, max_level=1, window=1,
                       max_support=3)
+    p = alg.project_support(f, 1)
+    qq = alg.complement_support(f, 1)
     for n in (1, 2):
-        for nn in (1,):
-            p = alg.project_support(f, nn * nn)
-            qq = alg.complement_support(f, nn * nn)
-            total = alg.power(p, n)
-            for k in range(n):
-                total = alg.add(total, alg.convolve(
-                    alg.power(p, k), alg.convolve(qq, alg.power(f, n - 1 - k))))
-            note("jolissaint_n%d" % n,
-                 alg.equal_elements(total, alg.power(f, n)))
+        total = alg.power(p, n)
+        for k in range(n):
+            total = alg.add(total, alg.convolve(
+                alg.power(p, k), alg.convolve(qq, alg.power(f, n - 1 - k))))
+        note("jolissaint_n%d" % n, alg.equal_elements(total, alg.power(f, n)))
     ba = alg.convolve(b, a)
     ta = alg.trace(ab, tower)
     tb = alg.trace(ba, tower)
@@ -521,8 +523,7 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
 
 def cmd_algebra_check(args):
     alpha = 3 if args.alpha is None else _positive("alpha", args.alpha)
-    if args.trials < 0:
-        raise ParseError("trials must be >= 0, got %d" % args.trials)
+    _at_least("trials", args.trials, 0)
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
     lam = rd.lambda_mu
@@ -589,11 +590,12 @@ def _build_parser():
 
     p = add("measure", cmd_measure, help="invariant measure data")
     p.add_argument("--diagram", required=True)
-    p.add_argument("--level", type=int, default=None,
+    p.add_argument("--level", type=int, default=5,
                    help="deepest xi vector to include")
 
-    p = add("lyapunov", cmd_lyapunov, help="Perron multiplier and exponent")
+    p = add("lyapunov", cmd_measure, help="Perron multiplier and exponent")
     p.add_argument("--diagram", required=True)
+    p.set_defaults(level=3)
 
     p = add("complex", cmd_complex, help="level-k solenoid approximant")
     p.add_argument("--diagram", required=True)
@@ -653,9 +655,6 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ObstructedError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
     except AdicError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return getattr(type(exc), "exit_code", 1)

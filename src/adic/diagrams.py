@@ -512,34 +512,6 @@ def extreme_max_lazy(diagram):
     return p
 
 
-def extreme_vertex_sets(diagram, k):
-    """Vertices of V_k that infinite all-min / all-max paths pass through,
-    exactly; a non-stationary diagram raises beyond its materialized
-    horizon."""
-    if not diagram.stationary:
-        raise HorizonExceededError()
-    ld = diagram.level(len(diagram.levels) + 1)
-    lo = set(eventual_image(min_source_map(ld)))
-    hi = set(eventual_image(max_source_map(ld)))
-    # walk down from deep levels to level k through the materialized part
-    for j in range(len(diagram.levels), k, -1):
-        ldj = diagram.level(j)
-        lo = {min_source_map(ldj)[v] for v in lo}
-        hi = {max_source_map(ldj)[v] for v in hi}
-    return sorted(lo), sorted(hi)
-
-
-def extreme_paths(diagram, horizon):
-    """Finite all-min/all-max paths at `horizon` that extend to infinite
-    extreme paths, plus the properness flag."""
-    lo, hi = extreme_vertex_sets(diagram, horizon)
-    return {
-        "minimal": [_extreme_chain(diagram, v, horizon, 0) for v in lo],
-        "maximal": [_extreme_chain(diagram, v, horizon, -1) for v in hi],
-        "properly_ordered": len(lo) == 1 and len(hi) == 1,
-    }
-
-
 def successor(diagram, p, direction=1):
     """The adic successor (direction=1) or predecessor (direction=-1)."""
     w = PathWalker(diagram, p)
@@ -663,24 +635,3 @@ def count_paths(diagram, m, n):
         c = [sum(c[ld.source(e)] for e in ld.in_order[v])
              for v in range(ld.num_ranges)]
     return c
-
-
-def is_strongly_minimal(diagram, horizon):
-    """Entries of some window product A_(k..k+ell) all >= 2, ell <= horizon."""
-    from .scalars import mat_mul  # local import to avoid cycles at load
-    L = len(diagram.levels) if not diagram.stationary else horizon + 1
-    mats = [diagram.matrix(k) for k in range(1, min(L, horizon + 1) + 1)]
-    for ell in range(1, horizon + 1):
-        ok = True
-        found = False
-        for start in range(0, len(mats) - ell + 1):
-            prod = mats[start]
-            for t in range(1, ell):
-                prod = mat_mul(mats[start + t], prod)
-            found = True
-            if any(x < 2 for row in prod for x in row):
-                ok = False
-                break
-        if found and ok:
-            return {"strongly_minimal": True, "ell": ell}
-    return {"strongly_minimal": False, "ell": None}

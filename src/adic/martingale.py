@@ -236,9 +236,6 @@ def holder_norm(diagram, h, alpha, lam):
 # ---------------------------------------------------------------------------
 # bump profile and level components
 
-_INT_FACTOR = Fraction(32, 35)  # integral of (1-s^2)^3 over [-1, 1]
-
-
 @dataclass
 class BumpProfile:
     tau: object  # exact scalar or float; support radius is tau/5
@@ -266,16 +263,6 @@ class BumpProfile:
         if r > 3:
             raise BumpSmoothnessError()
         return sum(self.deriv_sup(j) for j in range(r + 1))
-
-    def integral_exact(self):
-        return self.height * (self.tau / 5) * _INT_FACTOR
-
-    def value(self, t):
-        tf, tauf = as_float(t), as_float(self.tau)
-        s = 5.0 * tf / tauf
-        if abs(s) >= 1.0:
-            return 0.0
-        return as_float(self.height) * (1.0 - s * s) ** 3
 
 
 def bump_from_roof(renorm):

@@ -22,22 +22,15 @@ from .errors import NotStationaryError
 from .scalars import as_float, mat_mul, mat_vec, perron_data, solve_linear
 
 
-@dataclass(frozen=True)
-class CocycleProduct:
-    m: int
-    n: int
-    matrix: tuple
-
-
 def cocycle_product(diagram, m, n):
-    """A_n ... A_{m+1} over exact integers."""
+    """A_n ... A_{m+1} over exact integers, as a tuple of rows."""
     if n < m:
         raise ValueError("need m <= n")
     prod = [[1 if i == j else 0 for j in range(diagram.num_vertices(m))]
             for i in range(diagram.num_vertices(m))]
     for k in range(m + 1, n + 1):
         prod = mat_mul(diagram.matrix(k), prod)
-    return CocycleProduct(m, n, tuple(tuple(row) for row in prod))
+    return tuple(tuple(row) for row in prod)
 
 
 # Diagrams whose stationary measure data is kept.
@@ -87,7 +80,6 @@ class RenormData:
     lambda_mu: object  # exact scalar or float
     roof: list
     exponent: float
-    xi0: list
     exact: bool
     certificates: dict
 
@@ -101,11 +93,10 @@ def renorm_data(diagram):
     level-0 cylinder measures), and the growth exponent."""
     lam, xis, pd = _stationary_measure(diagram)
     L = len(diagram.levels)
-    xi0 = xis[0]
     if pd.exact and pd.right is not None:
         # boundedness of lam**-k (A_(0..k) l) pins the direction of
         # A_(0..L) l to the right eigenvector of the repeating matrix
-        P = [list(r) for r in cocycle_product(diagram, 0, L).matrix]
+        P = [list(r) for r in cocycle_product(diagram, 0, L)]
         right = list(pd.right)
         sol = solve_linear(P, right)
         if sol is not None and not all(x > 0 for x in sol):
@@ -115,33 +106,21 @@ def renorm_data(diagram):
             if mat_vec(P, sol) != right:
                 sol = None
         if sol is not None:
-            scale = sum(si * x0 for si, x0 in zip(sol, xi0))
+            scale = sum(si * x0 for si, x0 in zip(sol, xis[0]))
             roof = [si / scale for si in sol]
             cert = {"stationary_exact": True, "roof_residual": 0.0}
-            return RenormData(lam, roof, math.log(as_float(lam)), xi0,
-                              True, cert)
+            return RenormData(lam, roof, math.log(as_float(lam)), True,
+                              cert)
     # inexact eigendata (or no positive exact roof): float estimates
     lamf = as_float(lam)
-    P = np.array(cocycle_product(diagram, 0, L).matrix, dtype=float)
+    P = np.array(cocycle_product(diagram, 0, L), dtype=float)
     uf = np.array([as_float(x) for x in (pd.right if pd.right is not None
                                          else np.ones(len(xis[-1])))])
     sol = np.linalg.lstsq(P, uf, rcond=None)[0]
-    xi0f = [as_float(x) for x in xi0]
-    scale = float(sum(s * x for s, x in zip(sol, xi0f)))
+    xif = [as_float(x) for x in xis[0]]
+    scale = float(sum(s * x for s, x in zip(sol, xif)))
     roof = [float(s) / scale for s in sol]
     cert = {"stationary_exact": False,
             "roof_residual": float(np.linalg.norm(P @ sol - uf))}
     return RenormData(lam if pd.exact else lamf, roof, math.log(lamf),
-                      xi0f, False, cert)
-
-
-def condition1_report(diagram, horizon):
-    ks = list(range(0, horizon + 1))
-    sizes = [diagram.num_vertices(k) for k in ks]
-    logs = np.log(np.array(sizes, dtype=float))
-    rate = float(np.polyfit(ks, logs, 1)[0]) if len(ks) > 1 else 0.0
-    if abs(rate) < 1e-12:
-        rate = 0.0
-    return {"levels": ks, "sizes": sizes, "rate": rate,
-            "verdict": "bounded" if max(sizes) == min(sizes) else
-            ("subexponential" if rate < 0.05 else "exponential")}
+                      False, cert)

@@ -66,7 +66,7 @@ def roof_heights(diagram, renorm, k):
     """Exact level-k tower heights (A_(0..k) roof)_v in level-0 time units."""
     if k == 0:
         return tuple(renorm.roof)
-    mat = cocycle_product(diagram, 0, k).matrix
+    mat = cocycle_product(diagram, 0, k)
     return tuple(mat_vec(mat, list(renorm.roof)))
 
 
@@ -174,20 +174,6 @@ class WrappingMap:
     words: tuple          # per edge: ordered coarse-edge itinerary
     fine_lengths: tuple
     coarse_lengths: tuple
-    stretch: object       # exact expansion factor applied to offsets
-
-    def apply(self, point):
-        """Image of (edge, offset); offsets exactly on an interior seam
-        canonicalize to the start of the next segment."""
-        v, t = point
-        pos = self.stretch * t
-        word = self.words[v]
-        for i, w in enumerate(word):
-            seg = self.coarse_lengths[w]
-            if pos < seg or (i == len(word) - 1 and pos == seg):
-                return (w, pos)
-            pos = pos - seg
-        raise NumericError("offset outside stretched edge")
 
     def word_total(self, v):
         total = 0
@@ -207,7 +193,7 @@ def wrapping(diagram, renorm, k):
                   for v in range(ld.num_ranges))
     lam = renorm.lambda_mu if renorm.exact else renorm.lam_float
     wm = WrappingMap(level=k, words=words, fine_lengths=hi.lengths,
-                     coarse_lengths=lo.lengths, stretch=lam)
+                     coarse_lengths=lo.lengths)
     for v in range(hi.num_edges):
         lhs = as_float(wm.word_total(v))
         rhs = as_float(lam * hi.lengths[v])
@@ -224,9 +210,6 @@ class SolenoidPoint:
     level: int
     coords: tuple  # (edge, exact offset) per level 0..level
     complexes: tuple = None
-
-    def coordinate(self, k):
-        return self.coords[k]
 
     @cached_property
     def float_coords(self):
@@ -547,19 +530,3 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
         "worst_upper_slack": worst_slack,
         "epsilon": epsilon,
     }
-
-
-# ---------------------------------------------------------------------------
-# discrete flow step
-
-def flow_step(cx, point, dt):
-    """Move forward along the oriented edge by dt (exact); returns
-    ("interior", edge, offset) or ("class", class_index) when the move ends
-    exactly on the positive end."""
-    v, t = point
-    nt = t + dt
-    if nt < cx.lengths[v]:
-        return ("interior", v, nt)
-    if nt == cx.lengths[v]:
-        return ("class", cx.end_class[v])
-    raise NumericError("flow step overshoots the edge")

@@ -63,24 +63,25 @@ class TransferSolution:
 def _residual(diagram, h, g, hparts, gparts):
     """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
     level through cached index gathers, so the composition and the lifts
-    move indices, not field elements.  The equation is checked first on the
+    move indices, not field elements.  The differences are taken on the
     integer columns (`integer_parts`) of h and of g, a missing sqrt(d)
-    column being 0; only a nonzero residual is then evaluated in the field,
-    to report its exact value."""
+    column being 0, over the denominator of both; a float g is the dyadic
+    rational it stores, so they are exact too.  The residual is the int 0
+    only when every difference is 0, and otherwise their largest absolute
+    value in the field."""
     top = max(h.level, compose_level(diagram, g.level, 1))
     ih = gather(diagram, h.level, 0, top)
     ig = gather(diagram, g.level, 0, top)
     iphi = gather(diagram, g.level, 1, top)
-    (hq, hcols, _), (gq, gcols, _) = hparts, gparts
+    (hq, hcols, hd), (gq, gcols, gd) = hparts, gparts
     width = max(len(hcols), len(gcols))
     hcols = hcols + [[0] * len(h.values)] * (width - len(hcols))
     gcols = gcols + [[0] * len(g.values)] * (width - len(gcols))
-    if all(p[a] * gq == (r[b] - r[c]) * hq for p, r in zip(hcols, gcols)
-           for a, b, c in zip(ih, iphi, ig)):
+    diffs = [[p[a] * gq - (r[b] - r[c]) * hq for a, b, c in zip(ih, iphi, ig)]
+             for p, r in zip(hcols, gcols)]
+    if not any(map(any, diffs)):
         return 0
-    hv, gv = h.values, g.values
-    return max([0] + [abs(hv[a] - (gv[b] - gv[c]))
-                      for a, b, c in zip(ih, iphi, ig)])
+    return max(map(abs, field_values(hq * gq, diffs, hd or gd)))
 
 
 def _gauged(q, runs, d, gauge):
@@ -175,19 +176,6 @@ def chained_constant(diagram, renorm, alpha, epsilon):
     return {"bump_factor": c_bump, "mean_variation_factor": c_mean,
             "return_factor": c_return,
             "constant": c_bump * c_mean * c_return}
-
-
-def regularity_report(diagram, renorm, h, g, alpha, epsilon_grid):
-    """Per-epsilon table: exact Hoelder norms of both sides, the empirical
-    ratio (0 by convention when h vanishes), and the chained constant."""
-    rows = []
-    for eps in epsilon_grid:
-        norms = solution_norms(diagram, renorm, h, g, alpha, eps)
-        rows.append({"epsilon": as_float(eps), "h_norm": norms["h_norm"],
-                     "g_norm": norms["g_norm"],
-                     "empirical_k": norms["k_ratio"], "theoretical_k":
-                     chained_constant(diagram, renorm, alpha, eps)["constant"]})
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -562,6 +562,32 @@ def test_algebra_check_rejects_bad_numbers(capsys, flags):
     assert flags[0][2:] in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["solve", "--alpha", "3", "--eps", "nan"], "eps"),
+    (["solve", "--alpha", "3", "--eps", "inf"], "eps"),
+    (["solve", "--alpha", "3", "--eps", "0"], "eps"),
+    (["solve", "--alpha", "3", "--eps", "-1"], "eps"),
+    # rounds to 0 at the denominator bound of 10**6
+    (["solve", "--alpha", "3", "--eps", "1e-9"], "eps"),
+    (["solve", "--eps", "nan"], "eps"),
+    (["solve", "--alpha", "1"], "alpha"),
+    (["solve", "--alpha", "nan"], "alpha"),
+    (["solve", "--alpha", "-3"], "alpha"),
+    (["solve", "--alpha", "3", "--eps", "5"], "alpha"),
+    (["birkhoff", "-N", "0"], "N"),
+    (["orbit", "-N", "-1"], "N"),
+    (["complex", "--level", "-1"], "level"),
+    (["measure", "--level", "-1"], "level"),
+])
+def test_numeric_flags_are_checked(capsys, work, argv, name):
+    flags = ["--diagram", "odo2"]
+    if argv[0] in ("solve", "birkhoff"):
+        flags += ["--function", str(work / "h.json")]
+    rc, out, err = run(capsys, argv[:1] + flags + argv[1:])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: %s must be " % name)
+
+
 @pytest.mark.parametrize("change, message", [
     ({"coeffs": {"a": "f0.json"}}, "shift 'a' is not an integer"),
     ({"lam": "x"}, "unsupported lam 'x'"),

@@ -133,6 +133,26 @@ def test_float_values_read_as_the_rationals_they_store():
                 assert got == want, name
 
 
+def test_residual_is_the_exact_sup_of_the_equation():
+    # h - (g o phi - g) recomputed exactly, a float of g read as the dyadic
+    # rational it stores: a residual whose floats round to 0.0 is not 0
+    r = random.Random(1508)
+    for d in _dump_diagrams():
+        tower = limit_rank(d, renorm_data(d))
+        for name, h in _inputs(d, r):
+            try:
+                sol = solve(h, tower)
+            except ObstructedError:
+                continue
+            g = CylinderFunction(sol.g.level, [
+                Fraction(v) if isinstance(v, float) else v
+                for v in sol.g.values])
+            gphi = compose_phi(d, g, 1)
+            top = max(h.level, gphi.level)
+            gap = lift(d, h, top) - (lift(d, gphi, top) - lift(d, g, top))
+            assert max(map(abs, gap.values)) == sol.residual, name
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: test_coboundary_golden.py --write")

@@ -11,9 +11,8 @@ from conftest import rand_function, rng
 
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, diagram_from_json_dict,
-                           enumerate_paths, extreme_min_lazy, extreme_paths,
-                           first_disagreement,
-                           is_strongly_minimal, load_diagram, make_level,
+                           enumerate_paths, extreme_min_lazy,
+                           first_disagreement, load_diagram, make_level,
                            materialize, metric, path_table, predecessor,
                            successor, validate)
 from adic.errors import NotProperlyOrderedError, ParseError
@@ -167,37 +166,15 @@ def test_predecessor_inverts_successor(odo2, pisot31):
 
 
 def test_fib_predecessor_of_min_is_improper(fib):
+    # fib's max in-edge map swaps its two vertices, so it has two maximal
+    # paths; two parallel towers have two minimal paths
     lo = LazyPath(FinitePath((), 0), TAIL_MIN)
-    with pytest.raises(NotProperlyOrderedError):
-        predecessor(fib, lo)
-
-
-def test_extreme_paths_odo2(odo2):
-    rep = extreme_paths(odo2, 4)
-    assert len(rep["minimal"]) == 1
-    assert len(rep["maximal"]) == 1
-    assert rep["properly_ordered"] is True
-    assert rep["minimal"][0].edges == (0, 0, 0, 0)
-    assert rep["maximal"][0].edges == (1, 1, 1, 1)
-
-
-def test_extreme_paths_fib_hand_traced(fib):
-    # min in-edge map sends both vertices to vertex 0, whose min in-edge
-    # stays there: one minimal path.  max in-edge map swaps the vertices:
-    # the 2-cycle carries two maximal paths.
-    rep = extreme_paths(fib, 6)
-    assert [p.edges for p in rep["minimal"]] == [(0,) * 6]
-    assert sorted(p.edges for p in rep["maximal"]) == \
-        [(1, 2, 1, 2, 1, 2), (2, 1, 2, 1, 2, 1)]
-    assert rep["properly_ordered"] is False
-
-
-def test_extreme_paths_parallel_towers_not_proper():
-    level = make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]])
-    d = OrderedDiagram((level,), stationary=True)
-    rep = extreme_paths(d, 3)
-    assert rep["properly_ordered"] is False
-    assert len(rep["minimal"]) == 2
+    parallel = OrderedDiagram(
+        (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
+    for call in (lambda: predecessor(fib, lo),
+                 lambda: extreme_min_lazy(parallel)):
+        with pytest.raises(NotProperlyOrderedError):
+            call()
 
 
 def test_vertex_without_in_edges_is_a_parse_error():
@@ -212,14 +189,6 @@ def test_vertex_without_in_edges_is_a_parse_error():
                  lambda: birkhoff(d, h, start, 7)):
         with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
             call()
-
-
-def test_strong_minimality(odo2, fib):
-    assert is_strongly_minimal(odo2, 6)["strongly_minimal"] is True
-    assert is_strongly_minimal(fib, 6)["strongly_minimal"] is True
-    perm = make_level(2, 2, [(0, 1), (1, 0)], [[1], [0]])
-    d = OrderedDiagram((perm,), stationary=True)
-    assert is_strongly_minimal(d, 8)["strongly_minimal"] is False
 
 
 def test_first_disagreement_stationary_equality(odo2):

@@ -1,13 +1,15 @@
 """Every name a module of the package imports is read somewhere in it, and
-every function or class it defines is used somewhere, and every option it
-offers is set somewhere.
+every function, class or class member it defines is used somewhere, and
+every option it offers is set somewhere.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
 `__init__.py` is skipped, since it imports to re-export.  A top-level `def`
 or `class` must be read in its own module, or imported or reached as an
 attribute of its module from the sources, the tests or the benchmark.  A
-parameter with a default must be set by some call there."""
+method or property of a class (dunders aside), and a field of a dataclass,
+must be read there as an attribute of something.  A parameter with a
+default must be set by some call there."""
 
 import ast
 import math
@@ -126,6 +128,57 @@ def test_scan_finds_an_unused_definition():
 
 def test_package_has_no_unused_definitions():
     assert unused_definitions(_package_sources(), _user_sources()) == []
+
+
+def _is_dataclass(cls):
+    return any(getattr(f, "id", getattr(f, "attr", None)) == "dataclass"
+               for f in (d.func if isinstance(d, ast.Call) else d
+                         for d in cls.decorator_list))
+
+
+def unused_members(modules, users):
+    """Sorted "module.Class.name" of the methods and properties (dunders
+    aside) of the top-level classes of `modules` ({module: source}), and of
+    the fields of their dataclasses, that no source in `users` reads as an
+    attribute.  Matching is by name only: `x.name` counts for any x."""
+    read = {n.attr for src in users for n in ast.walk(ast.parse(src))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    out = []
+    for module, source in modules.items():
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            names = [n.name for n in cls.body
+                     if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and not (n.name.startswith("__")
+                              and n.name.endswith("__"))]
+            if _is_dataclass(cls):
+                names += [n.target.id for n in cls.body
+                          if isinstance(n, ast.AnnAssign)
+                          and isinstance(n.target, ast.Name)]
+            out.extend("%s.%s.%s" % (module, cls.name, name)
+                       for name in names if name not in read)
+    return sorted(out)
+
+
+def test_scan_finds_an_unused_member():
+    modules = {"scalars": (PACKAGE / "scalars.py").read_text()
+               + "\n\n@dataclass(frozen=True)\nclass Orphan:\n"
+               "    kept: int\n    spare: int\n\n"
+               "    def __len__(self):\n        return 0\n\n"
+               "    @property\n    def idle(self):\n        return 0\n"}
+    users = _user_sources()
+    assert unused_members(modules, users) == ["scalars.Orphan.idle",
+                                              "scalars.Orphan.kept",
+                                              "scalars.Orphan.spare"]
+    assert unused_members(modules, users + ["o.kept\ns.Orphan(1).idle\n"]) \
+        == ["scalars.Orphan.spare"]
+    assert unused_members(modules, users + ["o.spare = 1\n"]) == \
+        ["scalars.Orphan.idle", "scalars.Orphan.kept", "scalars.Orphan.spare"]
+
+
+def test_package_has_no_unused_members():
+    assert unused_members(_package_sources(), _user_sources()) == []
 
 
 def defaulted_parameters(source):

@@ -4,8 +4,7 @@ import math
 from fractions import Fraction
 
 from adic.diagrams import enumerate_paths, path_range
-from adic.measures import (cocycle_product, condition1_report, renorm_data,
-                           xi_vector)
+from adic.measures import cocycle_product, renorm_data, xi_vector
 from adic.scalars import QuadExt, as_float
 
 
@@ -48,7 +47,7 @@ def test_roof_eigen_identity(odo2, fib, pisot31):
     # certificate dictionary)
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
-        A = cocycle_product(d, 0, 1).matrix
+        A = cocycle_product(d, 0, 1)
         lhs = [sum(as_float(A[i][j]) * as_float(rd.roof[j])
                    for j in range(len(rd.roof)))
                for i in range(len(A))]
@@ -78,9 +77,3 @@ def test_total_mass_one(odo2, fib, pisot31):
             total = sum(as_float(xs[path_range(d, p)])
                         for p in enumerate_paths(d, 0, k))
             assert abs(total - 1.0) < 1e-12
-
-
-def test_condition1_bounded_for_builtins(odo2, fib, pisot31):
-    for d in (odo2, fib, pisot31):
-        rep = condition1_report(d, 10)
-        assert rep["verdict"] == "bounded"

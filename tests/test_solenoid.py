@@ -3,18 +3,15 @@
 import math
 from fractions import Fraction
 
-import pytest
-
 from adic import solenoid
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
                            path_source)
-from adic.errors import NumericError
 from adic.measures import renorm_data
 from adic.scalars import as_float
 from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
                            cached_complexes, conjugacy_point, diameter,
                            euler_characteristic, first_betti_number,
-                           flow_step, metric_report, point_distance,
+                           metric_report, point_distance,
                            roof_heights, solenoid_metric, wrapping)
 
 
@@ -77,27 +74,6 @@ def test_wrapping_words_follow_in_order(fib):
     ld = fib.level(1)
     for v in range(2):
         assert wm.words[v] == tuple(ld.source(e) for e in ld.in_order[v])
-
-
-def test_wrap_apply_endpoints(odo2):
-    rd = renorm_data(odo2)
-    wm = wrapping(odo2, rd, 1)
-    # the level-1 edge has length 1 and wraps twice around the level-0 loop
-    assert wm.apply((0, Fraction(0))) == (0, 0)
-    assert wm.apply((0, Fraction(1, 4))) == (0, Fraction(1, 2))
-    v, t = wm.apply((0, Fraction(3, 4)))
-    assert v == 0 and t == Fraction(1, 2)
-
-
-def test_flow_step_semantics(odo2):
-    rd = renorm_data(odo2)
-    cx = build_complex(odo2, rd, 0)
-    assert flow_step(cx, (0, Fraction(0)), Fraction(1, 4)) == \
-        ("interior", 0, Fraction(1, 4))
-    assert flow_step(cx, (0, Fraction(1, 2)), Fraction(1, 2)) == \
-        ("class", 0)
-    with pytest.raises(NumericError):
-        flow_step(cx, (0, Fraction(1, 2)), Fraction(1))
 
 
 def test_conjugacy_separates_paths(odo2):

@@ -23,8 +23,7 @@ from adic.martingale import (compose_phi, constant_function, from_vector,
                              integer_parts, lift, nu_mean)
 from adic.measures import renorm_data, xi_vector
 from adic.scalars import QuadExt
-from adic.solver import (birkhoff, chained_constant, regularity_report,
-                         solution_norms, solve)
+from adic.solver import birkhoff, chained_constant, solution_norms, solve
 
 
 def _tower(d):
@@ -246,19 +245,6 @@ def test_chained_constant_structure(odo2):
     assert rep["constant"] > 0
     with pytest.raises(ValueError):
         chained_constant(odo2, rd, 2, Fraction(1, 4))  # needs alpha > 2+eps
-
-
-def test_regularity_report_bounded(odo2):
-    rd = renorm_data(odo2)
-    tower = _tower(odo2)
-    r = rng(403)
-    g0 = rand_function(r, odo2, 2)
-    h = _coboundary(odo2, g0)
-    sol = solve(h, tower)
-    rows = regularity_report(odo2, rd, h, sol.g, 3,
-                             [Fraction(1, 4), Fraction(1, 2)])
-    for row in rows:
-        assert row["empirical_k"] <= row["theoretical_k"]
 
 
 def test_birkhoff_constant_function(odo2):
