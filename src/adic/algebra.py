@@ -17,7 +17,7 @@ cap instead of silent truncation.
 The distortion constant of the adic map enters every weighted norm, and it
 is only ever available as a certified lower bound from a finite pair sweep.
 The sweep is exact: cylinder representatives with minimal tails, image
-disagreement levels resolved individually when the vectorized scan is
+disagreement levels resolved individually when the scan to a fixed depth is
 inconclusive.  Norm weights switch between the exponential regime (powers
 of the distortion estimate) and the polynomial regime (the estimate says
 isometry) and the estimate itself is reported rather than extrapolated.
@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
@@ -140,16 +138,17 @@ def convolve(a, b, level_cap=LEVEL_CAP):
     gather (`martingale.gather`), so composing with phi^{-i} and lifting
     move indices, not field elements; the terms are summed as integers over
     the lcm of their denominators, and `field_values` builds one Fraction
-    per distinct value, or one QuadExt per value when an input held one.
-    Every level is checked against level_cap before any gather is built;
-    coefficients of two quadratic fields raise PreconditionError."""
+    per distinct value, or one field element per value when an input held
+    one.  Every level is checked against level_cap before any gather is
+    built; coefficients of two fields raise PreconditionError."""
     _compatible(a, b)
     diagram = a.diagram
     parts = {(side, k): integer_parts(f.values)
              for side, x in ((0, a), (1, b)) for k, f in x.coeffs.items()}
     fields = {d for _, _, d in parts.values() if d is not None}
     if len(fields) > 1:
-        raise PreconditionError("coefficients of mixed quadratic fields")
+        raise PreconditionError("coefficients of mixed fields %s"
+                                % ", ".join(sorted(map(repr, fields))))
     field = fields.pop() if fields else None
     terms = {}
     for i, ai in a.coeffs.items():
@@ -181,21 +180,23 @@ def convolve(a, b, level_cap=LEVEL_CAP):
 def _accumulate(acc, ca, cb, ga, gb, field):
     """acc plus the product of the integer columns ca and cb read through
     the gathers ga and gb (acc is None for the first term).  Rational
-    values have one column; in Q(sqrt field) the columns (x, y) and
-    (x', y') multiply to (x x' + field y y', x y' + x' y), a function
-    without a sqrt column having y = 0."""
+    values have one column.  In a number field of degree n the columns are
+    the theta^k coefficients, a function with fewer columns having zeros
+    in the rest; column i times column j lands on theta^(i+j), which the
+    field's integer table `powers` spreads over the n columns."""
     if field is None:
         (x,), (x2,) = ca, cb
         if acc is None:
             return [[x[u] * x2[v] for u, v in zip(ga, gb)]]
         return [[p + x[u] * x2[v] for p, u, v in zip(acc[0], ga, gb)]]
-    (x, y), (x2, y2) = (c if len(c) == 2 else (c[0], [0] * len(c[0]))
-                        for c in (ca, cb))
-    prod = [[x[u] * x2[v] + field * y[u] * y2[v] for u, v in zip(ga, gb)],
-            [x[u] * y2[v] + y[u] * x2[v] for u, v in zip(ga, gb)]]
-    if acc is None:
-        return prod
-    return [[p + r for p, r in zip(pc, rc)] for pc, rc in zip(acc, prod)]
+    out = acc or [[0] * len(ga) for _ in range(field.n)]
+    for i, x in enumerate(ca):
+        for j, y in enumerate(cb):
+            prod = [x[u] * y[v] for u, v in zip(ga, gb)]
+            for k, w in enumerate(field.powers[i + j]):
+                if w:
+                    out[k] = [p + w * r for p, r in zip(out[k], prod)]
+    return out
 
 
 def involution(a, level_cap=LEVEL_CAP):
@@ -246,35 +247,43 @@ class TriangleEstimate:
     attained_pair: object  # (edges, edges, direction) or None
 
 
-def _pairwise_first_diff(mat):
-    """First differing column (1-based) per row pair; 0 for equal rows."""
-    diff = mat[:, None, :] != mat[None, :, :]
-    hit = diff.any(axis=2)
-    first = diff.argmax(axis=2) + 1
-    first[~hit] = 0
-    return first
+def _first_diffs(rows):
+    """Per pair of equally long rows, the first column (1-based) where
+    they differ, 0 where they are equal.  In sorted order, two rows agree
+    on the least common prefix length of the neighbours between them."""
+    order = sorted(range(len(rows)), key=rows.__getitem__)
+    width = len(rows[0])
+    common = [next((i for i, (x, y) in enumerate(zip(rows[a], rows[b]))
+                    if x != y), width) for a, b in zip(order, order[1:])]
+    out = [[0] * len(rows) for _ in rows]
+    for i, a in enumerate(order):
+        run = width
+        for j in range(i + 1, len(order)):
+            run = min(run, common[j - 1])
+            out[a][order[j]] = out[order[j]][a] = \
+                0 if run == width else run + 1
+    return out
 
 
 def _direction_sweep(diagram, paths, reps, images, lamf, depth):
     keep = [i for i, im in enumerate(images) if im is not None]
     if len(keep) < 2:
         return None
-    base = np.array([materialize(diagram, reps[i], depth).edges
-                     for i in keep], dtype=np.int64)
-    img = np.array([materialize(diagram, images[i], depth).edges
-                    for i in keep], dtype=np.int64)
-    jb = _pairwise_first_diff(base)
-    ji = _pairwise_first_diff(img)
-    for u, v in zip(*np.nonzero((ji == 0) & ~np.eye(len(keep), dtype=bool))):
-        ji[u, v] = first_disagreement(diagram, images[keep[u]],
-                                      images[keep[v]])
-    expo = jb - ji
-    np.fill_diagonal(expo, np.iinfo(np.int64).min)
-    u, v = np.unravel_index(int(expo.argmax()), expo.shape)
-    if expo[u, v] == np.iinfo(np.int64).min:
-        return None
-    return (lamf ** int(expo[u, v]),
-            (paths[keep[u]].edges, paths[keep[v]].edges))
+    jb = _first_diffs([materialize(diagram, reps[i], depth).edges
+                       for i in keep])
+    ji = _first_diffs([materialize(diagram, images[i], depth).edges
+                       for i in keep])
+    best = None
+    for u in range(len(keep)):
+        for v in range(len(keep)):
+            if u == v:
+                continue
+            expo = jb[u][v] - (ji[u][v] or first_disagreement(
+                diagram, images[keep[u]], images[keep[v]]))
+            if best is None or expo > best[0]:
+                best = (expo, u, v)
+    expo, u, v = best
+    return lamf ** expo, (paths[keep[u]].edges, paths[keep[v]].edges)
 
 
 @lru_cache(maxsize=TRIANGLE_CACHE_SIZE)

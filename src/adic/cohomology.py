@@ -34,8 +34,8 @@ from fractions import Fraction
 
 from .diagrams import path_table
 from .martingale import constant_function, field_values, integer_parts
-from .scalars import as_float, is_exact, mat_mul, mat_pow, mat_vec, \
-    nullspace, rank, solve_linear
+from .scalars import as_float, mat_mul, mat_pow, mat_vec, nullspace, rank, \
+    solve_linear
 from .solenoid import tower_lengths
 
 
@@ -111,7 +111,7 @@ def birkhoff_cochain(diagram, h, k):
 class DistributionValue:
     index: int
     value: float
-    numerator: object  # exact pairing before normalization when available
+    numerator: object  # exact pairing before normalization
     exact_zero: bool
 
 
@@ -131,7 +131,7 @@ def _gram_schmidt(vectors, w):
         for b in basis:
             coef = _dot(w, cur, b) / _dot(w, b, b)
             cur = [c - coef * bb for c, bb in zip(cur, b)]
-        if as_float(next(c for c in cur if c != 0)) < 0:
+        if next(c for c in cur if c != 0) < 0:
             cur = [-c for c in cur]
         basis.append(cur)
     return basis
@@ -229,7 +229,7 @@ def distributions(h, tower):
                    birkhoff_cochain(tower.diagram, h, k_eval))
     return [DistributionValue(index=i + 1, numerator=num,
                               value=as_float(num) / math.sqrt(as_float(den)),
-                              exact_zero=is_exact(num) and num == 0)
+                              exact_zero=num == 0)
             for i, (num, den) in enumerate(zip(nums, fn.norms))]
 
 

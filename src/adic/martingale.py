@@ -6,10 +6,11 @@ level-m cylinders, in the order of `enumerate_paths(diagram, 0, m)`; at
 level 0 that is the vertex order of V_0.  Lifts, projections, means and
 compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
-quadratic-field elements, or floats, and projection/difference operations
-stay in the same field.  `gather` caches the index maps of composition and
-lift, and `integer_parts` reads values as integer columns over one common
-denominator, so products of coefficients (`algebra.convolve`) and the
+elements of the Perron field (`scalars.FieldElement`), or floats, and
+projection/difference operations stay in the same field.  `gather` caches
+the index maps of composition and lift, and `integer_parts` reads values
+as integer columns over one common denominator, one column per coefficient
+of the field, so products of coefficients (`algebra.convolve`) and the
 solver's residual check move indices and add integers.  The bump profile
 used for smoothing is the fixed polynomial c*(1 - (5t/tau)^2)^3, whose
 integral is exactly one and whose derivative sup-norms have closed forms; it
@@ -30,7 +31,7 @@ from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
                      PreconditionError)
 from .measures import xi_vector
-from .scalars import QuadExt, as_float, is_exact
+from .scalars import FieldElement, SqrtField, as_float
 
 GATHER_CACHE_SIZE = 256
 
@@ -87,45 +88,53 @@ def _pointwise(a, b, op):
 
 
 def integer_parts(values):
-    """(q, cols, d): the values as integer columns over one common
-    denominator q.  cols[0] holds the rational parts a_i * q.  When some
-    value lies in Q(sqrt d), cols[1] holds the sqrt(d) parts b_i * q of the
-    values a_i + b_i sqrt(d); otherwise d is None.  A finite float is read
-    as the dyadic rational it stores.  Values of two quadratic fields, or
-    of no exact field, raise PreconditionError."""
-    fields = {v.d for v in values if isinstance(v, QuadExt)}
+    """(q, cols, field): the values as integer columns over one common
+    denominator q.  When some value lies in a number field, cols[k] holds
+    the theta^k coefficients c_k * q of the values sum c_k theta^k, a
+    rational value having c_0 only; otherwise field is None and cols[0]
+    holds the values times q.  A finite float is read as the dyadic
+    rational it stores.  Values of two fields, or of no exact field, raise
+    PreconditionError."""
+    fields = {v.field for v in values if isinstance(v, FieldElement)}
     if len(fields) > 1:
-        raise PreconditionError("values of mixed quadratic fields")
+        raise PreconditionError("values of mixed fields %s"
+                                % ", ".join(sorted(map(repr, fields))))
+    field = fields.pop() if fields else None
     cols = [values]
-    if fields:
-        cols = [[v.a if isinstance(v, QuadExt) else v for v in values],
-                [v.b if isinstance(v, QuadExt) else 0 for v in values]]
+    if field is not None:
+        zeros = (0,) * (field.n - 1)
+        cols = list(zip(*(field.norm(v.c) if isinstance(v, FieldElement)
+                          else (v,) + zeros for v in values)))
     try:
         ratios = [[x.as_integer_ratio() for x in col] for col in cols]
     except (AttributeError, ValueError, OverflowError):
         raise PreconditionError("values lie in no exact field") from None
     q = math.lcm(*(den for col in ratios for _, den in col))
     return (q, [[num * (q // den) for num, den in col] for col in ratios],
-            fields.pop() if fields else None)
+            field)
 
 
-def field_values(q, cols, d):
-    """The values that `integer_parts` reads as (q, cols, d): Fractions,
-    or elements of Q(sqrt d) when d is not None."""
-    if d is None:
+def field_values(q, cols, field):
+    """The values that `integer_parts` reads as (q, cols, field):
+    Fractions, or elements of field when it is not None."""
+    if field is None:
         # values repeat, and equal values share one Fraction
         memo = {a: Fraction(a, q) for a in set(cols[0])}
         return list(map(memo.__getitem__, cols[0]))
-    return [QuadExt(Fraction(a, q), Fraction(b, q), d)
-            for a, b in zip(*cols)]
+    return [FieldElement(tuple(Fraction(a, q) for a in row), field)
+            for row in zip(*cols)]
 
 
-def float_values(q, cols, d):
-    """The floats `as_float` gives for the values of (q, cols, d): integer
-    true division rounds correctly, so a / q is float(Fraction(a, q))."""
-    if d is None:
+def float_values(q, cols, field):
+    """The floats of the values of (q, cols, field), read off the integer
+    columns: integer true division rounds correctly, so a / q is
+    float(Fraction(a, q)), and a / q + b / q * sqrt(d) is the float of
+    a/q + b/q sqrt(d)."""
+    if field is None:
         return [a / q for a in cols[0]]
-    r = math.sqrt(d)
+    if not isinstance(field, SqrtField):
+        return list(map(float, field_values(q, cols, field)))
+    r = math.sqrt(field.d)
     return [a / q + b / q * r for a, b in zip(*cols)]
 
 
@@ -156,16 +165,11 @@ def lift(diagram, h, k):
 def nu_mean(diagram, h):
     """Integral against the unique tail-invariant probability measure: every
     cylinder of a block has its vertex's weight, so each block is summed
-    before an exact weight multiplies it.  A float weight (an inexact Perron
-    root) multiplies each value, so the float result keeps its rounding."""
+    before the weight multiplies it."""
     xi = xi_vector(diagram, h.level)
     total = 0
     for x, (a, b) in zip(xi, path_table(diagram, h.level).blocks()):
-        if is_exact(x):
-            total = total + x * sum(h.values[a:b])
-        else:
-            for v in h.values[a:b]:
-                total = total + x * v
+        total = total + x * sum(h.values[a:b])
     return total
 
 
@@ -238,7 +242,7 @@ def holder_norm(diagram, h, alpha, lam):
 
 @dataclass
 class BumpProfile:
-    tau: object  # exact scalar or float; support radius is tau/5
+    tau: object  # exact positive scalar; support radius is tau/5
 
     @property
     def height(self):
@@ -266,11 +270,12 @@ class BumpProfile:
 
 
 def bump_from_roof(renorm):
-    """Support radius tied to the shortest level-0 edge."""
-    tau = renorm.roof[0]
-    for x in renorm.roof[1:]:
-        if x < tau:
-            tau = x
+    """Support radius tied to the shortest level-0 edge, which must be
+    positive."""
+    tau = min(renorm.roof)
+    if not tau > 0:
+        raise PreconditionError("the bump needs a positive roof, got a "
+                                "shortest level-0 edge of %s" % (tau,))
     return BumpProfile(tau)
 
 

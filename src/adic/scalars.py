@@ -1,187 +1,378 @@
-"""Exact scalar arithmetic.
+"""Exact scalars: Fractions and the Perron field Q(lambda).
 
-Stationary diagrams with a quadratic Perron root (the golden-mean diagram, for
-one) need exact arithmetic in Q(sqrt(D)).  QuadExt holds a + b*sqrt(D) with
-Fraction coefficients and supports field operations, exact comparisons and
-float export.  On top of that this module provides generic dense linear
-algebra over any such exact field (Fraction mixes freely) and the Perron data
-of a nonnegative integer matrix: exact for sizes 1 and 2 and for larger
-matrices with an integer dominant root, floating point otherwise.
+A NumberField is Q[x]/(p) for a monic square-free integer polynomial p
+without rational roots, embedded by one real root theta that a rational
+interval isolates; a FieldElement holds the Fraction coefficients of
+1, theta, ..., theta^(n-1).  Signs refine the interval until the element's
+range over it excludes 0, and a float is the value both ends of that range
+round to.  In Q(sqrt d), d square-free, theta = sqrt d, and a float is
+a + b * sqrt(d) in floats.  p of degree 3 or less is irreducible; a larger
+p may not be, and a zero test or an inverse that meets a factor of p splits
+it, keeping the factor with theta as a root: dynamic evaluation, "D5"
+(Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
+operands mix freely; a float operand gives the float result, as it does for
+Fraction.  On top of that: dense linear algebra over any of these fields,
+and the Perron data of a nonnegative integer matrix, built without
+factoring (`perron_data`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
+from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
+from itertools import zip_longest
 
-import numpy as np
+from .errors import PreconditionError
+
+_ZERO = Fraction(0)
 
 
 def square_free(n):
     """n = s*s*d with d square-free; returns (s, d). n must be positive."""
-    if n <= 0:
-        raise ValueError("square_free needs a positive integer")
-    s, d, p = 1, 1, 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            n //= p * p
-            s *= p
-        elif n % p == 0:
-            n //= p
-            d *= p
+    s = max(k for k in range(1, math.isqrt(n) + 1) if n % (k * k) == 0)
+    return s, n // (s * s)
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Q: coefficient lists, constant term first, no trailing 0
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _peval(p, x):
+    return reduce(lambda total, c: total * x + c, reversed(p), 0)
+
+
+def _pdivmod(a, b):
+    """Quotient and remainder of a by b over Q."""
+    a = [Fraction(x) for x in a]
+    quot = [_ZERO] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = a[k + len(b) - 1] / b[-1]
+        for i, y in enumerate(b):
+            a[k + i] -= quot[k] * y
+    return _trim(quot), _trim(a[:len(b) - 1])
+
+
+def _pmul(a, b):
+    prod = [_ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    return prod
+
+
+def _gcdex(a, p):
+    """(g, s): g the monic gcd of a and p, and s with s * a = g mod p."""
+    r0, r1, s0, s1 = list(p), _trim(list(a)), [], [Fraction(1)]
+    while r1:
+        quot, rem = _pdivmod(r0, r1)
+        s0, s1 = s1, _trim([x - y for x, y in zip_longest(
+            s0, _pmul(quot, s1), fillvalue=0)])
+        r0, r1 = r1, rem
+    return [x / r0[-1] for x in r0], [x / r0[-1] for x in s0]
+
+
+def _roots_in(p, lo, hi):
+    """The number of distinct real roots of p in (lo, hi], neither a root,
+    by the sign changes of its Sturm sequence."""
+    chain = [list(p), _trim([k * c for k, c in enumerate(p)][1:])]
+    while len(chain[-1]) > 1 and _pdivmod(chain[-2], chain[-1])[1]:
+        chain.append([-x for x in _pdivmod(chain[-2], chain[-1])[1]])
+
+    def changes(x):
+        signs = [v > 0 for v in (_peval(q, x) for q in chain) if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+    return changes(lo) - changes(hi)
+
+
+# ---------------------------------------------------------------------------
+# the field
+
+# Fields by their defining data, alive while an element refers to them.
+_FIELDS = weakref.WeakValueDictionary()
+
+
+class NumberField:
+    """Q[x]/(poly), embedded by the one root theta of poly in (lo, hi],
+    lo >= 0.  powers[k] holds the integer coefficients of theta^k for
+    k < 2n - 1."""
+
+    __slots__ = ("poly", "n", "lo", "hi", "powers", "__weakref__")
+
+    def __init__(self, poly, lo, hi):
+        self.lo, self.hi = lo, hi
+        self._set(poly)
+
+    def _set(self, poly):
+        self.poly, self.n = tuple(map(int, poly)), len(poly) - 1
+        self.powers = tuple(tuple(map(int, self.reduce((0,) * k + (1,))))
+                            for k in range(2 * self.n - 1))
+
+    def __call__(self, *coeffs):
+        """The element sum of coeffs[k] * theta^k."""
+        return FieldElement(self.reduce(tuple(map(Fraction, coeffs))), self)
+
+    def __repr__(self):
+        terms = ["%s%s" % ({1: "", -1: "-"}.get(c, c) if k else c,
+                           "" if not k else "x" if k == 1 else "x^%d" % k)
+                 for k, c in enumerate(self.poly) if c]
+        return "Q[x]/(%s)" % " + ".join(reversed(terms)).replace("+ -", "- ")
+
+    def reduce(self, c):
+        """Coefficients c of any length reduced mod poly to length n."""
+        c, p, n = list(c), self.poly, self.n
+        for k in range(len(c) - 1, n - 1, -1):
+            for i in range(n):
+                c[k - n + i] -= c[k] * p[i]
+        return tuple(c[:n]) + (_ZERO,) * (n - len(c))
+
+    def norm(self, c):
+        """c reduced, when a split has left it longer than n."""
+        return c if len(c) == self.n else self.reduce(c)
+
+    def mul(self, a, b):
+        return self.reduce(_pmul(a, b))
+
+    def _split(self, g):
+        """Replace poly by its factor g or poly / g, the one with theta."""
+        other = _pdivmod(self.poly, g)[0]
+        self._set(g if _roots_in(g, self.lo, self.hi) else other)
+
+    def is_zero(self, c):
+        # poly of degree <= 3 has no rational root, so it is irreducible
+        if any(self.norm(c)) and self.n > 3:
+            g = _gcdex(self.norm(c), self.poly)[0]
+            if len(g) > 1:
+                self._split(g)
+        return not any(self.norm(c))
+
+    def inverse(self, c):
+        while any(self.norm(c)):
+            g, s = _gcdex(self.norm(c), self.poly)
+            if len(g) == 1:
+                return self.reduce(s)
+            self._split(g)
+        raise ZeroDivisionError("division by zero in %r" % (self,))
+
+    def _bounds(self, c):
+        """Lower and upper bound of sum c_k t^k over lo <= t <= hi."""
+        low = high = 0
+        for k, x in enumerate(self.norm(c)):
+            a, b = (self.lo ** k, self.hi ** k)[::1 if x > 0 else -1]
+            low, high = low + x * a, high + x * b
+        return low, high
+
+    def _refine(self):
+        """Halve the interval that isolates theta."""
+        mid = (self.lo + self.hi) / 2
+        if (_peval(self.poly, mid) > 0) == (_peval(self.poly, self.hi) > 0):
+            self.hi = mid
         else:
-            p += 1
-    return s, d * n
+            self.lo = mid
+
+    def sign(self, c):
+        if self.is_zero(c):
+            return 0
+        while True:
+            low, high = self._bounds(c)
+            if low > 0 or high < 0:
+                return 1 if low > 0 else -1
+            self._refine()
+
+    def rational(self, c):
+        """The value of c as a Fraction when it is rational, else None.  A
+        multiple q*c with integer coefficients is an algebraic integer, so
+        it can only be the one integer its range is refined down to."""
+        c = self.norm(c)
+        if any(c[1:]) and self.n > 3:
+            q = math.lcm(*(Fraction(x).denominator for x in c))
+            c = tuple(x * q for x in c)
+            bounds = self._bounds(c)
+            while bounds[1] - bounds[0] >= 1:
+                self._refine()
+                bounds = self._bounds(c)
+            k = math.ceil(bounds[0])
+            return Fraction(k, q) if self.is_zero((c[0] - k,) + c[1:]) \
+                else None
+        return None if any(c[1:]) else Fraction(c[0])
+
+    def to_float(self, c):
+        """The float nearest the value of c."""
+        r = self.rational(c)
+        if r is not None:
+            return float(r)
+        while True:
+            low, high = map(float, self._bounds(c))
+            if low == high:
+                return low
+            self._refine()
+
+    def key(self, c):
+        """What hashes as the value of c: a Fraction, or a float."""
+        r = self.rational(c)
+        return self.to_float(c) if r is None else r
 
 
-def _field_op(method):
-    """A binary QuadExt method: a float operand gives the float result, as
-    it does for Fraction; a QuadExt, int or Fraction operand reaches method
-    as a QuadExt of the same field; anything else is NotImplemented."""
-    name = method.__name__
+class SqrtField(NumberField):
+    """Q(sqrt d) for a square-free integer d > 1, theta = sqrt d: signs
+    through squares, floats and hashes from the coefficients."""
 
-    def op(self, other):
-        if isinstance(other, QuadExt):
-            if other.d != self.d:
-                raise TypeError("mixed quadratic fields")
-        elif isinstance(other, (int, Fraction)):
-            other = QuadExt(other, 0, self.d)
-        elif isinstance(other, float):
-            return getattr(float(self), name)(other)
-        else:
-            return NotImplemented
-        return method(self, other)
+    __slots__ = ("d",)
+
+    def __init__(self, d):
+        super().__init__((-d, 0, 1), None, None)
+        self.d = d
+
+    def __repr__(self):
+        return "Q(sqrt %d)" % self.d
+
+    def mul(self, a, b):
+        (a, b), (x, y) = a, b
+        return a * x + b * y * self.d, a * y + b * x
+
+    def inverse(self, c):
+        a, b = c
+        n = a * a - b * b * self.d
+        if n == 0:
+            raise ZeroDivisionError("division by zero in %r" % (self,))
+        return a / n, -b / n
+
+    def sign(self, c):
+        a, b = c
+        if b == 0 or a == 0 or (a > 0) == (b > 0):
+            return (a > 0) - (a < 0) if b == 0 else 1 if b > 0 else -1
+        # a and b sqrt(d) of opposite signs: compare their squares
+        aa, bb = a * a, b * b * self.d
+        return ((a > 0) - (a < 0)) * ((aa > bb) - (aa < bb))
+
+    def to_float(self, c):
+        return float(c[0]) + float(c[1]) * math.sqrt(self.d)
+
+    def key(self, c):
+        return c[0] if c[1] == 0 else c + (self.d,)
+
+
+def _field(key, make):
+    """The live field of key, or a new one from make()."""
+    field = _FIELDS.get(key)
+    if field is None:
+        field = _FIELDS[key] = make()
+    return field
+
+
+def sqrt_field(d):
+    """Q(sqrt d) for a square-free integer d > 1."""
+    return _field(d, lambda: SqrtField(d))
+
+
+def _largest_root(poly, lo):
+    """The field of the largest real root of poly, a monic square-free
+    integer polynomial of degree >= 3 without rational roots, when that
+    root exceeds lo >= 0; else None.  Its interval is cut from (lo, B],
+    B a Cauchy bound, by bisection with Sturm counts."""
+    lo, hi = Fraction(lo), Fraction(1 + max(map(abs, poly)))
+    while _roots_in(poly, lo, hi) > 1:
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if _roots_in(poly, mid, hi) else (lo, mid)
+    if not _roots_in(poly, lo, hi):
+        return None
+    return _field(poly, lambda: NumberField(poly, lo, hi))
+
+
+def _binary(name, exact):
+    """The FieldElement operator name: exact(field, a, b) on coefficients
+    of two elements of one field, an int or Fraction operand read as an
+    element; a float operand gives the float result."""
+    def op(self, o):
+        f = self.field
+        if type(o) is not FieldElement:
+            if not isinstance(o, (int, Fraction)):
+                return getattr(float(self), name)(o) \
+                    if isinstance(o, float) else NotImplemented
+            o = f(o)
+        elif o.field is not f:
+            raise TypeError("mixed fields %r and %r" % (f, o.field))
+        return exact(f, self.c, o.c)
     op.__name__ = name
     return op
 
 
-class QuadExt:
-    """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
+def _sub(f, a, b):
+    return tuple(map(operator.sub, f.norm(a), f.norm(b)))
 
-    d is a square-free integer > 1, shared by both operands of any binary
-    operation.  Comparisons are exact (sign analysis, no floats) unless the
-    other operand is a float.
-    """
 
-    __slots__ = ("a", "b", "d")
+class FieldElement:
+    """Element sum c[k] * theta^k of a NumberField, with Fraction c."""
 
-    def __init__(self, a, b, d):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-        self.d = int(d)
+    __slots__ = ("c", "field")
 
-    @_field_op
-    def __add__(self, o):
-        return QuadExt(self.a + o.a, self.b + o.b, self.d)
+    def __init__(self, c, field):
+        self.c, self.field = c, field
 
-    __radd__ = __add__
-
-    @_field_op
-    def __sub__(self, o):
-        return QuadExt(self.a - o.a, self.b - o.b, self.d)
-
-    @_field_op
-    def __rsub__(self, o):
-        return QuadExt(o.a - self.a, o.b - self.b, self.d)
-
-    @_field_op
-    def __mul__(self, o):
-        return QuadExt(self.a * o.a + self.b * o.b * self.d,
-                       self.a * o.b + self.b * o.a, self.d)
-
-    __rmul__ = __mul__
-
-    def inverse(self):
-        n = self.a * self.a - self.b * self.b * self.d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in quadratic field")
-        return QuadExt(self.a / n, -self.b / n, self.d)
-
-    @_field_op
-    def __truediv__(self, o):
-        return self * o.inverse()
-
-    @_field_op
-    def __rtruediv__(self, o):
-        return o * self.inverse()
+    __add__ = __radd__ = _binary("__add__", lambda f, a, b: FieldElement(
+        tuple(map(operator.add, f.norm(a), f.norm(b))), f))
+    __sub__ = _binary("__sub__", lambda f, a, b: FieldElement(
+        _sub(f, a, b), f))
+    __rsub__ = _binary("__rsub__", lambda f, a, b: FieldElement(
+        _sub(f, b, a), f))
+    __mul__ = __rmul__ = _binary(
+        "__mul__", lambda f, a, b: FieldElement(f.mul(a, b), f))
+    __truediv__ = _binary("__truediv__", lambda f, a, b: FieldElement(
+        f.mul(a, f.inverse(b)), f))
+    __rtruediv__ = _binary("__rtruediv__", lambda f, a, b: FieldElement(
+        f.mul(b, f.inverse(a)), f))
+    __eq__ = _binary("__eq__", lambda f, a, b: f.norm(a) == f.norm(b)
+                     or f.n > 3 and f.is_zero(_sub(f, a, b)))
+    __lt__ = _binary("__lt__", lambda f, a, b: f.sign(_sub(f, a, b)) < 0)
+    __le__ = _binary("__le__", lambda f, a, b: f.sign(_sub(f, a, b)) <= 0)
+    __gt__ = _binary("__gt__", lambda f, a, b: f.sign(_sub(f, a, b)) > 0)
+    __ge__ = _binary("__ge__", lambda f, a, b: f.sign(_sub(f, a, b)) >= 0)
 
     def __pow__(self, k):
         if not isinstance(k, int):
             return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = QuadExt(1, 0, self.d)
-        while k:
-            if k & 1:
+        f, out = self.field, self.field(1)
+        base = self if k >= 0 else FieldElement(f.inverse(self.c), f)
+        for bit in bin(abs(k))[:1:-1]:
+            if bit == "1":
                 out = out * base
             base = base * base
-            k >>= 1
         return out
 
     def __neg__(self):
-        return QuadExt(-self.a, -self.b, self.d)
+        return FieldElement(tuple(-x for x in self.c), self.field)
 
     def __abs__(self):
-        return -self if self._sign() < 0 else self
+        return -self if self.field.sign(self.c) < 0 else self
 
-    def _sign(self):
-        a, b = self.a, self.b
-        if b == 0:
-            return -1 if a < 0 else (0 if a == 0 else 1)
-        if a == 0:
-            return -1 if b < 0 else 1
-        # compare a against -b*sqrt(d) exactly through squares
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        aa, bb = a * a, b * b * self.d
-        if a > 0:  # b < 0
-            return 1 if aa > bb else (0 if aa == bb else -1)
-        return -1 if aa > bb else (0 if aa == bb else 1)
-
-    @_field_op
-    def __eq__(self, o):
-        return self.a == o.a and self.b == o.b
+    def __bool__(self):
+        return not self.field.is_zero(self.c)
 
     def __hash__(self):
-        if self.b == 0:
-            return hash(self.a)
-        return hash((self.a, self.b, self.d))
-
-    @_field_op
-    def __lt__(self, o):
-        return (self - o)._sign() < 0
-
-    @_field_op
-    def __le__(self, o):
-        return (self - o)._sign() <= 0
-
-    @_field_op
-    def __gt__(self, o):
-        return (self - o)._sign() > 0
-
-    @_field_op
-    def __ge__(self, o):
-        return (self - o)._sign() >= 0
+        return hash(self.field.key(self.c))
 
     def __float__(self):
-        return float(self.a) + float(self.b) * math.sqrt(self.d)
+        return self.field.to_float(self.c)
 
     def __repr__(self):
-        return "QuadExt(%s, %s, %d)" % (self.a, self.b, self.d)
+        return "%r[%s]" % (self.field, ", ".join(
+            map(str, self.field.norm(self.c))))
 
 
 def as_float(x):
     return float(x)
 
 
-def is_exact(x):
-    return isinstance(x, (int, Fraction, QuadExt))
-
-
 # ---------------------------------------------------------------------------
-# dense linear algebra over an exact field (Fraction and QuadExt mix with int)
+# dense linear algebra over an exact field (Fraction and elements mix with int)
 
 def mat_mul(A, B):
     n, m, p = len(A), len(B), len(B[0])
@@ -236,26 +427,26 @@ def _rref(rows, ncols):
     return pivots
 
 
+def _exact(A):
+    """The rows of A as lists, ints read as Fractions."""
+    return [[Fraction(x) if isinstance(x, int) else x for x in row]
+            for row in A]
+
+
 def rank(A):
-    if not A:
-        return 0
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in A]
-    return len(_rref(rows, len(A[0])))
+    return len(_rref(_exact(A), len(A[0]))) if A else 0
 
 
 def solve_linear(A, b):
     """One exact solution of A x = b, or None if inconsistent."""
-    n, m = len(A), len(A[0])
-    rows = [[A[i][j] for j in range(m)] + [b[i]] for i in range(n)]
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    m = len(A[0])
+    rows = _exact(list(row) + [y] for row, y in zip(A, b))
     pivots = _rref(rows, m + 1)
     if m in pivots:
         return None
     x = [0] * m
-    r = 0
-    for c in pivots:
+    for r, c in enumerate(pivots):
         x[c] = rows[r][m]
-        r += 1
     return x
 
 
@@ -263,13 +454,11 @@ def nullspace(A):
     """Basis of the right kernel of A, exact."""
     if not A:
         return []
-    n, m = len(A), len(A[0])
-    rows = [[Fraction(A[i][j]) if isinstance(A[i][j], int) else A[i][j]
-             for j in range(m)] for i in range(n)]
+    m = len(A[0])
+    rows = _exact(A)
     pivots = _rref(rows, m)
-    free = [c for c in range(m) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [0] * m
         v[fc] = 1
         for r, pc in enumerate(pivots):
@@ -293,75 +482,44 @@ def char_poly(A):
     return coeffs
 
 
-class PerronData:
-    """Dominant eigendata of a primitive nonnegative integer matrix.
-
-    lam: dominant root (Fraction, QuadExt, or float).
-    right/left: eigenvectors with positive entries, unnormalized.
-    exact: whether scalars are exact field elements.
-    """
-
-    def __init__(self, lam, right, left, exact):
-        self.lam = lam
-        self.right = right
-        self.left = left
-        self.exact = exact
+# Dominant eigendata of a primitive nonnegative integer matrix: the root
+# lam, a Fraction or a FieldElement, and exact positive eigenvectors.
+PerronData = namedtuple("PerronData", "lam right left")
 
 
 def _positive_eigvec(A, lam):
     n = len(A)
-    M = [[A[i][j] - (lam if i == j else 0) for j in range(n)] for i in range(n)]
-    ker = nullspace(M)
-    if len(ker) != 1:
-        return None
-    v = ker[0]
-    # orient positively
-    ref = next((x for x in v if x != 0), None)
-    if ref is not None and ref < 0:
-        v = [-x for x in v]
-    if any(x <= 0 for x in v):
-        return None
-    return v
+    ker = nullspace([[A[i][j] - (lam if i == j else 0) for j in range(n)]
+                     for i in range(n)])
+    # oriented positively, it is positive when A is primitive
+    if len(ker) == 1:
+        v = [-x for x in ker[0]] if ker[0][0] < 0 else ker[0]
+        if all(x > 0 for x in v):
+            return v
+    raise PreconditionError("the repeating matrix is not primitive")
 
 
 def perron_data(A):
-    """Exact dominant eigendata where available; float fallback otherwise."""
-    n = len(A)
-    if n == 1:
-        lam = Fraction(A[0][0])
-        return PerronData(lam, [Fraction(1)], [Fraction(1)], True)
-    At = [[A[j][i] for j in range(n)] for i in range(n)]
-    if n == 2:
-        tr = A[0][0] + A[1][1]
-        det = A[0][0] * A[1][1] - A[0][1] * A[1][0]
-        disc = tr * tr - 4 * det
-        if disc < 0:
-            raise ValueError("complex eigenvalues in a nonnegative 2x2 matrix?")
-        s, d = square_free(disc) if disc > 0 else (0, 1)
-        if d == 1:  # rational roots
-            lam = Fraction(tr + s, 2)
-            return PerronData(lam, _positive_eigvec(A, lam),
-                              _positive_eigvec(At, lam), True)
-        lam = QuadExt(Fraction(tr, 2), Fraction(s, 2), d)
-        return PerronData(lam, _positive_eigvec(A, lam),
-                          _positive_eigvec(At, lam), True)
-    # n >= 3: integer dominant root or floats
-    ev = np.linalg.eigvals(np.array(A, dtype=float))
-    lam_f = max(ev.real)
-    near = round(lam_f)
-    coeffs = char_poly(A)
-    if near > 0 and sum(c * Fraction(near) ** k for k, c in enumerate(coeffs)) == 0:
-        lam = Fraction(near)
-        r = _positive_eigvec(A, lam)
-        l = _positive_eigvec(At, lam)
-        if r is not None and l is not None:
-            return PerronData(lam, r, l, True)
-    Af = np.array(A, dtype=float)
-    w, v = np.linalg.eig(Af)
-    i = int(np.argmax(w.real))
-    r = np.abs(v[:, i].real)
-    w2, v2 = np.linalg.eig(Af.T)
-    j = int(np.argmax(w2.real))
-    l = np.abs(v2[:, j].real)
-    return PerronData(float(w[i].real), [float(x) for x in r],
-                      [float(x) for x in l], False)
+    """Exact dominant eigendata.  lam is the largest real root of the
+    square-free part p of the characteristic polynomial.  Every eigenvalue
+    lies within the largest row sum, so the integer roots of p are found by
+    trying each integer up to it; they are divided out, and what is left of
+    p has no rational root.  lam is the largest integer root unless the
+    rest has a larger real root: then lam generates its field, Q(sqrt d)
+    when the rest is quadratic."""
+    p = [Fraction(c) for c in char_poly(A)]
+    p = _pdivmod(p, _gcdex(p, [k * c for k, c in enumerate(p)][1:])[0])[0]
+    bound = max(sum(row) for row in A)
+    lam = None
+    for r in range(-bound, bound + 1):
+        if _peval(p, r) == 0:
+            p, lam = _pdivmod(p, [-r, 1])[0], Fraction(r)
+    if len(p) == 3 and p[1] * p[1] > 4 * p[0]:
+        s, d = square_free(int(p[1] * p[1] - 4 * p[0]))
+        top = sqrt_field(d)(-p[1] / 2, Fraction(s, 2))
+        lam = top if lam is None or top > lam else lam
+    elif len(p) > 3:
+        field = _largest_root(tuple(map(int, p)), max(lam or 0, 0))
+        lam = lam if field is None else field(0, 1)
+    At = [list(col) for col in zip(*A)]
+    return PerronData(lam, _positive_eigvec(A, lam), _positive_eigvec(At, lam))

@@ -22,9 +22,7 @@ from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
 from .errors import GluingUndefinedError, NumericError
 from .measures import cocycle_product
-from .scalars import as_float, is_exact, mat_vec
-
-STRETCH_TOL = 1e-9
+from .scalars import as_float, mat_vec
 
 
 @dataclass(frozen=True)
@@ -73,8 +71,7 @@ def roof_heights(diagram, renorm, k):
 def _scale(renorm, k):
     if k == 0:
         return 1
-    lam = renorm.lambda_mu if renorm.exact else renorm.lam_float
-    return lam ** (-k)
+    return renorm.lambda_mu ** (-k)
 
 
 class _UnionFind:
@@ -191,13 +188,10 @@ def wrapping(diagram, renorm, k):
     ld = diagram.level(k)
     words = tuple(tuple(ld.source(f) for f in ld.in_order[v])
                   for v in range(ld.num_ranges))
-    lam = renorm.lambda_mu if renorm.exact else renorm.lam_float
     wm = WrappingMap(level=k, words=words, fine_lengths=hi.lengths,
                      coarse_lengths=lo.lengths)
     for v in range(hi.num_edges):
-        lhs = as_float(wm.word_total(v))
-        rhs = as_float(lam * hi.lengths[v])
-        if abs(lhs - rhs) > STRETCH_TOL:
+        if wm.word_total(v) != renorm.lambda_mu * hi.lengths[v]:
             raise NumericError("stretch identity violated")
     return wm
 
@@ -376,17 +370,7 @@ def _lp_max_min(rows, box):
         if best is not None and z <= best:
             continue
         sol = (_cramer(adj[0], det, rhs), _cramer(adj[1], det, rhs), z)
-        ok = True
-        for con in cons:
-            viol = _combine(con[:3], sol) - con[3]
-            if is_exact(viol):
-                if viol > 0:
-                    ok = False
-                    break
-            elif viol > 1e-9:
-                ok = False
-                break
-        if ok:
+        if all(_combine(con[:3], sol) <= con[3] for con in cons):
             best = z
     return best
 

@@ -42,12 +42,12 @@ from fractions import Fraction
 from .cohomology import certificate, distributions
 from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
                        path_index, path_table)
-from .errors import HorizonExceededError, ObstructedError
+from .errors import HorizonExceededError, NumericError, ObstructedError
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
-                         integer_parts, lift, nu_mean)
+                         integer_parts, lift)
 from .measures import xi_vector
-from .scalars import as_float, is_exact
+from .scalars import as_float
 from .solenoid import build_complex, diameter
 
 
@@ -64,7 +64,7 @@ def _residual(diagram, h, g, hparts, gparts):
     """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
     level through cached index gathers, so the composition and the lifts
     move indices, not field elements.  The differences are taken on the
-    integer columns (`integer_parts`) of h and of g, a missing sqrt(d)
+    integer columns (`integer_parts`) of h and of g, a missing coefficient
     column being 0, over the denominator of both; a float g is the dyadic
     rational it stores, so they are exact too.  The residual is the int 0
     only when every difference is 0, and otherwise their largest absolute
@@ -85,8 +85,8 @@ def _residual(diagram, h, g, hparts, gparts):
 
 
 def _gauged(q, runs, d, gauge):
-    """(G, cols, d): the integer columns over G = lcm(q, denominator of the
-    gauge) of runs / q - gauge, for an exact gauge."""
+    """(G, cols, field): the integer columns over G = lcm(q, denominator of
+    the gauge) of runs / q - gauge."""
     gq, gcols, gd = integer_parts([gauge])
     big = math.lcm(q, gq)
     width = max(len(runs), len(gcols))
@@ -101,8 +101,8 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
 
     h is read once as integer columns over one denominator q
     (`integer_parts`); the certificate search, the partial sums of h along
-    each tower and the residual check run on integers.  The gauge is exact
-    xi times the integer tower totals of the partial sums, divided by q, and
+    each tower and the residual check run on integers.  The gauge is xi
+    times the integer tower totals of the partial sums, divided by q, and
     g is built once from its own integer columns.  Only when the
     certificate search finds none are the distributions computed, for the
     ObstructedError they carry.  The returned residual is computed, not
@@ -120,18 +120,11 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
         lifted = [col[i] for i in idx]
         runs.append([x for a, b in blocks
                      for x in accumulate(lifted[a:b - 1], initial=0)])
-    xi = xi_vector(diagram, level)
-    if all(is_exact(x) for x in xi):
-        totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
-        gauge = sum(x * t for x, t in zip(xi, field_values(q, totals, d)))
-        gparts = _gauged(q, runs, d, gauge)
-        g = CylinderFunction(level, field_values(*gparts))
-    else:
-        # an inexact Perron root: the float gauge of nu_mean
-        vals = field_values(q, runs, d)
-        gauge = nu_mean(diagram, CylinderFunction(level, vals))
-        g = CylinderFunction(level, [x - gauge for x in vals])
-        gparts = integer_parts(g.values)
+    totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
+    gauge = sum(x * t for x, t in zip(xi_vector(diagram, level),
+                                      field_values(q, totals, d)))
+    gparts = _gauged(q, runs, d, gauge)
+    g = CylinderFunction(level, field_values(*gparts))
     norms = None
     if alpha is not None:
         norms = solution_norms(
@@ -144,11 +137,18 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
                             level=level, norms=norms)
 
 
+def _overflow(alpha):
+    return NumericError("alpha %s overflows the float norms" % (alpha,))
+
+
 def solution_norms(diagram, renorm, h, g, alpha, epsilon):
     lam = renorm.lam_float
-    hn = holder_norm(diagram, h, as_float(alpha), lam)["norm"]
-    gn = holder_norm(diagram, g,
-                     as_float(alpha) - 2.0 - as_float(epsilon), lam)["norm"]
+    try:
+        hn = holder_norm(diagram, h, as_float(alpha), lam)["norm"]
+        gn = holder_norm(diagram, g, as_float(alpha) - 2.0 -
+                         as_float(epsilon), lam)["norm"]
+    except OverflowError:
+        raise _overflow(alpha) from None
     return {"h_norm": hn, "g_norm": gn,
             "k_ratio": 0.0 if hn == 0.0 else gn / hn}
 
@@ -169,8 +169,11 @@ def chained_constant(diagram, renorm, alpha, epsilon):
     e = eps / 3.0
     u = bump_from_roof(renorm)
     diam = as_float(diameter(build_complex(diagram, renorm, 0)))
-    c_bump = 2.0 * lam ** a * u.cr_norm(1) / ((lam - 1.0) *
-                                              (1.0 - lam ** (-e)))
+    try:
+        c_bump = 2.0 * lam ** a * u.cr_norm(1) / ((lam - 1.0) *
+                                                  (1.0 - lam ** (-e)))
+    except OverflowError:
+        raise _overflow(alpha) from None
     c_mean = diam
     c_return = 1.0 + diam / (1.0 - lam ** (2.0 + eps - a))
     return {"bump_factor": c_bump, "mean_variation_factor": c_mean,
@@ -304,7 +307,7 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
     checkpoint, not one step per iterate.  sup_abs is read off the extreme
     prefix sums, so it is exact.  Rational and float values are summed
     exactly as the integers of `integer_parts`; float input reports the
-    float nearest each exact sum.  Other values (Q(sqrt d), NaN) are
+    float nearest each exact sum.  Other values (field elements, NaN) are
     summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")

@@ -23,7 +23,7 @@ from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              phi_transient)
 from adic.measures import renorm_data
-from adic.scalars import QuadExt
+from adic.scalars import FieldElement, sqrt_field
 
 SLACK = 1e-9
 
@@ -350,14 +350,14 @@ def test_convolve_in_the_quadratic_field(fib):
     r = rng(510)
 
     def quad(r):
-        return QuadExt(_quarter(r), _quarter(r), 5)
+        return sqrt_field(5)(_quarter(r), _quarter(r))
     for _ in range(4):
         a = _oracle_element(r, fib, quad, range(-2, 1))
         b = _oracle_element(r, fib, _quarter, range(-2, 1))
         for x, y in ((a, b), (b, a), (a, a)):
             xy = convolve(x, y)
             _check_product(fib, x, y, xy)
-            assert all(isinstance(v, QuadExt) for f in xy.coeffs.values()
+            assert all(isinstance(v, FieldElement) for f in xy.coeffs.values()
                        for v in f.values)
 
 
@@ -377,13 +377,15 @@ def test_float_values_are_read_exactly(odo2, pisot31):
 
 
 def test_mixed_quadratic_fields_are_refused(fib):
-    root5 = element(fib, 2, 3, {0: constant_function(fib, QuadExt(0, 1, 5))})
-    root2 = element(fib, 2, 3, {1: constant_function(fib, QuadExt(0, 1, 2))})
-    with pytest.raises(PreconditionError, match="mixed quadratic fields"):
+    root5, root2 = sqrt_field(5)(0, 1), sqrt_field(2)(0, 1)
+    mixed = r"mixed fields Q\(sqrt 2\), Q\(sqrt 5\)$"
+    root5 = element(fib, 2, 3, {0: constant_function(fib, root5)})
+    root2 = element(fib, 2, 3, {1: constant_function(fib, root2)})
+    with pytest.raises(PreconditionError, match=mixed):
         convolve(root5, root2)
     both = element(fib, 2, 3, {0: from_vector(
-        fib, 0, [QuadExt(0, 1, 5), QuadExt(0, 1, 2)])})
-    with pytest.raises(PreconditionError, match="mixed quadratic fields"):
+        fib, 0, [root5.coeffs[0].values[0], root2.coeffs[1].values[0]])})
+    with pytest.raises(PreconditionError, match=mixed):
         convolve(both, unit(fib, 2, 3))
     nan = element(fib, 2, 3, {0: constant_function(fib, float("nan"))})
     with pytest.raises(PreconditionError, match="no exact field"):

@@ -305,9 +305,11 @@ def test_distributions_coboundary(capsys, work):
                    '  "exact_zero": [\n    true\n  ]\n}\n')
 
 
-def test_distributions_verdict_is_exact_on_an_inexact_roof(capsys, tmp_path):
-    # the roof of `_prefixed(pisot31)` is a float, so no numerator of a true
-    # coboundary is an exact zero; the joint verdict is exact all the same
+def test_distributions_are_exact_on_a_roof_with_a_zero_entry(capsys,
+                                                            tmp_path):
+    # the exact roof of `_prefixed(pisot31)` is (3/2, 0): every numerator of
+    # a true coboundary is an exact zero, and h + 1 pairs to 0 with the
+    # second distribution only
     d = _prefixed(builtin_diagram("pisot31"))
     g0 = from_vector(d, 2, [Fraction(i % 3, 2) for i in range(12)])
     moved = compose_phi(d, g0, 1)
@@ -319,13 +321,13 @@ def test_distributions_verdict_is_exact_on_an_inexact_roof(capsys, tmp_path):
         (tmp_path / name).write_text(json.dumps({"level": f.level,
                                                  "values": values}))
     verdicts = []
-    for name in ("h.json", "h1.json"):
+    for name, zeros in (("h.json", [True, True]), ("h1.json", [False, True])):
         rc, out, _ = run(capsys, ["distributions", "--diagram",
                                   str(tmp_path / "d.json"), "--function",
                                   str(tmp_path / name)])
         assert rc == 0
         data = json.loads(out)
-        assert data["exact_zero"] == [False, False]
+        assert data["exact_zero"] == zeros
         verdicts.append(data["coboundary"])
     assert verdicts == [True, False]
 
@@ -373,6 +375,32 @@ def test_solve_obstructed_exit_code(capsys, work):
     assert rc == 3
     assert out == ""
     assert err == "error: obstructed: D = [1.0]\n"
+
+
+@pytest.mark.parametrize("alpha", ["2000", "1e308"])
+def test_solve_alpha_that_overflows_is_a_numeric_error(capsys, work, alpha):
+    # lam ** alpha overflows the float norms; --alpha 400 still fits
+    argv = ["solve", "--diagram", "odo2", "--function", str(work / "h.json")]
+    rc, out, err = run(capsys, argv + ["--alpha", alpha])
+    assert (rc, out) == (4, "")
+    assert err == "error: alpha %s overflows the float norms\n" % float(alpha)
+    rc, out, err = run(capsys, argv + ["--alpha", "400"])
+    assert (rc, err) == (0, "")
+    assert json.loads(out)["chained_constant"]["bump_factor"] > 1e123
+
+
+def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
+    # the exact roof of `_prefixed(pisot31)` is (3/2, 0): no bump fits
+    d = _prefixed(builtin_diagram("pisot31"))
+    (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "1/2", "1": "-1/2"}}))
+    rc, out, err = run(capsys, ["decompose", "--diagram",
+                                str(tmp_path / "d.json"), "--function",
+                                str(tmp_path / "h.json")])
+    assert (rc, out) == (3, "")
+    assert err == ("error: the bump needs a positive roof, got a shortest "
+                   "level-0 edge of 0\n")
 
 
 @pytest.mark.parametrize("command, code", [

@@ -242,7 +242,7 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
                                        for m in (4, 5, 6)]
     for d in ds:
         rd = renorm_data(d)
-        assert rd.exact
+        assert rd.certificates["stationary_exact"]
         warm = limit_rank(d, rd)
         for level in range(4):
             h = rand_function(r, d, level)
@@ -279,40 +279,33 @@ def _dump_diagrams():
 def test_distributions_are_compatible_across_levels():
     # a trace on the dimension group is compatible across levels, so h and
     # every lift of h read the same d = rank K_0 distributions: numerator by
-    # numerator, to the repr, where the roof is exact, and to rounding where
-    # it is not.  The count holds also on the singular `_prefixed` draw,
-    # whose measure direction lies outside W at level 1, and on the float
-    # roof of `_prefixed(pisot31)` from level 8 on
+    # numerator, to the repr.  The count holds also on the singular
+    # `_prefixed` draw, whose measure direction lies outside W at level 1,
+    # and on the roof of `_prefixed(pisot31)`, which has a zero entry
     r = rng(308)
     for d in _dump_diagrams():
-        rd = renorm_data(d)
-        tower = limit_rank(d, rd)
+        tower = limit_rank(d, renorm_data(d))
         for m in range(4):
             h = rand_function(r, d, m)
             ref = distributions(h, tower)
-            scale = max(abs(dv.value) for dv in ref)
             for k in range(m, 9):
                 got = distributions(lift(d, h, k), tower)
                 assert len(got) == tower.d
-                if rd.exact:
-                    assert [repr(dv.numerator) for dv in got] == \
-                        [repr(dv.numerator) for dv in ref]
-                else:
-                    assert all(abs(a.value - b.value) <= 1e-9 * scale
-                               for a, b in zip(got, ref))
+                assert [repr(dv.numerator) for dv in got] == \
+                    [repr(dv.numerator) for dv in ref]
 
 
 def test_vertex_functionals_are_a_trace_on_the_dimension_group():
     # tau on K_0 = lim (Z^V, A) is compatible across levels: the vertex
-    # rows of level m + 1 times A are those of level m.  Exactly where the
-    # roof is exact; `_prefixed(pisot31)` has a float roof (its exact roof
-    # has a zero entry, which `renorm_data` rejects), so there to rounding
+    # rows of level m + 1 times A are those of level m, exactly, also on
+    # `_prefixed(pisot31)`, whose exact roof has a zero entry
     r = random.Random(7)
-    exact = [builtin_diagram(name)
-             for name in ("odo2", "odo3", "fib", "pisot31")]
-    exact += [_random_diagram(r, 2, 6), _random_diagram(r, 2, 6),
-              _prefixed(builtin_diagram("fib"))]
-    for d in exact + [_prefixed(builtin_diagram("pisot31"))]:
+    ds = [builtin_diagram(name)
+          for name in ("odo2", "odo3", "fib", "pisot31")]
+    ds += [_random_diagram(r, 2, 6), _random_diagram(r, 2, 6),
+           _prefixed(builtin_diagram("fib")),
+           _prefixed(builtin_diagram("pisot31"))]
+    for d in ds:
         tower = _tower(d)
         a = [list(row) for row in tower.map]
         base = tower_functionals(tower).base
@@ -320,11 +313,7 @@ def test_vertex_functionals_are_a_trace_on_the_dimension_group():
             up = mat_mul(vertex_functionals(tower, m + 1), a)
             here = vertex_functionals(tower, m)
             assert len(here) == tower.d
-            if d in exact:
-                assert up == here
-            else:
-                assert all(abs(x - y) <= 1e-12 for ru, rh in zip(up, here)
-                           for x, y in zip(ru, rh))
+            assert up == here
 
 
 def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,

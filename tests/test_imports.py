@@ -1,6 +1,6 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class or class member it defines is used somewhere, and
-every option it offers is set somewhere.
+every option it offers is set somewhere.  No module imports numpy.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
@@ -179,6 +179,30 @@ def test_scan_finds_an_unused_member():
 
 def test_package_has_no_unused_members():
     assert unused_members(_package_sources(), _user_sources()) == []
+
+
+def imports_numpy(source):
+    """Whether the source imports numpy or one of its submodules."""
+    return any(isinstance(n, ast.Import)
+               and any(a.name.split(".")[0] == "numpy" for a in n.names)
+               or isinstance(n, ast.ImportFrom)
+               and (n.module or "").split(".")[0] == "numpy"
+               for n in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_a_numpy_import():
+    source = (PACKAGE / "scalars.py").read_text()
+    assert not imports_numpy(source)
+    assert imports_numpy(source + "\nimport numpy as np\n")
+    assert imports_numpy("from numpy.linalg import eigvals\n")
+    assert imports_numpy("def f():\n    import numpy.linalg\n")
+
+
+def test_package_does_not_import_numpy():
+    # the package needs the standard library only; tests and the
+    # benchmark's oracles may use numpy
+    assert [p.name for p in sorted(PACKAGE.glob("*.py"))
+            if imports_numpy(p.read_text())] == []
 
 
 def defaulted_parameters(source):

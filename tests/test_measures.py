@@ -5,12 +5,12 @@ from fractions import Fraction
 
 from adic.diagrams import enumerate_paths, path_range
 from adic.measures import cocycle_product, renorm_data, xi_vector
-from adic.scalars import QuadExt, as_float
+from adic.scalars import FieldElement, as_float, sqrt_field
 
 
 def test_odo2_exact_doubling(odo2):
     rd = renorm_data(odo2)
-    assert rd.exact
+    assert rd.certificates["stationary_exact"]
     assert as_float(rd.lambda_mu) == 2.0
     assert [as_float(x) for x in rd.roof] == [1.0]
     assert as_float(xi_vector(odo2, 5)[0]) == 2.0 ** -5
@@ -18,7 +18,7 @@ def test_odo2_exact_doubling(odo2):
 
 def test_quadratic_field_meets_floats():
     # a float operand gives the float result, as it does for Fraction
-    phi = QuadExt(Fraction(1, 2), Fraction(1, 2), 5)
+    phi = sqrt_field(5)(Fraction(1, 2), Fraction(1, 2))
     golden = (1 + math.sqrt(5)) / 2
     for got, want in ((phi * 2.0, 2 * golden), (1.0 - phi, 1 - golden),
                       (phi / 4.0, golden / 4), (1.0 / phi, 1 / golden),
@@ -33,7 +33,8 @@ def test_fib_golden_ratio(fib):
     rd = renorm_data(fib)
     golden = (1 + math.sqrt(5)) / 2
     assert abs(rd.lam_float - golden) < 1e-9
-    assert rd.exact
+    phi = rd.lambda_mu
+    assert isinstance(phi, FieldElement) and phi * phi == phi + 1
 
 
 def test_pisot31_perron_root(pisot31):

@@ -1,0 +1,115 @@
+"""The Perron field: exact Perron data on censuses of random matrices, and
+the arithmetic of its elements across a split of the field polynomial."""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from adic.scalars import (FieldElement, NumberField, SqrtField, char_poly,
+                          mat_vec, perron_data, sqrt_field)
+
+
+def _primitive(n, draws, seed):
+    """The primitive n x n matrices among `draws` random ones with entries
+    0..2: some power up to Wielandt's (n - 1)^2 + 1 is positive."""
+    r = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        m = [[r.randint(0, 2) for _ in range(n)] for _ in range(n)]
+        power = m
+        for _ in range((n - 1) ** 2):
+            power = [[sum(a * b for a, b in zip(row, col))
+                      for col in zip(*m)] for row in power]
+        if all(x > 0 for row in power for x in row):
+            out.append(m)
+    return out
+
+
+def _check_exact(m):
+    """perron_data(m) holds a root of the characteristic polynomial and
+    exact positive eigenvectors on both sides; its float is the spectral
+    radius."""
+    pd = perron_data(m)
+    lam = pd.lam
+    assert isinstance(lam, (Fraction, FieldElement))
+    assert sum(c * lam ** k for k, c in enumerate(char_poly(m))) == 0
+    assert mat_vec(m, pd.right) == [lam * x for x in pd.right]
+    assert mat_vec([list(c) for c in zip(*m)], pd.left) == \
+        [lam * x for x in pd.left]
+    assert all(x > 0 for x in pd.right + pd.left)
+    rho = max(abs(z) for z in np.linalg.eigvals(np.array(m, dtype=float)))
+    assert math.isclose(float(lam), rho, rel_tol=1e-12)
+    return lam
+
+
+def test_perron_data_is_exact_on_the_3x3_census():
+    # the census of ROADMAP item 1: 300 draws, 161 primitive, of which 21
+    # have an integer Perron root, 39 a quadratic and 101 a cubic one
+    kinds = {}
+    for m in _primitive(3, 300, 0):
+        lam = _check_exact(m)
+        kind = "Q" if isinstance(lam, Fraction) else \
+            "sqrt" if isinstance(lam.field, SqrtField) else lam.field.n
+        kinds[kind] = kinds.get(kind, 0) + 1
+    assert kinds == {"Q": 21, "sqrt": 39, 3: 101}
+
+
+def test_perron_field_is_the_minimal_polynomial_on_a_4x4_census():
+    # sympy's factorization of the characteristic polynomial is the
+    # oracle: lambda is a root of its irreducible factor, and a field of
+    # degree 4 that is reducible splits down to that factor
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    degrees = set()
+    for m in _primitive(4, 60, 4):
+        lam = _check_exact(m)
+        cp = sympy.Matrix(m).charpoly(x).as_expr()
+        minimal = [f for f, _ in sympy.factor_list(cp)[1]
+                   if abs(f.subs(x, float(lam))) < 1e-6]
+        assert len(minimal) == 1
+        coeffs = [int(c) for c in
+                  reversed(sympy.Poly(minimal[0], x).all_coeffs())]
+        assert sum(c * lam ** k for k, c in enumerate(coeffs)) == 0
+        degrees.add(len(coeffs) - 1)
+        if isinstance(lam, FieldElement) and \
+                not isinstance(lam.field, SqrtField):
+            assert lam.field.poly == tuple(coeffs)
+    assert degrees == {1, 2, 3, 4}
+
+
+def test_equality_and_hash_agree_across_a_split():
+    # p = (x^2 - 3x - 3)(x^2 + x + 2) and theta = (3 + sqrt 21)/2 in (3, 4]
+    f = NumberField((-6, -9, -4, -2, 1), Fraction(3), Fraction(4))
+    t = f(0, 1)
+    other = t * t + t + 2            # 4 theta + 5 once the field splits
+    before = (hash(other), float(other))
+    zero = t * t - 3 * t - 3         # 0, with nonzero coefficients
+    third = zero + Fraction(1, 3)
+    assert f.n == 4
+    assert hash(third) == hash(Fraction(1, 3))  # this hash splits p
+    assert f.poly == (-3, -3, 1)
+    assert third == Fraction(1, 3) and Fraction(1, 3) == third
+    assert zero == 0 and not zero and hash(zero) == hash(0)
+    assert other == 4 * t + 5 and other != 4 * t + 6
+    assert (hash(other), float(other)) == before == \
+        (hash(4 * t + 5), float(4 * t + 5))
+    assert other * (1 / other) == 1 and other > 20 > -other
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+
+
+def test_quadratic_field_keeps_its_values():
+    # a + b sqrt(d): floats from the coefficients, and the hash of a
+    # Fraction when b = 0
+    phi = sqrt_field(5)(Fraction(1, 2), Fraction(1, 2))
+    assert repr(phi) == "Q(sqrt 5)[1/2, 1/2]"
+    assert float(phi) == 0.5 + 0.5 * math.sqrt(5)
+    assert phi ** 2 == phi + 1 and (phi ** -1).c == (Fraction(-1, 2),
+                                                     Fraction(1, 2))
+    assert hash(phi * 0 + 3) == hash(3) and phi * 0 + 3 == 3
+    assert sqrt_field(5) is phi.field
+    with pytest.raises(TypeError, match="mixed fields"):
+        phi + sqrt_field(2)(0, 1)

@@ -22,7 +22,7 @@ from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              integer_parts, lift, nu_mean)
 from adic.measures import renorm_data, xi_vector
-from adic.scalars import QuadExt
+from adic.scalars import sqrt_field
 from adic.solver import birkhoff, chained_constant, solution_norms, solve
 
 
@@ -107,7 +107,7 @@ def test_nonzero_residual_is_reported_exactly(odo2, fib, pisot31):
     # an integer check that skipped the sqrt(d) part would miss it
     r = rng(412)
     for d, bump in ((odo2, Fraction(3, 7)), (pisot31, Fraction(-5, 2)),
-                    (fib, QuadExt(0, Fraction(1, 3), 5))):
+                    (fib, sqrt_field(5)(0, Fraction(1, 3)))):
         tower = _tower(d)
         h = _coboundary(d, rand_function(r, d, 2))
         g = solve(h, tower).g
@@ -131,7 +131,7 @@ def test_singular_repeating_matrix_is_not_obstructed():
                        [[2, 1, 0], [5, 3, 4]])
     d = OrderedDiagram((level,), stationary=True)
     rd = renorm_data(d)
-    assert rd.exact is True
+    assert rd.certificates["stationary_exact"] is True
     paths = enumerate_paths(d, 0, 1)
     g0 = from_vector(d, 1, [Fraction(i % 3) for i in range(len(paths))])
     sol = solve(_coboundary(d, g0), _tower(d))
@@ -154,7 +154,8 @@ def _hard_diagrams():
     """Repeating matrices of rank one, with two classes of glued ends at
     every level ([[1,1],[1,1]] in both proper orders); the singular
     [[2,1],[2,1]]; a cubic Perron root; and first levels that do not
-    repeat, where the roof is inexact."""
+    repeat, where the roof has a zero entry, as (3/2, 0) on
+    `_prefixed(pisot31)`, or is a least-squares solution."""
     out = [_square([[1, 1], [1, 1]], [[0, 1], [2, 3]]),
            _square([[1, 1], [1, 1]], [[1, 0], [3, 2]]),
            OrderedDiagram((make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1),
@@ -168,9 +169,10 @@ def _hard_diagrams():
 
 
 def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
-    # a true coboundary is never reported obstructed, whether or not the
-    # roof is exact, and h + 1 always is; with an exact roof the solution is
-    # exact and every distribution numerator is an exact zero
+    # a true coboundary is never reported obstructed, and h + 1 always is;
+    # the Perron root, the roof and the gauge are exact on all of them, so
+    # the residual is the int 0 and every distribution numerator an exact
+    # zero
     r = rng(412)
     for d in _hard_diagrams():
         rd = renorm_data(d)
@@ -185,8 +187,6 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
                 is False
             with pytest.raises(ObstructedError):
                 solve(obstructed, tower)
-            if not rd.exact:
-                continue
             assert sol.residual == 0
             assert isinstance(sol.residual, (int, Fraction))
             diffs = set()
