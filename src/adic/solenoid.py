@@ -20,7 +20,7 @@ from itertools import combinations
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
-from .errors import GluingUndefinedError, NumericError
+from .errors import GluingUndefinedError, NumericError, PreconditionError
 from .measures import cocycle_product
 from .scalars import as_float, mat_vec
 
@@ -129,6 +129,9 @@ def tower_lengths(diagram, renorm, k):
 
 def build_complex(diagram, renorm, k):
     lengths = tower_lengths(diagram, renorm, k)
+    if any(x < 0 for x in lengths):
+        raise PreconditionError("the level-%d complex has an edge of "
+                                "negative length" % k)
     n = len(lengths)
     pairs = gluing_pairs(diagram, k)
     uf = _UnionFind(2 * n)  # boundary ids: 2v start, 2v+1 end
@@ -212,26 +215,66 @@ class SolenoidPoint:
         return tuple((v, as_float(t), as_float(cx.lengths[v] - t))
                      for (v, t), cx in zip(self.coords, self.complexes))
 
+    @cached_property
+    def reach(self):
+        """Per level, the float distance from the point to every vertex
+        class, min(t + D[start][c], tr + D[end][c]) over the two ends of its
+        edge, None where the class is unreachable."""
+        rows = []
+        for (v, t, tr), cx in zip(self.float_coords, self.complexes):
+            dist = cx.float_distances
+            rows.append(tuple(
+                _shorter(None if a is None else t + a,
+                         None if b is None else tr + b)
+                for a, b in zip(dist[cx.start_class[v]],
+                                dist[cx.end_class[v]])))
+        return tuple(rows)
 
-# Complexes per (diagram, level, Perron data), most recently used last.
+
+def _shorter(a, b):
+    """The smaller of two route lengths, None meaning no route."""
+    if a is None:
+        return b
+    if b is None or a <= b:
+        return a
+    return b
+
+
+def _lru_get(cache, size, key, build):
+    """cache[key], built on a miss; past size entries the least recently
+    used one is dropped."""
+    got = cache.get(key)
+    if got is None:
+        got = cache[key] = build()
+        if len(cache) > size:
+            cache.popitem(last=False)
+    else:
+        cache.move_to_end(key)
+    return got
+
+
+# Complexes per (diagram, Perron data, level), most recently used last.
 _COMPLEX_CACHE = OrderedDict()
 COMPLEX_CACHE_SIZE = 16
+# Conjugacy points per (diagram, Perron data, path, depth margin).
+_POINT_CACHE = OrderedDict()
+POINT_CACHE_SIZE = 1024
 # Complexes whose class distances and diameter are kept.
 METRIC_CACHE_SIZE = 64
 
 
+def _renorm_key(diagram, renorm):
+    """The diagram and Perron data part of the complex and point keys."""
+    return (diagram, renorm.lam_float,
+            tuple(as_float(x) for x in renorm.roof))
+
+
 def cached_complexes(diagram, renorm, n):
-    key = (diagram, n, renorm.lam_float, tuple(as_float(x)
-                                               for x in renorm.roof))
-    got = _COMPLEX_CACHE.get(key)
-    if got is None:
-        got = tuple(build_complex(diagram, renorm, k) for k in range(n + 1))
-        _COMPLEX_CACHE[key] = got
-        if len(_COMPLEX_CACHE) > COMPLEX_CACHE_SIZE:
-            _COMPLEX_CACHE.popitem(last=False)
-    else:
-        _COMPLEX_CACHE.move_to_end(key)
-    return got
+    return _lru_get(
+        _COMPLEX_CACHE, COMPLEX_CACHE_SIZE,
+        _renorm_key(diagram, renorm) + (n,),
+        lambda: tuple(build_complex(diagram, renorm, k)
+                      for k in range(n + 1)))
 
 
 def conjugacy_point(diagram, renorm, p):
@@ -406,44 +449,45 @@ def diameter(cx):
     return best
 
 
+def _level_distances(y, z):
+    """Float distance from y to z at each level: from y's reach row through
+    either end of z's edge, or along the edge when both points lie on it.
+    Float addition rounds monotonically, so each is the minimum over the
+    routes of point_distance, each route a sum of three rounded nonnegative
+    terms, within a few ulps of its exact value."""
+    if y.level != z.level:
+        raise ValueError("points truncated at different levels")
+    if y.complexes is None or z.complexes is None:
+        raise ValueError("points carry no complexes")
+    for cx, row, (u, t, _), (v, s, sr) in zip(y.complexes, y.reach,
+                                              y.float_coords, z.float_coords):
+        a, b = row[cx.start_class[v]], row[cx.end_class[v]]
+        best = _shorter(None if a is None else a + s,
+                        None if b is None else b + sr)
+        if u == v:
+            best = _shorter(abs(t - s), best)
+        if best is None:
+            raise NumericError("complex is disconnected")
+        yield cx, best
+
+
 def solenoid_metric(y, z, lam):
     """Weighted sum over coordinate levels of normalized graph distances."""
-    return metric_report(y, z, lam)["value"]
-
-
-def _float_distance(cx, p, q):
-    """point_distance over the same routes in floats, for float coordinates
-    (edge, offset, remaining length).  Each route through the vertex
-    classes sums three rounded nonnegative terms, so it is within a few ulps
-    of its exact value, and a near-tie moves the minimum by no more; the
-    same-edge route |t - s| is off by at most an ulp of the offsets."""
-    u, t, tr = p
-    v, s, sr = q
-    dist = cx.float_distances
-    routes = [abs(t - s)] if u == v else []
-    for du, tu in ((dist[cx.start_class[u]], t), (dist[cx.end_class[u]], tr)):
-        for end_v, sv in ((cx.start_class[v], s), (cx.end_class[v], sr)):
-            if du[end_v] is not None:
-                routes.append(tu + du[end_v] + sv)
-    if not routes:
-        raise NumericError("complex is disconnected")
-    return min(routes)
+    lamf = as_float(lam)
+    total = 0.0
+    for k, (cx, dk) in enumerate(_level_distances(y, z)):
+        total += lamf ** (-k) * dk / cx.float_diameter
+    return total
 
 
 def metric_report(y, z, lam):
     """Per-level graph distances and the weighted metric, in floats: the
     lengths and coordinates are exact, the distances are evaluated from
     their roundings (point_distance and diameter stay exact)."""
-    if y.level != z.level:
-        raise ValueError("points truncated at different levels")
-    if y.complexes is None or z.complexes is None:
-        raise ValueError("points carry no complexes")
     lamf = as_float(lam)
     total = 0.0
     per_level = []
-    for k, (cx, p, q) in enumerate(zip(y.complexes, y.float_coords,
-                                       z.float_coords)):
-        dk = _float_distance(cx, p, q)
+    for k, (cx, dk) in enumerate(_level_distances(y, z)):
         dm = cx.float_diameter
         term = lamf ** (-k) * dk / dm
         per_level.append({"level": k, "distance": dk, "diameter": dm,
@@ -473,20 +517,27 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     Conjugacy points are taken depth_margin levels below the paths (minimal
     continuation): finite truncation glues distinct tower bottoms together,
     and the extra levels separate them again.  The upper bound is
-    depth-independent, since the tail terms sum to at most d / (lam - 1)."""
+    depth-independent, since the tail terms sum to at most d / (lam - 1).
+
+    Each point is built once per process and kept in the bounded
+    _POINT_CACHE, with its float reach rows, so repeated calls on the same
+    paths pay only the float metric."""
     lamf = renorm.lam_float
     kbest = None
     worst_slack = 0.0
     checked = 0
+    base = _renorm_key(diagram, renorm)
+    # This call's points, so that pairs over more paths than the cache
+    # holds do not evict and rebuild a point on every pair.
     memo = {}
 
     def point(p):
         got = memo.get(p)
         if got is None:
-            deep = materialize(diagram, LazyPath(p, TAIL_MIN),
-                               p.level + depth_margin)
-            got = conjugacy_point(diagram, renorm, deep)
-            memo[p] = got
+            got = memo[p] = _lru_get(
+                _POINT_CACHE, POINT_CACHE_SIZE, base + (p, depth_margin),
+                lambda: conjugacy_point(diagram, renorm, materialize(
+                    diagram, LazyPath(p, TAIL_MIN), p.level + depth_margin)))
         return got
 
     for p, q in pairs:

@@ -9,11 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from test_cohomology import _dump_diagrams
 from test_step import _prefixed
 
 from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.martingale import compose_phi, constant_function, from_vector, lift
+from adic.measures import renorm_data
+from adic.solenoid import build_complex
 
 
 @pytest.fixture()
@@ -401,6 +404,20 @@ def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
     assert (rc, out) == (3, "")
     assert err == ("error: the bump needs a positive roof, got a shortest "
                    "level-0 edge of 0\n")
+
+
+def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
+    # the exact roofs of `_dump_diagrams()` 18, 19 and 20 have negative
+    # entries; only their level-0 complexes carry them, so the repeating
+    # levels still build
+    for d in _dump_diagrams()[18:21]:
+        (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
+        rc, out, err = run(capsys, ["complex", "--diagram",
+                                    str(tmp_path / "d.json"), "--level", "0"])
+        assert (rc, out) == (3, "")
+        assert err == ("error: the level-0 complex has an edge of negative "
+                       "length\n")
+        assert min(build_complex(d, renorm_data(d), 1).lengths) > 0
 
 
 @pytest.mark.parametrize("command, code", [

@@ -320,13 +320,28 @@ def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
                                                              tmp_path):
     # behind the extra first level of `_prefixed`, the level-0 complex has
     # a smaller first Betti number than those of the repeating levels, and
-    # the tower is the repeating matrix
+    # the tower is the repeating matrix.  Two of the three draws have a roof
+    # with negative entries: their level-0 complex is refused, so
+    # `cohomology` exits 3, and the repeating levels still build
     r = random.Random(7)
     draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
+    refused = 0
     for d in (_prefixed(d) for d in draws if d.num_vertices(0) == 3):
         tower = _tower(d)
-        assert _cli_dims(capsys, tmp_path, d) == [2] + [3] * 8
         assert len(tower.map) == 3 and tower.d == 3
+        rd = renorm_data(d)
+        if not min(rd.roof) < 0:
+            assert _cli_dims(capsys, tmp_path, d) == [2] + [3] * 8
+            continue
+        refused += 1
+        path = tmp_path / "diagram.json"
+        path.write_text(json.dumps(d.to_json_dict()))
+        assert main(["cohomology", "--diagram", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: the level-0 complex has an edge of negative length\n")
+        assert [_h1_dim(build_complex(d, rd, k))
+                for k in range(1, 9)] == [3] * 8
+    assert refused == 2
     r = rng(306)
     for name in ("fib", "odo2", "odo3"):
         d = _prefixed(builtin_diagram(name))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from adic import solenoid
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
@@ -165,3 +166,83 @@ def test_diameter_cache_ignores_level(fib):
     d5 = diameter(build_complex(fib, rd, 5))
     assert d0 == d5
     assert diameter.cache_info().misses == 1
+
+
+def _four_routes(cx, p, q):
+    """The float distance by the same-edge route and the four routes
+    through the end classes of both edges, each summed left to right: the
+    reference for the reach-row kernel."""
+    u, t, tr = p
+    v, s, sr = q
+    dist = cx.float_distances
+    routes = [abs(t - s)] if u == v else []
+    for du, tu in ((dist[cx.start_class[u]], t),
+                   (dist[cx.end_class[u]], tr)):
+        for end_v, sv in ((cx.start_class[v], s), (cx.end_class[v], sr)):
+            if du[end_v] is not None:
+                routes.append(tu + du[end_v] + sv)
+    return min(routes)
+
+
+def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
+    # float addition rounds monotonically, so the minimum over the two ends
+    # of y's edge, taken first, gives the same float as the four routes;
+    # every pair of points at levels 0-5, pisot31's 512 and 2048 paths of
+    # levels 4 and 5 thinned to 128 spread over the path order
+    for d in (odo2, fib, pisot31):
+        rd = renorm_data(d)
+        lamf = rd.lam_float
+        same_edge = 0
+        for level in range(6):
+            ps = enumerate_paths(d, 0, level)
+            ps = ps[::max(1, len(ps) // 128)]
+            pts = [conjugacy_point(d, rd, p) for p in ps]
+            for y, z in combinations_with_replacement(pts, 2):
+                want = [_four_routes(cx, p, q) for cx, p, q in
+                        zip(y.complexes, y.float_coords, z.float_coords)]
+                got = [dk for _, dk in solenoid._level_distances(y, z)]
+                assert got == want
+                total = 0.0
+                for k, (cx, dk) in enumerate(zip(y.complexes, want)):
+                    total += lamf ** (-k) * dk / cx.float_diameter
+                assert solenoid_metric(y, z, rd.lambda_mu) == total
+                same_edge += y is not z and y.coords[-1][0] == z.coords[-1][0]
+            rep = metric_report(pts[0], pts[-1], rd.lambda_mu)
+            assert rep["value"] == solenoid_metric(pts[0], pts[-1],
+                                                   rd.lambda_mu)
+            assert [row["distance"] for row in rep["per_level"]] == \
+                [dk for _, dk in solenoid._level_distances(pts[0], pts[-1])]
+        assert same_edge > 0
+
+
+def _clear_point_caches():
+    solenoid._POINT_CACHE.clear()
+    solenoid._COMPLEX_CACHE.clear()
+    solenoid.class_distances.cache_clear()
+    diameter.cache_clear()
+
+
+def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
+    # the point cache is keyed by diagram, Perron data, path and depth
+    # margin: a warm call repeats the cold report to the float, and calls
+    # with another margin or on another diagram, whose paths share edge
+    # indices, do not read each other's points
+    cases = []
+    for d in (odo2, fib):
+        rd = renorm_data(d)
+        ps = enumerate_paths(d, 0, 4)
+        pairs = list(combinations_with_replacement(ps, 2))
+        for margin in (4, 2):
+            cases.append((d, rd, pairs, margin))
+    cold = []
+    for d, rd, pairs, margin in cases:
+        _clear_point_caches()
+        cold.append(bilip_check(d, rd, pairs, 0.25, margin))
+    _clear_point_caches()
+    for _ in range(2):
+        warm = [bilip_check(d, rd, pairs, 0.25, margin)
+                for d, rd, pairs, margin in cases]
+        assert warm == cold
+    assert len(solenoid._POINT_CACHE) == sum(
+        2 * len(enumerate_paths(d, 0, 4)) for d in (odo2, fib))
+    assert cold[0] != cold[1] and cold[0] != cold[2]
