@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagrams import path_table
+from .errors import PreconditionError
 from .martingale import constant_function, field_values, integer_parts
 from .scalars import as_float, mat_mul, mat_pow, mat_vec, nullspace, rank, \
     solve_linear
@@ -184,6 +185,9 @@ def tower_functionals(tower):
     mu = mat_vec(proj, birkhoff_cochain(diagram, one, base))
     push = mat_pow(m, base - tower.k_prime)
     w = tower_lengths(diagram, tower.renorm, base)
+    if not all(x > 0 for x in w):
+        raise PreconditionError("the Gram weights need positive level-%d "
+                                "tower lengths" % base)
     basis = _gram_schmidt(
         _independent([mu] + [mat_vec(push, v) for v in tower.w_basis]), w)
     shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]

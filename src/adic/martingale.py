@@ -283,7 +283,7 @@ def bump_from_roof(renorm):
 class LevelComponent:
     level: int
     peak: float  # max |delta_k h| over level-k cylinders
-    bump: BumpProfile = None
+    bump: BumpProfile
 
     def cr_norm(self, r, lam):
         lamf = as_float(lam)

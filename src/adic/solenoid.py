@@ -14,9 +14,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
@@ -176,10 +174,7 @@ class WrappingMap:
     coarse_lengths: tuple
 
     def word_total(self, v):
-        total = 0
-        for w in self.words[v]:
-            total = total + self.coarse_lengths[w]
-        return total
+        return sum(self.coarse_lengths[w] for w in self.words[v])
 
 
 def wrapping(diagram, renorm, k):
@@ -206,7 +201,7 @@ def wrapping(diagram, renorm, k):
 class SolenoidPoint:
     level: int
     coords: tuple  # (edge, exact offset) per level 0..level
-    complexes: tuple = None
+    complexes: tuple
 
     @cached_property
     def float_coords(self):
@@ -350,75 +345,33 @@ def point_distance(cx, p, q):
                 routes.append(tu + du[end_v] + sv)
     if not routes:
         raise NumericError("complex is disconnected")
-    best = routes[0]
-    for r in routes[1:]:
-        if r < best:
-            best = r
-    return best
-
-
-def _combine(coefs, xs):
-    """Sum of c*x for small integer coefficients c, by additions where c is
-    0 or +-1."""
-    total = 0
-    for c, x in zip(coefs, xs):
-        if c == 1:
-            total = total + x
-        elif c == -1:
-            total = total - x
-        elif c:
-            total = total + c * x
-    return total
-
-
-def _adjugate3(mat):
-    """Adjugate and determinant of a 3x3 integer matrix."""
-    (a, b, c), (d, e, f), (g, h, i) = mat
-    adj = ((e * i - f * h, c * h - b * i, b * f - c * e),
-           (f * g - d * i, a * i - c * g, c * d - a * f),
-           (d * h - e * g, b * g - a * h, a * e - b * d))
-    return adj, a * adj[0][0] + b * adj[1][0] + c * adj[2][0]
-
-
-def _cramer(adj_row, det, rhs):
-    """One coordinate of the solution adj * rhs / det, exact."""
-    x = _combine(adj_row, rhs)
-    if det == 1:
-        return x
-    if det == -1:
-        return -x
-    return x / Fraction(det)
-
-
-def _lp_max_min(rows, box):
-    """Exact max of min of linear forms a*t + b*s + c over a polygon given
-    by extra constraints (also linear, >= 0).  Enumerates the vertices of
-    the lifted problem max z, z <= forms: the region is pointed and bounded
-    above in z, so its maximum sits at a vertex.  All coefficients are
-    integers, so each vertex is an integer adjugate applied to the exact
-    right-hand sides, and its t and s are only needed when its z improves
-    on the best feasible z so far."""
-    cons = []  # (at, as_, az, rhs) meaning at*t + as*s + az*z <= rhs
-    for a, b, c in rows:
-        cons.append((-a, -b, 1, c))
-    for a, b, c in box:  # a*t + b*s + c >= 0
-        cons.append((-a, -b, 0, c))
-    best = None
-    for tri in combinations(cons, 3):
-        adj, det = _adjugate3([con[:3] for con in tri])
-        if det == 0:
-            continue
-        rhs = [con[3] for con in tri]
-        z = _cramer(adj[2], det, rhs)
-        if best is not None and z <= best:
-            continue
-        sol = (_cramer(adj[0], det, rhs), _cramer(adj[1], det, rhs), z)
-        if all(_combine(con[:3], sol) <= con[3] for con in cons):
-            best = z
-    return best
+    return min(routes)
 
 
 def _pair_diameter(cx, u, v):
+    """The largest distance from a point of edge u to a point of edge v.
+
+    Let A, B, C and D be the class distances from the start of u to the
+    start and end of v and from the end of u to the start and end of v.
+    Each edge joins its end classes, so |A - B| and |C - D| are at most lv
+    and |A - C| and |B - D| at most lu.
+
+    Points at t <= s on one edge of length l are min(s - t, l + B - (s - t))
+    apart, every other route being longer; with B <= l the largest distance
+    is (l + B)/2.
+
+    For u != v the point at t on u is a(t) = min(t + A, lu - t + C) from
+    the start of v and b(t) = min(t + B, lu - t + D) from its end, and
+    |a - b| <= lv.  The point at s on v is min(a + s, b + lv - s) from it,
+    largest at s = (b + lv - a)/2, where it is f(t) = (a + b + lv)/2.
+    Expanding the minima in a and b splits f into lines of slope +1, 0 and
+    -1 in t: f(t) = min(t + up, flat, down - t) with up = (A + B + lv)/2,
+    flat = (min(A + D, B + C) + lu + lv)/2 and down = lu + (C + D + lv)/2.
+    The tent min(t + up, down - t) peaks at t* = (down - up)/2, which lies
+    in [0, lu], at (up + down)/2 >= flat.  So the largest f is flat.
+
+    The division takes an exact length in its numerator: a class distance
+    may be the int 0."""
     dist = class_distances(cx)
     lu, lv = cx.lengths[u], cx.lengths[v]
     A = dist[cx.start_class[u]][cx.start_class[v]]
@@ -427,26 +380,17 @@ def _pair_diameter(cx, u, v):
     D = dist[cx.end_class[u]][cx.end_class[v]]
     if None in (A, B, C, D):
         raise NumericError("complex is disconnected")
-    rows = [(1, 1, A), (1, -1, B + lv), (-1, 1, C + lu),
-            (-1, -1, D + lu + lv)]
-    box = [(1, 0, 0), (-1, 0, lu), (0, 1, 0), (0, -1, lv)]
-    if u != v:
-        return _lp_max_min(rows, box)
-    r1 = _lp_max_min(rows + [(1, -1, 0)], box + [(1, -1, 0)])
-    r2 = _lp_max_min(rows + [(-1, 1, 0)], box + [(-1, 1, 0)])
-    return r1 if r2 is None or (r1 is not None and r1 >= r2) else r2
+    if u == v:
+        return (lu + B) / 2
+    return (lu + lv + min(A + D, B + C)) / 2
 
 
 @lru_cache(maxsize=METRIC_CACHE_SIZE)
 def diameter(cx):
     """Exact diameter over all point pairs of the metric graph."""
-    best = None
-    for u in range(cx.num_edges):
-        for v in range(u, cx.num_edges):
-            cand = _pair_diameter(cx, u, v)
-            if cand is not None and (best is None or cand > best):
-                best = cand
-    return best
+    n = cx.num_edges
+    return max(_pair_diameter(cx, u, v)
+               for u in range(n) for v in range(u, n))
 
 
 def _level_distances(y, z):
@@ -457,8 +401,6 @@ def _level_distances(y, z):
     terms, within a few ulps of its exact value."""
     if y.level != z.level:
         raise ValueError("points truncated at different levels")
-    if y.complexes is None or z.complexes is None:
-        raise ValueError("points carry no complexes")
     for cx, row, (u, t, _), (v, s, sr) in zip(y.complexes, y.reach,
                                               y.float_coords, z.float_coords):
         a, b = row[cx.start_class[v]], row[cx.end_class[v]]

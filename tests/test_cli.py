@@ -420,6 +420,34 @@ def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
         assert min(build_complex(d, renorm_data(d), 1).lengths) > 0
 
 
+# two `_prefixed` 3-vertex diagrams whose roof gives a negative (the first)
+# or zero (the second) level-1 tower length, where the Gram weights are read
+_PREFIX_LEVEL = {"num_sources": 3, "num_ranges": 3,
+                 "edges": [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]],
+                 "in_order": [[0, 1, 2], [3], [4]]}
+
+
+@pytest.mark.parametrize("level", [
+    {"edges": [[0, 0], [1, 0], [2, 1], [0, 2], [2, 2], [2, 2]],
+     "in_order": [[0, 1], [2], [3, 5, 4]]},
+    {"edges": [[0, 0], [2, 0], [0, 1], [1, 1], [1, 1], [0, 2], [1, 2]],
+     "in_order": [[1, 0], [3, 4, 2], [6, 5]]},
+])
+def test_distributions_refuse_non_positive_gram_weights(capsys, tmp_path,
+                                                        level):
+    spec = {"stationary": True, "levels": [
+        _PREFIX_LEVEL, dict(level, num_sources=3, num_ranges=3)]}
+    (tmp_path / "d.json").write_text(json.dumps(spec))
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"level": 0, "values": {"0": "1"}}))
+    rc, out, err = run(capsys, ["distributions", "--diagram",
+                                str(tmp_path / "d.json"), "--function",
+                                str(tmp_path / "h.json")])
+    assert (rc, out) == (3, "")
+    assert err == ("error: the Gram weights need positive level-1 tower "
+                   "lengths\n")
+
+
 @pytest.mark.parametrize("command, code", [
     ("decompose", 0), ("distributions", 0),
     ("solve", 3),  # this h is no coboundary

@@ -1,10 +1,15 @@
 """Graph approximants, wrapping maps, and the finite-level conjugacy."""
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from test_step import _prefixed, _random_diagram
+
 from adic import solenoid
+from adic.catalog import builtin_diagram
+from adic.errors import PreconditionError
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
                            path_source)
 from adic.measures import renorm_data
@@ -146,6 +151,81 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
                                             rel_tol=1e-12)
                         assert math.isclose(row["diameter"], dm,
                                             rel_tol=1e-12)
+
+
+def _clamp(x, hi):
+    return min(max(x, 0), hi)
+
+
+def _farthest_points(cx, u, v):
+    """The offsets (t*, s*) on edges u <= v that the derivation of
+    `solenoid._pair_diameter` puts farthest apart, with end-to-end
+    distances read from `point_distance` and no triangle inequality
+    assumed: t* = 0 on one edge, else the peak of the tent
+    min(t + up, down - t) clamped to u; s* the point of v balancing the
+    routes through its two ends."""
+    lu, lv = cx.lengths[u], cx.lengths[v]
+    t = 0
+    if u != v:
+        A, B, C, D = (point_distance(cx, (u, t), (v, s))
+                      for t in (0, lu) for s in (0, lv))
+        up = min((A + B + lv) / 2, A + lv, B + lv)
+        down = lu + min((C + D + lv) / 2, C + lv, D + lv)
+        t = _clamp((down - up) / 2, lu)
+    a = point_distance(cx, (u, t), (v, 0))
+    b = point_distance(cx, (u, t), (v, lv))
+    return t, _clamp((b + lv - a) / 2, lv)
+
+
+def _oracle_complexes():
+    """The distinct complexes of levels 0-4 of the builtins and of 8
+    seeded random draws and their `_prefixed` forms, negative edge lengths
+    left out."""
+    ds = [builtin_diagram(name) for name in ("odo2", "odo3", "fib",
+                                             "pisot31")]
+    r = random.Random(1919)
+    for i in range(8):
+        d = _random_diagram(r, 2 + i % 2, 6)
+        ds += [d, _prefixed(d)]
+    out = []
+    for d in ds:
+        rd = renorm_data(d)
+        own = []  # lengths in another field do not compare
+        for k in range(5):
+            try:
+                cx = build_complex(d, rd, k)
+            except PreconditionError:
+                continue
+            if cx not in own:
+                own.append(cx)
+        out += own
+    return out
+
+
+def test_diameter_against_point_distances():
+    # no two points at 0, l/4, l/2, 3l/4 and l of any edges (u <= v, the
+    # metric is symmetric) are farther apart than the diameter, and the pair of points the closed form
+    # picks on each pair of edges is exactly its value apart
+    quarters = [Fraction(i, 4) for i in range(5)]
+    cxs = _oracle_complexes()
+    assert len(cxs) > 30
+    for cx in cxs:
+        diam = diameter(cx)
+        n = cx.num_edges
+        best = None
+        for u in range(n):
+            for v in range(u, n):
+                for f in quarters:
+                    for g in quarters:
+                        assert point_distance(
+                            cx, (u, f * cx.lengths[u]),
+                            (v, g * cx.lengths[v])) <= diam
+                t, s = _farthest_points(cx, u, v)
+                got = point_distance(cx, (u, t), (v, s))
+                assert got == solenoid._pair_diameter(cx, u, v)
+                if best is None or got > best:
+                    best = got
+        assert best == diam
 
 
 def test_complex_cache_is_bounded(odo2):
