@@ -9,9 +9,9 @@ from test_step import _prefixed, _random_diagram
 
 from adic import solenoid
 from adic.catalog import builtin_diagram
-from adic.errors import PreconditionError
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
                            path_source)
+from adic.errors import PreconditionError
 from adic.measures import renorm_data
 from adic.scalars import as_float
 from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
@@ -162,13 +162,13 @@ def _farthest_points(cx, u, v):
     `solenoid._pair_diameter` puts farthest apart, with end-to-end
     distances read from `point_distance` and no triangle inequality
     assumed: t* = 0 on one edge, else the peak of the tent
-    min(t + up, down - t) clamped to u; s* the point of v balancing the
-    routes through its two ends."""
+    min(t + up, down - t) clamped to [0, lu]; s* the point of v balancing
+    the routes through its two ends."""
     lu, lv = cx.lengths[u], cx.lengths[v]
     t = 0
     if u != v:
-        A, B, C, D = (point_distance(cx, (u, t), (v, s))
-                      for t in (0, lu) for s in (0, lv))
+        A, B, C, D = (point_distance(cx, (u, x), (v, y))
+                      for x in (0, lu) for y in (0, lv))
         up = min((A + B + lv) / 2, A + lv, B + lv)
         down = lu + min((C + D + lv) / 2, C + lv, D + lv)
         t = _clamp((down - up) / 2, lu)
@@ -179,8 +179,8 @@ def _farthest_points(cx, u, v):
 
 def _oracle_complexes():
     """The distinct complexes of levels 0-4 of the builtins and of 8
-    seeded random draws and their `_prefixed` forms, negative edge lengths
-    left out."""
+    seeded random draws and their `_prefixed` forms, leaving out those
+    refused for an edge of negative length."""
     ds = [builtin_diagram(name) for name in ("odo2", "odo3", "fib",
                                              "pisot31")]
     r = random.Random(1919)
@@ -204,8 +204,9 @@ def _oracle_complexes():
 
 def test_diameter_against_point_distances():
     # no two points at 0, l/4, l/2, 3l/4 and l of any edges (u <= v, the
-    # metric is symmetric) are farther apart than the diameter, and the pair of points the closed form
-    # picks on each pair of edges is exactly its value apart
+    # metric is symmetric) are farther apart than the diameter, and the
+    # farthest points of the derivation on each pair of edges are exactly
+    # the closed form's value apart
     quarters = [Fraction(i, 4) for i in range(5)]
     cxs = _oracle_complexes()
     assert len(cxs) > 30
