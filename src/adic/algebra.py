@@ -45,7 +45,6 @@ from .martingale import (CylinderFunction, compose_level, constant_function,
                          field_values, gather, holder_norm, integer_parts,
                          lift)
 from .measures import renorm_data
-from .scalars import as_float
 
 LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
@@ -294,7 +293,7 @@ def triangle_phi(diagram, L, lam=None):
     representative set refines; exactly 1 at every L for isometries.
     Representatives whose image is undefined (an extreme path of a not
     properly ordered diagram) are skipped: the bound stays a lower bound."""
-    lamf = renorm_data(diagram).lam_float if lam is None else as_float(lam)
+    lamf = renorm_data(diagram).lam_float if lam is None else float(lam)
     paths = enumerate_paths(diagram, 0, L)
     reps = [LazyPath(p, TAIL_MIN) for p in paths]
     depth = L + 8
@@ -314,15 +313,15 @@ def triangle_phi(diagram, L, lam=None):
 
 
 def _default_triangle(diagram, lam):
-    return triangle_phi(diagram, 3, as_float(lam)).value
+    return triangle_phi(diagram, 3, float(lam)).value
 
 
 # ---------------------------------------------------------------------------
 # norms and seminorms
 
 def _coeff_norm(a, k):
-    return holder_norm(a.diagram, a.coeff(k), as_float(a.alpha),
-                       as_float(a.lam))["norm"]
+    return holder_norm(a.diagram, a.coeff(k), float(a.alpha),
+                       float(a.lam))["norm"]
 
 
 def norms(a, s, q, triangle=None):
@@ -333,9 +332,9 @@ def norms(a, s, q, triangle=None):
     tail supremum runs over N = -1 .. max support index (P_{-1} = 0), so
     concentrated supports still see one nonzero tail term."""
     tri = _default_triangle(a.diagram, a.lam) if triangle is None \
-        else as_float(triangle)
+        else float(triangle)
     expo = tri > 1.0
-    sf, qf, af = as_float(s), as_float(q), as_float(a.alpha)
+    sf, qf, af = float(s), float(q), float(a.alpha)
     by_k = {k: _coeff_norm(a, k) for k in a.coeffs}
     l1 = sum(by_k.values())
     s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
@@ -356,7 +355,7 @@ def lemma_constant(triangle, alpha, q):
     """The comparison constant dominating the graded norm by the tail
     seminorm at doubled weight; only meaningful in the exponential
     regime."""
-    tri, af, qf = as_float(triangle), as_float(alpha), as_float(q)
+    tri, af, qf = float(triangle), float(alpha), float(q)
     if tri <= 1.0:
         raise PreconditionError("comparison constant needs distortion > 1")
     x = af + qf

@@ -32,7 +32,6 @@ from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
 from .errors import AdicError, ParseError
 from .martingale import constant_function, decompose, from_vector
 from .measures import renorm_data, xi_vector
-from .scalars import as_float
 from .solenoid import build_complex, diameter, euler_characteristic, \
     first_betti_number
 from .solver import birkhoff, chained_constant, solve
@@ -76,7 +75,7 @@ def _render(obj, out, indent):
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
     else:
-        out.write("%.17g" % as_float(obj))
+        out.write("%.17g" % float(obj))
 
 
 def dumps_canonical(obj):
@@ -107,7 +106,7 @@ def _csv_cell(x):
 def _scalar_out(x):
     if isinstance(x, (bool, int, float, Fraction)) or x is None:
         return x
-    return as_float(x)
+    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -153,10 +152,13 @@ def function_from_dict(diagram, data):
     """{"level": m, "values": {"path-index": value}}, indices in the
     lexicographic order of enumerate_paths."""
     try:
-        level = int(data["level"])
+        level = data["level"]
         raw = dict(data.get("values", {}))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed function: %s" % exc) from None
+    if type(level) is not int or level < 0:
+        raise ParseError("function level must be an integer >= 0, got %r"
+                         % (level,))
     n = path_table(diagram, level).offsets[-1]
     vec = [Fraction(0)] * n
     for key, v in raw.items():
@@ -299,7 +301,7 @@ def cmd_orbit(args):
 
 def _renorm_out(d, rd, xi_levels):
     return {
-        "lambda_mu": as_float(rd.lambda_mu),
+        "lambda_mu": float(rd.lambda_mu),
         "exponent": rd.exponent,
         "exact": True,
         "roof": [_scalar_out(x) for x in rd.roof],
@@ -327,22 +329,22 @@ def cmd_complex(args):
         for e in range(cx.num_edges):
             lines.append("  c%d -> c%d [label=\"e%d len=%.6g\"];"
                          % (cx.start_class[e], cx.end_class[e], e,
-                            as_float(cx.lengths[e])))
+                            float(cx.lengths[e])))
         lines.append("}")
         sys.stdout.write("\n".join(lines) + "\n")
     else:
         _emit_json({
             "level": cx.level,
             "num_edges": cx.num_edges,
-            "lengths": [as_float(x) for x in cx.lengths],
+            "lengths": [float(x) for x in cx.lengths],
             "start_class": list(cx.start_class),
             "end_class": list(cx.end_class),
             "classes": [[[s, e] for s, e in members]
                         for members in cx.classes],
             "glued_pairs": [list(p) for p in cx.glued_pairs],
             "euler_characteristic": euler_characteristic(cx),
-            "total_length": as_float(cx.total_length()),
-            "diameter": as_float(diameter(cx)),
+            "total_length": float(cx.total_length()),
+            "diameter": float(diameter(cx)),
         })
     return 0
 
@@ -398,7 +400,7 @@ def cmd_solve(args):
     # read as a rational of denominator at most 10**6, which must stay > 0
     eps = _positive("eps", Fraction(args.eps).limit_denominator(10 ** 6))
     if args.alpha is not None and \
-            not _positive("alpha", args.alpha) - 2 - as_float(eps) > 0:
+            not _positive("alpha", args.alpha) - 2 - float(eps) > 0:
         raise ParseError("alpha must be > 2 + eps, got alpha %s and eps %s"
                          % (args.alpha, args.eps))
     d = resolve_diagram(args.diagram)
@@ -485,7 +487,7 @@ def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
         alg.involution(alg.involution(a)), a))
     s = rng.choice((0, 1, 2))
     q = rng.choice((1, 2))
-    af = as_float(alpha)
+    af = float(alpha)
     na_shift = alg.norms(a, s + af, q, triangle=tri)["s_alpha"]
     nb = alg.norms(b, s, q, triangle=tri)
     nab = alg.norms(ab, s, q, triangle=tri)
@@ -526,7 +528,7 @@ def cmd_algebra_check(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
     lam = rd.lambda_mu
-    tri = alg.triangle_phi(d, 3, as_float(lam)).value
+    tri = alg.triangle_phi(d, 3, float(lam)).value
     rng = random.Random(args.seed)
     tower = limit_rank(d, rd)
     failures, counts = [], {}

@@ -35,8 +35,7 @@ from fractions import Fraction
 from .diagrams import path_table
 from .errors import PreconditionError
 from .martingale import constant_function, field_values, integer_parts
-from .scalars import as_float, mat_mul, mat_pow, mat_vec, nullspace, rank, \
-    solve_linear
+from .scalars import mat_mul, mat_pow, mat_vec, nullspace, rank, solve_linear
 from .solenoid import tower_lengths
 
 
@@ -232,7 +231,7 @@ def distributions(h, tower):
     nums = mat_vec(vertex_functionals(tower, k_eval),
                    birkhoff_cochain(tower.diagram, h, k_eval))
     return [DistributionValue(index=i + 1, numerator=num,
-                              value=as_float(num) / math.sqrt(as_float(den)),
+                              value=float(num) / math.sqrt(float(den)),
                               exact_zero=num == 0)
             for i, (num, den) in enumerate(zip(nums, fn.norms))]
 

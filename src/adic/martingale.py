@@ -31,7 +31,7 @@ from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
                      PreconditionError)
 from .measures import xi_vector
-from .scalars import FieldElement, SqrtField, as_float
+from .scalars import FieldElement
 
 GATHER_CACHE_SIZE = 256
 
@@ -67,7 +67,7 @@ class CylinderFunction:
         return CylinderFunction(self.level, [-v for v in self.values])
 
     def sup_norm(self):
-        return max((abs(as_float(v)) for v in self.values), default=0.0)
+        return max((abs(float(v)) for v in self.values), default=0.0)
 
     def is_zero(self):
         return all(v == 0 for v in self.values)
@@ -126,16 +126,13 @@ def field_values(q, cols, field):
 
 
 def float_values(q, cols, field):
-    """The floats of the values of (q, cols, field), read off the integer
-    columns: integer true division rounds correctly, so a / q is
-    float(Fraction(a, q)), and a / q + b / q * sqrt(d) is the float of
-    a/q + b/q sqrt(d)."""
+    """The correctly rounded floats of the values of (q, cols, field),
+    read off the integer columns: integer true division rounds correctly,
+    so a / q is float(Fraction(a, q)), and `NumberField.floats` rounds
+    field values the same way."""
     if field is None:
         return [a / q for a in cols[0]]
-    if not isinstance(field, SqrtField):
-        return list(map(float, field_values(q, cols, field)))
-    r = math.sqrt(field.d)
-    return [a / q + b / q * r for a, b in zip(*cols)]
+    return field.floats(q, cols)
 
 
 def from_vector(diagram, level, vec):
@@ -215,7 +212,7 @@ def holder_norm(diagram, h, alpha, lam):
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
-    lamf = as_float(lam)
+    lamf = float(lam)
     semi = 0.0
     lo = hi = list(map(float, h.values))
     sup = max(map(abs, lo), default=0.0)
@@ -251,8 +248,8 @@ class BumpProfile:
 
     def deriv_sup(self, j):
         """Closed-form sup |u^{(j)}| for j <= 3."""
-        c = as_float(self.height)
-        s = 5.0 / as_float(self.tau)
+        c = float(self.height)
+        s = 5.0 / float(self.tau)
         if j == 0:
             return c
         if j == 1:
@@ -286,7 +283,7 @@ class LevelComponent:
     bump: BumpProfile
 
     def cr_norm(self, r, lam):
-        lamf = as_float(lam)
+        lamf = float(lam)
         return sum(lamf ** (j * self.level) * self.bump.deriv_sup(j)
                    for j in range(r + 1)) * self.peak
 
@@ -297,7 +294,7 @@ def decompose(diagram, h, renorm):
     comps = []
     for k in range(h.level + 1):
         d = delta(diagram, h, k)
-        peak = max((abs(as_float(v)) for v in d.values), default=0.0)
+        peak = max((abs(float(v)) for v in d.values), default=0.0)
         comps.append(LevelComponent(level=k, peak=peak, bump=bump))
     return comps
 

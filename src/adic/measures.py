@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NotStationaryError
 from .scalars import mat_mul, mat_vec, perron_data, solve_linear
@@ -38,33 +38,31 @@ MEASURE_CACHE_SIZE = 512
 
 @lru_cache(maxsize=MEASURE_CACHE_SIZE)
 def _stationary_measure(diagram):
-    """(lam, xi list for levels 0..L, pd) with L = len(levels), exact
+    """(1/lam, xi list for levels 0..L, pd) with L = len(levels), exact
     scalars.  xi beyond L continues as lam**-1 steps."""
     if not diagram.stationary:
         raise NotStationaryError()
     A = diagram.matrix(len(diagram.levels) + 1)  # repeating matrix
     pd = perron_data(A)
     L = len(diagram.levels)
-    lam = pd.lam
     xis = [None] * (L + 1)
     xis[L] = list(pd.left)
     for k in range(L, 0, -1):
         At = list(zip(*diagram.matrix(k)))  # transpose rows
         xis[k - 1] = mat_vec([list(r) for r in At], xis[k])
-    total = sum(xis[0])
-    one = Fraction(1)
-    xis = [[(one * x) / total for x in v] for v in xis]
-    return lam, xis, pd
+    scale = Fraction(1) / sum(xis[0])
+    xis = [[x * scale for x in v] for v in xis]
+    return 1 / pd.lam, xis, pd
 
 
 def xi_vector(diagram, k):
     """Exact cylinder-measure weights over V_k: every level-k cylinder with
     range v has measure xi_k(v)."""
-    lam, xis, _ = _stationary_measure(diagram)
+    shrink, xis, _ = _stationary_measure(diagram)
     L = len(diagram.levels)
     if k <= L:
         return list(xis[k])
-    scale = lam ** (-(k - L))
+    scale = shrink ** (k - L)
     return [x * scale for x in xis[L]]
 
 
@@ -72,12 +70,23 @@ def xi_vector(diagram, k):
 class RenormData:
     lambda_mu: object  # exact scalar
     roof: list
-    exponent: float
     certificates: dict
 
-    @property
+    @cached_property
     def lam_float(self):
         return float(self.lambda_mu)
+
+    @cached_property
+    def lam_inverse(self):
+        return 1 / self.lambda_mu
+
+    @cached_property
+    def roof_floats(self):
+        return tuple(map(float, self.roof))
+
+    @cached_property
+    def exponent(self):
+        return math.log(self.lam_float)
 
 
 def _least_squares(P, u):
@@ -92,7 +101,7 @@ def _least_squares(P, u):
 def renorm_data(diagram):
     """Perron multiplier lambda_mu, roof vector l (normalized against the
     level-0 cylinder measures), and the growth exponent."""
-    lam, xis, pd = _stationary_measure(diagram)
+    shrink, xis, pd = _stationary_measure(diagram)
     L = len(diagram.levels)
     # boundedness of lam**-k (A_(0..k) l) pins the direction of A_(0..L) l
     # to the right eigenvector of the repeating matrix
@@ -102,14 +111,14 @@ def renorm_data(diagram):
     if sol is not None and not all(x > 0 for x in sol):
         # a singular P leaves a family of solutions; right * lam^-L is a
         # positive member whenever it solves the system
-        sol = [x * lam ** (-L) for x in right]
+        scale = shrink ** L
+        sol = [x * scale for x in right]
         if mat_vec(P, sol) != right:
             sol = None
     if sol is None:
         sol = _least_squares(P, right)
     residual = [a - b for a, b in zip(mat_vec(P, sol), right)]
-    scale = sum(si * x0 for si, x0 in zip(sol, xis[0]))
+    scale = Fraction(1) / sum(si * x0 for si, x0 in zip(sol, xis[0]))
     cert = {"stationary_exact": all(r == 0 for r in residual),
             "roof_residual": math.sqrt(float(sum(r * r for r in residual)))}
-    return RenormData(lam, [si / scale for si in sol], math.log(float(lam)),
-                      cert)
+    return RenormData(pd.lam, [si * scale for si in sol], cert)

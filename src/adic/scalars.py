@@ -5,8 +5,9 @@ without rational roots, embedded by one real root theta that a rational
 interval isolates; a FieldElement holds the Fraction coefficients of
 1, theta, ..., theta^(n-1).  Signs refine the interval until the element's
 range over it excludes 0, and a float is the value both ends of that range
-round to.  In Q(sqrt d), d square-free, theta = sqrt d, and a float is
-a + b * sqrt(d) in floats.  p of degree 3 or less is irreducible; a larger
+round to; both are read off integer bounds, so the float is correctly
+rounded.  Q(sqrt d), d square-free, is the field of x^2 - d with
+theta = sqrt d.  p of degree 3 or less is irreducible; a larger
 p may not be, and a zero test or an inverse that meets a factor of p splits
 it, keeping the factor with theta as a root: dynamic evaluation, "D5"
 (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
@@ -23,8 +24,6 @@ import operator
 import weakref
 from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
-from itertools import zip_longest
 
 from .errors import PreconditionError
 
@@ -47,7 +46,10 @@ def _trim(p):
 
 
 def _peval(p, x):
-    return reduce(lambda total, c: total * x + c, reversed(p), 0)
+    """p(x) times a positive power of the denominator of x, so of the
+    sign of p(x): in integers when p has integer coefficients."""
+    m, d, n = x.numerator, x.denominator, len(p) - 1
+    return sum(c * m ** k * d ** (n - k) for k, c in enumerate(p))
 
 
 def _pdivmod(a, b):
@@ -62,22 +64,19 @@ def _pdivmod(a, b):
 
 
 def _pmul(a, b):
-    prod = [_ZERO] * (len(a) + len(b) - 1)
+    prod = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             prod[i + j] += x * y
     return prod
 
 
-def _gcdex(a, p):
-    """(g, s): g the monic gcd of a and p, and s with s * a = g mod p."""
-    r0, r1, s0, s1 = list(p), _trim(list(a)), [], [Fraction(1)]
+def _gcd(a, p):
+    """The monic gcd of a and p over Q."""
+    r0, r1 = list(p), _trim(list(a))
     while r1:
-        quot, rem = _pdivmod(r0, r1)
-        s0, s1 = s1, _trim([x - y for x, y in zip_longest(
-            s0, _pmul(quot, s1), fillvalue=0)])
-        r0, r1 = r1, rem
-    return [x / r0[-1] for x in r0], [x / r0[-1] for x in s0]
+        r0, r1 = r1, _pdivmod(r0, r1)[1]
+    return [x / r0[-1] for x in r0]
 
 
 def _roots_in(p, lo, hi):
@@ -105,7 +104,7 @@ class NumberField:
     lo >= 0.  powers[k] holds the integer coefficients of theta^k for
     k < 2n - 1."""
 
-    __slots__ = ("poly", "n", "lo", "hi", "powers", "__weakref__")
+    __slots__ = ("poly", "n", "lo", "hi", "powers", "_ends", "__weakref__")
 
     def __init__(self, poly, lo, hi):
         self.lo, self.hi = lo, hi
@@ -115,12 +114,15 @@ class NumberField:
         self.poly, self.n = tuple(map(int, poly)), len(poly) - 1
         self.powers = tuple(tuple(map(int, self.reduce((0,) * k + (1,))))
                             for k in range(2 * self.n - 1))
+        self._ends = None
 
     def __call__(self, *coeffs):
         """The element sum of coeffs[k] * theta^k."""
         return FieldElement(self.reduce(tuple(map(Fraction, coeffs))), self)
 
     def __repr__(self):
+        if self.n == 2 and not self.poly[1]:
+            return "Q(sqrt %d)" % -self.poly[0]
         terms = ["%s%s" % ({1: "", -1: "-"}.get(c, c) if k else c,
                            "" if not k else "x" if k == 1 else "x^%d" % k)
                  for k, c in enumerate(self.poly) if c]
@@ -139,7 +141,9 @@ class NumberField:
         return c if len(c) == self.n else self.reduce(c)
 
     def mul(self, a, b):
-        return self.reduce(_pmul(a, b))
+        """a * b on integer numerators, one Fraction per coefficient."""
+        (a, qa), (b, qb) = map(_numerators, (self.norm(a), self.norm(b)))
+        return tuple(Fraction(x, qa * qb) for x in self.reduce(_pmul(a, b)))
 
     def _split(self, g):
         """Replace poly by its factor g or poly / g, the one with theta."""
@@ -149,40 +153,64 @@ class NumberField:
     def is_zero(self, c):
         # poly of degree <= 3 has no rational root, so it is irreducible
         if any(self.norm(c)) and self.n > 3:
-            g = _gcdex(self.norm(c), self.poly)[0]
+            g = _gcd(self.norm(c), self.poly)
             if len(g) > 1:
                 self._split(g)
         return not any(self.norm(c))
 
     def inverse(self, c):
-        while any(self.norm(c)):
-            g, s = _gcdex(self.norm(c), self.poly)
-            if len(g) == 1:
-                return self.reduce(s)
-            self._split(g)
-        raise ZeroDivisionError("division by zero in %r" % (self,))
+        """1/c by Cayley-Hamilton on the integer numerators a = q c: with
+        chi the characteristic polynomial of multiplication by a,
+        1/a = -(chi(a) - chi(0)) / (a chi(0)).  chi(0) = 0 makes c 0 or a
+        zero divisor, whose gcd with poly is split off."""
+        a, q = _numerators(self.norm(c))
+        chi = char_poly([self.reduce((0,) * j + tuple(a))
+                         for j in range(self.n)])
+        if chi[0]:
+            r = (1,)
+            for x in reversed(chi[1:-1]):
+                r = self.reduce(_pmul(r, a))
+                r = (r[0] + x,) + r[1:]
+            return tuple(Fraction(-q * x, chi[0]) for x in r)
+        if not any(a):
+            raise ZeroDivisionError("division by zero in %r" % (self,))
+        self._split(_gcd(self.norm(c), self.poly))
+        return self.inverse(c)
 
-    def _bounds(self, c):
-        """Lower and upper bound of sum c_k t^k over lo <= t <= hi."""
+    def _bounds(self, a):
+        """Integers low, high, den with low/den <= sum a_k t^k <= high/den
+        over lo <= t <= hi, for integers a_k: with lo = l/D and hi = h/D,
+        the terms over den = D^(n-1) come from a table of l^k D^(n-1-k) and
+        h^k D^(n-1-k), kept until the interval or the field changes."""
+        if self._ends is None:
+            n, ((l, h), D) = self.n, _numerators((self.lo, self.hi))
+            self._ends = [[e ** k * D ** (n - 1 - k) for k in range(n)]
+                          for e in (l, h)] + [D ** (n - 1)]
+        los, his, den = self._ends
         low = high = 0
-        for k, x in enumerate(self.norm(c)):
-            a, b = (self.lo ** k, self.hi ** k)[::1 if x > 0 else -1]
-            low, high = low + x * a, high + x * b
-        return low, high
+        for x, s, t in zip(a, los, his):
+            if x > 0:
+                low, high = low + x * s, high + x * t
+            elif x:
+                low, high = low + x * t, high + x * s
+        return low, high, den
 
     def _refine(self):
         """Halve the interval that isolates theta."""
-        mid = (self.lo + self.hi) / 2
+        (l, h), D = _numerators((self.lo, self.hi))
+        mid = Fraction(l + h, 2 * D)
         if (_peval(self.poly, mid) > 0) == (_peval(self.poly, self.hi) > 0):
             self.hi = mid
         else:
             self.lo = mid
+        self._ends = None
 
     def sign(self, c):
         if self.is_zero(c):
             return 0
+        a = _numerators(self.norm(c))[0]
         while True:
-            low, high = self._bounds(c)
+            low, high, _ = self._bounds(a)
             if low > 0 or high < 0:
                 return 1 if low > 0 else -1
             self._refine()
@@ -193,71 +221,44 @@ class NumberField:
         it can only be the one integer its range is refined down to."""
         c = self.norm(c)
         if any(c[1:]) and self.n > 3:
-            q = math.lcm(*(Fraction(x).denominator for x in c))
-            c = tuple(x * q for x in c)
-            bounds = self._bounds(c)
-            while bounds[1] - bounds[0] >= 1:
+            a, q = _numerators(c)
+            low, high, den = self._bounds(a)
+            while high - low >= den:
                 self._refine()
-                bounds = self._bounds(c)
-            k = math.ceil(bounds[0])
-            return Fraction(k, q) if self.is_zero((c[0] - k,) + c[1:]) \
-                else None
+                low, high, den = self._bounds(a)
+            k = Fraction(-(-low // den), q)
+            return k if self.is_zero((c[0] - k,) + c[1:]) else None
         return None if any(c[1:]) else Fraction(c[0])
 
-    def to_float(self, c):
-        """The float nearest the value of c."""
-        r = self.rational(c)
-        if r is not None:
-            return float(r)
-        while True:
-            low, high = map(float, self._bounds(c))
-            if low == high:
-                return low
-            self._refine()
+    def floats(self, q, cols):
+        """The float nearest each value sum cols[k][i] theta^k / q of
+        integer columns: the float both ends of its range round to, integer
+        true division rounding correctly.  A field that may still split
+        reads rational values first, as one on a rounding midpoint would
+        never see its ends agree."""
+        rows = list(zip(*cols))
+        out = [None] * len(rows)
+        if self.n > 3:
+            out = [self.rational(tuple(Fraction(x, q) for x in row))
+                   for row in rows]
+        todo = [i for i, x in enumerate(out) if x is None]
+        while todo:
+            left = []
+            for i in todo:
+                low, high, den = self._bounds(self.norm(rows[i]))
+                out[i] = low / (q * den)
+                if out[i] != high / (q * den):
+                    left.append(i)
+            if left:
+                self._refine()
+            todo = left
+        return list(map(float, out))
 
-    def key(self, c):
-        """What hashes as the value of c: a Fraction, or a float."""
-        r = self.rational(c)
-        return self.to_float(c) if r is None else r
 
-
-class SqrtField(NumberField):
-    """Q(sqrt d) for a square-free integer d > 1, theta = sqrt d: signs
-    through squares, floats and hashes from the coefficients."""
-
-    __slots__ = ("d",)
-
-    def __init__(self, d):
-        super().__init__((-d, 0, 1), None, None)
-        self.d = d
-
-    def __repr__(self):
-        return "Q(sqrt %d)" % self.d
-
-    def mul(self, a, b):
-        (a, b), (x, y) = a, b
-        return a * x + b * y * self.d, a * y + b * x
-
-    def inverse(self, c):
-        a, b = c
-        n = a * a - b * b * self.d
-        if n == 0:
-            raise ZeroDivisionError("division by zero in %r" % (self,))
-        return a / n, -b / n
-
-    def sign(self, c):
-        a, b = c
-        if b == 0 or a == 0 or (a > 0) == (b > 0):
-            return (a > 0) - (a < 0) if b == 0 else 1 if b > 0 else -1
-        # a and b sqrt(d) of opposite signs: compare their squares
-        aa, bb = a * a, b * b * self.d
-        return ((a > 0) - (a < 0)) * ((aa > bb) - (aa < bb))
-
-    def to_float(self, c):
-        return float(c[0]) + float(c[1]) * math.sqrt(self.d)
-
-    def key(self, c):
-        return c[0] if c[1] == 0 else c + (self.d,)
+def _numerators(c):
+    """(a, q): integers a_k = c_k * q, q the least common denominator."""
+    q = math.lcm(*(x.denominator for x in c))
+    return [x.numerator * (q // x.denominator) for x in c], q
 
 
 def _field(key, make):
@@ -269,8 +270,9 @@ def _field(key, make):
 
 
 def sqrt_field(d):
-    """Q(sqrt d) for a square-free integer d > 1."""
-    return _field(d, lambda: SqrtField(d))
+    """Q(sqrt d) for a square-free integer d > 1: x^2 - d, theta = sqrt d."""
+    r = Fraction(math.isqrt(d))
+    return _field((-d, 0, 1), lambda: NumberField((-d, 0, 1), r, r + 1))
 
 
 def _largest_root(poly, lo):
@@ -357,18 +359,16 @@ class FieldElement:
         return not self.field.is_zero(self.c)
 
     def __hash__(self):
-        return hash(self.field.key(self.c))
+        # as the Fraction of a rational value, equal to it; 0 as 0.0
+        return hash(self.field.rational(self.c) or float(self))
 
     def __float__(self):
-        return self.field.to_float(self.c)
+        a, q = _numerators(self.c)
+        return self.field.floats(q, [[x] for x in a])[0]
 
     def __repr__(self):
         return "%r[%s]" % (self.field, ", ".join(
             map(str, self.field.norm(self.c))))
-
-
-def as_float(x):
-    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -414,8 +414,8 @@ def _rref(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
                 f = rows[i][c]
@@ -469,13 +469,14 @@ def nullspace(A):
 
 def char_poly(A):
     """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1]
-    via Faddeev-LeVerrier over exact integers/rationals."""
+    of an integer matrix via Faddeev-LeVerrier, whose traces divide
+    exactly."""
     n = len(A)
     M = identity(n)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for k in range(1, n + 1):
         AM = mat_mul(A, M)
-        c = -Fraction(sum(AM[i][i] for i in range(n)), k)
+        c = -sum(AM[i][i] for i in range(n)) // k
         coeffs.append(c)
         M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     coeffs.reverse()  # now [c_0, ..., c_n=1]
@@ -508,7 +509,7 @@ def perron_data(A):
     rest has a larger real root: then lam generates its field, Q(sqrt d)
     when the rest is quadratic."""
     p = [Fraction(c) for c in char_poly(A)]
-    p = _pdivmod(p, _gcdex(p, [k * c for k, c in enumerate(p)][1:])[0])[0]
+    p = _pdivmod(p, _gcd(p, [k * c for k, c in enumerate(p)][1:]))[0]
     bound = max(sum(row) for row in A)
     lam = None
     for r in range(-bound, bound + 1):

@@ -13,22 +13,19 @@ only.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from dataclasses import dataclass
+from functools import cached_property
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
 from .errors import GluingUndefinedError, NumericError, PreconditionError
 from .measures import cocycle_product
-from .scalars import as_float, mat_vec
+from .scalars import mat_vec
 
 
 @dataclass(frozen=True)
 class ApproxComplex:
-    # The level is not part of the geometry: complexes of different levels
-    # with equal lengths and gluing compare equal, so the value-keyed caches
-    # of class_distances and diameter compute each geometry once.
-    level: int = field(compare=False)
+    level: int
     lengths: tuple        # exact scalar per edge (one edge per vertex)
     start_class: tuple    # vertex class of the negative end of each edge
     end_class: tuple      # vertex class of the positive end of each edge
@@ -45,17 +42,52 @@ class ApproxComplex:
             total = total + x
         return total
 
-    # Float tables for the metric, computed once per instance; they are not
-    # fields, so equality and hashing see only the exact data.
+    # Metric tables, computed once per instance; they are not fields, so
+    # equality and hashing see only the exact data.
+
+    @cached_property
+    def distances(self):
+        """All-pairs shortest path between vertex classes, exact
+        scalars."""
+        n = len(self.classes)
+        dist = [[None] * n for _ in range(n)]
+        for i in range(n):
+            dist[i][i] = 0
+        for v in range(self.num_edges):
+            a, b = self.start_class[v], self.end_class[v]
+            if a == b:
+                continue
+            if dist[a][b] is None or self.lengths[v] < dist[a][b]:
+                dist[a][b] = self.lengths[v]
+                dist[b][a] = self.lengths[v]
+        for m in range(n):
+            for i in range(n):
+                if dist[i][m] is None:
+                    continue
+                for j in range(n):
+                    if dist[m][j] is None:
+                        continue
+                    via = dist[i][m] + dist[m][j]
+                    if dist[i][j] is None or via < dist[i][j]:
+                        dist[i][j] = via
+                        dist[j][i] = via
+        return tuple(tuple(row) for row in dist)
+
+    @cached_property
+    def diameter(self):
+        """Exact diameter over all point pairs of the metric graph."""
+        n = self.num_edges
+        return max(_pair_diameter(self, u, v)
+                   for u in range(n) for v in range(u, n))
 
     @cached_property
     def float_distances(self):
-        return tuple(tuple(None if x is None else as_float(x) for x in row)
-                     for row in class_distances(self))
+        return tuple(tuple(None if x is None else float(x) for x in row)
+                     for row in self.distances)
 
     @cached_property
     def float_diameter(self):
-        return as_float(diameter(self))
+        return float(self.diameter)
 
 
 def roof_heights(diagram, renorm, k):
@@ -64,12 +96,6 @@ def roof_heights(diagram, renorm, k):
         return tuple(renorm.roof)
     mat = cocycle_product(diagram, 0, k)
     return tuple(mat_vec(mat, list(renorm.roof)))
-
-
-def _scale(renorm, k):
-    if k == 0:
-        return 1
-    return renorm.lambda_mu ** (-k)
 
 
 class _UnionFind:
@@ -121,7 +147,7 @@ def tower_lengths(diagram, renorm, k):
     """Exact level-k tower lengths lam^(-k) * (A_(0..k) roof)_v: the edge
     lengths of the level-k approximant and the Gram weights of the
     invariant distributions."""
-    scale = _scale(renorm, k)
+    scale = renorm.lam_inverse ** k if k else 1
     return tuple(scale * h for h in roof_heights(diagram, renorm, k))
 
 
@@ -207,7 +233,7 @@ class SolenoidPoint:
     def float_coords(self):
         """(edge, offset, edge length - offset) per level, each float the
         rounding of an exact value, so route sums do not cancel."""
-        return tuple((v, as_float(t), as_float(cx.lengths[v] - t))
+        return tuple((v, float(t), float(cx.lengths[v] - t))
                      for (v, t), cx in zip(self.coords, self.complexes))
 
     @cached_property
@@ -254,14 +280,11 @@ COMPLEX_CACHE_SIZE = 16
 # Conjugacy points per (diagram, Perron data, path, depth margin).
 _POINT_CACHE = OrderedDict()
 POINT_CACHE_SIZE = 1024
-# Complexes whose class distances and diameter are kept.
-METRIC_CACHE_SIZE = 64
 
 
 def _renorm_key(diagram, renorm):
     """The diagram and Perron data part of the complex and point keys."""
-    return (diagram, renorm.lam_float,
-            tuple(as_float(x) for x in renorm.roof))
+    return diagram, renorm.lam_float, renorm.roof_floats
 
 
 def cached_complexes(diagram, renorm, n):
@@ -281,7 +304,7 @@ def conjugacy_point(diagram, renorm, p):
     in-edges f before e_i), which equals lam^-i times the floor height."""
     n = p.level
     complexes = cached_complexes(diagram, renorm, n)
-    inv = _scale(renorm, 1)
+    inv = renorm.lam_inverse
     offset = 0
     coords = [(path_source(diagram, p), 0)]
     for i in range(1, n + 1):
@@ -301,39 +324,11 @@ def conjugacy_point(diagram, renorm, p):
 # ---------------------------------------------------------------------------
 # metric
 
-@lru_cache(maxsize=METRIC_CACHE_SIZE)
-def class_distances(cx):
-    """All-pairs shortest path between vertex classes, exact scalars."""
-    n = len(cx.classes)
-    dist = [[None] * n for _ in range(n)]
-    for i in range(n):
-        dist[i][i] = 0
-    for v in range(cx.num_edges):
-        a, b = cx.start_class[v], cx.end_class[v]
-        if a == b:
-            continue
-        if dist[a][b] is None or cx.lengths[v] < dist[a][b]:
-            dist[a][b] = cx.lengths[v]
-            dist[b][a] = cx.lengths[v]
-    for m in range(n):
-        for i in range(n):
-            if dist[i][m] is None:
-                continue
-            for j in range(n):
-                if dist[m][j] is None:
-                    continue
-                via = dist[i][m] + dist[m][j]
-                if dist[i][j] is None or via < dist[i][j]:
-                    dist[i][j] = via
-                    dist[j][i] = via
-    return tuple(tuple(row) for row in dist)
-
-
 def point_distance(cx, p, q):
     """Exact geodesic distance between (edge, offset) points."""
     u, t = p
     v, s = q
-    dist = class_distances(cx)
+    dist = cx.distances
     lu, lv = cx.lengths[u], cx.lengths[v]
     routes = []
     if u == v:
@@ -372,7 +367,7 @@ def _pair_diameter(cx, u, v):
 
     The division takes an exact length in its numerator: a class distance
     may be the int 0."""
-    dist = class_distances(cx)
+    dist = cx.distances
     lu, lv = cx.lengths[u], cx.lengths[v]
     A = dist[cx.start_class[u]][cx.start_class[v]]
     B = dist[cx.start_class[u]][cx.end_class[v]]
@@ -385,12 +380,10 @@ def _pair_diameter(cx, u, v):
     return (lu + lv + min(A + D, B + C)) / 2
 
 
-@lru_cache(maxsize=METRIC_CACHE_SIZE)
 def diameter(cx):
-    """Exact diameter over all point pairs of the metric graph."""
-    n = cx.num_edges
-    return max(_pair_diameter(cx, u, v)
-               for u in range(n) for v in range(u, n))
+    """Exact diameter over all point pairs of the metric graph, kept on
+    the complex."""
+    return cx.diameter
 
 
 def _level_distances(y, z):
@@ -415,7 +408,7 @@ def _level_distances(y, z):
 
 def solenoid_metric(y, z, lam):
     """Weighted sum over coordinate levels of normalized graph distances."""
-    lamf = as_float(lam)
+    lamf = float(lam)
     total = 0.0
     for k, (cx, dk) in enumerate(_level_distances(y, z)):
         total += lamf ** (-k) * dk / cx.float_diameter
@@ -426,7 +419,7 @@ def metric_report(y, z, lam):
     """Per-level graph distances and the weighted metric, in floats: the
     lengths and coordinates are exact, the distances are evaluated from
     their roundings (point_distance and diameter stay exact)."""
-    lamf = as_float(lam)
+    lamf = float(lam)
     total = 0.0
     per_level = []
     for k, (cx, dk) in enumerate(_level_distances(y, z)):
@@ -485,7 +478,7 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     for p, q in pairs:
         y = point(p)
         z = point(q)
-        dbar = solenoid_metric(y, z, renorm.lambda_mu)
+        dbar = solenoid_metric(y, z, lamf)
         d = _ultrametric(p, q, lamf)
         if d == 0.0:
             if dbar > 1e-12:

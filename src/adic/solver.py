@@ -47,7 +47,6 @@ from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
                          integer_parts, lift)
 from .measures import xi_vector
-from .scalars import as_float
 from .solenoid import build_complex, diameter
 
 
@@ -144,9 +143,9 @@ def _overflow(alpha):
 def solution_norms(diagram, renorm, h, g, alpha, epsilon):
     lam = renorm.lam_float
     try:
-        hn = holder_norm(diagram, h, as_float(alpha), lam)["norm"]
-        gn = holder_norm(diagram, g, as_float(alpha) - 2.0 -
-                         as_float(epsilon), lam)["norm"]
+        hn = holder_norm(diagram, h, float(alpha), lam)["norm"]
+        gn = holder_norm(diagram, g, float(alpha) - 2.0 -
+                         float(epsilon), lam)["norm"]
     except OverflowError:
         raise _overflow(alpha) from None
     return {"h_norm": hn, "g_norm": gn,
@@ -162,13 +161,13 @@ def chained_constant(diagram, renorm, alpha, epsilon):
     graph diameter, since every approximant here is isometric to the base),
     and a return-restriction factor."""
     lam = renorm.lam_float
-    a = as_float(alpha)
-    eps = as_float(epsilon)
+    a = float(alpha)
+    eps = float(epsilon)
     if not a - 2.0 - eps > 0.0:
         raise ValueError("need alpha > 2 + epsilon")
     e = eps / 3.0
     u = bump_from_roof(renorm)
-    diam = as_float(diameter(build_complex(diagram, renorm, 0)))
+    diam = float(diameter(build_complex(diagram, renorm, 0)))
     try:
         c_bump = 2.0 * lam ** a * u.cr_norm(1) / ((lam - 1.0) *
                                                   (1.0 - lam ** (-e)))
@@ -202,9 +201,9 @@ def _geometric_checkpoints(n_total):
 
 def _fit_exponent(points, n_total):
     """Least squares of log|S_n| on log n over the top two decades."""
-    pts = [(math.log(n), math.log(abs(as_float(s))))
+    pts = [(math.log(n), math.log(abs(float(s))))
            for n, s in points
-           if 100 * n >= n_total and as_float(s) != 0.0]
+           if 100 * n >= n_total and float(s) != 0.0]
     if len(pts) < 3:
         return None, None, False
     mx = sum(x for x, _ in pts) / len(pts)
@@ -355,5 +354,5 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
     slope, r2, ok = _fit_exponent(out, n_total)
     return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),
                           sup_abs=value(sup),
-                          mean_rate=as_float(final) / n_total,
+                          mean_rate=float(final) / n_total,
                           exponent=slope, r_squared=r2, claimed=ok)

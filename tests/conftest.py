@@ -2,10 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import enumerate_paths
 from adic.martingale import constant_function, from_vector
+
+# One hypothesis profile for every run: examples from a fixed seed, a
+# bounded number of them, and no deadline for the slower exact examples.
+settings.register_profile("adic", derandomize=True, max_examples=50,
+                          deadline=None)
+settings.load_profile("adic")
 
 
 @pytest.fixture(scope="session")

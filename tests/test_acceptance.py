@@ -24,7 +24,6 @@ from adic.diagrams import FinitePath, LazyPath, TAIL_MIN, enumerate_paths
 from adic.martingale import (compose_phi, delta, from_vector, lift, nu_mean,
                              project)
 from adic.measures import renorm_data
-from adic.scalars import as_float
 from adic.solenoid import bilip_check, build_complex, wrapping
 from adic.solver import birkhoff, chained_constant, solve
 
@@ -119,7 +118,7 @@ def test_criterion_04_multiplier_certificates(fib, pisot31):
         a = [[0] * nv for _ in range(nv)]
         for e in range(len(ld.edges)):
             a[ld.source(e)][ld.range(e)] += 1
-        roof = [as_float(x) for x in rd.roof]
+        roof = [float(x) for x in rd.roof]
         for i in range(nv):
             resid = abs(sum(a[i][j] * roof[j] for j in range(nv))
                         - rd.lam_float * roof[i])
@@ -137,8 +136,8 @@ def test_criterion_05_wrapping_stretch(odo2, fib, pisot31):
             wm = wrapping(d, rd, k)
             cx = build_complex(d, rd, k)
             for v in range(cx.num_edges):
-                lhs = sum(as_float(wm.fine_lengths[w]) for w in wm.words[v])
-                rhs = rd.lam_float * as_float(cx.lengths[v])
+                lhs = sum(float(wm.fine_lengths[w]) for w in wm.words[v])
+                rhs = rd.lam_float * float(cx.lengths[v])
                 worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-9
     verdict(5, ok, "3 diagrams, levels 1..10, worst stretch error %.2e"
@@ -189,13 +188,13 @@ def test_criterion_07_deviation_exponent(odo2, pisot31):
     hc = _coboundary(odo2, g0)
     sol = solve(hc, tower)
     repc = birkhoff(odo2, hc, start, 10 ** 6)
-    bound = 2 * as_float(sol.g.sup_norm())
-    bounded_ok = as_float(repc.sup_abs) <= bound + 1e-12
+    bound = 2 * float(sol.g.sup_norm())
+    bounded_ok = float(repc.sup_abs) <= bound + 1e-12
     dt = time.perf_counter() - t0
     ok = fit_ok and bounded_ok and dt < 120.0
     verdict(7, ok,
             "exponent %.4f (R^2=%.3f), coboundary sup %.3f <= %.3f, %.1fs"
-            % (rep.exponent, rep.r_squared, as_float(repc.sup_abs), bound,
+            % (rep.exponent, rep.r_squared, float(repc.sup_abs), bound,
                dt))
 
 

@@ -10,12 +10,13 @@ from fractions import Fraction
 import pytest
 
 from test_cohomology import _dump_diagrams
+from test_scalars import sympy_value
 from test_step import _prefixed
 
 from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.martingale import compose_phi, constant_function, from_vector, lift
-from adic.measures import renorm_data
+from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
 
 
@@ -149,25 +150,25 @@ LYAPUNOV_FIB = """\
   "exponent": 0.48121182505960347,
   "lambda_mu": 1.6180339887498949,
   "roof": [
-    1.170820393249937,
+    1.1708203932499368,
     0.72360679774997894
   ],
   "xi": {
     "0": [
       0.6180339887498949,
-      0.3819660112501051
+      0.38196601125010515
     ],
     "1": [
-      0.3819660112501051,
-      0.23606797749978981
+      0.38196601125010515,
+      0.23606797749978969
     ],
     "2": [
-      0.23606797749978981,
-      0.14589803375031529
+      0.23606797749978969,
+      0.14589803375031546
     ],
     "3": [
-      0.14589803375031529,
-      0.090169943749474513
+      0.14589803375031546,
+      0.090169943749474235
     ]
   }
 }
@@ -180,6 +181,23 @@ def test_lyapunov_golden_and_deterministic(capsys):
     assert out == LYAPUNOV_FIB
     rc2, out2, _ = run(capsys, ["lyapunov", "--diagram", "fib"])
     assert rc2 == 0 and out2 == out
+
+
+def test_fib_measure_is_correctly_rounded_at_depth(capsys):
+    # every cylinder of positive measure prints a positive weight, the
+    # weights fall strictly with the level, and each is the correctly
+    # rounded float of the exact weight
+    fib = builtin_diagram("fib")
+    rc, out, _ = run(capsys, ["measure", "--diagram", "fib", "--level", "40"])
+    assert rc == 0
+    xi = json.loads(out)["xi"]
+    assert sorted(map(int, xi)) == list(range(41))
+    for k in range(41):
+        assert all(x > 0 for x in xi[str(k)])
+        if k:
+            assert all(a < b for a, b in zip(xi[str(k)], xi[str(k - 1)]))
+        assert xi[str(k)] == [float(sympy_value(x))
+                              for x in xi_vector(fib, k)]
 
 
 def test_measure_exact_doubling(capsys):
@@ -465,6 +483,21 @@ def test_float_values_on_quadratic_diagram(capsys, tmp_path, command, code):
         assert out == "" and err.startswith("error: obstructed: D = [")
     else:
         assert out and err == ""
+
+
+@pytest.mark.parametrize("command", ["distributions", "solve", "birkhoff"])
+@pytest.mark.parametrize("level", [1.5, 1.0, True, "2", -1, None, [1]])
+def test_function_level_must_be_a_json_integer(capsys, tmp_path, command,
+                                               level):
+    # a level is read as it is written, never rounded or converted
+    f = tmp_path / "h.json"
+    f.write_text(json.dumps({"level": level, "values": {"0": "1"}}))
+    argv = [command, "--diagram", "odo2", "--function", str(f)]
+    rc, out, err = run(capsys, argv + ["-N", "4"] if command == "birkhoff"
+                       else argv)
+    assert (rc, out) == (2, "")
+    assert err == "error: function level must be an integer >= 0, got %r\n" \
+        % (level,)
 
 
 def test_float_values_solve_exactly(capsys, tmp_path):

@@ -10,7 +10,6 @@ from adic.martingale import (bump_from_roof, compose_phi,
                              holder_norm, lift, nu_mean, phi_transient,
                              project)
 from adic.measures import renorm_data
-from adic.scalars import as_float
 
 
 def test_reconstruction_exact(odo2, fib, pisot31):

@@ -5,15 +5,15 @@ from fractions import Fraction
 
 from adic.diagrams import enumerate_paths, path_range
 from adic.measures import cocycle_product, renorm_data, xi_vector
-from adic.scalars import FieldElement, as_float, sqrt_field
+from adic.scalars import FieldElement, sqrt_field
 
 
 def test_odo2_exact_doubling(odo2):
     rd = renorm_data(odo2)
     assert rd.certificates["stationary_exact"]
-    assert as_float(rd.lambda_mu) == 2.0
-    assert [as_float(x) for x in rd.roof] == [1.0]
-    assert as_float(xi_vector(odo2, 5)[0]) == 2.0 ** -5
+    assert float(rd.lambda_mu) == 2.0
+    assert [float(x) for x in rd.roof] == [1.0]
+    assert float(xi_vector(odo2, 5)[0]) == 2.0 ** -5
 
 
 def test_quadratic_field_meets_floats():
@@ -49,10 +49,10 @@ def test_roof_eigen_identity(odo2, fib, pisot31):
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
         A = cocycle_product(d, 0, 1)
-        lhs = [sum(as_float(A[i][j]) * as_float(rd.roof[j])
+        lhs = [sum(float(A[i][j]) * float(rd.roof[j])
                    for j in range(len(rd.roof)))
                for i in range(len(A))]
-        rhs = [rd.lam_float * as_float(x) for x in rd.roof]
+        rhs = [rd.lam_float * float(x) for x in rd.roof]
         assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
 
 
@@ -68,13 +68,13 @@ def test_xi_compatibility(odo2, fib, pisot31):
                 for e in range(len(ld.edges)):
                     if ld.source(e) == v:
                         total = total + hi[ld.range(e)]
-                assert abs(as_float(total) - as_float(lo[v])) < 1e-14
+                assert abs(float(total) - float(lo[v])) < 1e-14
 
 
 def test_total_mass_one(odo2, fib, pisot31):
     for d in (odo2, fib, pisot31):
         for k in (1, 3, 5):
             xs = xi_vector(d, k)
-            total = sum(as_float(xs[path_range(d, p)])
+            total = sum(float(xs[path_range(d, p)])
                         for p in enumerate_paths(d, 0, k))
             assert abs(total - 1.0) < 1e-12

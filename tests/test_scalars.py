@@ -7,9 +7,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from adic.scalars import (FieldElement, NumberField, SqrtField, char_poly,
-                          mat_vec, perron_data, sqrt_field)
+from adic.martingale import float_values, integer_parts
+from adic.scalars import (FieldElement, NumberField, char_poly, mat_vec,
+                          perron_data, sqrt_field)
 
 
 def _primitive(n, draws, seed):
@@ -52,7 +55,7 @@ def test_perron_data_is_exact_on_the_3x3_census():
     for m in _primitive(3, 300, 0):
         lam = _check_exact(m)
         kind = "Q" if isinstance(lam, Fraction) else \
-            "sqrt" if isinstance(lam.field, SqrtField) else lam.field.n
+            "sqrt" if lam.field.n == 2 else lam.field.n
         kinds[kind] = kinds.get(kind, 0) + 1
     assert kinds == {"Q": 21, "sqrt": 39, 3: 101}
 
@@ -74,8 +77,7 @@ def test_perron_field_is_the_minimal_polynomial_on_a_4x4_census():
                   reversed(sympy.Poly(minimal[0], x).all_coeffs())]
         assert sum(c * lam ** k for k, c in enumerate(coeffs)) == 0
         degrees.add(len(coeffs) - 1)
-        if isinstance(lam, FieldElement) and \
-                not isinstance(lam.field, SqrtField):
+        if isinstance(lam, FieldElement) and lam.field.n > 2:
             assert lam.field.poly == tuple(coeffs)
     assert degrees == {1, 2, 3, 4}
 
@@ -113,3 +115,46 @@ def test_quadratic_field_keeps_its_values():
     assert sqrt_field(5) is phi.field
     with pytest.raises(TypeError, match="mixed fields"):
         phi + sqrt_field(2)(0, 1)
+
+
+def sympy_value(x):
+    """The value of a Fraction or field element to 50 digits, in sympy;
+    theta is the largest real root of the field polynomial."""
+    sympy = pytest.importorskip("sympy")
+    if not isinstance(x, FieldElement):
+        return sympy.Rational(x.numerator, x.denominator)
+    t = sympy.symbols("t")
+    theta = max(sympy.Poly(list(reversed(x.field.poly)), t).real_roots())
+    return sympy.N(sum(sympy.Rational(c.numerator, c.denominator) * theta ** k
+                       for k, c in enumerate(x.c)), 50)
+
+
+FIELDS = {"sqrt %d" % d: sqrt_field(d) for d in (2, 3, 5, 21)}
+FIELDS["cubic"] = perron_data([[1, 1, 0], [0, 0, 1], [3, 1, 1]]).lam.field
+
+
+def _near_cancelling(test):
+    """F_(k+1) - F_k phi = (-1/phi)^k, phi the golden mean, for k <= 60:
+    coefficients near phi^k with a value near phi^-k."""
+    fib = [0, 1]
+    while len(fib) < 62:
+        fib.append(fib[-1] + fib[-2])
+    for k in range(1, 61):
+        test = example("sqrt 5", [Fraction(2 * fib[k + 1] - fib[k], 2),
+                                  Fraction(-fib[k], 2)])(test)
+    return test
+
+
+@_near_cancelling
+@given(st.sampled_from(sorted(FIELDS)),
+       st.lists(st.fractions(max_denominator=10 ** 6).filter(
+           lambda q: abs(q.numerator) < 10 ** 12), min_size=1, max_size=3))
+def test_field_floats_and_signs_are_correctly_rounded(name, coeffs):
+    # float(x), float_values and sign against a 50-digit oracle: the float
+    # is the correctly rounded value, however much the coefficients cancel
+    x = FIELDS[name](*coeffs)
+    want = sympy_value(x)
+    assert float(x) == float(want)
+    assert float_values(*integer_parts([x, -x, x + 1])) == \
+        [float(want), float(-want), float(want + 1)]
+    assert (x > 0, x == 0, x < 0) == (want > 0, want == 0, want < 0)

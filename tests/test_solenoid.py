@@ -13,7 +13,6 @@ from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
                            path_source)
 from adic.errors import PreconditionError
 from adic.measures import renorm_data
-from adic.scalars import as_float
 from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
                            cached_complexes, conjugacy_point, diameter,
                            euler_characteristic, first_betti_number,
@@ -48,17 +47,17 @@ def test_total_length_and_diameter_stationary_invariance(odo2, fib, pisot31):
         base = build_complex(d, rd, 0)
         for k in (1, 2, 4):
             cx = build_complex(d, rd, k)
-            assert abs(as_float(cx.total_length()) -
-                       as_float(base.total_length())) < 1e-12
-            assert abs(as_float(diameter(cx)) -
-                       as_float(diameter(base))) < 1e-12
+            assert abs(float(cx.total_length()) -
+                       float(base.total_length())) < 1e-12
+            assert abs(float(diameter(cx)) -
+                       float(diameter(base))) < 1e-12
 
 
 def test_known_diameters(odo2, pisot31):
     rd = renorm_data(odo2)
     assert diameter(build_complex(odo2, rd, 0)) == Fraction(1, 2)
     rdp = renorm_data(pisot31)
-    assert as_float(diameter(build_complex(pisot31, rdp, 0))) == 1.0
+    assert float(diameter(build_complex(pisot31, rdp, 0))) == 1.0
 
 
 def test_stretch_identity_all_levels(odo2, fib, pisot31):
@@ -69,8 +68,8 @@ def test_stretch_identity_all_levels(odo2, fib, pisot31):
             wm = wrapping(d, rd, k)
             hi = build_complex(d, rd, k)
             for v in range(hi.num_edges):
-                lhs = as_float(wm.word_total(v))
-                rhs = rd.lam_float * as_float(hi.lengths[v])
+                lhs = float(wm.word_total(v))
+                rhs = rd.lam_float * float(hi.lengths[v])
                 assert abs(lhs - rhs) <= 1e-9
 
 
@@ -89,7 +88,7 @@ def test_conjugacy_separates_paths(odo2):
     assert solenoid_metric(pts[0], pts[0], rd.lambda_mu) == 0.0
     seen = set()
     for p in pts:
-        seen.add(tuple((v, as_float(t)) for v, t in p.coords))
+        seen.add(tuple((v, float(t)) for v, t in p.coords))
     assert len(seen) == len(ps)
 
 
@@ -144,9 +143,9 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
                     rep = metric_report(y, z, rd.lambda_mu)
                     for k, row in enumerate(rep["per_level"]):
                         cx = y.complexes[k]
-                        dk = as_float(point_distance(cx, y.coords[k],
+                        dk = float(point_distance(cx, y.coords[k],
                                                      z.coords[k]))
-                        dm = as_float(diameter(cx))
+                        dm = float(diameter(cx))
                         assert math.isclose(row["distance"], dk,
                                             rel_tol=1e-12)
                         assert math.isclose(row["diameter"], dm,
@@ -238,15 +237,15 @@ def test_complex_cache_is_bounded(odo2):
     assert cached_complexes(odo2, rd, bound + 3) is got
 
 
-def test_diameter_cache_ignores_level(fib):
+def test_diameter_is_kept_per_complex(fib):
     # complexes of a stationary diagram with the Perron roof differ only in
-    # their level, which is not part of the geometry
+    # their level, so their diameters agree; each complex computes its
+    # exact class distances and diameter once and keeps them
     rd = renorm_data(fib)
-    diameter.cache_clear()
-    d0 = diameter(build_complex(fib, rd, 0))
-    d5 = diameter(build_complex(fib, rd, 5))
-    assert d0 == d5
-    assert diameter.cache_info().misses == 1
+    cx0, cx5 = build_complex(fib, rd, 0), build_complex(fib, rd, 5)
+    assert cx0 != cx5 and diameter(cx0) == diameter(cx5)
+    assert diameter(cx5) is diameter(cx5) is cx5.diameter
+    assert cx5.distances is cx5.distances
 
 
 def _four_routes(cx, p, q):
@@ -297,10 +296,9 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
 
 
 def _clear_point_caches():
+    # a rebuilt complex computes its metric tables afresh
     solenoid._POINT_CACHE.clear()
     solenoid._COMPLEX_CACHE.clear()
-    solenoid.class_distances.cache_clear()
-    diameter.cache_clear()
 
 
 def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
