@@ -5,8 +5,8 @@ trace algebra."""
 
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
 from .diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
-                       TAIL_MIN, enumerate_paths, load_diagram, metric,
-                       successor, validate)
+                       TAIL_MIN, enumerate_paths, load_diagram, successor,
+                       validate)
 from .martingale import CylinderFunction, constant_function, decompose
 from .measures import renorm_data
 from .cohomology import distributions, is_coboundary_class, limit_rank
@@ -19,6 +19,6 @@ __all__ = [
     "OrderedDiagram", "TAIL_MAX", "TAIL_MIN", "birkhoff", "builtin_diagram",
     "chained_constant", "constant_function", "decompose", "distributions",
     "enumerate_paths", "is_coboundary_class", "limit_rank", "load_diagram",
-    "metric", "renorm_data", "resolve_diagram", "solve", "successor",
+    "renorm_data", "resolve_diagram", "solve", "successor",
     "validate", "__version__",
 ]

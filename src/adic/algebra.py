@@ -43,7 +43,7 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          field_values, gather, holder_norm, integer_parts,
-                         lift)
+                         lift, rand_function)
 from .measures import renorm_data
 
 LEVEL_CAP = 20
@@ -75,11 +75,6 @@ def element(diagram, lam, alpha, coeffs):
 def unit(diagram, lam, alpha):
     return element(diagram, lam, alpha,
                    {0: constant_function(diagram, Fraction(1), 0)})
-
-
-def unitary(diagram, lam, alpha, k=1):
-    return element(diagram, lam, alpha,
-                   {k: constant_function(diagram, Fraction(1), 0)})
 
 
 def _compatible(a, b):
@@ -243,7 +238,6 @@ def complement_support(a, n):
 class TriangleEstimate:
     value: float
     level: int
-    attained_pair: object  # (edges, edges, direction) or None
 
 
 def _first_diffs(rows):
@@ -264,25 +258,17 @@ def _first_diffs(rows):
     return out
 
 
-def _direction_sweep(diagram, paths, reps, images, lamf, depth):
+def _direction_sweep(diagram, reps, images, lamf, depth):
     keep = [i for i, im in enumerate(images) if im is not None]
     if len(keep) < 2:
-        return None
+        return 1.0
     jb = _first_diffs([materialize(diagram, reps[i], depth).edges
                        for i in keep])
     ji = _first_diffs([materialize(diagram, images[i], depth).edges
                        for i in keep])
-    best = None
-    for u in range(len(keep)):
-        for v in range(len(keep)):
-            if u == v:
-                continue
-            expo = jb[u][v] - (ji[u][v] or first_disagreement(
-                diagram, images[keep[u]], images[keep[v]]))
-            if best is None or expo > best[0]:
-                best = (expo, u, v)
-    expo, u, v = best
-    return lamf ** expo, (paths[keep[u]].edges, paths[keep[v]].edges)
+    return lamf ** max(jb[u][v] - (ji[u][v] or first_disagreement(
+        diagram, images[keep[u]], images[keep[v]]))
+        for u in range(len(keep)) for v in range(len(keep)) if u != v)
 
 
 @lru_cache(maxsize=TRIANGLE_CACHE_SIZE)
@@ -294,10 +280,8 @@ def triangle_phi(diagram, L, lam=None):
     Representatives whose image is undefined (an extreme path of a not
     properly ordered diagram) are skipped: the bound stays a lower bound."""
     lamf = renorm_data(diagram).lam_float if lam is None else float(lam)
-    paths = enumerate_paths(diagram, 0, L)
-    reps = [LazyPath(p, TAIL_MIN) for p in paths]
-    depth = L + 8
-    best, attained = 1.0, None
+    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(diagram, 0, L)]
+    best = 1.0
     for direction in (1, -1):
         images = []
         for r in reps:
@@ -305,11 +289,8 @@ def triangle_phi(diagram, L, lam=None):
                 images.append(successor(diagram, r, direction))
             except NotProperlyOrderedError:
                 images.append(None)
-        got = _direction_sweep(diagram, paths, reps, images, lamf, depth)
-        if got and got[0] > best:
-            best = got[0]
-            attained = got[1] + (direction,)
-    return TriangleEstimate(value=best, level=L, attained_pair=attained)
+        best = max(best, _direction_sweep(diagram, reps, images, lamf, L + 8))
+    return TriangleEstimate(value=best, level=L)
 
 
 def _default_triangle(diagram, lam):
@@ -416,3 +397,79 @@ def trace(a, tower, at_level=None):
         raise InsufficientStabilizationError(
             "insufficient stabilization level")
     return distributions(h, tower)
+
+
+# ---------------------------------------------------------------------------
+# randomized property suite, run by `adic algebra check`, acceptance
+# criterion 09 and the algebra tests
+
+# Relative slack of the comparisons of float norms.
+SLACK = 1e-9
+
+
+def le(x, y):
+    """x <= y up to SLACK relative to max(1, |y|)."""
+    return x <= y + SLACK * max(1.0, abs(y))
+
+
+def rand_element(rng, diagram, lam, alpha, shape=(2, 2, 3)):
+    """A random element of shape (max level, window, max support): 1 to
+    max support distinct shifts in [-window, window], each coefficient a
+    `rand_function` of a random level up to max level."""
+    max_level, window, max_support = shape
+    ks = rng.sample(range(-window, window + 1),
+                    k=rng.randint(1, max_support))
+    return element(diagram, lam, alpha,
+                   {k: rand_function(rng, diagram, rng.randint(0, max_level))
+                    for k in ks})
+
+
+def jolissaint_holds(f, n, big):
+    """Whether f^n = P^n + sum_(k<n) P^k Q f^(n-1-k) exactly, with
+    P = P_big f and Q = (1 - P_big) f."""
+    p, q = project_support(f, big), complement_support(f, big)
+    total = power(p, n)
+    for k in range(n):
+        total = add(total, convolve(power(p, k),
+                                    convolve(q, power(f, n - 1 - k))))
+    return equal_elements(total, power(f, n))
+
+
+def check_trial(rng, diagram, lam, alpha, tri, tower, shape=(2, 2, 3)):
+    """One trial of the property suite: yields (check name, holds) for
+    random elements a and b of the given shape and smaller c and f.  The
+    algebra identities and the traces are exact; the norm inequalities at
+    the distortion estimate tri are compared with `le`."""
+    a = rand_element(rng, diagram, lam, alpha, shape)
+    b = rand_element(rng, diagram, lam, alpha, shape)
+    c = rand_element(rng, diagram, lam, alpha, (1, 1, 2))
+    ab = convolve(a, b)
+    yield "associativity", equal_elements(convolve(ab, c),
+                                          convolve(a, convolve(b, c)))
+    yield "involution_antihom", equal_elements(
+        involution(ab), convolve(involution(b), involution(a)))
+    yield "involution_squared", equal_elements(involution(involution(a)), a)
+    s, q = rng.choice((0, 1, 2)), rng.choice((1, 2))
+    af = float(alpha)
+    na_shift = norms(a, s + af, q, triangle=tri)["s_alpha"]
+    nb = norms(b, s, q, triangle=tri)
+    nab = norms(ab, s, q, triangle=tri)
+    yield "product_norm", le(nab["s_alpha"], na_shift * nb["s_alpha"])
+    yield "involution_norm", le(
+        norms(involution(a), s, q, triangle=tri)["s_alpha"], na_shift)
+    yield "l1_product", le(nab["l1_alpha"], norms(
+        a, 0, q, triangle=tri)["s_alpha"] * nb["l1_alpha"])
+    nq = norms(a, q, q, triangle=tri)
+    yield "tail_le_norm", le(nq["mu_q"], nq["s_alpha"])
+    if tri > 1.0:
+        yield "norm_le_tail", le(nq["s_alpha"], lemma_constant(tri, af, q)
+                                 * norms(a, q, 2 * q + af,
+                                         triangle=tri)["mu_q"])
+    f = rand_element(rng, diagram, lam, alpha, (1, 1, 3))
+    for n in (1, 2):
+        yield "jolissaint_n%d" % n, jolissaint_holds(f, n, 1)
+    ta, tb = trace(ab, tower), trace(convolve(b, a), tower)
+    yield "trace_commutator", all(x.numerator == y.numerator
+                                  for x, y in zip(ta, tb))
+    yield "trace_positive", \
+        trace(convolve(involution(a), a), tower)[0].numerator >= 0

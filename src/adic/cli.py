@@ -30,7 +30,7 @@ from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        lazy_to_json_dict, materialize, path_table, successor,
                        validate)
 from .errors import AdicError, ParseError
-from .martingale import constant_function, decompose, from_vector
+from .martingale import decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .solenoid import build_complex, diameter, euler_characteristic, \
     first_betti_number
@@ -191,11 +191,18 @@ def load_element(path, diagram=None, alpha=None):
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError("malformed element file: %s" % exc) from None
+    if not isinstance(data, dict) or \
+            not isinstance(data.get("coeffs", {}), dict):
+        raise ParseError("an element file is an object with an object of "
+                         "coeffs")
     if diagram is None:
         ref = data.get("diagram")
         if ref is None:
             raise ParseError("element file names no diagram and no "
                              "--diagram was given")
+        if not isinstance(ref, str):
+            raise ParseError("element diagram %r is not a name or a path"
+                             % (ref,))
         diagram = resolve_diagram(ref)
     a = alpha if alpha is not None else data.get("alpha")
     if a is None:
@@ -207,7 +214,7 @@ def load_element(path, diagram=None, alpha=None):
         lam_val = _positive("lam", _parse_value(lam_val, "lam"))
     base = os.path.dirname(os.path.abspath(path))
     coeffs = {}
-    for k, ref in dict(data.get("coeffs", {})).items():
+    for k, ref in data.get("coeffs", {}).items():
         try:
             shift = int(k)
         except ValueError:
@@ -441,87 +448,6 @@ def cmd_birkhoff(args):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# algebra property suite
-
-def _rand_function(rng, diagram, level):
-    if level == 0:
-        return constant_function(diagram, Fraction(rng.randint(-8, 8), 4), 0)
-    return from_vector(diagram, level, [
-        Fraction(rng.randint(-8, 8), 4)
-        for _ in range(path_table(diagram, level).offsets[-1])])
-
-
-def _rand_element(rng, diagram, lam, alpha, max_level=2, window=2,
-                  max_support=3):
-    ks = rng.sample(range(-window, window + 1),
-                    k=rng.randint(1, max_support))
-    return alg.element(diagram, lam, alpha,
-                       {k: _rand_function(rng, diagram,
-                                          rng.randint(0, max_level))
-                        for k in ks})
-
-
-def _check_once(rng, d, lam, alpha, tri, tower, failures, counts):
-    def note(name, ok):
-        counts[name] = counts.get(name, 0) + 1
-        if not ok:
-            failures.append(name)
-
-    slack = 1e-9
-
-    def le(x, y):
-        return x <= y + slack * max(1.0, abs(y))
-
-    a = _rand_element(rng, d, lam, alpha)
-    b = _rand_element(rng, d, lam, alpha)
-    c = _rand_element(rng, d, lam, alpha, max_level=1, window=1,
-                      max_support=2)
-    ab = alg.convolve(a, b)
-    note("associativity", alg.equal_elements(
-        alg.convolve(ab, c), alg.convolve(a, alg.convolve(b, c))))
-    note("involution_antihom", alg.equal_elements(
-        alg.involution(ab),
-        alg.convolve(alg.involution(b), alg.involution(a))))
-    note("involution_squared", alg.equal_elements(
-        alg.involution(alg.involution(a)), a))
-    s = rng.choice((0, 1, 2))
-    q = rng.choice((1, 2))
-    af = float(alpha)
-    na_shift = alg.norms(a, s + af, q, triangle=tri)["s_alpha"]
-    nb = alg.norms(b, s, q, triangle=tri)
-    nab = alg.norms(ab, s, q, triangle=tri)
-    note("product_norm", le(nab["s_alpha"], na_shift * nb["s_alpha"]))
-    nast = alg.norms(alg.involution(a), s, q, triangle=tri)["s_alpha"]
-    note("involution_norm", le(nast, na_shift))
-    note("l1_product", le(
-        nab["l1_alpha"],
-        alg.norms(a, 0, q, triangle=tri)["s_alpha"] * nb["l1_alpha"]))
-    nq = alg.norms(a, q, q, triangle=tri)
-    note("tail_le_norm", le(nq["mu_q"], nq["s_alpha"]))
-    if tri > 1.0:
-        n2q = alg.norms(a, q, 2 * q + af, triangle=tri)
-        cc = alg.lemma_constant(tri, af, q)
-        note("norm_le_tail", le(nq["s_alpha"], cc * n2q["mu_q"]))
-    f = _rand_element(rng, d, lam, alpha, max_level=1, window=1,
-                      max_support=3)
-    p = alg.project_support(f, 1)
-    qq = alg.complement_support(f, 1)
-    for n in (1, 2):
-        total = alg.power(p, n)
-        for k in range(n):
-            total = alg.add(total, alg.convolve(
-                alg.power(p, k), alg.convolve(qq, alg.power(f, n - 1 - k))))
-        note("jolissaint_n%d" % n, alg.equal_elements(total, alg.power(f, n)))
-    ba = alg.convolve(b, a)
-    ta = alg.trace(ab, tower)
-    tb = alg.trace(ba, tower)
-    note("trace_commutator", all(
-        x.numerator == y.numerator for x, y in zip(ta, tb)))
-    aa = alg.convolve(alg.involution(a), a)
-    note("trace_positive", alg.trace(aa, tower)[0].numerator >= 0)
-
-
 def cmd_algebra_check(args):
     alpha = 3 if args.alpha is None else _positive("alpha", args.alpha)
     _at_least("trials", args.trials, 0)
@@ -533,7 +459,10 @@ def cmd_algebra_check(args):
     tower = limit_rank(d, rd)
     failures, counts = [], {}
     for _ in range(args.trials):
-        _check_once(rng, d, lam, alpha, tri, tower, failures, counts)
+        for name, ok in alg.check_trial(rng, d, lam, alpha, tri, tower):
+            counts[name] = counts.get(name, 0) + 1
+            if not ok:
+                failures.append(name)
     out = {"trials": args.trials, "seed": args.seed,
            "triangle": tri,
            "checks": counts, "failures": failures, "ok": not failures}

@@ -1,5 +1,5 @@
-"""Ordered Bratteli diagrams, finite and lazy paths, the path ultrametric,
-and the adic successor map.
+"""Ordered Bratteli diagrams, finite and lazy paths, path enumeration and
+the adic successor map.
 
 Levels are 1-indexed: level k carries the edge set E_k between V_{k-1} and
 V_k.  A diagram stores a finite list of LevelData; when `stationary` is set
@@ -458,14 +458,6 @@ def first_disagreement(diagram, p, q):
             return kp
 
 
-def metric(diagram, p, q, lam):
-    """d(p, q) = lam**(-k+1) with k the first disagreeing level."""
-    k = first_disagreement(diagram, p, q)
-    if k == 0:
-        return 0.0
-    return float(lam) ** (-(k - 1))
-
-
 # ---------------------------------------------------------------------------
 # extreme paths and the successor map
 
@@ -545,24 +537,18 @@ def successor(diagram, p, direction=1):
             return LazyPath(FinitePath(tuple(digits)), tail)
 
 
-def predecessor(diagram, p):
-    return successor(diagram, p, direction=-1)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_paths(diagram, m, n, target=None):
-    """All of E_{m,n} (or E_v for the given target vertex) in lexicographic
-    order, range-major: paths are grouped by range vertex, and within a
-    range ordered with the last level most significant."""
+def enumerate_paths(diagram, m, n):
+    """All of E_{m,n} in lexicographic order, range-major: paths are
+    grouped by range vertex, and within a range ordered with the last level
+    most significant."""
     if n < m:
         raise LevelOverflowError()
     if n == m:
-        verts = [target] if target is not None else range(diagram.num_vertices(m))
-        return [FinitePath((), m, v) for v in verts]
-    # guard against silently huge materializations
-    diagram.level(n)
+        return [FinitePath((), m, v) for v in range(diagram.num_vertices(m))]
+    count_paths(diagram, m, n)
     table = {v: [()] for v in range(diagram.num_vertices(m))}
     for j in range(m + 1, n + 1):
         ld = diagram.level(j)
@@ -574,11 +560,8 @@ def enumerate_paths(diagram, m, n, target=None):
                     acc.append(t + (e,))
             nxt[v] = acc
         table = nxt
-    verts = [target] if target is not None else range(diagram.num_vertices(n))
-    out = []
-    for v in verts:
-        out.extend(FinitePath(t, m) for t in table[v])
-    return out
+    return [FinitePath(t, m) for v in range(diagram.num_vertices(n))
+            for t in table[v]]
 
 
 PATH_TABLE_CACHE_SIZE = 256
@@ -606,6 +589,7 @@ def path_table(diagram, k):
         return PathTable(tuple(range(diagram.num_vertices(0) + 1)), (), ())
     ld = diagram.level(k)
     below = path_table(diagram, k - 1).offsets
+    _check_budget(k, sum(below[s + 1] - below[s] for s, _ in ld.edges))
     offsets, parent, first = [0], [], [0] * len(ld.edges)
     for order in ld.in_order:
         for e in order:
@@ -627,11 +611,25 @@ def path_index(diagram, p, k):
     return i
 
 
+# The most paths that `enumerate_paths` and `path_table` build at one
+# level.  A function file or a level flag of a few bytes can ask for 2^n
+# paths; the tests build at most 2^17 (pisot31 at level 8).
+PATH_BUDGET = 2 ** 18
+
+
+def _check_budget(level, count):
+    if count > PATH_BUDGET:
+        raise LevelOverflowError("level %d has %d paths, more than %d"
+                                 % (level, count, PATH_BUDGET))
+
+
 def count_paths(diagram, m, n):
-    """Vector over V_n: |E_{m,n}| path counts into each vertex."""
+    """Vector over V_n: |E_{m,n}| path counts into each vertex.  Raises
+    LevelOverflowError at the first level past PATH_BUDGET paths."""
     c = [1] * diagram.num_vertices(m)
     for j in range(m + 1, n + 1):
         ld = diagram.level(j)
         c = [sum(c[ld.source(e)] for e in ld.in_order[v])
              for v in range(ld.num_ranges)]
+        _check_budget(j, sum(c))
     return c

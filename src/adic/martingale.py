@@ -142,6 +142,17 @@ def from_vector(diagram, level, vec):
     return CylinderFunction(level, list(vec))
 
 
+def rand_function(rng, diagram, level):
+    """A random function of the given level, its values quarters in
+    [-2, 2] (constant at level 0): the draws of the algebra property suite
+    and of the acceptance tests."""
+    if level == 0:
+        return constant_function(diagram, Fraction(rng.randint(-8, 8), 4), 0)
+    return from_vector(diagram, level, [
+        Fraction(rng.randint(-8, 8), 4)
+        for _ in range(path_table(diagram, level).offsets[-1])])
+
+
 def as_vector(diagram, h):
     return list(h.values)
 

@@ -66,7 +66,8 @@ def xi_vector(diagram, k):
     return [x * scale for x in xis[L]]
 
 
-@dataclass
+# Compared and hashed by identity: the solenoid caches are keyed by it.
+@dataclass(eq=False)
 class RenormData:
     lambda_mu: object  # exact scalar
     roof: list
@@ -79,10 +80,6 @@ class RenormData:
     @cached_property
     def lam_inverse(self):
         return 1 / self.lambda_mu
-
-    @cached_property
-    def roof_floats(self):
-        return tuple(map(float, self.roof))
 
     @cached_property
     def exponent(self):

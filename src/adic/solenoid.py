@@ -12,9 +12,8 @@ only.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
@@ -261,38 +260,24 @@ def _shorter(a, b):
     return b
 
 
-def _lru_get(cache, size, key, build):
-    """cache[key], built on a miss; past size entries the least recently
-    used one is dropped."""
-    got = cache.get(key)
-    if got is None:
-        got = cache[key] = build()
-        if len(cache) > size:
-            cache.popitem(last=False)
-    else:
-        cache.move_to_end(key)
-    return got
-
-
-# Complexes per (diagram, Perron data, level), most recently used last.
-_COMPLEX_CACHE = OrderedDict()
+# Complexes per (diagram, Perron data, level) and conjugacy points per
+# (diagram, Perron data, path, depth margin); Perron data hashes by
+# identity.
 COMPLEX_CACHE_SIZE = 16
-# Conjugacy points per (diagram, Perron data, path, depth margin).
-_POINT_CACHE = OrderedDict()
 POINT_CACHE_SIZE = 1024
 
 
-def _renorm_key(diagram, renorm):
-    """The diagram and Perron data part of the complex and point keys."""
-    return diagram, renorm.lam_float, renorm.roof_floats
-
-
+@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
 def cached_complexes(diagram, renorm, n):
-    return _lru_get(
-        _COMPLEX_CACHE, COMPLEX_CACHE_SIZE,
-        _renorm_key(diagram, renorm) + (n,),
-        lambda: tuple(build_complex(diagram, renorm, k)
-                      for k in range(n + 1)))
+    return tuple(build_complex(diagram, renorm, k) for k in range(n + 1))
+
+
+@lru_cache(maxsize=POINT_CACHE_SIZE)
+def cached_point(diagram, renorm, p, depth_margin):
+    """The conjugacy point of the minimal continuation of the finite path
+    p, depth_margin levels below it."""
+    return conjugacy_point(diagram, renorm, materialize(
+        diagram, LazyPath(p, TAIL_MIN), p.level + depth_margin))
 
 
 def conjugacy_point(diagram, renorm, p):
@@ -415,26 +400,6 @@ def solenoid_metric(y, z, lam):
     return total
 
 
-def metric_report(y, z, lam):
-    """Per-level graph distances and the weighted metric, in floats: the
-    lengths and coordinates are exact, the distances are evaluated from
-    their roundings (point_distance and diameter stay exact)."""
-    lamf = float(lam)
-    total = 0.0
-    per_level = []
-    for k, (cx, dk) in enumerate(_level_distances(y, z)):
-        dm = cx.float_diameter
-        term = lamf ** (-k) * dk / dm
-        per_level.append({"level": k, "distance": dk, "diameter": dm,
-                          "term": term})
-        total += term
-    return {
-        "value": total,
-        "tail_bound": lamf ** (-y.level) / (lamf - 1.0),
-        "per_level": per_level,
-    }
-
-
 # ---------------------------------------------------------------------------
 # conjugacy quality
 
@@ -454,30 +419,21 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     and the extra levels separate them again.  The upper bound is
     depth-independent, since the tail terms sum to at most d / (lam - 1).
 
-    Each point is built once per process and kept in the bounded
-    _POINT_CACHE, with its float reach rows, so repeated calls on the same
+    Each point is built once per process and kept, with its float reach
+    rows, by the bounded `cached_point`, so repeated calls on the same
     paths pay only the float metric."""
     lamf = renorm.lam_float
     kbest = None
     worst_slack = 0.0
     checked = 0
-    base = _renorm_key(diagram, renorm)
     # This call's points, so that pairs over more paths than the cache
     # holds do not evict and rebuild a point on every pair.
-    memo = {}
-
-    def point(p):
-        got = memo.get(p)
-        if got is None:
-            got = memo[p] = _lru_get(
-                _POINT_CACHE, POINT_CACHE_SIZE, base + (p, depth_margin),
-                lambda: conjugacy_point(diagram, renorm, materialize(
-                    diagram, LazyPath(p, TAIL_MIN), p.level + depth_margin)))
-        return got
-
+    points = {}
     for p, q in pairs:
-        y = point(p)
-        z = point(q)
+        for x in (p, q):
+            if x not in points:
+                points[x] = cached_point(diagram, renorm, x, depth_margin)
+        y, z = points[p], points[q]
         dbar = solenoid_metric(y, z, lamf)
         d = _ultrametric(p, q, lamf)
         if d == 0.0:

@@ -295,14 +295,15 @@ def _orbit_runs(diagram, start, towers):
         x = extreme_min_lazy(diagram)
 
 
-def birkhoff(diagram, h, start, n_total, checkpoints=None):
-    """S_n = sum_{j<n} h(phi^j start) at checkpoints, with an exponent fit.
+def birkhoff(diagram, h, start, n_total):
+    """S_n = sum_{j<n} h(phi^j start) at n = 1, 2, 4, ... below n_total
+    and at n_total, with an exponent fit.
 
     The orbit is a sequence of whole towers (`_orbit_runs`), so the sums are
     read from per-level tables (`_Towers`) of each tower's height, sum and
     extreme prefix sums, built only as far up as the orbit reaches: about
-    log n levels.  A tower that straddles a checkpoint or n_total is split
-    into its parts one level down, so a call costs O(levels * in-degree) per
+    log n levels.  A tower that straddles a checkpoint is split into its
+    parts one level down, so a call costs O(levels * in-degree) per
     checkpoint, not one step per iterate.  sup_abs is read off the extreme
     prefix sums, so it is exact.  Rational and float values are summed
     exactly as the integers of `integer_parts`; float input reports the
@@ -326,16 +327,10 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
         def value(a):
             return a
 
-    cps = sorted(set(int(c) for c in (checkpoints
-                                      if checkpoints is not None
-                                      else _geometric_checkpoints(n_total))))
-    if cps and (cps[0] < 1 or cps[-1] > n_total):
-        raise ValueError("checkpoints out of range")
     towers = _Towers(diagram, m, table)
     runs = _orbit_runs(diagram, start, towers)
-    wanted = set(cps)
     acc, sup, n, out, stack = 0, 0, 0, [], []
-    for stop in sorted(wanted | {n_total}):
+    for stop in _geometric_checkpoints(n_total):
         while n < stop:
             j, key = stack.pop() if stack else next(runs)
             size, s, hi, lo = towers.summary(j, key)
@@ -348,8 +343,7 @@ def birkhoff(diagram, h, start, n_total, checkpoints=None):
             if bottom > sup:
                 sup = bottom
             acc, n = acc + s, n + size
-        if stop in wanted:
-            out.append((n, value(acc)))
+        out.append((n, value(acc)))
     final = value(acc)
     slope, r2, ok = _fit_exponent(out, n_total)
     return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),

@@ -1,12 +1,9 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import settings
 
 from adic.catalog import builtin_diagram
-from adic.diagrams import enumerate_paths
-from adic.martingale import constant_function, from_vector
 
 # One hypothesis profile for every run: examples from a fixed seed, a
 # bounded number of them, and no deadline for the slower exact examples.
@@ -37,11 +34,3 @@ def pisot31():
 
 def rng(seed):
     return random.Random(seed)
-
-
-def rand_function(r, diagram, level, den=4, lo=-8, hi=8):
-    if level == 0:
-        return constant_function(diagram, Fraction(r.randint(lo, hi), den), 0)
-    return from_vector(diagram, level,
-                       [Fraction(r.randint(lo, hi), den)
-                        for _ in enumerate_paths(diagram, 0, level)])

@@ -5,14 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_function, rng
+from conftest import rng
 from test_step import _prefixed, _random_diagram
 
-from adic.algebra import (TRIANGLE_CACHE_SIZE, add, complement_support,
-                          convolve, element, equal_elements, involution,
-                          lemma_constant, neumann_invert, norms, power,
-                          project_support, scale, subtract, trace,
-                          triangle_phi, unit, unitary)
+from adic.algebra import (TRIANGLE_CACHE_SIZE, check_trial, convolve,
+                          element, equal_elements, involution,
+                          jolissaint_holds, neumann_invert, norms,
+                          rand_element, scale, subtract, trace, triangle_phi,
+                          unit)
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
@@ -21,23 +21,33 @@ from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
                          PreconditionError)
 from adic.martingale import (compose_phi, constant_function, from_vector,
-                             phi_transient)
+                             phi_transient, rand_function)
 from adic.measures import renorm_data
 from adic.scalars import FieldElement, sqrt_field
 
-SLACK = 1e-9
+
+@pytest.fixture(scope="module")
+def suite(odo2, pisot31):
+    """{check name: outcomes} of 25 trials of the property suite on odo2
+    and 25 on pisot31, a and b of level <= 3, window 2, support <= 5."""
+    r = rng(502)
+    out = {}
+    for d, lam in ((odo2, 2), (pisot31, renorm_data(pisot31).lam_float)):
+        tri, tower = triangle_phi(d, 3).value, limit_rank(d, renorm_data(d))
+        for _ in range(25):
+            for name, ok in check_trial(r, d, lam, 3, tri, tower, (3, 2, 5)):
+                out.setdefault(name, []).append(ok)
+    return out
 
 
-def le(x, y):
-    return x <= y + SLACK * max(1.0, abs(y))
+def passed(suite, *names):
+    """{name: (trials, whether every one held)}."""
+    return {name: (len(suite[name]), all(suite[name])) for name in names}
 
 
-def rand_element(r, diagram, lam, alpha, max_level, window, max_support):
-    ks = r.sample(range(-window, window + 1),
-                  k=r.randint(1, max_support))
-    return element(diagram, lam, alpha,
-                   {k: rand_function(r, diagram, r.randint(0, max_level))
-                    for k in ks})
+def _shift(diagram, k):
+    """The unitary u^k of the crossed product."""
+    return element(diagram, 2, 3, {k: constant_function(diagram, Fraction(1))})
 
 
 def test_triangle_values(odo2, odo3, fib, pisot31):
@@ -57,8 +67,6 @@ def test_triangle_values(odo2, odo3, fib, pisot31):
             # refinement of the representative set cannot shrink the sup
             assert est.value >= prev - 1e-12
             prev = est.value
-            if est.value > 1.0:
-                assert est.attained_pair is not None
 
 
 def test_triangle_cache_is_bounded(odo2):
@@ -73,7 +81,7 @@ def test_triangle_cache_is_bounded(odo2):
 def test_unit_and_unitaries(odo2):
     u = unit(odo2, 2, 3)
     assert equal_elements(convolve(u, u), u)
-    w = unitary(odo2, 2, 3, 1)
+    w = _shift(odo2, 1)
     ws = involution(w)
     assert ws.support() == (-1,)
     assert equal_elements(convolve(w, ws), u)
@@ -82,56 +90,30 @@ def test_unit_and_unitaries(odo2):
 
 def test_conjugation_by_unitary(odo2):
     r = rng(501)
-    w = unitary(odo2, 2, 3, 1)
+    w = _shift(odo2, 1)
     ws = involution(w)
-    a = rand_element(r, odo2, 2, 3, 2, 2, 5)
+    a = rand_element(r, odo2, 2, 3, (2, 2, 5))
     lhs = convolve(convolve(w, a), ws)
     rhs = element(odo2, 2, 3, {k: compose_phi(odo2, f, -1)
                                for k, f in a.coeffs.items()})
     assert equal_elements(lhs, rhs)
 
 
-def test_associativity_and_involution(odo2, pisot31):
-    r = rng(502)
-    lamp = renorm_data(pisot31).lam_float
-    for d, lam in ((odo2, 2), (pisot31, lamp)):
-        for _ in range(8):
-            a = rand_element(r, d, lam, 3, 2, 2, 3)
-            b = rand_element(r, d, lam, 3, 2, 2, 3)
-            c = rand_element(r, d, lam, 3, 1, 1, 2)
-            assert equal_elements(convolve(convolve(a, b), c),
-                                  convolve(a, convolve(b, c)))
-            assert equal_elements(involution(convolve(a, b)),
-                                  convolve(involution(b), involution(a)))
-            assert equal_elements(involution(involution(a)), a)
+def test_associativity_and_involution(suite):
+    assert passed(suite, "associativity", "involution_antihom",
+                  "involution_squared") == {
+        "associativity": (50, True), "involution_antihom": (50, True),
+        "involution_squared": (50, True)}
 
 
-def test_norm_inequalities(odo2, pisot31):
-    r = rng(503)
-    lamp = renorm_data(pisot31).lam_float
-    for d, lam in ((odo2, 2), (pisot31, lamp)):
-        tri = triangle_phi(d, 3).value
-        for _ in range(25):
-            s = r.choice((0, 1, 2))
-            q = r.choice((1, 2))
-            a = rand_element(r, d, lam, 3, 3, 2, 5)
-            b = rand_element(r, d, lam, 3, 3, 2, 5)
-            nb = norms(b, s, q, triangle=tri)
-            naa = norms(a, s + 3, q, triangle=tri)
-            ab = convolve(a, b)
-            nab = norms(ab, s, q, triangle=tri)
-            assert le(nab["s_alpha"], naa["s_alpha"] * nb["s_alpha"])
-            nast = norms(involution(a), s, q, triangle=tri)
-            assert le(nast["s_alpha"], naa["s_alpha"])
-            assert le(nab["l1_alpha"],
-                      norms(a, 0, q, triangle=tri)["s_alpha"]
-                      * nb["l1_alpha"])
-            if tri > 1.0:
-                nq = norms(a, q, q, triangle=tri)
-                assert le(nq["mu_q"], nq["s_alpha"])
-                n2q = norms(a, q, 2 * q + 3, triangle=tri)
-                cc = lemma_constant(tri, 3, q)
-                assert le(nq["s_alpha"], cc * n2q["mu_q"])
+def test_norm_inequalities(suite):
+    # the comparison with the tail seminorm holds in the exponential
+    # regime, pisot31's
+    assert passed(suite, "product_norm", "involution_norm", "l1_product",
+                  "tail_le_norm", "norm_le_tail") == {
+        "product_norm": (50, True), "involution_norm": (50, True),
+        "l1_product": (50, True), "tail_le_norm": (50, True),
+        "norm_le_tail": (25, True)}
 
 
 def test_support_zero_mu_conventions(odo2, pisot31):
@@ -144,29 +126,21 @@ def test_support_zero_mu_conventions(odo2, pisot31):
     assert norms(a_poly, 0, 2)["mu_q"] == 0.0
 
 
-def _jolissaint_holds(f, n, big):
-    p = project_support(f, big)
-    q = complement_support(f, big)
-    total = power(p, n)
-    for k in range(n):
-        total = add(total, convolve(power(p, k),
-                                    convolve(q, power(f, n - 1 - k))))
-    return equal_elements(total, power(f, n))
-
-
-def test_jolissaint_identity_exact(odo2, pisot31):
+def test_jolissaint_identity_exact(odo2, pisot31, suite):
+    assert passed(suite, "jolissaint_n1", "jolissaint_n2") == {
+        "jolissaint_n1": (50, True), "jolissaint_n2": (50, True)}
     r = rng(504)
     lamp = renorm_data(pisot31).lam_float
     for _ in range(8):
-        f = rand_element(r, odo2, 2, 3, 3, 2, 5)
+        f = rand_element(r, odo2, 2, 3, (3, 2, 5))
         for n in (1, 2, 3):
             for big in (1, 4):
-                assert _jolissaint_holds(f, n, big)
+                assert jolissaint_holds(f, n, big)
     for _ in range(4):
-        f = rand_element(r, pisot31, lamp, 3, 1, 1, 3)
+        f = rand_element(r, pisot31, lamp, 3, (1, 1, 3))
         for n in (1, 2):
             for big in (1, 4):
-                assert _jolissaint_holds(f, n, big)
+                assert jolissaint_holds(f, n, big)
 
 
 def test_neumann_inversion(odo2):
@@ -214,39 +188,24 @@ def test_level_cap_overflow(odo2):
         convolve(a, a, level_cap=1)
 
 
-def test_tracial_identity_exact(odo2, pisot31):
-    r = rng(506)
-    lamp = renorm_data(pisot31).lam_float
-    for d, lam in ((odo2, 2), (pisot31, lamp)):
-        tower = limit_rank(d, renorm_data(d))
-        for _ in range(12):
-            a = rand_element(r, d, lam, 3, 2, 2, 4)
-            b = rand_element(r, d, lam, 3, 2, 2, 4)
-            ta = trace(convolve(a, b), tower)
-            tb = trace(convolve(b, a), tower)
-            assert len(ta) == len(tb)
-            for da, db in zip(ta, tb):
-                assert da.numerator == db.numerator
+def test_tracial_identity_exact(suite):
+    assert passed(suite, "trace_commutator") == \
+        {"trace_commutator": (50, True)}
 
 
 def test_trace_refuses_a_level_below_the_evaluation_level(odo2):
     # at_level only guards the evaluation level; it does not move the trace
     r = rng(508)
     tower = limit_rank(odo2, renorm_data(odo2))
-    a = rand_element(r, odo2, 2, 3, 2, 2, 4)
+    a = rand_element(r, odo2, 2, 3, (2, 2, 4))
     h = a.coeff(0)
     assert trace(a, tower, at_level=h.level + 3) == trace(a, tower)
     with pytest.raises(InsufficientStabilizationError):
         trace(a, tower, at_level=h.level - 1)
 
 
-def test_trace_positive_on_squares(odo2):
-    r = rng(507)
-    tower = limit_rank(odo2, renorm_data(odo2))
-    for _ in range(10):
-        a = rand_element(r, odo2, 2, 3, 2, 2, 4)
-        aa = convolve(involution(a), a)
-        assert trace(aa, tower)[0].value >= -1e-15
+def test_trace_positive_on_squares(suite):
+    assert passed(suite, "trace_positive") == {"trace_positive": (50, True)}
 
 
 def test_trace_of_unit(odo2):

@@ -5,6 +5,10 @@ and prints floats with repr-faithful precision, so any drift in numerics or
 formatting shows up as a diff, not as a tolerance miss."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -13,6 +17,7 @@ from test_cohomology import _dump_diagrams
 from test_scalars import sympy_value
 from test_step import _prefixed
 
+import adic
 from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.martingale import compose_phi, constant_function, from_vector, lift
@@ -708,6 +713,49 @@ def test_element_file_rejects_bad_entries(capsys, work, change, message):
                                 "--element", str(work / "bad_e.json")])
     assert (rc, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ([], "an element file is an object"),
+    ({"diagram": "odo2", "alpha": 3, "coeffs": [1, 2]},
+     "an element file is an object with an object of coeffs"),
+    ({"diagram": ["odo2"], "alpha": 3, "coeffs": {}},
+     "element diagram ['odo2'] is not a name or a path"),
+    # a file descriptor: open(0) would read the diagram from stdin
+    ({"diagram": 0, "alpha": 3, "coeffs": {}},
+     "element diagram 0 is not a name or a path"),
+], ids=["list", "coeffs-list", "diagram-list", "diagram-int"])
+def test_element_file_must_be_well_formed(capsys, work, spec, message):
+    (work / "bad_e.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["algebra", "invert",
+                                "--element", str(work / "bad_e.json")])
+    assert (rc, out) == (2, "")
+    assert message in err
+
+
+# The address space of the child below: room for the interpreter and the
+# package, none for the 2^40 paths that a level of 40 asks for on odo2.
+CHILD_ADDRESS_SPACE = 256 << 20
+
+
+@pytest.mark.parametrize("argv", [
+    ["distributions", "--diagram", "odo2", "--function", "deep.json"],
+    ["paths", "--diagram", "odo2", "--level", "40"],
+], ids=["function-file", "level-flag"])
+def test_path_budget_refuses_deep_levels(tmp_path, argv):
+    (tmp_path / "deep.json").write_text(
+        json.dumps({"level": 40, "values": {"0": "1"}}))
+    child = ("import resource, sys\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (%d, %d))\n"
+             "from adic.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n"
+             % (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+    src = str(pathlib.Path(adic.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", child] + argv,
+                          cwd=tmp_path, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("error: level 19 has 524288 paths")
 
 
 @pytest.fixture()

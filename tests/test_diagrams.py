@@ -1,4 +1,4 @@
-"""Path spaces, orders, the metric, and the adic successor."""
+"""Path spaces, orders, the path ultrametric, and the adic successor."""
 
 import json
 import math
@@ -7,16 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import rand_function, rng
-
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, diagram_from_json_dict,
                            enumerate_paths, extreme_min_lazy,
                            first_disagreement, load_diagram, make_level,
-                           materialize, metric, path_table, predecessor,
-                           successor, validate)
+                           materialize, path_range, path_table, successor,
+                           validate)
 from adic.errors import NotProperlyOrderedError, ParseError
 from adic.martingale import from_vector
+from adic.solenoid import _ultrametric
 from adic.solver import birkhoff
 
 
@@ -90,26 +89,30 @@ def test_enumerate_base_case_is_edge_order(pisot31):
         [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)]
 
 
-def test_metric_identity_and_level_one(odo2):
-    a = LazyPath(FinitePath((0, 1, 1, 1), 0), TAIL_MIN)
-    b = LazyPath(FinitePath((1, 0, 0, 0), 0), TAIL_MIN)
-    assert metric(odo2, a, a, 2) == 0
+# The path ultrametric d(p, q) = lam**(-k+1), k the first level where p
+# and q differ, is the one `solenoid.bilip_check` compares against.
+
+def test_metric_identity_and_level_one():
+    a = FinitePath((0, 1, 1, 1), 0)
+    b = FinitePath((1, 0, 0, 0), 0)
+    assert _ultrametric(a, a, 2) == 0
     # first disagreement at level 1: distance lambda^0 = 1
-    assert metric(odo2, a, b, 2) == 1
+    assert _ultrametric(a, b, 2) == 1
 
 
 def test_metric_fib_agree_to_four(fib):
     lam = (1 + math.sqrt(5)) / 2
-    a = LazyPath(FinitePath((0, 0, 0, 0, 0), 0), TAIL_MIN)
-    b = LazyPath(FinitePath((0, 0, 0, 0, 2), 0), TAIL_MIN)
-    assert first_disagreement(fib, a, b) == 5
-    assert abs(metric(fib, a, b, lam) - lam ** (-4)) < 1e-12
+    a = FinitePath((0, 0, 0, 0, 0), 0)
+    b = FinitePath((0, 0, 0, 0, 2), 0)
+    assert first_disagreement(fib, LazyPath(a, TAIL_MIN),
+                              LazyPath(b, TAIL_MIN)) == 5
+    assert abs(_ultrametric(a, b, lam) - lam ** (-4)) < 1e-12
     assert abs(lam ** (-4) - 0.1459) < 1e-4
 
 
 def test_metric_ultrametric_inequality(odo2):
-    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(odo2, 0, 4)]
-    d = {(i, j): metric(odo2, reps[i], reps[j], 2)
+    reps = enumerate_paths(odo2, 0, 4)
+    d = {(i, j): _ultrametric(reps[i], reps[j], 2)
          for i in range(16) for j in range(16)}
     for i in range(16):
         for j in range(16):
@@ -135,8 +138,9 @@ def test_successor_agrees_with_enumeration(odo2, fib, pisot31):
     # within one tower the enumeration order is the successor order; across
     # tower boundaries the successor carries into higher levels instead
     for d in (odo2, fib, pisot31):
+        every = enumerate_paths(d, 0, 4)
         for v in range(d.level(4).num_ranges):
-            ps = enumerate_paths(d, 0, 4, target=v)
+            ps = [p for p in every if path_range(d, p) == v]
             for i in range(len(ps) - 1):
                 img = successor(d, LazyPath(ps[i], TAIL_MIN))
                 want = LazyPath(ps[i + 1], TAIL_MIN)
@@ -161,7 +165,7 @@ def test_predecessor_inverts_successor(odo2, pisot31):
     for d in (odo2, pisot31):
         for p in enumerate_paths(d, 0, 3)[1:]:
             lz = LazyPath(p, TAIL_MIN)
-            back = predecessor(d, successor(d, lz))
+            back = successor(d, successor(d, lz), -1)
             assert first_disagreement(d, back, lz) == 0
 
 
@@ -171,7 +175,7 @@ def test_fib_predecessor_of_min_is_improper(fib):
     lo = LazyPath(FinitePath((), 0), TAIL_MIN)
     parallel = OrderedDiagram(
         (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
-    for call in (lambda: predecessor(fib, lo),
+    for call in (lambda: successor(fib, lo, -1),
                  lambda: extreme_min_lazy(parallel)):
         with pytest.raises(NotProperlyOrderedError):
             call()

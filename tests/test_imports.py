@@ -4,12 +4,15 @@ every option it offers is set somewhere.  No module imports numpy.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
-`__init__.py` is skipped, since it imports to re-export.  A top-level `def`
-or `class` must be read in its own module, or imported or reached as an
-attribute of its module from the sources, the tests or the benchmark.  A
-method or property of a class (dunders aside), and a field of a dataclass,
-must be read there as an attribute of something.  A parameter with a
-default must be set by some call there."""
+`__init__.py` is skipped, since it imports to re-export.  Only real users
+count: the package's own modules (not the re-exports of `__init__.py`),
+the benchmark and the acceptance tests, never a unit test.  A top-level
+`def` or `class` must be read in its own module, or imported or reached as
+an attribute of its module from a user.  A method or property of a class
+(dunders aside), and a field of a dataclass, must be read by a user as an
+attribute of something.  A parameter with a default must be set by some
+call of a user.  `REFERENCES` lists the reference implementations that
+only the unit tests comparing against them read."""
 
 import ast
 import math
@@ -19,6 +22,15 @@ import adic
 
 PACKAGE = pathlib.Path(adic.__file__).resolve().parent
 ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Reference implementations kept in the package, each with the unit test
+# that compares the package against it.
+REFERENCES = {
+    "solenoid.point_distance":
+        "test_solenoid.py::test_diameter_against_point_distances",
+    "martingale.CylinderFunction.evaluate":
+        "test_step.py::test_compose_phi_matches_lazy_successors",
+}
 
 
 def unused_imports(source):
@@ -109,9 +121,18 @@ def _package_sources():
             if p.name != "__init__.py"}
 
 
+def user_sources(root):
+    """The sources of a source tree whose reads count: the package modules
+    but `__init__.py`, the benchmark and the acceptance tests."""
+    paths = [p for p in sorted((root / "src").rglob("*.py"))
+             if p.name != "__init__.py"]
+    paths += sorted((root / "bench").rglob("*.py"))
+    return [p.read_text() for p in paths + [root / "tests" /
+                                            "test_acceptance.py"]]
+
+
 def _user_sources():
-    return [p.read_text() for top in ("src", "tests", "bench")
-            for p in sorted((ROOT / top).rglob("*.py"))]
+    return user_sources(ROOT)
 
 
 def test_scan_finds_an_unused_definition():
@@ -126,8 +147,38 @@ def test_scan_finds_an_unused_definition():
         == []
 
 
+def test_scan_counts_no_unit_test_as_a_user(tmp_path):
+    files = {"src/adic/__init__.py": "from .x import orphan\n",
+             "src/adic/x.py": "def orphan():\n    return 0\n",
+             "tests/test_x.py": "from adic.x import orphan\n\n\n"
+                                "def test_orphan():\n"
+                                "    assert orphan() == 0\n",
+             "tests/test_acceptance.py": "", "bench/run.py": ""}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    modules = {"x": files["src/adic/x.py"]}
+    assert unused_definitions(modules, user_sources(tmp_path)) == \
+        ["x.orphan"]
+    (tmp_path / "bench" / "run.py").write_text("from adic import x\n"
+                                               "x.orphan()\n")
+    assert unused_definitions(modules, user_sources(tmp_path)) == []
+
+
 def test_package_has_no_unused_definitions():
-    assert unused_definitions(_package_sources(), _user_sources()) == []
+    assert unused_definitions(_package_sources(), _user_sources()) == \
+        [name for name in sorted(REFERENCES) if name.count(".") == 1]
+
+
+def test_references_are_read_by_their_tests():
+    for name, test in REFERENCES.items():
+        path, func = test.split("::")
+        tree = ast.parse((ROOT / "tests" / path).read_text())
+        body = next(n for n in tree.body
+                    if getattr(n, "name", None) == func)
+        read = {getattr(n, "attr", getattr(n, "id", None))
+                for n in ast.walk(body)}
+        assert name.rsplit(".", 1)[1] in read, name
 
 
 def _is_dataclass(cls):
@@ -178,7 +229,8 @@ def test_scan_finds_an_unused_member():
 
 
 def test_package_has_no_unused_members():
-    assert unused_members(_package_sources(), _user_sources()) == []
+    assert unused_members(_package_sources(), _user_sources()) == \
+        [name for name in sorted(REFERENCES) if name.count(".") == 2]
 
 
 def imports_numpy(source):

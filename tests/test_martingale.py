@@ -2,13 +2,13 @@
 
 from fractions import Fraction
 
-from conftest import rand_function, rng
+from conftest import rng
 
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, phi_transient,
-                             project)
+                             project, rand_function)
 from adic.measures import renorm_data
 
 

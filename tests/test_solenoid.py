@@ -16,8 +16,8 @@ from adic.measures import renorm_data
 from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
                            cached_complexes, conjugacy_point, diameter,
                            euler_characteristic, first_betti_number,
-                           metric_report, point_distance,
-                           roof_heights, solenoid_metric, wrapping)
+                           point_distance, roof_heights, solenoid_metric,
+                           wrapping)
 
 
 def test_complex_shapes(odo2, fib, pisot31):
@@ -140,15 +140,12 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
             for i in range(0, n, step):
                 for j in (i + 1, i + n // 2):
                     y, z = pts[i], pts[j % n]
-                    rep = metric_report(y, z, rd.lambda_mu)
-                    for k, row in enumerate(rep["per_level"]):
-                        cx = y.complexes[k]
-                        dk = float(point_distance(cx, y.coords[k],
-                                                     z.coords[k]))
-                        dm = float(diameter(cx))
-                        assert math.isclose(row["distance"], dk,
-                                            rel_tol=1e-12)
-                        assert math.isclose(row["diameter"], dm,
+                    for k, (cx, dk) in enumerate(
+                            solenoid._level_distances(y, z)):
+                        assert math.isclose(dk, float(point_distance(
+                            cx, y.coords[k], z.coords[k])), rel_tol=1e-12)
+                        assert math.isclose(cx.float_diameter,
+                                            float(diameter(cx)),
                                             rel_tol=1e-12)
 
 
@@ -231,9 +228,10 @@ def test_diameter_against_point_distances():
 def test_complex_cache_is_bounded(odo2):
     rd = renorm_data(odo2)
     bound = solenoid.COMPLEX_CACHE_SIZE
+    cached_complexes.cache_clear()
     for n in range(bound + 4):
         got = cached_complexes(odo2, rd, n)
-    assert len(solenoid._COMPLEX_CACHE) == bound
+    assert cached_complexes.cache_info().currsize == bound
     assert cached_complexes(odo2, rd, bound + 3) is got
 
 
@@ -287,18 +285,13 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
                     total += lamf ** (-k) * dk / cx.float_diameter
                 assert solenoid_metric(y, z, rd.lambda_mu) == total
                 same_edge += y is not z and y.coords[-1][0] == z.coords[-1][0]
-            rep = metric_report(pts[0], pts[-1], rd.lambda_mu)
-            assert rep["value"] == solenoid_metric(pts[0], pts[-1],
-                                                   rd.lambda_mu)
-            assert [row["distance"] for row in rep["per_level"]] == \
-                [dk for _, dk in solenoid._level_distances(pts[0], pts[-1])]
         assert same_edge > 0
 
 
 def _clear_point_caches():
     # a rebuilt complex computes its metric tables afresh
-    solenoid._POINT_CACHE.clear()
-    solenoid._COMPLEX_CACHE.clear()
+    solenoid.cached_point.cache_clear()
+    solenoid.cached_complexes.cache_clear()
 
 
 def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
@@ -322,6 +315,6 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
         warm = [bilip_check(d, rd, pairs, 0.25, margin)
                 for d, rd, pairs, margin in cases]
         assert warm == cold
-    assert len(solenoid._POINT_CACHE) == sum(
+    assert solenoid.cached_point.cache_info().currsize == sum(
         2 * len(enumerate_paths(d, 0, 4)) for d in (odo2, fib))
     assert cold[0] != cold[1] and cold[0] != cold[2]

@@ -1,12 +1,13 @@
 """Coboundary solving, norm bookkeeping, and orbit sums."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_function, rng
+from conftest import rng
 
 from test_step import _prefixed, _random_diagram
 
@@ -17,10 +18,10 @@ from adic.cohomology import (certificate, distributions, is_coboundary_class,
                              limit_rank)
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme_max_lazy,
-                           make_level, predecessor, successor)
+                           make_level, successor)
 from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
-                             integer_parts, lift, nu_mean)
+                             integer_parts, lift, nu_mean, rand_function)
 from adic.measures import renorm_data, xi_vector
 from adic.scalars import sqrt_field
 from adic.solver import birkhoff, chained_constant, solution_norms, solve
@@ -307,7 +308,7 @@ def _orbit_starts(r, d):
         for back in range(21):
             if back in (0, 1, 5, 20):
                 out.append(p)
-            p = predecessor(d, p)
+            p = successor(d, p, -1)
     for tail in (TAIL_MIN, TAIL_MAX, TAIL_MIN, TAIL_MAX):
         v, edges = r.randrange(d.num_vertices(0)), []
         for k in range(1, r.randint(1, 5) + 1):
@@ -322,7 +323,9 @@ def _orbit_starts(r, d):
 def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
     # every checkpoint and sup_abs against lazy successors and evaluate, for
     # h of levels 0-3 on the builtins and random diagrams, Fraction and
-    # (on fib) QuadExt values, default and sparse custom checkpoints
+    # (on fib) field values; n_total 1, 120 and four more drawn below 120,
+    # each with its powers of 2 below (all 120 take about 30 s on a 2-core
+    # x86 machine)
     r = rng(407)
     cases = [(d, lambda: Fraction(r.randint(-8, 8), 4))
              for d in (odo2, odo3, fib, pisot31)]
@@ -338,20 +341,23 @@ def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
             orbit = [start]
             while len(orbit) < n:
                 orbit.append(successor(d, orbit[-1]))
-            custom = sorted({1, n} | set(r.sample(range(2, n), 4)))
+            totals = sorted({1, n} | set(r.sample(range(2, n), 4)))
             for h in hs:
                 sums, acc = [], 0
                 for x in orbit:
                     acc = acc + h.evaluate(d, x)
                     sums.append(acc)
-                sup = max(abs(s) for s in sums)
-                for cps in (None, custom):
-                    rep = birkhoff(d, h, start, n, checkpoints=cps)
-                    assert [c for c, _ in rep.checkpoints] == \
-                        (custom if cps else [1, 2, 4, 8, 16, 32, 64, n])
+                sups = list(itertools.accumulate(map(abs, sums), max))
+                for total in totals:
+                    rep = birkhoff(d, h, start, total)
+                    # the powers of 2 below n_total, then n_total
+                    assert [c for c, _ in rep.checkpoints] == [
+                        c for c in range(1, total) if c & (c - 1) == 0] + \
+                        [total]
                     for c, s in rep.checkpoints:
                         assert s == sums[c - 1], (d, start, h.level, c)
-                    assert rep.sup_abs == sup, (d, start, h.level)
+                    assert rep.sup_abs == sups[total - 1], \
+                        (d, start, h.level, total)
 
 
 def test_birkhoff_cost_grows_like_log_n(odo2, pisot31):
@@ -374,9 +380,8 @@ def test_birkhoff_float_sums_are_exact_then_rounded(fib):
     fh = from_vector(fib, 2, [float(v) for v in exact])
     qh = from_vector(fib, 2, [Fraction(float(v)) for v in exact])
     start = LazyPath(FinitePath(()), TAIL_MIN)
-    cps = [1, 3, 10, 100, 999, 1000]
-    got = birkhoff(fib, fh, start, 1000, checkpoints=cps)
-    want = birkhoff(fib, qh, start, 1000, checkpoints=cps)
+    got = birkhoff(fib, fh, start, 1000)
+    want = birkhoff(fib, qh, start, 1000)
     assert got.checkpoints == tuple((n, float(s)) for n, s in want.checkpoints)
     assert all(isinstance(s, float) for _, s in got.checkpoints)
     assert got.sup_abs == float(want.sup_abs)

@@ -10,8 +10,8 @@ import pytest
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           enumerate_paths, make_level, step, step_tables,
-                           successor)
+                           count_paths, enumerate_paths, make_level,
+                           path_range, step, step_tables, successor)
 from adic.errors import NotProperlyOrderedError
 from adic.martingale import compose_phi, from_vector, phi_transient
 
@@ -81,8 +81,9 @@ def test_step_follows_tower_order(diagrams):
     n = 4
     for d in diagrams:
         up, down = step_tables(d, n, 1), step_tables(d, n, -1)
+        every = enumerate_paths(d, 0, n)
         for v in range(d.num_vertices(n)):
-            tower = [p.edges for p in enumerate_paths(d, 0, n, target=v)]
+            tower = [p.edges for p in every if path_range(d, p) == v]
             for i, edges in enumerate(tower):
                 digits = list(edges)
                 assert step(up, digits) == (i + 1 < len(tower))
@@ -110,7 +111,7 @@ def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
                 continue
             # the least level whose tower over v holds |k| paths
             n_star = next(j for j in itertools.count()
-                          if len(enumerate_paths(d, 0, j, target=v)) >= abs(k))
+                          if count_paths(d, 0, j)[v] >= abs(k))
             m = max(h.level, len(d.levels) - 1)
             c = compose_phi(d, h, k)
             assert c.level == max(min(m + abs(k) * T, T + max(m, n_star)), 1)
