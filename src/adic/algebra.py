@@ -5,9 +5,11 @@ the formal sum of a(k) u^k, with u the shift unitary of the adic map.
 Multiplication convolves coefficients and conjugates by powers of the map.
 Products and involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
-finer level move indices, never field elements, and products are summed as
-integers over a common denominator (`martingale.integer_parts`), so float
-coefficients are read as the dyadic rationals they store.  A composition
+finer level move indices, never field elements.  Products run on integer
+columns over a common denominator (`martingale.integer_parts`), so float
+coefficients are read as the dyadic rationals they store, and chains stay
+in that form: `power` and `neumann_invert` (its terms and partial sums)
+read their inputs once and build Fractions once.  A composition
 with phi^k raises the cylinder level by the transient T of the extreme
 source map, and by more only while the tower over its fixed vertex holds
 fewer than |k| paths, so levels grow like log|k| (not at all on the
@@ -45,6 +47,7 @@ from .martingale import (CylinderFunction, compose_level, constant_function,
                          field_values, gather, holder_norm, integer_parts,
                          lift, rand_function)
 from .measures import renorm_data
+from .solver import _overflow
 
 LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
@@ -109,45 +112,58 @@ def subtract(a, b):
 
 
 def equal_elements(a, b):
-    _compatible(a, b)
-    for k in set(a.coeffs) | set(b.coeffs):
-        fa, fb = a.coeffs.get(k), b.coeffs.get(k)
-        if fa is None or fb is None:
-            f = fa if fb is None else fb
-            if not f.is_zero():
-                return False
-            continue
-        top = max(fa.level, fb.level)
-        if not (lift(a.diagram, fa, top) - lift(a.diagram, fb, top)).is_zero():
-            return False
-    return True
+    return not subtract(a, b).coeffs
 
 
 def convolve(a, b, level_cap=LEVEL_CAP):
-    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), computed exactly.
-
-    Every coefficient is read once as integer columns over one common
-    denominator (`integer_parts`).  The terms of one output shift are read
-    at the highest level among them, each factor through a cached index
-    gather (`martingale.gather`), so composing with phi^{-i} and lifting
-    move indices, not field elements; the terms are summed as integers over
-    the lcm of their denominators, and `field_values` builds one Fraction
-    per distinct value, or one field element per value when an input held
-    one.  Every level is checked against level_cap before any gather is
-    built; coefficients of two fields raise PreconditionError."""
+    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), computed exactly on
+    integer columns (`_columns`, `_product`, `_element`).  A level above
+    level_cap raises LevelOverflowError, two fields PreconditionError."""
     _compatible(a, b)
-    diagram = a.diagram
-    parts = {(side, k): integer_parts(f.values)
-             for side, x in ((0, a), (1, b)) for k, f in x.coeffs.items()}
-    fields = {d for _, _, d in parts.values() if d is not None}
+    (pa, pb), field = _columns(a, b)
+    return _element(a, _product(a.diagram, pa, pb, field, level_cap), field)
+
+
+def _columns(*xs):
+    """Per element, its coefficients as shift -> (level, q, cols), read
+    once by `integer_parts`, and the one field of all of them (None when
+    every value is rational); two fields raise PreconditionError."""
+    fields, out = set(), []
+    for x in xs:
+        parts = {}
+        for k, f in x.coeffs.items():
+            q, cols, field = integer_parts(f.values)
+            parts[k] = (f.level, q, cols)
+            fields.add(field)
+        out.append(parts)
+    fields.discard(None)
     if len(fields) > 1:
         raise PreconditionError("coefficients of mixed fields %s"
                                 % ", ".join(sorted(map(repr, fields))))
-    field = fields.pop() if fields else None
+    return out, (fields.pop() if fields else None)
+
+
+def _element(like, parts, field):
+    """The element of like's algebra with the columns parts, one
+    `field_values` per shift; a shift of one column is rational (every
+    field has degree >= 2)."""
+    return AlgebraElement(like.diagram, like.lam, like.alpha, {
+        k: CylinderFunction(level, field_values(
+            q, cols, field if len(cols) > 1 else None))
+        for k, (level, q, cols) in parts.items()})
+
+
+def _product(diagram, pa, pb, field, level_cap):
+    """The columns of the product of the columns pa and pb.  The terms of
+    one output shift are read at the highest level among them, each factor
+    through a cached index gather (`martingale.gather`), so composing with
+    phi^{-i} and lifting move indices, not field elements; they are summed
+    as integers over the lcm of their denominators, and an all-zero sum is
+    dropped.  Every level is checked against level_cap first."""
     terms = {}
-    for i, ai in a.coeffs.items():
-        for j, bj in b.coeffs.items():
-            top = max(ai.level, compose_level(diagram, bj.level, -i))
+    for i, (la, _, _) in pa.items():
+        for j, (lb, _, _) in pb.items():
+            top = max(la, compose_level(diagram, lb, -i))
             if top > level_cap:
                 raise LevelOverflowError("convolution exceeds level cap %d"
                                          % level_cap)
@@ -155,20 +171,40 @@ def convolve(a, b, level_cap=LEVEL_CAP):
     out = {}
     for k, ijt in terms.items():
         top = max(t for _, _, t in ijt)
-        q = math.lcm(*(parts[0, i][0] * parts[1, j][0] for i, j, _ in ijt))
+        q = math.lcm(*(pa[i][1] * pb[j][1] for i, j, _ in ijt))
         acc = None
         for i, j, _ in ijt:
-            (qa, ca, _), (qb, cb, _) = parts[0, i], parts[1, j]
+            (la, qa, ca), (lb, qb, cb) = pa[i], pb[j]
             s = q // (qa * qb)
             if s != 1:
                 ca = [[s * x for x in c] for c in ca]
-            acc = _accumulate(acc, ca, cb,
-                              gather(diagram, a.coeffs[i].level, 0, top),
-                              gather(diagram, b.coeffs[j].level, -i, top),
-                              field)
+            acc = _accumulate(acc, ca, cb, gather(diagram, la, 0, top),
+                              gather(diagram, lb, -i, top), field)
         if any(map(any, acc)):
-            out[k] = CylinderFunction(top, field_values(q, acc, field))
-    return AlgebraElement(diagram, a.lam, a.alpha, out)
+            out[k] = (top, q, acc)
+    return out
+
+
+def _add_columns(diagram, pa, pb):
+    """pa + pb on columns as `add` sums elements, in its order of shifts:
+    a shift of both sides is lifted to the higher level, summed over the
+    lcm of the denominators (a rational side padded with zero columns) and
+    dropped when all zero."""
+    out = {}
+    for k in set(pa) | set(pb):
+        if k not in pa or k not in pb:
+            out[k] = pa.get(k) or pb[k]
+            continue
+        (la, qa, ca), (lb, qb, cb) = pa[k], pb[k]
+        top, q, n = max(la, lb), math.lcm(qa, qb), max(len(ca), len(cb))
+        ga, gb = gather(diagram, la, 0, top), gather(diagram, lb, 0, top)
+        sa, sb = q // qa, q // qb
+        ca, cb = (c + [[0] * len(c[0])] * (n - len(c)) for c in (ca, cb))
+        cols = [[sa * x[u] + sb * y[v] for u, v in zip(ga, gb)]
+                for x, y in zip(ca, cb)]
+        if any(map(any, cols)):
+            out[k] = (top, q, cols)
+    return out
 
 
 def _accumulate(acc, ca, cb, ga, gb, field):
@@ -214,8 +250,11 @@ def power(a, n, level_cap=LEVEL_CAP):
     if n < 0:
         raise PreconditionError("negative powers need neumann_invert")
     out = unit(a.diagram, a.lam, a.alpha)
-    for _ in range(n):
-        out = convolve(out, a, level_cap)
+    if n:
+        (parts, pa), field = _columns(out, a)
+        for _ in range(n):
+            parts = _product(a.diagram, parts, pa, field, level_cap)
+        out = _element(a, parts, field)
     return out
 
 
@@ -316,17 +355,20 @@ def norms(a, s, q, triangle=None):
         else float(triangle)
     expo = tri > 1.0
     sf, qf, af = float(s), float(q), float(a.alpha)
-    by_k = {k: _coeff_norm(a, k) for k in a.coeffs}
-    l1 = sum(by_k.values())
-    s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
-                        else (1.0 + abs(k)) ** sf)
-                  for k, nk in by_k.items())
-    n_max = max((abs(k) for k in a.coeffs), default=0)
-    mu = 0.0
-    for n in range(-1, n_max + 1):
-        tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
-        w = tri ** ((af + qf) * (n + 1)) if expo else (n + 1.0) ** qf
-        mu = max(mu, w * tail)
+    try:
+        by_k = {k: _coeff_norm(a, k) for k in a.coeffs}
+        l1 = sum(by_k.values())
+        s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
+                            else (1.0 + abs(k)) ** sf)
+                      for k, nk in by_k.items())
+        n_max = max((abs(k) for k in a.coeffs), default=0)
+        mu = 0.0
+        for n in range(-1, n_max + 1):
+            tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
+            w = tri ** ((af + qf) * (n + 1)) if expo else (n + 1.0) ** qf
+            mu = max(mu, w * tail)
+    except OverflowError:
+        raise _overflow(a.alpha) from None
     return {"l1_alpha": l1, "s_alpha": s_alpha, "mu_q": mu,
             "triangle": tri, "regime": "exponential" if expo
             else "polynomial"}
@@ -340,7 +382,10 @@ def lemma_constant(triangle, alpha, q):
     if tri <= 1.0:
         raise PreconditionError("comparison constant needs distortion > 1")
     x = af + qf
-    return 2.0 * tri ** (2.0 * x) / (1.0 - tri ** (-x))
+    try:
+        return 2.0 * tri ** (2.0 * x) / (1.0 - tri ** (-x))
+    except OverflowError:
+        raise _overflow(alpha) from None
 
 
 # ---------------------------------------------------------------------------
@@ -370,18 +415,20 @@ def neumann_invert(h, tol=1e-10):
     small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     if not small < 0.5:
         raise NormTooLargeError()
-    m = max(1, math.ceil(-math.log2(tol)) + 1)
-    m = min(m, NEUMANN_MAX_TERMS)
-    inv, term, used = one, one, 0
+    m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
+    (inv, pf, ph), field = _columns(one, f, h)
+    term, used = inv, 0
     for n in range(1, m + 1):
-        term = convolve(term, f)
-        if not term.coeffs:
+        term = _product(h.diagram, term, pf, field, LEVEL_CAP)
+        if not term:
             break
-        inv = add(inv, term)
+        inv = _add_columns(h.diagram, inv, term)
         used = n
-    residual = subtract(convolve(h, inv), one)
+    residual = subtract(_element(h, _product(h.diagram, ph, inv, field,
+                                             LEVEL_CAP), field), one)
     res = norms(residual, 0, 1, triangle=tri)["l1_alpha"]
-    return NeumannInverse(element=inv, residual=res, terms=used)
+    return NeumannInverse(element=_element(h, inv, field), residual=res,
+                          terms=used)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 from .errors import (HorizonExceededError, LevelOverflowError,
                      NotProperlyOrderedError, ParseError)
@@ -549,19 +550,27 @@ def enumerate_paths(diagram, m, n):
     if n == m:
         return [FinitePath((), m, v) for v in range(diagram.num_vertices(m))]
     count_paths(diagram, m, n)
-    table = {v: [()] for v in range(diagram.num_vertices(m))}
+    # per level and vertex, the sources of its in-edges and the last edges
+    # of the paths into it, in order
+    count, levels = [1] * diagram.num_vertices(m), []
     for j in range(m + 1, n + 1):
         ld = diagram.level(j)
-        nxt = {}
-        for v in range(ld.num_ranges):
-            acc = []
+        sources = [[ld.source(e) for e in ld.in_order[v]]
+                   for v in range(ld.num_ranges)]
+        last = [[] for _ in range(ld.num_ranges)]
+        for v, edges in enumerate(last):
             for e in ld.in_order[v]:
-                for t in table[ld.source(e)]:
-                    acc.append(t + (e,))
-            nxt[v] = acc
-        table = nxt
-    return [FinitePath(t, m) for v in range(diagram.num_vertices(n))
-            for t in table[v]]
+                edges += [e] * count[ld.source(e)]
+        count = list(map(len, last))
+        levels.append((sources, last))
+    # top down, the start vertex of every suffix of the level-n paths, in
+    # order: a level's column of edges joins the last edges into those
+    # vertices, and each path's tuple is built once, from the columns
+    starts, cols = range(len(count)), []
+    for sources, last in reversed(levels):
+        cols.append(list(chain.from_iterable(map(last.__getitem__, starts))))
+        starts = list(chain.from_iterable(map(sources.__getitem__, starts)))
+    return [FinitePath(t, m) for t in zip(*reversed(cols))]
 
 
 PATH_TABLE_CACHE_SIZE = 256

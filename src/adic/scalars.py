@@ -45,10 +45,10 @@ def _trim(p):
     return p
 
 
-def _peval(p, x):
-    """p(x) times a positive power of the denominator of x, so of the
-    sign of p(x): in integers when p has integer coefficients."""
-    m, d, n = x.numerator, x.denominator, len(p) - 1
+def _peval(p, m, d=1):
+    """p(m/d) times d^n, n the degree, so of the sign of p(m/d) for d > 0:
+    in integers when p has integer coefficients."""
+    n = len(p) - 1
     return sum(c * m ** k * d ** (n - k) for k, c in enumerate(p))
 
 
@@ -87,7 +87,8 @@ def _roots_in(p, lo, hi):
         chain.append([-x for x in _pdivmod(chain[-2], chain[-1])[1]])
 
     def changes(x):
-        signs = [v > 0 for v in (_peval(q, x) for q in chain) if v]
+        signs = [v > 0 for v in (_peval(q, x.numerator, x.denominator)
+                                 for q in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
     return changes(lo) - changes(hi)
 
@@ -195,25 +196,37 @@ class NumberField:
                 low, high = low + x * t, high + x * s
         return low, high, den
 
-    def _refine(self):
-        """Halve the interval that isolates theta."""
+    def _refine(self, bits=1):
+        """Narrow the interval that isolates theta to at most 2^-bits of its
+        width in one integer loop: for x^2 - d, to the interval of width
+        2^-k around sqrt d that math.isqrt(d 4^k) gives; otherwise by bits
+        bisections of integer numerators over a doubling denominator."""
         (l, h), D = _numerators((self.lo, self.hi))
-        mid = Fraction(l + h, 2 * D)
-        if (_peval(self.poly, mid) > 0) == (_peval(self.poly, self.hi) > 0):
-            self.hi = mid
+        if self.n == 2 and not self.poly[1]:
+            k = bits + (D // (h - l)).bit_length()
+            r = math.isqrt(-self.poly[0] << 2 * k)
+            l, h, D = r, r + 1, 1 << k
         else:
-            self.lo = mid
-        self._ends = None
+            up = _peval(self.poly, h, D) > 0
+            for _ in range(bits):
+                l, h, D = 2 * l, 2 * h, 2 * D
+                mid = (l + h) // 2
+                if (_peval(self.poly, mid, D) > 0) == up:
+                    h = mid
+                else:
+                    l = mid
+        self.lo, self.hi, self._ends = Fraction(l, D), Fraction(h, D), None
 
     def sign(self, c):
         if self.is_zero(c):
             return 0
-        a = _numerators(self.norm(c))[0]
+        a, bits = _numerators(self.norm(c))[0], 1
         while True:
             low, high, _ = self._bounds(a)
             if low > 0 or high < 0:
                 return 1 if low > 0 else -1
-            self._refine()
+            self._refine(bits)
+            bits *= 2
 
     def rational(self, c):
         """The value of c as a Fraction when it is rational, else None.  A
@@ -224,7 +237,7 @@ class NumberField:
             a, q = _numerators(c)
             low, high, den = self._bounds(a)
             while high - low >= den:
-                self._refine()
+                self._refine((high - low).bit_length() - den.bit_length() + 1)
                 low, high, den = self._bounds(a)
             k = Fraction(-(-low // den), q)
             return k if self.is_zero((c[0] - k,) + c[1:]) else None
@@ -243,14 +256,18 @@ class NumberField:
                    for row in rows]
         todo = [i for i, x in enumerate(out) if x is None]
         while todo:
-            left = []
+            left, bits = [], 1
             for i in todo:
                 low, high, den = self._bounds(self.norm(rows[i]))
                 out[i] = low / (q * den)
                 if out[i] != high / (q * den):
                     left.append(i)
+                    # a range within 2^-55 of the value rounds to one
+                    # float unless it holds a rounding midpoint
+                    bits = max(bits, (high - low).bit_length() + 55 -
+                               max(abs(low), abs(high)).bit_length())
             if left:
-                self._refine()
+                self._refine(bits)
             todo = left
         return list(map(float, out))
 

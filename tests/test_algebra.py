@@ -1,18 +1,21 @@
 """Crossed-product elements: products, norms, inversion, traces."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import rng
 from test_step import _prefixed, _random_diagram
 
-from adic.algebra import (TRIANGLE_CACHE_SIZE, check_trial, convolve,
-                          element, equal_elements, involution,
-                          jolissaint_holds, neumann_invert, norms,
-                          rand_element, scale, subtract, trace, triangle_phi,
-                          unit)
+from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE, add,
+                          check_trial, convolve, element, equal_elements,
+                          involution, jolissaint_holds, neumann_invert, norms,
+                          power, rand_element, scale, subtract, trace,
+                          triangle_phi, unit)
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
@@ -179,6 +182,106 @@ def test_neumann_mixed_support(odo2):
 def test_neumann_rejects_bad_tolerance(odo2, tol):
     with pytest.raises(PreconditionError, match="tol must be finite"):
         neumann_invert(unit(odo2, 2, 3), tol=tol)
+
+
+# power and neumann_invert against the loop of public products and sums
+
+# How the values of a drawn element are stored.
+KINDS = {"fraction": Fraction, "float": float,
+         "field": lambda x: sqrt_field(5)(x, x / 2)}
+# f = 1 - h: u^1/100 + u^2 (-1/10^4) + u^-1/100 on odo2.  The shift 2 of
+# the partial sum cancels to zero at the second term, f + f^2, and the
+# third term brings it back.
+CANCELLING = ("odo2", {1: (0, [Fraction(1, 100)]),
+                       2: (0, [Fraction(-1, 10 ** 4)]),
+                       -1: (0, [Fraction(1, 100)])}, "fraction")
+
+
+@st.composite
+def _specs(draw):
+    """(diagram name, {shift: (level, values)}, kind) of a small element,
+    its values quarters in [-2, 2] drawn from a seeded generator."""
+    name = draw(st.sampled_from(("odo2", "pisot31")))
+    d, r, coeffs = builtin_diagram(name), rng(draw(st.integers(0, 999))), {}
+    for k in draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3)):
+        level = draw(st.integers(0, 2))
+        coeffs[k] = (level, [_quarter(r)
+                             for _ in enumerate_paths(d, 0, level)])
+    # field values on pisot31 take seconds per example, in the float norms
+    kinds = sorted(KINDS) if name == "odo2" else ["float", "fraction"]
+    return name, coeffs, draw(st.sampled_from(kinds))
+
+
+def _spec_element(spec):
+    """The element f of a spec, scaled to s_alpha norm 2/5 when its own is
+    not below 1/2, and h = 1 - f."""
+    name, coeffs, kind = spec
+    d = builtin_diagram(name)
+    lam = renorm_data(d).lambda_mu
+    f = element(d, lam, 3, {k: from_vector(d, level, list(map(
+        KINDS[kind], values))) for k, (level, values) in coeffs.items()})
+    tri = triangle_phi(d, 3, float(lam)).value
+    n0 = norms(f, 3, 1, triangle=tri)["s_alpha"]
+    if not n0 < 0.5:
+        f = scale(f, Fraction(2, 5) / Fraction(n0))
+    return f, subtract(unit(d, lam, 3), f)
+
+
+def _power_loop(a, n):
+    out = unit(a.diagram, a.lam, a.alpha)
+    for _ in range(n):
+        out = convolve(out, a)
+    return out
+
+
+def _neumann_loop(h, tol):
+    """(inverse, terms, residual, shifts of each partial sum) of the Neumann
+    series, one public convolve and add per term."""
+    one = unit(h.diagram, h.lam, h.alpha)
+    f = subtract(one, h)
+    m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
+    inv, term, used, sums = one, one, 0, [set(one.coeffs)]
+    for n in range(1, m + 1):
+        term = convolve(term, f)
+        if not term.coeffs:
+            break
+        inv, used = add(inv, term), n
+        sums.append(set(inv.coeffs))
+    tri = triangle_phi(h.diagram, 3, float(h.lam)).value
+    residual = norms(subtract(convolve(h, inv), one), 0, 1,
+                     triangle=tri)["l1_alpha"]
+    return inv, used, residual, sums
+
+
+def _same(got, want):
+    """The same shifts in the same order (the float norms sum in it), and
+    per shift the same level, values and value types."""
+    assert list(got.coeffs) == list(want.coeffs)
+    for k, f in want.coeffs.items():
+        g = got.coeffs[k]
+        assert (g.level, g.values) == (f.level, f.values), k
+        assert list(map(type, g.values)) == list(map(type, f.values)), k
+
+
+@example(CANCELLING)
+# without u^-1 no later term reaches shift 2 again
+@example(("odo2", dict(list(CANCELLING[1].items())[:2]), "fraction"))
+# f = u / 10 in Q(sqrt 5): no term reaches shift 0, whose 1 stays rational
+@example(("odo2", {1: (0, [Fraction(1, 10)])}, "field"))
+@given(_specs())
+def test_power_and_neumann_match_the_public_loop(spec):
+    f, h = _spec_element(spec)
+    for n in range(5):
+        _same(power(f, n), _power_loop(f, n))
+    inv, used, residual, _ = _neumann_loop(h, 1e-2)
+    got = neumann_invert(h, tol=1e-2)
+    _same(got.element, inv)
+    assert (got.terms, got.residual) == (used, residual)
+
+
+def test_the_cancelling_example_cancels():
+    sums = _neumann_loop(_spec_element(CANCELLING)[1], 1e-2)[3]
+    assert [2 in s for s in sums[:4]] == [False, True, False, True]
 
 
 def test_level_cap_overflow(odo2):

@@ -415,6 +415,21 @@ def test_solve_alpha_that_overflows_is_a_numeric_error(capsys, work, alpha):
     assert json.loads(out)["chained_constant"]["bump_factor"] > 1e123
 
 
+def test_algebra_alpha_that_overflows_is_a_numeric_error(capsys, work):
+    # the weights 2^alpha of the crossed-product norms overflow, as
+    # lam ** alpha does for solve; invert reads --alpha as a Fraction
+    (work / "e1.json").write_text(json.dumps(
+        {"diagram": "odo2", "alpha": 3, "coeffs": {
+            "0": "f0.json", "1": {"level": 0, "values": {"0": "1/50"}}}}))
+    for argv, shown in (
+            (["invert", "--element", str(work / "e1.json"), "--tol", "0.01"],
+             "2000"),
+            (["check", "--diagram", "pisot31", "--trials", "1"], "2000.0")):
+        rc, out, err = run(capsys, ["algebra"] + argv + ["--alpha", "2000"])
+        assert (rc, out) == (4, "")
+        assert err == "error: alpha %s overflows the float norms\n" % shown
+
+
 def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
     # the exact roof of `_prefixed(pisot31)` is (3/2, 0): no bump fits
     d = _prefixed(builtin_diagram("pisot31"))
@@ -599,6 +614,26 @@ def test_algebra_invert_golden(capsys, work):
   "terms": 8
 }
 """
+
+
+def test_algebra_invert_pisot31_golden(capsys, tmp_path):
+    # shifts -1 and 1 on pisot31, where levels rise with the shift;
+    # `invert_pisot31_golden.json` was computed while the Neumann series
+    # still summed its terms as Fractions
+    one = {str(i): "1" for i in range(8)}
+    one.update({"2": "99999/100000", "5": "100001/100000"})
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"diagram": "pisot31", "alpha": 2, "coeffs": {
+            "-1": {"level": 2, "values": {"0": "1/400000", "3": "-1/700000",
+                                          "5": "1/300000"}},
+            "0": {"level": 1, "values": one},
+            "1": {"level": 1, "values": {"0": "-1/300000", "1": "1/200000",
+                                         "2": "-1/500000"}}}}))
+    rc, out, _ = run(capsys, ["algebra", "invert", "--element",
+                              str(tmp_path / "h.json"), "--tol", "1e-4"])
+    assert rc == 0
+    golden = pathlib.Path(__file__).with_name("invert_pisot31_golden.json")
+    assert out == golden.read_text()
 
 
 def test_algebra_invert_readme_inline_coefficient(capsys, tmp_path):

@@ -3,9 +3,12 @@
 import json
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
+
+from test_step import _prefixed, _random_diagram
 
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, diagram_from_json_dict,
@@ -87,6 +90,39 @@ def test_enumerate_base_case_is_edge_order(pisot31):
     ps = enumerate_paths(pisot31, 0, 1)
     assert [p.edges for p in ps] == \
         [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)]
+
+
+def _concatenated_paths(d, m, n):
+    """The edge tuples of E_{m,n}, each path its parent plus one edge, one
+    level at a time."""
+    table = {v: [()] for v in range(d.num_vertices(m))}
+    for j in range(m + 1, n + 1):
+        ld = d.level(j)
+        table = {v: [t + (e,) for e in ld.in_order[v]
+                     for t in table[ld.source(e)]]
+                 for v in range(ld.num_ranges)}
+    return [t for v in range(d.num_vertices(n)) for t in table[v]]
+
+
+def test_enumeration_matches_concatenated_paths(odo2, fib, pisot31):
+    r = random.Random(512)
+    diagrams = [odo2, fib, pisot31] + [_random_diagram(r, n, 6)
+                                       for n in (2, 3)]
+    for d in diagrams + [_prefixed(d) for d in diagrams]:
+        for m in range(3):
+            for n in range(m + 1, m + 5):
+                assert [(p.edges, p.start) for p in enumerate_paths(
+                    d, m, n)] == [(t, m) for t in _concatenated_paths(
+                        d, m, n)], (m, n)
+
+
+def test_one_loop_lists_a_deep_level_at_once():
+    # the path count stays 1, so the work is the one path's 20000 edges
+    loop = diagram_from_json_dict({"levels": [{
+        "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+        "in_order": [[0]]}], "stationary": True})
+    assert [p.edges for p in enumerate_paths(loop, 0, 20000)] == \
+        [(0,) * 20000]
 
 
 # The path ultrametric d(p, q) = lam**(-k+1), k the first level where p
