@@ -355,7 +355,7 @@ def norms(a, s, q, triangle=None):
         else float(triangle)
     expo = tri > 1.0
     sf, qf, af = float(s), float(q), float(a.alpha)
-    try:
+    try:  # holder_norm refuses a value beyond the floats itself
         by_k = {k: _coeff_norm(a, k) for k in a.coeffs}
         l1 = sum(by_k.values())
         s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
@@ -416,7 +416,7 @@ def neumann_invert(h, tol=1e-10):
     if not small < 0.5:
         raise NormTooLargeError()
     m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
-    (inv, pf, ph), field = _columns(one, f, h)
+    (inv, pf), field = _columns(one, f)
     term, used = inv, 0
     for n in range(1, m + 1):
         term = _product(h.diagram, term, pf, field, LEVEL_CAP)
@@ -424,8 +424,10 @@ def neumann_invert(h, tol=1e-10):
             break
         inv = _add_columns(h.diagram, inv, term)
         used = n
-    residual = subtract(_element(h, _product(h.diagram, ph, inv, field,
-                                             LEVEL_CAP), field), one)
+    # f drops the field of a shift of h equal to 1; the residual keeps it
+    (ph,), hfield = _columns(h)
+    residual = subtract(_element(h, _product(h.diagram, ph, inv, hfield,
+                                             LEVEL_CAP), hfield), one)
     res = norms(residual, 0, 1, triangle=tri)["l1_alpha"]
     return NeumannInverse(element=_element(h, inv, field), residual=res,
                           terms=used)

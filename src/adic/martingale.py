@@ -29,7 +29,7 @@ from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
                        extreme_min_lazy, materialize, max_source_map,
                        min_source_map, path_index, path_range, path_table)
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
-                     PreconditionError)
+                     NumericError, PreconditionError)
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -219,13 +219,17 @@ def holder_norm(diagram, h, alpha, lam):
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
     level-m cylinders; per disagreement level j the extremal spread is the
     largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges."""
+    that share their first j-1 edges.  A value beyond the floats raises
+    NumericError; an OverflowError comes from the weights lam^alpha."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
     lamf = float(lam)
     semi = 0.0
-    lo = hi = list(map(float, h.values))
+    try:
+        lo = hi = list(map(float, h.values))
+    except OverflowError:
+        raise NumericError("a function value overflows a float") from None
     sup = max(map(abs, lo), default=0.0)
     for j in range(m, 0, -1):
         if j == 1:

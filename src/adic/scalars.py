@@ -197,24 +197,18 @@ class NumberField:
         return low, high, den
 
     def _refine(self, bits=1):
-        """Narrow the interval that isolates theta to at most 2^-bits of its
-        width in one integer loop: for x^2 - d, to the interval of width
-        2^-k around sqrt d that math.isqrt(d 4^k) gives; otherwise by bits
-        bisections of integer numerators over a doubling denominator."""
+        """Narrow the interval that isolates theta to 2^-bits of its width
+        by bits bisections of integer numerators over a doubling
+        denominator, in one loop."""
         (l, h), D = _numerators((self.lo, self.hi))
-        if self.n == 2 and not self.poly[1]:
-            k = bits + (D // (h - l)).bit_length()
-            r = math.isqrt(-self.poly[0] << 2 * k)
-            l, h, D = r, r + 1, 1 << k
-        else:
-            up = _peval(self.poly, h, D) > 0
-            for _ in range(bits):
-                l, h, D = 2 * l, 2 * h, 2 * D
-                mid = (l + h) // 2
-                if (_peval(self.poly, mid, D) > 0) == up:
-                    h = mid
-                else:
-                    l = mid
+        up = _peval(self.poly, h, D) > 0
+        for _ in range(bits):
+            l, h, D = 2 * l, 2 * h, 2 * D
+            mid = (l + h) // 2
+            if (_peval(self.poly, mid, D) > 0) == up:
+                h = mid
+            else:
+                l = mid
         self.lo, self.hi, self._ends = Fraction(l, D), Fraction(h, D), None
 
     def sign(self, c):

@@ -270,13 +270,33 @@ def _same(got, want):
 @example(("odo2", {1: (0, [Fraction(1, 10)])}, "field"))
 @given(_specs())
 def test_power_and_neumann_match_the_public_loop(spec):
-    f, h = _spec_element(spec)
+    _match_the_public_loop(*_spec_element(spec))
+
+
+def _match_the_public_loop(f, h):
     for n in range(5):
         _same(power(f, n), _power_loop(f, n))
     inv, used, residual, _ = _neumann_loop(h, 1e-2)
     got = neumann_invert(h, tol=1e-2)
     _same(got.element, inv)
     assert (got.terms, got.residual) == (used, residual)
+
+
+def test_neumann_of_a_field_one_matches_the_public_loop(odo2):
+    # h(0) is 1 in Q(sqrt 5) and the other shifts are rational, so
+    # f = 1 - h drops shift 0 and has no field: the inverse stays rational,
+    # and only the residual's product reads the field of h
+    lam = renorm_data(odo2).lambda_mu
+    h = element(odo2, lam, 3, {
+        0: from_vector(odo2, 0, [sqrt_field(5)(1, 0)]),
+        1: from_vector(odo2, 1, [Fraction(1, 200), Fraction(-1, 100)]),
+        -1: from_vector(odo2, 0, [Fraction(1, 100)])})
+    f = subtract(unit(odo2, lam, 3), h)
+    assert 0 not in f.coeffs
+    _match_the_public_loop(f, h)
+    assert all(type(x) is Fraction
+               for g in neumann_invert(h, 1e-2).element.coeffs.values()
+               for x in g.values)
 
 
 def test_the_cancelling_example_cancels():

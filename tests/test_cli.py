@@ -430,6 +430,19 @@ def test_algebra_alpha_that_overflows_is_a_numeric_error(capsys, work):
         assert err == "error: alpha %s overflows the float norms\n" % shown
 
 
+def test_algebra_value_that_overflows_is_a_numeric_error(capsys, work):
+    # "1e400" reads as an exact Fraction beyond the floats; the error names
+    # the value, not the alpha that fits
+    (work / "e1.json").write_text(json.dumps(
+        {"diagram": "odo2", "alpha": 3, "coeffs": {
+            "0": {"level": 0, "values": {"0": "1"}},
+            "1": {"level": 1, "values": {"0": "1e400", "1": "-1/2"}}}}))
+    rc, out, err = run(capsys, ["algebra", "invert", "--element",
+                                str(work / "e1.json"), "--tol", "0.01"])
+    assert (rc, out) == (4, "")
+    assert err == "error: a function value overflows a float\n"
+
+
 def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
     # the exact roof of `_prefixed(pisot31)` is (3/2, 0): no bump fits
     d = _prefixed(builtin_diagram("pisot31"))
