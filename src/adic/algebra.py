@@ -5,11 +5,12 @@ the formal sum of a(k) u^k, with u the shift unitary of the adic map.
 Multiplication convolves coefficients and conjugates by powers of the map.
 Products and involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
-finer level move indices, never field elements.  Products run on integer
-columns over a common denominator (`martingale.integer_parts`), so float
-coefficients are read as the dyadic rationals they store, and chains stay
-in that form: `power` and `neumann_invert` (its terms and partial sums)
-read their inputs once and build Fractions once.  A composition
+finer level move indices, never field elements.  An element is stored as
+integer columns over a common denominator per shift
+(`martingale.integer_parts`), read once by `element`, so float
+coefficients are read as the dyadic rationals they store; every operation
+runs on the columns, and the coefficients are built as cylinder functions
+only when they are read.  A composition
 with phi^k raises the cylinder level by the transient T of the extreme
 source map, and by more only while the tower over its fixed vertex holds
 fewer than |k| paths, so levels grow like log|k| (not at all on the
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
@@ -44,8 +45,8 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
-                         field_values, gather, holder_norm, integer_parts,
-                         lift, rand_function)
+                         field_values, float_values, gather, holder_norm,
+                         integer_parts, rand_function)
 from .measures import renorm_data
 from .solver import _overflow
 
@@ -53,26 +54,52 @@ LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AlgebraElement:
+    """An element stored as integer columns.  parts maps each shift k to
+    the (level, q, cols) that `martingale.integer_parts` reads off a(k),
+    all-zero shifts dropped; field is the one number field of the values,
+    None when no shift has more than one column.  The columns are not
+    reduced, so elements compare with `equal_elements`, not ==."""
     diagram: object
     lam: object      # metric base of the coefficient Hoelder space
     alpha: object    # Hoelder exponent
-    coeffs: object   # dict k -> CylinderFunction, zero coefficients dropped
+    parts: object    # dict k -> (level, q, cols)
+    field: object
+
+    # Not a field: operations never build it, the readers of an element do.
+    @cached_property
+    def coeffs(self):
+        """dict k -> CylinderFunction, zero coefficients dropped."""
+        return {k: self._read(k) for k in self.parts}
+
+    def _read(self, k, values=field_values):
+        """Shift k as the cylinder function of values(q, cols, field); a
+        shift of one column is rational (every field has degree >= 2)."""
+        level, q, cols = self.parts[k]
+        return CylinderFunction(level, values(
+            q, cols, self.field if len(cols) > 1 else None))
 
     def support(self):
-        return tuple(sorted(self.coeffs))
+        return tuple(sorted(self.parts))
 
     def coeff(self, k):
-        f = self.coeffs.get(k)
-        if f is None:
+        if k not in self.parts:
             return constant_function(self.diagram, Fraction(0), 0)
-        return f
+        return self._read(k)
 
 
 def element(diagram, lam, alpha, coeffs):
-    cleaned = {int(k): f for k, f in coeffs.items() if not f.is_zero()}
-    return AlgebraElement(diagram, lam, alpha, cleaned)
+    """The element sum_k coeffs[k] u^k, each coefficient read once as
+    integer columns (`integer_parts`).  Values of two fields, or of no
+    exact field, raise PreconditionError."""
+    parts, fields = {}, set()
+    for k, f in coeffs.items():
+        q, cols, field = integer_parts(f.values)
+        if any(map(any, cols)):
+            parts[int(k)] = (f.level, q, cols)
+            fields.add(field)
+    return AlgebraElement(diagram, lam, alpha, parts, _one_field(fields))
 
 
 def unit(diagram, lam, alpha):
@@ -80,31 +107,60 @@ def unit(diagram, lam, alpha):
                    {0: constant_function(diagram, Fraction(1), 0)})
 
 
+def _one_field(fields):
+    """The one field among fields (None when there is none); two raise
+    PreconditionError."""
+    fields = set(fields) - {None}
+    if len(fields) > 1:
+        raise PreconditionError("coefficients of mixed fields %s"
+                                % ", ".join(sorted(map(repr, fields))))
+    return fields.pop() if fields else None
+
+
 def _compatible(a, b):
+    """The one field of a and b, which must live on the same algebra."""
     if a.diagram is not b.diagram or a.lam != b.lam or a.alpha != b.alpha:
         raise PreconditionError("elements live on different algebras")
+    return _one_field((a.field, b.field))
 
 
-def _fsum(diagram, fns):
-    top = max(f.level for f in fns)
-    out = lift(diagram, fns[0], top)
-    for f in fns[1:]:
-        out = out + lift(diagram, f, top)
-    return out
+def _from_parts(like, parts, field):
+    """The element of like's algebra with the columns parts; it keeps field
+    only while some shift has more than one column."""
+    if not any(len(cols) > 1 for _, _, cols in parts.values()):
+        field = None
+    return AlgebraElement(like.diagram, like.lam, like.alpha, parts, field)
 
 
 def add(a, b):
-    _compatible(a, b)
-    out = {}
-    for k in set(a.coeffs) | set(b.coeffs):
-        fs = [m.coeffs[k] for m in (a, b) if k in m.coeffs]
-        out[k] = fs[0] if len(fs) == 1 else _fsum(a.diagram, fs)
-    return element(a.diagram, a.lam, a.alpha, out)
+    """a + b on columns: a shift of one side is kept as it is; a shift of
+    both sides is lifted to the higher level through the gathers of power
+    0, summed over the lcm of the denominators (a rational side padded with
+    zero columns) and dropped when all zero."""
+    field = _compatible(a, b)
+    pa, pb, out = a.parts, b.parts, {}
+    for k in set(pa) | set(pb):
+        if k not in pa or k not in pb:
+            out[k] = pa.get(k) or pb[k]
+            continue
+        (la, qa, ca), (lb, qb, cb) = pa[k], pb[k]
+        top, q, n = max(la, lb), math.lcm(qa, qb), max(len(ca), len(cb))
+        ga, gb = gather(a.diagram, la, 0, top), gather(a.diagram, lb, 0, top)
+        sa, sb = q // qa, q // qb
+        ca, cb = (c + [[0] * len(c[0])] * (n - len(c)) for c in (ca, cb))
+        cols = [[sa * x[u] + sb * y[v] for u, v in zip(ga, gb)]
+                for x, y in zip(ca, cb)]
+        if any(map(any, cols)):
+            out[k] = (top, q, cols)
+    return _from_parts(a, out, field)
 
 
 def scale(a, c):
-    return element(a.diagram, a.lam, a.alpha,
-                   {k: c * f for k, f in a.coeffs.items()})
+    """c a for a rational c (an int or a Fraction)."""
+    num, den = c.numerator, c.denominator
+    return _from_parts(a, {} if not num else {
+        k: (level, q * den, [[num * x for x in col] for col in cols])
+        for k, (level, q, cols) in a.parts.items()}, a.field)
 
 
 def subtract(a, b):
@@ -112,54 +168,20 @@ def subtract(a, b):
 
 
 def equal_elements(a, b):
-    return not subtract(a, b).coeffs
+    return not subtract(a, b).parts
 
 
 def convolve(a, b, level_cap=LEVEL_CAP):
-    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), computed exactly on
-    integer columns (`_columns`, `_product`, `_element`).  A level above
-    level_cap raises LevelOverflowError, two fields PreconditionError."""
-    _compatible(a, b)
-    (pa, pb), field = _columns(a, b)
-    return _element(a, _product(a.diagram, pa, pb, field, level_cap), field)
-
-
-def _columns(*xs):
-    """Per element, its coefficients as shift -> (level, q, cols), read
-    once by `integer_parts`, and the one field of all of them (None when
-    every value is rational); two fields raise PreconditionError."""
-    fields, out = set(), []
-    for x in xs:
-        parts = {}
-        for k, f in x.coeffs.items():
-            q, cols, field = integer_parts(f.values)
-            parts[k] = (f.level, q, cols)
-            fields.add(field)
-        out.append(parts)
-    fields.discard(None)
-    if len(fields) > 1:
-        raise PreconditionError("coefficients of mixed fields %s"
-                                % ", ".join(sorted(map(repr, fields))))
-    return out, (fields.pop() if fields else None)
-
-
-def _element(like, parts, field):
-    """The element of like's algebra with the columns parts, one
-    `field_values` per shift; a shift of one column is rational (every
-    field has degree >= 2)."""
-    return AlgebraElement(like.diagram, like.lam, like.alpha, {
-        k: CylinderFunction(level, field_values(
-            q, cols, field if len(cols) > 1 else None))
-        for k, (level, q, cols) in parts.items()})
-
-
-def _product(diagram, pa, pb, field, level_cap):
-    """The columns of the product of the columns pa and pb.  The terms of
-    one output shift are read at the highest level among them, each factor
-    through a cached index gather (`martingale.gather`), so composing with
-    phi^{-i} and lifting move indices, not field elements; they are summed
-    as integers over the lcm of their denominators, and an all-zero sum is
-    dropped.  Every level is checked against level_cap first."""
+    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), exactly on integer
+    columns.  The terms of one output shift are read at the highest level
+    among them, each factor through a cached index gather
+    (`martingale.gather`), so composing with phi^{-i} and lifting move
+    indices, not field elements; they are summed as integers over the lcm
+    of their denominators, and an all-zero sum is dropped.  Every level is
+    checked against level_cap first: a level above it raises
+    LevelOverflowError, two fields PreconditionError."""
+    field = _compatible(a, b)
+    diagram, pa, pb = a.diagram, a.parts, b.parts
     terms = {}
     for i, (la, _, _) in pa.items():
         for j, (lb, _, _) in pb.items():
@@ -182,29 +204,7 @@ def _product(diagram, pa, pb, field, level_cap):
                               gather(diagram, lb, -i, top), field)
         if any(map(any, acc)):
             out[k] = (top, q, acc)
-    return out
-
-
-def _add_columns(diagram, pa, pb):
-    """pa + pb on columns as `add` sums elements, in its order of shifts:
-    a shift of both sides is lifted to the higher level, summed over the
-    lcm of the denominators (a rational side padded with zero columns) and
-    dropped when all zero."""
-    out = {}
-    for k in set(pa) | set(pb):
-        if k not in pa or k not in pb:
-            out[k] = pa.get(k) or pb[k]
-            continue
-        (la, qa, ca), (lb, qb, cb) = pa[k], pb[k]
-        top, q, n = max(la, lb), math.lcm(qa, qb), max(len(ca), len(cb))
-        ga, gb = gather(diagram, la, 0, top), gather(diagram, lb, 0, top)
-        sa, sb = q // qa, q // qb
-        ca, cb = (c + [[0] * len(c[0])] * (n - len(c)) for c in (ca, cb))
-        cols = [[sa * x[u] + sb * y[v] for u, v in zip(ga, gb)]
-                for x, y in zip(ca, cb)]
-        if any(map(any, cols)):
-            out[k] = (top, q, cols)
-    return out
+    return _from_parts(a, out, field)
 
 
 def _accumulate(acc, ca, cb, ga, gb, field):
@@ -231,43 +231,38 @@ def _accumulate(acc, ca, cb, ga, gb, field):
 
 def involution(a, level_cap=LEVEL_CAP):
     """a*(k) = a(-k) o phi^{-k}; coefficients are real, so conjugation is
-    the identity.  The composition reads each coefficient through a cached
-    index gather."""
-    diagram = a.diagram
-    out = {}
-    for k, f in a.coeffs.items():
-        level = compose_level(diagram, f.level, k)
+    the identity.  The composition reads each coefficient's columns
+    through a cached index gather."""
+    diagram, out = a.diagram, {}
+    for k, (m, q, cols) in a.parts.items():
+        level = compose_level(diagram, m, k)
         if level > level_cap:
             raise LevelOverflowError("involution exceeds level cap %d"
                                      % level_cap)
-        vals = f.values
-        out[-k] = CylinderFunction(level, [
-            vals[x] for x in gather(diagram, f.level, k, level)])
-    return element(diagram, a.lam, a.alpha, out)
+        idx = gather(diagram, m, k, level)
+        out[-k] = (level, q, [[col[x] for x in idx] for col in cols])
+    return _from_parts(a, out, a.field)
 
 
 def power(a, n, level_cap=LEVEL_CAP):
     if n < 0:
         raise PreconditionError("negative powers need neumann_invert")
     out = unit(a.diagram, a.lam, a.alpha)
-    if n:
-        (parts, pa), field = _columns(out, a)
-        for _ in range(n):
-            parts = _product(a.diagram, parts, pa, field, level_cap)
-        out = _element(a, parts, field)
+    for _ in range(n):
+        out = convolve(out, a, level_cap)
     return out
 
 
 def project_support(a, n):
     """P_n a: the coefficients with |k| <= n."""
-    return element(a.diagram, a.lam, a.alpha,
-                   {k: f for k, f in a.coeffs.items() if abs(k) <= n})
+    return _from_parts(a, {k: p for k, p in a.parts.items() if abs(k) <= n},
+                       a.field)
 
 
 def complement_support(a, n):
     """(1 - P_n) a: the coefficients with |k| > n."""
-    return element(a.diagram, a.lam, a.alpha,
-                   {k: f for k, f in a.coeffs.items() if abs(k) > n})
+    return _from_parts(a, {k: p for k, p in a.parts.items() if abs(k) > n},
+                       a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -339,29 +334,29 @@ def _default_triangle(diagram, lam):
 # ---------------------------------------------------------------------------
 # norms and seminorms
 
-def _coeff_norm(a, k):
-    return holder_norm(a.diagram, a.coeff(k), float(a.alpha),
-                       float(a.lam))["norm"]
-
-
 def norms(a, s, q, triangle=None):
     """{l1_alpha, s_alpha, mu_q} of a finitely supported element.
 
     The weight regime follows the distortion estimate: powers of the
     estimate when it exceeds 1, polynomial in the index otherwise.  The
     tail supremum runs over N = -1 .. max support index (P_{-1} = 0), so
-    concentrated supports still see one nonzero tail term."""
+    concentrated supports still see one nonzero tail term.  The Hoelder
+    norms read the floats of the coefficients off their columns
+    (`martingale.float_values`)."""
     tri = _default_triangle(a.diagram, a.lam) if triangle is None \
         else float(triangle)
     expo = tri > 1.0
-    sf, qf, af = float(s), float(q), float(a.alpha)
-    try:  # holder_norm refuses a value beyond the floats itself
-        by_k = {k: _coeff_norm(a, k) for k in a.coeffs}
+    sf, qf, af, lamf = float(s), float(q), float(a.alpha), float(a.lam)
+    # read before the try: a value beyond the floats is no alpha overflow
+    fns = {k: a._read(k, float_values) for k in a.parts}
+    try:
+        by_k = {k: holder_norm(a.diagram, f, af, lamf)["norm"]
+                for k, f in fns.items()}
         l1 = sum(by_k.values())
         s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
                             else (1.0 + abs(k)) ** sf)
                       for k, nk in by_k.items())
-        n_max = max((abs(k) for k in a.coeffs), default=0)
+        n_max = max((abs(k) for k in a.parts), default=0)
         mu = 0.0
         for n in range(-1, n_max + 1):
             tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
@@ -416,21 +411,15 @@ def neumann_invert(h, tol=1e-10):
     if not small < 0.5:
         raise NormTooLargeError()
     m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
-    (inv, pf), field = _columns(one, f)
-    term, used = inv, 0
+    inv, term, used = one, one, 0
     for n in range(1, m + 1):
-        term = _product(h.diagram, term, pf, field, LEVEL_CAP)
-        if not term:
+        term = convolve(term, f)
+        if not term.parts:
             break
-        inv = _add_columns(h.diagram, inv, term)
-        used = n
-    # f drops the field of a shift of h equal to 1; the residual keeps it
-    (ph,), hfield = _columns(h)
-    residual = subtract(_element(h, _product(h.diagram, ph, inv, hfield,
-                                             LEVEL_CAP), hfield), one)
+        inv, used = add(inv, term), n
+    residual = subtract(convolve(h, inv), one)
     res = norms(residual, 0, 1, triangle=tri)["l1_alpha"]
-    return NeumannInverse(element=_element(h, inv, field), residual=res,
-                          terms=used)
+    return NeumannInverse(element=inv, residual=res, terms=used)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
 from .cohomology import certificate, distributions, limit_rank
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
-                       extreme_min_lazy, lazy_from_json_dict,
+                       extreme_path, lazy_from_json_dict,
                        lazy_to_json_dict, materialize, path_table, successor,
                        validate)
 from .errors import AdicError, ParseError
@@ -141,10 +141,7 @@ def load_function(diagram, path):
     """A function file: {"level": m, "values": {"path-index": value}}, as
     read by `function_from_dict`."""
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("malformed function file: %s" % exc) from None
+        data = json.load(fh)
     return function_from_dict(diagram, data)
 
 
@@ -187,10 +184,7 @@ def load_element(path, diagram=None, alpha=None):
     and an optional "lam" key the multiplier."""
     import os
     with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("malformed element file: %s" % exc) from None
+        data = json.load(fh)
     if not isinstance(data, dict) or \
             not isinstance(data.get("coeffs", {}), dict):
         raise ParseError("an element file is an object with an object of "
@@ -232,7 +226,7 @@ def load_element(path, diagram=None, alpha=None):
 
 def _load_start(diagram, ref):
     if ref is None:
-        return extreme_min_lazy(diagram)
+        return extreme_path(diagram, 1)
     if ref.strip().startswith("{"):
         data = json.loads(ref)
     else:
@@ -260,10 +254,7 @@ def _lenient_diagram(ref):
     if ref in BUILTIN_NAMES:
         return builtin_diagram(ref)
     with open(ref) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("malformed diagram file: %s" % exc) from None
+        data = json.load(fh)
     return diagram_from_json_dict(data)
 
 
@@ -594,6 +585,9 @@ def main(argv=None):
     except json.JSONDecodeError as exc:
         sys.stderr.write("error: malformed JSON: %s\n" % exc)
         return 2
+    except OverflowError:
+        sys.stderr.write("error: a value overflows a float\n")
+        return 4
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ MIN/MAX tails extend forward deterministically (at each level take the
 out-edge of the current vertex that is earliest/latest by (in-order position,
 range index)); PERIODIC tails repeat a fixed word of edge indices.  The
 canonical extreme paths are produced in exact PERIODIC form by
-`extreme_min_lazy` / `extreme_max_lazy` for stationary diagrams.
+`extreme_path` for stationary diagrams.
 """
 
 from __future__ import annotations
@@ -474,35 +474,21 @@ def _extreme_chain(diagram, v, k, end):
     return FinitePath(tuple(edges), root=v if not edges else None)
 
 
-def _stationary_extreme(diagram, which):
-    """Unique infinite all-min (or all-max) path of a stationary diagram, or
-    None when it is not unique."""
+def extreme_path(diagram, direction):
+    """The unique infinite all-min (direction=1) or all-max (direction=-1)
+    path of a stationary diagram, in exact PERIODIC form.  It raises
+    HorizonExceededError on a non-stationary diagram and
+    NotProperlyOrderedError when the path is not unique."""
+    if not diagram.stationary:
+        raise HorizonExceededError()
     ld = diagram.level(len(diagram.levels) + 1)  # the repeating level
-    fmap = min_source_map(ld) if which == "MIN" else max_source_map(ld)
+    fmap = (min_source_map if direction == 1 else max_source_map)(ld)
     cyc = eventual_image(fmap)
     if len(cyc) != 1:
-        return None
-    v, end = cyc[0], 0 if which == "MIN" else -1
+        raise NotProperlyOrderedError()
+    v, end = cyc[0], 0 if direction == 1 else -1
     chain = _extreme_chain(diagram, v, len(diagram.levels), end)
     return LazyPath(chain, Tail("PERIODIC", (_in_edge(ld, v, end),)))
-
-
-def extreme_min_lazy(diagram):
-    if not diagram.stationary:
-        raise HorizonExceededError()
-    p = _stationary_extreme(diagram, "MIN")
-    if p is None:
-        raise NotProperlyOrderedError()
-    return p
-
-
-def extreme_max_lazy(diagram):
-    if not diagram.stationary:
-        raise HorizonExceededError()
-    p = _stationary_extreme(diagram, "MAX")
-    if p is None:
-        raise NotProperlyOrderedError()
-    return p
 
 
 def successor(diagram, p, direction=1):
@@ -519,11 +505,7 @@ def successor(diagram, p, direction=1):
             st = w.state()
             if st in seen:
                 # every remaining edge is extreme: wrap around
-                ext = _stationary_extreme(diagram,
-                                          "MIN" if direction == 1 else "MAX")
-                if ext is None:
-                    raise NotProperlyOrderedError()
-                return ext
+                return extreme_path(diagram, direction)
             seen.add(st)
         k, e = w.advance()
         digits.append(e)

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .diagrams import (LazyPath, eventual_image, extreme_max_lazy,
-                       extreme_min_lazy, materialize, max_source_map,
-                       min_source_map, path_index, path_range, path_table)
+from .diagrams import (LazyPath, eventual_image, extreme_path, materialize,
+                       max_source_map, min_source_map, path_index,
+                       path_range, path_table)
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
-                     NumericError, PreconditionError)
+                     PreconditionError)
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -53,18 +53,6 @@ class CylinderFunction:
 
     def __sub__(self, other):
         return _pointwise(self, other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        # products of functions are formed by algebra.convolve
-        if isinstance(other, CylinderFunction):
-            return NotImplemented
-        return CylinderFunction(self.level, [v * other for v in self.values])
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return CylinderFunction(self.level, [-v for v in self.values])
 
     def sup_norm(self):
         return max((abs(float(v)) for v in self.values), default=0.0)
@@ -219,17 +207,14 @@ def holder_norm(diagram, h, alpha, lam):
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
     level-m cylinders; per disagreement level j the extremal spread is the
     largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges.  A value beyond the floats raises
-    NumericError; an OverflowError comes from the weights lam^alpha."""
+    that share their first j-1 edges.  A value or a weight lam^alpha
+    beyond the floats raises OverflowError."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
     lamf = float(lam)
     semi = 0.0
-    try:
-        lo = hi = list(map(float, h.values))
-    except OverflowError:
-        raise NumericError("a function value overflows a float") from None
+    lo = hi = list(map(float, h.values))
     sup = max(map(abs, lo), default=0.0)
     for j in range(m, 0, -1):
         if j == 1:
@@ -366,7 +351,7 @@ def compose_phi(diagram, h, power=1):
         return h
     direction = 1 if power > 0 else -1
     n, L = abs(power), compose_level(diagram, h.level, power)
-    ext = (extreme_min_lazy if direction == 1 else extreme_max_lazy)(diagram)
+    ext = extreme_path(diagram, direction)
     table = path_table(diagram, L)
     w = path_range(diagram, materialize(diagram, ext, L))
     wa, wb = table.offsets[w], table.offsets[w + 1]

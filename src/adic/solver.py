@@ -40,7 +40,7 @@ from itertools import accumulate
 from fractions import Fraction
 
 from .cohomology import certificate, distributions
-from .diagrams import (FinitePath, PathWalker, extreme_min_lazy, order_pos,
+from .diagrams import (FinitePath, PathWalker, extreme_path, order_pos,
                        path_index, path_table)
 from .errors import HorizonExceededError, NumericError, ObstructedError
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
@@ -292,7 +292,7 @@ def _orbit_runs(diagram, start, towers):
                 if towers.summary(k - m, ld.source(f))[0]:
                     seen.clear()
                     yield k - m, ld.source(f)
-        x = extreme_min_lazy(diagram)
+        x = extreme_path(diagram, 1)
 
 
 def birkhoff(diagram, h, start, n_total):

@@ -24,7 +24,7 @@ from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
                          PreconditionError)
 from adic.martingale import (compose_phi, constant_function, from_vector,
-                             phi_transient, rand_function)
+                             lift, phi_transient, rand_function)
 from adic.measures import renorm_data
 from adic.scalars import FieldElement, sqrt_field
 
@@ -257,10 +257,7 @@ def _same(got, want):
     """The same shifts in the same order (the float norms sum in it), and
     per shift the same level, values and value types."""
     assert list(got.coeffs) == list(want.coeffs)
-    for k, f in want.coeffs.items():
-        g = got.coeffs[k]
-        assert (g.level, g.values) == (f.level, f.values), k
-        assert list(map(type, g.values)) == list(map(type, f.values)), k
+    _same_values(got, want.coeffs)
 
 
 @example(CANCELLING)
@@ -302,6 +299,85 @@ def test_neumann_of_a_field_one_matches_the_public_loop(odo2):
 def test_the_cancelling_example_cancels():
     sums = _neumann_loop(_spec_element(CANCELLING)[1], 1e-2)[3]
     assert [2 in s for s in sums[:4]] == [False, True, False, True]
+
+
+# add, subtract, scale and involution against pointwise references
+
+# h = (1 in Q(sqrt 5)) + rational shifts: 1 - h drops shift 0 and the field.
+FIELD_ONE = {0: (0, [sqrt_field(5)(1, 0)]),
+             1: (1, [Fraction(1, 200), Fraction(-1, 100)]),
+             -1: (0, [Fraction(1, 100)])}
+
+
+@st.composite
+def _pairs(draw):
+    """(diagram name, coefficients of a and of b as {shift: (level,
+    values)}, a rational c), the values of each shift of one drawn kind
+    (Fraction, float or Q(sqrt 5)), quarters from a seeded generator."""
+    name = draw(st.sampled_from(("odo2", "pisot31")))
+    d, r, pair = builtin_diagram(name), rng(draw(st.integers(0, 999))), []
+    for _ in range(2):
+        coeffs = {}
+        for k in draw(st.sets(st.integers(-2, 2), max_size=3)):
+            level, kind = draw(st.integers(0, 2)), \
+                draw(st.sampled_from(sorted(KINDS)))
+            coeffs[k] = (level, [KINDS[kind](_quarter(r))
+                                 for _ in enumerate_paths(d, 0, level)])
+        pair.append(coeffs)
+    return (name, *pair, draw(st.fractions(-2, 2, max_denominator=8)))
+
+
+def _exact(d, f):
+    """f with its floats read as the Fractions they store."""
+    return from_vector(d, f.level, [Fraction(v) if type(v) is float else v
+                                    for v in f.values])
+
+
+def _pointwise_sum(d, fa, fb, c=1):
+    """{shift: fa[k] + c fb[k]} of two coefficient dicts, summed value by
+    value at the higher level, zero sums dropped."""
+    zero = constant_function(d, Fraction(0))
+    out = {}
+    for k in set(fa) | set(fb):
+        x, y = (_exact(d, f.get(k, zero)) for f in (fa, fb))
+        top = max(x.level, y.level)
+        y = lift(d, y, top)
+        s = lift(d, x, top) + from_vector(d, top, [c * v for v in y.values])
+        if not s.is_zero():
+            out[k] = s
+    return out
+
+
+def _same_values(got, want):
+    """The same shifts, and per shift the same level, values and types."""
+    assert set(got.coeffs) == set(want)
+    for k, f in want.items():
+        g = got.coeffs[k]
+        assert (g.level, g.values) == (f.level, f.values), k
+        assert list(map(type, g.values)) == list(map(type, f.values)), k
+
+
+@example(("odo2", {0: (0, [Fraction(1)])}, CANCELLING[1], Fraction(-1)))
+@example(("odo2", {0: (0, [Fraction(1)])}, FIELD_ONE, Fraction(1, 2)))
+@given(_pairs())
+def test_sums_scales_and_involutions_match_pointwise(pair):
+    name, ca, cb, c = pair
+    d = builtin_diagram(name)
+    fa, fb = ({k: from_vector(d, level, values)
+               for k, (level, values) in x.items()} for x in (ca, cb))
+    a, b = element(d, 2, 3, fa), element(d, 2, 3, fb)
+    _same_values(add(a, b), _pointwise_sum(d, fa, fb))
+    _same_values(subtract(a, b), _pointwise_sum(d, fa, fb, -1))
+    _same_values(scale(b, c), _pointwise_sum(d, {}, fb, c))
+    # a*(k)(x) = a(-k)(phi^{-k} x), of the type of a(-k)'s exact values
+    nonzero = {k: _exact(d, f) for k, f in fa.items() if not f.is_zero()}
+    star = involution(a)
+    assert set(star.coeffs) == {-k for k in nonzero}
+    for k, f in star.coeffs.items():
+        for x in _points(d, f.level):
+            assert f.evaluate(d, x) == \
+                nonzero[-k].evaluate(d, _phi(d, x, -k))
+        assert set(map(type, f.values)) == set(map(type, nonzero[-k].values))
 
 
 def test_level_cap_overflow(odo2):
@@ -459,16 +535,19 @@ def test_float_values_are_read_exactly(odo2, pisot31):
 
 
 def test_mixed_quadratic_fields_are_refused(fib):
+    # within one element the values are read at element(), between two
+    # elements by the operation
     root5, root2 = sqrt_field(5)(0, 1), sqrt_field(2)(0, 1)
     mixed = r"mixed fields Q\(sqrt 2\), Q\(sqrt 5\)$"
-    root5 = element(fib, 2, 3, {0: constant_function(fib, root5)})
-    root2 = element(fib, 2, 3, {1: constant_function(fib, root2)})
-    with pytest.raises(PreconditionError, match=mixed):
-        convolve(root5, root2)
-    both = element(fib, 2, 3, {0: from_vector(
-        fib, 0, [root5.coeffs[0].values[0], root2.coeffs[1].values[0]])})
-    with pytest.raises(PreconditionError, match=mixed):
-        convolve(both, unit(fib, 2, 3))
-    nan = element(fib, 2, 3, {0: constant_function(fib, float("nan"))})
+    a5 = element(fib, 2, 3, {0: constant_function(fib, root5)})
+    a2 = element(fib, 2, 3, {1: constant_function(fib, root2)})
+    for op in (convolve, add):
+        with pytest.raises(PreconditionError, match=mixed):
+            op(a5, a2)
+    for coeffs in ({0: from_vector(fib, 0, [root5, root2])},
+                   {0: constant_function(fib, root5),
+                    1: constant_function(fib, root2)}):
+        with pytest.raises(PreconditionError, match=mixed):
+            element(fib, 2, 3, coeffs)
     with pytest.raises(PreconditionError, match="no exact field"):
-        convolve(nan, nan)
+        element(fib, 2, 3, {0: constant_function(fib, float("nan"))})

@@ -440,7 +440,20 @@ def test_algebra_value_that_overflows_is_a_numeric_error(capsys, work):
     rc, out, err = run(capsys, ["algebra", "invert", "--element",
                                 str(work / "e1.json"), "--tol", "0.01"])
     assert (rc, out) == (4, "")
-    assert err == "error: a function value overflows a float\n"
+    assert err == "error: a value overflows a float\n"
+
+
+@pytest.mark.parametrize("argv", [["solve"], ["distributions"], ["decompose"],
+                                  ["birkhoff", "-N", "8"]])
+def test_value_that_overflows_is_a_numeric_error(capsys, work, argv):
+    # each command takes a float of "1e400" somewhere: the distributions of
+    # the obstruction, the peaks, the mean rate
+    (work / "big.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "1e400", "1": "-1/2"}}))
+    rc, out, err = run(capsys, argv + ["--diagram", "odo2", "--function",
+                                       str(work / "big.json")])
+    assert (rc, out) == (4, "")
+    assert err == "error: a value overflows a float\n"
 
 
 def test_decompose_refuses_a_zero_roof(capsys, tmp_path):

@@ -14,10 +14,9 @@ from adic.catalog import builtin_diagram
 from adic.cohomology import birkhoff_cochain
 from adic.diagrams import (PATH_TABLE_CACHE_SIZE, FinitePath, LazyPath,
                            OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           enumerate_paths, extreme_max_lazy,
-                           extreme_min_lazy, make_level, materialize,
-                           path_index, path_range, path_source, path_table,
-                           step, step_tables)
+                           enumerate_paths, extreme_path, make_level,
+                           materialize, path_index, path_range, path_source,
+                           path_table, step, step_tables)
 from adic.errors import NotProperlyOrderedError
 from adic.martingale import (compose_phi, from_vector, holder_norm, lift,
                              nu_mean, phi_transient, project)
@@ -125,8 +124,7 @@ def test_compose_phi_matches_stepped_reference(diagrams):
                 except NotProperlyOrderedError:
                     continue
                 L = max(m + abs(power) * T, 1)
-                ext = (extreme_min_lazy if direction == 1
-                       else extreme_max_lazy)(d)
+                ext = extreme_path(d, direction)
                 wrapped = materialize(d, ext, L).edges
                 tables = step_tables(d, L, direction)
                 want = []

@@ -12,7 +12,7 @@ from test_step import _prefixed, _random_diagram
 
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, count_paths, diagram_from_json_dict,
-                           enumerate_paths, extreme_min_lazy,
+                           enumerate_paths, extreme_path,
                            first_disagreement, load_diagram, make_level,
                            materialize, path_range, path_table, successor,
                            validate)
@@ -212,7 +212,7 @@ def test_fib_predecessor_of_min_is_improper(fib):
     parallel = OrderedDiagram(
         (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
     for call in (lambda: successor(fib, lo, -1),
-                 lambda: extreme_min_lazy(parallel)):
+                 lambda: extreme_path(parallel, 1)):
         with pytest.raises(NotProperlyOrderedError):
             call()
 
@@ -225,7 +225,7 @@ def test_vertex_without_in_edges_is_a_parse_error():
     assert "level 1 vertex 1: no incoming edge" in validate(d)
     h = from_vector(d, 1, [Fraction(1), Fraction(2)])
     start = LazyPath(FinitePath((0,), 0), TAIL_MIN)
-    for call in (lambda: extreme_min_lazy(d),
+    for call in (lambda: extreme_path(d, 1),
                  lambda: birkhoff(d, h, start, 7)):
         with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
             call()

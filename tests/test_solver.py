@@ -17,7 +17,7 @@ from adic.catalog import builtin_diagram
 from adic.cohomology import (certificate, distributions, is_coboundary_class,
                              limit_rank)
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
-                           TAIL_MIN, enumerate_paths, extreme_max_lazy,
+                           TAIL_MIN, enumerate_paths, extreme_path,
                            make_level, successor)
 from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
@@ -227,7 +227,8 @@ def test_norms_and_homogeneity(odo2):
     g0 = rand_function(r, odo2, 2)
     h = _coboundary(odo2, g0)
     sol = solve(h, tower, alpha=3)
-    sol7 = solve(7 * h, tower, alpha=3)
+    sol7 = solve(from_vector(odo2, h.level, [7 * v for v in h.values]),
+                 tower, alpha=3)
     n = sol.norms
     n7 = sol7.norms
     assert n["h_norm"] > 0
@@ -300,7 +301,7 @@ def _orbit_starts(r, d):
     step 1, 2, 6 and 21; random prefixes with MIN and MAX tails."""
     out = [LazyPath(FinitePath(()), TAIL_MIN)]
     try:
-        tops = [extreme_max_lazy(d)]
+        tops = [extreme_path(d, -1)]
     except NotProperlyOrderedError:
         tops = [LazyPath(FinitePath((), root=v), TAIL_MAX)
                 for v in range(d.num_vertices(0))]
