@@ -474,6 +474,18 @@ def _extreme_chain(diagram, v, k, end):
     return FinitePath(tuple(edges), root=v if not edges else None)
 
 
+def extreme_vertex(diagram, direction):
+    """(fmap, v): the min (direction=1) or max (direction=-1) in-edge source
+    map of the repeating level of a stationary diagram, and the one vertex v
+    of its eventual image.  NotProperlyOrderedError when there are more."""
+    fmap = (min_source_map if direction == 1 else max_source_map)(
+        diagram.levels[-1])
+    cyc = eventual_image(fmap)
+    if len(cyc) != 1:
+        raise NotProperlyOrderedError()
+    return fmap, cyc[0]
+
+
 def extreme_path(diagram, direction):
     """The unique infinite all-min (direction=1) or all-max (direction=-1)
     path of a stationary diagram, in exact PERIODIC form.  It raises
@@ -481,12 +493,8 @@ def extreme_path(diagram, direction):
     NotProperlyOrderedError when the path is not unique."""
     if not diagram.stationary:
         raise HorizonExceededError()
-    ld = diagram.level(len(diagram.levels) + 1)  # the repeating level
-    fmap = (min_source_map if direction == 1 else max_source_map)(ld)
-    cyc = eventual_image(fmap)
-    if len(cyc) != 1:
-        raise NotProperlyOrderedError()
-    v, end = cyc[0], 0 if direction == 1 else -1
+    ld, end = diagram.levels[-1], 0 if direction == 1 else -1
+    v = extreme_vertex(diagram, direction)[1]
     chain = _extreme_chain(diagram, v, len(diagram.levels), end)
     return LazyPath(chain, Tail("PERIODIC", (_in_edge(ld, v, end),)))
 

@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, permutations
+from operator import sub
 
-from .diagrams import (LazyPath, eventual_image, extreme_path, materialize,
-                       max_source_map, min_source_map, path_index,
-                       path_range, path_table)
+from .diagrams import (LazyPath, extreme_path, extreme_vertex, materialize,
+                       out_edges, path_index, path_range, path_table)
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
                      PreconditionError)
 from .measures import xi_vector
@@ -207,8 +208,10 @@ def holder_norm(diagram, h, alpha, lam):
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
     level-m cylinders; per disagreement level j the extremal spread is the
     largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges.  A value or a weight lam^alpha
-    beyond the floats raises OverflowError."""
+    that share their first j-1 edges: sibling runs, since the children of
+    the paths into a vertex s of V_(j-1) are the runs first[e] + [0, |E_s|)
+    of `path_table(diagram, j)`, one per out-edge e of s, read in parallel.
+    A value or a weight lam^alpha beyond the floats raises OverflowError."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
@@ -220,17 +223,27 @@ def holder_norm(diagram, h, alpha, lam):
         if j == 1:
             # distinct level-1 cylinders lie at distance 1, whatever their
             # sources
-            kids = [range(len(lo))]
+            best = max((hi[a] - lo[b] for a in range(len(lo))
+                        for b in range(len(lo)) if a != b), default=0.0)
         else:
-            kids = [[] for _ in range(path_table(diagram, j - 1).offsets[-1])]
-            for c, g in enumerate(path_table(diagram, j).parent):
-                kids[g].append(c)
-        best = max((hi[a] - lo[b] for cs in kids for a in cs for b in cs
-                    if a != b), default=0.0)
+            below = path_table(diagram, j - 1).offsets
+            first = path_table(diagram, j).first
+            spreads, lows, highs = [], [], []
+            for s, es in enumerate(out_edges(diagram.level(j))):
+                size = below[s + 1] - below[s]
+                # the runs in path order, which a NaN result depends on; a
+                # vertex without out-edges has none, and empty value ranges
+                cut = sorted(first[e] for e in es)
+                los = [lo[a:a + size] for a in cut] or [[math.inf] * size]
+                his = [hi[a:a + size] for a in cut] or [[-math.inf] * size]
+                spreads.extend(map(sub, his[u], los[w])
+                               for u, w in permutations(range(len(cut)), 2))
+                lows.extend(map(min, *los) if len(los) > 1 else los[0])
+                highs.extend(map(max, *his) if len(his) > 1 else his[0])
+            best = max(chain.from_iterable(spreads), default=0.0)
+            lo, hi = lows, highs
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
-        lo = [min((lo[c] for c in cs), default=math.inf) for cs in kids]
-        hi = [max((hi[c] for c in cs), default=-math.inf) for cs in kids]
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 
@@ -308,17 +321,11 @@ def phi_transient(diagram, direction=1):
     vertex v*.  Raises when the eventual image is not a single vertex."""
     if not diagram.stationary:
         raise NotProperlyOrderedError("composition needs a stationary diagram")
-    ld = diagram.level(len(diagram.levels) + 1)
-    fmap = (min_source_map if direction == 1 else max_source_map)(ld)
-    ev = eventual_image(fmap)
-    if len(ev) != 1:
-        raise NotProperlyOrderedError()
-    cur = set(range(len(fmap)))
-    t = 0
+    fmap, v = extreme_vertex(diagram, direction)
+    t, cur = 0, set(range(len(fmap)))
     while len(cur) > 1:
-        cur = {fmap[v] for v in cur}
-        t += 1
-    return t, ev[0]
+        t, cur = t + 1, {fmap[u] for u in cur}
+    return t, v
 
 
 def compose_phi(diagram, h, power=1):

@@ -23,13 +23,13 @@ constant is the product of three factors computed from the diagram data
 
 Orbit sums are read from tower tables, not stepped.  The forward orbit of a
 path x is the rest of its level-m block, then, for each level k > m, the
-level-(k-1) towers over the sources of the in-edges after x_k.  Each tower
-is summarized as (height, sum, max prefix sum, min prefix sum), level by
-level from the blocks of h, by the associative fold
+level-(k-1) towers over the sources of the in-edges after x_k.  A range of
+level-m cylinders is summarized from its prefix sums as (height, sum, max
+prefix sum, min prefix sum), and the towers level by level by the fold
 (n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2, max(M1, s1+M2),
-min(mu1, s1+mu2)).  A tower that a checkpoint cuts is split one level down.
-When every remaining edge of x is maximal the orbit wraps to the minimal
-path, phi(max) = min.
+min(mu1, s1+mu2)).  A tower that a checkpoint cuts is split one level down,
+down to ranges, and a range is cut in two.  When every remaining edge of x
+is maximal the orbit wraps to the minimal path, phi(max) = min.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from fractions import Fraction
 from .cohomology import certificate, distributions
 from .diagrams import (FinitePath, PathWalker, extreme_path, order_pos,
                        path_index, path_table)
-from .errors import HorizonExceededError, NumericError, ObstructedError
+from .errors import (HorizonExceededError, NumericError, ObstructedError,
+                     PreconditionError)
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
                          integer_parts, lift)
@@ -235,20 +236,23 @@ def _fold(runs):
 
 
 class _Towers:
-    """Summaries of h along towers, built upward on demand.  Depth 0 holds
-    the level-m cylinders one by one; depth j >= 1 holds, per vertex v of
-    V_(m+j-1), the tower of level-(m+j-1) paths into v, which is the block
-    of v at level m for j = 1 and otherwise the depth-(j-1) towers over the
-    sources of the in-edges of v, in the in-order."""
+    """Summaries of h along towers, built upward on demand.  Depth 0 is h
+    on the level-m cylinders, keyed by ranges (a, b) of them and summarized
+    from the prefix sums of the range; depth j >= 1 holds, per vertex v of
+    V_(m+j-1), the tower of level-(m+j-1) paths into v, which is the range
+    of the block of v at level m for j = 1 and otherwise the depth-(j-1)
+    towers over the sources of the in-edges of v, in the in-order."""
 
     def __init__(self, diagram, m, values):
-        self.diagram, self.m = diagram, m
+        self.diagram, self.m, self.values = diagram, m, values
         self.offsets = path_table(diagram, m).offsets
-        cells = [(1, x, x, x) for x in values]
-        self.depths = [cells, [_fold(cells[a:b]) for a, b in
-                               zip(self.offsets, self.offsets[1:])]]
+        self.depths = [None, [self.summary(0, key) for key in
+                              zip(self.offsets, self.offsets[1:])]]
 
     def summary(self, j, key):
+        if not j:
+            sums = list(accumulate(self.values[slice(*key)])) or [0]
+            return key[1] - key[0], sums[-1], max(sums), min(sums)
         while len(self.depths) <= j:
             ld = self.diagram.level(self.m + len(self.depths) - 1)
             below = self.depths[-1]
@@ -259,24 +263,22 @@ class _Towers:
     def parts(self, j, key):
         """The runs of depth j - 1 that make up a tower, in orbit order."""
         if j == 1:
-            return [(0, i) for i in range(self.offsets[key],
-                                          self.offsets[key + 1])]
+            return [(0, (self.offsets[key], self.offsets[key + 1]))]
         ld = self.diagram.level(self.m + j - 1)
         return [(j - 1, ld.source(e)) for e in ld.in_order[key]]
 
 
 def _orbit_runs(diagram, start, towers):
     """The forward orbit of `start` as consecutive runs (depth, key) of
-    `towers`: the rest of its level-m block, then at each level k > m the
-    nonempty level-(k-1) towers over the sources of the in-edges after x_k.
-    When no path follows (the walker state repeats with no tower between),
-    the orbit goes on from the minimal path: phi(max) = min."""
+    `towers`: the rest of its level-m block as one range, then at each level
+    k > m the nonempty level-(k-1) towers over the sources of the in-edges
+    after x_k.  When no path follows (the walker state repeats with no tower
+    between), the orbit goes on from the minimal path: phi(max) = min."""
     m, offsets, x = towers.m, towers.offsets, start
     while True:
         w = PathWalker(diagram, x)
         cell = FinitePath(tuple(w.advance()[1] for _ in range(m)))
-        yield from ((0, i) for i in range(path_index(diagram, cell, m),
-                                          offsets[w.vertex + 1]))
+        yield 0, (path_index(diagram, cell, m), offsets[w.vertex + 1])
         pl, seen = len(x.prefix.edges), set()
         while True:
             if w.k >= pl and w.k >= diagram.materialized:
@@ -299,33 +301,31 @@ def birkhoff(diagram, h, start, n_total):
     """S_n = sum_{j<n} h(phi^j start) at n = 1, 2, 4, ... below n_total
     and at n_total, with an exponent fit.
 
-    The orbit is a sequence of whole towers (`_orbit_runs`), so the sums are
-    read from per-level tables (`_Towers`) of each tower's height, sum and
-    extreme prefix sums, built only as far up as the orbit reaches: about
-    log n levels.  A tower that straddles a checkpoint is split into its
-    parts one level down, so a call costs O(levels * in-degree) per
-    checkpoint, not one step per iterate.  sup_abs is read off the extreme
+    The orbit is a sequence of whole towers and ranges of level-m cylinders
+    (`_orbit_runs`), so the sums are read from per-level tables (`_Towers`)
+    of each tower's height, sum and extreme prefix sums, built only as far
+    up as the orbit reaches: about log n levels.  A tower that straddles a
+    checkpoint is split into its parts one level down and a range is cut,
+    so a call costs O(levels * in-degree) per checkpoint plus the ranges it
+    reads, not one step per iterate.  sup_abs is read off the extreme
     prefix sums, so it is exact.  Rational and float values are summed
     exactly as the integers of `integer_parts`; float input reports the
-    float nearest each exact sum.  Other values (field elements, NaN) are
-    summed as they are."""
+    float nearest each exact sum.  Other values (field elements, NaN,
+    infinities) are summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     hh = h if h.level >= 1 else lift(diagram, h, 1)
     m = hh.level
-    # a finite float is the dyadic rational it stores
-    if all(isinstance(v, (int, Fraction)) or
-           isinstance(v, float) and math.isfinite(v) for v in hh.values):
-        q, (table,), _ = integer_parts(hh.values)
-        floats = any(isinstance(v, float) for v in hh.values)
-
-        def value(a):
-            return a / q if floats else Fraction(a, q)
-    else:
-        table = hh.values
-
-        def value(a):
-            return a
+    table, value = hh.values, (lambda a: a)
+    try:
+        q, cols, field = integer_parts(table)
+        rational = field is None
+    except PreconditionError:  # NaN, an infinity, or values of two fields
+        rational = False
+    if rational:
+        # a finite float is the dyadic rational it stores
+        floats = any(isinstance(v, float) for v in table)
+        table, value = cols[0], lambda a: a / q if floats else Fraction(a, q)
 
     towers = _Towers(diagram, m, table)
     runs = _orbit_runs(diagram, start, towers)
@@ -333,6 +333,11 @@ def birkhoff(diagram, h, start, n_total):
     for stop in _geometric_checkpoints(n_total):
         while n < stop:
             j, key = stack.pop() if stack else next(runs)
+            if not j and n + key[1] - key[0] > stop:
+                # a range that a checkpoint cuts: the rest waits on the stack
+                a, b = key
+                key = a, a + stop - n
+                stack.append((0, (key[1], b)))
             size, s, hi, lo = towers.summary(j, key)
             if n + size > stop:
                 stack.extend(reversed(towers.parts(j, key)))

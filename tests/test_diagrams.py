@@ -16,8 +16,9 @@ from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            first_disagreement, load_diagram, make_level,
                            materialize, path_range, path_table, successor,
                            validate)
-from adic.errors import NotProperlyOrderedError, ParseError
-from adic.martingale import from_vector
+from adic.errors import (HorizonExceededError, NotProperlyOrderedError,
+                         ParseError)
+from adic.martingale import from_vector, phi_transient
 from adic.solenoid import _ultrametric
 from adic.solver import birkhoff
 
@@ -212,9 +213,21 @@ def test_fib_predecessor_of_min_is_improper(fib):
     parallel = OrderedDiagram(
         (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
     for call in (lambda: successor(fib, lo, -1),
-                 lambda: extreme_path(parallel, 1)):
+                 lambda: extreme_path(parallel, 1),
+                 lambda: phi_transient(parallel, -1)):
         with pytest.raises(NotProperlyOrderedError):
             call()
+
+
+def test_non_stationary_extreme_errors():
+    # both read `extreme_vertex` and keep their own error for a diagram
+    # without a repeating level
+    d = OrderedDiagram((make_level(1, 1, [(0, 0), (0, 0)], [[0, 1]]),))
+    with pytest.raises(HorizonExceededError):
+        extreme_path(d, 1)
+    with pytest.raises(NotProperlyOrderedError,
+                       match="composition needs a stationary diagram"):
+        phi_transient(d, 1)
 
 
 def test_vertex_without_in_edges_is_a_parse_error():

@@ -1,10 +1,14 @@
 """Cylinder functions, conditional projections, and level components."""
 
+import math
 from fractions import Fraction
 
 from conftest import rng
 
-from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths
+from test_step import _prefixed, _random_diagram
+
+from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, enumerate_paths,
+                           make_level, out_edges)
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, phi_transient,
@@ -66,6 +70,70 @@ def test_holder_seminorm_scales_with_level(odo2):
                               for p in paths])
     n = holder_norm(odo2, h, 2, 2)
     assert n["seminorm"] == 4.0
+
+
+def _brute_holder(d, h, alpha, lam):
+    """sup |h| plus the largest |u - w| lam^((j-1) alpha) over pairs of
+    cylinders first differing at edge j, pair by pair."""
+    m = max(h.level, 1)
+    items = list(zip((p.edges for p in enumerate_paths(d, 0, m)),
+                     map(float, lift(d, h, m).values)))
+    semi = max((abs(u - w) * lam ** ((next(
+        j for j, (e, f) in enumerate(zip(p, q), 1) if e != f) - 1) * alpha)
+        for i, (p, u) in enumerate(items) for q, w in items[i + 1:]),
+        default=0.0)
+    return max(abs(u) for _, u in items) + semi
+
+
+def test_holder_norm_matches_pairwise_maximum():
+    # bit for bit: rounding is monotone, so the max over value ranges of
+    # sibling runs is the max over pairs; the repeating level of the first
+    # diagram has a vertex with a single out-edge, and vertex 1 of V_1 of
+    # the last one, which does not repeat, has no out-edge at all
+    r = rng(104)
+    single = _random_diagram(r, 2, 4)
+    while min(map(len, out_edges(single.levels[-1]))) != 1:
+        single = _random_diagram(r, 2, 4)
+    ds = [single, _random_diagram(r, 2, 5), _random_diagram(r, 3, 5)]
+    ds.append(_prefixed(ds[-1]))
+    cases = [(d, renorm_data(d).lam_float, 5) for d in ds]
+    cases.append((OrderedDiagram((
+        make_level(1, 2, [(0, 0), (0, 1), (0, 0)], [[0, 2], [1]]),
+        make_level(2, 1, [(0, 0), (0, 0)], [[1, 0]]),
+        make_level(1, 1, [(0, 0), (0, 0)], [[0, 1]]))), 2.0, 3))
+    for d, lam, top in cases:
+        for level in range(1, top + 1):
+            h = rand_function(r, d, level)
+            # a level-1 pattern over small detail: the spreads of the lower
+            # levels then come from the value ranges of the runs below
+            tilted = lift(d, rand_function(r, d, 1), level) + from_vector(
+                d, level, [v / 64 for v in h.values])
+            # shifted by 3 or -3, all values have one sign, so that a bound
+            # of 0 for paths without children would be the level-1 spread
+            for f in [h] + [from_vector(d, level, [v + c for v in
+                                                   tilted.values])
+                            for c in (0, 3, -3)]:
+                for alpha in (0.75, 3.0):
+                    assert holder_norm(d, f, alpha, lam)["norm"] == \
+                        _brute_holder(d, f, alpha, lam), (d, level, alpha)
+
+
+def test_holder_norm_with_nan_is_pinned():
+    # comparisons with NaN are false, so a max keeps a NaN that it meets
+    # first and passes over one met later: the result depends on the order
+    # in which values and pairs are read, which is the order of the paths,
+    # and is pinned here on an odometer whose in-order reverses its edges
+    d = OrderedDiagram((make_level(1, 1, [(0, 0), (0, 0)], [[1, 0]]),), True)
+    got = []
+    for pos in range(4):
+        vals = [0.5, -1.0, 2.0, 0.25]
+        vals[pos] = math.nan
+        got.append(holder_norm(d, from_vector(d, 2, vals), 3.0, 2.0))
+    assert math.isnan(got[0].pop("sup")) and math.isnan(got[0].pop("norm"))
+    assert got == [{"seminorm": 0.0},
+                   {"sup": 2.0, "seminorm": 12.0, "norm": 14.0},
+                   {"sup": 1.0, "seminorm": 1.5, "norm": 2.5},
+                   {"sup": 2.0, "seminorm": 12.0, "norm": 14.0}]
 
 
 def test_compose_phi_odometer_rotation(odo2):

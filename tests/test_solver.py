@@ -18,7 +18,8 @@ from adic.cohomology import (certificate, distributions, is_coboundary_class,
                              limit_rank)
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme_path,
-                           make_level, successor)
+                           make_level, materialize, path_range, path_table,
+                           successor)
 from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              integer_parts, lift, nu_mean, rand_function)
@@ -390,3 +391,47 @@ def test_birkhoff_float_sums_are_exact_then_rounded(fib):
     # NaN is no rational; it is summed as a float, as before
     nan = birkhoff(fib, from_vector(fib, 2, [math.nan] * 5), start, 10)
     assert math.isnan(nan.checkpoints[-1][1])
+
+
+def test_birkhoff_reads_long_blocks(odo3, fib):
+    # h of level 5 on odo3 and of level 6 on fib, lifted to level K: the
+    # orbit of the minimal path walks the block of its range vertex at level
+    # K in tower order, so its sums are prefix sums of that block, and each
+    # n_total up to the block's height cuts its ranges at another place
+    r = rng(411)
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+    root5 = sqrt_field(5)
+
+    def quarter():
+        return Fraction(r.randint(-8, 8), 4)
+
+    cases = [(odo3, 5, 6, quarter), (odo3, 5, 6, lambda: r.uniform(-2, 2)),
+             (fib, 6, 11, lambda: root5(quarter(), quarter()))]
+    for d, level, K, value in cases:
+        h = from_vector(d, level, [value() for _ in
+                                   enumerate_paths(d, 0, level)])
+        w = path_range(d, materialize(d, extreme_path(d, 1), K))
+        a, b = path_table(d, K).offsets[w:w + 2]
+        vals = lift(d, h, K).values[a:b]
+        floats = isinstance(vals[0], float)
+        # a float is summed as the dyadic rational it is, then rounded
+        sums = list(itertools.accumulate(map(Fraction, vals) if floats
+                                         else vals))
+        sups = list(itertools.accumulate(map(abs, sums), max))
+        out = float if floats else (lambda s: s)
+        for total in range(1, b - a + 1):
+            rep = birkhoff(d, h, start, total)
+            want = [c for c in range(1, total) if c & (c - 1) == 0] + [total]
+            assert rep.checkpoints == tuple((c, out(sums[c - 1]))
+                                            for c in want), (d, total)
+            assert rep.sup_abs == out(sups[total - 1]), (d, total)
+    # a NaN on cylinder 100 of odo3's level 5 reaches the sums of an orbit
+    # from cylinder 200 once the orbit wraps to it, S_144 on, and none
+    # before: the range 200..242 that the orbit starts with holds no NaN
+    vals = [r.uniform(-2, 2) for _ in enumerate_paths(odo3, 0, 5)]
+    vals[100] = math.nan
+    x = LazyPath(enumerate_paths(odo3, 0, 5)[200], TAIL_MIN)
+    rep = birkhoff(odo3, from_vector(odo3, 5, vals), x, 729)
+    assert [(n, math.isnan(s)) for n, s in rep.checkpoints] == \
+        [(n, n >= 144) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 729)]
+    assert math.isfinite(rep.sup_abs)
