@@ -290,9 +290,16 @@ class FinitePath:
     edges: tuple
     start: int = 0
     root: int = None  # only consulted when edges is empty
+    # taken once, as for LevelData: point caches hash paths many times
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
+        object.__setattr__(self, "_hash", hash(
+            (self.edges, self.start, self.root)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def level(self):

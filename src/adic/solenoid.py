@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import inf
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        max_source_map, min_source_map, path_source)
@@ -81,7 +82,7 @@ class ApproxComplex:
 
     @cached_property
     def float_distances(self):
-        return tuple(tuple(None if x is None else float(x) for x in row)
+        return tuple(tuple(inf if x is None else float(x) for x in row)
                      for row in self.distances)
 
     @cached_property
@@ -224,40 +225,29 @@ def wrapping(diagram, renorm, k):
 
 @dataclass(frozen=True)
 class SolenoidPoint:
+    """A point of the inverse limit truncated at `level`, with its table."""
     level: int
     coords: tuple  # (edge, exact offset) per level 0..level
     complexes: tuple
+    lam: float  # lam_float of the Perron data, for the level weights
 
     @cached_property
-    def float_coords(self):
-        """(edge, offset, edge length - offset) per level, each float the
-        rounding of an exact value, so route sums do not cancel."""
-        return tuple((v, float(t), float(cx.lengths[v] - t))
-                     for (v, t), cx in zip(self.coords, self.complexes))
-
-    @cached_property
-    def reach(self):
-        """Per level, the float distance from the point to every vertex
-        class, min(t + D[start][c], tr + D[end][c]) over the two ends of its
-        edge, None where the class is unreachable."""
+    def table(self):
+        """Per level k, (u, t, tr, reach, start, end, lam^(-k), diameter):
+        the point's edge u and the classes of its ends; the roundings of
+        its exact offset and of the rest of u, so route sums do not cancel;
+        its reach row, min(t + D[start][c], tr + D[end][c]) to each class
+        c, inf where c is unreachable; the level weight; the diameter."""
         rows = []
-        for (v, t, tr), cx in zip(self.float_coords, self.complexes):
+        for k, ((u, t), cx) in enumerate(zip(self.coords, self.complexes)):
+            tf, tr = float(t), float(cx.lengths[u] - t)
+            start, end = cx.start_class[u], cx.end_class[u]
             dist = cx.float_distances
-            rows.append(tuple(
-                _shorter(None if a is None else t + a,
-                         None if b is None else tr + b)
-                for a, b in zip(dist[cx.start_class[v]],
-                                dist[cx.end_class[v]])))
+            reach = tuple(min(tf + a, tr + b)
+                          for a, b in zip(dist[start], dist[end]))
+            rows.append((u, tf, tr, reach, start, end, self.lam ** (-k),
+                         cx.float_diameter))
         return tuple(rows)
-
-
-def _shorter(a, b):
-    """The smaller of two route lengths, None meaning no route."""
-    if a is None:
-        return b
-    if b is None or a <= b:
-        return a
-    return b
 
 
 # Complexes per (diagram, Perron data, level) and conjugacy points per
@@ -303,7 +293,8 @@ def conjugacy_point(diagram, renorm, p):
             offset = offset + below[ld.source(f)]
         offset = inv * offset
         coords.append((v, offset))
-    return SolenoidPoint(level=n, coords=tuple(coords), complexes=complexes)
+    return SolenoidPoint(level=n, coords=tuple(coords), complexes=complexes,
+                         lam=renorm.lam_float)
 
 
 # ---------------------------------------------------------------------------
@@ -372,31 +363,36 @@ def diameter(cx):
 
 
 def _level_distances(y, z):
-    """Float distance from y to z at each level: from y's reach row through
-    either end of z's edge, or along the edge when both points lie on it.
-    Float addition rounds monotonically, so each is the minimum over the
-    routes of point_distance, each route a sum of three rounded nonnegative
-    terms, within a few ulps of its exact value."""
+    """The float distance from y to z at each level, in one pass over their
+    tables: from y's reach row through either end of z's edge, or along
+    the edge when both lie on it.  Float addition rounds monotonically, so
+    each is the minimum over the routes of point_distance, each a sum of
+    three rounded nonnegative terms, within a few ulps of its exact value.
+    The minima are spelled out: min() costs more than the rest of a level,
+    and ties keep the first route, as min() does."""
     if y.level != z.level:
         raise ValueError("points truncated at different levels")
-    for cx, row, (u, t, _), (v, s, sr) in zip(y.complexes, y.reach,
-                                              y.float_coords, z.float_coords):
-        a, b = row[cx.start_class[v]], row[cx.end_class[v]]
-        best = _shorter(None if a is None else a + s,
-                        None if b is None else b + sr)
+    out = []
+    for (u, t, _, reach, _, _, _, _), (v, s, sr, _, start, end, _, _) in zip(
+            y.table, z.table):
+        a, b = reach[start] + s, reach[end] + sr
+        best = a if a <= b else b
         if u == v:
-            best = _shorter(abs(t - s), best)
-        if best is None:
-            raise NumericError("complex is disconnected")
-        yield cx, best
+            a = abs(t - s)
+            if a <= best:
+                best = a
+        out.append(best)
+    if inf in out:
+        raise NumericError("complex is disconnected")
+    return out
 
 
-def solenoid_metric(y, z, lam):
-    """Weighted sum over coordinate levels of normalized graph distances."""
-    lamf = float(lam)
+def solenoid_metric(y, z):
+    """Weighted sum over coordinate levels k of the level distances, each
+    normalized by the level-k diameter and weighted by lam^(-k)."""
     total = 0.0
-    for k, (cx, dk) in enumerate(_level_distances(y, z)):
-        total += lamf ** (-k) * dk / cx.float_diameter
+    for row, dk in zip(y.table, _level_distances(y, z)):
+        total += row[6] * dk / row[7]  # w * dk / diam
     return total
 
 
@@ -404,10 +400,10 @@ def solenoid_metric(y, z, lam):
 # conjugacy quality
 
 def _ultrametric(p, q, lamf):
-    if p.edges == q.edges:
-        return 0.0
-    j = next(i for i, (a, b) in enumerate(zip(p.edges, q.edges)) if a != b)
-    return lamf ** (-j)
+    for j, (a, b) in enumerate(zip(p.edges, q.edges)):
+        if a != b:
+            return lamf ** (-j)
+    return 0.0
 
 
 def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
@@ -419,11 +415,11 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     and the extra levels separate them again.  The upper bound is
     depth-independent, since the tail terms sum to at most d / (lam - 1).
 
-    Each point is built once per process and kept, with its float reach
-    rows, by the bounded `cached_point`, so repeated calls on the same
-    paths pay only the float metric."""
+    Each point is built once per process and kept, with its level table,
+    by the bounded `cached_point`, so a pair costs one pass over two
+    tables.  Equal paths give the same point, so dbar is exactly 0.0."""
     lamf = renorm.lam_float
-    kbest = None
+    kbest = inf
     worst_slack = 0.0
     checked = 0
     # This call's points, so that pairs over more paths than the cache
@@ -434,24 +430,21 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
             if x not in points:
                 points[x] = cached_point(diagram, renorm, x, depth_margin)
         y, z = points[p], points[q]
-        dbar = solenoid_metric(y, z, lamf)
+        dbar = solenoid_metric(y, z)
         d = _ultrametric(p, q, lamf)
         if d == 0.0:
-            if dbar > 1e-12:
+            if dbar != 0.0:
                 raise NumericError("equal paths at positive distance")
             continue
         checked += 1
-        upper = d / (lamf - 1.0)
-        slack = dbar - upper
+        slack = dbar - d / (lamf - 1.0)
         worst_slack = max(worst_slack, slack)
         if slack > 1e-9:
             raise NumericError("solenoid metric upper bound violated")
-        ratio = dbar / d ** (1.0 + epsilon)
-        if kbest is None or ratio < kbest:
-            kbest = ratio
+        kbest = min(kbest, dbar / d ** (1.0 + epsilon))
     return {
         "pairs_checked": checked,
-        "lower_constant": 0.0 if kbest is None else kbest,
+        "lower_constant": 0.0 if kbest == inf else kbest,
         "upper_bound_holds": True,
         "worst_upper_slack": worst_slack,
         "epsilon": epsilon,

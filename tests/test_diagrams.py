@@ -40,6 +40,18 @@ def test_equal_diagrams_hash_equal_and_share_cache_entries(pisot31):
     assert path_table.cache_info().hits == hits + 1
 
 
+def test_equal_paths_hash_equal():
+    # the hash is taken once, from the compared fields: edges given as a
+    # list or a tuple make the same path, start and root still tell paths
+    # apart, and the repr shows the compared fields only
+    a, b = FinitePath([1, 0, 2], 1), FinitePath((1, 0, 2), 1)
+    assert a == b and hash(a) == hash(b) == hash(((1, 0, 2), 1, None))
+    assert {a: 0}[b] == 0
+    assert a != FinitePath((1, 0, 2), 0)
+    assert FinitePath((), 0, root=1) != FinitePath((), 0, root=2)
+    assert repr(a) == "FinitePath(edges=(1, 0, 2), start=1, root=None)"
+
+
 def test_validate_builtins_clean(odo2, fib, pisot31):
     assert validate(odo2) == []
     assert validate(fib) == []

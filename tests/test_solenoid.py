@@ -85,7 +85,7 @@ def test_conjugacy_separates_paths(odo2):
     rd = renorm_data(odo2)
     ps = enumerate_paths(odo2, 0, 6)
     pts = [conjugacy_point(odo2, rd, p) for p in ps]
-    assert solenoid_metric(pts[0], pts[0], rd.lambda_mu) == 0.0
+    assert solenoid_metric(pts[0], pts[0]) == 0.0
     seen = set()
     for p in pts:
         seen.add(tuple((v, float(t)) for v, t in p.coords))
@@ -140,8 +140,8 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
             for i in range(0, n, step):
                 for j in (i + 1, i + n // 2):
                     y, z = pts[i], pts[j % n]
-                    for k, (cx, dk) in enumerate(
-                            solenoid._level_distances(y, z)):
+                    for k, (cx, dk) in enumerate(zip(
+                            y.complexes, solenoid._level_distances(y, z))):
                         assert math.isclose(dk, float(point_distance(
                             cx, y.coords[k], z.coords[k])), rel_tol=1e-12)
                         assert math.isclose(cx.float_diameter,
@@ -276,16 +276,35 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
             ps = ps[::max(1, len(ps) // 128)]
             pts = [conjugacy_point(d, rd, p) for p in ps]
             for y, z in combinations_with_replacement(pts, 2):
-                want = [_four_routes(cx, p, q) for cx, p, q in
-                        zip(y.complexes, y.float_coords, z.float_coords)]
-                got = [dk for _, dk in solenoid._level_distances(y, z)]
+                want = [_four_routes(cx, p[:3], q[:3]) for cx, p, q in
+                        zip(y.complexes, y.table, z.table)]
+                got = solenoid._level_distances(y, z)
                 assert got == want
                 total = 0.0
                 for k, (cx, dk) in enumerate(zip(y.complexes, want)):
                     total += lamf ** (-k) * dk / cx.float_diameter
-                assert solenoid_metric(y, z, rd.lambda_mu) == total
+                assert solenoid_metric(y, z) == total
                 same_edge += y is not z and y.coords[-1][0] == z.coords[-1][0]
         assert same_edge > 0
+
+
+def test_point_table_rounds_each_exact_value_once(odo2, fib, pisot31):
+    # every float of a level row is the rounding of one exact value, and
+    # the reach row is the shorter way through either end of the edge
+    for d in (odo2, fib, pisot31):
+        rd = renorm_data(d)
+        for p in enumerate_paths(d, 0, 3)[:8]:
+            y = conjugacy_point(d, rd, p)
+            assert len(y.table) == y.level + 1
+            for k, ((u, t), cx, row) in enumerate(
+                    zip(y.coords, y.complexes, y.table)):
+                a, b = cx.start_class[u], cx.end_class[u]
+                assert row[:3] == (u, float(t), float(cx.lengths[u] - t))
+                assert row[4:] == (a, b, rd.lam_float ** (-k),
+                                   float(diameter(cx)))
+                dist = cx.float_distances
+                assert row[3] == tuple(min(row[1] + x, row[2] + w)
+                                       for x, w in zip(dist[a], dist[b]))
 
 
 def _clear_point_caches():
