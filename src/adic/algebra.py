@@ -5,12 +5,15 @@ the formal sum of a(k) u^k, with u the shift unitary of the adic map.
 Multiplication convolves coefficients and conjugates by powers of the map.
 Products and involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
-finer level move indices, never field elements.  An element is stored as
-integer columns over a common denominator per shift
-(`martingale.integer_parts`), read once by `element`, so float
-coefficients are read as the dyadic rationals they store; every operation
-runs on the columns, and the coefficients are built as cylinder functions
-only when they are read.  A composition
+finer level move indices, never field elements.  An element stores its
+coefficients as cylinder functions that hold their integer columns over a
+common denominator (`martingale.CylinderFunction.parts`), read once by
+`element`, so float coefficients are read as the dyadic rationals they
+store; every operation runs on the columns and builds its coefficients
+from columns (`CylinderFunction.of_parts`), whose values are built only
+when they are read.  There is no element field: each coefficient carries
+its own, and an operation takes the one field of its operands'
+coefficients.  A composition
 with phi^k raises the cylinder level by the transient T of the extreme
 source map, and by more only while the tower over its fixed vertex holds
 fewer than |k| paths, so levels grow like log|k| (not at all on the
@@ -36,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
@@ -45,8 +48,7 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
-                         field_values, float_values, gather, holder_norm,
-                         integer_parts, rand_function)
+                         float_values, gather, holder_norm, rand_function)
 from .measures import renorm_data
 from .solver import _overflow
 
@@ -56,50 +58,33 @@ TRIANGLE_CACHE_SIZE = 16
 
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
-    """An element stored as integer columns.  parts maps each shift k to
-    the (level, q, cols) that `martingale.integer_parts` reads off a(k),
-    all-zero shifts dropped; field is the one number field of the values,
-    None when no shift has more than one column.  The columns are not
-    reduced, so elements compare with `equal_elements`, not ==."""
+    """An element stored as cylinder functions that hold their integer
+    columns: coeffs maps each shift k to a(k), all-zero shifts dropped.
+    Operations run on the columns (`CylinderFunction.parts`) and build
+    their coefficients from columns (`CylinderFunction.of_parts`).  The
+    columns are not reduced, so elements compare with `equal_elements`,
+    not ==."""
     diagram: object
     lam: object      # metric base of the coefficient Hoelder space
     alpha: object    # Hoelder exponent
-    parts: object    # dict k -> (level, q, cols)
-    field: object
-
-    # Not a field: operations never build it, the readers of an element do.
-    @cached_property
-    def coeffs(self):
-        """dict k -> CylinderFunction, zero coefficients dropped."""
-        return {k: self._read(k) for k in self.parts}
-
-    def _read(self, k, values=field_values):
-        """Shift k as the cylinder function of values(q, cols, field); a
-        shift of one column is rational (every field has degree >= 2)."""
-        level, q, cols = self.parts[k]
-        return CylinderFunction(level, values(
-            q, cols, self.field if len(cols) > 1 else None))
+    coeffs: object   # dict k -> CylinderFunction
 
     def support(self):
-        return tuple(sorted(self.parts))
+        return tuple(sorted(self.coeffs))
 
     def coeff(self, k):
-        if k not in self.parts:
-            return constant_function(self.diagram, Fraction(0), 0)
-        return self._read(k)
+        return self.coeffs[k] if k in self.coeffs else constant_function(
+            self.diagram, Fraction(0), 0)
 
 
 def element(diagram, lam, alpha, coeffs):
     """The element sum_k coeffs[k] u^k, each coefficient read once as
-    integer columns (`integer_parts`).  Values of two fields, or of no
-    exact field, raise PreconditionError."""
-    parts, fields = {}, set()
-    for k, f in coeffs.items():
-        q, cols, field = integer_parts(f.values)
-        if any(map(any, cols)):
-            parts[int(k)] = (f.level, q, cols)
-            fields.add(field)
-    return AlgebraElement(diagram, lam, alpha, parts, _one_field(fields))
+    integer columns (`CylinderFunction.parts`).  Values of two fields, or
+    of no exact field, raise PreconditionError."""
+    out = {int(k): CylinderFunction.of_parts(f.level, *f.parts)
+           for k, f in coeffs.items() if any(map(any, f.parts[1]))}
+    _one_field(f.parts[2] for f in out.values())
+    return AlgebraElement(diagram, lam, alpha, out)
 
 
 def unit(diagram, lam, alpha):
@@ -118,18 +103,11 @@ def _one_field(fields):
 
 
 def _compatible(a, b):
-    """The one field of a and b, which must live on the same algebra."""
+    """The one field of the coefficients of a and b, which must live on
+    the same algebra."""
     if a.diagram is not b.diagram or a.lam != b.lam or a.alpha != b.alpha:
         raise PreconditionError("elements live on different algebras")
-    return _one_field((a.field, b.field))
-
-
-def _from_parts(like, parts, field):
-    """The element of like's algebra with the columns parts; it keeps field
-    only while some shift has more than one column."""
-    if not any(len(cols) > 1 for _, _, cols in parts.values()):
-        field = None
-    return AlgebraElement(like.diagram, like.lam, like.alpha, parts, field)
+    return _one_field({f.parts[2] for e in (a, b) for f in e.coeffs.values()})
 
 
 def add(a, b):
@@ -138,29 +116,31 @@ def add(a, b):
     0, summed over the lcm of the denominators (a rational side padded with
     zero columns) and dropped when all zero."""
     field = _compatible(a, b)
-    pa, pb, out = a.parts, b.parts, {}
-    for k in set(pa) | set(pb):
-        if k not in pa or k not in pb:
-            out[k] = pa.get(k) or pb[k]
+    fa, fb, out = a.coeffs, b.coeffs, {}
+    for k in set(fa) | set(fb):
+        if k not in fa or k not in fb:
+            out[k] = fa.get(k) or fb[k]
             continue
-        (la, qa, ca), (lb, qb, cb) = pa[k], pb[k]
-        top, q, n = max(la, lb), math.lcm(qa, qb), max(len(ca), len(cb))
-        ga, gb = gather(a.diagram, la, 0, top), gather(a.diagram, lb, 0, top)
-        sa, sb = q // qa, q // qb
+        x, y = fa[k], fb[k]
+        (qa, ca, _), (qb, cb, _) = x.parts, y.parts
+        top, q = max(x.level, y.level), math.lcm(qa, qb)
+        ga, gb = (gather(a.diagram, f.level, 0, top) for f in (x, y))
+        sa, sb, n = q // qa, q // qb, max(len(ca), len(cb))
         ca, cb = (c + [[0] * len(c[0])] * (n - len(c)) for c in (ca, cb))
         cols = [[sa * x[u] + sb * y[v] for u, v in zip(ga, gb)]
                 for x, y in zip(ca, cb)]
         if any(map(any, cols)):
-            out[k] = (top, q, cols)
-    return _from_parts(a, out, field)
+            out[k] = CylinderFunction.of_parts(top, q, cols, field)
+    return AlgebraElement(a.diagram, a.lam, a.alpha, out)
 
 
 def scale(a, c):
     """c a for a rational c (an int or a Fraction)."""
     num, den = c.numerator, c.denominator
-    return _from_parts(a, {} if not num else {
-        k: (level, q * den, [[num * x for x in col] for col in cols])
-        for k, (level, q, cols) in a.parts.items()}, a.field)
+    return AlgebraElement(a.diagram, a.lam, a.alpha, {} if not num else {
+        k: CylinderFunction.of_parts(f.level, f.parts[0] * den, [
+            [num * x for x in col] for col in f.parts[1]], f.parts[2])
+        for k, f in a.coeffs.items()})
 
 
 def subtract(a, b):
@@ -168,7 +148,7 @@ def subtract(a, b):
 
 
 def equal_elements(a, b):
-    return not subtract(a, b).parts
+    return not subtract(a, b).coeffs
 
 
 def convolve(a, b, level_cap=LEVEL_CAP):
@@ -181,11 +161,11 @@ def convolve(a, b, level_cap=LEVEL_CAP):
     checked against level_cap first: a level above it raises
     LevelOverflowError, two fields PreconditionError."""
     field = _compatible(a, b)
-    diagram, pa, pb = a.diagram, a.parts, b.parts
+    diagram, fa, fb = a.diagram, a.coeffs, b.coeffs
     terms = {}
-    for i, (la, _, _) in pa.items():
-        for j, (lb, _, _) in pb.items():
-            top = max(la, compose_level(diagram, lb, -i))
+    for i, x in fa.items():
+        for j, y in fb.items():
+            top = max(x.level, compose_level(diagram, y.level, -i))
             if top > level_cap:
                 raise LevelOverflowError("convolution exceeds level cap %d"
                                          % level_cap)
@@ -193,18 +173,19 @@ def convolve(a, b, level_cap=LEVEL_CAP):
     out = {}
     for k, ijt in terms.items():
         top = max(t for _, _, t in ijt)
-        q = math.lcm(*(pa[i][1] * pb[j][1] for i, j, _ in ijt))
+        q = math.lcm(*(fa[i].parts[0] * fb[j].parts[0] for i, j, _ in ijt))
         acc = None
         for i, j, _ in ijt:
-            (la, qa, ca), (lb, qb, cb) = pa[i], pb[j]
+            x, y = fa[i], fb[j]
+            (qa, ca, _), (qb, cb, _) = x.parts, y.parts
             s = q // (qa * qb)
             if s != 1:
-                ca = [[s * x for x in c] for c in ca]
-            acc = _accumulate(acc, ca, cb, gather(diagram, la, 0, top),
-                              gather(diagram, lb, -i, top), field)
+                ca = [[s * v for v in c] for c in ca]
+            acc = _accumulate(acc, ca, cb, gather(diagram, x.level, 0, top),
+                              gather(diagram, y.level, -i, top), field)
         if any(map(any, acc)):
-            out[k] = (top, q, acc)
-    return _from_parts(a, out, field)
+            out[k] = CylinderFunction.of_parts(top, q, acc, field)
+    return AlgebraElement(diagram, a.lam, a.alpha, out)
 
 
 def _accumulate(acc, ca, cb, ga, gb, field):
@@ -234,14 +215,16 @@ def involution(a, level_cap=LEVEL_CAP):
     the identity.  The composition reads each coefficient's columns
     through a cached index gather."""
     diagram, out = a.diagram, {}
-    for k, (m, q, cols) in a.parts.items():
-        level = compose_level(diagram, m, k)
+    for k, f in a.coeffs.items():
+        level = compose_level(diagram, f.level, k)
         if level > level_cap:
             raise LevelOverflowError("involution exceeds level cap %d"
                                      % level_cap)
-        idx = gather(diagram, m, k, level)
-        out[-k] = (level, q, [[col[x] for x in idx] for col in cols])
-    return _from_parts(a, out, a.field)
+        idx = gather(diagram, f.level, k, level)
+        q, cols, field = f.parts
+        out[-k] = CylinderFunction.of_parts(
+            level, q, [[col[x] for x in idx] for col in cols], field)
+    return AlgebraElement(diagram, a.lam, a.alpha, out)
 
 
 def power(a, n, level_cap=LEVEL_CAP):
@@ -255,14 +238,14 @@ def power(a, n, level_cap=LEVEL_CAP):
 
 def project_support(a, n):
     """P_n a: the coefficients with |k| <= n."""
-    return _from_parts(a, {k: p for k, p in a.parts.items() if abs(k) <= n},
-                       a.field)
+    return AlgebraElement(a.diagram, a.lam, a.alpha,
+                          {k: f for k, f in a.coeffs.items() if abs(k) <= n})
 
 
 def complement_support(a, n):
     """(1 - P_n) a: the coefficients with |k| > n."""
-    return _from_parts(a, {k: p for k, p in a.parts.items() if abs(k) > n},
-                       a.field)
+    return AlgebraElement(a.diagram, a.lam, a.alpha,
+                          {k: f for k, f in a.coeffs.items() if abs(k) > n})
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +331,16 @@ def norms(a, s, q, triangle=None):
     expo = tri > 1.0
     sf, qf, af, lamf = float(s), float(q), float(a.alpha), float(a.lam)
     # read before the try: a value beyond the floats is no alpha overflow
-    fns = {k: a._read(k, float_values) for k in a.parts}
+    fns = {k: CylinderFunction(f.level, float_values(*f.parts))
+           for k, f in a.coeffs.items()}
     try:
         by_k = {k: holder_norm(a.diagram, f, af, lamf)["norm"]
                 for k, f in fns.items()}
-        l1 = sum(by_k.values())
-        s_alpha = sum(nk * (tri ** ((af + sf) * abs(k)) if expo
-                            else (1.0 + abs(k)) ** sf)
-                      for k, nk in by_k.items())
-        n_max = max((abs(k) for k in a.parts), default=0)
+        l1 = sum(by_k.values(), 0.0)
+        s_alpha = sum((nk * (tri ** ((af + sf) * abs(k)) if expo
+                             else (1.0 + abs(k)) ** sf)
+                       for k, nk in by_k.items()), 0.0)
+        n_max = max((abs(k) for k in a.coeffs), default=0)
         mu = 0.0
         for n in range(-1, n_max + 1):
             tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
@@ -414,7 +398,7 @@ def neumann_invert(h, tol=1e-10):
     inv, term, used = one, one, 0
     for n in range(1, m + 1):
         term = convolve(term, f)
-        if not term.parts:
+        if not term.coeffs:
             break
         inv, used = add(inv, term), n
     residual = subtract(convolve(h, inv), one)

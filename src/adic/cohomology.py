@@ -7,13 +7,13 @@ lim (Q^V, A) of the repeating matrix A (Herman, Putnam and Skau 1992;
 Giordano, Putnam and Skau 1995).  A cylinder function h of level m is read
 at a level k >= m by its block sums, the sums of h over the level-k paths
 into each vertex; one level up they are the incidence matrix of that level
-times these.  They are summed as integers over one denominator
-(`martingale.integer_parts`, a finite float read as the dyadic rational it
-stores) and divided by it only at the end.  On a diagram with L
-materialized levels every step from level L - 1 on is A, so the tower is A
-alone: the level k' at which the ranks of its powers stop falling, and W,
-the eventual image.  The invariant distributions are the traces tau_i on
-K_0 (x) Q, one set per tower, built once at the base level
+times these.  They are summed on the integer columns over one denominator
+that the function holds (`CylinderFunction.parts`, a finite float read as
+the dyadic rational it stores), divided by it at the end.  On a diagram
+with L materialized levels every step from level L - 1 on is A, so the
+tower is A alone: the level k' at which the ranks of its powers stop
+falling, and W, the eventual image.  The invariant distributions are the
+traces tau_i on K_0 (x) Q, one set per tower, built once at the base level
 b = max(k', L - 1): exact functionals of the block sums that factor through
 the projection P onto W along the eventual kernel, Gram-orthogonalized
 against the tower lengths of level b, the measure direction first.  A
@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .diagrams import path_table
 from .errors import PreconditionError
-from .martingale import constant_function, field_values, integer_parts
+from .martingale import constant_function, field_values
 from .scalars import mat_mul, mat_pow, mat_vec, nullspace, rank, solve_linear
 from .solenoid import tower_lengths
 
@@ -85,7 +85,7 @@ def limit_rank(diagram, renorm):
 # block sums and distributions
 
 def block_sums(diagram, m, cols, k):
-    """Per integer column of a level-m function (`integer_parts`), its
+    """Per integer column of a level-m function (`parts`), its
     block sums at level k >= m: summed over each block of level m, then
     stepped up through the integer incidence matrices."""
     sums = [[sum(col[a:b]) for a, b in path_table(diagram, m).blocks()]
@@ -99,11 +99,11 @@ def block_sums(diagram, m, cols, k):
 def birkhoff_cochain(diagram, h, k):
     """The block sums of h at level k: per vertex v of V_k, the sum of h
     over the level-k paths into v, the tower over v.  They are summed as
-    integers over one denominator q (`block_sums`), which divides them
-    only at the end."""
+    integers over one denominator q (`block_sums` of h's columns), which
+    divides them only at the end."""
     if k < h.level:
         raise ValueError("cochain level below the function level")
-    q, cols, d = integer_parts(h.values)
+    q, cols, d = h.parts
     return tuple(field_values(q, block_sums(diagram, h.level, cols, k), d))
 
 
@@ -236,7 +236,7 @@ def distributions(h, tower):
             for i, (num, den) in enumerate(zip(nums, fn.norms))]
 
 
-def certificate(h, tower, cols=None):
+def certificate(h, tower):
     """The first level from the evaluation level on at which every block sum
     of h is exactly 0, as {"level"}; None when there is none.  Block sums
     one level up are A times these, so they stay 0, and h is a coboundary.
@@ -244,11 +244,10 @@ def certificate(h, tower, cols=None):
     levels up: a certificate exists exactly when the block sums lie in the
     eventual kernel, i.e. when their projection onto W is 0.  That is the
     exact joint verdict; it is rational, so it needs no roof and no Perron
-    root.  The block sums are integers (`block_sums` of cols, h's integer
-    columns, read here unless given), tested for 0."""
+    root.  The block sums are integers (`block_sums` of h's columns),
+    tested for 0."""
     k_eval = evaluation_level(tower, h)
-    sums = block_sums(tower.diagram, h.level,
-                      cols or integer_parts(h.values)[1], k_eval)
+    sums = block_sums(tower.diagram, h.level, h.parts[1], k_eval)
     for level in range(k_eval, k_eval + tower.k_prime + 1):
         if level > k_eval:
             sums = [mat_vec(tower.map, s) for s in sums]

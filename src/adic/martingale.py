@@ -8,10 +8,10 @@ compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
 elements of the Perron field (`scalars.FieldElement`), or floats, and
 projection/difference operations stay in the same field.  `gather` caches
-the index maps of composition and lift, and `integer_parts` reads values
-as integer columns over one common denominator, one column per coefficient
-of the field, so products of coefficients (`algebra.convolve`) and the
-solver's residual check move indices and add integers.  The bump profile
+the index maps of composition and lift.  A function also holds its values
+as integer columns over one denominator, one per coefficient of the field
+(`CylinderFunction.parts`), so block sums, the solver and `algebra.convolve`
+add integers; values are never written once built.  The bump profile
 used for smoothing is the fixed polynomial c*(1 - (5t/tau)^2)^3, whose
 integral is exactly one and whose derivative sup-norms have closed forms; it
 is C^2 at the support boundary (u, u', u'' vanish there) while its third
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain, permutations
 from operator import sub
 
@@ -37,10 +37,28 @@ from .scalars import FieldElement
 GATHER_CACHE_SIZE = 256
 
 
-@dataclass
 class CylinderFunction:
-    level: int
-    values: list  # one scalar per level-m path, in enumerate_paths order
+    """values, one scalar per level-m path in enumerate_paths order, or
+    parts, their (q, cols, field) from `integer_parts`: each form is built
+    from the other on first read and kept, so values is never written."""
+
+    def __init__(self, level, values):
+        self.level, self.values = level, values
+
+    @classmethod
+    def of_parts(cls, level, q, cols, field):
+        """The function of columns (q, cols, field): one column is rational."""
+        f = cls.__new__(cls)
+        f.level, f.parts = level, (q, cols, field if len(cols) > 1 else None)
+        return f
+
+    @cached_property
+    def values(self):
+        return field_values(*self.parts)
+
+    @cached_property
+    def parts(self):
+        return integer_parts(self.values)
 
     def evaluate(self, diagram, x):
         if isinstance(x, LazyPath):

@@ -10,11 +10,11 @@ partial sum of h over the predecessors of that cylinder inside its tower,
 so it is 0 at every tower floor.  Interior steps telescope by construction,
 and a step out of the ceiling of a tower into the floor of the next one
 gives 0 - (block sum - h) = h.  The residual is therefore zero exactly, not
-to within a tolerance, and is verified as such.  h is read once per call as
-integer columns over one denominator (`martingale.integer_parts`, a finite
-float as the dyadic rational it stores): the certificate, the partial sums,
-the gauge totals and the residual check run on integers, and g is built
-once from its own integer columns.
+to within a tolerance, and is verified as such.  h's integer columns over
+one denominator are read once per function (`CylinderFunction.parts`, a
+finite float as the dyadic rational it stores): the certificate, partial
+sums, gauge totals and residual check run on integers, and g is built from
+its own columns (`CylinderFunction.of_parts`), its values only when read.
 
 Regularity bookkeeping is deliberately two-sided: exact attained Hoelder
 norms of h and g give an empirical ratio, while the assembled theoretical
@@ -46,7 +46,7 @@ from .errors import (HorizonExceededError, NumericError, ObstructedError,
                      PreconditionError)
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
-                         integer_parts, lift)
+                         integer_parts)
 from .measures import xi_vector
 from .solenoid import build_complex, diameter
 
@@ -60,23 +60,23 @@ class TransferSolution:
     norms: object        # {"h_norm","g_norm","k_ratio"} when alpha was given
 
 
-def _residual(diagram, h, g, hparts, gparts):
+def _residual(diagram, h, g):
     """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
     level through cached index gathers, so the composition and the lifts
     move indices, not field elements.  The differences are taken on the
-    integer columns (`integer_parts`) of h and of g, a missing coefficient
-    column being 0, over the denominator of both; a float g is the dyadic
-    rational it stores, so they are exact too.  The residual is the int 0
-    only when every difference is 0, and otherwise their largest absolute
-    value in the field."""
+    integer columns (`CylinderFunction.parts`) of h and of g, a missing
+    coefficient column being 0, over the denominator of both; a float g is
+    the dyadic rational it stores, so they are exact too.  The residual is
+    the int 0 only when every difference is 0, and otherwise their largest
+    absolute value in the field."""
     top = max(h.level, compose_level(diagram, g.level, 1))
     ih = gather(diagram, h.level, 0, top)
     ig = gather(diagram, g.level, 0, top)
     iphi = gather(diagram, g.level, 1, top)
-    (hq, hcols, hd), (gq, gcols, gd) = hparts, gparts
+    (hq, hcols, hd), (gq, gcols, gd) = h.parts, g.parts
     width = max(len(hcols), len(gcols))
-    hcols = hcols + [[0] * len(h.values)] * (width - len(hcols))
-    gcols = gcols + [[0] * len(g.values)] * (width - len(gcols))
+    hcols = hcols + [[0] * len(hcols[0])] * (width - len(hcols))
+    gcols = gcols + [[0] * len(gcols[0])] * (width - len(gcols))
     diffs = [[p[a] * gq - (r[b] - r[c]) * hq for a, b, c in zip(ih, iphi, ig)]
              for p, r in zip(hcols, gcols)]
     if not any(map(any, diffs)):
@@ -99,17 +99,17 @@ def _gauged(q, runs, d, gauge):
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     """Solve h = g o phi - g, gauge-fixed to nu-mean 0.
 
-    h is read once as integer columns over one denominator q
-    (`integer_parts`); the certificate search, the partial sums of h along
-    each tower and the residual check run on integers.  The gauge is xi
-    times the integer tower totals of the partial sums, divided by q, and
-    g is built once from its own integer columns.  Only when the
+    h's integer columns over one denominator q (`CylinderFunction.parts`)
+    feed the certificate search, the partial sums of h along each tower
+    and the residual check, all on integers.  The gauge is xi times the
+    integer tower totals of the partial sums, divided by q, and g is built
+    from its own integer columns (`CylinderFunction.of_parts`).  Only when the
     certificate search finds none are the distributions computed, for the
     ObstructedError they carry.  The returned residual is computed, not
     assumed."""
     diagram = tower.diagram
-    q, cols, d = integer_parts(h.values)
-    cert = certificate(h, tower, cols)
+    q, cols, d = h.parts
+    cert = certificate(h, tower)
     if cert is None:
         raise ObstructedError([dv.value for dv in distributions(h, tower)])
     level = cert["level"]
@@ -123,17 +123,15 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
     gauge = sum(x * t for x, t in zip(xi_vector(diagram, level),
                                       field_values(q, totals, d)))
-    gparts = _gauged(q, runs, d, gauge)
-    g = CylinderFunction(level, field_values(*gparts))
+    g = CylinderFunction.of_parts(level, *_gauged(q, runs, d, gauge))
     norms = None
     if alpha is not None:
         norms = solution_norms(
             diagram, tower.renorm,
             CylinderFunction(h.level, float_values(q, cols, d)),
-            CylinderFunction(level, float_values(*gparts)), alpha, epsilon)
+            CylinderFunction(level, float_values(*g.parts)), alpha, epsilon)
     return TransferSolution(g=g, gauge=gauge,
-                            residual=_residual(diagram, h, g, (q, cols, d),
-                                               gparts),
+                            residual=_residual(diagram, h, g),
                             level=level, norms=norms)
 
 
@@ -309,16 +307,14 @@ def birkhoff(diagram, h, start, n_total):
     so a call costs O(levels * in-degree) per checkpoint plus the ranges it
     reads, not one step per iterate.  sup_abs is read off the extreme
     prefix sums, so it is exact.  Rational and float values are summed
-    exactly as the integers of `integer_parts`; float input reports the
+    exactly as h's integer columns (`parts`); float input reports the
     float nearest each exact sum.  Other values (field elements, NaN,
     infinities) are summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
-    hh = h if h.level >= 1 else lift(diagram, h, 1)
-    m = hh.level
-    table, value = hh.values, (lambda a: a)
+    table, value = h.values, (lambda a: a)
     try:
-        q, cols, field = integer_parts(table)
+        q, cols, field = h.parts
         rational = field is None
     except PreconditionError:  # NaN, an infinity, or values of two fields
         rational = False
@@ -326,6 +322,9 @@ def birkhoff(diagram, h, start, n_total):
         # a finite float is the dyadic rational it stores
         floats = any(isinstance(v, float) for v in table)
         table, value = cols[0], lambda a: a / q if floats else Fraction(a, q)
+    m = max(h.level, 1)
+    if not h.level:
+        table = [table[i] for i in path_table(diagram, 1).parent]
 
     towers = _Towers(diagram, m, table)
     runs = _orbit_runs(diagram, start, towers)

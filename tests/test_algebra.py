@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, reject
 from hypothesis import strategies as st
 
 from conftest import rng
@@ -157,6 +157,7 @@ def test_neumann_inversion(odo2):
 
     exact = neumann_invert(u)
     assert exact.terms == 0 and exact.residual == 0.0
+    assert type(exact.residual) is float
     assert equal_elements(exact.element, u)
 
 
@@ -390,6 +391,32 @@ def test_level_cap_overflow(odo2):
 def test_tracial_identity_exact(suite):
     assert passed(suite, "trace_commutator") == \
         {"trace_commutator": (50, True)}
+
+
+@st.composite
+def _drawn_diagrams(draw):
+    """A `_random_diagram` on 1 to 3 vertices, `_prefixed` or not."""
+    d = _random_diagram(random.Random(draw(st.integers(0, 2 ** 16))),
+                        draw(st.integers(1, 3)), 6)
+    return _prefixed(d) if draw(st.booleans()) else d
+
+
+@example(_prefixed(builtin_diagram("pisot31")), 0)
+@given(_drawn_diagrams(), st.integers(0, 2 ** 16))
+def test_traces_of_ab_and_ba_agree_exactly(d, seed):
+    # tau(ab) = tau(ba) on the exact numerators, each zero-shift
+    # coefficient read through the integer columns it holds
+    rd = renorm_data(d)
+    tower = limit_rank(d, rd)
+    r = random.Random(seed)
+    a, b = (rand_element(r, d, rd.lam_float, 3) for _ in range(2))
+    try:
+        ta = trace(convolve(a, b), tower)
+    except PreconditionError:
+        reject()  # a tower of negative length gives no Gram weights
+    tb = trace(convolve(b, a), tower)
+    assert len(ta) == len(tb) == tower.d
+    assert [x.numerator for x in ta] == [y.numerator for y in tb]
 
 
 def test_trace_refuses_a_level_below_the_evaluation_level(odo2):

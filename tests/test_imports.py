@@ -11,8 +11,10 @@ the benchmark and the acceptance tests, never a unit test.  A top-level
 an attribute of its module from a user.  A method or property of a class
 (dunders aside), and a field of a dataclass, must be read by a user as an
 attribute of something.  A parameter with a default must be set by some
-call of a user.  `REFERENCES` lists the reference implementations that
-only the unit tests comparing against them read."""
+call of a user.  Only `CylinderFunction.parts` and the solver's gauge
+read values as integer columns (`integer_parts`).  `REFERENCES` lists the
+reference implementations that only the unit tests comparing against them
+read."""
 
 import ast
 import math
@@ -255,6 +257,45 @@ def test_package_does_not_import_numpy():
     # benchmark's oracles may use numpy
     assert [p.name for p in sorted(PACKAGE.glob("*.py"))
             if imports_numpy(p.read_text())] == []
+
+
+def column_reads(source):
+    """Sorted names of the innermost defs of the source that read
+    `integer_parts`, by name or as an attribute; "<module>" for a read
+    outside every def.  Passing the function on counts as a read."""
+    found = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(getattr(node, "ctx", None), ast.Load) and \
+                "integer_parts" in (getattr(node, "id", None),
+                                    getattr(node, "attr", None)):
+            found.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_scan_finds_a_column_read():
+    source = (PACKAGE / "solver.py").read_text()
+    assert column_reads(source) == ["_gauged"]
+    assert column_reads(source + "\n\ndef f(h):\n"
+                        "    return m.integer_parts(h.values)\n") == \
+        ["_gauged", "f"]
+    assert column_reads(source + "\nREAD = map(integer_parts, ())\n") == \
+        ["<module>", "_gauged"]
+
+
+def test_columns_are_read_in_one_place():
+    # a function's integer columns are read behind CylinderFunction.parts;
+    # the solver's gauge constant, a lone scalar, is the one other reader
+    found = {p.stem: column_reads(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: defs for module, defs in found.items() if defs} == \
+        {"martingale": ["parts"], "solver": ["_gauged"]}
 
 
 def defaulted_parameters(source):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from adic.martingale import float_values, integer_parts
+from adic.martingale import CylinderFunction, float_values, integer_parts
 from adic.scalars import (FieldElement, NumberField, char_poly, mat_vec,
                           perron_data, sqrt_field)
 
@@ -155,6 +155,25 @@ def test_field_floats_and_signs_are_correctly_rounded(name, coeffs):
     x = FIELDS[name](*coeffs)
     want = sympy_value(x)
     assert float(x) == float(want)
-    assert float_values(*integer_parts([x, -x, x + 1])) == \
+    vals = [x, -x, x + 1]
+    parts = integer_parts(vals)
+    assert float_values(*parts) == \
         [float(want), float(-want), float(want + 1)]
     assert (x > 0, x == 0, x < 0) == (want > 0, want == 0, want < 0)
+    # the two stored forms of a function round-trip exactly, and the float
+    # columns read the floats of the values bit for bit
+    back = CylinderFunction.of_parts(0, *parts)
+    assert back.values == vals and back.parts[2] is x.field
+    assert all(type(v) is FieldElement for v in back.values)
+    assert list(map(float.hex, float_values(*parts))) == \
+        [float(v).hex() for v in vals]
+    floats = list(map(float, vals))
+    fparts = integer_parts(floats)
+    assert fparts[2] is None
+    exact = CylinderFunction.of_parts(0, *fparts).values
+    assert exact == list(map(Fraction, floats))
+    assert all(type(v) is Fraction for v in exact)
+    # a field with one column is rational
+    one = CylinderFunction.of_parts(0, parts[0], parts[1][:1], x.field)
+    assert one.parts[2] is None
+    assert one.values == [Fraction(c, parts[0]) for c in parts[1][0]]

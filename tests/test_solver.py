@@ -12,6 +12,7 @@ from conftest import rng
 from test_step import _prefixed, _random_diagram
 
 import adic.cohomology
+import adic.martingale
 import adic.solver
 from adic.catalog import builtin_diagram
 from adic.cohomology import (certificate, distributions, is_coboundary_class,
@@ -22,7 +23,7 @@ from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            successor)
 from adic.errors import NotProperlyOrderedError, ObstructedError
 from adic.martingale import (compose_phi, constant_function, from_vector,
-                             integer_parts, lift, nu_mean, rand_function)
+                             lift, nu_mean, rand_function)
 from adic.measures import renorm_data, xi_vector
 from adic.scalars import sqrt_field
 from adic.solver import birkhoff, chained_constant, solution_norms, solve
@@ -113,17 +114,37 @@ def test_nonzero_residual_is_reported_exactly(odo2, fib, pisot31):
         tower = _tower(d)
         h = _coboundary(d, rand_function(r, d, 2))
         g = solve(h, tower).g
-        parts = integer_parts(h.values)
-        assert adic.solver._residual(d, h, g, parts,
-                                     integer_parts(g.values)) == 0
+        assert adic.solver._residual(d, h, g) == 0
         vals = list(g.values)
         vals[r.randrange(len(vals))] += bump
         off = from_vector(d, g.level, vals)
-        got = adic.solver._residual(d, h, off, parts,
-                                    integer_parts(off.values))
+        got = adic.solver._residual(d, h, off)
         assert got != 0
         assert got == _pointwise_residual(d, h, off)
         assert type(got) is type(bump)
+
+
+def test_columns_of_h_are_read_once(odo2, monkeypatch):
+    # two rounds of distributions, certificate, solve and birkhoff on one h
+    # read its integer columns once: h keeps them
+    read, seen = adic.martingale.integer_parts, []
+
+    def counted(values):
+        seen.append(values)
+        return read(values)
+
+    for module in (adic.martingale, adic.cohomology, adic.solver):
+        if hasattr(module, "integer_parts"):
+            monkeypatch.setattr(module, "integer_parts", counted)
+    tower = _tower(odo2)
+    h = _coboundary(odo2, rand_function(rng(413), odo2, 2))
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+    for _ in range(2):
+        distributions(h, tower)
+        assert certificate(h, tower) is not None
+        assert solve(h, tower, alpha=3).residual == 0
+        birkhoff(odo2, h, start, 100)
+    assert sum(v is h.values for v in seen) == 1
 
 
 def test_singular_repeating_matrix_is_not_obstructed():
