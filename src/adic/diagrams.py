@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial, wraps
 from itertools import chain
+from types import MethodType
 
 from .errors import (HorizonExceededError, LevelOverflowError,
                      NotProperlyOrderedError, ParseError)
@@ -570,7 +571,44 @@ def enumerate_paths(diagram, m, n):
     return [FinitePath(t, m) for t in zip(*reversed(cols))]
 
 
-PATH_TABLE_CACHE_SIZE = 256
+# The most paths that `enumerate_paths` and `path_table` build at one
+# level.  A function file or a level flag of a few bytes can ask for 2^n
+# paths; the tests build at most 2^17 (pisot31 at level 8).  Path tables
+# and `martingale.gather` index maps share one store, bounded in integers
+# held: a build is charged its length, at most about PATH_BUDGET, and a
+# charge past STORE_BUDGET first empties the whole store.
+PATH_BUDGET = 2 ** 18
+STORE_BUDGET = 4 * PATH_BUDGET
+STORE, store_charge = [], 0  # the store's caches and the integers they hold
+
+
+def _check_budget(level, count):
+    if count > PATH_BUDGET:
+        raise LevelOverflowError("level %d has %d paths, more than %d"
+                                 % (level, count, PATH_BUDGET))
+
+
+def clear_store():
+    """The cache_clear of every member: empty the store, charge 0."""
+    global store_charge
+    for member in STORE:
+        type(member).cache_clear(member)
+    store_charge = 0
+
+
+def stored(size, build):
+    """@partial(stored, size): build cached in the store by an unbounded
+    lru_cache, whose hits stay in C; a miss is charged size(result)."""
+    def charged(*args):
+        global store_charge
+        result = build(*args)
+        if store_charge + size(result) > STORE_BUDGET:
+            clear_store()
+        store_charge += size(result)
+        return result
+    STORE.append(lru_cache(maxsize=None)(wraps(build)(charged)))
+    STORE[-1].cache_clear = MethodType(lambda _: clear_store(), STORE[-1])
+    return STORE[-1]
 
 
 @dataclass(frozen=True)
@@ -588,7 +626,7 @@ class PathTable:
         return zip(self.offsets, self.offsets[1:])
 
 
-@lru_cache(maxsize=PATH_TABLE_CACHE_SIZE)
+@partial(stored, lambda t: len(t.offsets) + len(t.parent) + len(t.first))
 def path_table(diagram, k):
     """The PathTable of level k; level 0 lists the vertices of V_0."""
     if k == 0:
@@ -615,18 +653,6 @@ def path_index(diagram, p, k):
         i += path_table(diagram, j).first[e] - \
             path_table(diagram, j - 1).offsets[diagram.level(j).source(e)]
     return i
-
-
-# The most paths that `enumerate_paths` and `path_table` build at one
-# level.  A function file or a level flag of a few bytes can ask for 2^n
-# paths; the tests build at most 2^17 (pisot31 at level 8).
-PATH_BUDGET = 2 ** 18
-
-
-def _check_budget(level, count):
-    if count > PATH_BUDGET:
-        raise LevelOverflowError("level %d has %d paths, more than %d"
-                                 % (level, count, PATH_BUDGET))
 
 
 def count_paths(diagram, m, n):

@@ -8,14 +8,15 @@ compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
 elements of the Perron field (`scalars.FieldElement`), or floats, and
 projection/difference operations stay in the same field.  `gather` caches
-the index maps of composition and lift.  A function also holds its values
-as integer columns over one denominator, one per coefficient of the field
-(`CylinderFunction.parts`), so block sums, the solver and `algebra.convolve`
-add integers; values are never written once built.  The bump profile
-used for smoothing is the fixed polynomial c*(1 - (5t/tau)^2)^3, whose
-integral is exactly one and whose derivative sup-norms have closed forms; it
-is C^2 at the support boundary (u, u', u'' vanish there) while its third
-derivative is bounded but jumps there.
+the index maps of composition and lift in the store of `diagrams`, with the
+path tables, bounded by `STORE_BUDGET` integers.  A function also holds its
+values as integer columns over one denominator, one per coefficient of the
+field (`CylinderFunction.parts`), so block sums, the solver and
+`algebra.convolve` add integers; values are never written once built.  The
+bump profile used for smoothing is the fixed polynomial
+c*(1 - (5t/tau)^2)^3, whose integral is exactly one and whose derivative
+sup-norms have closed forms; it is C^2 at the support boundary (u, u', u''
+vanish there) while its third derivative is bounded but jumps there.
 """
 
 from __future__ import annotations
@@ -23,18 +24,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain, permutations
 from operator import sub
 
-from .diagrams import (LazyPath, extreme_path, extreme_vertex, materialize,
-                       out_edges, path_index, path_range, path_table)
+from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
+                       extreme_path, extreme_vertex, materialize, out_edges,
+                       path_index, path_range, path_table, stored)
 from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
                      PreconditionError)
 from .measures import xi_vector
 from .scalars import FieldElement
-
-GATHER_CACHE_SIZE = 256
 
 
 class CylinderFunction:
@@ -394,7 +394,7 @@ def compose_phi(diagram, h, power=1):
     return CylinderFunction(L, [vals[i] for i in idx])
 
 
-@lru_cache(maxsize=GATHER_CACHE_SIZE)
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
 def compose_level(diagram, m, power):
     """The level of h o phi^power for h of level m, as in `compose_phi`."""
     if power == 0:
@@ -402,12 +402,12 @@ def compose_level(diagram, m, power):
     T, v = phi_transient(diagram, 1 if power > 0 else -1)
     n, m = abs(power), max(m, len(diagram.levels) - 1)
     j = m
-    while T + j < m + n * T and _height(diagram, v, j) < n:
+    while T + j < m + n * T and count_paths(diagram, 0, j)[v] < n:
         j += 1
     return max(min(m + n * T, T + j), 1)
 
 
-@lru_cache(maxsize=GATHER_CACHE_SIZE)
+@partial(stored, len)
 def gather(diagram, m, power, k):
     """The indices into a level-m vector that read h o phi^power lifted to
     level k >= compose_level(diagram, m, power), for every h of level m:
@@ -415,9 +415,3 @@ def gather(diagram, m, power, k):
     ident = CylinderFunction(m, list(range(path_table(diagram, m)
                                            .offsets[-1])))
     return tuple(lift(diagram, compose_phi(diagram, ident, power), k).values)
-
-
-def _height(diagram, v, k):
-    """The number of level-k paths into vertex v."""
-    offsets = path_table(diagram, k).offsets
-    return offsets[v + 1] - offsets[v]

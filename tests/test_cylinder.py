@@ -10,16 +10,16 @@ import pytest
 
 from test_step import _random_diagram
 
+from adic import diagrams as diagrams_module
 from adic.catalog import builtin_diagram
 from adic.cohomology import birkhoff_cochain
-from adic.diagrams import (PATH_TABLE_CACHE_SIZE, FinitePath, LazyPath,
-                           OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           enumerate_paths, extreme_path, make_level,
-                           materialize, path_index, path_range, path_source,
-                           path_table, step, step_tables)
+from adic.diagrams import (FinitePath, LazyPath, TAIL_MAX, TAIL_MIN,
+                           enumerate_paths, extreme_path, materialize,
+                           path_index, path_range, path_source, path_table,
+                           step, step_tables)
 from adic.errors import NotProperlyOrderedError
-from adic.martingale import (compose_phi, from_vector, holder_norm, lift,
-                             nu_mean, phi_transient, project)
+from adic.martingale import (compose_phi, from_vector, gather, holder_norm,
+                             lift, nu_mean, phi_transient, project)
 from adic.measures import xi_vector
 
 TOP = 3
@@ -139,12 +139,26 @@ def test_compose_phi_matches_stepped_reference(diagrams):
                 assert lift(d, got, L).values == want, (d, m, power)
 
 
-def test_path_table_cache_is_bounded():
-    # one edge per level: a single path at every level, however deep
-    d = OrderedDiagram((make_level(1, 1, [(0, 0)], [[0]]),), True)
+def _charge(built):
+    """The integers a build of the store holds."""
+    if isinstance(built, tuple):
+        return len(built)
+    return len(built.offsets) + len(built.parent) + len(built.first)
+
+
+def test_path_table_cache_is_bounded(monkeypatch, odo2):
+    # path tables and gathers share one store bounded in integers: a charge
+    # past the budget empties every member, and the new build is kept
+    monkeypatch.setattr(diagrams_module, "STORE_BUDGET", 200)
     path_table.cache_clear()
-    for k in range(PATH_TABLE_CACHE_SIZE + 4):
-        path_table(d, k)
-    info = path_table.cache_info()
-    assert info.maxsize == PATH_TABLE_CACHE_SIZE
-    assert info.currsize == PATH_TABLE_CACHE_SIZE
+    largest, emptied = 0, set()
+    for k in range(1, 9):
+        for member, args in ((path_table, (odo2, k)),
+                             (gather, (odo2, 1, 1, k))):
+            sizes = {m: m.cache_info().currsize for m in (path_table, gather)}
+            largest = max(largest, _charge(member(*args)))
+            assert diagrams_module.store_charge <= 200 + largest
+            emptied |= {m for m, n in sizes.items()
+                        if m.cache_info().currsize < n}
+            assert member.cache_info().currsize >= 1
+    assert largest > 200 and emptied == {path_table, gather}
