@@ -297,7 +297,7 @@ def triangle_phi(diagram, L, lam=None):
     Representatives whose image is undefined (an extreme path of a not
     properly ordered diagram) are skipped: the bound stays a lower bound."""
     lamf = renorm_data(diagram).lam_float if lam is None else float(lam)
-    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(diagram, 0, L)]
+    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(diagram, L)]
     best = 1.0
     for direction in (1, -1):
         images = []

@@ -239,9 +239,9 @@ def _load_start(diagram, ref):
         # levels one period covers every (word index, level) pairing, and
         # one edge more the junction of the word with its repeat
         word, pl = p.tail.word, len(p.prefix.edges)
-        top = max(pl, diagram.materialized) + len(word) + 1
+        top = max(pl, len(diagram.levels)) + len(word) + 1
         if not diagram.stationary:
-            top = min(top, diagram.materialized)
+            top = min(top, len(diagram.levels))
         for k in range(pl + 1, top + 1):
             e = word[(k - pl - 1) % len(word)]
             if not 0 <= e < len(diagram.level(k).edges):
@@ -270,7 +270,7 @@ def cmd_validate(args):
 
 def cmd_paths(args):
     d = resolve_diagram(args.diagram)
-    ps = enumerate_paths(d, 0, args.level)
+    ps = enumerate_paths(d, _at_least("level", args.level, 0))
     if args.emit == "csv":
         _emit_csv(["index", "edges"],
                   [(i, " ".join(map(str, p.edges))) for i, p in enumerate(ps)])

@@ -92,10 +92,6 @@ class OrderedDiagram:
             A[r][s] += 1
         return A
 
-    @property
-    def materialized(self):
-        return len(self.levels)
-
     def to_json_dict(self):
         return {
             "stationary": self.stationary,
@@ -111,14 +107,26 @@ class OrderedDiagram:
         }
 
 
+def _ints(xs):
+    """xs when it is a JSON list of JSON integers: int() would read a
+    float, a numeric string or a boolean as one."""
+    if not isinstance(xs, (list, tuple)) or \
+            not all(type(x) is int for x in xs):
+        raise TypeError("%r is not a list of integers" % (xs,))
+    return xs
+
+
 def diagram_from_json_dict(data):
     try:
         levels = tuple(
-            make_level(ld["num_sources"], ld["num_ranges"], ld["edges"],
-                       ld["in_order"])
+            make_level(*_ints([ld["num_sources"], ld["num_ranges"]]),
+                       map(_ints, ld["edges"]), map(_ints, ld["in_order"]))
             for ld in data["levels"]
         )
-        return OrderedDiagram(levels, bool(data.get("stationary", False)))
+        stationary = data.get("stationary", False)
+        if type(stationary) is not bool:
+            raise TypeError("stationary %r is not a boolean" % (stationary,))
+        return OrderedDiagram(levels, stationary)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError("malformed diagram: %s" % exc) from None
 
@@ -174,8 +182,8 @@ def validate(diagram):
 # ---------------------------------------------------------------------------
 # per-level caches
 
-# Entries per cache keyed by a LevelData (and a direction): both directions
-# of every level of some 500 one-level diagrams.
+# Entries per cache keyed by a LevelData (and an end): both ends of every
+# level of some 500 one-level diagrams.
 LEVEL_CACHE_SIZE = 1024
 
 
@@ -220,13 +228,10 @@ def _in_edge(ld, v, end):
 
 
 @lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def min_source_map(ld):
-    return tuple(ld.source(_in_edge(ld, v, 0)) for v in range(ld.num_ranges))
-
-
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def max_source_map(ld):
-    return tuple(ld.source(_in_edge(ld, v, -1))
+def source_map(ld, end):
+    """Per vertex of V_k, the source of its first (end=0) or last (end=-1)
+    in-edge."""
+    return tuple(ld.source(_in_edge(ld, v, end))
                  for v in range(ld.num_ranges))
 
 
@@ -238,75 +243,26 @@ def eventual_image(fmap):
     return sorted(cur)
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def step_table(ld, direction=1):
-    """The carry columns of one level, in the in-order (direction=1) or its
-    reverse (direction=-1): the next in-edge after each edge at its range
-    (-1 at the end), the first in-edge of each vertex, the source of each
-    edge."""
-    orders = ld.in_order if direction == 1 else \
-        tuple(o[::-1] for o in ld.in_order)
-    nxt = [-1] * len(ld.edges)
-    for order in orders:
-        for a, b in zip(order, order[1:]):
-            nxt[a] = b
-    first = tuple(order[0] if order else -1 for order in orders)
-    return tuple(nxt), first, tuple(s for s, _ in ld.edges)
-
-
-def step_tables(diagram, n, direction=1):
-    """The step_table columns of levels 1..n, split by kind: (next, first,
-    source), each a tuple whose entry k-1 belongs to level k."""
-    return tuple(zip(*(step_table(diagram.level(k), direction)
-                       for k in range(1, n + 1))))
-
-
-def step(tables, digits):
-    """Move a finite prefix (level-1 edge first) in place to its successor
-    within its own length, or its predecessor for tables of direction -1:
-    bump the lowest non-extreme edge and refill the levels below it with the
-    extreme chain into its source.  Returns False, leaving the prefix as it
-    is, when every edge is extreme."""
-    nxt, first, src = tables
-    i, top = 0, len(digits)
-    while i < top and nxt[i][digits[i]] < 0:
-        i += 1
-    if i == top:
-        return False
-    e = nxt[i][digits[i]]
-    digits[i] = e
-    v = src[i][e]
-    for j in range(i - 1, -1, -1):
-        e = first[j][v]
-        digits[j] = e
-        v = src[j][e]
-    return True
-
-
 # ---------------------------------------------------------------------------
 # paths
 
 @dataclass(frozen=True)
 class FinitePath:
-    edges: tuple
-    start: int = 0
-    root: int = None  # only consulted when edges is empty
+    edges: tuple  # from level 1 up: every path starts at V_0
+    root: int = None  # the V_0 vertex of a path with no edges, else None
     # taken once, as for LevelData: point caches hash paths many times
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "_hash", hash(
-            (self.edges, self.start, self.root)))
+        object.__setattr__(self, "root", None if self.edges else self.root)
+        object.__setattr__(self, "_hash", hash((self.edges, self.root)))
 
     def __hash__(self):
         return self._hash
 
     @property
     def level(self):
-        return self.start + len(self.edges)
-
-    def __len__(self):
         return len(self.edges)
 
 
@@ -318,14 +274,14 @@ def path_range(diagram, p):
 
 def path_source(diagram, p):
     if p.edges:
-        return diagram.level(p.start + 1).source(p.edges[0])
+        return diagram.level(1).source(p.edges[0])
     return p.root
 
 
 def check_path(diagram, p):
     v = None
     for i, e in enumerate(p.edges):
-        ld = diagram.level(p.start + 1 + i)
+        ld = diagram.level(1 + i)
         if not (0 <= e < len(ld.edges)):
             raise ParseError("path edge index out of range")
         if v is not None and ld.source(e) != v:
@@ -356,21 +312,17 @@ class LazyPath:
     prefix: FinitePath
     tail: Tail = TAIL_MIN
 
-    def __post_init__(self):
-        if self.prefix.start != 0:
-            raise ParseError("lazy paths must be rooted at level 0")
-
 
 def lazy_from_json_dict(data):
     try:
-        prefix = FinitePath(tuple(int(e) for e in data["prefix"]))
+        prefix = FinitePath(tuple(_ints(data["prefix"])))
         t = data["tail"]
         if t == "MIN":
             tail = TAIL_MIN
         elif t == "MAX":
             tail = TAIL_MAX
         else:
-            tail = Tail("PERIODIC", tuple(int(e) for e in t["periodic"]))
+            tail = Tail("PERIODIC", tuple(_ints(t["periodic"])))
         return LazyPath(prefix, tail)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("malformed path: %s" % exc) from None
@@ -417,19 +369,21 @@ class PathWalker:
         self.vertex = ld.range(e)
         return k, e
 
-    def phase(self):
-        lz = self.lazy
-        pl = len(lz.prefix.edges)
-        if self.k < pl:
-            return ("P", self.k)
-        if lz.tail.kind == "PERIODIC":
-            return ("W", (self.k - pl) % len(lz.tail.word))
-        return (lz.tail.kind,)
-
     def state(self):
-        # usable for cycle detection once k exceeds the materialized levels
-        lvl = min(self.k, len(self.diagram.levels))
-        return (lvl, self.vertex, self.phase())
+        """None while the walk is inside the prefix or the materialized
+        levels.  Past both, (vertex, word position): the rest of the walk
+        depends on these alone, so a repeat means it cycles.  At the last
+        materialized level of a non-stationary diagram, where the walk can
+        go no further, HorizonExceededError."""
+        if self.k < len(self.diagram.levels):
+            return None
+        if not self.diagram.stationary:
+            raise HorizonExceededError()
+        pl = len(self.lazy.prefix.edges)
+        if self.k < pl:
+            return None
+        word = self.lazy.tail.word
+        return self.vertex, (self.k - pl) % len(word) if word else 0
 
 
 def materialize(diagram, lazy, k):
@@ -441,28 +395,21 @@ def materialize(diagram, lazy, k):
 def first_disagreement(diagram, p, q):
     """Smallest level where p and q differ; 0 if provably equal.
 
-    Provable equality uses cycle detection on the joint walker state, valid
-    for stationary diagrams; non-stationary diagrams raise beyond the
-    materialized horizon.  Past the horizon the joint state takes finitely
-    many values, so the scan ends.
+    Provable equality uses cycle detection on the joint walker state
+    (`PathWalker.state`), valid for stationary diagrams; non-stationary
+    diagrams raise beyond the materialized horizon.  Past the horizon the
+    joint state takes finitely many values, so the scan ends.
     """
     wp, wq = PathWalker(diagram, p), PathWalker(diagram, q)
     seen = set()
     while True:
-        past = (wp.k >= len(p.prefix.edges) and wq.k >= len(q.prefix.edges)
-                and wp.k >= len(diagram.levels))
-        if past:
-            if not diagram.stationary:
-                raise HorizonExceededError()
-            st = (wp.state(), wq.state())
+        st = (wp.state(), wq.state())
+        if None not in st:
             if st in seen:
                 return 0
             seen.add(st)
-        try:
-            kp, ep = wp.advance()
-            _, eq = wq.advance()
-        except LevelOverflowError:
-            raise HorizonExceededError() from None
+        kp, ep = wp.advance()
+        _, eq = wq.advance()
         if ep != eq:
             return kp
 
@@ -475,9 +422,9 @@ def _extreme_chain(diagram, v, k, end):
     to vertex v at level k."""
     edges = []
     for j in range(k, 0, -1):
-        e = _in_edge(diagram.level(j), v, end)
-        edges.append(e)
-        v = diagram.level(j).source(e)
+        ld = diagram.level(j)
+        edges.append(_in_edge(ld, v, end))
+        v = ld.source(edges[-1])
     edges.reverse()
     return FinitePath(tuple(edges), root=v if not edges else None)
 
@@ -486,8 +433,7 @@ def extreme_vertex(diagram, direction):
     """(fmap, v): the min (direction=1) or max (direction=-1) in-edge source
     map of the repeating level of a stationary diagram, and the one vertex v
     of its eventual image.  NotProperlyOrderedError when there are more."""
-    fmap = (min_source_map if direction == 1 else max_source_map)(
-        diagram.levels[-1])
+    fmap = source_map(diagram.levels[-1], 0 if direction == 1 else -1)
     cyc = eventual_image(fmap)
     if len(cyc) != 1:
         raise NotProperlyOrderedError()
@@ -508,50 +454,50 @@ def extreme_path(diagram, direction):
 
 
 def successor(diagram, p, direction=1):
-    """The adic successor (direction=1) or predecessor (direction=-1)."""
-    w = PathWalker(diagram, p)
-    seen = set()
-    pl = len(p.prefix.edges)
-    digits = []
+    """The adic successor (direction=1) or predecessor (direction=-1): at
+    the least level k whose edge is not the last (first) in-edge of its
+    range, that edge moves to the next (previous) one, and levels 1..k-1
+    become the extreme chain into its source.  With no such level, the
+    image is the other extreme path."""
+    w, seen = PathWalker(diagram, p), set()
+    end = 0 if direction == 1 else -1
     while True:
-        past = w.k >= pl and w.k >= len(diagram.levels)
-        if past:
-            if not diagram.stationary:
-                raise HorizonExceededError()
-            st = w.state()
+        st = w.state()
+        if st is not None:
             if st in seen:
                 # every remaining edge is extreme: wrap around
                 return extreme_path(diagram, direction)
             seen.add(st)
         k, e = w.advance()
-        digits.append(e)
-        if step_table(diagram.level(k), direction)[0][e] >= 0:
-            step(step_tables(diagram, k, direction), digits)
-            tail = p.tail
+        ld = diagram.level(k)
+        order = ld.in_order[ld.range(e)]
+        i = order_pos(ld)[e] + direction
+        if 0 <= i < len(order):
+            edges = _extreme_chain(diagram, ld.source(order[i]), k - 1,
+                                   end).edges + (order[i],)
+            tail, pl = p.tail, len(p.prefix.edges)
             if k < pl:
-                digits.extend(p.prefix.edges[k:])
+                edges += p.prefix.edges[k:]
             elif tail.kind == "PERIODIC":
                 shift = (k - pl) % len(tail.word)
                 tail = Tail("PERIODIC", tail.word[shift:] + tail.word[:shift])
-            return LazyPath(FinitePath(tuple(digits)), tail)
+            return LazyPath(FinitePath(edges), tail)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
-def enumerate_paths(diagram, m, n):
-    """All of E_{m,n} in lexicographic order, range-major: paths are
+def enumerate_paths(diagram, n):
+    """All of E_{0,n} in lexicographic order, range-major: paths are
     grouped by range vertex, and within a range ordered with the last level
     most significant."""
-    if n < m:
-        raise LevelOverflowError()
-    if n == m:
-        return [FinitePath((), m, v) for v in range(diagram.num_vertices(m))]
-    count_paths(diagram, m, n)
+    if n == 0:
+        return [FinitePath((), v) for v in range(diagram.num_vertices(0))]
+    count_paths(diagram, n)
     # per level and vertex, the sources of its in-edges and the last edges
     # of the paths into it, in order
-    count, levels = [1] * diagram.num_vertices(m), []
-    for j in range(m + 1, n + 1):
+    count, levels = [1] * diagram.num_vertices(0), []
+    for j in range(1, n + 1):
         ld = diagram.level(j)
         sources = [[ld.source(e) for e in ld.in_order[v]]
                    for v in range(ld.num_ranges)]
@@ -568,7 +514,7 @@ def enumerate_paths(diagram, m, n):
     for sources, last in reversed(levels):
         cols.append(list(chain.from_iterable(map(last.__getitem__, starts))))
         starts = list(chain.from_iterable(map(sources.__getitem__, starts)))
-    return [FinitePath(t, m) for t in zip(*reversed(cols))]
+    return [FinitePath(t) for t in zip(*reversed(cols))]
 
 
 # The most paths that `enumerate_paths` and `path_table` build at one
@@ -646,7 +592,7 @@ def path_table(diagram, k):
 
 def path_index(diagram, p, k):
     """Index of the level-k cylinder of the rooted path p in the order of
-    `enumerate_paths(diagram, 0, k)`."""
+    `enumerate_paths(diagram, k)`."""
     i = path_source(diagram, p)
     for j in range(1, k + 1):
         e = p.edges[j - 1]
@@ -655,11 +601,14 @@ def path_index(diagram, p, k):
     return i
 
 
-def count_paths(diagram, m, n):
-    """Vector over V_n: |E_{m,n}| path counts into each vertex.  Raises
-    LevelOverflowError at the first level past PATH_BUDGET paths."""
-    c = [1] * diagram.num_vertices(m)
-    for j in range(m + 1, n + 1):
+def count_paths(diagram, n):
+    """Vector over V_n: |E_{0,n}| path counts into each vertex.  Raises
+    LevelOverflowError for n < 0 and at the first level past PATH_BUDGET
+    paths."""
+    if n < 0:
+        raise LevelOverflowError()
+    c = [1] * diagram.num_vertices(0)
+    for j in range(1, n + 1):
         ld = diagram.level(j)
         c = [sum(c[ld.source(e)] for e in ld.in_order[v])
              for v in range(ld.num_ranges)]

@@ -2,7 +2,7 @@
 level components of the bump-smoothed martingale expansion.
 
 A CylinderFunction of level m >= 0 is the vector of its values on the
-level-m cylinders, in the order of `enumerate_paths(diagram, 0, m)`; at
+level-m cylinders, in the order of `enumerate_paths(diagram, m)`; at
 level 0 that is the vertex order of V_0.  Lifts, projections, means and
 compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
@@ -63,7 +63,7 @@ class CylinderFunction:
     def evaluate(self, diagram, x):
         if isinstance(x, LazyPath):
             x = materialize(diagram, x, max(self.level, 1))
-        elif len(x.edges) < self.level or x.start != 0:
+        elif len(x.edges) < self.level:
             raise ValueError("path too short for this cylinder function")
         return self.values[path_index(diagram, x, self.level)]
 
@@ -355,8 +355,8 @@ def compose_phi(diagram, h, power=1):
     over v* holds at least n paths.
 
     On level-L paths phi is the next path in the block of its range vertex
-    (the tower order that `diagrams.step` follows), and the last path of a
-    block goes to the level-L prefix of the extreme path, the first (for
+    (the tower order that `diagrams.successor` follows), and the last path
+    of a block goes to the level-L prefix of the extreme path, the first (for
     negative powers, the last) path of its block w.  So n steps shift an
     index inside its block, and an index that runs off the block goes on
     from the extreme path, cycling through block w.  After j steps the
@@ -402,7 +402,7 @@ def compose_level(diagram, m, power):
     T, v = phi_transient(diagram, 1 if power > 0 else -1)
     n, m = abs(power), max(m, len(diagram.levels) - 1)
     j = m
-    while T + j < m + n * T and count_paths(diagram, 0, j)[v] < n:
+    while T + j < m + n * T and count_paths(diagram, j)[v] < n:
         j += 1
     return max(min(m + n * T, T + j), 1)
 

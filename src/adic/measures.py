@@ -21,13 +21,13 @@ from .errors import NotStationaryError
 from .scalars import mat_mul, mat_vec, perron_data, solve_linear
 
 
-def cocycle_product(diagram, m, n):
-    """A_n ... A_{m+1} over exact integers, as a tuple of rows."""
-    if n < m:
-        raise ValueError("need m <= n")
-    prod = [[1 if i == j else 0 for j in range(diagram.num_vertices(m))]
-            for i in range(diagram.num_vertices(m))]
-    for k in range(m + 1, n + 1):
+def cocycle_product(diagram, n):
+    """A_n ... A_1 over exact integers, as a tuple of rows."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    prod = [[1 if i == j else 0 for j in range(diagram.num_vertices(0))]
+            for i in range(diagram.num_vertices(0))]
+    for k in range(1, n + 1):
         prod = mat_mul(diagram.matrix(k), prod)
     return tuple(tuple(row) for row in prod)
 
@@ -102,7 +102,7 @@ def renorm_data(diagram):
     L = len(diagram.levels)
     # boundedness of lam**-k (A_(0..k) l) pins the direction of A_(0..L) l
     # to the right eigenvector of the repeating matrix
-    P = [list(r) for r in cocycle_product(diagram, 0, L)]
+    P = [list(r) for r in cocycle_product(diagram, L)]
     right = list(pd.right)
     sol = solve_linear(P, right)
     if sol is not None and not all(x > 0 for x in sol):

@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 from math import inf
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
-                       max_source_map, min_source_map, path_source)
+                       path_source, source_map)
 from .errors import GluingUndefinedError, NumericError, PreconditionError
 from .measures import cocycle_product
 from .scalars import mat_vec
@@ -94,7 +94,7 @@ def roof_heights(diagram, renorm, k):
     """Exact level-k tower heights (A_(0..k) roof)_v in level-0 time units."""
     if k == 0:
         return tuple(renorm.roof)
-    mat = cocycle_product(diagram, 0, k)
+    mat = cocycle_product(diagram, k)
     return tuple(mat_vec(mat, list(renorm.roof)))
 
 
@@ -126,7 +126,7 @@ def gluing_pairs(diagram, k):
     if not diagram.stationary:
         raise GluingUndefinedError()
     ld = diagram.level(k + 1)
-    mmap, bigm = min_source_map(ld), max_source_map(ld)
+    mmap, bigm = source_map(ld, 0), source_map(ld, -1)
     pairs = set()
     for v in range(ld.num_ranges):
         order = ld.in_order[v]

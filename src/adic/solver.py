@@ -42,8 +42,7 @@ from fractions import Fraction
 from .cohomology import certificate, distributions
 from .diagrams import (FinitePath, PathWalker, extreme_path, order_pos,
                        path_index, path_table)
-from .errors import (HorizonExceededError, NumericError, ObstructedError,
-                     PreconditionError)
+from .errors import NumericError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
                          integer_parts)
@@ -277,14 +276,13 @@ def _orbit_runs(diagram, start, towers):
         w = PathWalker(diagram, x)
         cell = FinitePath(tuple(w.advance()[1] for _ in range(m)))
         yield 0, (path_index(diagram, cell, m), offsets[w.vertex + 1])
-        pl, seen = len(x.prefix.edges), set()
+        seen = set()
         while True:
-            if w.k >= pl and w.k >= diagram.materialized:
-                if not diagram.stationary:
-                    raise HorizonExceededError()
-                if w.state() in seen:
+            st = w.state()
+            if st is not None:
+                if st in seen:
                     break
-                seen.add(w.state())
+                seen.add(st)
             k, e = w.advance()
             ld = diagram.level(k)
             order = ld.in_order[ld.range(e)]

@@ -202,7 +202,7 @@ def test_criterion_08_metric_comparison(odo2, fib):
     ok = True
     for name, d in (("odo2", odo2), ("fib", fib)):
         rd = renorm_data(d)
-        paths = enumerate_paths(d, 0, 8)
+        paths = enumerate_paths(d, 8)
         pairs = list(itertools.combinations(paths, 2))
         rep = bilip_check(d, rd, pairs, epsilon=0.25)
         ok = ok and rep["upper_bound_holds"] and \

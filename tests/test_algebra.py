@@ -207,7 +207,7 @@ def _specs(draw):
     for k in draw(st.sets(st.integers(-2, 2), min_size=1, max_size=3)):
         level = draw(st.integers(0, 2))
         coeffs[k] = (level, [_quarter(r)
-                             for _ in enumerate_paths(d, 0, level)])
+                             for _ in enumerate_paths(d, level)])
     # field values on pisot31 take seconds per example, in the float norms
     kinds = sorted(KINDS) if name == "odo2" else ["float", "fraction"]
     return name, coeffs, draw(st.sampled_from(kinds))
@@ -323,7 +323,7 @@ def _pairs(draw):
             level, kind = draw(st.integers(0, 2)), \
                 draw(st.sampled_from(sorted(KINDS)))
             coeffs[k] = (level, [KINDS[kind](_quarter(r))
-                                 for _ in enumerate_paths(d, 0, level)])
+                                 for _ in enumerate_paths(d, level)])
         pair.append(coeffs)
     return (name, *pair, draw(st.fractions(-2, 2, max_denominator=8)))
 
@@ -465,7 +465,7 @@ def _phi(diagram, x, power):
 def _points(diagram, level):
     """Two points in every level-`level` cylinder: its minimal and maximal
     tails."""
-    return [LazyPath(p, tail) for p in enumerate_paths(diagram, 0, level)
+    return [LazyPath(p, tail) for p in enumerate_paths(diagram, level)
             for tail in (TAIL_MIN, TAIL_MAX)]
 
 
@@ -499,7 +499,7 @@ def _oracle_element(r, diagram, value, shifts=range(-2, 3), max_level=2,
                     max_support=3):
     ks = r.sample(shifts, k=r.randint(1, min(max_support, len(shifts))))
     return element(diagram, 2, 3, {k: from_vector(diagram, lv, [
-        value(r) for _ in enumerate_paths(diagram, 0, lv)])
+        value(r) for _ in enumerate_paths(diagram, lv)])
         for k in ks for lv in [r.randint(0, max_level)]})
 
 

@@ -31,7 +31,7 @@ def record():
     for name in ("odo2", "fib", "pisot31"):
         d = builtin_diagram(name)
         rd = renorm_data(d)
-        ps = enumerate_paths(d, 0, LEVEL)
+        ps = enumerate_paths(d, LEVEL)
         ps = ps[::max(1, len(ps) // PATHS)]
         pairs = list(combinations_with_replacement(ps, 2))
         for margin in (2, 4):

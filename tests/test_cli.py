@@ -130,6 +130,49 @@ def test_birkhoff_rejects_bad_start(capsys, work, start):
     assert err.startswith("error: ")
 
 
+def _odo2_spec(level=(), **top):
+    """odo2 as a diagram file, with some entries of its level or of the
+    file replaced."""
+    return dict({"levels": [dict({
+        "num_sources": 1, "num_ranges": 1, "edges": [[0, 0], [0, 0]],
+        "in_order": [[0, 1]]}, **dict(level))], "stationary": True}, **top)
+
+
+@pytest.mark.parametrize("start", [
+    {"prefix": [0.9], "tail": "MIN"},
+    {"prefix": ["1"], "tail": "MIN"},
+    {"prefix": [True], "tail": "MIN"},
+    {"prefix": [], "tail": {"periodic": [1.5]}},
+])
+def test_path_files_take_json_integers_only(capsys, start):
+    # int() would read each of these as an edge index
+    rc, out, err = run(capsys, ["orbit", "--diagram", "odo2", "--start",
+                                json.dumps(start), "-N", "1"])
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: malformed path: ")
+
+
+@pytest.mark.parametrize("spec", [
+    _odo2_spec({"edges": [[0.5, 0], [0, 0]]}),
+    _odo2_spec({"num_sources": 1.0}),
+    _odo2_spec({"in_order": [[0, "1"]]}),
+    _odo2_spec({"in_order": [[False, 1]]}),
+    _odo2_spec(stationary="false"),
+    _odo2_spec(stationary=1),
+])
+def test_diagram_files_take_json_integers_only(capsys, tmp_path, spec):
+    # int() and bool() would read each of these as another diagram
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["validate"], ["paths", "--level", "1"]):
+        rc, out, err = run(capsys, argv + ["--diagram", str(path)])
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: malformed diagram: ")
+    path.write_text(json.dumps(_odo2_spec()))
+    assert run(capsys, ["validate", "--diagram", str(path)]) == \
+        (0, '{\n  "diagnostics": [],\n  "ok": true\n}\n', "")
+
+
 @pytest.mark.parametrize("command", [
     ["orbit"],
     ["birkhoff", "--function", "fib1.json"],
@@ -750,6 +793,7 @@ def test_algebra_check_rejects_bad_numbers(capsys, flags):
     (["orbit", "-N", "-1"], "N"),
     (["complex", "--level", "-1"], "level"),
     (["measure", "--level", "-1"], "level"),
+    (["paths", "--level", "-1"], "level"),
 ])
 def test_numeric_flags_are_checked(capsys, work, argv, name):
     flags = ["--diagram", "odo2"]

@@ -32,7 +32,7 @@ STEPS = 100
 
 def _function(d, m, value):
     """The level-m function with value(path) on each path."""
-    return from_vector(d, m, [value(p) for p in enumerate_paths(d, 0, m)])
+    return from_vector(d, m, [value(p) for p in enumerate_paths(d, m)])
 
 
 def _coboundary(d, g0):

@@ -120,7 +120,7 @@ def test_birkhoff_cochain_matches_direct_sums(odo2, fib, pisot31):
                 assert co == tuple(sum(hv[a:b], Fraction(0)) for a, b in
                                    path_table(d, k).blocks())
                 # direct oracle: sum h over E_v in tower order for each v
-                every = enumerate_paths(d, 0, k)
+                every = enumerate_paths(d, k)
                 for v in range(d.num_vertices(k)):
                     assert co[v] == sum(
                         (h.evaluate(d, LazyPath(p, TAIL_MIN)) for p in every

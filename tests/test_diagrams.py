@@ -8,17 +8,20 @@ from fractions import Fraction
 
 import pytest
 
-from test_step import _prefixed, _random_diagram
+# `diagrams` is the fixture of builtin and random draws of test_step
+from test_step import _prefixed, _random_diagram, diagrams
 
-from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
-                           TAIL_MIN, count_paths, diagram_from_json_dict,
-                           enumerate_paths, extreme_path,
-                           first_disagreement, load_diagram, make_level,
-                           materialize, path_range, path_table, successor,
-                           validate)
-from adic.errors import (HorizonExceededError, NotProperlyOrderedError,
-                         ParseError)
+from adic.catalog import builtin_diagram
+from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
+                           TAIL_MAX, TAIL_MIN, Tail, count_paths,
+                           diagram_from_json_dict, enumerate_paths,
+                           extreme_path, first_disagreement, load_diagram,
+                           make_level, materialize, out_edges, path_range,
+                           path_table, successor, validate)
+from adic.errors import (HorizonExceededError, LevelOverflowError,
+                         NotProperlyOrderedError, ParseError)
 from adic.martingale import from_vector, phi_transient
+from adic.measures import cocycle_product
 from adic.solenoid import _ultrametric
 from adic.solver import birkhoff
 
@@ -42,14 +45,15 @@ def test_equal_diagrams_hash_equal_and_share_cache_entries(pisot31):
 
 def test_equal_paths_hash_equal():
     # the hash is taken once, from the compared fields: edges given as a
-    # list or a tuple make the same path, start and root still tell paths
-    # apart, and the repr shows the compared fields only
-    a, b = FinitePath([1, 0, 2], 1), FinitePath((1, 0, 2), 1)
-    assert a == b and hash(a) == hash(b) == hash(((1, 0, 2), 1, None))
+    # list or a tuple make the same path, the root still tells paths apart,
+    # and the repr shows the compared fields only
+    a, b = FinitePath([1, 0, 2]), FinitePath((1, 0, 2))
+    assert a == b and hash(a) == hash(b) == hash(((1, 0, 2), None))
     assert {a: 0}[b] == 0
-    assert a != FinitePath((1, 0, 2), 0)
-    assert FinitePath((), 0, root=1) != FinitePath((), 0, root=2)
-    assert repr(a) == "FinitePath(edges=(1, 0, 2), start=1, root=None)"
+    assert a != FinitePath((1, 0))
+    assert FinitePath((1, 0, 2), 0) == a  # a root goes with no edges only
+    assert FinitePath((), root=1) != FinitePath((), root=2)
+    assert repr(a) == "FinitePath(edges=(1, 0, 2), root=None)"
 
 
 def test_validate_builtins_clean(odo2, fib, pisot31):
@@ -84,7 +88,7 @@ def test_validate_reports_vertex_without_in_edges(tmp_path):
 
 
 def test_enumerate_odo2_binary_counting(odo2):
-    ps = enumerate_paths(odo2, 0, 3)
+    ps = enumerate_paths(odo2, 3)
     assert len(ps) == 8
     for i, p in enumerate(ps):
         assert p.edges == (i & 1, (i >> 1) & 1, (i >> 2) & 1)
@@ -92,24 +96,24 @@ def test_enumerate_odo2_binary_counting(odo2):
 
 def test_enumerate_fib_counts(fib):
     # column sums of successive matrix powers of [[1,1],[1,0]]
-    assert [len(enumerate_paths(fib, 0, k)) for k in range(1, 6)] == \
+    assert [len(enumerate_paths(fib, k)) for k in range(1, 6)] == \
         [3, 5, 8, 13, 21]
     # per-target counts are consecutive Fibonacci numbers
-    assert count_paths(fib, 0, 5) == [13, 8]
-    assert sum(count_paths(fib, 0, 5)) == 21
+    assert count_paths(fib, 5) == [13, 8]
+    assert sum(count_paths(fib, 5)) == 21
 
 
 def test_enumerate_base_case_is_edge_order(pisot31):
-    ps = enumerate_paths(pisot31, 0, 1)
+    ps = enumerate_paths(pisot31, 1)
     assert [p.edges for p in ps] == \
         [(0,), (1,), (2,), (3,), (4,), (5,), (6,), (7,)]
 
 
-def _concatenated_paths(d, m, n):
-    """The edge tuples of E_{m,n}, each path its parent plus one edge, one
+def _concatenated_paths(d, n):
+    """The edge tuples of E_{0,n}, each path its parent plus one edge, one
     level at a time."""
-    table = {v: [()] for v in range(d.num_vertices(m))}
-    for j in range(m + 1, n + 1):
+    table = {v: [()] for v in range(d.num_vertices(0))}
+    for j in range(1, n + 1):
         ld = d.level(j)
         table = {v: [t + (e,) for e in ld.in_order[v]
                      for t in table[ld.source(e)]]
@@ -122,11 +126,19 @@ def test_enumeration_matches_concatenated_paths(odo2, fib, pisot31):
     diagrams = [odo2, fib, pisot31] + [_random_diagram(r, n, 6)
                                        for n in (2, 3)]
     for d in diagrams + [_prefixed(d) for d in diagrams]:
-        for m in range(3):
-            for n in range(m + 1, m + 5):
-                assert [(p.edges, p.start) for p in enumerate_paths(
-                    d, m, n)] == [(t, m) for t in _concatenated_paths(
-                        d, m, n)], (m, n)
+        for n in range(1, 7):
+            assert [p.edges for p in enumerate_paths(d, n)] == \
+                _concatenated_paths(d, n), n
+        assert enumerate_paths(d, 0) == [
+            FinitePath((), v) for v in range(d.num_vertices(0))]
+
+
+def test_negative_levels_are_refused(odo2):
+    for call in (enumerate_paths, count_paths):
+        with pytest.raises(LevelOverflowError):
+            call(odo2, -1)
+    with pytest.raises(ValueError, match="need n >= 0"):
+        cocycle_product(odo2, -1)
 
 
 def test_one_loop_lists_a_deep_level_at_once():
@@ -134,7 +146,7 @@ def test_one_loop_lists_a_deep_level_at_once():
     loop = diagram_from_json_dict({"levels": [{
         "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
         "in_order": [[0]]}], "stationary": True})
-    assert [p.edges for p in enumerate_paths(loop, 0, 20000)] == \
+    assert [p.edges for p in enumerate_paths(loop, 20000)] == \
         [(0,) * 20000]
 
 
@@ -142,8 +154,8 @@ def test_one_loop_lists_a_deep_level_at_once():
 # and q differ, is the one `solenoid.bilip_check` compares against.
 
 def test_metric_identity_and_level_one():
-    a = FinitePath((0, 1, 1, 1), 0)
-    b = FinitePath((1, 0, 0, 0), 0)
+    a = FinitePath((0, 1, 1, 1))
+    b = FinitePath((1, 0, 0, 0))
     assert _ultrametric(a, a, 2) == 0
     # first disagreement at level 1: distance lambda^0 = 1
     assert _ultrametric(a, b, 2) == 1
@@ -151,8 +163,8 @@ def test_metric_identity_and_level_one():
 
 def test_metric_fib_agree_to_four(fib):
     lam = (1 + math.sqrt(5)) / 2
-    a = FinitePath((0, 0, 0, 0, 0), 0)
-    b = FinitePath((0, 0, 0, 0, 2), 0)
+    a = FinitePath((0, 0, 0, 0, 0))
+    b = FinitePath((0, 0, 0, 0, 2))
     assert first_disagreement(fib, LazyPath(a, TAIL_MIN),
                               LazyPath(b, TAIL_MIN)) == 5
     assert abs(_ultrametric(a, b, lam) - lam ** (-4)) < 1e-12
@@ -160,7 +172,7 @@ def test_metric_fib_agree_to_four(fib):
 
 
 def test_metric_ultrametric_inequality(odo2):
-    reps = enumerate_paths(odo2, 0, 4)
+    reps = enumerate_paths(odo2, 4)
     d = {(i, j): _ultrametric(reps[i], reps[j], 2)
          for i in range(16) for j in range(16)}
     for i in range(16):
@@ -170,38 +182,54 @@ def test_metric_ultrametric_inequality(odo2):
 
 
 def test_successor_binary_carry(odo2):
-    p = LazyPath(FinitePath((1, 1, 0), 0), TAIL_MIN)
+    p = LazyPath(FinitePath((1, 1, 0)), TAIL_MIN)
     q = successor(odo2, p)
     assert materialize(odo2, q, 3).edges == (0, 0, 1)
 
 
 def test_successor_max_wraps_to_min(odo2, fib):
     for d in (odo2, fib):
-        top = LazyPath(FinitePath((), 0), TAIL_MAX)
+        top = LazyPath(FinitePath(()), TAIL_MAX)
         img = successor(d, top)
-        lo = LazyPath(FinitePath((), 0), TAIL_MIN)
+        lo = LazyPath(FinitePath(()), TAIL_MIN)
         assert first_disagreement(d, img, lo) == 0  # provably equal
 
 
-def test_successor_agrees_with_enumeration(odo2, fib, pisot31):
-    # within one tower the enumeration order is the successor order; across
-    # tower boundaries the successor carries into higher levels instead
-    for d in (odo2, fib, pisot31):
-        every = enumerate_paths(d, 0, 4)
-        for v in range(d.level(4).num_ranges):
-            ps = [p for p in every if path_range(d, p) == v]
-            for i in range(len(ps) - 1):
-                img = successor(d, LazyPath(ps[i], TAIL_MIN))
-                want = LazyPath(ps[i + 1], TAIL_MIN)
-                assert first_disagreement(d, img, want) == 0, (d, v, i)
+def test_successor_agrees_with_enumeration(diagrams):
+    # within one tower the enumeration order is the successor order, and
+    # its reverse the predecessor order; from a tower's top (bottom) the map
+    # carries into higher levels, so the image's level-n prefix is the
+    # first (last) path of some tower
+    n = 4
+    for d in diagrams:
+        every = enumerate_paths(d, n)
+        towers = [[p for p in every if path_range(d, p) == v]
+                  for v in range(d.num_vertices(n))]
+        ends = {1: {t[0].edges for t in towers},
+                -1: {t[-1].edges for t in towers}}
+        for tower in towers:
+            for i, p in enumerate(tower):
+                for direction in (1, -1):
+                    j = i + direction
+                    if 0 <= j < len(tower):
+                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
+                        want = LazyPath(tower[j], TAIL_MIN)
+                        assert first_disagreement(d, img, want) == 0, \
+                            (d, p.edges, direction)
+                        continue
+                    try:
+                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
+                    except NotProperlyOrderedError:
+                        continue  # fib has two maximal paths
+                    assert materialize(d, img, n).edges in ends[direction]
 
 
 def test_successor_tower_cycle(odo2, fib):
     # iterating from the all-min prefix visits every level-k path once
     for d, k in ((odo2, 10), (fib, 8)):
-        total = sum(count_paths(d, 0, k))
+        total = sum(count_paths(d, k))
         seen = []
-        p = LazyPath(FinitePath((), 0), TAIL_MIN)
+        p = LazyPath(FinitePath(()), TAIL_MIN)
         for _ in range(total):
             seen.append(materialize(d, p, k).edges)
             p = successor(d, p)
@@ -210,18 +238,90 @@ def test_successor_tower_cycle(odo2, fib):
         assert back == seen[0]
 
 
-def test_predecessor_inverts_successor(odo2, pisot31):
-    for d in (odo2, pisot31):
-        for p in enumerate_paths(d, 0, 3)[1:]:
-            lz = LazyPath(p, TAIL_MIN)
-            back = successor(d, successor(d, lz), -1)
-            assert first_disagreement(d, back, lz) == 0
+def _cycle(ld, r):
+    """A word of edges of a level that chains around a cycle: a random
+    walk cut at its first repeated vertex."""
+    v, walk, seen = r.randrange(ld.num_sources), [], {}
+    while v not in seen:
+        seen[v] = len(walk)
+        walk.append(r.choice(out_edges(ld)[v]))
+        v = ld.range(walk[-1])
+    return tuple(walk[seen[v]:])
+
+
+def _lazy_points(d, r):
+    """Lazy paths of d: every prefix of length 0-4 with MIN and MAX tails,
+    and, where the word starts on the repeating level, random prefixes with
+    PERIODIC tails whose words are those of the extreme paths and chained
+    cycles."""
+    words = [_cycle(d.levels[-1], r) for _ in range(2)]
+    for direction in (1, -1):
+        try:
+            words.append(extreme_path(d, direction).tail.word)
+        except NotProperlyOrderedError:
+            pass
+    out = []
+    for pl in range(5):
+        paths = enumerate_paths(d, pl)
+        out += [LazyPath(p, tail) for p in paths
+                for tail in (TAIL_MIN, TAIL_MAX)]
+        if pl >= len(d.levels) - 1:
+            for word in words:
+                v = d.levels[-1].source(word[0])
+                out.append(LazyPath(r.choice(
+                    [p for p in paths if path_range(d, p) == v]),
+                    Tail("PERIODIC", word)))
+    return out
+
+
+def test_predecessor_inverts_successor():
+    # phi^-1 o phi and phi o phi^-1 are the identity wherever both steps
+    # are defined, and phi takes the maximal path to the minimal one
+    r = random.Random(29)
+    drawn = [_random_diagram(r, n, 6) for n in (1, 2, 2, 3, 3)]
+    for d in [builtin_diagram(name) for name in ("odo2", "odo3", "fib",
+                                                  "pisot31")] + \
+            drawn + [_prefixed(d) for d in drawn]:
+        for x in _lazy_points(d, r):
+            for direction in (1, -1):
+                try:
+                    back = successor(d, successor(d, x, direction),
+                                     -direction)
+                except NotProperlyOrderedError:
+                    continue  # fib has two maximal paths
+                assert first_disagreement(d, back, x) == 0, \
+                    (d, x, direction)
+        try:
+            top = extreme_path(d, -1)
+        except NotProperlyOrderedError:
+            continue
+        assert first_disagreement(d, successor(d, top),
+                                  extreme_path(d, 1)) == 0
+
+
+def test_walker_state_starts_past_the_prefix_and_the_levels(odo2, fib):
+    # the state is None until the walk has left both the prefix and the
+    # materialized levels, then (vertex, word position)
+    x = LazyPath(FinitePath((0, 2, 1)), Tail("PERIODIC", (2, 1)))
+    w = PathWalker(fib, x)
+    states = []
+    for _ in range(6):
+        states.append(w.state())
+        w.advance()
+    assert states == [None, None, None, (0, 0), (1, 1), (0, 0)]
+    w = PathWalker(_prefixed(odo2), LazyPath(FinitePath(()), TAIL_MAX))
+    assert [w.state(), w.advance()[0], w.state()] == [None, 1, None]
+    # past the last level of a non-stationary diagram the walk stops
+    w = PathWalker(OrderedDiagram(odo2.levels), LazyPath(FinitePath(())))
+    w.advance()
+    with pytest.raises(HorizonExceededError):
+        w.state()
 
 
 def test_fib_predecessor_of_min_is_improper(fib):
     # fib's max in-edge map swaps its two vertices, so it has two maximal
     # paths; two parallel towers have two minimal paths
-    lo = LazyPath(FinitePath((), 0), TAIL_MIN)
+    lo = LazyPath(FinitePath(()), TAIL_MIN)
     parallel = OrderedDiagram(
         (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
     for call in (lambda: successor(fib, lo, -1),
@@ -249,7 +349,7 @@ def test_vertex_without_in_edges_is_a_parse_error():
     d = OrderedDiagram((level,), True)
     assert "level 1 vertex 1: no incoming edge" in validate(d)
     h = from_vector(d, 1, [Fraction(1), Fraction(2)])
-    start = LazyPath(FinitePath((0,), 0), TAIL_MIN)
+    start = LazyPath(FinitePath((0,)), TAIL_MIN)
     for call in (lambda: extreme_path(d, 1),
                  lambda: birkhoff(d, h, start, 7)):
         with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
@@ -257,8 +357,8 @@ def test_vertex_without_in_edges_is_a_parse_error():
 
 
 def test_first_disagreement_stationary_equality(odo2):
-    a = LazyPath(FinitePath((0, 0), 0), TAIL_MIN)
-    b = LazyPath(FinitePath((0, 0, 0, 0), 0), TAIL_MIN)
+    a = LazyPath(FinitePath((0, 0)), TAIL_MIN)
+    b = LazyPath(FinitePath((0, 0, 0, 0)), TAIL_MIN)
     assert first_disagreement(odo2, a, b) == 0
-    c = LazyPath(FinitePath((0, 0, 0, 1), 0), TAIL_MIN)
+    c = LazyPath(FinitePath((0, 0, 0, 1)), TAIL_MIN)
     assert first_disagreement(odo2, a, c) == 4

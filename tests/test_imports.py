@@ -14,11 +14,16 @@ attribute of something.  A parameter with a default must be set by some
 call of a user.  Only `CylinderFunction.parts` and the solver's gauge
 read values as integer columns (`integer_parts`).  `REFERENCES` lists the
 reference implementations that only the unit tests comparing against them
-read."""
+read.  The `test` extra of pyproject.toml names every third-party module
+the test files import."""
 
 import ast
 import math
 import pathlib
+import re
+import sys
+
+import pytest
 
 import adic
 
@@ -375,3 +380,45 @@ def test_scan_finds_an_unset_parameter():
 
 def test_package_has_no_unset_parameters():
     assert unset_parameters(_package_sources(), _user_sources()) == []
+
+
+def third_party_imports(source):
+    """Sorted top-level modules that the source imports at its top level,
+    or skips on with `pytest.importorskip`, outside the standard library,
+    the package and the test modules."""
+    tree = ast.parse(source)
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module)
+    names.update(n.args[0].value for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)
+                 and getattr(n.func, "attr", None) == "importorskip"
+                 and n.args and isinstance(n.args[0], ast.Constant))
+    return sorted({n.split(".")[0] for n in names} - set(
+        sys.stdlib_module_names) - {"adic", "conftest"}
+        - {n for n in names if n.startswith("test_")})
+
+
+def test_scan_finds_a_test_dependency():
+    assert third_party_imports(
+        "import json\nimport numpy.linalg as la\nfrom hypothesis import "
+        "given\nfrom test_step import _prefixed\nfrom adic import cli\n"
+        "from . import x\n\ndef f():\n    import scipy\n"
+        "    sympy = pytest.importorskip('sympy')\n") == \
+        ["hypothesis", "numpy", "sympy"]
+
+
+def test_test_extra_names_every_test_dependency():
+    # CI installs the extra, so a test file importing a module it leaves
+    # out would fail to collect there
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    named = {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower()
+             for req in extra}
+    found = {name for path in sorted((ROOT / "tests").glob("*.py"))
+             for name in third_party_imports(path.read_text())}
+    assert sorted(found - named) == []

@@ -65,7 +65,7 @@ def test_holder_norm_examples(odo2):
 def test_holder_seminorm_scales_with_level(odo2):
     # indicator of a level-2 cylinder: nearest distinct cylinder sits at
     # distance 1/2, so the alpha-seminorm is 2^alpha
-    paths = enumerate_paths(odo2, 0, 2)
+    paths = enumerate_paths(odo2, 2)
     h = from_vector(odo2, 2, [Fraction(1 if p.edges == (0, 0) else 0)
                               for p in paths])
     n = holder_norm(odo2, h, 2, 2)
@@ -76,7 +76,7 @@ def _brute_holder(d, h, alpha, lam):
     """sup |h| plus the largest |u - w| lam^((j-1) alpha) over pairs of
     cylinders first differing at edge j, pair by pair."""
     m = max(h.level, 1)
-    items = list(zip((p.edges for p in enumerate_paths(d, 0, m)),
+    items = list(zip((p.edges for p in enumerate_paths(d, m)),
                      map(float, lift(d, h, m).values)))
     semi = max((abs(u - w) * lam ** ((next(
         j for j, (e, f) in enumerate(zip(p, q), 1) if e != f) - 1) * alpha)
@@ -140,7 +140,7 @@ def test_compose_phi_odometer_rotation(odo2):
     ind0 = from_vector(odo2, 1, [Fraction(1), Fraction(0)])
     moved = compose_phi(odo2, ind0, 1)
     # h(phi x) = 1 iff phi x starts with 0 iff x starts with 1
-    for p in enumerate_paths(odo2, 0, max(moved.level, 1)):
+    for p in enumerate_paths(odo2, max(moved.level, 1)):
         x = LazyPath(p, TAIL_MIN)
         want = Fraction(1) if p.edges[0] == 1 else Fraction(0)
         assert moved.evaluate(odo2, x) == want

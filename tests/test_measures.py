@@ -48,7 +48,7 @@ def test_roof_eigen_identity(odo2, fib, pisot31):
     # certificate dictionary)
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
-        A = cocycle_product(d, 0, 1)
+        A = cocycle_product(d, 1)
         lhs = [sum(float(A[i][j]) * float(rd.roof[j])
                    for j in range(len(rd.roof)))
                for i in range(len(A))]
@@ -76,5 +76,5 @@ def test_total_mass_one(odo2, fib, pisot31):
         for k in (1, 3, 5):
             xs = xi_vector(d, k)
             total = sum(float(xs[path_range(d, p)])
-                        for p in enumerate_paths(d, 0, k))
+                        for p in enumerate_paths(d, k))
             assert abs(total - 1.0) < 1e-12

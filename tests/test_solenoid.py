@@ -83,7 +83,7 @@ def test_wrapping_words_follow_in_order(fib):
 
 def test_conjugacy_separates_paths(odo2):
     rd = renorm_data(odo2)
-    ps = enumerate_paths(odo2, 0, 6)
+    ps = enumerate_paths(odo2, 6)
     pts = [conjugacy_point(odo2, rd, p) for p in ps]
     assert solenoid_metric(pts[0], pts[0]) == 0.0
     seen = set()
@@ -95,7 +95,7 @@ def test_conjugacy_separates_paths(odo2):
 def test_bilip_small_sample(odo2, fib):
     for d in (odo2, fib):
         rd = renorm_data(d)
-        ps = enumerate_paths(d, 0, 5)
+        ps = enumerate_paths(d, 5)
         pairs = [(ps[i], ps[j]) for i in range(len(ps))
                  for j in range(i + 1, len(ps))]
         rep = bilip_check(d, rd, pairs, 0.25)
@@ -129,7 +129,7 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
         heights = [roof_heights(d, rd, k) for k in range(5 + extra)]
         for level in range(6):
             deep = [materialize(d, LazyPath(p, TAIL_MIN), level + extra)
-                    for p in enumerate_paths(d, 0, level)]
+                    for p in enumerate_paths(d, level)]
             pts = [conjugacy_point(d, rd, p) for p in deep]
             for p, y in zip(deep, pts):
                 assert y.coords == _floor_coords(d, rd, p, heights)
@@ -272,7 +272,7 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
         lamf = rd.lam_float
         same_edge = 0
         for level in range(6):
-            ps = enumerate_paths(d, 0, level)
+            ps = enumerate_paths(d, level)
             ps = ps[::max(1, len(ps) // 128)]
             pts = [conjugacy_point(d, rd, p) for p in ps]
             for y, z in combinations_with_replacement(pts, 2):
@@ -293,7 +293,7 @@ def test_point_table_rounds_each_exact_value_once(odo2, fib, pisot31):
     # the reach row is the shorter way through either end of the edge
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
-        for p in enumerate_paths(d, 0, 3)[:8]:
+        for p in enumerate_paths(d, 3)[:8]:
             y = conjugacy_point(d, rd, p)
             assert len(y.table) == y.level + 1
             for k, ((u, t), cx, row) in enumerate(
@@ -321,7 +321,7 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
     cases = []
     for d in (odo2, fib):
         rd = renorm_data(d)
-        ps = enumerate_paths(d, 0, 4)
+        ps = enumerate_paths(d, 4)
         pairs = list(combinations_with_replacement(ps, 2))
         for margin in (4, 2):
             cases.append((d, rd, pairs, margin))
@@ -335,5 +335,5 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
                 for d, rd, pairs, margin in cases]
         assert warm == cold
     assert solenoid.cached_point.cache_info().currsize == sum(
-        2 * len(enumerate_paths(d, 0, 4)) for d in (odo2, fib))
+        2 * len(enumerate_paths(d, 4)) for d in (odo2, fib))
     assert cold[0] != cold[1] and cold[0] != cold[2]

@@ -96,7 +96,7 @@ def _pointwise_residual(d, h, g):
     values."""
     level = max(h.level, compose_phi(d, g, 1).level)
     out = 0
-    for p in enumerate_paths(d, 0, level):
+    for p in enumerate_paths(d, level):
         x = LazyPath(p, TAIL_MIN)
         v = h.evaluate(d, x) - (g.evaluate(d, successor(d, x)) -
                                 g.evaluate(d, x))
@@ -155,7 +155,7 @@ def test_singular_repeating_matrix_is_not_obstructed():
     d = OrderedDiagram((level,), stationary=True)
     rd = renorm_data(d)
     assert rd.certificates["stationary_exact"] is True
-    paths = enumerate_paths(d, 0, 1)
+    paths = enumerate_paths(d, 1)
     g0 = from_vector(d, 1, [Fraction(i % 3) for i in range(len(paths))])
     sol = solve(_coboundary(d, g0), _tower(d))
     assert sol.residual == 0
@@ -213,7 +213,7 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
             assert sol.residual == 0
             assert isinstance(sol.residual, (int, Fraction))
             diffs = set()
-            for p in enumerate_paths(d, 0, max(sol.g.level, g0.level)):
+            for p in enumerate_paths(d, max(sol.g.level, g0.level)):
                 x = LazyPath(p, TAIL_MIN)
                 diffs.add(sol.g.evaluate(d, x) - g0.evaluate(d, x))
             assert len(diffs) == 1
@@ -358,7 +358,7 @@ def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
     n = 120
     for d, value in cases:
         hs = [from_vector(d, level, [value() for _ in
-                                     enumerate_paths(d, 0, level)])
+                                     enumerate_paths(d, level)])
               for level in range(4)]
         for start in _orbit_starts(r, d):
             orbit = [start]
@@ -430,7 +430,7 @@ def test_birkhoff_reads_long_blocks(odo3, fib):
              (fib, 6, 11, lambda: root5(quarter(), quarter()))]
     for d, level, K, value in cases:
         h = from_vector(d, level, [value() for _ in
-                                   enumerate_paths(d, 0, level)])
+                                   enumerate_paths(d, level)])
         w = path_range(d, materialize(d, extreme_path(d, 1), K))
         a, b = path_table(d, K).offsets[w:w + 2]
         vals = lift(d, h, K).values[a:b]
@@ -449,9 +449,9 @@ def test_birkhoff_reads_long_blocks(odo3, fib):
     # a NaN on cylinder 100 of odo3's level 5 reaches the sums of an orbit
     # from cylinder 200 once the orbit wraps to it, S_144 on, and none
     # before: the range 200..242 that the orbit starts with holds no NaN
-    vals = [r.uniform(-2, 2) for _ in enumerate_paths(odo3, 0, 5)]
+    vals = [r.uniform(-2, 2) for _ in enumerate_paths(odo3, 5)]
     vals[100] = math.nan
-    x = LazyPath(enumerate_paths(odo3, 0, 5)[200], TAIL_MIN)
+    x = LazyPath(enumerate_paths(odo3, 5)[200], TAIL_MIN)
     rep = birkhoff(odo3, from_vector(odo3, 5, vals), x, 729)
     assert [(n, math.isnan(s)) for n, s in rep.checkpoints] == \
         [(n, n >= 144) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 729)]

@@ -1,6 +1,5 @@
-"""The carry kernel `diagrams.step` against brute force: tower order from
-`enumerate_paths`, and `compose_phi` against pointwise evaluation at lazy
-successors."""
+"""`compose_phi` against pointwise evaluation at lazy successors, and the
+random properly ordered diagrams that the other test modules draw from."""
 
 import itertools
 import random
@@ -11,7 +10,7 @@ import pytest
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
                            count_paths, enumerate_paths, make_level,
-                           path_range, step, step_tables, successor)
+                           successor)
 from adic.errors import NotProperlyOrderedError
 from adic.martingale import compose_phi, from_vector, phi_transient
 
@@ -77,22 +76,6 @@ def transient_two():
             return d
 
 
-def test_step_follows_tower_order(diagrams):
-    n = 4
-    for d in diagrams:
-        up, down = step_tables(d, n, 1), step_tables(d, n, -1)
-        every = enumerate_paths(d, 0, n)
-        for v in range(d.num_vertices(n)):
-            tower = [p.edges for p in every if path_range(d, p) == v]
-            for i, edges in enumerate(tower):
-                digits = list(edges)
-                assert step(up, digits) == (i + 1 < len(tower))
-                assert tuple(digits) == tower[min(i + 1, len(tower) - 1)]
-                digits = list(edges)
-                assert step(down, digits) == (i > 0)
-                assert tuple(digits) == tower[max(i - 1, 0)]
-
-
 def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
     one_carry = 0
     for d, powers in [(d, range(1, 5)) for d in diagrams] + \
@@ -100,7 +83,7 @@ def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
         # level 0 already separates the vertices of a multi-vertex diagram
         level = 1 if d.num_vertices(0) == 1 else 0
         h = from_vector(d, level, [
-            Fraction(i, 3) for i in range(len(enumerate_paths(d, 0, level)))])
+            Fraction(i, 3) for i in range(len(enumerate_paths(d, level)))])
         for k in [s * p for p in powers for s in (1, -1)]:
             direction = 1 if k > 0 else -1
             try:
@@ -111,12 +94,12 @@ def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
                 continue
             # the least level whose tower over v holds |k| paths
             n_star = next(j for j in itertools.count()
-                          if count_paths(d, 0, j)[v] >= abs(k))
+                          if count_paths(d, j)[v] >= abs(k))
             m = max(h.level, len(d.levels) - 1)
             c = compose_phi(d, h, k)
             assert c.level == max(min(m + abs(k) * T, T + max(m, n_star)), 1)
             one_carry += n_star >= 2 and c.level < m + abs(k) * T
-            for p in enumerate_paths(d, 0, c.level):
+            for p in enumerate_paths(d, c.level):
                 for tail in (TAIL_MIN, TAIL_MAX):
                     x = LazyPath(p, tail)
                     for _ in range(abs(k)):
