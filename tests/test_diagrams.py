@@ -8,8 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-# `diagrams` is the fixture of builtin and random draws of test_step
-from test_step import _prefixed, _random_diagram, diagrams
+from test_step import _prefixed, _random_diagram
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
@@ -195,33 +194,17 @@ def test_successor_max_wraps_to_min(odo2, fib):
         assert first_disagreement(d, img, lo) == 0  # provably equal
 
 
-def test_successor_agrees_with_enumeration(diagrams):
-    # within one tower the enumeration order is the successor order, and
-    # its reverse the predecessor order; from a tower's top (bottom) the map
-    # carries into higher levels, so the image's level-n prefix is the
-    # first (last) path of some tower
-    n = 4
-    for d in diagrams:
-        every = enumerate_paths(d, n)
-        towers = [[p for p in every if path_range(d, p) == v]
-                  for v in range(d.num_vertices(n))]
-        ends = {1: {t[0].edges for t in towers},
-                -1: {t[-1].edges for t in towers}}
-        for tower in towers:
-            for i, p in enumerate(tower):
-                for direction in (1, -1):
-                    j = i + direction
-                    if 0 <= j < len(tower):
-                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
-                        want = LazyPath(tower[j], TAIL_MIN)
-                        assert first_disagreement(d, img, want) == 0, \
-                            (d, p.edges, direction)
-                        continue
-                    try:
-                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
-                    except NotProperlyOrderedError:
-                        continue  # fib has two maximal paths
-                    assert materialize(d, img, n).edges in ends[direction]
+def test_successor_agrees_with_enumeration(odo2, fib, pisot31):
+    # within one tower the enumeration order is the successor order; across
+    # tower boundaries the successor carries into higher levels instead
+    for d in (odo2, fib, pisot31):
+        every = enumerate_paths(d, 4)
+        for v in range(d.level(4).num_ranges):
+            ps = [p for p in every if path_range(d, p) == v]
+            for i in range(len(ps) - 1):
+                img = successor(d, LazyPath(ps[i], TAIL_MIN))
+                want = LazyPath(ps[i + 1], TAIL_MIN)
+                assert first_disagreement(d, img, want) == 0, (d, v, i)
 
 
 def test_successor_tower_cycle(odo2, fib):

@@ -1,5 +1,6 @@
-"""`compose_phi` against pointwise evaluation at lazy successors, and the
-random properly ordered diagrams that the other test modules draw from."""
+"""The adic step in tower order, `compose_phi` against pointwise evaluation
+at lazy successors, and the random properly ordered diagrams that the other
+test modules draw from."""
 
 import itertools
 import random
@@ -9,8 +10,8 @@ import pytest
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           count_paths, enumerate_paths, make_level,
-                           successor)
+                           count_paths, enumerate_paths, first_disagreement,
+                           make_level, materialize, path_range, successor)
 from adic.errors import NotProperlyOrderedError
 from adic.martingale import compose_phi, from_vector, phi_transient
 
@@ -74,6 +75,35 @@ def transient_two():
         d = _random_diagram(r, 3, 7)
         if phi_transient(d, 1)[0] == phi_transient(d, -1)[0] == 2:
             return d
+
+
+def test_step_follows_tower_order(diagrams):
+    # within one tower the enumeration order is the successor order, and
+    # its reverse the predecessor order; from a tower's top (bottom) the map
+    # carries into higher levels, so the image's level-n prefix is the
+    # first (last) path of some tower
+    n = 4
+    for d in diagrams:
+        every = enumerate_paths(d, n)
+        towers = [[p for p in every if path_range(d, p) == v]
+                  for v in range(d.num_vertices(n))]
+        ends = {1: {t[0].edges for t in towers},
+                -1: {t[-1].edges for t in towers}}
+        for tower in towers:
+            for i, p in enumerate(tower):
+                for direction in (1, -1):
+                    j = i + direction
+                    if 0 <= j < len(tower):
+                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
+                        want = LazyPath(tower[j], TAIL_MIN)
+                        assert first_disagreement(d, img, want) == 0, \
+                            (d, p.edges, direction)
+                        continue
+                    try:
+                        img = successor(d, LazyPath(p, TAIL_MIN), direction)
+                    except NotProperlyOrderedError:
+                        continue  # fib has two maximal paths
+                    assert materialize(d, img, n).edges in ends[direction]
 
 
 def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
