@@ -1,19 +1,19 @@
 """Crossed-product elements with Hoelder cylinder coefficients.
 
 An element is a finitely supported map k -> cylinder function standing for
-the formal sum of a(k) u^k, with u the shift unitary of the adic map.
-Multiplication convolves coefficients and conjugates by powers of the map.
-Products and involutions read coefficients through cached index gathers
+the formal sum of a(k) u^k, with u the shift unitary of the adic map.  It
+stores its coefficients as cylinder functions that hold their integer
+columns over a common denominator (`martingale.CylinderFunction.parts`),
+read once by `element`, so floats are read as the dyadic rationals they
+store.  There is no element field: each coefficient carries its own, and
+an operation takes the one field of its operands' coefficients.  Two
+kernels work on bare columns, {k: (level, q, cols)}: `_product` convolves
+and `_sum` adds.  `convolve` and `add` wrap one kernel call; `power` and
+`neumann_invert` chain them and build cylinder functions
+(`CylinderFunction.of_parts`) for their results only.  Products and
+involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
-finer level move indices, never field elements.  An element stores its
-coefficients as cylinder functions that hold their integer columns over a
-common denominator (`martingale.CylinderFunction.parts`), read once by
-`element`, so float coefficients are read as the dyadic rationals they
-store; every operation runs on the columns and builds its coefficients
-from columns (`CylinderFunction.of_parts`), whose values are built only
-when they are read.  There is no element field: each coefficient carries
-its own, and an operation takes the one field of its operands'
-coefficients.  A composition
+finer level move indices, never field elements.  A composition
 with phi^k raises the cylinder level by the transient T of the extreme
 source map, and by more only while the tower over its fixed vertex holds
 fewer than |k| paths, so levels grow like log|k| (not at all on the
@@ -60,10 +60,8 @@ TRIANGLE_CACHE_SIZE = 16
 class AlgebraElement:
     """An element stored as cylinder functions that hold their integer
     columns: coeffs maps each shift k to a(k), all-zero shifts dropped.
-    Operations run on the columns (`CylinderFunction.parts`) and build
-    their coefficients from columns (`CylinderFunction.of_parts`).  The
-    columns are not reduced, so elements compare with `equal_elements`,
-    not ==."""
+    The columns are not reduced, so elements compare with
+    `equal_elements`, not ==."""
     diagram: object
     lam: object      # metric base of the coefficient Hoelder space
     alpha: object    # Hoelder exponent
@@ -111,36 +109,56 @@ def _compatible(a, b):
 
 
 def add(a, b):
-    """a + b on columns: a shift of one side is kept as it is; a shift of
-    both sides is lifted to the higher level through the gathers of power
-    0, summed over the lcm of the denominators (a rational side padded with
-    zero columns) and dropped when all zero."""
-    field = _compatible(a, b)
-    fa, fb, out = a.coeffs, b.coeffs, {}
+    """a + b on columns (`_sum`)."""
+    return _wrap(a, _sum(a.diagram, _columns(a), _columns(b)),
+                 _compatible(a, b))
+
+
+def _columns(a):
+    """{shift: (level, q, cols)}: the coefficients of a as bare columns."""
+    return {k: (f.level, *f.parts[:2]) for k, f in a.coeffs.items()}
+
+
+def _wrap(a, out, field):
+    """The element of a's algebra with the bare columns out."""
+    return AlgebraElement(a.diagram, a.lam, a.alpha, {
+        k: CylinderFunction.of_parts(level, q, cols, field)
+        for k, (level, q, cols) in out.items()})
+
+
+def _scaled(fa, num, den=1):
+    """The bare columns fa times num / den."""
+    return {k: (level, q * den, [[num * v for v in c] for c in cols])
+            for k, (level, q, cols) in fa.items()}
+
+
+def _sum(diagram, fa, fb):
+    """fa + fb on bare columns: a shift of one side is kept as it is; a
+    shift of both sides is summed over the lcm of the denominators at the
+    higher level, read through the gathers of power 0 (a rational side's
+    missing columns read as zeros), and dropped when all zero."""
+    out = {}
     for k in set(fa) | set(fb):
         if k not in fa or k not in fb:
             out[k] = fa.get(k) or fb[k]
             continue
-        x, y = fa[k], fb[k]
-        (qa, ca, _), (qb, cb, _) = x.parts, y.parts
-        top, q = max(x.level, y.level), math.lcm(qa, qb)
-        ga, gb = (gather(a.diagram, f.level, 0, top) for f in (x, y))
-        sa, sb, n = q // qa, q // qb, max(len(ca), len(cb))
-        ca, cb = (c + [[0] * len(c[0])] * (n - len(c)) for c in (ca, cb))
-        cols = [[sa * x[u] + sb * y[v] for u, v in zip(ga, gb)]
-                for x, y in zip(ca, cb)]
+        (la, qa, ca), (lb, qb, cb) = fa[k], fb[k]
+        top, q = max(la, lb), qa if qa == qb else math.lcm(qa, qb)
+        ca, cb = ([[q // qx * v for v in c] for c in cx] if qx != q else cx
+                  for qx, cx in ((qa, ca), (qb, cb)))
+        ca, cb = ([[c[u] for u in gather(diagram, lx, 0, top)] for c in cx]
+                  if lx != top else cx for lx, cx in ((la, ca), (lb, cb)))
+        cols = [[x + y for x, y in zip(xc, yc)] for xc, yc in zip(ca, cb)]
+        cols += (ca if len(ca) > len(cb) else cb)[len(cols):]
         if any(map(any, cols)):
-            out[k] = CylinderFunction.of_parts(top, q, cols, field)
-    return AlgebraElement(a.diagram, a.lam, a.alpha, out)
+            out[k] = (top, q, cols)
+    return out
 
 
 def scale(a, c):
     """c a for a rational c (an int or a Fraction)."""
-    num, den = c.numerator, c.denominator
-    return AlgebraElement(a.diagram, a.lam, a.alpha, {} if not num else {
-        k: CylinderFunction.of_parts(f.level, f.parts[0] * den, [
-            [num * x for x in col] for col in f.parts[1]], f.parts[2])
-        for k, f in a.coeffs.items()})
+    return _wrap(a, _scaled(_columns(a), c.numerator, c.denominator)
+                 if c else {}, _compatible(a, a))
 
 
 def subtract(a, b):
@@ -152,40 +170,40 @@ def equal_elements(a, b):
 
 
 def convolve(a, b, level_cap=LEVEL_CAP):
-    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}), exactly on integer
-    columns.  The terms of one output shift are read at the highest level
-    among them, each factor through a cached index gather
-    (`martingale.gather`), so composing with phi^{-i} and lifting move
-    indices, not field elements; they are summed as integers over the lcm
-    of their denominators, and an all-zero sum is dropped.  Every level is
-    checked against level_cap first: a level above it raises
-    LevelOverflowError, two fields PreconditionError."""
+    """a b on columns (`_product`)."""
     field = _compatible(a, b)
-    diagram, fa, fb = a.diagram, a.coeffs, b.coeffs
+    return _wrap(a, _product(a.diagram, _columns(a), _columns(b), field,
+                             level_cap), field)
+
+
+def _product(diagram, fa, fb, field, level_cap):
+    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}) on bare columns.  The
+    terms of one output shift are read at the highest level among them
+    through cached index gathers, so composing with phi^{-i} and lifting
+    move indices, not field elements; they are summed as integers over the
+    lcm of their denominators, and an all-zero sum is dropped.  A level
+    above level_cap raises LevelOverflowError before any product."""
     terms = {}
     for i, x in fa.items():
         for j, y in fb.items():
-            top = max(x.level, compose_level(diagram, y.level, -i))
+            top = max(x[0], compose_level(diagram, y[0], -i))
             if top > level_cap:
                 raise LevelOverflowError("convolution exceeds level cap %d"
                                          % level_cap)
-            terms.setdefault(i + j, []).append((i, j, top))
+            terms.setdefault(i + j, []).append((top, x[1] * y[1], i, x, y))
     out = {}
-    for k, ijt in terms.items():
-        top = max(t for _, _, t in ijt)
-        q = math.lcm(*(fa[i].parts[0] * fb[j].parts[0] for i, j, _ in ijt))
+    for k, txy in terms.items():
+        top, q = txy[0][:2] if len(txy) == 1 else (
+            max(t[0] for t in txy), math.lcm(*(t[1] for t in txy)))
         acc = None
-        for i, j, _ in ijt:
-            x, y = fa[i], fb[j]
-            (qa, ca, _), (qb, cb, _) = x.parts, y.parts
-            s = q // (qa * qb)
-            if s != 1:
-                ca = [[s * v for v in c] for c in ca]
-            acc = _accumulate(acc, ca, cb, gather(diagram, x.level, 0, top),
-                              gather(diagram, y.level, -i, top), field)
+        for _, qxy, i, (la, _, ca), (lb, _, cb) in txy:
+            if q != qxy:
+                ca = [[q // qxy * v for v in c] for c in ca]
+            acc = _accumulate(acc, ca, cb, gather(diagram, la, 0, top),
+                              gather(diagram, lb, -i, top), field)
         if any(map(any, acc)):
-            out[k] = CylinderFunction.of_parts(top, q, acc, field)
-    return AlgebraElement(diagram, a.lam, a.alpha, out)
+            out[k] = (top, q, acc)
+    return out
 
 
 def _accumulate(acc, ca, cb, ga, gb, field):
@@ -228,12 +246,27 @@ def involution(a, level_cap=LEVEL_CAP):
 
 
 def power(a, n, level_cap=LEVEL_CAP):
+    """a^n for n >= 0: a chain of `_product`s on bare columns from a."""
     if n < 0:
         raise PreconditionError("negative powers need neumann_invert")
-    out = unit(a.diagram, a.lam, a.alpha)
-    for _ in range(n):
-        out = convolve(out, a, level_cap)
-    return out
+    if n == 0:
+        return unit(a.diagram, a.lam, a.alpha)
+    field = _compatible(a, a)
+    out, fa = _first(a, field, level_cap), _columns(a)
+    for _ in range(1, n):
+        out = _product(a.diagram, out, fa, field, level_cap)
+    return _wrap(a, out, field)
+
+
+def _first(a, field, level_cap):
+    """The bare columns of 1 a: a's, each level checked against level_cap
+    and rational columns padded with zeros to the degree of field."""
+    if any(f.level > level_cap for f in a.coeffs.values()):
+        raise LevelOverflowError("convolution exceeds level cap %d"
+                                 % level_cap)
+    n = field.n if field else 1
+    return {k: (level, q, cols + [[0] * len(cols[0])] * (n - len(cols)))
+            for k, (level, q, cols) in _columns(a).items()}
 
 
 def project_support(a, n):
@@ -389,21 +422,24 @@ def neumann_invert(h, tol=1e-10):
         raise PreconditionError("tol must be finite and > 0, got %r"
                                 % (tol,))
     tri = _default_triangle(h.diagram, h.lam)
-    one = unit(h.diagram, h.lam, h.alpha)
-    f = subtract(one, h)
+    d, field = h.diagram, _compatible(h, h)
+    one = _columns(unit(d, h.lam, h.alpha))
+    fc = _sum(d, one, _scaled(_columns(h), -1))
+    f = _wrap(h, fc, field)
     small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     if not small < 0.5:
         raise NormTooLargeError()
     m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
-    inv, term, used = one, one, 0
-    for n in range(1, m + 1):
-        term = convolve(term, f)
-        if not term.coeffs:
-            break
-        inv, used = add(inv, term), n
-    residual = subtract(convolve(h, inv), one)
-    res = norms(residual, 0, 1, triangle=tri)["l1_alpha"]
-    return NeumannInverse(element=inv, residual=res, terms=used)
+    f_field = _compatible(f, f)
+    term, inv, used = _first(f, f_field, LEVEL_CAP), one, 0
+    while term and used < m:
+        inv, used = _sum(d, inv, term), used + 1
+        term = _product(d, term, fc, f_field, LEVEL_CAP) if used < m else {}
+    residual = _sum(d, _product(d, _columns(h), inv, field, LEVEL_CAP),
+                    _scaled(one, -1))
+    res = norms(_wrap(h, residual, field), 0, 1, triangle=tri)["l1_alpha"]
+    return NeumannInverse(element=_wrap(h, inv, field), residual=res,
+                          terms=used)
 
 
 # ---------------------------------------------------------------------------

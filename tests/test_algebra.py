@@ -23,8 +23,9 @@ from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
 from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
                          PreconditionError)
-from adic.martingale import (compose_phi, constant_function, from_vector,
-                             lift, phi_transient, rand_function)
+from adic.martingale import (CylinderFunction, compose_phi,
+                             constant_function, from_vector, lift,
+                             phi_transient, rand_function)
 from adic.measures import renorm_data
 from adic.scalars import FieldElement, sqrt_field
 
@@ -196,6 +197,12 @@ KINDS = {"fraction": Fraction, "float": float,
 CANCELLING = ("odo2", {1: (0, [Fraction(1, 100)]),
                        2: (0, [Fraction(-1, 10 ** 4)]),
                        -1: (0, [Fraction(1, 100)])}, "fraction")
+# On pisot31 composing with u^k raises levels with the shift: u^1 at
+# level 1 and u^-1 at level 2 (8 and 32 paths), and the same shifts with
+# the levels swapped.
+RISING = ("pisot31", {1: (1, [Fraction(i % 5 - 2, 4) for i in range(8)]),
+                      -1: (2, [Fraction(3 - i % 7, 4) for i in range(32)])})
+FALLING = ("pisot31", {1: (2, RISING[1][-1][1]), -1: (1, RISING[1][1][1])})
 
 
 @st.composite
@@ -266,6 +273,10 @@ def _same(got, want):
 @example(("odo2", dict(list(CANCELLING[1].items())[:2]), "fraction"))
 # f = u / 10 in Q(sqrt 5): no term reaches shift 0, whose 1 stays rational
 @example(("odo2", {1: (0, [Fraction(1, 10)])}, "field"))
+@example((*RISING, "fraction"))
+@example((*RISING, "float"))
+@example((*FALLING, "fraction"))
+@example((*FALLING, "float"))
 @given(_specs())
 def test_power_and_neumann_match_the_public_loop(spec):
     _match_the_public_loop(*_spec_element(spec))
@@ -278,6 +289,35 @@ def _match_the_public_loop(f, h):
     got = neumann_invert(h, tol=1e-2)
     _same(got.element, inv)
     assert (got.terms, got.residual) == (used, residual)
+
+
+def test_power_and_neumann_build_only_their_results(odo2, pisot31,
+                                                    monkeypatch):
+    # the chains run on bare columns: power(a, 4) builds the coefficients
+    # of a^4 only, and neumann_invert those of the inverse and of the
+    # residual h inv - 1, besides at most the unit and f = 1 - h
+    build, built = CylinderFunction.of_parts.__func__, []
+
+    def counted(cls, *parts):
+        built.append(build(cls, *parts))
+        return built[-1]
+
+    a = rand_element(rng(507), pisot31, 4, 3, (2, 1, 3))
+    p = element(odo2, 2, 3, {k: rand_function(rng(508 + k), odo2, 2)
+                             for k in (-1, 1)})
+    f = scale(p, Fraction(2, 5) / Fraction(norms(p, 3, 1)["s_alpha"]))
+    one = unit(odo2, 2, 3)
+    h = subtract(one, f)
+    inv = neumann_invert(h, tol=1e-4)
+    residual = subtract(convolve(h, inv.element), one)
+    assert inv.terms > 3 and len(inv.element.coeffs) > 7
+    monkeypatch.setattr(CylinderFunction, "of_parts", classmethod(counted))
+    assert built == list(power(a, 4).coeffs.values())
+    built.clear()
+    got = neumann_invert(h, tol=1e-4).element
+    assert all(any(g is x for x in built) for g in got.coeffs.values())
+    assert len(built) <= len(got.coeffs) + len(residual.coeffs) + \
+        len(f.coeffs) + 1
 
 
 def test_neumann_of_a_field_one_matches_the_public_loop(odo2):
@@ -386,6 +426,9 @@ def test_level_cap_overflow(odo2):
     a = element(odo2, 2, 3, {0: rand_function(r, odo2, 2)})
     with pytest.raises(LevelOverflowError):
         convolve(a, a, level_cap=1)
+    # a^1 is a itself, still checked as the product 1 a
+    with pytest.raises(LevelOverflowError):
+        power(a, 1, level_cap=1)
 
 
 def test_tracial_identity_exact(suite):
