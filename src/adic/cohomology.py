@@ -16,27 +16,25 @@ falling, and W, the eventual image.  The invariant distributions are the
 traces tau_i on K_0 (x) Q, one set per tower, built once at the base level
 b = max(k', L - 1): exact functionals of the block sums that factor through
 the projection P onto W along the eventual kernel, Gram-orthogonalized
-against the tower lengths of level b, the measure direction first.  A
-trace is compatible across levels, so the functionals of level k + 1
-(`vertex_functionals`) are those of level k times the Drazin inverse of A
-(the inverse of A on W, 0 on the kernel), and a function reads the same
-values at every level it is lifted to.  h is a coboundary exactly
-when P kills its block sums; they then die under A within k' levels, and
-the first level at which every block sum is 0 is the certificate that
-`solver.solve` builds the solution from.
+against the path counts of level b, the measure direction first.  They
+read only A and the path structure, never the roof or the Perron root, so
+they are rational on every diagram.  A trace is compatible across levels,
+so the functionals of level k + 1 (`vertex_functionals`) are those of
+level k times the Drazin inverse of A (the inverse of A on W, 0 on the
+kernel), and a function reads the same values at every level it is lifted
+to.  h is a coboundary exactly when P kills its block sums; they then die
+under A within k' levels, and the first level at which every block sum is
+0 is the certificate that `solver.solve` builds the solution from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .diagrams import path_table
-from .errors import PreconditionError
-from .martingale import constant_function, field_values
+from .martingale import field_values
 from .scalars import mat_mul, mat_pow, mat_vec, nullspace, rank, solve_linear
-from .solenoid import tower_lengths
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +169,20 @@ def tower_functionals(tower):
     """The distribution functionals of `tower`, built on first use at the
     base level b = max(k', L - 1).  Row i at level b is x -> <P x, b_i>_w
     on block sums, for the projection P onto W and the Gram basis b_i of W
-    (P times the block sums of 1 first) weighted by the tower lengths w of
-    level b.  A^D = (A + I - P)^-1 P inverts A on W and is 0 on the
-    eventual kernel, so A^D A = P: rows times A^D read lifts of h as h."""
+    (P w, the measure direction, first) weighted by the path counts w of
+    level b, the block sums of 1: positive integers, so all is rational.
+    A^D = (A + I - P)^-1 P inverts A on W and is 0 on the eventual
+    kernel, so A^D A = P: rows times A^D read lifts of h as h."""
     fn = tower.functionals
     if fn is not None:
         return fn
     diagram, m = tower.diagram, tower.map
-    one = constant_function(diagram, Fraction(1), 0)
-    base = evaluation_level(tower, one)
+    base = max(tower.k_prime, len(diagram.levels) - 1)
     proj = _projection(tower)
-    mu = mat_vec(proj, birkhoff_cochain(diagram, one, base))
+    w = [b - a for a, b in path_table(diagram, base).blocks()]
     push = mat_pow(m, base - tower.k_prime)
-    w = tower_lengths(diagram, tower.renorm, base)
-    if not all(x > 0 for x in w):
-        raise PreconditionError("the Gram weights need positive level-%d "
-                                "tower lengths" % base)
-    basis = _gram_schmidt(
-        _independent([mu] + [mat_vec(push, v) for v in tower.w_basis]), w)
+    basis = _gram_schmidt(_independent(
+        [mat_vec(proj, w)] + [mat_vec(push, v) for v in tower.w_basis]), w)
     shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]
                 for j in range(len(m))] for i in range(len(m))]
     fn = tower.functionals = Functionals(

@@ -518,7 +518,8 @@ def perron_data(A):
     trying each integer up to it; they are divided out, and what is left of
     p has no rational root.  lam is the largest integer root unless the
     rest has a larger real root: then lam generates its field, Q(sqrt d)
-    when the rest is quadratic."""
+    when the rest is quadratic.  lam = 1 only for the one-edge loop, whose
+    path space is finite and is no Cantor system: it is refused."""
     p = [Fraction(c) for c in char_poly(A)]
     p = _pdivmod(p, _gcd(p, [k * c for k, c in enumerate(p)][1:]))[0]
     bound = max(sum(row) for row in A)
@@ -533,5 +534,8 @@ def perron_data(A):
     elif len(p) > 3:
         field = _largest_root(tuple(map(int, p)), max(lam or 0, 0))
         lam = lam if field is None else field(0, 1)
+    if lam == 1:
+        raise PreconditionError("the Perron root is 1: the path space is "
+                                "finite")
     At = [list(col) for col in zip(*A)]
     return PerronData(lam, _positive_eigvec(A, lam), _positive_eigvec(At, lam))

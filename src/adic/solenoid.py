@@ -143,16 +143,12 @@ def gluing_pairs(diagram, k):
     return tuple(sorted(pairs))
 
 
-def tower_lengths(diagram, renorm, k):
-    """Exact level-k tower lengths lam^(-k) * (A_(0..k) roof)_v: the edge
-    lengths of the level-k approximant and the Gram weights of the
-    invariant distributions."""
-    scale = renorm.lam_inverse ** k if k else 1
-    return tuple(scale * h for h in roof_heights(diagram, renorm, k))
-
-
 def build_complex(diagram, renorm, k):
-    lengths = tower_lengths(diagram, renorm, k)
+    """The level-k approximant: one edge per vertex v of V_k, of exact
+    length lam^(-k) * (A_(0..k) roof)_v, the level-k tower length, with
+    its ends glued by `gluing_pairs`."""
+    scale = renorm.lam_inverse ** k if k else 1
+    lengths = tuple(scale * h for h in roof_heights(diagram, renorm, k))
     if any(x < 0 for x in lengths):
         raise PreconditionError("the level-%d complex has an edge of "
                                 "negative length" % k)

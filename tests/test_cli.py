@@ -513,6 +513,28 @@ def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
                    "level-0 edge of 0\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["measure"], ["lyapunov"], ["cohomology"], ["complex", "--level", "1"],
+    ["decompose", "--function"], ["distributions", "--function"],
+    ["solve", "--alpha", "3", "--function"],
+])
+def test_the_one_edge_loop_is_refused(capsys, tmp_path, command):
+    # its Perron root is 1 and its path space one point: no Cantor system
+    (tmp_path / "d.json").write_text(json.dumps({
+        "stationary": True, "levels": [{
+            "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+            "in_order": [[0]]}]}))
+    (tmp_path / "h.json").write_text(json.dumps(
+        {"level": 0, "values": {"0": "0"}}))
+    if command[-1] == "--function":
+        command = command + [str(tmp_path / "h.json")]
+    rc, out, err = run(capsys, command[:1] + ["--diagram",
+                                              str(tmp_path / "d.json")]
+                       + command[1:])
+    assert (rc, out) == (3, "")
+    assert err == "error: the Perron root is 1: the path space is finite\n"
+
+
 def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
     # the exact roofs of `_dump_diagrams()` 18, 19 and 20 have negative
     # entries; only their level-0 complexes carry them, so the repeating
@@ -528,7 +550,8 @@ def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
 
 
 # two `_prefixed` 3-vertex diagrams whose roof gives a negative (the first)
-# or zero (the second) level-1 tower length, where the Gram weights are read
+# or zero (the second) level-1 tower length; the Gram weights are the
+# level-1 path counts, so they read no roof
 _PREFIX_LEVEL = {"num_sources": 3, "num_ranges": 3,
                  "edges": [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]],
                  "in_order": [[0, 1, 2], [3], [4]]}
@@ -540,8 +563,10 @@ _PREFIX_LEVEL = {"num_sources": 3, "num_ranges": 3,
     {"edges": [[0, 0], [2, 0], [0, 1], [1, 1], [1, 1], [0, 2], [1, 2]],
      "in_order": [[1, 0], [3, 4, 2], [6, 5]]},
 ])
-def test_distributions_refuse_non_positive_gram_weights(capsys, tmp_path,
-                                                        level):
+def test_distributions_need_no_positive_tower_lengths(capsys, tmp_path,
+                                                      level):
+    # h = 1 on vertex 0 has a positive mean, so it is no coboundary and
+    # its measure component D_1 is not 0
     spec = {"stationary": True, "levels": [
         _PREFIX_LEVEL, dict(level, num_sources=3, num_ranges=3)]}
     (tmp_path / "d.json").write_text(json.dumps(spec))
@@ -550,9 +575,10 @@ def test_distributions_refuse_non_positive_gram_weights(capsys, tmp_path,
     rc, out, err = run(capsys, ["distributions", "--diagram",
                                 str(tmp_path / "d.json"), "--function",
                                 str(tmp_path / "h.json")])
-    assert (rc, out) == (3, "")
-    assert err == ("error: the Gram weights need positive level-1 tower "
-                   "lengths\n")
+    assert (rc, err) == (0, "")
+    report = json.loads(out)
+    assert report["coboundary"] is False
+    assert report["D"][0] != 0 and report["exact_zero"][0] is False
 
 
 @pytest.mark.parametrize("command, code", [

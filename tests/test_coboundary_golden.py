@@ -2,9 +2,9 @@
 solve (with its gauge, residual and Hoelder norms) and Birkhoff sums on the
 diagrams of `test_cohomology._dump_diagrams`.
 
-`coboundary_golden.json` holds `record()` as computed before the solver
-read h as integer columns.  Regenerate it only for a declared change of
-output, with
+`coboundary_golden.json` holds `record()` as computed with the Gram basis
+of the distributions weighted by path counts.  Regenerate it only for a
+declared change of output, with
 
     PYTHONPATH=src python tests/test_coboundary_golden.py --write
 """

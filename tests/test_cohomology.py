@@ -317,6 +317,27 @@ def test_vertex_functionals_are_a_trace_on_the_dimension_group():
             assert up == here
 
 
+@pytest.mark.parametrize("seed", [6, 29, 37, 39, 42, 49])
+def test_distributions_on_non_positive_tower_lengths(seed):
+    # on these `_prefixed` draws the level-1 tower lengths are not all
+    # positive; the Gram weights are path counts, which are, so
+    # g o phi - g reads exact zeros and has a certificate, and h and its
+    # lift read the same rational numerators
+    d = _prefixed(_random_diagram(random.Random(seed), 3, 6))
+    tower = _tower(d)
+    r = rng(309)
+    g = rand_function(r, d, 2)
+    moved = compose_phi(d, g, 1)
+    f = moved - lift(d, g, moved.level)
+    assert all(dv.exact_zero for dv in distributions(f, tower))
+    assert certificate(f, tower) is not None
+    h = rand_function(r, d, 2)
+    nums = [dv.numerator for dv in distributions(h, tower)]
+    assert [dv.numerator for dv in distributions(lift(d, h, 3), tower)] \
+        == nums
+    assert all(isinstance(x, Fraction) for x in nums)
+
+
 def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
                                                              tmp_path):
     # behind the extra first level of `_prefixed`, the level-0 complex has

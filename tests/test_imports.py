@@ -1,6 +1,7 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class or class member it defines is used somewhere, and
-every option it offers is set somewhere.  No module imports numpy.
+every option it offers is set somewhere.  No module imports numpy, and
+`cohomology` imports nothing from `solenoid`.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
@@ -77,6 +78,15 @@ def _module_of(node):
     if node.level == 1 and name:
         return name
     return None
+
+
+def test_cohomology_imports_nothing_from_solenoid():
+    # the class tower reads A and the path structure only: no solenoid
+    # geometry, no roof and no Perron field
+    tree = ast.parse((PACKAGE / "cohomology.py").read_text())
+    assert [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and _module_of(node) == "solenoid"] == []
 
 
 def uses(source):
