@@ -106,11 +106,11 @@ def renorm_data(diagram):
     right = list(pd.right)
     sol = solve_linear(P, right)
     if sol is not None and not all(x > 0 for x in sol):
-        # a singular P leaves a family of solutions; right * lam^-L is a
-        # positive member whenever it solves the system
+        # a singular square P leaves a family of solutions; right * lam^-L
+        # is a positive member whenever it solves the system
         scale = shrink ** L
         sol = [x * scale for x in right]
-        if mat_vec(P, sol) != right:
+        if len(sol) != len(P[0]) or mat_vec(P, sol) != right:
             sol = None
     if sol is None:
         sol = _least_squares(P, right)

@@ -6,8 +6,8 @@ length lam^(-k) * (A_(0..k) roof)_v.  Endpoint gluing combines successor
 adjacency (consecutive in-edges at any higher level, pushed down through
 max/min source maps) with the wrap rule joining every eventually-maximal
 tower end to every eventually-minimal tower start.  Gluing needs the level
-data beyond k to repeat, so complexes are built for stationary diagrams
-only.
+data to repeat from some level on, so complexes are built for stationary
+diagrams only.
 """
 
 from __future__ import annotations
@@ -118,28 +118,28 @@ def gluing_pairs(diagram, k):
     """Pairs (a, b) of level-k vertices with the positive end of tower a
     meeting the negative end of tower b.
 
-    Successor adjacency at level k+1+t contributes consecutive in-edge
-    sources pushed down t times through the max (left slot) and min (right
-    slot) source maps; with repeating level data this is the closure of the
-    level-(k+1) pairs under that push.  The wrap rule adds every pair from
-    (eventual max image) x (eventual min image)."""
+    Successor adjacency at level j > k contributes consecutive in-edge
+    sources pushed down through the max (left slot) and min (right slot)
+    source maps of levels j-1 to k+1: from the repeating level on, the
+    closure of its pairs under its push, with the wrap rule's (eventual max
+    image) x (eventual min image); each prefix level below pushes them
+    down one level and adds its own pairs."""
     if not diagram.stationary:
         raise GluingUndefinedError()
-    ld = diagram.level(k + 1)
-    mmap, bigm = source_map(ld, 0), source_map(ld, -1)
-    pairs = set()
-    for v in range(ld.num_ranges):
-        order = ld.in_order[v]
-        for f, g in zip(order, order[1:]):
-            pairs.add((ld.source(f), ld.source(g)))
-    frontier = set(pairs)
-    while frontier:
-        nxt = {(bigm[a], mmap[b]) for a, b in frontier} - pairs
-        pairs |= nxt
-        frontier = nxt
-    for a in eventual_image(bigm):
-        for b in eventual_image(mmap):
-            pairs.add((a, b))
+    top, pairs = max(k, len(diagram.levels) - 1), set()
+    for j in range(top + 1, k, -1):
+        ld = diagram.level(j)
+        mmap, bigm = source_map(ld, 0), source_map(ld, -1)
+        pairs = {(bigm[a], mmap[b]) for a, b in pairs} | {
+            (ld.source(f), ld.source(g)) for order in ld.in_order
+            for f, g in zip(order, order[1:])}
+        if j > top:
+            pairs |= {(a, b) for a in eventual_image(bigm)
+                      for b in eventual_image(mmap)}
+            frontier = set(pairs)
+            while frontier:
+                frontier = {(bigm[a], mmap[b]) for a, b in frontier} - pairs
+                pairs |= frontier
     return tuple(sorted(pairs))
 
 

@@ -23,25 +23,26 @@ constant is the product of three factors computed from the diagram data
 
 Orbit sums are read from tower tables, not stepped.  The forward orbit of a
 path x is the rest of its level-m block, then, for each level k > m, the
-level-(k-1) towers over the sources of the in-edges after x_k.  A range of
-level-m cylinders is summarized from its prefix sums as (height, sum, max
-prefix sum, min prefix sum), and the towers level by level by the fold
-(n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2, max(M1, s1+M2),
-min(mu1, s1+mu2)).  A tower that a checkpoint cuts is split one level down,
-down to ranges, and a range is cut in two.  When every remaining edge of x
-is maximal the orbit wraps to the minimal path, phi(max) = min.
+level-(k-1) towers over the sources of the in-edges after x_k, cut at the
+checkpoints down to ranges: a schedule of tower heights that every function
+of level m walks (`_orbit_schedule`, cached).  A range of level-m cylinders
+is summarized as (height, sum, max prefix sum, min prefix sum), and a tower
+by the fold (n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2,
+max(M1, s1+M2), min(mu1, s1+mu2)).  When every remaining edge of x is
+maximal the orbit wraps to the minimal path, phi(max) = min.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from fractions import Fraction
 
 from .cohomology import certificate, distributions
-from .diagrams import (FinitePath, PathWalker, extreme_path, order_pos,
-                       path_index, path_table)
+from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
+                       order_pos, path_index, path_table)
 from .errors import NumericError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, compose_level,
                          field_values, float_values, gather, holder_norm,
@@ -233,29 +234,26 @@ def _fold(runs):
 
 
 class _Towers:
-    """Summaries of h along towers, built upward on demand.  Depth 0 is h
-    on the level-m cylinders, keyed by ranges (a, b) of them and summarized
-    from the prefix sums of the range; depth j >= 1 holds, per vertex v of
-    V_(m+j-1), the tower of level-(m+j-1) paths into v, which is the range
-    of the block of v at level m for j = 1 and otherwise the depth-(j-1)
-    towers over the sources of the in-edges of v, in the in-order."""
+    """One quantity along towers, built upward on demand.  Depth 0 names
+    ranges (a, b) of level-m cylinders; depth j >= 1 holds, per vertex v of
+    V_(m+j-1), the tower of level-(m+j-1) paths into v: `leaf` of the range
+    of the block of v at level m for j = 1, and otherwise the `fold` of the
+    depth-(j-1) towers over the sources of the in-edges of v, in the
+    in-order: heights by b - a and `sum`, or h's summaries by `_fold`."""
 
-    def __init__(self, diagram, m, values):
-        self.diagram, self.m, self.values = diagram, m, values
+    def __init__(self, diagram, m, leaf, fold):
+        self.diagram, self.m, self.fold = diagram, m, fold
         self.offsets = path_table(diagram, m).offsets
-        self.depths = [None, [self.summary(0, key) for key in
+        self.depths = [None, [leaf(key) for key in
                               zip(self.offsets, self.offsets[1:])]]
 
-    def summary(self, j, key):
-        if not j:
-            sums = list(accumulate(self.values[slice(*key)])) or [0]
-            return key[1] - key[0], sums[-1], max(sums), min(sums)
+    def grow(self, j):
         while len(self.depths) <= j:
             ld = self.diagram.level(self.m + len(self.depths) - 1)
             below = self.depths[-1]
-            self.depths.append([_fold(below[ld.source(e)] for e in order)
+            self.depths.append([self.fold(below[ld.source(e)] for e in order)
                                 for order in ld.in_order])
-        return self.depths[j][key]
+        return self.depths
 
     def parts(self, j, key):
         """The runs of depth j - 1 that make up a tower, in orbit order."""
@@ -284,13 +282,40 @@ def _orbit_runs(diagram, start, towers):
                     break
                 seen.add(st)
             k, e = w.advance()
-            ld = diagram.level(k)
+            ld, tall = diagram.level(k), towers.grow(k - m)[k - m]
             order = ld.in_order[ld.range(e)]
             for f in order[order_pos(ld)[e] + 1:]:
-                if towers.summary(k - m, ld.source(f))[0]:
+                if tall[ld.source(f)]:
                     seen.clear()
                     yield k - m, ld.source(f)
         x = extreme_path(diagram, 1)
+
+
+@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+def _orbit_schedule(diagram, start, m, n_total):
+    """(deepest depth, ((n, runs), ...)): the runs of the orbit of `start`
+    up to each checkpoint n from the one before, flat as ints (depth, a, b):
+    a range (a, b) at depth 0, the tower over vertex a (b = 0) above."""
+    heights = _Towers(diagram, m, lambda key: key[1] - key[0], sum)
+    runs, depths = _orbit_runs(diagram, start, heights), heights.depths
+    n, out, stack = 0, [], []
+    for stop in _geometric_checkpoints(n_total):
+        flat = []
+        while n < stop:
+            j, key = stack.pop() if stack else next(runs)
+            if not j and n + key[1] - key[0] > stop:
+                # a range that a checkpoint cuts: the rest waits on the stack
+                a, b = key
+                key = a, a + stop - n
+                stack.append((0, (key[1], b)))
+            size = depths[j][key] if j else key[1] - key[0]
+            if n + size > stop:  # a cut tower: its parts one level down
+                stack.extend(reversed(heights.parts(j, key)))
+                continue
+            flat.extend((j, key, 0) if j else (j, *key))
+            n += size
+        out.append((n, tuple(flat)))
+    return max(max(flat[::3]) for _, flat in out), tuple(out)
 
 
 def birkhoff(diagram, h, start, n_total):
@@ -298,16 +323,15 @@ def birkhoff(diagram, h, start, n_total):
     and at n_total, with an exponent fit.
 
     The orbit is a sequence of whole towers and ranges of level-m cylinders
-    (`_orbit_runs`), so the sums are read from per-level tables (`_Towers`)
-    of each tower's height, sum and extreme prefix sums, built only as far
-    up as the orbit reaches: about log n levels.  A tower that straddles a
-    checkpoint is split into its parts one level down and a range is cut,
-    so a call costs O(levels * in-degree) per checkpoint plus the ranges it
-    reads, not one step per iterate.  sup_abs is read off the extreme
-    prefix sums, so it is exact.  Rational and float values are summed
-    exactly as h's integer columns (`parts`); float input reports the
-    float nearest each exact sum.  Other values (field elements, NaN,
-    infinities) are summed as they are."""
+    (`_orbit_runs`), cut at the checkpoints into a schedule that no value of
+    h changes (`_orbit_schedule`, cached).  The sums are read along it from
+    per-level tables (`_Towers`) of each tower's height, sum and extreme
+    prefix sums, about log n levels, so a call costs O(levels * in-degree)
+    per checkpoint plus the ranges it reads, not one step per iterate.
+    sup_abs is read off the extreme prefix sums, so it is exact.  Rational
+    and float values are summed exactly as h's integer columns (`parts`);
+    float input reports the float nearest each exact sum.  Other values
+    (field elements, NaN, infinities) are summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     table, value = h.values, (lambda a: a)
@@ -324,31 +348,22 @@ def birkhoff(diagram, h, start, n_total):
     if not h.level:
         table = [table[i] for i in path_table(diagram, 1).parent]
 
-    towers = _Towers(diagram, m, table)
-    runs = _orbit_runs(diagram, start, towers)
-    acc, sup, n, out, stack = 0, 0, 0, [], []
-    for stop in _geometric_checkpoints(n_total):
-        while n < stop:
-            j, key = stack.pop() if stack else next(runs)
-            if not j and n + key[1] - key[0] > stop:
-                # a range that a checkpoint cuts: the rest waits on the stack
-                a, b = key
-                key = a, a + stop - n
-                stack.append((0, (key[1], b)))
-            size, s, hi, lo = towers.summary(j, key)
-            if n + size > stop:
-                stack.extend(reversed(towers.parts(j, key)))
-                continue
+    def leaf(key):
+        sums = list(accumulate(table[slice(*key)])) or [0]
+        return key[1] - key[0], sums[-1], max(sums), min(sums)
+    towers = _Towers(diagram, m, leaf, _fold)
+    deepest, schedule = _orbit_schedule(diagram, start, m, n_total)
+    depths, acc, sup, out = towers.grow(deepest), 0, 0, []
+    for n, flat in schedule:
+        for j, a, b in zip(*[iter(flat)] * 3):
+            _, s, hi, lo = depths[j][a] if j else leaf((a, b))
             top, bottom = acc + hi, -(acc + lo)
-            if top > sup:
-                sup = top
-            if bottom > sup:
-                sup = bottom
-            acc, n = acc + s, n + size
+            sup = top if top > sup else sup
+            sup = bottom if bottom > sup else sup
+            acc += s
         out.append((n, value(acc)))
-    final = value(acc)
     slope, r2, ok = _fit_exponent(out, n_total)
     return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),
                           sup_abs=value(sup),
-                          mean_rate=float(final) / n_total,
+                          mean_rate=float(out[-1][1]) / n_total,
                           exponent=slope, r_squared=r2, claimed=ok)

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import rng
 
+from test_algebra import _drawn_diagrams
 from test_step import _prefixed, _random_diagram
 
 import adic
@@ -19,6 +22,7 @@ from adic.cohomology import (birkhoff_cochain, certificate, distributions,
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, path_range,
                            path_table)
+from adic.errors import PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data
@@ -373,3 +377,23 @@ def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
             moved = compose_phi(d, g, 1)
             f = moved - lift(d, g, moved.level)
             assert all(dv.exact_zero for dv in distributions(f, tower))
+
+
+@example(_prefixed(builtin_diagram("pisot31")), 1, 0, 0)
+@example(_random_diagram(random.Random(0), 1, 6), -1, 1, 0)
+@given(_drawn_diagrams(), st.sampled_from((1, 2, 3, -1, -2, -3)),
+       st.integers(0, 2), st.integers(0, 2 ** 16))
+def test_distributions_are_invariant_under_phi(d, power, level, seed):
+    # D_i(h o phi^k) = D_i(h) on the exact numerators, for positive and
+    # negative powers.  The one-edge loop has Perron root 1: refused
+    if d.matrix(len(d.levels)) == [[1]]:
+        with pytest.raises(PreconditionError):
+            renorm_data(d)
+        return
+    tower = _tower(d)
+    r = random.Random(seed)
+    h = from_vector(d, level, [Fraction(r.randint(-8, 8), 4) for _ in
+                               range(path_table(d, level).offsets[-1])])
+    hk = compose_phi(d, h, power)
+    assert [dv.numerator for dv in distributions(hk, tower)] == \
+        [dv.numerator for dv in distributions(h, tower)]

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from test_step import _random_diagram
+from test_step import _prefix_draws, _prefixed, _random_diagram
 
 from adic import diagrams as diagrams_module
 from adic.catalog import builtin_diagram
@@ -114,9 +114,13 @@ def test_vector_operations_match_reference(diagrams):
 def test_compose_phi_matches_stepped_reference(diagrams):
     # phi on level-L paths by brute force: the next path of the same tower
     # in enumerate_paths order (the previous one for negative powers), and
-    # from a tower's end the level-L prefix of the extreme path
+    # from a tower's end the level-L prefix of the extreme path.  Prefixed
+    # diagrams too, read at the level `compose_level` guarantees: L counts
+    # |k|*T levels up from max(m, L0 - 1), L0 the levels given
     r = random.Random(13)
-    for d in diagrams:
+    prefixed = [_prefixed(builtin_diagram(name)) for name in ("fib",
+                                                              "pisot31")]
+    for d in diagrams + prefixed + _prefix_draws(14, 8):
         for m in range(3):
             h, ref = _random_pair(r, d, m)
             for power in (1, 2, 3, -1, -2, -3):
@@ -125,7 +129,7 @@ def test_compose_phi_matches_stepped_reference(diagrams):
                     T, _ = phi_transient(d, direction)
                 except NotProperlyOrderedError:
                     continue
-                L = max(m + abs(power) * T, 1)
+                L = max(max(m, len(d.levels) - 1) + abs(power) * T, 1)
                 wrapped = materialize(d, extreme_path(d, direction), L).edges
                 paths = enumerate_paths(d, L)
                 nxt = {}

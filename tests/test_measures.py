@@ -3,9 +3,12 @@
 import math
 from fractions import Fraction
 
+from test_step import _prefix_draws
+
 from adic.diagrams import enumerate_paths, path_range
+from adic.errors import PreconditionError
 from adic.measures import cocycle_product, renorm_data, xi_vector
-from adic.scalars import FieldElement, sqrt_field
+from adic.scalars import FieldElement, mat_vec, sqrt_field
 
 
 def test_odo2_exact_doubling(odo2):
@@ -54,6 +57,25 @@ def test_roof_eigen_identity(odo2, fib, pisot31):
                for i in range(len(A))]
         rhs = [rd.lam_float * float(x) for x in rd.roof]
         assert max(abs(a - b) for a, b in zip(lhs, rhs)) <= 1e-12
+
+
+def test_roof_is_a_vector_over_the_first_vertices():
+    # behind prefix levels, square or not, the roof has one entry per
+    # vertex of V_0, and A_(0..L) carries it to an eigenvector of the
+    # repeating matrix A wherever the certificate says it is exact
+    checked = 0
+    for d in _prefix_draws(11, 60):
+        try:
+            rd = renorm_data(d)
+        except PreconditionError:  # the one-edge loop: Perron root 1
+            continue
+        assert len(rd.roof) == d.num_vertices(0), d
+        if rd.certificates["stationary_exact"]:
+            top = mat_vec(cocycle_product(d, len(d.levels)), rd.roof)
+            assert mat_vec(d.matrix(len(d.levels)), top) == \
+                [rd.lambda_mu * x for x in top], d
+            checked += 1
+    assert checked > 20
 
 
 def test_xi_compatibility(odo2, fib, pisot31):

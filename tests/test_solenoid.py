@@ -5,12 +5,12 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from test_step import _prefixed, _random_diagram
+from test_step import _prefix_draws, _prefixed, _random_diagram
 
 from adic import solenoid
 from adic.catalog import builtin_diagram
-from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, materialize,
-                           path_source)
+from adic.diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
+                           materialize, path_source)
 from adic.errors import PreconditionError
 from adic.measures import renorm_data
 from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
@@ -337,3 +337,43 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
     assert solenoid.cached_point.cache_info().currsize == sum(
         2 * len(enumerate_paths(d, 4)) for d in (odo2, fib))
     assert cold[0] != cold[1] and cold[0] != cold[2]
+
+
+def _consecutive_pairs(d, n, k):
+    """The gluing pairs of level k that level-n paths show: (v_k(x), v_k(y))
+    for x, y next to each other in `enumerate_paths` order, into one
+    vertex, first differing (from the top) at a level above k; and the wrap
+    pairs, for x the last path and y the first of any two towers."""
+    def v(p):
+        return d.level(k + 1).source(p.edges[k])
+    paths = enumerate_paths(d, n)
+    ends = [d.level(n).range(p.edges[-1]) for p in paths]
+    glued, wrap = set(), set()
+    for i, (x, y) in enumerate(zip(paths, paths[1:])):
+        if ends[i] == ends[i + 1]:
+            j = max(t for t, (e, f) in enumerate(zip(x.edges, y.edges))
+                    if e != f)
+            if k <= j:
+                glued.add((v(x), v(y)))
+    firsts = [p for i, p in enumerate(paths) if not i or ends[i - 1] != ends[i]]
+    lasts = [p for i, p in enumerate(paths)
+             if i == len(paths) - 1 or ends[i + 1] != ends[i]]
+    return glued, {(v(x), v(y)) for x in lasts for y in firsts}
+
+
+def test_gluing_pairs_against_consecutive_paths():
+    # at every level 0..L, on the builtins, unprefixed draws, `_prefixed`
+    # draws and random prefix levels, square or not: every pair that
+    # consecutive level-n paths show is glued, and nothing else is but wrap
+    # pairs
+    r = random.Random(808)
+    drawn = [_random_diagram(r, n, 6) for n in (1, 2, 2, 3)]
+    cases = [builtin_diagram(name) for name in
+             ("odo2", "odo3", "fib", "pisot31")]
+    cases += drawn + [_prefixed(d) for d in drawn] + _prefix_draws(809, 24)
+    for d in cases:
+        n = 7 if sum(count_paths(d, 7)) < 3000 else 6
+        for k in range(len(d.levels) + 1):
+            want, wrap = _consecutive_pairs(d, n, k)
+            assert want <= set(solenoid.gluing_pairs(d, k)) <= want | wrap, \
+                (d, k)

@@ -395,6 +395,25 @@ def test_birkhoff_cost_grows_like_log_n(odo2, pisot31):
         [2 ** i for i in range(40)] + [10 ** 12]
 
 
+def test_functions_of_one_level_share_an_orbit_schedule(pisot31):
+    # the schedule reads tower heights alone: a second function of the same
+    # level, on the same diagram and from the same start, walks the cached
+    # one, and both reports are those of calls from an empty cache
+    r = rng(414)
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+    hs = [rand_function(r, pisot31, 2) for _ in range(2)]
+    cold = []
+    for h in hs:
+        adic.solver._orbit_schedule.cache_clear()
+        cold.append(birkhoff(pisot31, h, start, 1000))
+    adic.solver._orbit_schedule.cache_clear()
+    warm = [birkhoff(pisot31, h, start, 1000) for h in hs]
+    info = adic.solver._orbit_schedule.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert list(map(repr, warm)) == list(map(repr, cold))
+    assert hs[0].values != hs[1].values
+
+
 def test_birkhoff_float_sums_are_exact_then_rounded(fib):
     # each float is summed as the dyadic rational it is; the report holds
     # the float nearest each exact sum, not a sequentially rounded one

@@ -57,6 +57,35 @@ def _prefixed(d):
                           True)
 
 
+def _random_prefix(r, d, count):
+    """d behind `count` random levels that do not repeat, square or not:
+    1 to 3 vertices each, every vertex with an in-edge and an out-edge, and
+    shuffled in-orders.  Unlike `_prefixed`, their extreme chains and
+    consecutive in-edges take any shape."""
+    sizes = [r.randint(1, 3) for _ in range(count)] + [d.num_vertices(0)]
+    levels = []
+    for s, t in zip(sizes, sizes[1:]):
+        edges = [(u, r.randrange(t)) for u in range(s)]
+        edges += [(r.randrange(s), v) for v in range(t)]
+        edges += [(r.randrange(s), r.randrange(t))
+                  for _ in range(r.randint(0, 2))]
+        r.shuffle(edges)
+        in_order = [[e for e, (_, w) in enumerate(edges) if w == v]
+                    for v in range(t)]
+        for order in in_order:
+            r.shuffle(order)
+        levels.append(make_level(s, t, edges, in_order))
+    return OrderedDiagram(tuple(levels) + d.levels, True)
+
+
+def _prefix_draws(seed, count):
+    """`count` draws of `_random_diagram` on 1 to 3 vertices behind one or
+    two `_random_prefix` levels."""
+    r = random.Random(seed)
+    return [_random_prefix(r, _random_diagram(r, r.randint(1, 3), 6),
+                           r.randint(1, 2)) for _ in range(count)]
+
+
 @pytest.fixture(scope="module")
 def diagrams():
     out = [builtin_diagram(name)
