@@ -229,21 +229,23 @@ class SolenoidPoint:
 
     @cached_property
     def table(self):
-        """Per level k, (u, t, tr, reach, start, end, lam^(-k), diameter):
-        the point's edge u and the classes of its ends; the roundings of
-        its exact offset and of the rest of u, so route sums do not cancel;
-        its reach row, min(t + D[start][c], tr + D[end][c]) to each class
-        c, inf where c is unreachable; the level weight; the diameter."""
-        rows = []
+        """Per level k, a near row (u, t, reach, lam^(-k), diameter), read
+        when the point is the first argument of `solenoid_metric`, and a far
+        row (u, t, tr, start, end), read when it is the second: the point's
+        edge u and the classes of its ends; the roundings of its exact
+        offset and of the rest of u, so route sums do not cancel; its reach
+        row, min(t + D[start][c], tr + D[end][c]) to each class c; the level
+        weight; the diameter.  Both rows come from the same roundings."""
+        near, far = [], []
         for k, ((u, t), cx) in enumerate(zip(self.coords, self.complexes)):
             tf, tr = float(t), float(cx.lengths[u] - t)
             start, end = cx.start_class[u], cx.end_class[u]
             dist = cx.float_distances
             reach = tuple(min(tf + a, tr + b)
                           for a, b in zip(dist[start], dist[end]))
-            rows.append((u, tf, tr, reach, start, end, self.lam ** (-k),
-                         cx.float_diameter))
-        return tuple(rows)
+            near.append((u, tf, reach, self.lam ** (-k), cx.float_diameter))
+            far.append((u, tf, tr, start, end))
+        return tuple(near), tuple(far)
 
 
 # Complexes per (diagram, Perron data, level) and conjugacy points per
@@ -358,37 +360,29 @@ def diameter(cx):
     return cx.diameter
 
 
-def _level_distances(y, z):
-    """The float distance from y to z at each level, in one pass over their
-    tables: from y's reach row through either end of z's edge, or along
-    the edge when both lie on it.  Float addition rounds monotonically, so
-    each is the minimum over the routes of point_distance, each a sum of
-    three rounded nonnegative terms, within a few ulps of its exact value.
-    The minima are spelled out: min() costs more than the rest of a level,
-    and ties keep the first route, as min() does."""
+def solenoid_metric(y, z):
+    """Weighted sum over coordinate levels k of the float distance from y
+    to z, normalized by the level-k diameter and weighted by lam^(-k), in
+    one pass over y's near rows and z's far rows.  Each level distance is
+    the shorter way from y's reach row through either end of z's edge, or
+    along the edge when both lie on it.  Float addition rounds
+    monotonically, so it is the minimum over the routes of point_distance,
+    each a sum of three rounded nonnegative terms, within a few ulps of its
+    exact value.  The minima are spelled out: min() costs more than the
+    rest of a level, and ties keep the first route, as min() does.  A
+    disconnected complex has no float diameter, so every reach is finite."""
     if y.level != z.level:
         raise ValueError("points truncated at different levels")
-    out = []
-    for (u, t, _, reach, _, _, _, _), (v, s, sr, _, start, end, _, _) in zip(
-            y.table, z.table):
+    total = 0.0
+    for (u, t, reach, w, diam), (v, s, sr, start, end) in zip(y.table[0],
+                                                             z.table[1]):
         a, b = reach[start] + s, reach[end] + sr
         best = a if a <= b else b
         if u == v:
             a = abs(t - s)
             if a <= best:
                 best = a
-        out.append(best)
-    if inf in out:
-        raise NumericError("complex is disconnected")
-    return out
-
-
-def solenoid_metric(y, z):
-    """Weighted sum over coordinate levels k of the level distances, each
-    normalized by the level-k diameter and weighted by lam^(-k)."""
-    total = 0.0
-    for row, dk in zip(y.table, _level_distances(y, z)):
-        total += row[6] * dk / row[7]  # w * dk / diam
+        total += w * best / diam
     return total
 
 
@@ -411,9 +405,11 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     and the extra levels separate them again.  The upper bound is
     depth-independent, since the tail terms sum to at most d / (lam - 1).
 
-    Each point is built once per process and kept, with its level table,
-    by the bounded `cached_point`, so a pair costs one pass over two
-    tables.  Equal paths give the same point, so dbar is exactly 0.0."""
+    Each point is built once per process and kept, with its near and far
+    rows, by the bounded `cached_point`, so a pair costs one
+    `solenoid_metric` pass over p's near rows and q's far rows.  Equal
+    paths give the same point, so dbar is exactly 0.0.  No NaN reaches the
+    running extremes, so comparisons keep them as max() and min() would."""
     lamf = renorm.lam_float
     kbest = inf
     worst_slack = 0.0
@@ -434,10 +430,13 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
             continue
         checked += 1
         slack = dbar - d / (lamf - 1.0)
-        worst_slack = max(worst_slack, slack)
+        if slack > worst_slack:
+            worst_slack = slack
         if slack > 1e-9:
             raise NumericError("solenoid metric upper bound violated")
-        kbest = min(kbest, dbar / d ** (1.0 + epsilon))
+        ratio = dbar / d ** (1.0 + epsilon)
+        if ratio < kbest:
+            kbest = ratio
     return {
         "pairs_checked": checked,
         "lower_constant": 0.0 if kbest == inf else kbest,

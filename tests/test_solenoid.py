@@ -5,19 +5,21 @@ import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+import pytest
+
 from test_step import _prefix_draws, _prefixed, _random_diagram
 
 from adic import solenoid
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
                            materialize, path_source)
-from adic.errors import PreconditionError
+from adic.errors import NumericError, PreconditionError
 from adic.measures import renorm_data
-from adic.solenoid import (ApproxComplex, bilip_check, build_complex,
-                           cached_complexes, conjugacy_point, diameter,
-                           euler_characteristic, first_betti_number,
-                           point_distance, roof_heights, solenoid_metric,
-                           wrapping)
+from adic.solenoid import (ApproxComplex, SolenoidPoint, bilip_check,
+                           build_complex, cached_complexes, conjugacy_point,
+                           diameter, euler_characteristic,
+                           first_betti_number, point_distance, roof_heights,
+                           solenoid_metric, wrapping)
 
 
 def test_complex_shapes(odo2, fib, pisot31):
@@ -140,8 +142,9 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
             for i in range(0, n, step):
                 for j in (i + 1, i + n // 2):
                     y, z = pts[i], pts[j % n]
-                    for k, (cx, dk) in enumerate(zip(
-                            y.complexes, solenoid._level_distances(y, z))):
+                    for k, (cx, p, q) in enumerate(zip(
+                            y.complexes, y.table[1], z.table[1])):
+                        dk = _four_routes(cx, p[:3], q[:3])
                         assert math.isclose(dk, float(point_distance(
                             cx, y.coords[k], z.coords[k])), rel_tol=1e-12)
                         assert math.isclose(cx.float_diameter,
@@ -264,9 +267,11 @@ def _four_routes(cx, p, q):
 
 def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
     # float addition rounds monotonically, so the minimum over the two ends
-    # of y's edge, taken first, gives the same float as the four routes;
-    # every pair of points at levels 0-5, pisot31's 512 and 2048 paths of
-    # levels 4 and 5 thinned to 128 spread over the path order
+    # of y's edge, taken first, gives the same float as the four routes,
+    # and the metric's one pass over y's near rows and z's far rows sums
+    # exactly those floats in level order; every pair of points at levels
+    # 0-5, pisot31's 512 and 2048 paths of levels 4 and 5 thinned to 128
+    # spread over the path order
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
         lamf = rd.lam_float
@@ -277,9 +282,7 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
             pts = [conjugacy_point(d, rd, p) for p in ps]
             for y, z in combinations_with_replacement(pts, 2):
                 want = [_four_routes(cx, p[:3], q[:3]) for cx, p, q in
-                        zip(y.complexes, y.table, z.table)]
-                got = solenoid._level_distances(y, z)
-                assert got == want
+                        zip(y.complexes, y.table[1], z.table[1])]
                 total = 0.0
                 for k, (cx, dk) in enumerate(zip(y.complexes, want)):
                     total += lamf ** (-k) * dk / cx.float_diameter
@@ -289,21 +292,23 @@ def test_reach_rows_give_the_four_route_distances(odo2, fib, pisot31):
 
 
 def test_point_table_rounds_each_exact_value_once(odo2, fib, pisot31):
-    # every float of a level row is the rounding of one exact value, and
-    # the reach row is the shorter way through either end of the edge
+    # every float of a near or far row is the rounding of one exact value,
+    # the same in both rows, and the reach row is the shorter way through
+    # either end of the edge
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
         for p in enumerate_paths(d, 3)[:8]:
             y = conjugacy_point(d, rd, p)
-            assert len(y.table) == y.level + 1
-            for k, ((u, t), cx, row) in enumerate(
-                    zip(y.coords, y.complexes, y.table)):
+            near, far = y.table
+            assert len(near) == len(far) == y.level + 1
+            for k, ((u, t), cx, row, back) in enumerate(
+                    zip(y.coords, y.complexes, near, far)):
                 a, b = cx.start_class[u], cx.end_class[u]
-                assert row[:3] == (u, float(t), float(cx.lengths[u] - t))
-                assert row[4:] == (a, b, rd.lam_float ** (-k),
-                                   float(diameter(cx)))
+                assert back == (u, float(t), float(cx.lengths[u] - t), a, b)
+                assert row[:2] == back[:2]
+                assert row[3:] == (rd.lam_float ** (-k), float(diameter(cx)))
                 dist = cx.float_distances
-                assert row[3] == tuple(min(row[1] + x, row[2] + w)
+                assert row[2] == tuple(min(back[1] + x, back[2] + w)
                                        for x, w in zip(dist[a], dist[b]))
 
 
@@ -311,6 +316,35 @@ def _clear_point_caches():
     # a rebuilt complex computes its metric tables afresh
     solenoid.cached_point.cache_clear()
     solenoid.cached_complexes.cache_clear()
+
+
+def test_disconnected_complex_raises_a_typed_error(monkeypatch, fib):
+    # two edges, four classes, no gluing: no route joins the edges, so the
+    # complex has no diameter, and the metric of points on different edges
+    # raises before any level distance is read; bilip_check raises the same
+    # on fib paths whose points lie on that complex
+    apart = ApproxComplex(level=0, lengths=(1, 1), start_class=(0, 2),
+                          end_class=(1, 3),
+                          classes=((("-", 0),), (("+", 0),), (("-", 1),),
+                                   (("+", 1),)),
+                          glued_pairs=())
+    y, z = (SolenoidPoint(level=0, coords=(c,), complexes=(apart,), lam=2.0)
+            for c in ((0, 0), (1, Fraction(1, 2))))
+    with pytest.raises(NumericError, match="complex is disconnected"):
+        solenoid_metric(y, z)
+    rd = renorm_data(fib)
+    ps = enumerate_paths(fib, 2)
+    pairs = [(p, q) for p in ps for q in ps
+             if path_source(fib, p) != path_source(fib, q)]
+    assert pairs
+    monkeypatch.setattr(solenoid, "cached_complexes",
+                        lambda d, renorm, n: (apart,) * (n + 1))
+    solenoid.cached_point.cache_clear()
+    try:
+        with pytest.raises(NumericError, match="complex is disconnected"):
+            bilip_check(fib, rd, pairs[:1], 0.25, depth_margin=0)
+    finally:
+        solenoid.cached_point.cache_clear()
 
 
 def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import rng
 
+from test_algebra import _drawn_diagrams
 from test_step import _prefixed, _random_diagram
 
 import adic.cohomology
@@ -21,7 +24,8 @@ from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme_path,
                            make_level, materialize, path_range, path_table,
                            successor)
-from adic.errors import NotProperlyOrderedError, ObstructedError
+from adic.errors import (NotProperlyOrderedError, ObstructedError,
+                         PreconditionError)
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data, xi_vector
@@ -88,6 +92,36 @@ def test_solve_runs_the_distributions_only_when_obstructed(monkeypatch,
             rep = is_coboundary_class(obstructed, tower)
             assert rep["is_coboundary"] is False
             assert rep["certificate"] is None
+
+
+@example(_prefixed(builtin_diagram("pisot31")), True, 0)
+@example(_prefixed(builtin_diagram("pisot31")), False, 0)
+@given(_drawn_diagrams(), st.booleans(), st.integers(0, 2 ** 16))
+def test_joint_verdict_decides_the_solver(d, cobound, seed):
+    # the paper's joint verdict: a certificate exists exactly when every
+    # invariant distribution vanishes exactly, and exactly then solve
+    # succeeds with the int residual 0; otherwise it raises ObstructedError.
+    # Half the draws are coboundaries g o phi - g, the rest random h of
+    # level 1-2.  The one-edge loop has Perron root 1: refused
+    if d.matrix(len(d.levels)) == [[1]]:
+        with pytest.raises(PreconditionError):
+            renorm_data(d)
+        return
+    tower = _tower(d)
+    r = random.Random(seed)
+    h = rand_function(r, d, r.randint(1, 2))
+    if cobound:
+        h = _coboundary(d, h)
+    cert = certificate(h, tower)
+    vanish = all(dv.exact_zero for dv in distributions(h, tower))
+    assert (cert is not None) == vanish
+    assert vanish or not cobound
+    if vanish:
+        residual = solve(h, tower).residual
+        assert residual == 0 and type(residual) is int
+    else:
+        with pytest.raises(ObstructedError):
+            solve(h, tower)
 
 
 def _pointwise_residual(d, h, g):
