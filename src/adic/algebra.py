@@ -6,11 +6,12 @@ stores its coefficients as cylinder functions that hold their integer
 columns over a common denominator (`martingale.CylinderFunction.parts`),
 read once by `element`, so floats are read as the dyadic rationals they
 store.  There is no element field: each coefficient carries its own, and
-an operation takes the one field of its operands' coefficients.  Two
-kernels work on bare columns, {k: (level, q, cols)}: `_product` convolves
-and `_sum` adds.  `convolve` and `add` wrap one kernel call; `power` and
-`neumann_invert` chain them and build cylinder functions
-(`CylinderFunction.of_parts`) for their results only.  Products and
+an operation takes the one field of its operands' coefficients.  Shifts
+come out ascending.  Two kernels work on bare columns, (q, {k: (level,
+cols)}) with one denominator per element: `_product` convolves and the
+n-ary `_sum` adds.  `convolve` and `add` wrap one call; `power` chains
+products and `neumann_invert` sums its terms once, both building cylinder
+functions (`CylinderFunction.of_parts`) for their results only.  Products and
 involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
 finer level move indices, never field elements.  A composition
@@ -59,9 +60,9 @@ TRIANGLE_CACHE_SIZE = 16
 @dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """An element stored as cylinder functions that hold their integer
-    columns: coeffs maps each shift k to a(k), all-zero shifts dropped.
-    The columns are not reduced, so elements compare with
-    `equal_elements`, not ==."""
+    columns: coeffs maps each shift k to a(k), all-zero shifts dropped,
+    shifts ascending.  The columns are not reduced, so elements compare
+    with `equal_elements`, not ==."""
     diagram: object
     lam: object      # metric base of the coefficient Hoelder space
     alpha: object    # Hoelder exponent
@@ -79,8 +80,9 @@ def element(diagram, lam, alpha, coeffs):
     """The element sum_k coeffs[k] u^k, each coefficient read once as
     integer columns (`CylinderFunction.parts`).  Values of two fields, or
     of no exact field, raise PreconditionError."""
-    out = {int(k): CylinderFunction.of_parts(f.level, *f.parts)
-           for k, f in coeffs.items() if any(map(any, f.parts[1]))}
+    out = {int(k): f for k, f in coeffs.items()}
+    out = {k: CylinderFunction.of_parts(f.level, *f.parts)
+           for k, f in sorted(out.items()) if any(map(any, f.parts[1]))}
     _one_field(f.parts[2] for f in out.values())
     return AlgebraElement(diagram, lam, alpha, out)
 
@@ -115,50 +117,70 @@ def add(a, b):
 
 
 def _columns(a):
-    """{shift: (level, q, cols)}: the coefficients of a as bare columns."""
-    return {k: (f.level, *f.parts[:2]) for k, f in a.coeffs.items()}
+    """(q, {shift: (level, cols)}): the coefficients of a as bare columns
+    over their least common denominator q."""
+    q = math.lcm(*(f.parts[0] for f in a.coeffs.values()))
+    return q, {k: (f.level, _times(f.parts[1], q // f.parts[0]))
+               for k, f in a.coeffs.items()}
 
 
 def _wrap(a, out, field):
     """The element of a's algebra with the bare columns out."""
+    q, cols = out
     return AlgebraElement(a.diagram, a.lam, a.alpha, {
-        k: CylinderFunction.of_parts(level, q, cols, field)
-        for k, (level, q, cols) in out.items()})
+        k: CylinderFunction.of_parts(level, q, c, field)
+        for k, (level, c) in cols.items()})
+
+
+def _times(cols, m):
+    """The integer columns cols times m."""
+    return cols if m == 1 else [[m * v for v in c] for c in cols]
 
 
 def _scaled(fa, num, den=1):
     """The bare columns fa times num / den."""
-    return {k: (level, q * den, [[num * v for v in c] for c in cols])
-            for k, (level, q, cols) in fa.items()}
+    q, cols = fa
+    return q * den, {k: (level, _times(c, num))
+                     for k, (level, c) in cols.items()}
 
 
-def _sum(diagram, fa, fb):
-    """fa + fb on bare columns: a shift of one side is kept as it is; a
-    shift of both sides is summed over the lcm of the denominators at the
-    higher level, read through the gathers of power 0 (a rational side's
-    missing columns read as zeros), and dropped when all zero."""
+def _sum(diagram, *operands):
+    """The sum of bare columns, over the lcm of their denominators.  Each
+    shift is summed once, over its terms in operand order and as the left
+    fold of pairwise sums would: the running sum is read through the
+    gathers of power 0 at the highest level among the terms since it last
+    cancelled to zero (a rational term's missing columns read as zeros),
+    and a shift whose sum is all zero is dropped."""
+    q = math.lcm(*(qx for qx, _ in operands))
+    terms = {}
+    for qx, fx in operands:
+        for k, (level, cols) in fx.items():
+            terms.setdefault(k, []).append((level, _times(cols, q // qx)))
     out = {}
-    for k in set(fa) | set(fb):
-        if k not in fa or k not in fb:
-            out[k] = fa.get(k) or fb[k]
-            continue
-        (la, qa, ca), (lb, qb, cb) = fa[k], fb[k]
-        top, q = max(la, lb), qa if qa == qb else math.lcm(qa, qb)
-        ca, cb = ([[q // qx * v for v in c] for c in cx] if qx != q else cx
-                  for qx, cx in ((qa, ca), (qb, cb)))
-        ca, cb = ([[c[u] for u in gather(diagram, lx, 0, top)] for c in cx]
-                  if lx != top else cx for lx, cx in ((la, ca), (lb, cb)))
-        cols = [[x + y for x, y in zip(xc, yc)] for xc, yc in zip(ca, cb)]
-        cols += (ca if len(ca) > len(cb) else cb)[len(cols):]
-        if any(map(any, cols)):
-            out[k] = (top, q, cols)
-    return out
+    for k in sorted(terms):
+        acc = None
+        for level, cols in terms[k]:
+            if acc is None:
+                top, acc = level, cols
+                continue
+            if level != top:
+                high = max(top, level)
+                acc, cols = ([[c[u] for u in gather(diagram, lx, 0, high)]
+                              for c in cx] if lx != high else cx
+                             for lx, cx in ((top, acc), (level, cols)))
+                top = high
+            s = [[x + y for x, y in zip(xc, yc)] for xc, yc in zip(acc, cols)]
+            s += (acc if len(acc) > len(cols) else cols)[len(s):]
+            acc = s if any(map(any, s)) else None
+        if acc is not None:
+            out[k] = (top, acc)
+    return q, out
 
 
 def scale(a, c):
     """c a for a rational c (an int or a Fraction)."""
     return _wrap(a, _scaled(_columns(a), c.numerator, c.denominator)
-                 if c else {}, _compatible(a, a))
+                 if c else (1, {}), _compatible(a, a))
 
 
 def subtract(a, b):
@@ -177,55 +199,60 @@ def convolve(a, b, level_cap=LEVEL_CAP):
 
 
 def _product(diagram, fa, fb, field, level_cap):
-    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}) on bare columns.  The
-    terms of one output shift are read at the highest level among them
-    through cached index gathers, so composing with phi^{-i} and lifting
-    move indices, not field elements; they are summed as integers over the
-    lcm of their denominators, and an all-zero sum is dropped.  A level
-    above level_cap raises LevelOverflowError before any product."""
+    """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}) on bare columns, over
+    the product of their denominators.  The terms of one output shift are
+    read at the highest level among them through cached index gathers, so
+    composing with phi^{-i} and lifting move indices, not field elements;
+    they are summed as integers, and an all-zero sum is dropped.  A level
+    above level_cap raises LevelOverflowError before any product.
+
+    Rational values have one column.  In a number field of degree n the
+    columns are the theta^k coefficients, a function with fewer columns
+    having zeros in the rest; column i times column j lands on
+    theta^(i+j), which the field's integer table `powers` spreads over the
+    n columns."""
+    (qa, ca), (qb, cb) = fa, fb
     terms = {}
-    for i, x in fa.items():
-        for j, y in fb.items():
-            top = max(x[0], compose_level(diagram, y[0], -i))
+    for i, (la, xa) in ca.items():
+        for j, (lb, xb) in cb.items():
+            top = compose_level(diagram, lb, -i)
+            if top < la:
+                top = la
             if top > level_cap:
                 raise LevelOverflowError("convolution exceeds level cap %d"
                                          % level_cap)
-            terms.setdefault(i + j, []).append((top, x[1] * y[1], i, x, y))
+            t = terms.setdefault(i + j, [top])
+            if top > t[0]:
+                t[0] = top
+            t.append((i, la, xa, lb, xb))
     out = {}
-    for k, txy in terms.items():
-        top, q = txy[0][:2] if len(txy) == 1 else (
-            max(t[0] for t in txy), math.lcm(*(t[1] for t in txy)))
+    for k in sorted(terms):
+        top, *txy = terms[k]
         acc = None
-        for _, qxy, i, (la, _, ca), (lb, _, cb) in txy:
-            if q != qxy:
-                ca = [[q // qxy * v for v in c] for c in ca]
-            acc = _accumulate(acc, ca, cb, gather(diagram, la, 0, top),
-                              gather(diagram, lb, -i, top), field)
-        if any(map(any, acc)):
-            out[k] = (top, q, acc)
-    return out
-
-
-def _accumulate(acc, ca, cb, ga, gb, field):
-    """acc plus the product of the integer columns ca and cb read through
-    the gathers ga and gb (acc is None for the first term).  Rational
-    values have one column.  In a number field of degree n the columns are
-    the theta^k coefficients, a function with fewer columns having zeros
-    in the rest; column i times column j lands on theta^(i+j), which the
-    field's integer table `powers` spreads over the n columns."""
-    if field is None:
-        (x,), (x2,) = ca, cb
-        if acc is None:
-            return [[x[u] * x2[v] for u, v in zip(ga, gb)]]
-        return [[p + x[u] * x2[v] for p, u, v in zip(acc[0], ga, gb)]]
-    out = acc or [[0] * len(ga) for _ in range(field.n)]
-    for i, x in enumerate(ca):
-        for j, y in enumerate(cb):
-            prod = [x[u] * y[v] for u, v in zip(ga, gb)]
-            for k, w in enumerate(field.powers[i + j]):
-                if w:
-                    out[k] = [p + w * r for p, r in zip(out[k], prod)]
-    return out
+        for i, la, xa, lb, xb in txy:
+            gb = gather(diagram, lb, -i, top)
+            if field is None and la == top:
+                (x,), (y,) = xa, xb
+                acc = [a * y[v] for a, v in zip(x, gb)] if acc is None \
+                    else [p + a * y[v] for p, a, v in zip(acc, x, gb)]
+                continue
+            ga = gather(diagram, la, 0, top)
+            if field is None:
+                (x,), (y,) = xa, xb
+                acc = [x[u] * y[v] for u, v in zip(ga, gb)] if acc is None \
+                    else [p + x[u] * y[v] for p, u, v in zip(acc, ga, gb)]
+                continue
+            acc = acc or [[0] * len(ga) for _ in range(field.n)]
+            for i2, x in enumerate(xa):
+                for j2, y in enumerate(xb):
+                    prod = [x[u] * y[v] for u, v in zip(ga, gb)]
+                    for m, w in enumerate(field.powers[i2 + j2]):
+                        if w:
+                            acc[m] = [p + w * r for p, r in zip(acc[m], prod)]
+        cols = acc if field else [acc]
+        if any(map(any, cols)):
+            out[k] = (top, cols)
+    return qa * qb, out
 
 
 def involution(a, level_cap=LEVEL_CAP):
@@ -233,7 +260,7 @@ def involution(a, level_cap=LEVEL_CAP):
     the identity.  The composition reads each coefficient's columns
     through a cached index gather."""
     diagram, out = a.diagram, {}
-    for k, f in a.coeffs.items():
+    for k, f in sorted(a.coeffs.items(), reverse=True):
         level = compose_level(diagram, f.level, k)
         if level > level_cap:
             raise LevelOverflowError("involution exceeds level cap %d"
@@ -251,22 +278,22 @@ def power(a, n, level_cap=LEVEL_CAP):
         raise PreconditionError("negative powers need neumann_invert")
     if n == 0:
         return unit(a.diagram, a.lam, a.alpha)
-    field = _compatible(a, a)
-    out, fa = _first(a, field, level_cap), _columns(a)
+    field, fa = _compatible(a, a), _columns(a)
+    if any(level > level_cap for level, _ in fa[1].values()):
+        raise LevelOverflowError("convolution exceeds level cap %d"
+                                 % level_cap)
+    out = _first(fa, field.n) if field else fa
     for _ in range(1, n):
         out = _product(a.diagram, out, fa, field, level_cap)
     return _wrap(a, out, field)
 
 
-def _first(a, field, level_cap):
-    """The bare columns of 1 a: a's, each level checked against level_cap
-    and rational columns padded with zeros to the degree of field."""
-    if any(f.level > level_cap for f in a.coeffs.values()):
-        raise LevelOverflowError("convolution exceeds level cap %d"
-                                 % level_cap)
-    n = field.n if field else 1
-    return {k: (level, q, cols + [[0] * len(cols[0])] * (n - len(cols)))
-            for k, (level, q, cols) in _columns(a).items()}
+def _first(fa, n):
+    """The bare columns of 1 a in a field of degree n, from those of a:
+    rational columns padded with zeros to n columns."""
+    q, cols = fa
+    return q, {k: (level, c + [[0] * len(c[0])] * (n - len(c)))
+               for k, (level, c) in cols.items()}
 
 
 def project_support(a, n):
@@ -358,14 +385,15 @@ def norms(a, s, q, triangle=None):
     tail supremum runs over N = -1 .. max support index (P_{-1} = 0), so
     concentrated supports still see one nonzero tail term.  The Hoelder
     norms read the floats of the coefficients off their columns
-    (`martingale.float_values`)."""
+    (`martingale.float_values`) in ascending shift order, so the float
+    sums do not depend on the order the coeffs dict was built in."""
     tri = _default_triangle(a.diagram, a.lam) if triangle is None \
         else float(triangle)
     expo = tri > 1.0
     sf, qf, af, lamf = float(s), float(q), float(a.alpha), float(a.lam)
     # read before the try: a value beyond the floats is no alpha overflow
     fns = {k: CylinderFunction(f.level, float_values(*f.parts))
-           for k, f in a.coeffs.items()}
+           for k, f in sorted(a.coeffs.items())}
     try:
         by_k = {k: holder_norm(a.diagram, f, af, lamf)["norm"]
                 for k, f in fns.items()}
@@ -422,24 +450,25 @@ def neumann_invert(h, tol=1e-10):
         raise PreconditionError("tol must be finite and > 0, got %r"
                                 % (tol,))
     tri = _default_triangle(h.diagram, h.lam)
-    d, field = h.diagram, _compatible(h, h)
+    d, field, hc = h.diagram, _compatible(h, h), _columns(h)
     one = _columns(unit(d, h.lam, h.alpha))
-    fc = _sum(d, one, _scaled(_columns(h), -1))
+    fc = _sum(d, one, _scaled(hc, -1))
     f = _wrap(h, fc, field)
     small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     if not small < 0.5:
         raise NormTooLargeError()
     m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
     f_field = _compatible(f, f)
-    term, inv, used = _first(f, f_field, LEVEL_CAP), one, 0
-    while term and used < m:
-        inv, used = _sum(d, inv, term), used + 1
-        term = _product(d, term, fc, f_field, LEVEL_CAP) if used < m else {}
-    residual = _sum(d, _product(d, _columns(h), inv, field, LEVEL_CAP),
+    terms = [_first(fc, f_field.n) if f_field else fc]
+    while terms[-1][1] and len(terms) < m:
+        terms.append(_product(d, terms[-1], fc, f_field, LEVEL_CAP))
+    terms = [t for t in terms if t[1]]
+    inv = _sum(d, one, *terms)
+    residual = _sum(d, _product(d, hc, inv, field, LEVEL_CAP),
                     _scaled(one, -1))
     res = norms(_wrap(h, residual, field), 0, 1, triangle=tri)["l1_alpha"]
     return NeumannInverse(element=_wrap(h, inv, field), residual=res,
-                          terms=used)
+                          terms=len(terms))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 from conftest import rng
 from test_step import _prefixed, _random_diagram
 
-from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE, add,
-                          check_trial, convolve, element, equal_elements,
-                          involution, jolissaint_holds, neumann_invert, norms,
-                          power, rand_element, scale, subtract, trace,
-                          triangle_phi, unit)
+from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE,
+                          AlgebraElement, _columns, _sum, add, check_trial,
+                          complement_support, convolve, element,
+                          equal_elements, involution, jolissaint_holds,
+                          neumann_invert, norms, power, project_support,
+                          rand_element, scale, subtract, trace, triangle_phi,
+                          unit)
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
@@ -262,8 +265,9 @@ def _neumann_loop(h, tol):
 
 
 def _same(got, want):
-    """The same shifts in the same order (the float norms sum in it), and
-    per shift the same level, values and value types."""
+    """The same shifts in the same, ascending order (every operation
+    returns its shifts so), and per shift the same level, values and value
+    types."""
     assert list(got.coeffs) == list(want.coeffs)
     _same_values(got, want.coeffs)
 
@@ -340,6 +344,129 @@ def test_neumann_of_a_field_one_matches_the_public_loop(odo2):
 def test_the_cancelling_example_cancels():
     sums = _neumann_loop(_spec_element(CANCELLING)[1], 1e-2)[3]
     assert [2 in s for s in sums[:4]] == [False, True, False, True]
+
+
+def _ascending(a):
+    return list(a.coeffs) == sorted(a.coeffs)
+
+
+def test_every_operation_returns_ascending_shifts(odo2):
+    # inputs built from dicts in descending and mixed shift order
+    r = rng(512)
+    a = element(odo2, 2, 3, {k: rand_function(r, odo2, r.randint(0, 2))
+                             for k in (2, 1, -1, -2)})
+    b = element(odo2, 2, 3, {k: rand_function(r, odo2, r.randint(0, 2))
+                             for k in (1, -2, 0)})
+    f = scale(a, Fraction(2, 5) / Fraction(norms(a, 3, 1)["s_alpha"]))
+    h = subtract(unit(odo2, 2, 3), f)
+    outs = [a, b, unit(odo2, 2, 3), add(a, b), subtract(b, a), scale(a, 3),
+            convolve(a, b), convolve(b, a), involution(a), involution(b),
+            project_support(a, 1), complement_support(b, 0),
+            neumann_invert(h, tol=1e-3).element]
+    outs += [power(b, n) for n in range(4)]
+    assert all(map(_ascending, outs))
+    assert [len(x.coeffs) > 2 for x in outs[3:9]] == [True] * 6
+
+
+def test_norms_do_not_depend_on_the_order_of_the_coeffs_dict(odo2):
+    # 1 + 2^-53 + 2^-53 is 1.0 summed from the left and 1 + 2^-52 from
+    # the right, so an order-dependent sum reads different floats
+    tiny = Fraction(1, 2 ** 53)
+    coeffs = element(odo2, 2, 3, {k: constant_function(odo2, v) for k, v in
+                                  ((0, Fraction(1)), (1, tiny),
+                                   (2, tiny))}).coeffs
+    want = norms(element(odo2, 2, 3, coeffs), 0, 1, triangle=1.0)
+    for order in permutations(coeffs):
+        a = AlgebraElement(odo2, 2, 3, {k: coeffs[k] for k in order})
+        assert norms(a, 0, 1, triangle=1.0) == want, order
+
+
+# the n-ary sum of bare columns against the pairwise left fold
+
+def _series(spec, n=4):
+    """(diagram name, bare columns of 1, f, ..., f^(n-1)) for the element
+    f of a spec: the operands of a Neumann partial sum."""
+    f = _spec_element(spec)[0]
+    return spec[0], [_columns(power(f, i)) for i in range(n)]
+
+
+# On odo2: shift 0 at level 2, then its negative, then at level 0.  The
+# fold drops the shift at the second operand, so the third brings it back
+# at level 0, below the highest level among its terms.
+RETURNING = ("odo2", [(2, {0: (2, [[1, 2, 3, 4]]), 1: (1, [[1, -1]])}),
+                      (4, {0: (2, [[-2, -4, -6, -8]])}),
+                      (3, {0: (0, [[1]]), 1: (0, [[2]])})])
+
+
+@st.composite
+def _bare_operands(draw):
+    """(diagram name, 1 to 5 operands (q, {shift: (level, cols)})): shifts
+    in -1..1, one or two columns, values halves in [-1, 1] over q in 2, 4
+    or 6.  A shift of an operand is, at random, the negative of the fold
+    of the operands before it, so that partial sums cancel and later
+    operands bring the shift back."""
+    name = draw(st.sampled_from(("odo2", "odo2", "pisot31")))
+    d, operands = builtin_diagram(name), []
+    for _ in range(draw(st.integers(1, 5))):
+        q, cols = draw(st.sampled_from((2, 4, 6))), {}
+        before = _pairwise_fold(d, operands)
+        for k in draw(st.sets(st.integers(-1, 1), min_size=1, max_size=3)):
+            if k in before and draw(st.booleans()):
+                level, c = before[k]
+                cols[k] = (level, [[int(-v * q) for v in col] for col in c])
+                continue
+            level = draw(st.integers(0, 2))
+            n = len(enumerate_paths(d, level))
+            column = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+            c = draw(st.lists(column, min_size=1, max_size=2).filter(
+                lambda c: any(map(any, c))))
+            cols[k] = (level, [[v * q // 2 for v in col] for col in c])
+        operands.append((q, cols))
+    return name, operands
+
+
+def _pairwise_fold(d, operands):
+    """{shift: (level, columns of Fractions)}: the left fold of pairwise
+    sums read value by value.  A shift of one side is kept; one of both
+    sides is summed at the higher level, a missing column reading as
+    zeros, and dropped when all zero."""
+    out = {}
+    for q, cols in operands:
+        for k, (level, c) in cols.items():
+            term = (level, [[Fraction(v, q) for v in col] for col in c])
+            if k not in out:
+                out[k] = term
+                continue
+            (la, ca), (lb, cb) = out.pop(k), term
+            top, width = max(la, lb), max(len(ca), len(cb))
+            zero = [0] * len(enumerate_paths(d, top))
+            ca, cb = ([lift(d, from_vector(d, lx, col), top).values
+                       for col in cx] + [zero] * (width - len(cx))
+                      for lx, cx in ((la, ca), (lb, cb)))
+            s = [[x + y for x, y in zip(xc, yc)] for xc, yc in zip(ca, cb)]
+            if any(map(any, s)):
+                out[k] = (top, s)
+    return out
+
+
+@example(_series(CANCELLING))
+@example(_series((*RISING, "fraction")))
+@example(_series((*FALLING, "fraction")))
+@example(RETURNING)
+@given(_bare_operands())
+def test_the_n_ary_sum_is_the_pairwise_fold(case):
+    name, operands = case
+    d = builtin_diagram(name)
+    q, out = _sum(d, *operands)
+    assert list(out) == sorted(out)
+    assert {k: (level, [[Fraction(v, q) for v in col] for col in c])
+            for k, (level, c) in out.items()} == _pairwise_fold(d, operands)
+
+
+def test_the_returning_example_returns_below_the_top_level():
+    # 1/3 at level 0, and shift 1 summed at its higher level, 1
+    q, out = _sum(builtin_diagram("odo2"), *RETURNING[1])
+    assert (q, out) == (12, {0: (0, [[4]]), 1: (1, [[14, 2]])})
 
 
 # add, subtract, scale and involution against pointwise references

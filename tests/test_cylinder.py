@@ -15,10 +15,12 @@ from adic.catalog import builtin_diagram
 from adic.cohomology import birkhoff_cochain
 from adic.diagrams import (FinitePath, LazyPath, TAIL_MAX, TAIL_MIN,
                            enumerate_paths, extreme_path, materialize,
-                           path_index, path_range, path_source, path_table)
+                           path_index, path_range, path_source, path_table,
+                           successor)
 from adic.errors import NotProperlyOrderedError, PreconditionError
-from adic.martingale import (compose_phi, from_vector, gather, holder_norm,
-                             lift, nu_mean, phi_transient, project)
+from adic.martingale import (compose_level, compose_phi, from_vector,
+                             gather, holder_norm, lift, nu_mean,
+                             phi_transient, project)
 from adic.measures import renorm_data, xi_vector
 
 TOP = 3
@@ -157,6 +159,35 @@ def test_compose_phi_matches_stepped_reference(diagrams):
                 got = compose_phi(d, h, power)
                 assert got.level <= L, (d, m, power)
                 assert lift(d, got, L).values == want, (d, m, power)
+
+
+def test_gather_matches_pointwise_composition():
+    # gather(d, m, power, k)[i] is the level-m index that h o phi^power,
+    # lifted to level k, reads on the i-th level-k cylinder: phi stepped
+    # point by point (`successor`) from the minimal and the maximal tail of
+    # every cylinder, at k from `compose_level` to one above, on the
+    # builtins behind a `_prefixed` level and on `_prefix_draws`
+    ds = [_prefixed(builtin_diagram(name))
+          for name in ("odo2", "odo3", "fib", "pisot31")]
+    for d in ds + _prefix_draws(14, 10):
+        for m in range(3):
+            index = from_vector(d, m, list(range(len(enumerate_paths(d, m)))))
+            for power in (1, 2, 3, -1, -2, -3):
+                direction = 1 if power > 0 else -1
+                try:
+                    top = compose_level(d, m, power)
+                except NotProperlyOrderedError:
+                    continue
+                for k in (top, top + 1):
+                    got, paths = gather(d, m, power, k), enumerate_paths(d, k)
+                    assert len(got) == len(paths)
+                    for i, p in enumerate(paths):
+                        for tail in (TAIL_MIN, TAIL_MAX):
+                            x = LazyPath(p, tail)
+                            for _ in range(abs(power)):
+                                x = successor(d, x, direction)
+                            assert index.evaluate(d, x) == got[i], \
+                                (d, m, power, k, i, tail.kind)
 
 
 def _charge(built):
