@@ -207,12 +207,16 @@ def load_element(path, diagram=None, alpha=None):
     else:
         lam_val = _positive("lam", _parse_value(lam_val, "lam"))
     base = os.path.dirname(os.path.abspath(path))
-    coeffs = {}
+    coeffs, keys = {}, {}
     for k, ref in data.get("coeffs", {}).items():
         try:
             shift = int(k)
         except ValueError:
             raise ParseError("shift %r is not an integer" % (k,)) from None
+        if shift in keys:
+            raise ParseError("shifts %r and %r are both shift %d"
+                             % (keys[shift], k, shift))
+        keys[shift] = k
         if isinstance(ref, dict):
             coeffs[shift] = function_from_dict(diagram, ref)
         elif isinstance(ref, str):

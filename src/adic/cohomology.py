@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 from .diagrams import path_table
 from .martingale import field_values
@@ -158,11 +159,14 @@ def _projection(tower):
 class Functionals:
     """The h-independent part of the distributions of a tower: rows[j]
     holds the d vertex rows of level base + j, norms the Gram norms, and
-    step the Drazin inverse of A, which carries the rows one level up."""
+    step the Drazin inverse of A, which carries the rows one level up.
+    scaled[m] holds the rows of level m as (den, integer rows over den),
+    built for the levels that `distributions` reads."""
     base: int
     step: list
     norms: tuple
     rows: list
+    scaled: dict
 
 
 def tower_functionals(tower):
@@ -189,7 +193,8 @@ def tower_functionals(tower):
         base=base, step=mat_mul(_inverse(shifted), proj),
         norms=tuple(_dot(w, b, b) for b in basis),
         rows=[mat_mul([[wi * bi for wi, bi in zip(w, b)] for b in basis],
-                      proj)])
+                      proj)],
+        scaled={})
     return fn
 
 
@@ -212,6 +217,20 @@ def evaluation_level(tower, h):
     return max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
 
 
+def _scaled_rows(tower, m):
+    """(den, rows): the vertex rows of level m (`vertex_functionals`) as
+    integer rows over one denominator, built once per level and kept with
+    the tower's functionals."""
+    fn = tower_functionals(tower)
+    out = fn.scaled.get(m)
+    if out is None:
+        rows = vertex_functionals(tower, m)
+        den = math.lcm(*(x.denominator for row in rows for x in row))
+        out = fn.scaled[m] = den, [[x.numerator * (den // x.denominator)
+                                    for x in row] for row in rows]
+    return out
+
+
 def distributions(h, tower):
     """The d invariant-distribution values on h, measure direction first.
 
@@ -219,15 +238,20 @@ def distributions(h, tower):
     pairing numerators decide vanishing one by one.  A call takes the block
     sums of h at its evaluation level and applies the vertex rows of that
     level from `tower_functionals`, so h and every lift of h read the same
-    values."""
+    values.  Both are integers over one denominator, the block sums of h's
+    columns (`block_sums`) and the rows (`_scaled_rows`), so a numerator is
+    one integer per column, read as a Fraction or field element once."""
     fn = tower_functionals(tower)
     k_eval = evaluation_level(tower, h)
-    nums = mat_vec(vertex_functionals(tower, k_eval),
-                   birkhoff_cochain(tower.diagram, h, k_eval))
+    den, rows = _scaled_rows(tower, k_eval)
+    q, cols, nf = h.parts
+    nums = field_values(den * q, [
+        [sum(map(mul, row, sums)) for row in rows]
+        for sums in block_sums(tower.diagram, h.level, cols, k_eval)], nf)
     return [DistributionValue(index=i + 1, numerator=num,
-                              value=float(num) / math.sqrt(float(den)),
+                              value=float(num) / math.sqrt(float(norm)),
                               exact_zero=num == 0)
-            for i, (num, den) in enumerate(zip(nums, fn.norms))]
+            for i, (num, norm) in enumerate(zip(nums, fn.norms))]
 
 
 def certificate(h, tower):

@@ -229,7 +229,17 @@ def holder_norm(diagram, h, alpha, lam):
     that share their first j-1 edges: sibling runs, since the children of
     the paths into a vertex s of V_(j-1) are the runs first[e] + [0, |E_s|)
     of `path_table(diagram, j)`, one per out-edge e of s, read in parallel.
-    A value or a weight lam^alpha beyond the floats raises OverflowError."""
+    A value or a weight lam^alpha beyond the floats raises OverflowError.
+
+    The sweep goes down from level m and stops at its weight bound.  Every
+    spread is a difference of two values, so it is at most span = max - min,
+    float subtraction and multiplication rounding monotonically.  Once the
+    seminorm so far is positive and span * lam^((i-1) alpha) is at most it
+    for every level i below, no level below can raise it, and the value
+    ranges of the next level are never built.  A NaN span never stops the
+    sweep, and a NaN spread never enters the seminorm; the bound reads only
+    weights between 1 and one already computed, so it overflows nowhere
+    the full sweep would not."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
@@ -237,6 +247,7 @@ def holder_norm(diagram, h, alpha, lam):
     semi = 0.0
     lo = hi = list(map(float, h.values))
     sup = max(map(abs, lo), default=0.0)
+    span = max(lo, default=0.0) - min(lo, default=0.0)
     for j in range(m, 0, -1):
         if j == 1:
             # distinct level-1 cylinders lie at distance 1, whatever their
@@ -246,7 +257,7 @@ def holder_norm(diagram, h, alpha, lam):
         else:
             below = path_table(diagram, j - 1).offsets
             first = path_table(diagram, j).first
-            spreads, lows, highs = [], [], []
+            spreads, runs = [], []
             for s, es in enumerate(out_edges(diagram.level(j))):
                 size = below[s + 1] - below[s]
                 # the runs in path order, which a NaN result depends on; a
@@ -256,12 +267,20 @@ def holder_norm(diagram, h, alpha, lam):
                 his = [hi[a:a + size] for a in cut] or [[-math.inf] * size]
                 spreads.extend(map(sub, his[u], los[w])
                                for u, w in permutations(range(len(cut)), 2))
-                lows.extend(map(min, *los) if len(los) > 1 else los[0])
-                highs.extend(map(max, *his) if len(his) > 1 else his[0])
+                runs.append((los, his))
             best = max(chain.from_iterable(spreads), default=0.0)
-            lo, hi = lows, highs
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
+        if semi > 0 and all(span * lamf ** ((i - 1) * alpha) <= semi
+                            for i in range(j - 1, 0, -1)):
+            break
+        if j > 1:
+            lo = list(chain.from_iterable(
+                map(min, *los) if len(los) > 1 else los[0]
+                for los, _ in runs))
+            hi = list(chain.from_iterable(
+                map(max, *his) if len(his) > 1 else his[0]
+                for _, his in runs))
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 

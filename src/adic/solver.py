@@ -89,10 +89,11 @@ def _gauged(q, runs, d, gauge):
     the gauge) of runs / q - gauge."""
     gq, gcols, gd = integer_parts([gauge])
     big = math.lcm(q, gq)
+    up, gup = big // q, big // gq
     width = max(len(runs), len(gcols))
     runs = runs + [[0] * len(runs[0])] * (width - len(runs))
     gcols = gcols + [[0]] * (width - len(gcols))
-    return big, [[r * (big // q) - c * (big // gq) for r in run]
+    return big, [[r * up - c * gup for r in run]
                  for run, (c,) in zip(runs, gcols)], d or gd
 
 
@@ -329,12 +330,16 @@ def birkhoff(diagram, h, start, n_total):
     prefix sums, about log n levels, so a call costs O(levels * in-degree)
     per checkpoint plus the ranges it reads, not one step per iterate.
     sup_abs is read off the extreme prefix sums, so it is exact.  Rational
-    and float values are summed exactly as h's integer columns (`parts`);
-    float input reports the float nearest each exact sum.  Other values
-    (field elements, NaN, infinities) are summed as they are."""
+    and float values are summed exactly as h's integer columns (`parts`)
+    over their denominator q; float input reports the float nearest each
+    exact sum, rational input its Fraction.  The fit and mean_rate read the
+    floats acc / q off the integer sums, correctly rounded as integer true
+    division is, so they are those of the Fractions.  Other values (field
+    elements, NaN, infinities) are summed as they are."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
-    table, value = h.values, (lambda a: a)
+    table, exact = h.values, (lambda a: a)
+    inexact = exact
     try:
         q, cols, field = h.parts
         rational = field is None
@@ -342,8 +347,9 @@ def birkhoff(diagram, h, start, n_total):
         rational = False
     if rational:
         # a finite float is the dyadic rational it stores
-        floats = any(isinstance(v, float) for v in table)
-        table, value = cols[0], lambda a: a / q if floats else Fraction(a, q)
+        floats = any(issubclass(t, float) for t in set(map(type, table)))
+        table, inexact = cols[0], (lambda a: a / q)
+        exact = inexact if floats else (lambda a: Fraction(a, q))
     m = max(h.level, 1)
     if not h.level:
         table = [table[i] for i in path_table(diagram, 1).parent]
@@ -361,9 +367,11 @@ def birkhoff(diagram, h, start, n_total):
             sup = top if top > sup else sup
             sup = bottom if bottom > sup else sup
             acc += s
-        out.append((n, value(acc)))
-    slope, r2, ok = _fit_exponent(out, n_total)
-    return BirkhoffReport(n_total=n_total, checkpoints=tuple(out),
-                          sup_abs=value(sup),
-                          mean_rate=float(out[-1][1]) / n_total,
+        out.append((n, acc))
+    points = [(n, inexact(s)) for n, s in out]
+    slope, r2, ok = _fit_exponent(points, n_total)
+    return BirkhoffReport(n_total=n_total,
+                          checkpoints=tuple((n, exact(s)) for n, s in out),
+                          sup_abs=exact(sup),
+                          mean_rate=float(points[-1][1]) / n_total,
                           exponent=slope, r_squared=r2, claimed=ok)

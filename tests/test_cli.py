@@ -846,6 +846,25 @@ def test_element_file_rejects_bad_entries(capsys, work, change, message):
     assert message in err
 
 
+@pytest.mark.parametrize("first, second", [("1", "01"), ("01", "1"),
+                                           ("1", "+1"), ("-2", "-02")])
+def test_element_file_rejects_two_keys_of_one_shift(capsys, work, first,
+                                                    second):
+    # the later coefficient would replace the earlier one without a word:
+    # with 1/10 at the second key the element is refused as too large for
+    # the Neumann series, with 1/50 alone it inverts
+    spec = {"diagram": "odo2", "alpha": 3, "coeffs": {
+        "0": {"level": 0, "values": {"0": "1"}},
+        first: {"level": 0, "values": {"0": "1/50"}},
+        second: {"level": 0, "values": {"0": "1/10"}}}}
+    (work / "twice.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["algebra", "invert", "--element",
+                                str(work / "twice.json"), "--tol", "0.01"])
+    assert (rc, out) == (2, "")
+    assert err == "error: shifts %r and %r are both shift %d\n" % (
+        first, second, int(first))
+
+
 @pytest.mark.parametrize("spec, message", [
     ([], "an element file is an object"),
     ({"diagram": "odo2", "alpha": 3, "coeffs": [1, 2]},

@@ -2,6 +2,7 @@
 rank."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -17,8 +18,9 @@ from test_step import _prefixed, _random_diagram
 import adic
 from adic.cli import main
 from adic.cohomology import (birkhoff_cochain, certificate, distributions,
-                             is_coboundary_class, limit_rank,
-                             tower_functionals, vertex_functionals)
+                             evaluation_level, is_coboundary_class,
+                             limit_rank, tower_functionals,
+                             vertex_functionals)
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, path_range,
                            path_table)
@@ -26,7 +28,7 @@ from adic.errors import PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data
-from adic.scalars import mat_mul
+from adic.scalars import mat_mul, mat_vec
 from adic.solenoid import build_complex
 from adic.solver import solve
 
@@ -397,3 +399,43 @@ def test_distributions_are_invariant_under_phi(d, power, level, seed):
     hk = compose_phi(d, h, power)
     assert [dv.numerator for dv in distributions(hk, tower)] == \
         [dv.numerator for dv in distributions(h, tower)]
+
+
+@example(_prefixed(builtin_diagram("pisot31")), "field", 2, 0)
+@example(builtin_diagram("fib"), "field", 1, 0)
+@given(_drawn_diagrams(), st.sampled_from(("rational", "field", "float")),
+       st.integers(0, 3), st.integers(0, 2 ** 16))
+def test_distributions_match_rows_times_cochain(d, kind, level, seed):
+    # the integer rows over one denominator, applied to the integer block
+    # sums, give the numerators of the Fraction rows times the Fraction
+    # block sums: to the repr, with the same floats and exact zeros, for
+    # rational, Q(lambda) and float values of h, of h o phi - h and of
+    # their lifts.  The one-edge loop has Perron root 1
+    if d.matrix(len(d.levels)) == [[1]]:
+        return
+    tower = _tower(d)
+    lam = renorm_data(d).lambda_mu
+    r = random.Random(seed)
+    value = {"rational": lambda: Fraction(r.randint(-8, 8), 4),
+             "field": lambda: lam * Fraction(r.randint(-8, 8), 4)
+             + Fraction(r.randint(-8, 8), 3),
+             "float": lambda: r.uniform(-2, 2)}[kind]
+    h = from_vector(d, level, [value() for _ in
+                               range(path_table(d, level).offsets[-1])])
+    moved = compose_phi(d, h, 1)
+    cob = moved - lift(d, h, moved.level)
+    norms = tower_functionals(tower).norms
+    for f in (h, lift(d, h, level + 1), cob, lift(d, cob, cob.level + 1)):
+        k = evaluation_level(tower, f)
+        want = mat_vec(vertex_functionals(tower, k),
+                       birkhoff_cochain(d, f, k))
+        got = distributions(f, tower)
+        assert [repr(dv.numerator) for dv in got] == list(map(repr, want))
+        assert [dv.value for dv in got] == [
+            float(x) / math.sqrt(float(n)) for x, n in zip(want, norms)]
+        assert [dv.exact_zero for dv in got] == [x == 0 for x in want]
+    if kind != "float":
+        # float differences are rounded: only an exact h o phi - h is a
+        # coboundary
+        assert all(dv.exact_zero for f in (cob, lift(d, cob, cob.level + 1))
+                   for dv in distributions(f, tower))

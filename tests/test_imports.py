@@ -38,6 +38,8 @@ REFERENCES = {
         "test_solenoid.py::test_diameter_against_point_distances",
     "martingale.CylinderFunction.evaluate":
         "test_step.py::test_compose_phi_matches_lazy_successors",
+    "cohomology.birkhoff_cochain":
+        "test_cohomology.py::test_distributions_match_rows_times_cochain",
 }
 
 

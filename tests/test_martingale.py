@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from conftest import rng
 
+import adic.martingale
+
 from test_step import _prefixed, _random_diagram
 
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, enumerate_paths,
@@ -60,6 +62,10 @@ def test_holder_norm_examples(odo2):
     assert n1["sup"] == 1.0 and n1["seminorm"] == 1.0 and n1["norm"] == 2.0
     n3 = holder_norm(odo2, ind, 3, 2)
     assert n3["norm"] == 2.0
+    # no weight is computed before some spread is positive: a constant of
+    # level 3 raises no OverflowError, though 2^(2 * 10^4) overflows
+    flat = from_vector(odo2, 3, [Fraction(1, 3)] * 8)
+    assert holder_norm(odo2, flat, 1e4, 2)["seminorm"] == 0.0
 
 
 def test_holder_seminorm_scales_with_level(odo2):
@@ -85,11 +91,21 @@ def _brute_holder(d, h, alpha, lam):
     return max(abs(u) for _, u in items) + semi
 
 
-def test_holder_norm_matches_pairwise_maximum():
+def test_holder_norm_matches_pairwise_maximum(monkeypatch):
     # bit for bit: rounding is monotone, so the max over value ranges of
     # sibling runs is the max over pairs; the repeating level of the first
     # diagram has a vertex with a single out-edge, and vertex 1 of V_1 of
-    # the last one, which does not repeat, has no out-edge at all
+    # the last one, which does not repeat, has no out-edge at all.  The
+    # sweep stops at its weight bound: a level-j pattern over small detail
+    # stops it at level j, and the levels j >= 2 it sweeps (one out_edges
+    # call each) show that every level is reached as a stop.  alpha = -0.25
+    # is solve's alpha - 2 - epsilon for alpha = 2: its weights fall with
+    # the level, so the bound never holds early.  Constants (span 0),
+    # level-0 functions and a value of +-inf (an infinite span) go through
+    # the same checks
+    swept = []
+    monkeypatch.setattr(adic.martingale, "out_edges",
+                        lambda ld: swept.append(ld) or out_edges(ld))
     r = rng(104)
     single = _random_diagram(r, 2, 4)
     while min(map(len, out_edges(single.levels[-1]))) != 1:
@@ -102,20 +118,35 @@ def test_holder_norm_matches_pairwise_maximum():
         make_level(2, 1, [(0, 0), (0, 0)], [[1, 0]]),
         make_level(1, 1, [(0, 0), (0, 0)], [[0, 1]]))), 2.0, 3))
     for d, lam, top in cases:
+        fs = [constant_function(d, Fraction(5, 2), 0),
+              rand_function(r, d, 0)]
         for level in range(1, top + 1):
             h = rand_function(r, d, level)
-            # a level-1 pattern over small detail: the spreads of the lower
+            # a level-j pattern over small detail: the spreads of the other
             # levels then come from the value ranges of the runs below
-            tilted = lift(d, rand_function(r, d, 1), level) + from_vector(
-                d, level, [v / 64 for v in h.values])
-            # shifted by 3 or -3, all values have one sign, so that a bound
-            # of 0 for paths without children would be the level-1 spread
-            for f in [h] + [from_vector(d, level, [v + c for v in
-                                                   tilted.values])
-                            for c in (0, 3, -3)]:
-                for alpha in (0.75, 3.0):
-                    assert holder_norm(d, f, alpha, lam)["norm"] == \
-                        _brute_holder(d, f, alpha, lam), (d, level, alpha)
+            for j in range(1, level + 1):
+                tilted = lift(d, rand_function(r, d, j), level) + \
+                    from_vector(d, level, [v / 64 for v in h.values])
+                # shifted by 3 or -3, all values have one sign, so that a
+                # bound of 0 for paths without children would be the
+                # level-1 spread
+                fs += [from_vector(d, level, [v + c for v in tilted.values])
+                       for c in ((0, 3, -3) if j == 1 else (0,))]
+            fs += [h, from_vector(d, level, [Fraction(1, 3)] * len(h.values))]
+            fs += [from_vector(d, level, [inf] + h.values[1:])
+                   for inf in (math.inf, -math.inf)]
+        stops = {level: set() for level in range(1, top + 1)}
+        for f in fs:
+            for alpha in (0.75, 3.0, -0.25):
+                swept.clear()
+                assert holder_norm(d, f, alpha, lam)["norm"] == \
+                    _brute_holder(d, f, alpha, lam), (d, f.level, alpha)
+                if f.level:
+                    stops[f.level].add(len(swept))
+        # a function of level m that stops at level j >= 2 sweeps m - j + 1
+        # levels; the full sweep (or a stop at level 1) sweeps m..2
+        assert stops == {level: set(range(1, level)) or {0}
+                         for level in stops}, d
 
 
 def test_holder_norm_with_nan_is_pinned():

@@ -448,20 +448,36 @@ def test_functions_of_one_level_share_an_orbit_schedule(pisot31):
     assert hs[0].values != hs[1].values
 
 
+class _Float(float):
+    """A float subclass, which birkhoff reads as float input."""
+
+
 def test_birkhoff_float_sums_are_exact_then_rounded(fib):
     # each float is summed as the dyadic rational it is; the report holds
-    # the float nearest each exact sum, not a sequentially rounded one
+    # the float nearest each exact sum, not a sequentially rounded one.
+    # Any float value makes float input: all floats, floats among
+    # Fractions, or a float subclass.  mean_rate and the exponent fit read
+    # float(S_n) of the exact sums, for Fraction input as for float input
     r = rng(410)
     exact = [Fraction(r.randint(-99, 99), 10) for _ in range(5)]
-    fh = from_vector(fib, 2, [float(v) for v in exact])
     qh = from_vector(fib, 2, [Fraction(float(v)) for v in exact])
     start = LazyPath(FinitePath(()), TAIL_MIN)
-    got = birkhoff(fib, fh, start, 1000)
     want = birkhoff(fib, qh, start, 1000)
-    assert got.checkpoints == tuple((n, float(s)) for n, s in want.checkpoints)
-    assert all(isinstance(s, float) for _, s in got.checkpoints)
-    assert got.sup_abs == float(want.sup_abs)
-    assert got.mean_rate == want.mean_rate
+    floats = tuple((n, float(s)) for n, s in want.checkpoints)
+    fit = adic.solver._fit_exponent(floats, 1000)
+    assert fit[0] is not None
+    assert (want.mean_rate, want.exponent, want.r_squared, want.claimed) \
+        == (floats[-1][1] / 1000,) + fit
+    for vals in ([float(v) for v in exact],
+                 [float(v) if i % 2 else Fraction(float(v))
+                  for i, v in enumerate(exact)],
+                 [_Float(v) for v in exact]):
+        got = birkhoff(fib, from_vector(fib, 2, vals), start, 1000)
+        assert got.checkpoints == floats
+        assert all(type(s) is float for _, s in got.checkpoints)
+        assert got.sup_abs == float(want.sup_abs)
+        assert (got.mean_rate, got.exponent, got.r_squared, got.claimed) \
+            == (want.mean_rate, want.exponent, want.r_squared, want.claimed)
     # NaN is no rational; it is summed as a float, as before
     nan = birkhoff(fib, from_vector(fib, 2, [math.nan] * 5), start, 10)
     assert math.isnan(nan.checkpoints[-1][1])
