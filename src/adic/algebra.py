@@ -43,11 +43,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cohomology import distributions, evaluation_level
-from .diagrams import (LazyPath, TAIL_MIN, enumerate_paths,
+from .diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
                        first_disagreement, materialize, successor)
 from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
-                     PreconditionError)
+                     NumericError, PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, rand_function)
 from .measures import renorm_data
@@ -55,6 +55,9 @@ from .solver import _overflow
 
 LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
+# the default distortion sweep climbs past level 3 only through levels of
+# at most this many paths: its cost is quadratic in their number
+TRIANGLE_PATHS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -370,8 +373,23 @@ def triangle_phi(diagram, L, lam=None):
     return TriangleEstimate(value=best, level=L)
 
 
-def _default_triangle(diagram, lam):
-    return triangle_phi(diagram, 3, float(lam)).value
+def default_triangle(diagram, lam):
+    """The distortion estimate that the norms default to: `triangle_phi`
+    at L = max(3, len(levels) + 2), so that the sweep runs two levels past
+    the materialized ones, prefix levels included.  The sweep compares
+    every pair of level-L paths, so past L = 3 it climbs only through
+    levels of at most TRIANGLE_PATHS paths and stops below the first
+    larger one; the estimate is nondecreasing in L, so it stays a lower
+    bound."""
+    L = 3
+    while L < len(diagram.levels) + 2:
+        try:
+            if sum(count_paths(diagram, L + 1)) > TRIANGLE_PATHS:
+                break
+        except LevelOverflowError:
+            break
+        L += 1
+    return triangle_phi(diagram, L, float(lam)).value
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +402,17 @@ def norms(a, s, q, triangle=None):
     estimate when it exceeds 1, polynomial in the index otherwise.  The
     tail supremum runs over N = -1 .. max support index (P_{-1} = 0), so
     concentrated supports still see one nonzero tail term.  The Hoelder
-    norms read the floats of the coefficients off their columns
-    (`martingale.float_values`) in ascending shift order, so the float
-    sums do not depend on the order the coeffs dict was built in."""
-    tri = _default_triangle(a.diagram, a.lam) if triangle is None \
+    norms and s_alpha come from `_weighted_norms` on the coefficients'
+    columns."""
+    tri = default_triangle(a.diagram, a.lam) if triangle is None \
         else float(triangle)
-    expo = tri > 1.0
-    sf, qf, af, lamf = float(s), float(q), float(a.alpha), float(a.lam)
-    # read before the try: a value beyond the floats is no alpha overflow
-    fns = {k: CylinderFunction(f.level, float_values(*f.parts))
-           for k, f in sorted(a.coeffs.items())}
+    by_k, s_alpha = _weighted_norms(a.diagram, a.alpha, a.lam, s, tri, {
+        k: (f.level, *f.parts) for k, f in a.coeffs.items()})
+    l1 = sum(by_k.values(), 0.0)
+    expo, qf, af = tri > 1.0, float(q), float(a.alpha)
+    n_max = max((abs(k) for k in a.coeffs), default=0)
+    mu = 0.0
     try:
-        by_k = {k: holder_norm(a.diagram, f, af, lamf)["norm"]
-                for k, f in fns.items()}
-        l1 = sum(by_k.values(), 0.0)
-        s_alpha = sum((nk * (tri ** ((af + sf) * abs(k)) if expo
-                             else (1.0 + abs(k)) ** sf)
-                       for k, nk in by_k.items()), 0.0)
-        n_max = max((abs(k) for k in a.coeffs), default=0)
-        mu = 0.0
         for n in range(-1, n_max + 1):
             tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
             w = tri ** ((af + qf) * (n + 1)) if expo else (n + 1.0) ** qf
@@ -412,6 +422,28 @@ def norms(a, s, q, triangle=None):
     return {"l1_alpha": l1, "s_alpha": s_alpha, "mu_q": mu,
             "triangle": tri, "regime": "exponential" if expo
             else "polynomial"}
+
+
+def _weighted_norms(diagram, alpha, lam, s, tri, coeffs):
+    """(by_k, s_alpha) of coefficients given as integer columns,
+    {k: (level, q, cols, field)}: by_k maps each shift, ascending, to the
+    alpha-Hoelder norm of its coefficient, whose floats are read off the
+    columns (`martingale.float_values`), and s_alpha sums by_k weighted by
+    the estimate tri ** ((alpha + s) |k|) when tri > 1, by (1 + |k|) ** s
+    otherwise.  Summing in ascending shift order keeps the float sums
+    independent of the order the coeffs dict was built in."""
+    af, sf, lamf = float(alpha), float(s), float(lam)
+    # read before the try: a value beyond the floats is no alpha overflow
+    fns = {k: CylinderFunction(level, float_values(q, cols, field))
+           for k, (level, q, cols, field) in sorted(coeffs.items())}
+    try:
+        by_k = {k: holder_norm(diagram, f, af, lamf)["norm"]
+                for k, f in fns.items()}
+        return by_k, sum((nk * (tri ** ((af + sf) * abs(k)) if tri > 1.0
+                                else (1.0 + abs(k)) ** sf)
+                          for k, nk in by_k.items()), 0.0)
+    except OverflowError:
+        raise _overflow(alpha) from None
 
 
 def lemma_constant(triangle, alpha, q):
@@ -442,31 +474,51 @@ NEUMANN_MAX_TERMS = 200
 
 
 def neumann_invert(h, tol=1e-10):
-    """Partial geometric series for h^{-1} when ||1 - h|| < 1/2 in the
-    alpha-weighted norm, with enough terms for a 2^{-M} tail below tol (at
-    most NEUMANN_MAX_TERMS) and the residual certified by direct
-    multiplication.  tol must be a finite number > 0."""
+    """Partial geometric series 1 + f + ... + f^M for h^{-1}, f = 1 - h,
+    when ||f|| < 1/2 in the alpha-weighted norm (s_alpha at s = alpha).
+
+    Each power f^k is built on bare columns, and its norm n_k is read off
+    them (`_weighted_norms`).  The series stops at the first M with
+    n_M ||f|| / (1 - ||f||) <= tol, at most NEUMANN_MAX_TERMS.  The bound
+    is the l1 product inequality that `check_trial` tests (`l1_product`):
+    l1(f a) <= s_alpha(f at s = 0) l1(a), and for alpha > 0 every weight
+    is >= 1 and grows with s, so s_alpha(f at s = 0) <= ||f|| and
+    l1(f^M) <= n_M.  Hence
+    l1(f^(M + j)) <= ||f||^j n_M: the tail sum_(k > M) l1(f^k) is at most
+    n_M ||f|| / (1 - ||f||), and the residual h . inverse - 1 = -f^(M + 1)
+    at most n_M ||f||.  The residual is computed by direct multiplication,
+    and one above tol, where the distortion estimate is too low for the
+    inequality or the term cap was hit, raises NumericError.  tol must be
+    a finite number > 0."""
     if not 0 < tol < math.inf:
         raise PreconditionError("tol must be finite and > 0, got %r"
                                 % (tol,))
-    tri = _default_triangle(h.diagram, h.lam)
+    tri = default_triangle(h.diagram, h.lam)
     d, field, hc = h.diagram, _compatible(h, h), _columns(h)
     one = _columns(unit(d, h.lam, h.alpha))
     fc = _sum(d, one, _scaled(hc, -1))
-    f = _wrap(h, fc, field)
-    small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
+    f_field = field if any(len(c) > 1 for _, c in fc[1].values()) else None
+
+    def weight(fx):
+        q, cols = fx
+        return _weighted_norms(d, h.alpha, h.lam, h.alpha, tri, {
+            k: (level, q, c, f_field if len(c) > 1 else None)
+            for k, (level, c) in cols.items()})[1]
+    small = weight(fc)
     if not small < 0.5:
         raise NormTooLargeError()
-    m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
-    f_field = _compatible(f, f)
-    terms = [_first(fc, f_field.n) if f_field else fc]
-    while terms[-1][1] and len(terms) < m:
+    terms, n = [_first(fc, f_field.n) if f_field else fc], small
+    while n * small / (1.0 - small) > tol and \
+            len(terms) < NEUMANN_MAX_TERMS:
         terms.append(_product(d, terms[-1], fc, f_field, LEVEL_CAP))
+        n = weight(terms[-1])
     terms = [t for t in terms if t[1]]
     inv = _sum(d, one, *terms)
     residual = _sum(d, _product(d, hc, inv, field, LEVEL_CAP),
                     _scaled(one, -1))
     res = norms(_wrap(h, residual, field), 0, 1, triangle=tri)["l1_alpha"]
+    if res > tol:
+        raise NumericError("Neumann residual %r above tol %r" % (res, tol))
     return NeumannInverse(element=_wrap(h, inv, field), residual=res,
                           terms=len(terms))
 

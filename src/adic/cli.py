@@ -449,7 +449,7 @@ def cmd_algebra_check(args):
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
     lam = rd.lambda_mu
-    tri = alg.triangle_phi(d, 3, float(lam)).value
+    tri = alg.default_triangle(d, lam)
     rng = random.Random(args.seed)
     tower = limit_rank(d, rd)
     failures, counts = [], {}

@@ -161,12 +161,15 @@ class Functionals:
     holds the d vertex rows of level base + j, norms the Gram norms, and
     step the Drazin inverse of A, which carries the rows one level up.
     scaled[m] holds the rows of level m as (den, integer rows over den),
-    built for the levels that `distributions` reads."""
+    built for the levels that `distributions` reads, and xi[m] the exact
+    cylinder weights of level m (`measures.xi_vector`), kept for the levels
+    that `solver.solve` gauges at."""
     base: int
     step: list
     norms: tuple
     rows: list
     scaled: dict
+    xi: dict
 
 
 def tower_functionals(tower):
@@ -194,7 +197,7 @@ def tower_functionals(tower):
         norms=tuple(_dot(w, b, b) for b in basis),
         rows=[mat_mul([[wi * bi for wi, bi in zip(w, b)] for b in basis],
                       proj)],
-        scaled={})
+        scaled={}, xi={})
     return fn
 
 

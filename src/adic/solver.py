@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import accumulate
 from fractions import Fraction
 
-from .cohomology import certificate, distributions
+from .cohomology import certificate, distributions, tower_functionals
 from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
                        order_pos, path_index, path_table)
 from .errors import NumericError, ObstructedError, PreconditionError
@@ -84,6 +84,17 @@ def _residual(diagram, h, g):
     return max(map(abs, field_values(hq * gq, diffs, hd or gd)))
 
 
+def _xi(tower, level):
+    """The cylinder weights xi of a level (`measures.xi_vector`), built
+    once per level and kept with the tower's functionals: past the
+    materialized levels each build raises 1/lambda to a power."""
+    kept = tower_functionals(tower).xi
+    xi = kept.get(level)
+    if xi is None:
+        xi = kept[level] = xi_vector(tower.diagram, level)
+    return xi
+
+
 def _gauged(q, runs, d, gauge):
     """(G, cols, field): the integer columns over G = lcm(q, denominator of
     the gauge) of runs / q - gauge."""
@@ -102,12 +113,12 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
 
     h's integer columns over one denominator q (`CylinderFunction.parts`)
     feed the certificate search, the partial sums of h along each tower
-    and the residual check, all on integers.  The gauge is xi times the
-    integer tower totals of the partial sums, divided by q, and g is built
-    from its own integer columns (`CylinderFunction.of_parts`).  Only when the
-    certificate search finds none are the distributions computed, for the
-    ObstructedError they carry.  The returned residual is computed, not
-    assumed."""
+    and the residual check, all on integers.  The gauge is xi (`_xi`)
+    times the integer tower totals of the partial sums, divided by q, and
+    g is built from its own integer columns (`CylinderFunction.of_parts`).
+    Only when the certificate search finds none are the distributions
+    computed, for the ObstructedError they carry.  The returned residual
+    is computed, not assumed."""
     diagram = tower.diagram
     q, cols, d = h.parts
     cert = certificate(h, tower)
@@ -122,7 +133,7 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
         runs.append([x for a, b in blocks
                      for x in accumulate(lifted[a:b - 1], initial=0)])
     totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
-    gauge = sum(x * t for x, t in zip(xi_vector(diagram, level),
+    gauge = sum(x * t for x, t in zip(_xi(tower, level),
                                       field_values(q, totals, d)))
     g = CylinderFunction.of_parts(level, *_gauged(q, runs, d, gauge))
     norms = None

@@ -1,6 +1,5 @@
 """Crossed-product elements: products, norms, inversion, traces."""
 
-import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -12,20 +11,22 @@ from hypothesis import strategies as st
 from conftest import rng
 from test_step import _prefixed, _random_diagram
 
+import adic.algebra as alg
 from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE,
-                          AlgebraElement, _columns, _sum, add, check_trial,
-                          complement_support, convolve, element,
+                          TRIANGLE_PATHS, AlgebraElement, _columns, _sum, add,
+                          check_trial, complement_support, convolve,
+                          default_triangle, element,
                           equal_elements, involution, jolissaint_holds,
                           neumann_invert, norms, power, project_support,
                           rand_element, scale, subtract, trace, triangle_phi,
                           unit)
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
-from adic.diagrams import (LazyPath, TAIL_MAX, TAIL_MIN, enumerate_paths,
-                           successor)
+from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
+                           count_paths, enumerate_paths, successor)
 from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
-                         PreconditionError)
+                         NumericError, PreconditionError)
 from adic.martingale import (CylinderFunction, compose_phi,
                              constant_function, from_vector, lift,
                              phi_transient, rand_function)
@@ -83,6 +84,26 @@ def test_triangle_cache_is_bounded(odo2):
     info = triangle_phi.cache_info()
     assert info.maxsize == TRIANGLE_CACHE_SIZE
     assert info.currsize == TRIANGLE_CACHE_SIZE
+
+
+def test_default_triangle_stops_below_the_path_bound(odo3, monkeypatch):
+    # twelve levels of odo3 aim the sweep at L = 14, whose 3^14 paths pass
+    # PATH_BUDGET; it stops at L = 5, the last level of at most
+    # TRIANGLE_PATHS paths
+    deep = OrderedDiagram(odo3.levels * 12, True)
+    with pytest.raises(LevelOverflowError):
+        count_paths(deep, 14)
+    assert sum(count_paths(deep, 5)) <= TRIANGLE_PATHS < \
+        sum(count_paths(deep, 6))
+    seen, sweep = [], alg.triangle_phi
+    monkeypatch.setattr(alg, "triangle_phi",
+                        lambda d, L, lam: seen.append(L) or sweep(d, L, lam))
+    assert default_triangle(deep, 3) == sweep(deep, 5, 3.0).value
+    assert seen == [5]
+    # a diagram of fewer levels keeps L = 3
+    seen.clear()
+    default_triangle(odo3, 3)
+    assert seen == [3]
 
 
 def test_unit_and_unitaries(odo2):
@@ -170,6 +191,14 @@ def test_neumann_rejects_far_from_unit(odo2):
         neumann_invert(scale(unit(odo2, 2, 3), Fraction(1, 4)))
 
 
+def test_neumann_refuses_a_residual_above_tol(odo2, monkeypatch):
+    # one term at tol 1e-10: the residual f^2 is certified, and refused
+    h = subtract(unit(odo2, 2, 3), scale(_shift(odo2, 1), Fraction(1, 100)))
+    monkeypatch.setattr(alg, "NEUMANN_MAX_TERMS", 1)
+    with pytest.raises(NumericError, match="residual .* above tol"):
+        neumann_invert(h, tol=1e-10)
+
+
 def test_neumann_mixed_support(odo2):
     u = unit(odo2, 2, 3)
     pert = element(odo2, 2, 3, {
@@ -194,12 +223,12 @@ def test_neumann_rejects_bad_tolerance(odo2, tol):
 # How the values of a drawn element are stored.
 KINDS = {"fraction": Fraction, "float": float,
          "field": lambda x: sqrt_field(5)(x, x / 2)}
-# f = 1 - h: u^1/100 + u^2 (-1/10^4) + u^-1/100 on odo2.  The shift 2 of
+# f = 1 - h: u^1/40 + u^2 (-1/1600) + u^-1/40 on odo2.  The shift 2 of
 # the partial sum cancels to zero at the second term, f + f^2, and the
-# third term brings it back.
-CANCELLING = ("odo2", {1: (0, [Fraction(1, 100)]),
-                       2: (0, [Fraction(-1, 10 ** 4)]),
-                       -1: (0, [Fraction(1, 100)])}, "fraction")
+# third term, which the series still needs at tol 1e-2, brings it back.
+CANCELLING = ("odo2", {1: (0, [Fraction(1, 40)]),
+                       2: (0, [Fraction(-1, 1600)]),
+                       -1: (0, [Fraction(1, 40)])}, "fraction")
 # On pisot31 composing with u^k raises levels with the shift: u^1 at
 # level 1 and u^-1 at level 2 (8 and 32 paths), and the same shifts with
 # the levels swapped.
@@ -247,18 +276,23 @@ def _power_loop(a, n):
 
 def _neumann_loop(h, tol):
     """(inverse, terms, residual, shifts of each partial sum) of the Neumann
-    series, one public convolve and add per term."""
+    series, one public convolve, add and norms per term: it stops at the
+    first term f^n with ||f^n|| ||f|| / (1 - ||f||) <= tol, the norms
+    s_alpha at s = alpha."""
     one = unit(h.diagram, h.lam, h.alpha)
     f = subtract(one, h)
-    m = min(max(1, math.ceil(-math.log2(tol)) + 1), NEUMANN_MAX_TERMS)
+    tri = triangle_phi(h.diagram, 3, float(h.lam)).value
+    small = norms(f, h.alpha, 1, triangle=tri)["s_alpha"]
     inv, term, used, sums = one, one, 0, [set(one.coeffs)]
-    for n in range(1, m + 1):
+    for n in range(1, NEUMANN_MAX_TERMS + 1):
         term = convolve(term, f)
         if not term.coeffs:
             break
         inv, used = add(inv, term), n
         sums.append(set(inv.coeffs))
-    tri = triangle_phi(h.diagram, 3, float(h.lam)).value
+        if not norms(term, h.alpha, 1, triangle=tri)["s_alpha"] * small / \
+                (1.0 - small) > tol:
+            break
     residual = norms(subtract(convolve(h, inv), one), 0, 1,
                      triangle=tri)["l1_alpha"]
     return inv, used, residual, sums
@@ -312,13 +346,13 @@ def test_power_and_neumann_build_only_their_results(odo2, pisot31,
     f = scale(p, Fraction(2, 5) / Fraction(norms(p, 3, 1)["s_alpha"]))
     one = unit(odo2, 2, 3)
     h = subtract(one, f)
-    inv = neumann_invert(h, tol=1e-4)
+    inv = neumann_invert(h, tol=1e-10)
     residual = subtract(convolve(h, inv.element), one)
     assert inv.terms > 3 and len(inv.element.coeffs) > 7
     monkeypatch.setattr(CylinderFunction, "of_parts", classmethod(counted))
     assert built == list(power(a, 4).coeffs.values())
     built.clear()
-    got = neumann_invert(h, tol=1e-4).element
+    got = neumann_invert(h, tol=1e-10).element
     assert all(any(g is x for x in built) for g in got.coeffs.values())
     assert len(built) <= len(got.coeffs) + len(residual.coeffs) + \
         len(f.coeffs) + 1
