@@ -353,8 +353,8 @@ def cmd_complex(args):
 
 def cmd_decompose(args):
     d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
     h = load_function(d, args.function)
+    rd = renorm_data(d)
     comps = decompose(d, h, rd)
     lam = rd.lam_float
     rows = [(c.level, c.peak, c.cr_norm(0, lam), c.cr_norm(1, lam))
@@ -386,8 +386,8 @@ def cmd_cohomology(args):
 
 def cmd_distributions(args):
     d = resolve_diagram(args.diagram)
-    tower = limit_rank(d, renorm_data(d))
     h = load_function(d, args.function)
+    tower = limit_rank(d, renorm_data(d))
     dvs = distributions(h, tower)
     _emit_json({
         "D": [dv.value for dv in dvs],
@@ -406,9 +406,9 @@ def cmd_solve(args):
         raise ParseError("alpha must be > 2 + eps, got alpha %s and eps %s"
                          % (args.alpha, args.eps))
     d = resolve_diagram(args.diagram)
+    h = load_function(d, args.function)
     rd = renorm_data(d)
     tower = limit_rank(d, rd)
-    h = load_function(d, args.function)
     sol = solve(h, tower, alpha=args.alpha, epsilon=eps)
     out = {
         "level": sol.level,

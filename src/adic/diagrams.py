@@ -520,12 +520,18 @@ def enumerate_paths(diagram, n):
 # The most paths that `enumerate_paths` and `path_table` build at one
 # level.  A function file or a level flag of a few bytes can ask for 2^n
 # paths; the tests build at most 2^17 (pisot31 at level 8).  Path tables
-# and `martingale.gather` index maps share one store, bounded in integers
-# held: a build is charged its length, at most about PATH_BUDGET, and a
-# charge past STORE_BUDGET first empties the whole store.
+# and the index maps of `martingale` (`gather`, `sibling_plan` and
+# `residual_rows`) share one store, bounded in integers held: a build is
+# charged the integers it holds, a few per path of its level, and a charge
+# past STORE_BUDGET first empties the whole store.
 PATH_BUDGET = 2 ** 18
 STORE_BUDGET = 4 * PATH_BUDGET
 STORE, store_charge = [], 0  # the store's caches and the integers they hold
+# The deepest level of a path table.  A table is built on the one below
+# it, by recursion, and a few hundred levels of that exhaust the
+# interpreter's stack; on a diagram whose paths branch, PATH_BUDGET is
+# passed far sooner (odo2 at level 19).
+LEVEL_BUDGET = 256
 
 
 def _check_budget(level, count):
@@ -575,6 +581,9 @@ class PathTable:
 @partial(stored, lambda t: len(t.offsets) + len(t.parent) + len(t.first))
 def path_table(diagram, k):
     """The PathTable of level k; level 0 lists the vertices of V_0."""
+    if k > LEVEL_BUDGET:
+        raise LevelOverflowError("level %d is deeper than %d"
+                                 % (k, LEVEL_BUDGET))
     if k == 0:
         return PathTable(tuple(range(diagram.num_vertices(0) + 1)), (), ())
     ld = diagram.level(k)

@@ -9,7 +9,8 @@ block offsets of `diagrams.path_table`.  Values may be Fractions,
 elements of the Perron field (`scalars.FieldElement`), or floats, and
 projection/difference operations stay in the same field.  `gather` caches
 the index maps of composition and lift in the store of `diagrams`, with the
-path tables, bounded by `STORE_BUDGET` integers.  A function also holds its
+path tables, bounded by `STORE_BUDGET` integers, and so do the index plans
+of the Hoelder sweep and of the residual check.  A function also holds its
 values as integer columns over one denominator, one per coefficient of the
 field (`CylinderFunction.parts`), so block sums, the solver and
 `algebra.convolve` add integers; values are never written once built.  The
@@ -25,8 +26,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, permutations
-from operator import sub
+from itertools import permutations
+from operator import itemgetter, sub
 
 from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
                        extreme_path, extreme_vertex, materialize, out_edges,
@@ -220,67 +221,96 @@ def delta(diagram, h, k):
     return pk - pk1
 
 
+def _getter(idx):
+    """itemgetter(*idx), but a tuple for one index or none as well."""
+    if len(idx) == 1:
+        i, = idx
+        return lambda v: (v[i],)
+    return itemgetter(*idx) if idx else lambda v: ()
+
+
+@partial(stored, lambda plan: plan[0])
+def sibling_plan(diagram, j):
+    """(size, his, los, columns): getters over a level-j vector (j >= 2)
+    with a sentinel appended at index |E_{0,j}|.  The children of the
+    paths into a vertex s of V_(j-1) are the runs first[e] + [0, |E_s|) of
+    `path_table(diagram, j)`, one per out-edge e of s.  his and los read
+    hi[A] and lo[B] for the ordered pairs (A, B) of distinct runs of a
+    vertex: vertex by vertex, in `permutations` order of its sorted runs,
+    position by position.  columns[r] reads each level-(j-1) path's child
+    in run r of its vertex; in run 0 where it has fewer runs, which moves
+    no min or max, NaN included; in the sentinel where it has none.  Their
+    elementwise min and max are the value ranges of level j - 1; there are
+    at least two, so min and max compare.  size counts indices held."""
+    below = path_table(diagram, j - 1).offsets
+    table = path_table(diagram, j)
+    runs = [sorted(table.first[e] for e in es)
+            for es in out_edges(diagram.level(j))]
+    width = max(2, *map(len, runs))
+    pairs, cols = ([], []), [[] for _ in range(width)]
+    for s, cut in enumerate(runs):
+        size = below[s + 1] - below[s]
+        for u, w in permutations(cut, 2):
+            pairs[0].extend(range(u, u + size))
+            pairs[1].extend(range(w, w + size))
+        for r, col in enumerate(cols):
+            if cut:
+                a = cut[r] if r < len(cut) else cut[0]
+                col.extend(range(a, a + size))
+            else:
+                col.extend([table.offsets[-1]] * size)
+    return (2 * len(pairs[0]) + width * below[-1], _getter(pairs[0]),
+            _getter(pairs[1]), tuple(map(_getter, cols)))
+
+
 def holder_norm(diagram, h, alpha, lam):
     """Exact-attained Hoelder data of a cylinder function.
 
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
     level-m cylinders; per disagreement level j the extremal spread is the
     largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges: sibling runs, since the children of
-    the paths into a vertex s of V_(j-1) are the runs first[e] + [0, |E_s|)
-    of `path_table(diagram, j)`, one per out-edge e of s, read in parallel.
-    A value or a weight lam^alpha beyond the floats raises OverflowError.
+    that share their first j-1 edges: sibling runs, read in parallel
+    through the stored getters of `sibling_plan(diagram, j)`, the runs of a
+    vertex without out-edges being empty value ranges (+inf, -inf).  A
+    value or a weight lam^alpha beyond the floats raises OverflowError.
 
     The sweep goes down from level m and stops at its weight bound.  Every
     spread is a difference of two values, so it is at most span = max - min,
     float subtraction and multiplication rounding monotonically.  Once the
     seminorm so far is positive and span * lam^((i-1) alpha) is at most it
     for every level i below, no level below can raise it, and the value
-    ranges of the next level are never built.  A NaN span never stops the
-    sweep, and a NaN spread never enters the seminorm; the bound reads only
-    weights between 1 and one already computed, so it overflows nowhere
-    the full sweep would not."""
+    ranges of the next level are never built, nor its plan read.  A NaN
+    span never stops the sweep, and a NaN spread never enters the seminorm;
+    the bound reads only weights between 1 and one already computed, so it
+    overflows nowhere the full sweep would not."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
     lamf = float(lam)
     semi = 0.0
-    lo = hi = list(map(float, h.values))
+    lo = list(map(float, h.values))
     sup = max(map(abs, lo), default=0.0)
     span = max(lo, default=0.0) - min(lo, default=0.0)
+    hi = lo + [-math.inf]
+    lo.append(math.inf)
     for j in range(m, 0, -1):
         if j == 1:
             # distinct level-1 cylinders lie at distance 1, whatever their
             # sources
-            best = max((hi[a] - lo[b] for a in range(len(lo))
-                        for b in range(len(lo)) if a != b), default=0.0)
+            n = len(lo) - 1
+            best = max((hi[a] - lo[b] for a in range(n)
+                        for b in range(n) if a != b), default=0.0)
         else:
-            below = path_table(diagram, j - 1).offsets
-            first = path_table(diagram, j).first
-            spreads, runs = [], []
-            for s, es in enumerate(out_edges(diagram.level(j))):
-                size = below[s + 1] - below[s]
-                # the runs in path order, which a NaN result depends on; a
-                # vertex without out-edges has none, and empty value ranges
-                cut = sorted(first[e] for e in es)
-                los = [lo[a:a + size] for a in cut] or [[math.inf] * size]
-                his = [hi[a:a + size] for a in cut] or [[-math.inf] * size]
-                spreads.extend(map(sub, his[u], los[w])
-                               for u, w in permutations(range(len(cut)), 2))
-                runs.append((los, his))
-            best = max(chain.from_iterable(spreads), default=0.0)
+            _, his, los, columns = sibling_plan(diagram, j)
+            best = max(map(sub, his(hi), los(lo)), default=0.0)
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
         if semi > 0 and all(span * lamf ** ((i - 1) * alpha) <= semi
                             for i in range(j - 1, 0, -1)):
             break
         if j > 1:
-            lo = list(chain.from_iterable(
-                map(min, *los) if len(los) > 1 else los[0]
-                for los, _ in runs))
-            hi = list(chain.from_iterable(
-                map(max, *his) if len(his) > 1 else his[0]
-                for _, his in runs))
+            lo = [*map(min, *(c(lo) for c in columns)), math.inf]
+            hi = [*map(max, *(c(hi) for c in columns)), -math.inf]
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 
@@ -434,3 +464,14 @@ def gather(diagram, m, power, k):
     ident = CylinderFunction(m, list(range(path_table(diagram, m)
                                            .offsets[-1])))
     return tuple(lift(diagram, compose_phi(diagram, ident, power), k).values)
+
+
+@partial(stored, lambda rows: 3 * len(rows[0]))
+def residual_rows(diagram, h_level, g_level):
+    """(ih, iphi, ig): the indices that read h of level h_level, and g o phi
+    and g of level g_level, on the level-top cylinders, top = max(h_level,
+    compose_level(diagram, g_level, 1)), each distinct triple once."""
+    top = max(h_level, compose_level(diagram, g_level, 1))
+    return tuple(zip(*dict.fromkeys(zip(gather(diagram, h_level, 0, top),
+                                        gather(diagram, g_level, 1, top),
+                                        gather(diagram, g_level, 0, top)))))

@@ -44,9 +44,9 @@ from .cohomology import certificate, distributions, tower_functionals
 from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
                        order_pos, path_index, path_table)
 from .errors import NumericError, ObstructedError, PreconditionError
-from .martingale import (CylinderFunction, bump_from_roof, compose_level,
-                         field_values, float_values, gather, holder_norm,
-                         integer_parts)
+from .martingale import (CylinderFunction, bump_from_roof, field_values,
+                         float_values, gather, holder_norm, integer_parts,
+                         residual_rows)
 from .measures import xi_vector
 from .solenoid import build_complex, diameter
 
@@ -61,18 +61,15 @@ class TransferSolution:
 
 
 def _residual(diagram, h, g):
-    """sup |h - (g o phi - g)|, exactly.  h, g and g o phi are read at one
-    level through cached index gathers, so the composition and the lifts
-    move indices, not field elements.  The differences are taken on the
-    integer columns (`CylinderFunction.parts`) of h and of g, a missing
-    coefficient column being 0, over the denominator of both; a float g is
-    the dyadic rational it stores, so they are exact too.  The residual is
-    the int 0 only when every difference is 0, and otherwise their largest
-    absolute value in the field."""
-    top = max(h.level, compose_level(diagram, g.level, 1))
-    ih = gather(diagram, h.level, 0, top)
-    ig = gather(diagram, g.level, 0, top)
-    iphi = gather(diagram, g.level, 1, top)
+    """sup |h - (g o phi - g)|, exactly.  h, g o phi and g are read at one
+    level through the stored rows of `residual_rows`, each distinct index
+    triple once, which leaves the sup as it is.  The differences are taken
+    on the integer columns (`CylinderFunction.parts`) of h and of g, a
+    missing coefficient column being 0, over the denominator of both; a
+    float g is the dyadic rational it stores, so they are exact too.  The
+    residual is the int 0 only when every difference is 0, and otherwise
+    their largest absolute value in the field."""
+    ih, iphi, ig = residual_rows(diagram, h.level, g.level)
     (hq, hcols, hd), (gq, gcols, gd) = h.parts, g.parts
     width = max(len(hcols), len(gcols))
     hcols = hcols + [[0] * len(hcols[0])] * (width - len(hcols))

@@ -21,6 +21,7 @@ import types
 
 import pytest
 from test_coboundary_golden import _inputs, _path
+from test_step import _prefixed
 
 import adic
 from adic import diagrams, martingale
@@ -67,7 +68,8 @@ def test_package_caches_are_bounded():
                                     and id(getattr(m, n)) not in store)
                  for m in modules}
     assert {name: names for name, names in unbounded.items() if names} == {}
-    assert diagrams.STORE == [diagrams.path_table, martingale.gather]
+    assert diagrams.STORE == [diagrams.path_table, martingale.sibling_plan,
+                              martingale.gather, martingale.residual_rows]
     assert diagrams.STORE_BUDGET == 4 * diagrams.PATH_BUDGET
 
 
@@ -81,6 +83,8 @@ def bench_run():
 def _fill_store():
     odo2 = builtin_diagram("odo2")
     martingale.gather(odo2, 1, 1, 4)
+    martingale.sibling_plan(odo2, 2)
+    martingale.residual_rows(odo2, 1, 2)
     assert diagrams.store_charge > 0
     assert all(m.cache_info().currsize for m in diagrams.STORE)
 
@@ -109,13 +113,13 @@ def test_every_reset_empties_the_store():
         _fill_store()
         member.cache_clear()
         assert diagrams.store_charge == 0
-        assert [m.cache_info().currsize for m in diagrams.STORE] == [0, 0]
+        assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 4
     run, package = bench_run()
     _fill_store()
     for reset in run.cache_resets(package):
         reset()
     assert diagrams.store_charge == 0
-    assert [m.cache_info().currsize for m in diagrams.STORE] == [0, 0]
+    assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 4
 
 
 def _outputs(d):
@@ -134,9 +138,12 @@ def _outputs(d):
     return out
 
 
-@pytest.mark.parametrize("name", ["odo2", "fib", "pisot31"])
+@pytest.mark.parametrize("name", ["odo2", "fib", "pisot31",
+                                  "prefixed-pisot31"])
 def test_store_eviction_changes_no_output(monkeypatch, name):
-    d = builtin_diagram(name)
+    d = builtin_diagram(name.split("-")[-1])
+    if name.startswith("prefixed"):
+        d = _prefixed(d)
     diagrams.clear_store()
     want = _outputs(d)
     # a budget of one integer: every build empties the store first

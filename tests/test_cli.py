@@ -7,19 +7,23 @@ formatting shows up as a diff, not as a tolerance miss."""
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from test_cohomology import _dump_diagrams
 from test_scalars import sympy_value
-from test_step import _prefixed
+from test_step import _prefixed, _random_diagram, _random_prefix
 
 import adic
 from adic.catalog import builtin_diagram
 from adic.cli import main
+from adic.diagrams import OrderedDiagram, make_level, path_table
 from adic.martingale import compose_phi, constant_function, from_vector, lift
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
@@ -932,6 +936,29 @@ def test_path_budget_refuses_deep_levels(tmp_path, argv):
     assert done.stderr.startswith("error: level 19 has 524288 paths")
 
 
+@pytest.mark.parametrize("diagram, argv, level", [
+    ("loop.json", ["distributions", "--function", "deep.json"], 300),
+    ("odo2", ["solve", "--function", "huge.json"], 2 ** 64),
+], ids=["loop-function-file", "huge-function-level"])
+def test_level_budget_refuses_deeper_levels(capsys, tmp_path, monkeypatch,
+                                            diagram, argv, level):
+    # the one-edge loop has one path at every level, so no path count
+    # refuses a deep level of it: the level budget does, before the path
+    # tables below it, each built on the one below, recurse past the
+    # interpreter's stack
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "loop.json").write_text(json.dumps({
+        "stationary": True, "levels": [{
+            "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+            "in_order": [[0]]}]}))
+    for name, deep in (("deep.json", 300), ("huge.json", 2 ** 64)):
+        (tmp_path / name).write_text(json.dumps({"level": deep,
+                                                 "values": {"0": "1"}}))
+    rc, out, err = run(capsys, argv[:1] + ["--diagram", diagram] + argv[1:])
+    assert (rc, out) == (3, "")
+    assert err == "error: level %d is deeper than 256\n" % level
+
+
 @pytest.fixture()
 def non_stationary(tmp_path):
     """60 levels alternating two 2-vertex levels, not repeating, and a
@@ -971,3 +998,113 @@ def test_validate_and_paths_take_non_stationary(capsys, non_stationary):
     assert rc == 0
     assert out == ("index,edges\n0,2 1\n1,0 0\n2,1 0\n3,0 2\n"
                    "4,1 2\n5,2 3\n")
+
+
+@st.composite
+def _fuzz_diagrams(draw):
+    """One draw of `_prefix_draws`: a `_random_diagram` on 1 to 3 vertices
+    behind one or two `_random_prefix` levels."""
+    r = random.Random(draw(st.integers(0, 2 ** 16)))
+    return _random_prefix(r, _random_diagram(r, r.randint(1, 3), 6),
+                          r.randint(1, 2))
+
+
+# A value put in place of one node of an input file: wrong types, huge and
+# negative integers, non-finite floats, strings and short lists.
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3),
+    st.sampled_from([2 ** 64, -2 ** 64, 10 ** 30]), st.floats(),
+    st.text(max_size=3), st.lists(st.integers(-1, 3), max_size=3))
+
+
+def _mutated(obj, pick, value):
+    """obj with one node, the pick-th of a walk, deleted (value None) or
+    replaced by value[0]."""
+    obj = json.loads(json.dumps(obj))
+    nodes = []
+
+    def walk(x):
+        for key in (x if isinstance(x, dict) else
+                    range(len(x)) if isinstance(x, list) else ()):
+            nodes.append((x, key))
+            walk(x[key])
+    walk(obj)
+    node, key = nodes[pick % len(nodes)]
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value[0]
+    return obj
+
+
+# Every subcommand, with its flags past --diagram; "F" stands for the
+# function file and "E" for the element file.
+FUZZ_COMMANDS = (
+    ["validate"], ["paths", "--level", "2"], ["orbit", "-N", "5"],
+    ["measure", "--level", "2"], ["lyapunov"], ["complex", "--level", "1"],
+    ["decompose", "--function", "F"], ["cohomology", "--max-level", "4"],
+    ["distributions", "--function", "F"],
+    ["solve", "--alpha", "3", "--function", "F"],
+    ["birkhoff", "-N", "40", "--function", "F"],
+    ["algebra", "check", "--trials", "2"],
+    ["algebra", "invert", "--element", "E"],
+)
+
+
+def _fuzz_run(capsys, tmp_path, files, diagram, commands):
+    """The return code and stderr of each command on the files."""
+    out = []
+    for command in commands:
+        words = 2 if command[0] == "algebra" else 1
+        argv = command[:words] + ["--diagram", str(tmp_path / diagram)] + [
+            str(tmp_path / files[w]) if w in files else w
+            for w in command[words:]]
+        rc, _, err = run(capsys, argv)
+        out.append((argv, rc, err))
+    return out
+
+
+@example(OrderedDiagram((make_level(1, 1, [(0, 0)], [[0]]),), True), 0, 1,
+         3, 0, None).via("the one-edge loop, whose Perron root is 1")
+@example(OrderedDiagram((make_level(1, 2, [(0, 0), (0, 1), (0, 1)],
+                                    [[0], [2, 1]]),)
+                        + builtin_diagram("fib").levels, True), 1, 2,
+         5, 7, (2 ** 64,)).via("a prefix level from one vertex to two")
+@settings(max_examples=25,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_fuzz_diagrams(), st.integers(0, 2), st.integers(0, 2 ** 16),
+       st.integers(0, 400), st.integers(0, 400),
+       st.none() | st.tuples(JSON_VALUES))
+def test_no_exception_escapes_a_drawn_command(capsys, tmp_path, d, level,
+                                              seed, cut, pick, value):
+    # every subcommand on a drawn diagram and function exits 0 or with a
+    # documented code, and so do the commands that read a file with one
+    # node deleted or replaced; a truncated (so malformed) JSON file exits 2
+    r = random.Random(seed)
+    spec = d.to_json_dict()
+    function = {"level": level, "values": {
+        str(i): str(Fraction(r.randint(-8, 8), 4))
+        for i in range(path_table(d, level).offsets[-1])}}
+    element = {"alpha": 3, "coeffs": {"0": "f.json", "-1": "f.json"}}
+    texts = {"d.json": spec, "f.json": function, "e.json": element,
+             "bad-d.json": _mutated(spec, pick, value),
+             "bad-f.json": _mutated(function, pick, value),
+             "bad-e.json": _mutated(element, pick, value)}
+    for name, obj in texts.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    text = json.dumps(spec)
+    (tmp_path / "cut.json").write_text(text[:cut % len(text)])
+    good, bad = {"F": "f.json", "E": "e.json"}, \
+        {"F": "bad-f.json", "E": "bad-e.json"}
+    reading = [c for c in FUZZ_COMMANDS if {"F", "E"} & set(c)]
+    runs = _fuzz_run(capsys, tmp_path, good, "d.json", FUZZ_COMMANDS) + \
+        _fuzz_run(capsys, tmp_path, good, "bad-d.json", FUZZ_COMMANDS) + \
+        _fuzz_run(capsys, tmp_path, bad, "d.json", reading)
+    for argv, rc, err in runs:
+        assert rc in (0, 2, 3, 4), (argv, rc, err)
+    truncated = _fuzz_run(capsys, tmp_path, {}, "cut.json",
+                          [["validate"]]) + \
+        _fuzz_run(capsys, tmp_path, {"F": "cut.json"}, "d.json",
+                  [["solve", "--function", "F"]])
+    for argv, rc, err in truncated:
+        assert (rc, "malformed" in err) == (2, True), (argv, err)

@@ -9,12 +9,12 @@ import adic.martingale
 
 from test_step import _prefixed, _random_diagram
 
-from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, enumerate_paths,
-                           make_level, out_edges)
+from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, clear_store,
+                           enumerate_paths, make_level, out_edges)
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, phi_transient,
-                             project, rand_function)
+                             project, rand_function, sibling_plan)
 from adic.measures import renorm_data
 
 
@@ -97,15 +97,15 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
     # diagram has a vertex with a single out-edge, and vertex 1 of V_1 of
     # the last one, which does not repeat, has no out-edge at all.  The
     # sweep stops at its weight bound: a level-j pattern over small detail
-    # stops it at level j, and the levels j >= 2 it sweeps (one out_edges
-    # call each) show that every level is reached as a stop.  alpha = -0.25
-    # is solve's alpha - 2 - epsilon for alpha = 2: its weights fall with
-    # the level, so the bound never holds early.  Constants (span 0),
-    # level-0 functions and a value of +-inf (an infinite span) go through
-    # the same checks
+    # stops it at level j, and the levels j >= 2 it sweeps (one read of
+    # sibling_plan each) show that every level is reached as a stop.
+    # alpha = -0.25 is solve's alpha - 2 - epsilon for alpha = 2: its
+    # weights fall with the level, so the bound never holds early.
+    # Constants (span 0), level-0 functions and a value of +-inf (an
+    # infinite span) go through the same checks
     swept = []
-    monkeypatch.setattr(adic.martingale, "out_edges",
-                        lambda ld: swept.append(ld) or out_edges(ld))
+    monkeypatch.setattr(adic.martingale, "sibling_plan",
+                        lambda d, j: swept.append(j) or sibling_plan(d, j))
     r = rng(104)
     single = _random_diagram(r, 2, 4)
     while min(map(len, out_edges(single.levels[-1]))) != 1:
@@ -147,6 +147,32 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
         # levels; the full sweep (or a stop at level 1) sweeps m..2
         assert stops == {level: set(range(1, level)) or {0}
                          for level in stops}, d
+
+
+def test_holder_norm_reads_single_runs_and_childless_vertices():
+    # vertex 1 of V_1 has no out-edge, so the level-2 plan reads the
+    # sentinel for its paths; every vertex of V_2 has one out-edge and V_2
+    # one path, so the level-3 plan reads no pair and one index per column.
+    # The plans give the pairwise maximum cold, warm and once rebuilt
+    d = OrderedDiagram((
+        make_level(1, 2, [(0, 0), (0, 1), (0, 1)], [[0], [1, 2]]),
+        make_level(2, 1, [(0, 0)], [[0]]),
+        make_level(1, 1, [(0, 0)], [[0]]),
+        make_level(1, 1, [(0, 0), (0, 0)], [[1, 0]])), True)
+    r = rng(107)
+    fs = [rand_function(r, d, level) for level in range(6) for _ in range(4)]
+    for run in ("cold", "warm", "cleared"):
+        if run != "warm":
+            clear_store()
+        for f in fs:
+            for alpha in (0.75, 3.0, -0.25):
+                assert holder_norm(d, f, alpha, 2.0)["norm"] == \
+                    _brute_holder(d, f, alpha, 2.0), (f.level, alpha, run)
+    _, his, los, columns = sibling_plan(d, 3)
+    assert his([0.5]) == los([0.5]) == ()
+    assert [c([0.5, math.inf]) for c in columns] == [(0.5,), (0.5,)]
+    assert sibling_plan(d, 2)[3][0]([0.5, math.inf]) == \
+        (0.5, math.inf, math.inf)
 
 
 def test_holder_norm_with_nan_is_pinned():

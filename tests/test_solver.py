@@ -158,6 +158,45 @@ def test_nonzero_residual_is_reported_exactly(odo2, fib, pisot31):
         assert type(got) is type(bump)
 
 
+def _brute_residual(d, h, g):
+    """max |h - (g o phi - g)| over every cylinder of the level where all
+    three are read, built with compose_phi and lift."""
+    moved = compose_phi(d, g, 1)
+    top = max(h.level, moved.level)
+    return max(abs(a - (b - c)) for a, b, c in zip(
+        lift(d, h, top).values, lift(d, moved, top).values,
+        lift(d, g, top).values))
+
+
+@example(_prefixed(builtin_diagram("pisot31")), 0)
+@example(builtin_diagram("fib"), 1)
+@given(_drawn_diagrams(), st.integers(0, 2 ** 16))
+def test_residual_is_the_sup_over_every_cylinder(d, seed):
+    # the residual reads each distinct index triple once; its sup is the
+    # sup over all cylinders, and it is the int 0 exactly when every
+    # difference is 0.  Cases: a coboundary, h off on one cylinder, h of a
+    # level above g's compose level, and g with values in Q(sqrt 5)
+    r = random.Random(seed)
+    root5 = sqrt_field(5)
+    g = rand_function(r, d, r.randint(0, 2))
+    h = _coboundary(d, g)
+    vals = list(h.values)
+    vals[r.randrange(len(vals))] += Fraction(1, 3)
+    off = from_vector(d, h.level, vals)
+    high = lift(d, off, h.level + 1)
+    gf = from_vector(d, g.level, [v + root5(0, Fraction(r.randint(-4, 4), 4))
+                                  for v in g.values])
+    cases = [(h, g), (off, g), (high, g), (_coboundary(d, gf), gf),
+             (h, gf), (high, gf)]
+    for hh, gg in cases:
+        got, want = adic.solver._residual(d, hh, gg), \
+            _brute_residual(d, hh, gg)
+        assert got == want
+        assert (type(got) is int) == (want == 0)
+    assert adic.solver._residual(d, off, g) != 0
+    assert high.level > compose_phi(d, g, 1).level
+
+
 def test_columns_of_h_are_read_once(odo2, monkeypatch):
     # two rounds of distributions, certificate, solve and birkhoff on one h
     # read its integer columns once: h keeps them
