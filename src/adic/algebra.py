@@ -18,8 +18,8 @@ finer level move indices, never field elements.  A composition
 with phi^k raises the cylinder level by the transient T of the extreme
 source map, and by more only while the tower over its fixed vertex holds
 fewer than |k| paths, so levels grow like log|k| (not at all on the
-odometers, where T = 0); all of that is computed exactly, with a hard level
-cap instead of silent truncation.
+odometers, where T = 0); all of that is computed exactly, and a level past
+the path budget raises LevelOverflowError instead of silent truncation.
 
 The distortion constant of the adic map enters every weighted norm, and it
 is only ever available as a certified lower bound from a finite pair sweep.
@@ -49,11 +49,11 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      NumericError, PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
-                         float_values, gather, holder_norm, rand_function)
+                         float_values, gather, holder_norm, one_field, padded,
+                         rand_function)
 from .measures import renorm_data
 from .solver import _overflow
 
-LEVEL_CAP = 20
 TRIANGLE_CACHE_SIZE = 16
 # the default distortion sweep climbs past level 3 only through levels of
 # at most this many paths: its cost is quadratic in their number
@@ -86,7 +86,7 @@ def element(diagram, lam, alpha, coeffs):
     out = {int(k): f for k, f in coeffs.items()}
     out = {k: CylinderFunction.of_parts(f.level, *f.parts)
            for k, f in sorted(out.items()) if any(map(any, f.parts[1]))}
-    _one_field(f.parts[2] for f in out.values())
+    one_field(f.parts[2] for f in out.values())
     return AlgebraElement(diagram, lam, alpha, out)
 
 
@@ -95,22 +95,12 @@ def unit(diagram, lam, alpha):
                    {0: constant_function(diagram, Fraction(1), 0)})
 
 
-def _one_field(fields):
-    """The one field among fields (None when there is none); two raise
-    PreconditionError."""
-    fields = set(fields) - {None}
-    if len(fields) > 1:
-        raise PreconditionError("coefficients of mixed fields %s"
-                                % ", ".join(sorted(map(repr, fields))))
-    return fields.pop() if fields else None
-
-
 def _compatible(a, b):
     """The one field of the coefficients of a and b, which must live on
     the same algebra."""
     if a.diagram is not b.diagram or a.lam != b.lam or a.alpha != b.alpha:
         raise PreconditionError("elements live on different algebras")
-    return _one_field({f.parts[2] for e in (a, b) for f in e.coeffs.values()})
+    return one_field(f.parts[2] for e in (a, b) for f in e.coeffs.values())
 
 
 def add(a, b):
@@ -194,20 +184,20 @@ def equal_elements(a, b):
     return not subtract(a, b).coeffs
 
 
-def convolve(a, b, level_cap=LEVEL_CAP):
+def convolve(a, b):
     """a b on columns (`_product`)."""
     field = _compatible(a, b)
-    return _wrap(a, _product(a.diagram, _columns(a), _columns(b), field,
-                             level_cap), field)
+    return _wrap(a, _product(a.diagram, _columns(a), _columns(b), field),
+                 field)
 
 
-def _product(diagram, fa, fb, field, level_cap):
+def _product(diagram, fa, fb, field):
     """(a b)(k) = sum_i a(i) * (b(k - i) o phi^{-i}) on bare columns, over
     the product of their denominators.  The terms of one output shift are
     read at the highest level among them through cached index gathers, so
     composing with phi^{-i} and lifting move indices, not field elements;
     they are summed as integers, and an all-zero sum is dropped.  A level
-    above level_cap raises LevelOverflowError before any product.
+    past the path budget raises LevelOverflowError (`diagrams.path_table`).
 
     Rational values have one column.  In a number field of degree n the
     columns are the theta^k coefficients, a function with fewer columns
@@ -221,9 +211,6 @@ def _product(diagram, fa, fb, field, level_cap):
             top = compose_level(diagram, lb, -i)
             if top < la:
                 top = la
-            if top > level_cap:
-                raise LevelOverflowError("convolution exceeds level cap %d"
-                                         % level_cap)
             t = terms.setdefault(i + j, [top])
             if top > t[0]:
                 t[0] = top
@@ -258,16 +245,13 @@ def _product(diagram, fa, fb, field, level_cap):
     return qa * qb, out
 
 
-def involution(a, level_cap=LEVEL_CAP):
+def involution(a):
     """a*(k) = a(-k) o phi^{-k}; coefficients are real, so conjugation is
     the identity.  The composition reads each coefficient's columns
     through a cached index gather."""
     diagram, out = a.diagram, {}
     for k, f in sorted(a.coeffs.items(), reverse=True):
         level = compose_level(diagram, f.level, k)
-        if level > level_cap:
-            raise LevelOverflowError("involution exceeds level cap %d"
-                                     % level_cap)
         idx = gather(diagram, f.level, k, level)
         q, cols, field = f.parts
         out[-k] = CylinderFunction.of_parts(
@@ -275,19 +259,16 @@ def involution(a, level_cap=LEVEL_CAP):
     return AlgebraElement(diagram, a.lam, a.alpha, out)
 
 
-def power(a, n, level_cap=LEVEL_CAP):
+def power(a, n):
     """a^n for n >= 0: a chain of `_product`s on bare columns from a."""
     if n < 0:
         raise PreconditionError("negative powers need neumann_invert")
     if n == 0:
         return unit(a.diagram, a.lam, a.alpha)
     field, fa = _compatible(a, a), _columns(a)
-    if any(level > level_cap for level, _ in fa[1].values()):
-        raise LevelOverflowError("convolution exceeds level cap %d"
-                                 % level_cap)
     out = _first(fa, field.n) if field else fa
     for _ in range(1, n):
-        out = _product(a.diagram, out, fa, field, level_cap)
+        out = _product(a.diagram, out, fa, field)
     return _wrap(a, out, field)
 
 
@@ -295,8 +276,7 @@ def _first(fa, n):
     """The bare columns of 1 a in a field of degree n, from those of a:
     rational columns padded with zeros to n columns."""
     q, cols = fa
-    return q, {k: (level, c + [[0] * len(c[0])] * (n - len(c)))
-               for k, (level, c) in cols.items()}
+    return q, {k: (level, padded(c, n)) for k, (level, c) in cols.items()}
 
 
 def project_support(a, n):
@@ -502,19 +482,18 @@ def neumann_invert(h, tol=1e-10):
     def weight(fx):
         q, cols = fx
         return _weighted_norms(d, h.alpha, h.lam, h.alpha, tri, {
-            k: (level, q, c, f_field if len(c) > 1 else None)
-            for k, (level, c) in cols.items()})[1]
+            k: (level, q, c, f_field) for k, (level, c) in cols.items()})[1]
     small = weight(fc)
     if not small < 0.5:
         raise NormTooLargeError()
     terms, n = [_first(fc, f_field.n) if f_field else fc], small
     while n * small / (1.0 - small) > tol and \
             len(terms) < NEUMANN_MAX_TERMS:
-        terms.append(_product(d, terms[-1], fc, f_field, LEVEL_CAP))
+        terms.append(_product(d, terms[-1], fc, f_field))
         n = weight(terms[-1])
     terms = [t for t in terms if t[1]]
     inv = _sum(d, one, *terms)
-    residual = _sum(d, _product(d, hc, inv, field, LEVEL_CAP),
+    residual = _sum(d, _product(d, hc, inv, field),
                     _scaled(one, -1))
     res = norms(_wrap(h, residual, field), 0, 1, triangle=tri)["l1_alpha"]
     if res > tol:

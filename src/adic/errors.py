@@ -56,11 +56,6 @@ class NormTooLargeError(PreconditionError):
         super().__init__(msg)
 
 
-class BumpSmoothnessError(PreconditionError):
-    def __init__(self, msg="bump smoothness exceeded"):
-        super().__init__(msg)
-
-
 class ObstructedError(PreconditionError):
     """Raised by the transfer solver when invariant distributions do not vanish."""
 

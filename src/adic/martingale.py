@@ -32,8 +32,7 @@ from operator import itemgetter, sub
 from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
                        extreme_path, extreme_vertex, materialize, out_edges,
                        path_index, path_range, path_table, stored)
-from .errors import (BumpSmoothnessError, NotProperlyOrderedError,
-                     PreconditionError)
+from .errors import NotProperlyOrderedError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -103,11 +102,7 @@ def integer_parts(values):
     holds the values times q.  A finite float is read as the dyadic
     rational it stores.  Values of two fields, or of no exact field, raise
     PreconditionError."""
-    fields = {v.field for v in values if isinstance(v, FieldElement)}
-    if len(fields) > 1:
-        raise PreconditionError("values of mixed fields %s"
-                                % ", ".join(sorted(map(repr, fields))))
-    field = fields.pop() if fields else None
+    field = one_field(v.field for v in values if isinstance(v, FieldElement))
     cols = [values]
     if field is not None:
         zeros = (0,) * (field.n - 1)
@@ -122,10 +117,27 @@ def integer_parts(values):
             field)
 
 
+def one_field(fields):
+    """The one field among fields (None when there is none); two raise
+    PreconditionError."""
+    fields = set(fields) - {None}
+    if len(fields) > 1:
+        raise PreconditionError("values of mixed fields %s"
+                                % ", ".join(sorted(map(repr, fields))))
+    return fields.pop() if fields else None
+
+
+def padded(cols, n):
+    """The integer columns cols, all-zero ones appended up to n columns:
+    the missing theta^k coefficients of a value are 0."""
+    return cols + [[0] * len(cols[0])] * (n - len(cols))
+
+
 def field_values(q, cols, field):
     """The values that `integer_parts` reads as (q, cols, field):
-    Fractions, or elements of field when it is not None."""
-    if field is None:
+    Fractions when there is one column, whatever field says, or else
+    elements of field."""
+    if field is None or len(cols) == 1:
         # values repeat, and equal values share one Fraction
         memo = {a: Fraction(a, q) for a in set(cols[0])}
         return list(map(memo.__getitem__, cols[0]))
@@ -137,8 +149,9 @@ def float_values(q, cols, field):
     """The correctly rounded floats of the values of (q, cols, field),
     read off the integer columns: integer true division rounds correctly,
     so a / q is float(Fraction(a, q)), and `NumberField.floats` rounds
-    field values the same way."""
-    if field is None:
+    field values the same way.  One column is rational, as in
+    `field_values`."""
+    if field is None or len(cols) == 1:
         return [a / q for a in cols[0]]
     return field.floats(q, cols)
 
@@ -192,14 +205,12 @@ def nu_mean(diagram, h):
 def project(diagram, h, k):
     """Conditional expectation onto level-k cylinders (exact in the field):
     the xi-weighted values of each level-k cylinder's descendants, summed
-    into it and divided by its own weight."""
+    into it through their ancestor indices (`gather`) and divided by its
+    own weight."""
     if k >= h.level:
         return lift(diagram, h, k)
     m = h.level
-    anc = path_table(diagram, m).parent
-    for j in range(m - 1, k, -1):
-        parent = path_table(diagram, j).parent
-        anc = [parent[i] for i in anc]
+    anc = gather(diagram, k, 0, m)
     top, low = path_table(diagram, m), path_table(diagram, k)
     acc = [0] * low.offsets[-1]
     for x, (a, b) in zip(xi_vector(diagram, m), top.blocks()):
@@ -327,22 +338,14 @@ class BumpProfile:
         return Fraction(175, 32) / self.tau
 
     def deriv_sup(self, j):
-        """Closed-form sup |u^{(j)}| for j <= 3."""
+        """Closed-form sup |u^{(j)}| for j = 0 or 1."""
         c = float(self.height)
-        s = 5.0 / float(self.tau)
         if j == 0:
             return c
-        if j == 1:
-            return c * s * 96.0 / (25.0 * math.sqrt(5.0))
-        if j == 2:
-            return c * s * s * 6.0
-        if j == 3:
-            return c * s ** 3 * 48.0
-        raise BumpSmoothnessError()
+        s = 5.0 / float(self.tau)
+        return c * s * 96.0 / (25.0 * math.sqrt(5.0))
 
     def cr_norm(self, r):
-        if r > 3:
-            raise BumpSmoothnessError()
         return sum(self.deriv_sup(j) for j in range(r + 1))
 
 

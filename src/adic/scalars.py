@@ -11,8 +11,8 @@ theta = sqrt d.  p of degree 3 or less is irreducible; a larger
 p may not be, and a zero test or an inverse that meets a factor of p splits
 it, keeping the factor with theta as a root: dynamic evaluation, "D5"
 (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
-operands mix freely; a float operand gives the float result, as it does for
-Fraction.  On top of that: dense linear algebra over any of these fields,
+operands mix freely; a float operand is refused (TypeError, and == is
+False).  On top of that: dense linear algebra over any of these fields,
 and the Perron data of a nonnegative integer matrix, built without
 factoring (`perron_data`).
 """
@@ -303,13 +303,12 @@ def _largest_root(poly, lo):
 def _binary(name, exact):
     """The FieldElement operator name: exact(field, a, b) on coefficients
     of two elements of one field, an int or Fraction operand read as an
-    element; a float operand gives the float result."""
+    element; any other operand, a float too, gives NotImplemented."""
     def op(self, o):
         f = self.field
         if type(o) is not FieldElement:
             if not isinstance(o, (int, Fraction)):
-                return getattr(float(self), name)(o) \
-                    if isinstance(o, float) else NotImplemented
+                return NotImplemented
             o = f(o)
         elif o.field is not f:
             raise TypeError("mixed fields %r and %r" % (f, o.field))

@@ -46,7 +46,7 @@ from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
 from .errors import NumericError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
-                         residual_rows)
+                         padded, residual_rows)
 from .measures import xi_vector
 from .solenoid import build_complex, diameter
 
@@ -72,10 +72,8 @@ def _residual(diagram, h, g):
     ih, iphi, ig = residual_rows(diagram, h.level, g.level)
     (hq, hcols, hd), (gq, gcols, gd) = h.parts, g.parts
     width = max(len(hcols), len(gcols))
-    hcols = hcols + [[0] * len(hcols[0])] * (width - len(hcols))
-    gcols = gcols + [[0] * len(gcols[0])] * (width - len(gcols))
     diffs = [[p[a] * gq - (r[b] - r[c]) * hq for a, b, c in zip(ih, iphi, ig)]
-             for p, r in zip(hcols, gcols)]
+             for p, r in zip(padded(hcols, width), padded(gcols, width))]
     if not any(map(any, diffs)):
         return 0
     return max(map(abs, field_values(hq * gq, diffs, hd or gd)))
@@ -99,10 +97,8 @@ def _gauged(q, runs, d, gauge):
     big = math.lcm(q, gq)
     up, gup = big // q, big // gq
     width = max(len(runs), len(gcols))
-    runs = runs + [[0] * len(runs[0])] * (width - len(runs))
-    gcols = gcols + [[0]] * (width - len(gcols))
-    return big, [[r * up - c * gup for r in run]
-                 for run, (c,) in zip(runs, gcols)], d or gd
+    return big, [[r * up - c * gup for r in run] for run, (c,) in
+                 zip(padded(runs, width), padded(gcols, width))], d or gd
 
 
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):

@@ -582,14 +582,25 @@ def test_sums_scales_and_involutions_match_pointwise(pair):
         assert set(map(type, f.values)) == set(map(type, nonzero[-k].values))
 
 
-def test_level_cap_overflow(odo2):
+def test_deep_product_is_computed_within_the_path_budget(fib):
+    # (u^-20000 b)(-20000) = b o phi^20000 reads fib at level 22, which
+    # the path budget allows
     r = rng(505)
-    a = element(odo2, 2, 3, {0: rand_function(r, odo2, 2)})
-    with pytest.raises(LevelOverflowError):
-        convolve(a, a, level_cap=1)
-    # a^1 is a itself, still checked as the product 1 a
-    with pytest.raises(LevelOverflowError):
-        power(a, 1, level_cap=1)
+    b = rand_function(r, fib, 1)
+    ab = convolve(_shift(fib, -20000), element(fib, 2, 3, {0: b}))
+    (k, f), = ab.coeffs.items()
+    assert (k, f.level) == (-20000, 22)
+    paths = enumerate_paths(fib, 22)
+    for i in r.sample(range(len(paths)), 3):
+        x = _phi(fib, LazyPath(paths[i], TAIL_MIN), 20000)
+        assert f.values[i] == b.evaluate(fib, x)
+
+
+def test_product_past_the_path_budget_is_refused(fib):
+    b = element(fib, 2, 3, {0: rand_function(rng(506), fib, 1)})
+    with pytest.raises(LevelOverflowError,
+                       match="level 25 has 317811 paths"):
+        convolve(_shift(fib, -100000), b)
 
 
 def test_tracial_identity_exact(suite):

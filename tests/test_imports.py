@@ -12,11 +12,12 @@ the benchmark and the acceptance tests, never a unit test.  A top-level
 an attribute of its module from a user.  A method or property of a class
 (dunders aside), and a field of a dataclass, must be read by a user as an
 attribute of something.  A parameter with a default must be set by some
-call of a user.  Only `CylinderFunction.parts` and the solver's gauge
-read values as integer columns (`integer_parts`).  `REFERENCES` lists the
-reference implementations that only the unit tests comparing against them
-read.  The `test` extra of pyproject.toml names every third-party module
-the test files import."""
+call of a user whose callee can be the package's def, not a namesake.
+Only `CylinderFunction.parts` and the solver's gauge read values as
+integer columns (`integer_parts`).  `REFERENCES` lists the reference
+implementations that only the unit tests comparing against them read, and
+`SEAMS` the parameters that only the unit tests set.  The `test` extra
+of pyproject.toml names every third-party module the test files import."""
 
 import ast
 import math
@@ -40,6 +41,12 @@ REFERENCES = {
         "test_step.py::test_compose_phi_matches_lazy_successors",
     "cohomology.birkhoff_cochain":
         "test_cohomology.py::test_distributions_match_rows_times_cochain",
+}
+
+# Parameters that only the unit tests set, each with the test file that
+# drives the package through it.
+SEAMS = {
+    "cli.main.argv": "test_cli.py",
 }
 
 
@@ -316,82 +323,143 @@ def test_columns_are_read_in_one_place():
 
 
 def defaulted_parameters(source):
-    """{(def name, parameter): index} of the parameters with a default on
-    the defs of the source.  The index is the number of positional
-    arguments a call must pass to set the parameter, not counting the self
-    of a method; None for a keyword-only parameter."""
+    """{(class, def name, parameter): index} of the parameters with a
+    default on the defs of the source; class names the class whose body
+    holds the def, None for any other def.  The index is the number of
+    positional arguments a call must pass to set the parameter, not
+    counting the self of a method; None for a keyword-only parameter."""
     tree = ast.parse(source)
-    methods = {id(node) for cls in ast.walk(tree)
-               if isinstance(cls, ast.ClassDef) for node in cls.body
-               if not any(isinstance(d, ast.Name) and d.id == "staticmethod"
-                          for d in getattr(node, "decorator_list", ()))}
+    owners = {id(node): cls.name for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body}
     out = {}
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        args = node.args
+        args, owner = node.args, owners.get(id(node))
         positional = args.posonlyargs + args.args
-        skip = 1 if id(node) in methods else 0
+        skip = 1 if owner and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod"
+            for d in node.decorator_list) else 0
         for i in range(len(positional) - len(args.defaults), len(positional)):
-            out[(node.name, positional[i].arg)] = i + 1 - skip
-        out.update(((node.name, a.arg), None) for a, d in
+            out[(owner, node.name, positional[i].arg)] = i + 1 - skip
+        out.update(((owner, node.name, a.arg), None) for a, d in
                    zip(args.kwonlyargs, args.kw_defaults) if d is not None)
     return out
 
 
-def calls(source):
-    """(callee name, positional count, keyword names) of each call of the
-    source.  The callee is the name called or the attribute looked up, so
-    matching is by name only.  A *args passes every position and a
-    **kwargs every keyword (None in the names)."""
+def calls(source, module=None):
+    """(callee, positional count, keyword names) of each call of the
+    source whose callee can be a def of the package.  callee is
+    (package module, name) for a name the source imports from a package
+    module, for an attribute of a package module (`algebra.power`,
+    `alg.convolve` after `from . import algebra as alg`,
+    `pkg["martingale"].lift`), and for any other bare name when the source
+    is the package module `module`.  It is (None, name) for an attribute
+    of anything else, which only a method can be; other bare names (a
+    builtin, a def of the benchmark) are no call of the package.  A *args
+    passes every position and a **kwargs every keyword (None in the
+    names)."""
+    tree = ast.parse(source)
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            owner = _module_of(node)
+            for a in node.names:
+                if owner is not None:
+                    names[a.asname or a.name] = (owner, a.name)
+                elif node.module == "adic" or node.level == 1:
+                    modules[a.asname or a.name] = a.name
     out = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func
-        name = func.id if isinstance(func, ast.Name) else \
-            getattr(func, "attr", None)
+        if isinstance(func, ast.Name):
+            callee = names.get(func.id, module and (module, func.id))
+        elif isinstance(func, ast.Attribute):
+            owner = func.value
+            if isinstance(owner, ast.Name) and owner.id in modules:
+                callee = (modules[owner.id], func.attr)
+            elif isinstance(owner, ast.Subscript) and \
+                    isinstance(owner.slice, ast.Constant) and \
+                    isinstance(owner.slice.value, str):
+                callee = (owner.slice.value, func.attr)
+            else:
+                callee = (None, func.attr)
+        else:
+            callee = None
+        if callee is None:
+            continue
         count = math.inf if any(isinstance(a, ast.Starred)
                                 for a in node.args) else len(node.args)
-        out.append((name, count, {k.arg for k in node.keywords}))
+        out.append((callee, count, {k.arg for k in node.keywords}))
     return out
 
 
 def unset_parameters(modules, users):
-    """Sorted "def.parameter" of the defaulted parameters of `modules`
-    ({module: source}) that no call in `users` sets, by keyword or by
-    position.  Calls are matched to defs by name only, so a call of a
-    namesake counts too: the seven positional arguments of the benchmark's
-    own `oracles.norms` would cover any defaulted parameter of
-    `algebra.norms`."""
+    """Sorted "module.def.parameter" ("module.Class.def.parameter" for a
+    method) of the defaulted parameters of `modules` ({module: source})
+    that no call in `users`, or in the def's own module, sets by keyword or
+    by position.  A call counts for a function only when its callee can be
+    that function (`calls`), so the seven positional arguments of the
+    benchmark's own `oracles.norms` cover no parameter of `algebra.norms`.
+    A method is matched by name, since the scan cannot read the type of
+    what an attribute is looked up on: any attribute call of that name
+    counts."""
     made = {}
-    for src in users:
-        for name, count, keywords in calls(src):
-            made.setdefault(name, []).append((count, keywords))
+    for module, src in [(None, src) for src in users] + list(modules.items()):
+        for callee, count, keywords in calls(src, module):
+            made.setdefault(callee, []).append((count, keywords))
     out = set()
-    for source in modules.values():
-        for (name, param), index in defaulted_parameters(source).items():
+    for module, source in modules.items():
+        for (cls, name, param), index in defaulted_parameters(source).items():
             if not any(param in kw or None in kw
                        or index is not None and count >= index
-                       for count, kw in made.get(name, ())):
-                out.add("%s.%s" % (name, param))
+                       for count, kw in made.get(
+                           (None if cls else module, name), ())):
+                out.add(".".join(filter(None, (module, cls, name, param))))
     return sorted(out)
 
 
 def test_scan_finds_an_unset_parameter():
     modules = {"scalars": (PACKAGE / "scalars.py").read_text()
-               + "\n\ndef orphan(x, knob=1, *, mode=None):\n    return x\n"}
+               + "\n\ndef orphan(x, knob=1, *, mode=None):\n    return x\n"
+               "\n\nclass Spinner:\n    def spin(self, turns=1):\n"
+               "        return turns\n"}
     users = _user_sources()
-    assert unset_parameters(modules, users + ["orphan(1)\n"]) == \
-        ["orphan.knob", "orphan.mode"]
-    assert unset_parameters(modules, users + ["orphan(1, 2, mode=3)\n"]) \
-        == []
-    assert unset_parameters(modules, users + ["s.orphan(1, knob=2)\n",
-                                              "orphan(**o)\n"]) == []
+    unset = ["scalars.Spinner.spin.turns", "scalars.orphan.knob",
+             "scalars.orphan.mode"]
+    # a namesake of the package's orphan sets nothing
+    for user in ("from adic.scalars import orphan\norphan(1)\n",
+                 "orphan(1, 2, mode=3)\n",
+                 "from oracles import orphan\norphan(1, 2, mode=3)\n",
+                 "import oracles\noracles.orphan(1, 2, mode=3)\n",
+                 "from adic import cli\ncli.orphan(1, 2, mode=3)\n",
+                 "spin(2)\n"):
+        assert unset_parameters(modules, users + [user]) == unset
+    for extra in (["from adic.scalars import orphan as o\n"
+                   "o(1, 2, mode=3)\n"],
+                  ["from adic import scalars as s\ns.orphan(1, knob=2)\n",
+                   "from . import scalars\nscalars.orphan(**o)\n"],
+                  ['pkg["scalars"].orphan(1, 2, mode=3)\n']):
+        assert unset_parameters(modules, users + extra + ["x.spin(2)\n"]) \
+            == []
+    # the module's own calls count
+    modules["scalars"] += "\n\nSPUN = orphan(Spinner().spin(1), 2, mode=3)\n"
+    assert unset_parameters(modules, users) == []
 
 
 def test_package_has_no_unset_parameters():
-    assert unset_parameters(_package_sources(), _user_sources()) == []
+    assert unset_parameters(_package_sources(), _user_sources()) == \
+        sorted(SEAMS)
+
+
+def test_seams_are_set_by_their_tests():
+    for name, test in SEAMS.items():
+        module = name.split(".")[0]
+        assert name not in unset_parameters(
+            {module: (PACKAGE / (module + ".py")).read_text()},
+            [(ROOT / "tests" / test).read_text()]), name
 
 
 def third_party_imports(source):

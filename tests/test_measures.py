@@ -3,6 +3,8 @@
 import math
 from fractions import Fraction
 
+import pytest
+
 from test_step import _prefix_draws
 
 from adic.diagrams import enumerate_paths, path_range
@@ -20,14 +22,17 @@ def test_odo2_exact_doubling(odo2):
 
 
 def test_quadratic_field_meets_floats():
-    # a float operand gives the float result, as it does for Fraction
+    # a float operand is refused, arithmetic and ordering with TypeError,
+    # and == is False; float() reads the element as a float first
     phi = sqrt_field(5)(Fraction(1, 2), Fraction(1, 2))
     golden = (1 + math.sqrt(5)) / 2
-    for got, want in ((phi * 2.0, 2 * golden), (1.0 - phi, 1 - golden),
-                      (phi / 4.0, golden / 4), (1.0 / phi, 1 / golden),
-                      (0.5 + phi, golden + 0.5)):
-        assert type(got) is float and math.isclose(got, want)
-    assert 1.5 < phi < 2.0 and phi == golden
+    for op in (lambda: phi * 2.0, lambda: 1.0 - phi, lambda: phi / 4.0,
+               lambda: 1.0 / phi, lambda: 0.5 + phi, lambda: phi < 2.0,
+               lambda: 1.5 < phi):
+        with pytest.raises(TypeError):
+            op()
+    assert not phi == golden and phi != golden
+    assert float(phi) == golden and 1.5 < float(phi) < 2.0
     # exact operands stay in the field
     assert phi * phi - phi == 1
 
