@@ -161,9 +161,9 @@ class Functionals:
     holds the d vertex rows of level base + j, norms the Gram norms, and
     step the Drazin inverse of A, which carries the rows one level up.
     scaled[m] holds the rows of level m as (den, integer rows over den),
-    built for the levels that `distributions` reads, and xi[m] the exact
-    cylinder weights of level m (`measures.xi_vector`), kept for the levels
-    that `solver.solve` gauges at."""
+    built for the levels that `distributions` reads, and xi[m] the cylinder
+    weights of level m as integer columns (D, cols, field), kept for the
+    levels that `solver.solve` gauges at (`solver._xi`)."""
     base: int
     step: list
     norms: tuple

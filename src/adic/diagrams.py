@@ -490,10 +490,13 @@ def successor(diagram, p, direction=1):
 def enumerate_paths(diagram, n):
     """All of E_{0,n} in lexicographic order, range-major: paths are
     grouped by range vertex, and within a range ordered with the last level
-    most significant."""
+    most significant; past EDGE_BUDGET edges it raises LevelOverflowError."""
     if n == 0:
         return [FinitePath((), v) for v in range(diagram.num_vertices(0))]
-    count_paths(diagram, n)
+    edges = n * sum(count_paths(diagram, n))
+    if edges > EDGE_BUDGET:
+        raise LevelOverflowError("level %d lists %d edges, more than %d"
+                                 % (n, edges, EDGE_BUDGET))
     # per level and vertex, the sources of its in-edges and the last edges
     # of the paths into it, in order
     count, levels = [1] * diagram.num_vertices(0), []
@@ -525,6 +528,7 @@ def enumerate_paths(diagram, n):
 # charged the integers it holds, a few per path of its level, and a charge
 # past STORE_BUDGET first empties the whole store.
 PATH_BUDGET = 2 ** 18
+EDGE_BUDGET = 2 ** 23  # the most edges, paths times level, of one listing
 STORE_BUDGET = 4 * PATH_BUDGET
 STORE, store_charge = [], 0  # the store's caches and the integers they hold
 # The deepest level of a path table.  A table is built on the one below
@@ -613,13 +617,15 @@ def path_index(diagram, p, k):
 def count_paths(diagram, n):
     """Vector over V_n: |E_{0,n}| path counts into each vertex.  Raises
     LevelOverflowError for n < 0 and at the first level past PATH_BUDGET
-    paths."""
+    paths; it stops at a repeating level that maps the counts to themselves."""
     if n < 0:
         raise LevelOverflowError()
     c = [1] * diagram.num_vertices(0)
     for j in range(1, n + 1):
         ld = diagram.level(j)
-        c = [sum(c[ld.source(e)] for e in ld.in_order[v])
-             for v in range(ld.num_ranges)]
+        c, before = [sum(c[ld.source(e)] for e in ld.in_order[v])
+                     for v in range(ld.num_ranges)], c
         _check_budget(j, sum(c))
+        if c == before and diagram.stationary and j >= len(diagram.levels):
+            break
     return c

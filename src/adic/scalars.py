@@ -242,17 +242,22 @@ class NumberField:
         integer columns: the float both ends of its range round to, integer
         true division rounding correctly.  A field that may still split
         reads rational values first, as one on a rounding midpoint would
-        never see its ends agree."""
+        never see its ends agree.  A pass bounds each theta-tail (the
+        coefficients 1..n-1) once, and a value adds its rational one."""
         rows = list(zip(*cols))
         out = [None] * len(rows)
         if self.n > 3:
             out = [self.rational(tuple(Fraction(x, q) for x in row))
                    for row in rows]
+        rows = [self.norm(row) for row in rows]
         todo = [i for i, x in enumerate(out) if x is None]
         while todo:
-            left, bits = [], 1
+            left, bits, tails = [], 1, {}
             for i in todo:
-                low, high, den = self._bounds(self.norm(rows[i]))
+                c, tail = rows[i][0], rows[i][1:]
+                low, high, den = tails.get(tail) or tails.setdefault(
+                    tail, self._bounds((0,) + tail))
+                low, high = low + c * den, high + c * den  # den = D^(n-1)
                 out[i] = low / (q * den)
                 if out[i] != high / (q * den):
                     left.append(i)

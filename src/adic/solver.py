@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import add, mul
 from fractions import Fraction
 
 from .cohomology import certificate, distributions, tower_functionals
@@ -46,7 +47,7 @@ from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
 from .errors import NumericError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
-                         padded, residual_rows)
+                         one_field, padded, residual_rows)
 from .measures import xi_vector
 from .solenoid import build_complex, diameter
 
@@ -80,25 +81,32 @@ def _residual(diagram, h, g):
 
 
 def _xi(tower, level):
-    """The cylinder weights xi of a level (`measures.xi_vector`), built
-    once per level and kept with the tower's functionals: past the
-    materialized levels each build raises 1/lambda to a power."""
+    """The cylinder weights xi of a level (`measures.xi_vector`) as integer
+    columns (D, cols, field), built once per level and kept with the
+    tower's functionals: past the materialized levels each build raises
+    1/lambda to a power."""
     kept = tower_functionals(tower).xi
     xi = kept.get(level)
     if xi is None:
-        xi = kept[level] = xi_vector(tower.diagram, level)
+        xi = kept[level] = integer_parts(xi_vector(tower.diagram, level))
     return xi
 
 
-def _gauged(q, runs, d, gauge):
-    """(G, cols, field): the integer columns over G = lcm(q, denominator of
-    the gauge) of runs / q - gauge."""
-    gq, gcols, gd = integer_parts([gauge])
-    big = math.lcm(q, gq)
-    up, gup = big // q, big // gq
-    width = max(len(runs), len(gcols))
-    return big, [[r * up - c * gup for r in run] for run, (c,) in
-                 zip(padded(runs, width), padded(gcols, width))], d or gd
+def _gauged(level, q, runs, totals, d, xq, xcols, xd):
+    """(gauge, g): the gauge xi . totals / q, and g of the integer columns
+    over G = D q of runs / q - gauge.  Column k of xi (`_xi`) dot
+    column j of the totals adds to theta^(k+j), reduced mod the field's
+    polynomial: the gauge is the one scalar built."""
+    field = one_field((d, xd))
+    num = [0] * (len(xcols) + len(totals) - 1)
+    for k, x in enumerate(xcols):
+        for j, t in enumerate(totals):
+            num[k + j] += sum(map(mul, x, t))
+    num = [[c] for c in (field.reduce(num) if field else num)]
+    width = max(len(runs), len(num))
+    return field_values(xq * q, num, field)[0], CylinderFunction.of_parts(
+        level, xq * q, [[r * xq - c for r in run] for run, (c,) in
+                        zip(padded(runs, width), padded(num, width))], field)
 
 
 def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
@@ -106,12 +114,12 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
 
     h's integer columns over one denominator q (`CylinderFunction.parts`)
     feed the certificate search, the partial sums of h along each tower
-    and the residual check, all on integers.  The gauge is xi (`_xi`)
-    times the integer tower totals of the partial sums, divided by q, and
-    g is built from its own integer columns (`CylinderFunction.of_parts`).
-    Only when the certificate search finds none are the distributions
-    computed, for the ObstructedError they carry.  The returned residual
-    is computed, not assumed."""
+    and the residual check, all on integers.  The gauge is xi's integer
+    columns (`_xi`) times the integer tower totals of the partial sums,
+    over q (`_gauged`), and g is built from its own integer columns
+    (`CylinderFunction.of_parts`).  Only when the certificate search finds
+    none are the distributions computed, for the ObstructedError they
+    carry.  The returned residual is computed, not assumed."""
     diagram = tower.diagram
     q, cols, d = h.parts
     cert = certificate(h, tower)
@@ -126,9 +134,7 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
         runs.append([x for a, b in blocks
                      for x in accumulate(lifted[a:b - 1], initial=0)])
     totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
-    gauge = sum(x * t for x, t in zip(_xi(tower, level),
-                                      field_values(q, totals, d)))
-    g = CylinderFunction.of_parts(level, *_gauged(q, runs, d, gauge))
+    gauge, g = _gauged(level, q, runs, totals, d, *_xi(tower, level))
     norms = None
     if alpha is not None:
         norms = solution_norms(
@@ -198,66 +204,55 @@ class BirkhoffReport:
     claimed: bool        # fit accepted: >= 3 points and R^2 >= 0.9
 
 
-def _geometric_checkpoints(n_total):
-    """The powers of 2 below n_total, then n_total."""
-    return [1 << i for i in range((n_total - 1).bit_length())] + [n_total]
-
-
 def _fit_exponent(points, n_total):
     """Least squares of log|S_n| on log n over the top two decades."""
+    def total(terms):  # left to right, as sum() adds floats before 3.12
+        return reduce(add, terms, 0)
     pts = [(math.log(n), math.log(abs(float(s))))
            for n, s in points
            if 100 * n >= n_total and float(s) != 0.0]
     if len(pts) < 3:
         return None, None, False
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    sxx = sum((x - mx) ** 2 for x, _ in pts)
+    mx = total(x for x, _ in pts) / len(pts)
+    my = total(y for _, y in pts) / len(pts)
+    sxx = total((x - mx) ** 2 for x, _ in pts)
     if sxx == 0.0:
         return None, None, False
-    slope = sum((x - mx) * (y - my) for x, y in pts) / sxx
+    slope = total((x - mx) * (y - my) for x, y in pts) / sxx
     icept = my - slope * mx
-    ss_res = sum((y - slope * x - icept) ** 2 for x, y in pts)
-    ss_tot = sum((y - my) ** 2 for _, y in pts)
+    ss_res = total((y - slope * x - icept) ** 2 for x, y in pts)
+    ss_tot = total((y - my) ** 2 for _, y in pts)
     r2 = 1.0 if ss_res <= 1e-18 else 1.0 - ss_res / ss_tot
     return slope, r2, r2 >= 0.9
 
 
-def _fold(runs):
-    """The summary of consecutive runs from their summaries (height, sum,
-    max prefix sum, min prefix sum), prefixes being nonempty.  Two runs
-    combine as (n1+n2, s1+s2, max(M1, s1+M2), min(mu1, s1+mu2))."""
-    n, s, hi, lo = 0, 0, 0, 0
-    for rn, rs, rhi, rlo in runs:
-        top, bottom = s + rhi, s + rlo
-        if not n or top > hi:
-            hi = top
-        if not n or bottom < lo:
-            lo = bottom
-        n, s = n + rn, s + rs
-    return n, s, hi, lo
-
-
 class _Towers:
-    """One quantity along towers, built upward on demand.  Depth 0 names
-    ranges (a, b) of level-m cylinders; depth j >= 1 holds, per vertex v of
-    V_(m+j-1), the tower of level-(m+j-1) paths into v: `leaf` of the range
-    of the block of v at level m for j = 1, and otherwise the `fold` of the
+    """Summaries of one quantity along towers, built upward on demand.
+    Depth 0 names ranges (a, b) of level-m cylinders; depth j >= 1 holds,
+    per vertex v of V_(m+j-1), the tower of level-(m+j-1) paths into v:
+    `leaf(a, b)` of the block of v at level m for j = 1, and otherwise the
     depth-(j-1) towers over the sources of the in-edges of v, in the
-    in-order: heights by b - a and `sum`, or h's summaries by `_fold`."""
+    in-order, folded in plain loops by the rule of the module docstring."""
 
-    def __init__(self, diagram, m, leaf, fold):
-        self.diagram, self.m, self.fold = diagram, m, fold
-        self.offsets = path_table(diagram, m).offsets
-        self.depths = [None, [leaf(key) for key in
-                              zip(self.offsets, self.offsets[1:])]]
+    def __init__(self, diagram, m, leaf):
+        self.diagram, self.m = diagram, m
+        self.offsets = offsets = path_table(diagram, m).offsets
+        self.depths = [None, [leaf(*key) for key in zip(offsets, offsets[1:])]]
 
     def grow(self, j):
         while len(self.depths) <= j:
             ld = self.diagram.level(self.m + len(self.depths) - 1)
-            below = self.depths[-1]
-            self.depths.append([self.fold(below[ld.source(e)] for e in order)
-                                for order in ld.in_order])
+            below, level = self.depths[-1], []
+            for order in ld.in_order:
+                n, s, hi, lo = 0, 0, 0, 0
+                for e in order:
+                    rn, rs, rhi, rlo = below[ld.edges[e][0]]
+                    top, bottom = s + rhi, s + rlo
+                    hi = top if not n or top > hi else hi
+                    lo = bottom if not n or bottom < lo else lo
+                    n, s = n + rn, s + rs
+                level.append((n, s, hi, lo))
+            self.depths.append(level)
         return self.depths
 
     def parts(self, j, key):
@@ -290,7 +285,7 @@ def _orbit_runs(diagram, start, towers):
             ld, tall = diagram.level(k), towers.grow(k - m)[k - m]
             order = ld.in_order[ld.range(e)]
             for f in order[order_pos(ld)[e] + 1:]:
-                if tall[ld.source(f)]:
+                if tall[ld.source(f)][0]:
                     seen.clear()
                     yield k - m, ld.source(f)
         x = extreme_path(diagram, 1)
@@ -301,10 +296,11 @@ def _orbit_schedule(diagram, start, m, n_total):
     """(deepest depth, ((n, runs), ...)): the runs of the orbit of `start`
     up to each checkpoint n from the one before, flat as ints (depth, a, b):
     a range (a, b) at depth 0, the tower over vertex a (b = 0) above."""
-    heights = _Towers(diagram, m, lambda key: key[1] - key[0], sum)
+    heights = _Towers(diagram, m, lambda a, b: (b - a,) * 4)  # heights only
     runs, depths = _orbit_runs(diagram, start, heights), heights.depths
     n, out, stack = 0, [], []
-    for stop in _geometric_checkpoints(n_total):
+    for stop in [1 << i for i in range((n_total - 1).bit_length())] + \
+            [n_total]:
         flat = []
         while n < stop:
             j, key = stack.pop() if stack else next(runs)
@@ -313,7 +309,7 @@ def _orbit_schedule(diagram, start, m, n_total):
                 a, b = key
                 key = a, a + stop - n
                 stack.append((0, (key[1], b)))
-            size = depths[j][key] if j else key[1] - key[0]
+            size = depths[j][key][0] if j else key[1] - key[0]
             if n + size > stop:  # a cut tower: its parts one level down
                 stack.extend(reversed(heights.parts(j, key)))
                 continue
@@ -334,12 +330,12 @@ def birkhoff(diagram, h, start, n_total):
     prefix sums, about log n levels, so a call costs O(levels * in-degree)
     per checkpoint plus the ranges it reads, not one step per iterate.
     sup_abs is read off the extreme prefix sums, so it is exact.  Rational
-    and float values are summed exactly as h's integer columns (`parts`)
-    over their denominator q; float input reports the float nearest each
-    exact sum, rational input its Fraction.  The fit and mean_rate read the
-    floats acc / q off the integer sums, correctly rounded as integer true
-    division is, so they are those of the Fractions.  Other values (field
-    elements, NaN, infinities) are summed as they are."""
+    and float values are summed exactly as h's integer column (`parts`)
+    over its denominator q, every range read off slices of one prefix
+    column of it; float input reports the float nearest each exact sum,
+    rational input its Fraction.  The fit and mean_rate read the floats
+    acc / q, correctly rounded as integer true division is.  Other values
+    (field elements, NaN, infinities) are summed as they are, per range."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
     table, exact = h.values, (lambda a: a)
@@ -357,20 +353,28 @@ def birkhoff(diagram, h, start, n_total):
     m = max(h.level, 1)
     if not h.level:
         table = [table[i] for i in path_table(diagram, 1).parent]
+    col = list(accumulate(table, initial=0)) if rational else None
 
-    def leaf(key):
-        sums = list(accumulate(table[slice(*key)])) or [0]
-        return key[1] - key[0], sums[-1], max(sums), min(sums)
-    towers = _Towers(diagram, m, leaf, _fold)
+    def leaf(a, b):
+        # other values are summed per range, so a NaN reaches only its own
+        run = col[a:b + 1] if col else list(accumulate(table[a:b], initial=0))
+        base, rest = run[0], run[1:]
+        return (b - a, run[-1] - base, max(rest, default=base) - base,
+                min(rest, default=base) - base)
+    towers = _Towers(diagram, m, leaf)
     deepest, schedule = _orbit_schedule(diagram, start, m, n_total)
     depths, acc, sup, out = towers.grow(deepest), 0, 0, []
     for n, flat in schedule:
         for j, a, b in zip(*[iter(flat)] * 3):
-            _, s, hi, lo = depths[j][a] if j else leaf((a, b))
-            top, bottom = acc + hi, -(acc + lo)
+            if j or not col:
+                _, s, hi, lo = depths[j][a] if j else leaf(a, b)
+                top, bottom, acc = acc + hi, -(acc + lo), acc + s
+            else:  # a range, read off h's prefix column
+                base, rest = acc - col[a], col[a + 1:b + 1]
+                top, bottom = base + max(rest), -(base + min(rest))
+                acc = base + col[b]
             sup = top if top > sup else sup
             sup = bottom if bottom > sup else sup
-            acc += s
         out.append((n, acc))
     points = [(n, inexact(s)) for n, s in out]
     slope, r2, ok = _fit_exponent(points, n_total)

@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -934,6 +935,22 @@ def test_path_budget_refuses_deep_levels(tmp_path, argv):
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 3, done.stderr
     assert done.stderr.startswith("error: level 19 has 524288 paths")
+
+
+def test_edge_budget_refuses_a_long_listing_at_once(capsys, tmp_path):
+    # the one-edge loop has one path at every level: its count is fixed at
+    # level 1, and a listing of 10^8 edges is refused before it is built
+    (tmp_path / "loop.json").write_text(json.dumps({
+        "stationary": True, "levels": [{
+            "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+            "in_order": [[0]]}]}))
+    t0 = time.perf_counter()
+    rc, out, err = run(capsys, ["paths", "--diagram", str(tmp_path /
+                                "loop.json"), "--level", "100000000"])
+    assert time.perf_counter() - t0 < 1.0
+    assert (rc, out) == (3, "")
+    assert err == ("error: level 100000000 lists 100000000 edges, more than "
+                   "8388608\n")
 
 
 @pytest.mark.parametrize("diagram, argv, level", [

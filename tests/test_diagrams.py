@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,18 @@ def test_one_loop_lists_a_deep_level_at_once():
         "in_order": [[0]]}], "stationary": True})
     assert [p.edges for p in enumerate_paths(loop, 20000)] == \
         [(0,) * 20000]
+
+
+def test_one_loop_counts_a_deep_level_at_once():
+    # level 1 repeats and maps the count [1] to itself, so the count stops
+    loop = diagram_from_json_dict({"levels": [{
+        "num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+        "in_order": [[0]]}], "stationary": True})
+    t0 = time.perf_counter()
+    assert count_paths(loop, 10 ** 8) == [1]
+    assert time.perf_counter() - t0 < 0.1
+    # a non-repeating first level that fixes the count does not stop it
+    assert count_paths(_prefixed(builtin_diagram("odo2")), 3) == [4]
 
 
 # The path ultrametric d(p, q) = lam**(-k+1), k the first level where p

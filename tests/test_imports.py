@@ -13,11 +13,12 @@ an attribute of its module from a user.  A method or property of a class
 (dunders aside), and a field of a dataclass, must be read by a user as an
 attribute of something.  A parameter with a default must be set by some
 call of a user whose callee can be the package's def, not a namesake.
-Only `CylinderFunction.parts` and the solver's gauge read values as
-integer columns (`integer_parts`).  `REFERENCES` lists the reference
-implementations that only the unit tests comparing against them read, and
-`SEAMS` the parameters that only the unit tests set.  The `test` extra
-of pyproject.toml names every third-party module the test files import."""
+Only `CylinderFunction.parts` and the solver's cylinder weights (`_xi`)
+read values as integer columns (`integer_parts`).  `REFERENCES` lists
+the reference implementations that only the unit tests comparing against
+them read, and `SEAMS` the parameters that only the unit tests set.  The
+`test` extra of pyproject.toml names every third-party module the test
+files import."""
 
 import ast
 import math
@@ -305,21 +306,22 @@ def column_reads(source):
 
 def test_scan_finds_a_column_read():
     source = (PACKAGE / "solver.py").read_text()
-    assert column_reads(source) == ["_gauged"]
+    assert column_reads(source) == ["_xi"]
     assert column_reads(source + "\n\ndef f(h):\n"
                         "    return m.integer_parts(h.values)\n") == \
-        ["_gauged", "f"]
+        ["_xi", "f"]
     assert column_reads(source + "\nREAD = map(integer_parts, ())\n") == \
-        ["<module>", "_gauged"]
+        ["<module>", "_xi"]
 
 
 def test_columns_are_read_in_one_place():
     # a function's integer columns are read behind CylinderFunction.parts;
-    # the solver's gauge constant, a lone scalar, is the one other reader
+    # the cylinder weights xi that the solver's gauge reads are the one
+    # other reader
     found = {p.stem: column_reads(p.read_text())
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: defs for module, defs in found.items() if defs} == \
-        {"martingale": ["parts"], "solver": ["_gauged"]}
+        {"martingale": ["parts"], "solver": ["_xi"]}
 
 
 def defaulted_parameters(source):

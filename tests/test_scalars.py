@@ -117,6 +117,31 @@ def test_quadratic_field_keeps_its_values():
         phi + sqrt_field(2)(0, 1)
 
 
+@pytest.mark.parametrize("name, below", [
+    ("sqrt 2", 1), ("sqrt 5", 2), ("cubic", 2)])
+def test_floats_of_one_tail_are_the_floats_of_each_value(name, below):
+    # values r_i + gamma of one irrational gamma, the shape of a solved g,
+    # and a few r_i - gamma: each float that `floats` reads for the column
+    # is float() of that value alone, read on a fresh field whose first
+    # interval (below, below + 1] is too wide for any of them, so both
+    # refine
+    poly, r = FIELDS[name].poly, random.Random(below + len(name))
+
+    def fresh():
+        return NumberField(poly, Fraction(below), Fraction(below + 1))
+
+    gamma = FIELDS[name](*(Fraction(r.randint(-99, 99), r.randint(1, 9))
+                           for _ in poly[1:]))
+    gamma += FIELDS[name](0, Fraction(1, 3))  # irrational
+    vals = [Fraction(r.randint(-10 ** 6, 10 ** 6), r.randint(1, 10 ** 4))
+            + (-gamma if i % 7 == 3 else gamma) for i in range(40)]
+    q, cols, _ = integer_parts(vals)
+    field = fresh()
+    got = field.floats(q, cols)
+    assert field.hi - field.lo < 1
+    assert got == [float(FieldElement(v.c, fresh())) for v in vals]
+
+
 def sympy_value(x):
     """The value of a Fraction or field element to 50 digits, in sympy;
     theta is the largest real root of the field polynomial."""

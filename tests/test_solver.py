@@ -418,16 +418,19 @@ def _orbit_starts(r, d):
 
 def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
     # every checkpoint and sup_abs against lazy successors and evaluate, for
-    # h of levels 0-3 on the builtins and random diagrams, Fraction and
-    # (on fib) field values; n_total 1, 120 and four more drawn below 120,
-    # each with its powers of 2 below (all 120 take about 30 s on a 2-core
-    # x86 machine)
+    # h of levels 0-3 on the builtins, random diagrams and two prefixed
+    # ones, Fraction, float (on odo3) and (on fib) field values; n_total 1,
+    # 120 and four more drawn below 120, each with its powers of 2 below
+    # (all 120 take about 30 s on a 2-core x86 machine)
     r = rng(407)
     cases = [(d, lambda: Fraction(r.randint(-8, 8), 4))
              for d in (odo2, odo3, fib, pisot31)]
     cases += [(_random_diagram(r, n, 6), cases[0][1]) for n in (2, 2, 3)]
+    cases += [(_prefixed(d), cases[0][1])
+              for d in (pisot31, _random_diagram(r, 3, 6))]
     xi = xi_vector(fib, 3)
     cases.append((fib, lambda: r.choice(xi) * r.randint(-2, 2)))
+    cases.append((odo3, lambda: r.uniform(-2, 2)))
     n = 120
     for d, value in cases:
         hs = [from_vector(d, level, [value() for _ in
@@ -439,11 +442,17 @@ def test_birkhoff_matches_naive_orbit(odo2, odo3, fib, pisot31):
                 orbit.append(successor(d, orbit[-1]))
             totals = sorted({1, n} | set(r.sample(range(2, n), 4)))
             for h in hs:
+                # a float is summed as the dyadic rational it is, then
+                # rounded once
+                floats = isinstance(h.values[0], float)
                 sums, acc = [], 0
                 for x in orbit:
-                    acc = acc + h.evaluate(d, x)
+                    acc = acc + (Fraction(h.evaluate(d, x)) if floats
+                                 else h.evaluate(d, x))
                     sums.append(acc)
                 sups = list(itertools.accumulate(map(abs, sums), max))
+                if floats:
+                    sums, sups = list(map(float, sums)), list(map(float, sups))
                 for total in totals:
                     rep = birkhoff(d, h, start, total)
                     # the powers of 2 below n_total, then n_total
