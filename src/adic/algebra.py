@@ -23,11 +23,13 @@ the path budget raises LevelOverflowError instead of silent truncation.
 
 The distortion constant of the adic map enters every weighted norm, and it
 is only ever available as a certified lower bound from a finite pair sweep.
-The sweep is exact: cylinder representatives with minimal tails, image
-disagreement levels resolved individually when the scan to a fixed depth is
-inconclusive.  Norm weights switch between the exponential regime (powers
-of the distortion estimate) and the polynomial regime (the estimate says
-isometry) and the estimate itself is reported rather than extrapolated.
+The sweep is exact: cylinder representatives with minimal tails are sorted
+once per direction, and each run of them that shares a prefix is scored by
+the common prefix of its least and greatest image; no pair is walked, since
+images that agree past the scan depth cannot raise the bound.  Norm
+weights switch between the exponential regime (powers of the distortion
+estimate) and the polynomial regime (the estimate says isometry) and the
+estimate itself is reported rather than extrapolated.
 
 The tail seminorms use the projection convention P_{-1} = 0, so the
 supremum starts one index below the support; this is the convention under
@@ -41,22 +43,26 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
+from os.path import commonprefix
 
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
-                       first_disagreement, materialize, successor)
+                       materialize, successor)
 from .errors import (InsufficientStabilizationError, LevelOverflowError,
                      NormTooLargeError, NotProperlyOrderedError,
                      NumericError, PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
-                         float_values, gather, holder_norm, one_field, padded,
-                         rand_function)
+                         float_values, gather, holder_norm, nu_mean,
+                         one_field, padded, rand_function)
 from .measures import renorm_data
 from .solver import _overflow
 
 TRIANGLE_CACHE_SIZE = 16
 # the default distortion sweep climbs past level 3 only through levels of
-# at most this many paths: its cost is quadratic in their number
+# at most this many paths.  The sweep costs one successor per path and
+# direction, not a pair table; the cap fixes the level of every default
+# estimate
 TRIANGLE_PATHS = 512
 
 
@@ -300,67 +306,47 @@ class TriangleEstimate:
     level: int
 
 
-def _first_diffs(rows):
-    """Per pair of equally long rows, the first column (1-based) where
-    they differ, 0 where they are equal.  In sorted order, two rows agree
-    on the least common prefix length of the neighbours between them."""
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    width = len(rows[0])
-    common = [next((i for i, (x, y) in enumerate(zip(rows[a], rows[b]))
-                    if x != y), width) for a, b in zip(order, order[1:])]
-    out = [[0] * len(rows) for _ in rows]
-    for i, a in enumerate(order):
-        run = width
-        for j in range(i + 1, len(order)):
-            run = min(run, common[j - 1])
-            out[a][order[j]] = out[order[j]][a] = \
-                0 if run == width else run + 1
-    return out
-
-
-def _direction_sweep(diagram, reps, images, lamf, depth):
-    keep = [i for i, im in enumerate(images) if im is not None]
-    if len(keep) < 2:
-        return 1.0
-    jb = _first_diffs([materialize(diagram, reps[i], depth).edges
-                       for i in keep])
-    ji = _first_diffs([materialize(diagram, images[i], depth).edges
-                       for i in keep])
-    return lamf ** max(jb[u][v] - (ji[u][v] or first_disagreement(
-        diagram, images[keep[u]], images[keep[v]]))
-        for u in range(len(keep)) for v in range(len(keep)) if u != v)
-
-
 @lru_cache(maxsize=TRIANGLE_CACHE_SIZE)
 def triangle_phi(diagram, L, lam=None):
     """Certified lower bound for the bi-Lipschitz distortion of the adic
     map, from the exhaustive sweep of level-L cylinder pairs (minimal-tail
-    representatives, both directions).  Nondecreasing in L because the
+    representatives, both directions): lam to the largest c - c' over
+    pairs whose representatives share their first c edges and whose images
+    their first c', clipped at 0.  Nondecreasing in L because the
     representative set refines; exactly 1 at every L for isometries.
-    Representatives whose image is undefined (an extreme path of a not
-    properly ordered diagram) are skipped: the bound stays a lower bound."""
+
+    Distinct representatives split before level L, so their rows are their
+    level-L edges; the images are read to level L + 8.  Sorted by
+    representative row, the pairs sharing their first c edges form runs,
+    and the least c' of a run is the common prefix of its least and
+    greatest image.  c = 0 scores at most 0, and images that agree through
+    level L + 8 score at most -9 or are equal (ratio 0), so neither moves
+    the bound.  Representatives whose image is undefined (an extreme path
+    of a not properly ordered diagram) are skipped."""
     lamf = renorm_data(diagram).lam_float if lam is None else float(lam)
-    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(diagram, L)]
-    best = 1.0
+    paths, best = enumerate_paths(diagram, L), 0
     for direction in (1, -1):
-        images = []
-        for r in reps:
+        rows = []
+        for p in paths:
             try:
-                images.append(successor(diagram, r, direction))
+                image = successor(diagram, LazyPath(p, TAIL_MIN), direction)
             except NotProperlyOrderedError:
-                images.append(None)
-        best = max(best, _direction_sweep(diagram, reps, images, lamf, L + 8))
-    return TriangleEstimate(value=best, level=L)
+                continue
+            rows.append((p.edges, materialize(diagram, image, L + 8).edges))
+        rows.sort()
+        for c in range(1, L):
+            for _, run in groupby(rows, key=lambda row: row[0][:c]):
+                best = max(best, c - len(commonprefix([x for _, x in run])))
+    return TriangleEstimate(value=lamf ** best, level=L)
 
 
 def default_triangle(diagram, lam):
     """The distortion estimate that the norms default to: `triangle_phi`
     at L = max(3, len(levels) + 2), so that the sweep runs two levels past
-    the materialized ones, prefix levels included.  The sweep compares
-    every pair of level-L paths, so past L = 3 it climbs only through
-    levels of at most TRIANGLE_PATHS paths and stops below the first
-    larger one; the estimate is nondecreasing in L, so it stays a lower
-    bound."""
+    the materialized ones, prefix levels included.  Past L = 3 it climbs
+    only through levels of at most TRIANGLE_PATHS paths and stops below
+    the first larger one; the estimate is nondecreasing in L, so it stays
+    a lower bound."""
     L = 3
     while L < len(diagram.levels) + 2:
         try:
@@ -556,7 +542,9 @@ def jolissaint_holds(f, n, big):
 def check_trial(rng, diagram, lam, alpha, tri, tower, shape=(2, 2, 3)):
     """One trial of the property suite: yields (check name, holds) for
     random elements a and b of the given shape and smaller c and f.  The
-    algebra identities and the traces are exact; the norm inequalities at
+    algebra identities and the traces are exact: `trace_commutator`
+    compares the D_i, which are signed, and `trace_positive` the measure
+    trace nu((a* a)(0)) (`martingale.nu_mean`); the norm inequalities at
     the distortion estimate tri are compared with `le`."""
     a = rand_element(rng, diagram, lam, alpha, shape)
     b = rand_element(rng, diagram, lam, alpha, shape)
@@ -590,4 +578,4 @@ def check_trial(rng, diagram, lam, alpha, tri, tower, shape=(2, 2, 3)):
     yield "trace_commutator", all(x.numerator == y.numerator
                                   for x, y in zip(ta, tb))
     yield "trace_positive", \
-        trace(convolve(involution(a), a), tower)[0].numerator >= 0
+        nu_mean(diagram, convolve(involution(a), a).coeff(0)) >= 0

@@ -372,9 +372,10 @@ class PathWalker:
     def state(self):
         """None while the walk is inside the prefix or the materialized
         levels.  Past both, (vertex, word position): the rest of the walk
-        depends on these alone, so a repeat means it cycles.  At the last
-        materialized level of a non-stationary diagram, where the walk can
-        go no further, HorizonExceededError."""
+        depends on these alone, so a repeat means it cycles (`successor`
+        and `solver._orbit_runs` stop there).  At the last materialized
+        level of a non-stationary diagram, where the walk can go no
+        further, HorizonExceededError."""
         if self.k < len(self.diagram.levels):
             return None
         if not self.diagram.stationary:
@@ -390,28 +391,6 @@ def materialize(diagram, lazy, k):
     """The level-k FinitePath prefix of a LazyPath."""
     w = PathWalker(diagram, lazy)
     return FinitePath(tuple(w.advance()[1] for _ in range(k)))
-
-
-def first_disagreement(diagram, p, q):
-    """Smallest level where p and q differ; 0 if provably equal.
-
-    Provable equality uses cycle detection on the joint walker state
-    (`PathWalker.state`), valid for stationary diagrams; non-stationary
-    diagrams raise beyond the materialized horizon.  Past the horizon the
-    joint state takes finitely many values, so the scan ends.
-    """
-    wp, wq = PathWalker(diagram, p), PathWalker(diagram, q)
-    seen = set()
-    while True:
-        st = (wp.state(), wq.state())
-        if None not in st:
-            if st in seen:
-                return 0
-            seen.add(st)
-        kp, ep = wp.advance()
-        _, eq = wq.advance()
-        if ep != eq:
-            return kp
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Crossed-product elements: products, norms, inversion, traces."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,7 +10,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import rng
-from test_step import _prefixed, _random_diagram
+from test_step import (_prefix_draws, _prefixed, _random_diagram,
+                       _random_prefix, first_disagreement)
 
 import adic.algebra as alg
 from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE,
@@ -23,7 +25,8 @@ from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE,
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           count_paths, enumerate_paths, successor)
+                           count_paths, enumerate_paths, make_level,
+                           successor)
 from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
                          NumericError, PreconditionError)
@@ -104,6 +107,76 @@ def test_default_triangle_stops_below_the_path_bound(odo3, monkeypatch):
     seen.clear()
     default_triangle(odo3, 3)
     assert seen == [3]
+
+
+def _stationary(matrix):
+    """The one-level stationary diagram of a square matrix, entry (v, w)
+    counting the edges w -> v, with in-orders in edge-index order."""
+    n = len(matrix)
+    edges = [(w, v) for v in range(n) for w in range(n)
+             for _ in range(matrix[v][w])]
+    in_order = [[e for e, (_, r) in enumerate(edges) if r == v]
+                for v in range(n)]
+    return OrderedDiagram((make_level(n, n, edges, in_order),), True)
+
+
+def _pairwise_triangle(d, L, lamf):
+    """The sweep over every ordered pair of level-L representatives with
+    defined images, scored by their exact disagreement levels
+    (`first_disagreement`): provably equal images are skipped, and the
+    exponent is clipped at 0."""
+    reps = [LazyPath(p, TAIL_MIN) for p in enumerate_paths(d, L)]
+    best = 0
+    for direction in (1, -1):
+        pairs = []
+        for x in reps:
+            try:
+                pairs.append((x, successor(d, x, direction)))
+            except NotProperlyOrderedError:
+                continue
+        for (x, fx), (y, fy) in permutations(pairs, 2):
+            split = first_disagreement(d, fx, fy)
+            if split:
+                best = max(best, first_disagreement(d, x, y) - split)
+    return lamf ** best
+
+
+def _improper(r, n):
+    """A `_random_diagram` on n >= 2 vertices with its in-orders shuffled
+    until it is not properly ordered."""
+    while True:
+        ld = _random_diagram(r, n, 6).levels[0]
+        for _ in range(20):
+            orders = [r.sample(o, len(o)) for o in ld.in_order]
+            d = OrderedDiagram((make_level(n, n, ld.edges, orders),), True)
+            if not (_backward_ok(d) and _forward_ok(d)):
+                return d
+
+
+# reverse-fib: fib with the two in-edges of vertex a swapped; distinct
+# representatives have provably equal images at level 1
+REVERSE_FIB = OrderedDiagram((make_level(2, 2, [(0, 0), (1, 0), (0, 1)],
+                                         [[1, 0], [2]]),), True)
+
+
+def test_triangle_matches_the_pairwise_sweep(odo2, odo3, fib, pisot31):
+    r = random.Random(41)
+    cases = [odo2, odo3, fib, pisot31, REVERSE_FIB]
+    drawn = [_random_diagram(r, r.randint(1, 3), 6) for _ in range(10)]
+    cases += drawn + [_prefixed(d) for d in drawn[:4] + [fib]]
+    cases += _prefix_draws(7, 10) + [_improper(r, n) for n in (2, 3) * 4]
+    for d in cases:
+        for L in (1, 2, 3):
+            assert triangle_phi(d, L, 2.5).value == \
+                _pairwise_triangle(d, L, 2.5), (d, L)
+    assert triangle_phi(REVERSE_FIB, 1).value == 1.0
+
+
+def test_triangle_of_many_paths_is_fast():
+    # every entry 3: 2187 level-3 paths, lam = 9, one level of distortion
+    d, t0 = _stationary([[3] * 3] * 3), time.perf_counter()
+    assert triangle_phi(d, 3, 9.0).value == 9.0
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unit_and_unitaries(odo2):
@@ -639,6 +712,43 @@ def test_traces_of_ab_and_ba_agree_exactly(d, seed):
     assert all(isinstance(x.numerator, Fraction) for x in ta + tb)
 
 
+# two diagrams the suite once failed on: A `trace_positive` while it read
+# D_1, B the norm inequalities while the sweep stopped inside its prefix
+REPRO_A = OrderedDiagram((make_level(
+    2, 2, [(0, 0), (1, 0), (0, 1), (1, 1), (1, 1)], [[1, 0], [4, 3, 2]]),),
+    True)
+REPRO_B = OrderedDiagram((
+    make_level(1, 3, [(0, 1), (0, 1), (0, 2), (0, 0)], [[3], [0, 1], [2]]),
+    make_level(3, 3, [(0, 2), (2, 0), (2, 2), (0, 2), (1, 2), (1, 1), (0, 0),
+                      (0, 1)], [[6, 1], [5, 7], [0, 4, 2, 3]]),
+    make_level(3, 3, [(0, 0), (1, 0), (1, 1), (2, 1), (0, 2)],
+               [[1, 0], [2, 3], [4]])), True)
+
+
+@example(REPRO_A, 0, 0)
+@example(REPRO_B, 0, 0)
+@example(_stationary([[2, 1], [2, 1]]), 0, 0)
+@example(_stationary([[1, 1, 0], [0, 0, 1], [3, 1, 1]]), 0, 0)
+@example(_prefixed(builtin_diagram("pisot31")), 0, 0)
+@given(_drawn_diagrams(), st.integers(0, 2), st.integers(0, 2 ** 16))
+def test_the_suite_holds_on_drawn_diagrams(d, prefix, seed):
+    # every check of `adic algebra check` at its default estimate, on
+    # singular, cubic and prefixed diagrams too; only the one-edge loop,
+    # with Perron root 1, is refused
+    r = random.Random(seed)
+    d = _random_prefix(r, d, prefix)
+    if d.matrix(len(d.levels)) == [[1]]:
+        with pytest.raises(PreconditionError):
+            renorm_data(d)
+        return
+    rd = renorm_data(d)
+    tri = default_triangle(d, rd.lambda_mu)
+    tower = limit_rank(d, rd)
+    for _ in range(25):
+        for name, ok in check_trial(r, d, rd.lambda_mu, 3, tri, tower):
+            assert ok, (name, d)
+
+
 def test_trace_refuses_a_level_below_the_evaluation_level(odo2):
     # at_level only guards the evaluation level; it does not move the trace
     r = rng(508)
@@ -731,6 +841,15 @@ def _backward_ok(diagram):
     """Whether phi^-1 is defined: the all-max path is unique."""
     try:
         phi_transient(diagram, -1)
+    except NotProperlyOrderedError:
+        return False
+    return True
+
+
+def _forward_ok(diagram):
+    """Whether phi is defined everywhere: the all-min path is unique."""
+    try:
+        phi_transient(diagram, 1)
     except NotProperlyOrderedError:
         return False
     return True

@@ -9,15 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from test_step import _prefixed, _random_diagram
+from test_step import _prefixed, _random_diagram, first_disagreement
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
                            TAIL_MAX, TAIL_MIN, Tail, count_paths,
                            diagram_from_json_dict, enumerate_paths,
-                           extreme_path, first_disagreement, load_diagram,
-                           make_level, materialize, out_edges, path_range,
-                           path_table, successor, validate)
+                           extreme_path, load_diagram, make_level,
+                           materialize, out_edges, path_range, path_table,
+                           successor, validate)
 from adic.errors import (HorizonExceededError, LevelOverflowError,
                          NotProperlyOrderedError, ParseError)
 from adic.martingale import from_vector, phi_transient

@@ -1,6 +1,6 @@
 """The adic step in tower order, `compose_phi` against pointwise evaluation
-at lazy successors, and the random properly ordered diagrams that the other
-test modules draw from."""
+at lazy successors, and the random properly ordered diagrams and the exact
+path comparison (`first_disagreement`) that the other test modules use."""
 
 import itertools
 import random
@@ -9,11 +9,34 @@ from fractions import Fraction
 import pytest
 
 from adic.catalog import builtin_diagram
-from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           count_paths, enumerate_paths, first_disagreement,
-                           make_level, materialize, path_range, successor)
+from adic.diagrams import (LazyPath, OrderedDiagram, PathWalker, TAIL_MAX,
+                           TAIL_MIN, count_paths, enumerate_paths, make_level,
+                           materialize, path_range, successor)
 from adic.errors import NotProperlyOrderedError
 from adic.martingale import compose_phi, from_vector, phi_transient
+
+
+def first_disagreement(diagram, p, q):
+    """Smallest level where the lazy paths p and q differ; 0 if provably
+    equal.
+
+    Provable equality uses cycle detection on the joint walker state
+    (`PathWalker.state`), valid for stationary diagrams; non-stationary
+    diagrams raise beyond the materialized horizon.  Past the horizon the
+    joint state takes finitely many values, so the scan ends.
+    """
+    wp, wq = PathWalker(diagram, p), PathWalker(diagram, q)
+    seen = set()
+    while True:
+        st = (wp.state(), wq.state())
+        if None not in st:
+            if st in seen:
+                return 0
+            seen.add(st)
+        kp, ep = wp.advance()
+        _, eq = wq.advance()
+        if ep != eq:
+            return kp
 
 
 def _random_diagram(r, n, max_edges):
