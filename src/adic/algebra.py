@@ -55,7 +55,6 @@ from .errors import (InsufficientStabilizationError, LevelOverflowError,
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, nu_mean,
                          one_field, padded, rand_function)
-from .measures import renorm_data
 from .solver import _overflow
 
 TRIANGLE_CACHE_SIZE = 16
@@ -307,7 +306,7 @@ class TriangleEstimate:
 
 
 @lru_cache(maxsize=TRIANGLE_CACHE_SIZE)
-def triangle_phi(diagram, L, lam=None):
+def triangle_phi(diagram, L, lam):
     """Certified lower bound for the bi-Lipschitz distortion of the adic
     map, from the exhaustive sweep of level-L cylinder pairs (minimal-tail
     representatives, both directions): lam to the largest c - c' over
@@ -323,7 +322,6 @@ def triangle_phi(diagram, L, lam=None):
     level L + 8 score at most -9 or are equal (ratio 0), so neither moves
     the bound.  Representatives whose image is undefined (an extreme path
     of a not properly ordered diagram) are skipped."""
-    lamf = renorm_data(diagram).lam_float if lam is None else float(lam)
     paths, best = enumerate_paths(diagram, L), 0
     for direction in (1, -1):
         rows = []
@@ -337,7 +335,7 @@ def triangle_phi(diagram, L, lam=None):
         for c in range(1, L):
             for _, run in groupby(rows, key=lambda row: row[0][:c]):
                 best = max(best, c - len(commonprefix([x for _, x in run])))
-    return TriangleEstimate(value=lamf ** best, level=L)
+    return TriangleEstimate(value=float(lam) ** best, level=L)
 
 
 def default_triangle(diagram, lam):

@@ -502,10 +502,10 @@ def enumerate_paths(diagram, n):
 # The most paths that `enumerate_paths` and `path_table` build at one
 # level.  A function file or a level flag of a few bytes can ask for 2^n
 # paths; the tests build at most 2^17 (pisot31 at level 8).  Path tables
-# and the index maps of `martingale` (`gather`, `sibling_plan` and
-# `residual_rows`) share one store, bounded in integers held: a build is
-# charged the integers it holds, a few per path of its level, and a charge
-# past STORE_BUDGET first empties the whole store.
+# and the index maps of `martingale` (`gather` and `residual_rows`) share
+# one store, bounded in integers held: a build is charged the integers it
+# holds, a few per path of its level, and a charge past STORE_BUDGET first
+# empties the whole store.
 PATH_BUDGET = 2 ** 18
 EDGE_BUDGET = 2 ** 23  # the most edges, paths times level, of one listing
 STORE_BUDGET = 4 * PATH_BUDGET
@@ -555,31 +555,35 @@ class PathTable:
     offsets: tuple  # per vertex of V_k its block start, then |E_{0,k}|
     parent: tuple   # per path: index of its first k-1 edges at level k-1
     first: tuple    # per edge of level k: index of the first path through it
+    runs: tuple     # per vertex of V_(k-1): first[e] of its out-edges, rising
 
     def blocks(self):
         """(start, stop) of the block of each vertex of V_k."""
         return zip(self.offsets, self.offsets[1:])
 
 
-@partial(stored, lambda t: len(t.offsets) + len(t.parent) + len(t.first))
+@partial(stored, lambda t: len(t.offsets) + len(t.parent) + 2 * len(t.first))
 def path_table(diagram, k):
     """The PathTable of level k; level 0 lists the vertices of V_0."""
     if k > LEVEL_BUDGET:
         raise LevelOverflowError("level %d is deeper than %d"
                                  % (k, LEVEL_BUDGET))
     if k == 0:
-        return PathTable(tuple(range(diagram.num_vertices(0) + 1)), (), ())
+        return PathTable(tuple(range(diagram.num_vertices(0) + 1)), (), (), ())
     ld = diagram.level(k)
     below = path_table(diagram, k - 1).offsets
     _check_budget(k, sum(below[s + 1] - below[s] for s, _ in ld.edges))
     offsets, parent, first = [0], [], [0] * len(ld.edges)
+    runs = [[] for _ in below[1:]]
     for order in ld.in_order:
         for e in order:
             first[e] = len(parent)
             s = ld.source(e)
+            runs[s].append(first[e])
             parent.extend(range(below[s], below[s + 1]))
         offsets.append(len(parent))
-    return PathTable(tuple(offsets), tuple(parent), tuple(first))
+    return PathTable(tuple(offsets), tuple(parent), tuple(first),
+                     tuple(map(tuple, runs)))
 
 
 def path_index(diagram, p, k):

@@ -6,18 +6,21 @@ level-m cylinders, in the order of `enumerate_paths(diagram, m)`; at
 level 0 that is the vertex order of V_0.  Lifts, projections, means and
 compositions act on these vectors through the per-level parent tables and
 block offsets of `diagrams.path_table`.  Values may be Fractions,
-elements of the Perron field (`scalars.FieldElement`), or floats, and
-projection/difference operations stay in the same field.  `gather` caches
-the index maps of composition and lift in the store of `diagrams`, with the
-path tables, bounded by `STORE_BUDGET` integers, and so do the index plans
-of the Hoelder sweep and of the residual check.  A function also holds its
-values as integer columns over one denominator, one per coefficient of the
-field (`CylinderFunction.parts`), so block sums, the solver and
-`algebra.convolve` add integers; values are never written once built.  The
-bump profile used for smoothing is the fixed polynomial
-c*(1 - (5t/tau)^2)^3, whose integral is exactly one and whose derivative
-sup-norms have closed forms; it is C^2 at the support boundary (u, u', u''
-vanish there) while its third derivative is bounded but jumps there.
+elements of the Perron field (`scalars.FieldElement`), or floats.  Means
+and projections read them exactly, a finite float as the dyadic rational
+it stores, and stay in the field of the values and the weights; NaN and
++-inf raise PreconditionError there.  `gather` caches the index maps of
+composition and lift in the store of `diagrams`, with the path tables,
+bounded by `STORE_BUDGET` integers, and so does `residual_rows` for the
+residual check; the Hoelder sweep reads the sibling runs of the path
+tables.  A function also holds its values as integer columns over one
+denominator, one per coefficient of the field (`CylinderFunction.parts`),
+so block sums, the solver and `algebra.convolve` add integers; values are
+never written once built.  The bump profile used for smoothing is the
+fixed polynomial c*(1 - (5t/tau)^2)^3, whose integral is exactly one and
+whose derivative sup-norms have closed forms; it is C^2 at the support
+boundary (u, u', u'' vanish there) while its third derivative is bounded
+but jumps there.
 """
 
 from __future__ import annotations
@@ -26,12 +29,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import permutations
-from operator import itemgetter, sub
+from itertools import chain, permutations, repeat
+from operator import sub
 
 from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
-                       extreme_path, extreme_vertex, materialize, out_edges,
-                       path_index, path_range, path_table, stored)
+                       extreme_path, extreme_vertex, materialize, path_index,
+                       path_range, path_table, stored)
 from .errors import NotProperlyOrderedError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
@@ -194,11 +197,12 @@ def lift(diagram, h, k):
 def nu_mean(diagram, h):
     """Integral against the unique tail-invariant probability measure: every
     cylinder of a block has its vertex's weight, so each block is summed
-    before the weight multiplies it."""
-    xi = xi_vector(diagram, h.level)
+    before the weight multiplies it.  The values are read exactly
+    (`integer_parts`), so a float is the dyadic rational it stores."""
+    xi, values = xi_vector(diagram, h.level), field_values(*h.parts)
     total = 0
     for x, (a, b) in zip(xi, path_table(diagram, h.level).blocks()):
-        total = total + x * sum(h.values[a:b])
+        total = total + x * sum(values[a:b])
     return total
 
 
@@ -206,7 +210,8 @@ def project(diagram, h, k):
     """Conditional expectation onto level-k cylinders (exact in the field):
     the xi-weighted values of each level-k cylinder's descendants, summed
     into it through their ancestor indices (`gather`) and divided by its
-    own weight."""
+    own weight.  h is read exactly, as in `nu_mean`."""
+    h = CylinderFunction.of_parts(h.level, *h.parts)
     if k >= h.level:
         return lift(diagram, h, k)
     m = h.level
@@ -232,96 +237,69 @@ def delta(diagram, h, k):
     return pk - pk1
 
 
-def _getter(idx):
-    """itemgetter(*idx), but a tuple for one index or none as well."""
-    if len(idx) == 1:
-        i, = idx
-        return lambda v: (v[i],)
-    return itemgetter(*idx) if idx else lambda v: ()
-
-
-@partial(stored, lambda plan: plan[0])
-def sibling_plan(diagram, j):
-    """(size, his, los, columns): getters over a level-j vector (j >= 2)
-    with a sentinel appended at index |E_{0,j}|.  The children of the
-    paths into a vertex s of V_(j-1) are the runs first[e] + [0, |E_s|) of
-    `path_table(diagram, j)`, one per out-edge e of s.  his and los read
-    hi[A] and lo[B] for the ordered pairs (A, B) of distinct runs of a
-    vertex: vertex by vertex, in `permutations` order of its sorted runs,
-    position by position.  columns[r] reads each level-(j-1) path's child
-    in run r of its vertex; in run 0 where it has fewer runs, which moves
-    no min or max, NaN included; in the sentinel where it has none.  Their
-    elementwise min and max are the value ranges of level j - 1; there are
-    at least two, so min and max compare.  size counts indices held."""
-    below = path_table(diagram, j - 1).offsets
-    table = path_table(diagram, j)
-    runs = [sorted(table.first[e] for e in es)
-            for es in out_edges(diagram.level(j))]
-    width = max(2, *map(len, runs))
-    pairs, cols = ([], []), [[] for _ in range(width)]
-    for s, cut in enumerate(runs):
-        size = below[s + 1] - below[s]
-        for u, w in permutations(cut, 2):
-            pairs[0].extend(range(u, u + size))
-            pairs[1].extend(range(w, w + size))
-        for r, col in enumerate(cols):
-            if cut:
-                a = cut[r] if r < len(cut) else cut[0]
-                col.extend(range(a, a + size))
-            else:
-                col.extend([table.offsets[-1]] * size)
-    return (2 * len(pairs[0]) + width * below[-1], _getter(pairs[0]),
-            _getter(pairs[1]), tuple(map(_getter, cols)))
-
-
 def holder_norm(diagram, h, alpha, lam):
     """Exact-attained Hoelder data of a cylinder function.
 
     The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
     level-m cylinders; per disagreement level j the extremal spread is the
     largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges: sibling runs, read in parallel
-    through the stored getters of `sibling_plan(diagram, j)`, the runs of a
-    vertex without out-edges being empty value ranges (+inf, -inf).  A
-    value or a weight lam^alpha beyond the floats raises OverflowError.
+    that share their first j-1 edges.  The children of the paths into a
+    vertex s of V_(j-1) are its sibling runs, the slices [u, u + n) of a
+    level-j vector for u in `path_table(diagram, j).runs[s]`, n the block
+    size of s.  Their spreads are read vertex by vertex, in `permutations`
+    order of the runs, position by position, which pins a NaN result;
+    their elementwise min and max are the value ranges of level j - 1, the
+    paths into a vertex without out-edges having the empty range (+inf,
+    -inf).  A value or a weight lam^alpha beyond the floats raises
+    OverflowError.
 
     The sweep goes down from level m and stops at its weight bound.  Every
     spread is a difference of two values, so it is at most span = max - min,
     float subtraction and multiplication rounding monotonically.  Once the
     seminorm so far is positive and span * lam^((i-1) alpha) is at most it
     for every level i below, no level below can raise it, and the value
-    ranges of the next level are never built, nor its plan read.  A NaN
-    span never stops the sweep, and a NaN spread never enters the seminorm;
-    the bound reads only weights between 1 and one already computed, so it
-    overflows nowhere the full sweep would not."""
+    ranges of the next level are never built.  A NaN span never stops the
+    sweep, and a NaN spread never enters the seminorm; the bound reads only
+    weights between 1 and one already computed, so it overflows nowhere the
+    full sweep would not."""
     if h.level == 0:
         h = lift(diagram, h, 1)
     m = h.level
     lamf = float(lam)
     semi = 0.0
-    lo = list(map(float, h.values))
+    lo = hi = list(map(float, h.values))
     sup = max(map(abs, lo), default=0.0)
     span = max(lo, default=0.0) - min(lo, default=0.0)
-    hi = lo + [-math.inf]
-    lo.append(math.inf)
     for j in range(m, 0, -1):
         if j == 1:
             # distinct level-1 cylinders lie at distance 1, whatever their
             # sources
-            n = len(lo) - 1
+            n = len(lo)
             best = max((hi[a] - lo[b] for a in range(n)
                         for b in range(n) if a != b), default=0.0)
         else:
-            _, his, los, columns = sibling_plan(diagram, j)
-            best = max(map(sub, his(hi), los(lo)), default=0.0)
+            below = path_table(diagram, j - 1).offsets
+            runs, spreads = [], []
+            for us, a, b in zip(path_table(diagram, j).runs, below, below[1:]):
+                hs, ls = [], []
+                for u in us:
+                    hs.append(hi[u:u + b - a])
+                    ls.append(lo[u:u + b - a])
+                for x, y in permutations(range(len(us)), 2):
+                    spreads.append(map(sub, hs[x], ls[y]))
+                runs.append((hs, ls, b - a))
+            best = max(chain.from_iterable(spreads), default=0.0)
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
         if semi > 0 and all(span * lamf ** ((i - 1) * alpha) <= semi
                             for i in range(j - 1, 0, -1)):
             break
         if j > 1:
-            lo = [*map(min, *(c(lo) for c in columns)), math.inf]
-            hi = [*map(max, *(c(hi) for c in columns)), -math.inf]
+            # a lone run is repeated, so that min and max compare two
+            lo, hi = [], []
+            for hs, ls, n in runs:
+                lo += map(min, *ls, ls[0]) if ls else repeat(math.inf, n)
+                hi += map(max, *hs, hs[0]) if hs else repeat(-math.inf, n)
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 

@@ -225,7 +225,7 @@ def test_criterion_09_algebra_suite(odo2, pisot31):
     )
     bad, counts = [], {}
     for d, lam, shape in shapes:
-        tri = triangle_phi(d, 3).value
+        tri = triangle_phi(d, 3, renorm_data(d).lam_float).value
         tower = limit_rank(d, renorm_data(d))
         for _ in range(50):
             for name, ok in check_trial(r, d, lam, 3, tri, tower, shape):

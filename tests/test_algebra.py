@@ -44,7 +44,8 @@ def suite(odo2, pisot31):
     r = rng(502)
     out = {}
     for d, lam in ((odo2, 2), (pisot31, renorm_data(pisot31).lam_float)):
-        tri, tower = triangle_phi(d, 3).value, limit_rank(d, renorm_data(d))
+        tri = triangle_phi(d, 3, renorm_data(d).lam_float).value
+        tower = limit_rank(d, renorm_data(d))
         for _ in range(25):
             for name, ok in check_trial(r, d, lam, 3, tri, tower, (3, 2, 5)):
                 out.setdefault(name, []).append(ok)
@@ -72,7 +73,7 @@ def test_triangle_values(odo2, odo3, fib, pisot31):
     for name, (d, table) in expect.items():
         prev = 0.0
         for lvl, want in sorted(table.items()):
-            est = triangle_phi(d, lvl)
+            est = triangle_phi(d, lvl, renorm_data(d).lam_float)
             assert est.value == pytest.approx(want, abs=1e-9), (name, lvl)
             assert est.level == lvl
             # refinement of the representative set cannot shrink the sup
@@ -169,7 +170,8 @@ def test_triangle_matches_the_pairwise_sweep(odo2, odo3, fib, pisot31):
         for L in (1, 2, 3):
             assert triangle_phi(d, L, 2.5).value == \
                 _pairwise_triangle(d, L, 2.5), (d, L)
-    assert triangle_phi(REVERSE_FIB, 1).value == 1.0
+    assert triangle_phi(REVERSE_FIB, 1,
+                        renorm_data(REVERSE_FIB).lam_float).value == 1.0
 
 
 def test_triangle_of_many_paths_is_fast():

@@ -68,8 +68,8 @@ def test_package_caches_are_bounded():
                                     and id(getattr(m, n)) not in store)
                  for m in modules}
     assert {name: names for name, names in unbounded.items() if names} == {}
-    assert diagrams.STORE == [diagrams.path_table, martingale.sibling_plan,
-                              martingale.gather, martingale.residual_rows]
+    assert diagrams.STORE == [diagrams.path_table, martingale.gather,
+                              martingale.residual_rows]
     assert diagrams.STORE_BUDGET == 4 * diagrams.PATH_BUDGET
 
 
@@ -83,7 +83,6 @@ def bench_run():
 def _fill_store():
     odo2 = builtin_diagram("odo2")
     martingale.gather(odo2, 1, 1, 4)
-    martingale.sibling_plan(odo2, 2)
     martingale.residual_rows(odo2, 1, 2)
     assert diagrams.store_charge > 0
     assert all(m.cache_info().currsize for m in diagrams.STORE)
@@ -113,13 +112,29 @@ def test_every_reset_empties_the_store():
         _fill_store()
         member.cache_clear()
         assert diagrams.store_charge == 0
-        assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 4
+        assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 3
     run, package = bench_run()
     _fill_store()
     for reset in run.cache_resets(package):
         reset()
     assert diagrams.store_charge == 0
-    assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 4
+    assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 3
+
+
+def test_warm_holder_norm_adds_nothing_to_the_store(fib):
+    # the sweep slices the runs of the path tables, and holds no plan of
+    # its own in the store
+    r = random.Random(41)
+    diagrams.clear_store()
+    for level in range(5):
+        h = rand_function(r, fib, level)
+        for k in range(max(level, 1) + 1):
+            diagrams.path_table(fib, k)
+        charge = diagrams.store_charge
+        for alpha in (-0.25, 3.0):
+            martingale.holder_norm(fib, h, alpha, 1.6)
+        assert diagrams.store_charge == charge, level
+    diagrams.clear_store()
 
 
 def _outputs(d):

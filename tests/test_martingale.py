@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import pytest
 from conftest import rng
 
 import adic.martingale
@@ -10,11 +11,12 @@ import adic.martingale
 from test_step import _prefixed, _random_diagram
 
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, clear_store,
-                           enumerate_paths, make_level, out_edges)
+                           enumerate_paths, make_level, out_edges, path_table)
+from adic.errors import PreconditionError
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, phi_transient,
-                             project, rand_function, sibling_plan)
+                             project, rand_function)
 from adic.measures import renorm_data
 
 
@@ -50,6 +52,32 @@ def test_deltas_have_zero_mean(odo2, fib, pisot31):
             for k in range(1, 4):
                 assert nu_mean(d, delta(d, h, k)) == 0
             assert nu_mean(d, project(d, h, 0)) == nu_mean(d, h)
+
+
+def test_projections_read_floats_exactly(odo2, fib, pisot31):
+    # a finite float is the dyadic rational it stores, so float values give
+    # what their Fractions give, in Q(lambda) as well; NaN and +-inf lie in
+    # no exact field
+    r = rng(108)
+    for d in (odo2, fib, pisot31):
+        exact = rand_function(r, d, 2)
+        h = from_vector(d, 2, list(map(float, exact.values)))
+        assert nu_mean(d, h) == nu_mean(d, exact)
+        for k in range(3):
+            assert project(d, h, k).values == project(d, exact, k).values
+            assert delta(d, h, k).values == delta(d, exact, k).values
+        rd = renorm_data(d)
+        assert decompose(d, h, rd) == decompose(d, exact, rd)
+        for bad in (math.nan, math.inf, -math.inf):
+            f = from_vector(d, 2, [bad] + h.values[1:])
+            for call in (lambda: nu_mean(d, f), lambda: project(d, f, 1),
+                         lambda: delta(d, f, 2),
+                         lambda: decompose(d, f, rd)):
+                with pytest.raises(PreconditionError):
+                    call()
+    h = from_vector(fib, 2, [0.5, -1.0, 2.0, 0.25, 1.5])
+    assert nu_mean(fib, h) == nu_mean(fib, from_vector(
+        fib, 2, [Fraction(1, 2), -1, 2, Fraction(1, 4), Fraction(3, 2)]))
 
 
 def test_holder_norm_examples(odo2):
@@ -97,15 +125,16 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
     # diagram has a vertex with a single out-edge, and vertex 1 of V_1 of
     # the last one, which does not repeat, has no out-edge at all.  The
     # sweep stops at its weight bound: a level-j pattern over small detail
-    # stops it at level j, and the levels j >= 2 it sweeps (one read of
-    # sibling_plan each) show that every level is reached as a stop.
+    # stops it at level j, and the levels j >= 2 it sweeps (each reads the
+    # path tables of its own level and the one below) show that every
+    # level is reached as a stop.
     # alpha = -0.25 is solve's alpha - 2 - epsilon for alpha = 2: its
     # weights fall with the level, so the bound never holds early.
     # Constants (span 0), level-0 functions and a value of +-inf (an
     # infinite span) go through the same checks
     swept = []
-    monkeypatch.setattr(adic.martingale, "sibling_plan",
-                        lambda d, j: swept.append(j) or sibling_plan(d, j))
+    monkeypatch.setattr(adic.martingale, "path_table",
+                        lambda d, k: swept.append(k) or path_table(d, k))
     r = rng(104)
     single = _random_diagram(r, 2, 4)
     while min(map(len, out_edges(single.levels[-1]))) != 1:
@@ -142,7 +171,7 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
                 assert holder_norm(d, f, alpha, lam)["norm"] == \
                     _brute_holder(d, f, alpha, lam), (d, f.level, alpha)
                 if f.level:
-                    stops[f.level].add(len(swept))
+                    stops[f.level].add(len(swept) // 2)
         # a function of level m that stops at level j >= 2 sweeps m - j + 1
         # levels; the full sweep (or a stop at level 1) sweeps m..2
         assert stops == {level: set(range(1, level)) or {0}
@@ -150,10 +179,10 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
 
 
 def test_holder_norm_reads_single_runs_and_childless_vertices():
-    # vertex 1 of V_1 has no out-edge, so the level-2 plan reads the
-    # sentinel for its paths; every vertex of V_2 has one out-edge and V_2
-    # one path, so the level-3 plan reads no pair and one index per column.
-    # The plans give the pairwise maximum cold, warm and once rebuilt
+    # vertex 1 of V_1 has no out-edge, so its paths have the empty value
+    # range at level 1; every vertex of V_2 has one out-edge and V_2 one
+    # path, so the sweep of level 3 reads no pair and a run of one path.
+    # The sweep gives the pairwise maximum cold, warm and once rebuilt
     d = OrderedDiagram((
         make_level(1, 2, [(0, 0), (0, 1), (0, 1)], [[0], [1, 2]]),
         make_level(2, 1, [(0, 0)], [[0]]),
@@ -168,11 +197,8 @@ def test_holder_norm_reads_single_runs_and_childless_vertices():
             for alpha in (0.75, 3.0, -0.25):
                 assert holder_norm(d, f, alpha, 2.0)["norm"] == \
                     _brute_holder(d, f, alpha, 2.0), (f.level, alpha, run)
-    _, his, los, columns = sibling_plan(d, 3)
-    assert his([0.5]) == los([0.5]) == ()
-    assert [c([0.5, math.inf]) for c in columns] == [(0.5,), (0.5,)]
-    assert sibling_plan(d, 2)[3][0]([0.5, math.inf]) == \
-        (0.5, math.inf, math.inf)
+    assert [path_table(d, k).runs for k in range(6)] == [
+        (), ((0, 1, 2),), ((0,), ()), ((0,),), ((0, 1),), ((0, 2),)]
 
 
 def test_holder_norm_with_nan_is_pinned():
