@@ -147,7 +147,7 @@ def load_function(diagram, path):
 
 def function_from_dict(diagram, data):
     """{"level": m, "values": {"path-index": value}}, indices in the
-    lexicographic order of enumerate_paths."""
+    lexicographic order of enumerate_paths, one key per index."""
     try:
         level = data["level"]
         raw = dict(data.get("values", {}))
@@ -157,7 +157,7 @@ def function_from_dict(diagram, data):
         raise ParseError("function level must be an integer >= 0, got %r"
                          % (level,))
     n = path_table(diagram, level).offsets[-1]
-    vec = [Fraction(0)] * n
+    vec, keys = [Fraction(0)] * n, {}
     for key, v in raw.items():
         try:
             i = int(key)
@@ -167,6 +167,10 @@ def function_from_dict(diagram, data):
         if not 0 <= i < n:
             raise ParseError("function index %d out of range [0, %d)"
                              % (i, n))
+        if i in keys:
+            raise ParseError("indices %r and %r are both index %d"
+                             % (keys[i], key, i))
+        keys[i] = key
         vec[i] = _parse_value(v)
     return from_vector(diagram, level, vec)
 

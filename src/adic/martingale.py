@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import chain, permutations, repeat
+from itertools import repeat
 from operator import sub
 
 from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
@@ -240,66 +240,53 @@ def delta(diagram, h, k):
 def holder_norm(diagram, h, alpha, lam):
     """Exact-attained Hoelder data of a cylinder function.
 
-    The seminorm sup |h(x)-h(y)| / d(x,y)^alpha is attained on pairs of
-    level-m cylinders; per disagreement level j the extremal spread is the
-    largest gap between the value ranges of two distinct level-j cylinders
-    that share their first j-1 edges.  The children of the paths into a
-    vertex s of V_(j-1) are its sibling runs, the slices [u, u + n) of a
-    level-j vector for u in `path_table(diagram, j).runs[s]`, n the block
-    size of s.  Their spreads are read vertex by vertex, in `permutations`
-    order of the runs, position by position, which pins a NaN result;
-    their elementwise min and max are the value ranges of level j - 1, the
-    paths into a vertex without out-edges having the empty range (+inf,
-    -inf).  A value or a weight lam^alpha beyond the floats raises
-    OverflowError.
+    Paths first differing at edge j lie at distance lam^-(j-1), so for
+    alpha >= 0 and lam >= 1 the seminorm sup |h(x)-h(y)| / d(x,y)^alpha is
+    the largest lam^((j-1) alpha) times the oscillation max - min of h on a
+    level-(j-1) cylinder, level 0 being the whole space: a pair first
+    differing deeper has a weight no smaller, and float subtraction and
+    multiplication round monotonically.  The value ranges of the paths into
+    a vertex s of V_(j-1) are the elementwise min and max of its sibling
+    runs, the slices [u, u + n) of the level-j ranges for u in
+    `path_table(diagram, j).runs[s]`, n the block size of s, or the empty
+    range (+inf, -inf) when s has no out-edges.  alpha < 0, lam < 1 and a
+    value that is not finite raise PreconditionError; a value or a weight
+    lam^alpha beyond the floats raises OverflowError.
 
-    The sweep goes down from level m and stops at its weight bound.  Every
-    spread is a difference of two values, so it is at most span = max - min,
-    float subtraction and multiplication rounding monotonically.  Once the
-    seminorm so far is positive and span * lam^((i-1) alpha) is at most it
-    for every level i below, no level below can raise it, and the value
-    ranges of the next level are never built.  A NaN span never stops the
-    sweep, and a NaN spread never enters the seminorm; the bound reads only
-    weights between 1 and one already computed, so it overflows nowhere the
-    full sweep would not."""
+    The sweep goes down from level m and stops once the seminorm so far is
+    positive and at least span = max - min, which bounds every oscillation,
+    times lam^((j-2) alpha), the largest weight left.  No weight is computed
+    before a positive oscillation, and the bound reads no weight above one
+    already computed, so it overflows nowhere the full sweep would not."""
+    if not (alpha >= 0 and lam >= 1):
+        raise PreconditionError("the Hoelder norm needs alpha >= 0 and "
+                                "lam >= 1, got alpha %s and lam %s"
+                                % (alpha, lam))
     if h.level == 0:
         h = lift(diagram, h, 1)
-    m = h.level
-    lamf = float(lam)
-    semi = 0.0
+    lamf, semi = float(lam), 0.0
     lo = hi = list(map(float, h.values))
+    if not all(map(math.isfinite, lo)):
+        raise PreconditionError("the Hoelder norm needs finite values")
     sup = max(map(abs, lo), default=0.0)
     span = max(lo, default=0.0) - min(lo, default=0.0)
-    for j in range(m, 0, -1):
-        if j == 1:
-            # distinct level-1 cylinders lie at distance 1, whatever their
-            # sources
-            n = len(lo)
-            best = max((hi[a] - lo[b] for a in range(n)
-                        for b in range(n) if a != b), default=0.0)
-        else:
+    for j in range(h.level, 0, -1):
+        best = span
+        if j > 1:
             below = path_table(diagram, j - 1).offsets
-            runs, spreads = [], []
-            for us, a, b in zip(path_table(diagram, j).runs, below, below[1:]):
-                hs, ls = [], []
-                for u in us:
-                    hs.append(hi[u:u + b - a])
-                    ls.append(lo[u:u + b - a])
-                for x, y in permutations(range(len(us)), 2):
-                    spreads.append(map(sub, hs[x], ls[y]))
-                runs.append((hs, ls, b - a))
-            best = max(chain.from_iterable(spreads), default=0.0)
+            runs = zip(path_table(diagram, j).runs, below, below[1:])
+            los, his, lo, hi = lo, hi, [], []
+            for us, a, b in runs:
+                # a lone run is repeated, so that min and max compare two
+                ls = [los[u:u + b - a] for u in us]
+                hs = [his[u:u + b - a] for u in us]
+                lo += map(min, *ls, ls[0]) if us else repeat(math.inf, b - a)
+                hi += map(max, *hs, hs[0]) if us else repeat(-math.inf, b - a)
+            best = max(map(sub, hi, lo), default=0.0)
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
-        if semi > 0 and all(span * lamf ** ((i - 1) * alpha) <= semi
-                            for i in range(j - 1, 0, -1)):
+        if semi > 0 and span * lamf ** ((j - 2) * alpha) <= semi:
             break
-        if j > 1:
-            # a lone run is repeated, so that min and max compare two
-            lo, hi = [], []
-            for hs, ls, n in runs:
-                lo += map(min, *ls, ls[0]) if ls else repeat(math.inf, n)
-                hi += map(max, *hs, hs[0]) if hs else repeat(-math.inf, n)
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}
 
 

@@ -119,7 +119,10 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     over q (`_gauged`), and g is built from its own integer columns
     (`CylinderFunction.of_parts`).  Only when the certificate search finds
     none are the distributions computed, for the ObstructedError they
-    carry.  The returned residual is computed, not assumed."""
+    carry.  The returned residual is computed, not assumed.  The exponent
+    alpha - 2 - epsilon of g's norm must be positive, and is checked first."""
+    if alpha is not None:
+        _need_alpha(alpha, epsilon)
     diagram = tower.diagram
     q, cols, d = h.parts
     cert = certificate(h, tower)
@@ -146,6 +149,12 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
                             level=level, norms=norms)
 
 
+def _need_alpha(alpha, epsilon):
+    if not float(alpha) - 2 - float(epsilon) > 0:
+        raise PreconditionError("need alpha > 2 + epsilon, got alpha %s and "
+                                "epsilon %s" % (alpha, epsilon))
+
+
 def _overflow(alpha):
     return NumericError("alpha %s overflows the float norms" % (alpha,))
 
@@ -170,11 +179,10 @@ def chained_constant(diagram, renorm, alpha, epsilon):
     canonical bump against the scale gap), a mean-variation factor (one
     graph diameter, since every approximant here is isometric to the base),
     and a return-restriction factor."""
+    _need_alpha(alpha, epsilon)
     lam = renorm.lam_float
     a = float(alpha)
     eps = float(epsilon)
-    if not a - 2.0 - eps > 0.0:
-        raise ValueError("need alpha > 2 + epsilon")
     e = eps / 3.0
     u = bump_from_roof(renorm)
     diam = float(diameter(build_complex(diagram, renorm, 0)))

@@ -894,6 +894,34 @@ def test_element_file_rejects_two_keys_of_one_shift(capsys, work, first,
         first, second, int(first))
 
 
+@pytest.mark.parametrize("first, second", [("1", "01"), ("01", "1"),
+                                           ("1", "+1"), ("0", "-0")])
+def test_function_file_rejects_two_keys_of_one_index(capsys, work, first,
+                                                     second):
+    # the later value would replace the earlier one without a word, so the
+    # order of the keys would decide D
+    spec = {"level": 1, "values": {first: "1/2", second: "3"}}
+    (work / "twice_f.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["distributions", "--diagram", "odo2",
+                                "--function", str(work / "twice_f.json")])
+    assert (rc, out) == (2, "")
+    assert err == "error: indices %r and %r are both index %d\n" % (
+        first, second, int(first))
+
+
+def test_element_with_lam_below_one_is_refused(capsys, work):
+    # the Hoelder norms of the coefficients read the path space as
+    # ultrametric, cylinders shrinking like lam^-j: that needs lam >= 1
+    spec = {"diagram": "odo2", "alpha": 3, "lam": "1/2",
+            "coeffs": {"0": "f0.json"}}
+    (work / "half.json").write_text(json.dumps(spec))
+    rc, out, err = run(capsys, ["algebra", "invert",
+                                "--element", str(work / "half.json")])
+    assert (rc, out) == (3, "")
+    assert err.startswith("error: the Hoelder norm needs alpha >= 0 and "
+                          "lam >= 1")
+
+
 @pytest.mark.parametrize("spec, message", [
     ([], "an element file is an object"),
     ({"diagram": "odo2", "alpha": 3, "coeffs": [1, 2]},

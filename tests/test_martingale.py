@@ -1,14 +1,18 @@
 """Cylinder functions, conditional projections, and level components."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from conftest import rng
+from hypothesis import given
+from hypothesis import strategies as st
 
 import adic.martingale
 
-from test_step import _prefixed, _random_diagram
+from test_algebra import _drawn_diagrams
+from test_step import _prefixed, _random_diagram, _random_prefix
 
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, clear_store,
                            enumerate_paths, make_level, out_edges, path_table)
@@ -120,18 +124,18 @@ def _brute_holder(d, h, alpha, lam):
 
 
 def test_holder_norm_matches_pairwise_maximum(monkeypatch):
-    # bit for bit: rounding is monotone, so the max over value ranges of
-    # sibling runs is the max over pairs; the repeating level of the first
+    # bit for bit: rounding is monotone, so the max over cylinder
+    # oscillations is the max over pairs; the repeating level of the first
     # diagram has a vertex with a single out-edge, and vertex 1 of V_1 of
     # the last one, which does not repeat, has no out-edge at all.  The
     # sweep stops at its weight bound: a level-j pattern over small detail
     # stops it at level j, and the levels j >= 2 it sweeps (each reads the
     # path tables of its own level and the one below) show that every
     # level is reached as a stop.
-    # alpha = -0.25 is solve's alpha - 2 - epsilon for alpha = 2: its
-    # weights fall with the level, so the bound never holds early.
-    # Constants (span 0), level-0 functions and a value of +-inf (an
-    # infinite span) go through the same checks
+    # alpha = 0 and lam = 1 weigh every level alike, so the bound holds
+    # only once a cylinder holds both extremes.  Constants (span 0) and
+    # level-0 functions go through the same checks, and a value of +-inf
+    # is refused
     swept = []
     monkeypatch.setattr(adic.martingale, "path_table",
                         lambda d, k: swept.append(k) or path_table(d, k))
@@ -162,14 +166,17 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
                 fs += [from_vector(d, level, [v + c for v in tilted.values])
                        for c in ((0, 3, -3) if j == 1 else (0,))]
             fs += [h, from_vector(d, level, [Fraction(1, 3)] * len(h.values))]
-            fs += [from_vector(d, level, [inf] + h.values[1:])
-                   for inf in (math.inf, -math.inf)]
+            for inf in (math.inf, -math.inf):
+                with pytest.raises(PreconditionError):
+                    holder_norm(d, from_vector(d, level, [inf] + h.values[1:]),
+                                3.0, lam)
         stops = {level: set() for level in range(1, top + 1)}
         for f in fs:
-            for alpha in (0.75, 3.0, -0.25):
+            for alpha, lamj in ((0.75, lam), (3.0, lam), (0.0, lam),
+                                (3.0, 1.0)):
                 swept.clear()
-                assert holder_norm(d, f, alpha, lam)["norm"] == \
-                    _brute_holder(d, f, alpha, lam), (d, f.level, alpha)
+                assert holder_norm(d, f, alpha, lamj)["norm"] == \
+                    _brute_holder(d, f, alpha, lamj), (d, f.level, alpha)
                 if f.level:
                     stops[f.level].add(len(swept) // 2)
         # a function of level m that stops at level j >= 2 sweeps m - j + 1
@@ -194,29 +201,45 @@ def test_holder_norm_reads_single_runs_and_childless_vertices():
         if run != "warm":
             clear_store()
         for f in fs:
-            for alpha in (0.75, 3.0, -0.25):
-                assert holder_norm(d, f, alpha, 2.0)["norm"] == \
-                    _brute_holder(d, f, alpha, 2.0), (f.level, alpha, run)
+            for alpha, lam in ((0.75, 2.0), (3.0, 2.0), (0.0, 2.0),
+                               (3.0, 1.0)):
+                assert holder_norm(d, f, alpha, lam)["norm"] == \
+                    _brute_holder(d, f, alpha, lam), (f.level, alpha, run)
     assert [path_table(d, k).runs for k in range(6)] == [
         (), ((0, 1, 2),), ((0,), ()), ((0,),), ((0, 1),), ((0, 2),)]
 
 
-def test_holder_norm_with_nan_is_pinned():
-    # comparisons with NaN are false, so a max keeps a NaN that it meets
-    # first and passes over one met later: the result depends on the order
-    # in which values and pairs are read, which is the order of the paths,
-    # and is pinned here on an odometer whose in-order reverses its edges
-    d = OrderedDiagram((make_level(1, 1, [(0, 0), (0, 0)], [[1, 0]]),), True)
-    got = []
+def test_holder_norm_refuses_what_it_cannot_weigh(odo2):
+    # the oscillation formula holds for alpha >= 0 and lam >= 1, and a
+    # value that is not finite has no oscillation; the refusal comes before
+    # any weight, so alpha = 1e4 overflows nothing on such a value
+    h = from_vector(odo2, 2, [0.5, -1.0, 2.0, 0.25])
     for pos in range(4):
-        vals = [0.5, -1.0, 2.0, 0.25]
-        vals[pos] = math.nan
-        got.append(holder_norm(d, from_vector(d, 2, vals), 3.0, 2.0))
-    assert math.isnan(got[0].pop("sup")) and math.isnan(got[0].pop("norm"))
-    assert got == [{"seminorm": 0.0},
-                   {"sup": 2.0, "seminorm": 12.0, "norm": 14.0},
-                   {"sup": 1.0, "seminorm": 1.5, "norm": 2.5},
-                   {"sup": 2.0, "seminorm": 12.0, "norm": 14.0}]
+        for bad in (math.nan, math.inf, -math.inf):
+            vals = list(h.values)
+            vals[pos] = bad
+            for alpha in (3.0, 1e4):
+                with pytest.raises(PreconditionError, match="finite"):
+                    holder_norm(odo2, from_vector(odo2, 2, vals), alpha, 2.0)
+    for alpha, lam in ((-0.25, 2.0), (math.nan, 2.0), (3.0, 0.5),
+                       (3.0, math.nan), (-1.0, 0.0)):
+        with pytest.raises(PreconditionError, match="alpha >= 0"):
+            holder_norm(odo2, h, alpha, lam)
+    assert holder_norm(odo2, h, 0.0, 1.0)["seminorm"] == 3.0
+
+
+@given(_drawn_diagrams(), st.integers(0, 2), st.integers(0, 3),
+       st.floats(0, 6), st.sampled_from([1.0, 2.0, 3.5]),
+       st.integers(0, 2 ** 16))
+def test_holder_norm_matches_pairs_on_drawn_diagrams(d, prefix, level,
+                                                     alpha, lam, seed):
+    # the sweep against every pair, behind prefixes whose in-orders and
+    # extreme chains take any shape
+    r = random.Random(seed)
+    d = _random_prefix(r, d, prefix)
+    h = rand_function(r, d, level)
+    assert holder_norm(d, h, alpha, lam)["norm"] == \
+        _brute_holder(d, h, alpha, lam)
 
 
 def test_compose_phi_odometer_rotation(odo2):

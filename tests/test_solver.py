@@ -340,8 +340,21 @@ def test_chained_constant_structure(odo2):
         rep["return_factor"]
     assert abs(prod - rep["constant"]) < 1e-9 * rep["constant"]
     assert rep["constant"] > 0
-    with pytest.raises(ValueError):
-        chained_constant(odo2, rd, 2, Fraction(1, 4))  # needs alpha > 2+eps
+    with pytest.raises(PreconditionError, match=r"need alpha > 2 \+ epsilon"):
+        chained_constant(odo2, rd, 2, Fraction(1, 4))
+
+
+def test_solve_refuses_alpha_at_most_two_plus_epsilon(odo2):
+    # the norm of g takes the exponent alpha - 2 - epsilon, and alpha
+    # itself for h: both must stay positive.  The refusal comes before any
+    # work, so an obstructed h reads it too
+    tower = _tower(odo2)
+    h = from_vector(odo2, 1, [Fraction(-1), Fraction(1)])
+    for alpha in (-5, 2, Fraction(9, 4), math.nan):
+        for f in (h, constant_function(odo2, Fraction(1), 0)):
+            with pytest.raises(PreconditionError, match="need alpha"):
+                solve(f, tower, alpha=alpha)
+    assert solve(h, tower, alpha=3).norms["h_norm"] == 3.0
 
 
 def test_birkhoff_constant_function(odo2):
