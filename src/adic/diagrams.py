@@ -533,7 +533,8 @@ def clear_store():
 
 def stored(size, build):
     """@partial(stored, size): build cached in the store by an unbounded
-    lru_cache, whose hits stay in C; a miss is charged size(result)."""
+    lru_cache, whose hits stay in C; a miss is charged size(result).  Its
+    __wrapped__ is build itself, which neither stores nor charges."""
     def charged(*args):
         global store_charge
         result = build(*args)
@@ -541,7 +542,7 @@ def stored(size, build):
             clear_store()
         store_charge += size(result)
         return result
-    STORE.append(lru_cache(maxsize=None)(wraps(build)(charged)))
+    STORE.append(wraps(build)(lru_cache(maxsize=None)(charged)))
     STORE[-1].cache_clear = MethodType(lambda _: clear_store(), STORE[-1])
     return STORE[-1]
 

@@ -438,8 +438,10 @@ def gather(diagram, m, power, k):
 def residual_rows(diagram, h_level, g_level):
     """(ih, iphi, ig): the indices that read h of level h_level, and g o phi
     and g of level g_level, on the level-top cylinders, top = max(h_level,
-    compose_level(diagram, g_level, 1)), each distinct triple once."""
+    compose_level(diagram, g_level, 1)), each distinct triple once, read
+    off `gather`'s unstored builder, so that only these rows are kept."""
     top = max(h_level, compose_level(diagram, g_level, 1))
-    return tuple(zip(*dict.fromkeys(zip(gather(diagram, h_level, 0, top),
-                                        gather(diagram, g_level, 1, top),
-                                        gather(diagram, g_level, 0, top)))))
+    build = gather.__wrapped__
+    return tuple(zip(*dict.fromkeys(zip(build(diagram, h_level, 0, top),
+                                        build(diagram, g_level, 1, top),
+                                        build(diagram, g_level, 0, top)))))

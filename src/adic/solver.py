@@ -26,10 +26,11 @@ path x is the rest of its level-m block, then, for each level k > m, the
 level-(k-1) towers over the sources of the in-edges after x_k, cut at the
 checkpoints down to ranges: a schedule of tower heights that every function
 of level m walks (`_orbit_schedule`, cached).  A range of level-m cylinders
-is summarized as (height, sum, max prefix sum, min prefix sum), and a tower
-by the fold (n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2,
-max(M1, s1+M2), min(mu1, s1+mu2)).  When every remaining edge of x is
-maximal the orbit wraps to the minimal path, phi(max) = min.
+is summarized off one prefix column of h's exact values as (height, sum,
+max prefix sum, min prefix sum), so every sum is exact, and a tower by the
+fold (n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2, max(M1, s1+M2),
+min(mu1, s1+mu2)).  When every remaining edge of x is maximal the orbit
+wraps to the minimal path, phi(max) = min.
 """
 
 from __future__ import annotations
@@ -337,47 +338,41 @@ def birkhoff(diagram, h, start, n_total):
     per-level tables (`_Towers`) of each tower's height, sum and extreme
     prefix sums, about log n levels, so a call costs O(levels * in-degree)
     per checkpoint plus the ranges it reads, not one step per iterate.
-    sup_abs is read off the extreme prefix sums, so it is exact.  Rational
-    and float values are summed exactly as h's integer column (`parts`)
-    over its denominator q, every range read off slices of one prefix
-    column of it; float input reports the float nearest each exact sum,
-    rational input its Fraction.  The fit and mean_rate read the floats
-    acc / q, correctly rounded as integer true division is.  Other values
-    (field elements, NaN, infinities) are summed as they are, per range."""
+    sup_abs is read off the extreme prefix sums, so it is exact.  Every
+    range is read off one prefix column of h's exact values (`parts`): the
+    integer column over q of rational or float h (a finite float is the
+    dyadic rational it stores), or the field values of h in Q(lambda).
+    Float input reports the float nearest each exact sum, rational input
+    its Fraction; their fit and mean_rate read acc / q, correctly rounded.
+    NaN, an infinity or two fields raise PreconditionError, as in `solve`."""
     if n_total < 1:
         raise ValueError("need at least one iterate")
-    table, exact = h.values, (lambda a: a)
-    inexact = exact
-    try:
-        q, cols, field = h.parts
-        rational = field is None
-    except PreconditionError:  # NaN, an infinity, or values of two fields
-        rational = False
-    if rational:
-        # a finite float is the dyadic rational it stores
-        floats = any(issubclass(t, float) for t in set(map(type, table)))
+    q, cols, field = h.parts
+    if field is None:
+        floats = any(issubclass(t, float) for t in set(map(type, h.values)))
         table, inexact = cols[0], (lambda a: a / q)
         exact = inexact if floats else (lambda a: Fraction(a, q))
+    else:
+        table, exact = field_values(q, cols, field), (lambda a: a)
+        inexact = exact
     m = max(h.level, 1)
     if not h.level:
         table = [table[i] for i in path_table(diagram, 1).parent]
-    col = list(accumulate(table, initial=0)) if rational else None
+    col = list(accumulate(table, initial=0))
 
     def leaf(a, b):
-        # other values are summed per range, so a NaN reaches only its own
-        run = col[a:b + 1] if col else list(accumulate(table[a:b], initial=0))
-        base, rest = run[0], run[1:]
-        return (b - a, run[-1] - base, max(rest, default=base) - base,
+        base, rest = col[a], col[a + 1:b + 1]
+        return (b - a, col[b] - base, max(rest, default=base) - base,
                 min(rest, default=base) - base)
     towers = _Towers(diagram, m, leaf)
     deepest, schedule = _orbit_schedule(diagram, start, m, n_total)
     depths, acc, sup, out = towers.grow(deepest), 0, 0, []
     for n, flat in schedule:
         for j, a, b in zip(*[iter(flat)] * 3):
-            if j or not col:
-                _, s, hi, lo = depths[j][a] if j else leaf(a, b)
+            if j:
+                _, s, hi, lo = depths[j][a]
                 top, bottom, acc = acc + hi, -(acc + lo), acc + s
-            else:  # a range, read off h's prefix column
+            else:  # a range, read off the prefix column
                 base, rest = acc - col[a], col[a + 1:b + 1]
                 top, bottom = base + max(rest), -(base + min(rest))
                 acc = base + col[b]

@@ -137,6 +137,17 @@ def test_warm_holder_norm_adds_nothing_to_the_store(fib):
     diagrams.clear_store()
 
 
+def test_residual_rows_stores_no_gathers(odo2, fib):
+    # the three index maps of the residual are built unstored: only the
+    # deduplicated rows are charged to the store
+    for d, levels in ((odo2, (1, 2)), (fib, (3, 2)), (fib, (0, 1))):
+        diagrams.clear_store()
+        martingale.residual_rows(d, *levels)
+        assert martingale.gather.cache_info().currsize == 0
+        assert martingale.residual_rows.cache_info().currsize == 1
+    diagrams.clear_store()
+
+
 def _outputs(d):
     """Distributions, solve, Birkhoff sums and products on d, as values."""
     r = random.Random(2811)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import rng
 
 from test_algebra import _drawn_diagrams
-from test_step import _prefixed, _random_diagram
+from test_step import _prefixed, _random_diagram, _random_prefix, telescope2
 
 import adic.cohomology
 import adic.martingale
@@ -122,6 +122,40 @@ def test_joint_verdict_decides_the_solver(d, cobound, seed):
     else:
         with pytest.raises(ObstructedError):
             solve(h, tower)
+
+
+@example(_prefixed(builtin_diagram("pisot31")), 1, True, 0)
+@given(_drawn_diagrams(), st.integers(0, 2), st.booleans(),
+       st.integers(0, 2 ** 16))
+def test_telescope_keeps_orbit_sums_and_verdict(d, T, cobound, seed):
+    # d behind 0-1 random prefix levels at level 2T and its telescope at
+    # level T have the same paths in the same order and the same adic map,
+    # so one rational vector (h, or g o phi - g lifted to an even level)
+    # has the same exact orbit sums along the minimal orbit, the same
+    # certificate verdict and the same rank d
+    r = random.Random(seed)
+    d = _random_prefix(r, d, r.randint(0, 1))
+    t = telescope2(d)
+    try:
+        tower_d = _tower(d)
+    except PreconditionError:  # Perron root 1: a finite path space
+        with pytest.raises(PreconditionError):
+            _tower(t)
+        return
+    tower_t = _tower(t)
+    h = rand_function(r, d, 2 * T)
+    if cobound:
+        h = _coboundary(d, h)
+        h = lift(d, h, h.level + h.level % 2)
+    ht = from_vector(t, h.level // 2, h.values)
+    total = r.randint(1, 500)
+    got = birkhoff(t, ht, extreme_path(t, 1), total)
+    want = birkhoff(d, h, extreme_path(d, 1), total)
+    assert (got.checkpoints, got.sup_abs) == (want.checkpoints, want.sup_abs)
+    verdict = certificate(h, tower_d) is not None
+    assert (certificate(ht, tower_t) is not None) == verdict
+    assert verdict or not cobound
+    assert tower_t.d == tower_d.d
 
 
 def _pointwise_residual(d, h, g):
@@ -539,9 +573,38 @@ def test_birkhoff_float_sums_are_exact_then_rounded(fib):
         assert got.sup_abs == float(want.sup_abs)
         assert (got.mean_rate, got.exponent, got.r_squared, got.claimed) \
             == (want.mean_rate, want.exponent, want.r_squared, want.claimed)
-    # NaN is no rational; it is summed as a float, as before
-    nan = birkhoff(fib, from_vector(fib, 2, [math.nan] * 5), start, 10)
-    assert math.isnan(nan.checkpoints[-1][1])
+    # NaN, the infinities and values of two fields lie in no exact field
+    root2, root5 = sqrt_field(2), sqrt_field(5)
+    for vals in ([math.nan] * 5, [1.0, math.inf, 0.0, 0.0, 0.0],
+                 [0.0, 0.0, 0.0, 0.0, -math.inf],
+                 [root5(1, 1), root2(1, 1), 0, 0, 0]):
+        with pytest.raises(PreconditionError):
+            birkhoff(fib, from_vector(fib, 2, vals), start, 10)
+
+
+def test_birkhoff_reads_floats_among_field_values(fib):
+    # a float among Q(sqrt 5) values is the dyadic rational it stores: the
+    # report is that of the h whose values are its embeddings in the field
+    r, root5 = rng(412), sqrt_field(5)
+    start = LazyPath(FinitePath(()), TAIL_MIN)
+
+    def quarter():
+        return Fraction(r.randint(-8, 8), 4)
+    cases = [(1, [0.5, root5(1, 1), root5(0, 1)])]
+    for level in (1, 2, 3):
+        cases.append((level, [
+            r.uniform(-2, 2) if i % 2 else root5(quarter(), quarter())
+            for i, _ in enumerate(enumerate_paths(fib, level))]))
+    for level, mixed in cases:
+        embedded = [root5(Fraction(v), 0) if isinstance(v, float) else v
+                    for v in mixed]
+        for total in (1, 7, 500):
+            got = birkhoff(fib, from_vector(fib, level, mixed), start, total)
+            want = birkhoff(fib, from_vector(fib, level, embedded), start,
+                            total)
+            assert got.checkpoints == want.checkpoints
+            assert got.sup_abs == want.sup_abs
+            assert repr(got) == repr(want)
 
 
 def test_birkhoff_reads_long_blocks(odo3, fib):
@@ -576,13 +639,12 @@ def test_birkhoff_reads_long_blocks(odo3, fib):
             assert rep.checkpoints == tuple((c, out(sums[c - 1]))
                                             for c in want), (d, total)
             assert rep.sup_abs == out(sups[total - 1]), (d, total)
-    # a NaN on cylinder 100 of odo3's level 5 reaches the sums of an orbit
-    # from cylinder 200 once the orbit wraps to it, S_144 on, and none
-    # before: the range 200..242 that the orbit starts with holds no NaN
+    # a NaN or an infinity on cylinder 100 of odo3's level 5 is refused,
+    # also for an orbit from cylinder 200 that does not reach it by S_16
     vals = [r.uniform(-2, 2) for _ in enumerate_paths(odo3, 5)]
-    vals[100] = math.nan
     x = LazyPath(enumerate_paths(odo3, 5)[200], TAIL_MIN)
-    rep = birkhoff(odo3, from_vector(odo3, 5, vals), x, 729)
-    assert [(n, math.isnan(s)) for n, s in rep.checkpoints] == \
-        [(n, n >= 144) for n in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 729)]
-    assert math.isfinite(rep.sup_abs)
+    for bad in (math.nan, math.inf, -math.inf):
+        vals[100] = bad
+        for total in (16, 729):
+            with pytest.raises(PreconditionError):
+                birkhoff(odo3, from_vector(odo3, 5, vals), x, total)

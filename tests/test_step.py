@@ -1,6 +1,7 @@
 """The adic step in tower order, `compose_phi` against pointwise evaluation
-at lazy successors, and the random properly ordered diagrams and the exact
-path comparison (`first_disagreement`) that the other test modules use."""
+at lazy successors, and the random properly ordered diagrams, their
+telescopes (`telescope2`) and the exact path comparison
+(`first_disagreement`) that the other test modules use."""
 
 import itertools
 import random
@@ -99,6 +100,28 @@ def _random_prefix(r, d, count):
             r.shuffle(order)
         levels.append(make_level(s, t, edges, in_order))
     return OrderedDiagram(tuple(levels) + d.levels, True)
+
+
+def telescope2(d):
+    """d with its levels 2k - 1 and 2k paired into level k: an edge is a
+    pair (e1, e2) with r(e1) = s(e2), ordered into r(e2) by the place of
+    e2, then by that of e1, and the stationary tail repeats its square.
+    Level 2k of d and level k of the telescope have the same paths, in the
+    same order, and the same adic map (Herman-Putnam-Skau, 1992)."""
+    levels = []
+    while 2 * len(levels) - 1 < len(d.levels):
+        k = 2 * len(levels) + 1
+        low, high = d.level(k), d.level(k + 1)
+        edges, in_order = [], []
+        for v, order in enumerate(high.in_order):
+            in_order.append([])
+            for e2 in order:
+                for e1 in low.in_order[high.source(e2)]:
+                    in_order[-1].append(len(edges))
+                    edges.append((low.source(e1), v))
+        levels.append(make_level(low.num_sources, high.num_ranges, edges,
+                                 in_order))
+    return OrderedDiagram(tuple(levels), True)
 
 
 def _prefix_draws(seed, count):
