@@ -49,13 +49,12 @@ from os.path import commonprefix
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
                        materialize, successor)
-from .errors import (InsufficientStabilizationError, LevelOverflowError,
-                     NormTooLargeError, NotProperlyOrderedError,
-                     NumericError, PreconditionError)
+from .errors import (AlphaOverflowError, InsufficientStabilizationError,
+                     LevelOverflowError, NormTooLargeError,
+                     NotProperlyOrderedError, NumericError, PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, nu_mean,
                          one_field, padded, rand_function)
-from .solver import _overflow
 
 TRIANGLE_CACHE_SIZE = 16
 # the default distortion sweep climbs past level 3 only through levels of
@@ -382,7 +381,7 @@ def norms(a, s, q, triangle=None):
             w = tri ** ((af + qf) * (n + 1)) if expo else (n + 1.0) ** qf
             mu = max(mu, w * tail)
     except OverflowError:
-        raise _overflow(a.alpha) from None
+        raise AlphaOverflowError(a.alpha) from None
     return {"l1_alpha": l1, "s_alpha": s_alpha, "mu_q": mu,
             "triangle": tri, "regime": "exponential" if expo
             else "polynomial"}
@@ -407,7 +406,7 @@ def _weighted_norms(diagram, alpha, lam, s, tri, coeffs):
                                 else (1.0 + abs(k)) ** sf)
                           for k, nk in by_k.items()), 0.0)
     except OverflowError:
-        raise _overflow(alpha) from None
+        raise AlphaOverflowError(alpha) from None
 
 
 def lemma_constant(triangle, alpha, q):
@@ -421,7 +420,7 @@ def lemma_constant(triangle, alpha, q):
     try:
         return 2.0 * tri ** (2.0 * x) / (1.0 - tri ** (-x))
     except OverflowError:
-        raise _overflow(alpha) from None
+        raise AlphaOverflowError(alpha) from None
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
 from .errors import AdicError, ParseError
 from .martingale import decompose, from_vector
 from .measures import renorm_data, xi_vector
-from .solenoid import build_complex, diameter, euler_characteristic, \
-    first_betti_number
+from .solenoid import (build_complex, class_graph, diameter,
+                       euler_characteristic, first_betti_number)
 from .solver import birkhoff, chained_constant, solve
 
 
@@ -373,14 +373,15 @@ def cmd_decompose(args):
 
 
 def cmd_cohomology(args):
+    # renorm_data refuses a diagram without Perron data; the dimensions
+    # read the gluing alone, so a negative roof entry refuses no level
     d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
+    tower = limit_rank(d, renorm_data(d))
     _at_least("max level", args.max_level, 0)
-    tower = limit_rank(d, rd)
     _emit_json({
         "d": tower.d,
         "k_prime": tower.k_prime,
-        "per_level_dims": [first_betti_number(build_complex(d, rd, k))
+        "per_level_dims": [first_betti_number(class_graph(d, k))
                            for k in range(args.max_level + 1)],
         "ranks": list(tower.ranks),
         "stabilized": tower.ranks[-1] == tower.ranks[-2],

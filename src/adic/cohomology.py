@@ -18,8 +18,9 @@ b = max(k', L - 1): exact functionals of the block sums that factor through
 the projection P onto W along the eventual kernel, Gram-orthogonalized
 against the path counts of level b, the measure direction first.  They
 read only A and the path structure, never the roof or the Perron root, so
-they are rational on every diagram.  A trace is compatible across levels,
-so the functionals of level k + 1 (`vertex_functionals`) are those of
+they are rational on every diagram, and each level's rows are kept once,
+as integer rows over one denominator (`vertex_functionals`).  A trace is
+compatible across levels, so the functionals of level k + 1 are those of
 level k times the Drazin inverse of A (the inverse of A on W, 0 on the
 kernel), and a function reads the same values at every level it is lifted
 to.  h is a coboundary exactly when P kills its block sums; they then die
@@ -30,7 +31,9 @@ under A within k' levels, and the first level at which every block sum is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .diagrams import path_table
@@ -50,8 +53,33 @@ class ClassTower:
     d: int
     w_basis: tuple    # vectors spanning W at level k_prime
     ranks: tuple
-    # the distribution functionals, built by `tower_functionals` on first use
-    functionals: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def functionals(self):
+        """The distribution functionals of the tower, built on first read
+        at the base level b = max(k', L - 1).  Row i at level b is
+        x -> <P x, b_i>_w on block sums, for the projection P onto W and
+        the Gram basis b_i of W (P w, the measure direction, first)
+        weighted by the path counts w of level b, the block sums of 1:
+        positive integers, so all is rational.  A^D = (A + I - P)^-1 P
+        inverts A on W and is 0 on the eventual kernel, so A^D A = P: rows
+        times A^D read lifts of h as h."""
+        diagram, m = self.diagram, self.map
+        base = max(self.k_prime, len(diagram.levels) - 1)
+        proj = _projection(self)
+        w = [b - a for a, b in path_table(diagram, base).blocks()]
+        push = mat_pow(m, base - self.k_prime)
+        basis = _gram_schmidt(_independent(
+            [mat_vec(proj, w)] + [mat_vec(push, v) for v in self.w_basis]),
+            w)
+        shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]
+                    for j in range(len(m))] for i in range(len(m))]
+        return Functionals(
+            base=base, step=mat_mul(_inverse(shifted), proj),
+            norms=tuple(_dot(w, b, b) for b in basis),
+            rows=[_integer_rows(mat_mul(
+                [[wi * bi for wi, bi in zip(w, b)] for b in basis], proj))],
+            xi={})
 
 
 def _independent(vectors):
@@ -158,58 +186,39 @@ def _projection(tower):
 @dataclass(frozen=True)
 class Functionals:
     """The h-independent part of the distributions of a tower: rows[j]
-    holds the d vertex rows of level base + j, norms the Gram norms, and
-    step the Drazin inverse of A, which carries the rows one level up.
-    scaled[m] holds the rows of level m as (den, integer rows over den),
-    built for the levels that `distributions` reads, and xi[m] the cylinder
-    weights of level m as integer columns (D, cols, field), kept for the
-    levels that `solver.solve` gauges at (`solver._xi`)."""
+    holds the d vertex rows of level base + j as (den, integer rows over
+    den), norms the Gram norms, and step the Drazin inverse of A, which
+    carries the rows one level up.  xi[m] holds the cylinder weights of
+    level m as integer columns (D, cols, field), kept for the levels that
+    `solver.solve` gauges at (`solver._xi`)."""
     base: int
     step: list
     norms: tuple
     rows: list
-    scaled: dict
     xi: dict
 
 
-def tower_functionals(tower):
-    """The distribution functionals of `tower`, built on first use at the
-    base level b = max(k', L - 1).  Row i at level b is x -> <P x, b_i>_w
-    on block sums, for the projection P onto W and the Gram basis b_i of W
-    (P w, the measure direction, first) weighted by the path counts w of
-    level b, the block sums of 1: positive integers, so all is rational.
-    A^D = (A + I - P)^-1 P inverts A on W and is 0 on the eventual
-    kernel, so A^D A = P: rows times A^D read lifts of h as h."""
-    fn = tower.functionals
-    if fn is not None:
-        return fn
-    diagram, m = tower.diagram, tower.map
-    base = max(tower.k_prime, len(diagram.levels) - 1)
-    proj = _projection(tower)
-    w = [b - a for a, b in path_table(diagram, base).blocks()]
-    push = mat_pow(m, base - tower.k_prime)
-    basis = _gram_schmidt(_independent(
-        [mat_vec(proj, w)] + [mat_vec(push, v) for v in tower.w_basis]), w)
-    shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]
-                for j in range(len(m))] for i in range(len(m))]
-    fn = tower.functionals = Functionals(
-        base=base, step=mat_mul(_inverse(shifted), proj),
-        norms=tuple(_dot(w, b, b) for b in basis),
-        rows=[mat_mul([[wi * bi for wi, bi in zip(w, b)] for b in basis],
-                      proj)],
-        scaled={}, xi={})
-    return fn
+def _integer_rows(rows):
+    """(den, integer rows over den) of rational rows, den the least common
+    denominator."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row]
+                 for row in rows]
 
 
 def vertex_functionals(tower, m):
-    """The trace on K_0 at level m >= base: the d vertex rows c_i of level
-    m, so that tau_i of a level-m cylinder into v is c_i(v) and the i-th
-    distribution numerator of h is c_i times its block sums.  The rows are
-    kept per tower and extended up to m on demand; a trace is compatible
-    across levels, so the rows of level m + 1 times A are those of m."""
-    fn = tower_functionals(tower)
+    """The trace on K_0 at level m >= base as (den, rows): the d vertex
+    rows c_i of level m over one denominator, so that tau_i of a level-m
+    cylinder into v is c_i(v) / den and the i-th distribution numerator of
+    h is c_i times its block sums, over den.  The rows are kept per tower
+    (`ClassTower.functionals`) and extended up to m on demand; a trace is
+    compatible across levels, so the rows of level m + 1 are those of m
+    times the Drazin inverse of A, and times A they are those of m."""
+    fn = tower.functionals
     while len(fn.rows) <= m - fn.base:
-        fn.rows.append(mat_mul(fn.rows[-1], fn.step))
+        den, rows = fn.rows[-1]
+        fn.rows.append(_integer_rows(mat_mul(
+            [[Fraction(x, den) for x in row] for row in rows], fn.step)))
     return fn.rows[m - fn.base]
 
 
@@ -220,41 +229,26 @@ def evaluation_level(tower, h):
     return max(tower.k_prime, h.level, len(tower.diagram.levels) - 1)
 
 
-def _scaled_rows(tower, m):
-    """(den, rows): the vertex rows of level m (`vertex_functionals`) as
-    integer rows over one denominator, built once per level and kept with
-    the tower's functionals."""
-    fn = tower_functionals(tower)
-    out = fn.scaled.get(m)
-    if out is None:
-        rows = vertex_functionals(tower, m)
-        den = math.lcm(*(x.denominator for row in rows for x in row))
-        out = fn.scaled[m] = den, [[x.numerator * (den // x.denominator)
-                                    for x in row] for row in rows]
-    return out
-
-
 def distributions(h, tower):
     """The d invariant-distribution values on h, measure direction first.
 
     Values are floats (the Gram normalizer is a square root); the exact
     pairing numerators decide vanishing one by one.  A call takes the block
     sums of h at its evaluation level and applies the vertex rows of that
-    level from `tower_functionals`, so h and every lift of h read the same
+    level (`vertex_functionals`), so h and every lift of h read the same
     values.  Both are integers over one denominator, the block sums of h's
-    columns (`block_sums`) and the rows (`_scaled_rows`), so a numerator is
-    one integer per column, read as a Fraction or field element once."""
-    fn = tower_functionals(tower)
+    columns (`block_sums`) and the rows, so a numerator is one integer per
+    column, read as a Fraction or field element once."""
     k_eval = evaluation_level(tower, h)
-    den, rows = _scaled_rows(tower, k_eval)
+    den, rows = vertex_functionals(tower, k_eval)
     q, cols, nf = h.parts
     nums = field_values(den * q, [
         [sum(map(mul, row, sums)) for row in rows]
         for sums in block_sums(tower.diagram, h.level, cols, k_eval)], nf)
     return [DistributionValue(index=i + 1, numerator=num,
                               value=float(num) / math.sqrt(float(norm)),
-                              exact_zero=num == 0)
-            for i, (num, norm) in enumerate(zip(nums, fn.norms))]
+                              exact_zero=num == 0) for i, (num, norm)
+            in enumerate(zip(nums, tower.functionals.norms))]
 
 
 def certificate(h, tower):

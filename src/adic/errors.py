@@ -56,6 +56,11 @@ class NormTooLargeError(PreconditionError):
         super().__init__(msg)
 
 
+class AlphaOverflowError(NumericError):
+    def __init__(self, alpha):
+        super().__init__("alpha %s overflows the float norms" % (alpha,))
+
+
 class ObstructedError(PreconditionError):
     """Raised by the transfer solver when invariant distributions do not vanish."""
 

@@ -5,9 +5,11 @@ Every quantity here is exact, in the field of the Perron root of the
 repeating matrix (`scalars.perron_data`): the cylinder weights are
 xi_k = lam**-(k-k0) times an exact eigenvector, and the roof is an exact
 solution of its stationary system, a positive one where one is found, else
-the exact minimum-norm least-squares solution.  A non-stationary diagram
-has no repeating matrix to renormalize by: `xi_vector` and `renorm_data`
-refuse it with NotStationaryError.
+the exact minimum-norm least-squares solution.  `renorm_data` builds them
+into one cached record per diagram (`RenormData`, with the xi vectors of
+the materialized levels), which `xi_vector` reads.  A non-stationary
+diagram has no repeating matrix to renormalize by: `xi_vector` and
+`renorm_data` refuse it with NotStationaryError.
 """
 
 from __future__ import annotations
@@ -32,46 +34,14 @@ def cocycle_product(diagram, n):
     return tuple(tuple(row) for row in prod)
 
 
-# Diagrams whose stationary measure data is kept.
-MEASURE_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=MEASURE_CACHE_SIZE)
-def _stationary_measure(diagram):
-    """(1/lam, xi list for levels 0..L, pd) with L = len(levels), exact
-    scalars.  xi beyond L continues as lam**-1 steps."""
-    if not diagram.stationary:
-        raise NotStationaryError()
-    A = diagram.matrix(len(diagram.levels) + 1)  # repeating matrix
-    pd = perron_data(A)
-    L = len(diagram.levels)
-    xis = [None] * (L + 1)
-    xis[L] = list(pd.left)
-    for k in range(L, 0, -1):
-        At = list(zip(*diagram.matrix(k)))  # transpose rows
-        xis[k - 1] = mat_vec([list(r) for r in At], xis[k])
-    scale = Fraction(1) / sum(xis[0])
-    xis = [[x * scale for x in v] for v in xis]
-    return 1 / pd.lam, xis, pd
-
-
-def xi_vector(diagram, k):
-    """Exact cylinder-measure weights over V_k: every level-k cylinder with
-    range v has measure xi_k(v)."""
-    shrink, xis, _ = _stationary_measure(diagram)
-    L = len(diagram.levels)
-    if k <= L:
-        return list(xis[k])
-    scale = shrink ** (k - L)
-    return [x * scale for x in xis[L]]
-
-
-# Compared and hashed by identity: the solenoid caches are keyed by it.
-@dataclass(eq=False)
+# Compared and hashed by identity: the solenoid caches are keyed by it, and
+# `renorm_data` hands one, frozen, to every reader of a diagram.
+@dataclass(frozen=True, eq=False)
 class RenormData:
     lambda_mu: object  # exact scalar
-    roof: list
+    roof: tuple
     certificates: dict
+    xis: tuple  # exact xi vectors of levels 0..L, L = len(levels)
 
     @cached_property
     def lam_float(self):
@@ -86,6 +56,18 @@ class RenormData:
         return math.log(self.lam_float)
 
 
+def xi_vector(diagram, k):
+    """Exact cylinder-measure weights over V_k: every level-k cylinder with
+    range v has measure xi_k(v).  Past the materialized levels xi steps by
+    1/lam per level."""
+    rd = renorm_data(diagram)
+    L = len(diagram.levels)
+    if k <= L:
+        return list(rd.xis[k])
+    scale = rd.lam_inverse ** (k - L)
+    return [x * scale for x in rd.xis[L]]
+
+
 def _least_squares(P, u):
     """The minimum-norm least-squares solution of P x = u: x = P^T w for
     any w with (P P^T)^2 w = P P^T u, the normal equations of
@@ -95,11 +77,24 @@ def _least_squares(P, u):
     return mat_vec(Pt, solve_linear(mat_mul(M, M), mat_vec(M, u)))
 
 
+# Diagrams whose Perron data is kept.
+MEASURE_CACHE_SIZE = 512
+
+
+@lru_cache(maxsize=MEASURE_CACHE_SIZE)
 def renorm_data(diagram):
-    """Perron multiplier lambda_mu, roof vector l (normalized against the
-    level-0 cylinder measures), and the growth exponent."""
-    shrink, xis, pd = _stationary_measure(diagram)
+    """The Perron data of a stationary diagram, one record per diagram:
+    the Perron multiplier lambda_mu, the roof vector l (normalized against
+    the level-0 cylinder measures), and the xi vectors of levels 0..L."""
+    if not diagram.stationary:
+        raise NotStationaryError()
     L = len(diagram.levels)
+    pd = perron_data(diagram.matrix(L + 1))  # the repeating matrix
+    xis = [list(pd.left)]
+    for k in range(L, 0, -1):
+        xis.insert(0, mat_vec(list(zip(*diagram.matrix(k))), xis[0]))
+    scale = Fraction(1) / sum(xis[0])
+    xis = tuple(tuple(x * scale for x in v) for v in xis)
     # boundedness of lam**-k (A_(0..k) l) pins the direction of A_(0..L) l
     # to the right eigenvector of the repeating matrix
     P = [list(r) for r in cocycle_product(diagram, L)]
@@ -108,7 +103,7 @@ def renorm_data(diagram):
     if sol is not None and not all(x > 0 for x in sol):
         # a singular square P leaves a family of solutions; right * lam^-L
         # is a positive member whenever it solves the system
-        scale = shrink ** L
+        scale = (1 / pd.lam) ** L
         sol = [x * scale for x in right]
         if len(sol) != len(P[0]) or mat_vec(P, sol) != right:
             sol = None
@@ -118,4 +113,4 @@ def renorm_data(diagram):
     scale = Fraction(1) / sum(si * x0 for si, x0 in zip(sol, xis[0]))
     cert = {"stationary_exact": all(r == 0 for r in residual),
             "roof_residual": math.sqrt(float(sum(r * r for r in residual)))}
-    return RenormData(pd.lam, [si * scale for si in sol], cert)
+    return RenormData(pd.lam, tuple(si * scale for si in sol), cert, xis)

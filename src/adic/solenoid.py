@@ -12,6 +12,7 @@ diagrams only.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import inf
@@ -93,9 +94,8 @@ class ApproxComplex:
 def roof_heights(diagram, renorm, k):
     """Exact level-k tower heights (A_(0..k) roof)_v in level-0 time units."""
     if k == 0:
-        return tuple(renorm.roof)
-    mat = cocycle_product(diagram, k)
-    return tuple(mat_vec(mat, list(renorm.roof)))
+        return renorm.roof
+    return tuple(mat_vec(cocycle_product(diagram, k), renorm.roof))
 
 
 class _UnionFind:
@@ -143,17 +143,15 @@ def gluing_pairs(diagram, k):
     return tuple(sorted(pairs))
 
 
-def build_complex(diagram, renorm, k):
-    """The level-k approximant: one edge per vertex v of V_k, of exact
-    length lam^(-k) * (A_(0..k) roof)_v, the level-k tower length, with
-    its ends glued by `gluing_pairs`."""
-    scale = renorm.lam_inverse ** k if k else 1
-    lengths = tuple(scale * h for h in roof_heights(diagram, renorm, k))
-    if any(x < 0 for x in lengths):
-        raise PreconditionError("the level-%d complex has an edge of "
-                                "negative length" % k)
-    n = len(lengths)
-    pairs = gluing_pairs(diagram, k)
+ClassGraph = namedtuple("ClassGraph",
+                        "start_class end_class classes glued_pairs")
+
+
+def class_graph(diagram, k):
+    """The ends of the level-k approximant, one edge per vertex of V_k,
+    glued by `gluing_pairs` into classes, the fields of `ApproxComplex`
+    after its lengths.  It reads no lengths, so it needs no roof."""
+    n, pairs = diagram.num_vertices(k), gluing_pairs(diagram, k)
     uf = _UnionFind(2 * n)  # boundary ids: 2v start, 2v+1 end
     for a, b in pairs:
         uf.union(2 * a + 1, 2 * b)
@@ -162,27 +160,34 @@ def build_complex(diagram, renorm, k):
     members = [[] for _ in roots]
     for i in range(2 * n):
         members[renum[uf.find(i)]].append(("-" if i % 2 == 0 else "+", i // 2))
-    return ApproxComplex(
-        level=k,
-        lengths=lengths,
-        start_class=tuple(renum[uf.find(2 * v)] for v in range(n)),
-        end_class=tuple(renum[uf.find(2 * v + 1)] for v in range(n)),
-        classes=tuple(tuple(m) for m in members),
-        glued_pairs=pairs,
-    )
+    return ClassGraph(tuple(renum[uf.find(2 * v)] for v in range(n)),
+                      tuple(renum[uf.find(2 * v + 1)] for v in range(n)),
+                      tuple(tuple(m) for m in members), pairs)
+
+
+def build_complex(diagram, renorm, k):
+    """The level-k approximant: one edge per vertex v of V_k, of exact
+    length lam^(-k) * (A_(0..k) roof)_v, the level-k tower length, with
+    its ends glued into `class_graph`."""
+    scale = renorm.lam_inverse ** k if k else 1
+    lengths = tuple(scale * h for h in roof_heights(diagram, renorm, k))
+    if any(x < 0 for x in lengths):
+        raise PreconditionError("the level-%d complex has an edge of "
+                                "negative length" % k)
+    return ApproxComplex(k, lengths, *class_graph(diagram, k))
 
 
 def euler_characteristic(cx):
     return len(cx.classes) - cx.num_edges
 
 
-def first_betti_number(cx):
-    """dim H1 of the class graph: edges - classes + components."""
-    uf = _UnionFind(len(cx.classes))
-    for a, b in zip(cx.start_class, cx.end_class):
+def first_betti_number(graph):
+    """dim H1 of a `class_graph` or complex: edges - classes + components."""
+    uf = _UnionFind(len(graph.classes))
+    for a, b in zip(graph.start_class, graph.end_class):
         uf.union(a, b)
-    components = len({uf.find(i) for i in range(len(cx.classes))})
-    return cx.num_edges - len(cx.classes) + components
+    components = len({uf.find(i) for i in range(len(graph.classes))})
+    return len(graph.start_class) - len(graph.classes) + components
 
 
 # ---------------------------------------------------------------------------

@@ -42,10 +42,10 @@ from itertools import accumulate
 from operator import add, mul
 from fractions import Fraction
 
-from .cohomology import certificate, distributions, tower_functionals
+from .cohomology import certificate, distributions
 from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
                        order_pos, path_index, path_table)
-from .errors import NumericError, ObstructedError, PreconditionError
+from .errors import AlphaOverflowError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
                          one_field, padded, residual_rows)
@@ -86,7 +86,7 @@ def _xi(tower, level):
     columns (D, cols, field), built once per level and kept with the
     tower's functionals: past the materialized levels each build raises
     1/lambda to a power."""
-    kept = tower_functionals(tower).xi
+    kept = tower.functionals.xi
     xi = kept.get(level)
     if xi is None:
         xi = kept[level] = integer_parts(xi_vector(tower.diagram, level))
@@ -156,10 +156,6 @@ def _need_alpha(alpha, epsilon):
                                 "epsilon %s" % (alpha, epsilon))
 
 
-def _overflow(alpha):
-    return NumericError("alpha %s overflows the float norms" % (alpha,))
-
-
 def solution_norms(diagram, renorm, h, g, alpha, epsilon):
     lam = renorm.lam_float
     try:
@@ -167,7 +163,7 @@ def solution_norms(diagram, renorm, h, g, alpha, epsilon):
         gn = holder_norm(diagram, g, float(alpha) - 2.0 -
                          float(epsilon), lam)["norm"]
     except OverflowError:
-        raise _overflow(alpha) from None
+        raise AlphaOverflowError(alpha) from None
     return {"h_norm": hn, "g_norm": gn,
             "k_ratio": 0.0 if hn == 0.0 else gn / hn}
 
@@ -191,7 +187,7 @@ def chained_constant(diagram, renorm, alpha, epsilon):
         c_bump = 2.0 * lam ** a * u.cr_norm(1) / ((lam - 1.0) *
                                                   (1.0 - lam ** (-e)))
     except OverflowError:
-        raise _overflow(alpha) from None
+        raise AlphaOverflowError(alpha) from None
     c_mean = diam
     c_return = 1.0 + diam / (1.0 - lam ** (2.0 + eps - a))
     return {"bump_factor": c_bump, "mean_variation_factor": c_mean,

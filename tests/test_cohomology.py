@@ -13,23 +13,22 @@ from hypothesis import strategies as st
 from conftest import rng
 
 from test_algebra import _drawn_diagrams
-from test_step import _prefixed, _random_diagram
+from test_step import _prefix_draws, _prefixed, _random_diagram
 
 import adic
 from adic.cli import main
 from adic.cohomology import (birkhoff_cochain, certificate, distributions,
                              evaluation_level, is_coboundary_class,
-                             limit_rank, tower_functionals,
-                             vertex_functionals)
+                             limit_rank, vertex_functionals)
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, path_range,
                            path_table)
-from adic.errors import PreconditionError
+from adic.errors import AdicError, PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data
 from adic.scalars import mat_mul, mat_vec
-from adic.solenoid import build_complex
+from adic.solenoid import build_complex, class_graph
 from adic.solver import solve
 
 
@@ -38,9 +37,10 @@ def _tower(d):
 
 
 def _h1_dim(cx):
-    """edges - classes + components of the class graph of a complex, the
-    components counted by breadth-first search: the reference for the
-    `solenoid.first_betti_number` that `adic cohomology` prints."""
+    """edges - classes + components of the class graph of a complex, or of
+    a `solenoid.class_graph`, the components counted by breadth-first
+    search: the reference for the `solenoid.first_betti_number` that
+    `adic cohomology` prints."""
     adj = [[] for _ in cx.classes]
     for a, b in zip(cx.start_class, cx.end_class):
         adj[a].append(b)
@@ -58,22 +58,56 @@ def _h1_dim(cx):
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
-    return cx.num_edges - len(cx.classes) + components
+    return len(cx.start_class) - len(cx.classes) + components
 
 
 def _cli_dims(capsys, tmp_path, d):
+    """The per-level dimensions `adic cohomology` prints for levels 0..8,
+    checked against `_h1_dim` of each complex, or, where a negative roof
+    entry refuses the complex, of its class graph: the gluing alone.
+    Returns (dims, the number of levels whose complex is refused)."""
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(d.to_json_dict()))
     assert main(["cohomology", "--diagram", str(path)]) == 0
     dims = json.loads(capsys.readouterr().out)["per_level_dims"]
-    rd = renorm_data(d)
-    assert dims == [_h1_dim(build_complex(d, rd, k)) for k in range(9)]
-    return dims
+    rd, refused = renorm_data(d), 0
+    assert len(dims) == 9
+    for k, dim in enumerate(dims):
+        try:
+            cx = build_complex(d, rd, k)
+        except PreconditionError:
+            refused += 1
+            cx = class_graph(d, k)
+        assert dim == _h1_dim(cx)
+    return dims, refused
 
 
 def test_h1_dimensions(capsys, tmp_path, odo2, fib, pisot31):
     for d, dim in ((odo2, 1), (fib, 2), (pisot31, 2)):
-        assert _cli_dims(capsys, tmp_path, d) == [dim] * 9
+        assert _cli_dims(capsys, tmp_path, d) == ([dim] * 9, 0)
+
+
+def test_cohomology_needs_no_roof(capsys, tmp_path):
+    # the dimensions read the gluing alone: on the builtins, 30 drawn
+    # diagrams and 240 `_prefix_draws`, `adic cohomology` exits 0 on every
+    # diagram with Perron data, also on the 30 whose level-0 complex a
+    # negative roof entry refuses, and every complex that builds has the
+    # dimension of its class graph
+    r = random.Random(5)
+    ds = [builtin_diagram(name)
+          for name in ("odo2", "odo3", "fib", "pisot31")]
+    ds += [_random_diagram(r, 1 + i % 3, 6) for i in range(30)]
+    for seed in (11, 41, 7, 99):
+        ds += _prefix_draws(seed, 60)
+    accepted = refused = 0
+    for d in ds:
+        try:
+            renorm_data(d)
+        except AdicError:
+            continue
+        accepted += 1
+        refused += _cli_dims(capsys, tmp_path, d)[1] > 0
+    assert (accepted, refused) == (233, 30)
 
 
 def test_induced_maps_hand_values(odo2, fib):
@@ -305,7 +339,9 @@ def test_distributions_are_compatible_across_levels():
 def test_vertex_functionals_are_a_trace_on_the_dimension_group():
     # tau on K_0 = lim (Z^V, A) is compatible across levels: the vertex
     # rows of level m + 1 times A are those of level m, exactly, also on
-    # `_prefixed(pisot31)`, whose exact roof has a zero entry
+    # `_prefixed(pisot31)`, whose exact roof has a zero entry.  Each level
+    # keeps its rows once, as integer rows R_m over den_m, so
+    # R_(m+1) A den_m = R_m den_(m+1) on the integers
     r = random.Random(7)
     ds = [builtin_diagram(name)
           for name in ("odo2", "odo3", "fib", "pisot31")]
@@ -315,12 +351,15 @@ def test_vertex_functionals_are_a_trace_on_the_dimension_group():
     for d in ds:
         tower = _tower(d)
         a = [list(row) for row in tower.map]
-        base = tower_functionals(tower).base
+        base = tower.functionals.base
         for m in range(base, base + 4):
-            up = mat_mul(vertex_functionals(tower, m + 1), a)
-            here = vertex_functionals(tower, m)
+            den_up, up = vertex_functionals(tower, m + 1)
+            den, here = vertex_functionals(tower, m)
             assert len(here) == tower.d
-            assert up == here
+            assert all(isinstance(x, int) for row in up + here for x in row)
+            assert [[x * den for x in row] for row in mat_mul(up, a)] == \
+                [[x * den_up for x in row] for row in here]
+        assert len(tower.functionals.rows) == 5
 
 
 @pytest.mark.parametrize("seed", [6, 29, 37, 39, 42, 49])
@@ -349,26 +388,18 @@ def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
     # behind the extra first level of `_prefixed`, the level-0 complex has
     # a smaller first Betti number than those of the repeating levels, and
     # the tower is the repeating matrix.  Two of the three draws have a roof
-    # with negative entries: their level-0 complex is refused, so
-    # `cohomology` exits 3, and the repeating levels still build
+    # with negative entries: their level-0 complex is refused, and the
+    # repeating levels still build.  `cohomology` reads the gluing alone,
+    # so it prints the same dimensions on all three
     r = random.Random(7)
     draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
     refused = 0
     for d in (_prefixed(d) for d in draws if d.num_vertices(0) == 3):
         tower = _tower(d)
         assert len(tower.map) == 3 and tower.d == 3
-        rd = renorm_data(d)
-        if not min(rd.roof) < 0:
-            assert _cli_dims(capsys, tmp_path, d) == [2] + [3] * 8
-            continue
-        refused += 1
-        path = tmp_path / "diagram.json"
-        path.write_text(json.dumps(d.to_json_dict()))
-        assert main(["cohomology", "--diagram", str(path)]) == 3
-        assert capsys.readouterr().err == (
-            "error: the level-0 complex has an edge of negative length\n")
-        assert [_h1_dim(build_complex(d, rd, k))
-                for k in range(1, 9)] == [3] * 8
+        negative = min(renorm_data(d).roof) < 0
+        assert _cli_dims(capsys, tmp_path, d) == ([2] + [3] * 8, negative)
+        refused += negative
     assert refused == 2
     r = rng(306)
     for name in ("fib", "odo2", "odo3"):
@@ -407,8 +438,8 @@ def test_distributions_are_invariant_under_phi(d, power, level, seed):
        st.integers(0, 3), st.integers(0, 2 ** 16))
 def test_distributions_match_rows_times_cochain(d, kind, level, seed):
     # the integer rows over one denominator, applied to the integer block
-    # sums, give the numerators of the Fraction rows times the Fraction
-    # block sums: to the repr, with the same floats and exact zeros, for
+    # sums, give the numerators of the Fraction rows (the kept integer rows
+    # over their denominator) times the Fraction block sums: to the repr, with the same floats and exact zeros, for
     # rational, Q(lambda) and float values of h, of h o phi - h and of
     # their lifts.  The one-edge loop has Perron root 1
     if d.matrix(len(d.levels)) == [[1]]:
@@ -424,10 +455,11 @@ def test_distributions_match_rows_times_cochain(d, kind, level, seed):
                                range(path_table(d, level).offsets[-1])])
     moved = compose_phi(d, h, 1)
     cob = moved - lift(d, h, moved.level)
-    norms = tower_functionals(tower).norms
+    norms = tower.functionals.norms
     for f in (h, lift(d, h, level + 1), cob, lift(d, cob, cob.level + 1)):
         k = evaluation_level(tower, f)
-        want = mat_vec(vertex_functionals(tower, k),
+        den, rows = vertex_functionals(tower, k)
+        want = mat_vec([[Fraction(x, den) for x in row] for row in rows],
                        birkhoff_cochain(d, f, k))
         got = distributions(f, tower)
         assert [repr(dv.numerator) for dv in got] == list(map(repr, want))

@@ -1,7 +1,8 @@
 """Every name a module of the package imports is read somewhere in it, and
 every function, class or class member it defines is used somewhere, and
-every option it offers is set somewhere.  No module imports numpy, and
-`cohomology` imports nothing from `solenoid`.
+every option it offers is set somewhere.  No module imports numpy,
+`cohomology` imports nothing from `solenoid`, and `algebra` nothing from
+`solver` or `solenoid`, directly or through another module.
 
 A stdlib `ast` scan stands in for a linter: a module's imported names
 (`__future__` aside) must each appear as a loaded name in that module.
@@ -97,6 +98,29 @@ def test_cohomology_imports_nothing_from_solenoid():
     assert [node.module for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom)
             and _module_of(node) == "solenoid"] == []
+
+
+def package_imports(module):
+    """The package modules that `module` imports from, directly or through
+    another package module."""
+    found, todo = set(), [module]
+    while todo:
+        tree = ast.parse((PACKAGE / (todo.pop() + ".py")).read_text())
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.ImportFrom) and _module_of(node)
+            if name and name not in found:
+                found.add(name)
+                todo.append(name)
+    return found
+
+
+def test_algebra_imports_nothing_from_solver():
+    # the crossed-product algebra reads the class tower and the cylinder
+    # functions; the error for an overflowing alpha lives in `errors`, so
+    # it reaches neither the solver nor, through it, the solenoid
+    found = package_imports("algebra")
+    assert {"cohomology", "errors", "martingale", "measures"} <= found
+    assert {"solver", "solenoid"} & found == set()
 
 
 def uses(source):

@@ -7,6 +7,7 @@ import pytest
 
 from test_step import _prefix_draws
 
+from adic import solenoid
 from adic.diagrams import enumerate_paths, path_range
 from adic.errors import PreconditionError
 from adic.measures import cocycle_product, renorm_data, xi_vector
@@ -19,6 +20,21 @@ def test_odo2_exact_doubling(odo2):
     assert float(rd.lambda_mu) == 2.0
     assert [float(x) for x in rd.roof] == [1.0]
     assert float(xi_vector(odo2, 5)[0]) == 2.0 ** -5
+
+
+def test_one_perron_record_per_diagram(fib, pisot31):
+    # renorm_data keeps one record per diagram, and xi_vector reads its xi
+    # vectors, so the solenoid caches keyed by the record's identity hit
+    # across reads: a second read adds no complexes entry
+    for d in (fib, pisot31):
+        assert renorm_data(d) is renorm_data(d)
+        assert all(xi_vector(d, k) == list(renorm_data(d).xis[k])
+                   for k in range(len(d.levels) + 1))
+    solenoid.cached_complexes.cache_clear()
+    for _ in range(2):
+        solenoid.cached_complexes(fib, renorm_data(fib), 3)
+    info = solenoid.cached_complexes.cache_info()
+    assert (info.currsize, info.hits) == (1, 1)
 
 
 def test_quadratic_field_meets_floats():
