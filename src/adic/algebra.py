@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import groupby
 from os.path import commonprefix
 
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
-                       materialize, successor)
+                       materialize, owned, successor)
 from .errors import (AlphaOverflowError, InsufficientStabilizationError,
                      LevelOverflowError, NormTooLargeError,
                      NotProperlyOrderedError, NumericError, PreconditionError)
@@ -56,7 +55,6 @@ from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, nu_mean,
                          one_field, padded, rand_function)
 
-TRIANGLE_CACHE_SIZE = 16
 # the default distortion sweep climbs past level 3 only through levels of
 # at most this many paths.  The sweep costs one successor per path and
 # direction, not a pair table; the cap fixes the level of every default
@@ -304,7 +302,7 @@ class TriangleEstimate:
     level: int
 
 
-@lru_cache(maxsize=TRIANGLE_CACHE_SIZE)
+@owned
 def triangle_phi(diagram, L, lam):
     """Certified lower bound for the bi-Lipschitz distortion of the adic
     map, from the exhaustive sweep of level-L cylinder pairs (minimal-tail

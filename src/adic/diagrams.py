@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache, partial, wraps
+from functools import cached_property, wraps
 from itertools import chain
-from types import MethodType
+from weakref import WeakValueDictionary
 
 from .errors import (HorizonExceededError, LevelOverflowError,
                      NotProperlyOrderedError, ParseError)
@@ -33,22 +33,39 @@ class LevelData:
     num_ranges: int
     edges: tuple  # of (source, range) pairs
     in_order: tuple  # per range vertex, tuple of edge indices
-    # the hash of the compared fields, taken once: every lru_cache lookup
-    # keyed by a diagram hashes its levels
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((
-            self.num_sources, self.num_ranges, self.edges, self.in_order)))
-
-    def __hash__(self):
-        return self._hash
 
     def source(self, e):
         return self.edges[e][0]
 
     def range(self, e):
         return self.edges[e][1]
+
+    @cached_property
+    def order_pos(self):
+        """Per edge, its position in the in-order of its range."""
+        return {e: i for order in self.in_order for i, e in enumerate(order)}
+
+    @cached_property
+    def out_edges(self):
+        out = [[] for _ in range(self.num_sources)]
+        for e, (s, r) in enumerate(self.edges):
+            out[s].append(e)
+        return tuple(map(tuple, out))
+
+    @cached_property
+    def forward_choice(self):
+        """Per source vertex: (min edge, max edge) by (in-order position,
+        range)."""
+        key = lambda e: (self.order_pos[e], self.range(e))
+        return (tuple(min(c, key=key) if c else None for c in self.out_edges),
+                tuple(max(c, key=key) if c else None for c in self.out_edges))
+
+    @cached_property
+    def source_map(self):
+        """Indexed by end: per vertex of V_k, the source of its first
+        (end=0) or last (end=-1) in-edge."""
+        return tuple(tuple(self.source(_in_edge(self, v, end))
+                           for v in range(self.num_ranges)) for end in (0, -1))
 
 
 def make_level(num_sources, num_ranges, edges, in_order):
@@ -57,18 +74,43 @@ def make_level(num_sources, num_ranges, edges, in_order):
                      tuple(tuple(int(e) for e in lst) for lst in in_order))
 
 
+class Tables(dict):
+    """The tables derived from a diagram, {kind: {args: table}} (`owned`):
+    one dict per class of equal diagrams, freed with the last of them."""
+    __slots__ = ("__weakref__",)
+
+
+def _clear_tables():
+    """Empty the tables of every live diagram."""
+    for tables in list(TABLES.values()):
+        tables.clear()
+
+
+TABLES = WeakValueDictionary()  # by (levels, stationary)
+TABLES.cache_clear = _clear_tables
+
+
 @dataclass(frozen=True)
 class OrderedDiagram:
     levels: tuple
     stationary: bool = False
-    # taken once, as for LevelData
+    # taken once: the point cache of `solenoid` hashes diagrams
     _hash: int = field(init=False, repr=False, compare=False)
+    tables: Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.levels, self.stationary)))
+        key = (self.levels, self.stationary)
+        tables = TABLES.get(key)
+        if tables is None:
+            tables = TABLES[key] = Tables()
+        object.__setattr__(self, "_hash", hash(key))
+        object.__setattr__(self, "tables", tables)
 
     def __hash__(self):
         return self._hash
+
+    def __reduce__(self):
+        return OrderedDiagram, (self.levels, self.stationary)
 
     def level(self, k):
         if k < 1:
@@ -158,17 +200,21 @@ def validate(diagram):
                 out.append("level %d: edge %d source out of range" % (i, e))
             if not (0 <= r < ld.num_ranges):
                 out.append("level %d: edge %d range out of range" % (i, e))
-        ranges = {r for _, r in ld.edges}
-        for v in range(ld.num_ranges):
-            if v not in ranges:
-                out.append("level %d vertex %d: no incoming edge" % (i, v))
+        into = {}  # per range vertex, its in-edges in index order
+        for e, (s, r) in enumerate(ld.edges):
+            into.setdefault(r, []).append(e)
+        if ld.num_ranges > len(ld.edges):  # one line, not one per vertex
+            out.append("level %d: %d vertices but %d edges: some vertex has "
+                       "no incoming edge" % (i, ld.num_ranges, len(ld.edges)))
+        else:
+            out.extend("level %d vertex %d: no incoming edge" % (i, v)
+                       for v in range(ld.num_ranges) if v not in into)
         if len(ld.in_order) != ld.num_ranges:
             out.append("level %d: in_order has wrong vertex count" % i)
         else:
-            for v in range(ld.num_ranges):
-                expect = sorted(e for e, (s, r) in enumerate(ld.edges) if r == v)
-                if sorted(ld.in_order[v]) != expect:
-                    out.append("level %d vertex %d: order not a permutation" % (i, v))
+            out.extend("level %d vertex %d: order not a permutation" % (i, v)
+                       for v in range(ld.num_ranges)
+                       if sorted(ld.in_order[v]) != into.get(v, []))
         prev = ld
     last = diagram.levels[-1]
     if diagram.stationary and last.num_sources != last.num_ranges:
@@ -180,44 +226,7 @@ def validate(diagram):
 
 
 # ---------------------------------------------------------------------------
-# per-level caches
-
-# Entries per cache keyed by a LevelData (and an end): both ends of every
-# level of some 500 one-level diagrams.
-LEVEL_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def order_pos(ld):
-    pos = {}
-    for v, lst in enumerate(ld.in_order):
-        for i, e in enumerate(lst):
-            pos[e] = i
-    return pos
-
-
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def out_edges(ld):
-    out = [[] for _ in range(ld.num_sources)]
-    for e, (s, r) in enumerate(ld.edges):
-        out[s].append(e)
-    return tuple(tuple(x) for x in out)
-
-
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def forward_choice(ld):
-    """Per source vertex: (min edge, max edge) by (in-order position, range)."""
-    pos = order_pos(ld)
-    lo, hi = [None] * ld.num_sources, [None] * ld.num_sources
-    for s in range(ld.num_sources):
-        cand = out_edges(ld)[s]
-        if not cand:
-            continue
-        key = lambda e: (pos[e], ld.range(e))
-        lo[s] = min(cand, key=key)
-        hi[s] = max(cand, key=key)
-    return tuple(lo), tuple(hi)
-
+# tables derived from a diagram
 
 def _in_edge(ld, v, end):
     """The first (end=0) or last (end=-1) in-edge of vertex v of a level;
@@ -227,12 +236,21 @@ def _in_edge(ld, v, end):
     return ld.in_order[v][end]
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
-def source_map(ld, end):
-    """Per vertex of V_k, the source of its first (end=0) or last (end=-1)
-    in-edge."""
-    return tuple(ld.source(_in_edge(ld, v, end))
-                 for v in range(ld.num_ranges))
+def owned(build):
+    """@owned: build(diagram, *args), kept in diagram.tables and freed with
+    the diagram.  Its __wrapped__ is build itself, which keeps nothing."""
+    name = build.__name__
+
+    @wraps(build)
+    def table(diagram, *args):
+        try:
+            return diagram.tables[name][args]
+        except KeyError:
+            pass
+        value = build(diagram, *args)
+        diagram.tables.setdefault(name, {})[args] = value
+        return value
+    return table
 
 
 def eventual_image(fmap):
@@ -250,7 +268,7 @@ def eventual_image(fmap):
 class FinitePath:
     edges: tuple  # from level 1 up: every path starts at V_0
     root: int = None  # the V_0 vertex of a path with no edges, else None
-    # taken once, as for LevelData: point caches hash paths many times
+    # taken once: point caches hash paths many times
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -362,7 +380,7 @@ class PathWalker:
             if self.vertex is not None and ld.source(e) != self.vertex:
                 raise ParseError("periodic tail does not chain")
         else:
-            lo, hi = forward_choice(ld)
+            lo, hi = ld.forward_choice
             e = (lo if lz.tail.kind == "MIN" else hi)[self.vertex]
             if e is None:
                 raise HorizonExceededError()
@@ -412,7 +430,7 @@ def extreme_vertex(diagram, direction):
     """(fmap, v): the min (direction=1) or max (direction=-1) in-edge source
     map of the repeating level of a stationary diagram, and the one vertex v
     of its eventual image.  NotProperlyOrderedError when there are more."""
-    fmap = source_map(diagram.levels[-1], 0 if direction == 1 else -1)
+    fmap = diagram.levels[-1].source_map[0 if direction == 1 else -1]
     cyc = eventual_image(fmap)
     if len(cyc) != 1:
         raise NotProperlyOrderedError()
@@ -450,7 +468,7 @@ def successor(diagram, p, direction=1):
         k, e = w.advance()
         ld = diagram.level(k)
         order = ld.in_order[ld.range(e)]
-        i = order_pos(ld)[e] + direction
+        i = ld.order_pos[e] + direction
         if 0 <= i < len(order):
             edges = _extreme_chain(diagram, ld.source(order[i]), k - 1,
                                    end).edges + (order[i],)
@@ -501,15 +519,9 @@ def enumerate_paths(diagram, n):
 
 # The most paths that `enumerate_paths` and `path_table` build at one
 # level.  A function file or a level flag of a few bytes can ask for 2^n
-# paths; the tests build at most 2^17 (pisot31 at level 8).  Path tables
-# and the index maps of `martingale` (`gather` and `residual_rows`) share
-# one store, bounded in integers held: a build is charged the integers it
-# holds, a few per path of its level, and a charge past STORE_BUDGET first
-# empties the whole store.
+# paths; the tests build at most 2^17 (pisot31 at level 8).
 PATH_BUDGET = 2 ** 18
 EDGE_BUDGET = 2 ** 23  # the most edges, paths times level, of one listing
-STORE_BUDGET = 4 * PATH_BUDGET
-STORE, store_charge = [], 0  # the store's caches and the integers they hold
 # The deepest level of a path table.  A table is built on the one below
 # it, by recursion, and a few hundred levels of that exhaust the
 # interpreter's stack; on a diagram whose paths branch, PATH_BUDGET is
@@ -521,30 +533,6 @@ def _check_budget(level, count):
     if count > PATH_BUDGET:
         raise LevelOverflowError("level %d has %d paths, more than %d"
                                  % (level, count, PATH_BUDGET))
-
-
-def clear_store():
-    """The cache_clear of every member: empty the store, charge 0."""
-    global store_charge
-    for member in STORE:
-        type(member).cache_clear(member)
-    store_charge = 0
-
-
-def stored(size, build):
-    """@partial(stored, size): build cached in the store by an unbounded
-    lru_cache, whose hits stay in C; a miss is charged size(result).  Its
-    __wrapped__ is build itself, which neither stores nor charges."""
-    def charged(*args):
-        global store_charge
-        result = build(*args)
-        if store_charge + size(result) > STORE_BUDGET:
-            clear_store()
-        store_charge += size(result)
-        return result
-    STORE.append(wraps(build)(lru_cache(maxsize=None)(charged)))
-    STORE[-1].cache_clear = MethodType(lambda _: clear_store(), STORE[-1])
-    return STORE[-1]
 
 
 @dataclass(frozen=True)
@@ -563,7 +551,7 @@ class PathTable:
         return zip(self.offsets, self.offsets[1:])
 
 
-@partial(stored, lambda t: len(t.offsets) + len(t.parent) + 2 * len(t.first))
+@owned
 def path_table(diagram, k):
     """The PathTable of level k; level 0 lists the vertices of V_0."""
     if k > LEVEL_BUDGET:

@@ -9,11 +9,10 @@ block offsets of `diagrams.path_table`.  Values may be Fractions,
 elements of the Perron field (`scalars.FieldElement`), or floats.  Means
 and projections read them exactly, a finite float as the dyadic rational
 it stores, and stay in the field of the values and the weights; NaN and
-+-inf raise PreconditionError there.  `gather` caches the index maps of
-composition and lift in the store of `diagrams`, with the path tables,
-bounded by `STORE_BUDGET` integers, and so does `residual_rows` for the
-residual check; the Hoelder sweep reads the sibling runs of the path
-tables.  A function also holds its values as integer columns over one
++-inf raise PreconditionError there.  `gather` keeps the index maps of
+composition and lift with the diagram's other tables (`diagrams.owned`),
+freed with the diagram, and so does `residual_rows` for the residual
+check; the Hoelder sweep reads the sibling runs of the path tables.  A function also holds its values as integer columns over one
 denominator, one per coefficient of the field (`CylinderFunction.parts`),
 so block sums, the solver and `algebra.convolve` add integers; values are
 never written once built.  The bump profile used for smoothing is the
@@ -28,13 +27,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property
 from itertools import repeat
 from operator import sub
 
-from .diagrams import (LEVEL_CACHE_SIZE, LazyPath, count_paths,
-                       extreme_path, extreme_vertex, materialize, path_index,
-                       path_range, path_table, stored)
+from .diagrams import (LazyPath, count_paths, extreme_path, extreme_vertex,
+                       materialize, owned, path_index, path_range, path_table)
 from .errors import NotProperlyOrderedError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
@@ -411,7 +409,7 @@ def compose_phi(diagram, h, power=1):
     return CylinderFunction(L, [vals[i] for i in idx])
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@owned
 def compose_level(diagram, m, power):
     """The level of h o phi^power for h of level m, as in `compose_phi`."""
     if power == 0:
@@ -424,7 +422,7 @@ def compose_level(diagram, m, power):
     return max(min(m + n * T, T + j), 1)
 
 
-@partial(stored, len)
+@owned
 def gather(diagram, m, power, k):
     """The indices into a level-m vector that read h o phi^power lifted to
     level k >= compose_level(diagram, m, power), for every h of level m:
@@ -434,12 +432,13 @@ def gather(diagram, m, power, k):
     return tuple(lift(diagram, compose_phi(diagram, ident, power), k).values)
 
 
-@partial(stored, lambda rows: 3 * len(rows[0]))
+@owned
 def residual_rows(diagram, h_level, g_level):
     """(ih, iphi, ig): the indices that read h of level h_level, and g o phi
     and g of level g_level, on the level-top cylinders, top = max(h_level,
     compose_level(diagram, g_level, 1)), each distinct triple once, read
-    off `gather`'s unstored builder, so that only these rows are kept."""
+    off `gather`'s builder, which keeps nothing, so only these rows are
+    kept."""
     top = max(h_level, compose_level(diagram, g_level, 1))
     build = gather.__wrapped__
     return tuple(zip(*dict.fromkeys(zip(build(diagram, h_level, 0, top),

@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
+from .diagrams import owned
 from .errors import NotStationaryError
 from .scalars import mat_mul, mat_vec, perron_data, solve_linear
 
@@ -77,11 +78,7 @@ def _least_squares(P, u):
     return mat_vec(Pt, solve_linear(mat_mul(M, M), mat_vec(M, u)))
 
 
-# Diagrams whose Perron data is kept.
-MEASURE_CACHE_SIZE = 512
-
-
-@lru_cache(maxsize=MEASURE_CACHE_SIZE)
+@owned
 def renorm_data(diagram):
     """The Perron data of a stationary diagram, one record per diagram:
     the Perron multiplier lambda_mu, the roof vector l (normalized against

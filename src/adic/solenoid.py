@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from math import inf
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
-                       path_source, source_map)
+                       owned, path_source)
 from .errors import GluingUndefinedError, NumericError, PreconditionError
 from .measures import cocycle_product
 from .scalars import mat_vec
@@ -129,7 +129,7 @@ def gluing_pairs(diagram, k):
     top, pairs = max(k, len(diagram.levels) - 1), set()
     for j in range(top + 1, k, -1):
         ld = diagram.level(j)
-        mmap, bigm = source_map(ld, 0), source_map(ld, -1)
+        mmap, bigm = ld.source_map
         pairs = {(bigm[a], mmap[b]) for a, b in pairs} | {
             (ld.source(f), ld.source(g)) for order in ld.in_order
             for f, g in zip(order, order[1:])}
@@ -253,14 +253,13 @@ class SolenoidPoint:
         return tuple(near), tuple(far)
 
 
-# Complexes per (diagram, Perron data, level) and conjugacy points per
-# (diagram, Perron data, path, depth margin); Perron data hashes by
-# identity.
-COMPLEX_CACHE_SIZE = 16
+# Conjugacy points per (diagram, Perron data, path, depth margin), in one
+# cache for every diagram, since paths are unbounded in number; Perron
+# data hashes by identity.
 POINT_CACHE_SIZE = 1024
 
 
-@lru_cache(maxsize=COMPLEX_CACHE_SIZE)
+@owned
 def cached_complexes(diagram, renorm, n):
     return tuple(build_complex(diagram, renorm, k) for k in range(n + 1))
 

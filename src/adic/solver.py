@@ -25,7 +25,7 @@ Orbit sums are read from tower tables, not stepped.  The forward orbit of a
 path x is the rest of its level-m block, then, for each level k > m, the
 level-(k-1) towers over the sources of the in-edges after x_k, cut at the
 checkpoints down to ranges: a schedule of tower heights that every function
-of level m walks (`_orbit_schedule`, cached).  A range of level-m cylinders
+of level m walks (`_orbit_schedule`, kept with the diagram).  A range of level-m cylinders
 is summarized off one prefix column of h's exact values as (height, sum,
 max prefix sum, min prefix sum), so every sum is exact, and a tower by the
 fold (n1, s1, M1, mu1) . (n2, s2, M2, mu2) = (n1+n2, s1+s2, max(M1, s1+M2),
@@ -37,14 +37,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
 from operator import add, mul
 from fractions import Fraction
 
 from .cohomology import certificate, distributions
-from .diagrams import (LEVEL_CACHE_SIZE, FinitePath, PathWalker, extreme_path,
-                       order_pos, path_index, path_table)
+from .diagrams import (FinitePath, PathWalker, extreme_path, owned,
+                       path_index, path_table)
 from .errors import AlphaOverflowError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
@@ -289,14 +289,14 @@ def _orbit_runs(diagram, start, towers):
             k, e = w.advance()
             ld, tall = diagram.level(k), towers.grow(k - m)[k - m]
             order = ld.in_order[ld.range(e)]
-            for f in order[order_pos(ld)[e] + 1:]:
+            for f in order[ld.order_pos[e] + 1:]:
                 if tall[ld.source(f)][0]:
                     seen.clear()
                     yield k - m, ld.source(f)
         x = extreme_path(diagram, 1)
 
 
-@lru_cache(maxsize=LEVEL_CACHE_SIZE)
+@owned
 def _orbit_schedule(diagram, start, m, n_total):
     """(deepest depth, ((n, runs), ...)): the runs of the orbit of `start`
     up to each checkpoint n from the one before, flat as ints (depth, a, b):

@@ -15,11 +15,12 @@ import numpy as np
 
 from conftest import rng
 
-from adic.algebra import (check_trial, jolissaint_holds, neumann_invert,
-                          norms, rand_element, scale, subtract, triangle_phi,
-                          unit)
+from adic.algebra import (check_trial, default_triangle, jolissaint_holds,
+                          neumann_invert, norms, rand_element, scale,
+                          subtract, triangle_phi, unit)
 from adic.cohomology import distributions, is_coboundary_class, limit_rank
-from adic.diagrams import FinitePath, LazyPath, TAIL_MIN, enumerate_paths
+from adic.diagrams import (FinitePath, LazyPath, TAIL_MIN, enumerate_paths,
+                           extreme_path)
 from adic.martingale import (compose_phi, delta, from_vector, lift, nu_mean,
                              project, rand_function)
 from adic.measures import renorm_data
@@ -271,6 +272,27 @@ def test_criterion_09_algebra_suite(odo2, pisot31):
                          counts.get("trace_commutator", 0),
                          "" if not bad else "; failures: "
                          + ", ".join(bad[:5])))
+
+
+def test_criterion_09_on_an_irrational_lambda(golden2):
+    # the checks of `adic algebra check --trials 25` at alpha = 3, with its
+    # default estimate, on a properly ordered diagram whose Perron root
+    # phi^2 lies in Q(sqrt 5): the coefficients meet field weights
+    rd = renorm_data(golden2)
+    assert not isinstance(rd.lambda_mu, (int, Fraction))
+    assert extreme_path(golden2, 1) != extreme_path(golden2, -1)
+    tri = default_triangle(golden2, rd.lambda_mu)
+    tower = limit_rank(golden2, rd)
+    r, bad, counts = rng(9019), [], {}
+    for _ in range(25):
+        for name, ok in check_trial(r, golden2, rd.lambda_mu, 3, tri, tower):
+            counts[name] = counts.get(name, 0) + 1
+            if not ok:
+                bad.append(name)
+    ok = not bad and set(counts.values()) == {25} and len(counts) == 12
+    verdict(9, ok, "25 trials of %d checks on lambda = %.6f%s"
+            % (len(counts), rd.lam_float,
+               "" if not bad else "; failures: " + ", ".join(bad[:5])))
 
 
 def test_criterion_10_solution_regularity(odo2):

@@ -14,9 +14,8 @@ from test_step import (_prefix_draws, _prefixed, _random_diagram,
                        _random_prefix, first_disagreement)
 
 import adic.algebra as alg
-from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_CACHE_SIZE,
-                          TRIANGLE_PATHS, AlgebraElement, _columns, _sum, add,
-                          check_trial, complement_support, convolve,
+from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_PATHS, AlgebraElement,
+                          _columns, _sum, add, check_trial, complement_support, convolve,
                           default_triangle, element,
                           equal_elements, involution, jolissaint_holds,
                           neumann_invert, norms, power, project_support,
@@ -81,13 +80,14 @@ def test_triangle_values(odo2, odo3, fib, pisot31):
             prev = est.value
 
 
-def test_triangle_cache_is_bounded(odo2):
-    triangle_phi.cache_clear()
-    for i in range(TRIANGLE_CACHE_SIZE + 4):
-        triangle_phi(odo2, 1, 2.0 + i)
-    info = triangle_phi.cache_info()
-    assert info.maxsize == TRIANGLE_CACHE_SIZE
-    assert info.currsize == TRIANGLE_CACHE_SIZE
+def test_triangle_is_built_once(odo2):
+    # one estimate per (level, lam), kept with the diagram
+    odo2.tables.clear()
+    got = [triangle_phi(odo2, 1, 2.0 + i) for i in range(4)]
+    assert all(triangle_phi(odo2, 1, 2.0 + i) is est
+               for i, est in enumerate(got))
+    assert list(odo2.tables["triangle_phi"]) == [(1, 2.0 + i)
+                                                 for i in range(4)]
 
 
 def test_default_triangle_stops_below_the_path_bound(odo3, monkeypatch):

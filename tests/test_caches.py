@@ -1,38 +1,44 @@
-"""Every module-level cache of the package is bounded, and the benchmark
-empties every one of them.
+"""Derived tables are owned by their diagram, and the one module-level
+cache of the package is bounded.
 
-A cache keyed by diagrams, levels or complexes that has no bound grows for
-the life of the process.  The scan imports each module of the package and
-reads `cache_parameters()` off every module-level function that has one:
-each is bounded by its maxsize, or is a member of the table store of
-`diagrams`, which is bounded by `STORE_BUDGET` integers.  No module-level
+Every table derived from a diagram (path tables, gathers, residual rows,
+compose levels, orbit schedules, the Perron record, triangles, complexes)
+is kept in the diagram's `tables`, one dict per class of equal diagrams,
+and freed with the last of them.  The scan imports each module of the
+package and reads `cache_parameters()` off every module-level function
+that has one: only the conjugacy points of `solenoid.cached_point` are
+left there, keyed by paths, and bounded by their maxsize.  No module-level
 dict whose name contains "cache" stands in for one.  The benchmark times
 its set-up from cold caches, so `cache_resets` of `bench/run.py` must reach
-each cache the scan finds, and leave the store empty with a charge of 0.
-Emptying the store changes no output."""
+the point cache and the tables of every live diagram.  Emptying the tables
+changes no output."""
 
 import functools
+import gc
 import importlib
 import importlib.util
 import os
 import pkgutil
 import random
 import types
+import weakref
 
 import pytest
 from test_coboundary_golden import _inputs, _path
-from test_step import _prefixed
+from test_step import _prefixed, _random_diagram
 
 import adic
-from adic import diagrams, martingale
+from adic import diagrams, martingale, solenoid, solver
 from adic.algebra import convolve, element, rand_element
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
+from adic.diagrams import (FinitePath, LazyPath, TAIL_MIN,
+                           diagram_from_json_dict)
 from adic.martingale import rand_function
 from adic.measures import renorm_data
 
-BENCH_RUN = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "bench", "run.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "bench")
 
 
 def module_caches(module):
@@ -59,45 +65,29 @@ def package_modules():
 
 
 def test_package_caches_are_bounded():
-    modules = package_modules()
-    found = {m.__name__: module_caches(m) for m in modules}
-    assert "path_table" in found["adic.diagrams"]
-    store = set(map(id, diagrams.STORE))
-    unbounded = {m.__name__: sorted(n for n, size in found[m.__name__].items()
-                                    if size is None
-                                    and id(getattr(m, n)) not in store)
-                 for m in modules}
-    assert {name: names for name, names in unbounded.items() if names} == {}
-    assert diagrams.STORE == [diagrams.path_table, martingale.gather,
-                              martingale.residual_rows]
-    assert diagrams.STORE_BUDGET == 4 * diagrams.PATH_BUDGET
+    found = {m.__name__: module_caches(m) for m in package_modules()}
+    assert {name: caches for name, caches in found.items() if caches} == {
+        "adic.solenoid": {"cached_point": solenoid.POINT_CACHE_SIZE}}
 
 
 def bench_run():
-    spec = importlib.util.spec_from_file_location("bench_run", BENCH_RUN)
+    spec = importlib.util.spec_from_file_location(
+        "bench_run", os.path.join(BENCH, "run.py"))
     run = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(run)
     return run, {m: importlib.import_module("adic." + m) for m in run.MODULES}
 
 
-def _fill_store():
-    odo2 = builtin_diagram("odo2")
-    martingale.gather(odo2, 1, 1, 4)
-    martingale.residual_rows(odo2, 1, 2)
-    assert diagrams.store_charge > 0
-    assert all(m.cache_info().currsize for m in diagrams.STORE)
-
-
 def test_benchmark_resets_every_cache():
     run, package = bench_run()
-    reached = {id(reset.__self__) for reset in run.cache_resets(package)}
-    caches = {"%s.%s" % (m.__name__, name): value
+    resets = run.cache_resets(package)
+    caches = {"%s.%s" % (m.__name__, name): value.cache_clear
               for m in package_modules() for name, value in vars(m).items()
-              if callable(getattr(value, "cache_parameters", None))}
-    assert "adic.martingale.gather" in caches
-    assert "adic.solenoid.cached_point" in caches
-    assert sorted(name for name, value in caches.items()
-                  if id(value) not in reached) == []
+              if callable(getattr(value, "cache_clear", None))}
+    assert sorted(caches) == ["adic.diagrams.TABLES",
+                              "adic.solenoid.cached_point"]
+    assert sorted(name for name, reset in caches.items()
+                  if reset not in resets) == []
 
 
 def test_package_has_no_dict_caches():
@@ -106,46 +96,77 @@ def test_package_has_no_dict_caches():
             if isinstance(value, dict) and "cache" in name.lower()] == []
 
 
-def test_every_reset_empties_the_store():
-    # a stale charge left by one member's reset would empty the store early
-    for member in diagrams.STORE:
-        _fill_store()
-        member.cache_clear()
-        assert diagrams.store_charge == 0
-        assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 3
+def test_every_reset_empties_the_tables(odo2, fib):
     run, package = bench_run()
-    _fill_store()
+    martingale.gather(odo2, 1, 1, 4)
+    martingale.residual_rows(fib, 1, 2)
+    solenoid.cached_point(odo2, renorm_data(odo2), FinitePath((0, 1)), 2)
+    assert odo2.tables and fib.tables
     for reset in run.cache_resets(package):
         reset()
-    assert diagrams.store_charge == 0
-    assert [m.cache_info().currsize for m in diagrams.STORE] == [0] * 3
+    assert not odo2.tables and not fib.tables
+    assert all(not tables for tables in diagrams.TABLES.values())
+    assert solenoid.cached_point.cache_info().currsize == 0
 
 
-def test_warm_holder_norm_adds_nothing_to_the_store(fib):
-    # the sweep slices the runs of the path tables, and holds no plan of
-    # its own in the store
+@pytest.mark.parametrize("name", ["crossed_product", "coboundary",
+                                  "solenoid_metric"])
+def test_benchmark_set_up_starts_from_empty_tables(monkeypatch, name):
+    # each workload builds its diagrams once and sets up three times: the
+    # resets must empty their tables, or the later set-ups run warm
+    monkeypatch.syspath_prepend(BENCH)
+    run, package = bench_run()
+    workload = importlib.import_module(name).Workload(1, 0.25)
+    workload.setup()
+    found = workload.diagrams
+    found = list(found.values() if isinstance(found, dict) else found)
+    assert any(d.tables for d in found)
+    for reset in run.cache_resets(package):
+        reset()
+    assert [d for d in found if d.tables] == []
+
+
+def test_tables_are_freed_with_the_last_equal_diagram():
+    d = _random_diagram(random.Random(4611), 2, 5)
+    twin = diagram_from_json_dict(d.to_json_dict())
+    assert twin is not d and twin.tables is d.tables
+    h = rand_function(random.Random(4612), twin, 2)
+    solver.birkhoff(twin, h, LazyPath(FinitePath(()), TAIL_MIN), 100)
+    martingale.residual_rows(d, 2, 1)
+    renorm_data(d)
+    assert {"path_table", "renorm_data", "_orbit_schedule",
+            "residual_rows"} <= set(d.tables)
+    tables = weakref.ref(d.tables)
+    del d, h
+    gc.collect()
+    assert tables() is twin.tables
+    del twin
+    gc.collect()
+    assert tables() is None
+
+
+def test_warm_holder_norm_adds_no_table(fib):
+    # the sweep slices the runs of the path tables, and keeps no plan of
+    # its own
     r = random.Random(41)
-    diagrams.clear_store()
     for level in range(5):
         h = rand_function(r, fib, level)
         for k in range(max(level, 1) + 1):
             diagrams.path_table(fib, k)
-        charge = diagrams.store_charge
+        kept = {kind: dict(built) for kind, built in fib.tables.items()}
         for alpha in (0.0, 3.0):
             martingale.holder_norm(fib, h, alpha, 1.6)
-        assert diagrams.store_charge == charge, level
-    diagrams.clear_store()
+        assert fib.tables == kept, level
 
 
 def test_residual_rows_stores_no_gathers(odo2, fib):
-    # the three index maps of the residual are built unstored: only the
-    # deduplicated rows are charged to the store
+    # the three index maps of the residual are built unkept: only the
+    # deduplicated rows join the diagram's tables
     for d, levels in ((odo2, (1, 2)), (fib, (3, 2)), (fib, (0, 1))):
-        diagrams.clear_store()
+        d.tables.clear()
         martingale.residual_rows(d, *levels)
-        assert martingale.gather.cache_info().currsize == 0
-        assert martingale.residual_rows.cache_info().currsize == 1
-    diagrams.clear_store()
+        assert "gather" not in d.tables
+        assert list(d.tables["residual_rows"]) == [levels]
 
 
 def _outputs(d):
@@ -164,16 +185,27 @@ def _outputs(d):
     return out
 
 
+class _Evicting(diagrams.Tables):
+    """Tables that empty themselves before each build is kept, so only the
+    latest one is ever held."""
+
+    def setdefault(self, kind, built):
+        self.clear()
+        return super().setdefault(kind, built)
+
+
 @pytest.mark.parametrize("name", ["odo2", "fib", "pisot31",
                                   "prefixed-pisot31"])
-def test_store_eviction_changes_no_output(monkeypatch, name):
+def test_emptying_the_tables_changes_no_output(name):
     d = builtin_diagram(name.split("-")[-1])
     if name.startswith("prefixed"):
         d = _prefixed(d)
-    diagrams.clear_store()
+    d.tables.clear()
     want = _outputs(d)
-    # a budget of one integer: every build empties the store first
-    monkeypatch.setattr(diagrams, "STORE_BUDGET", 1)
-    diagrams.clear_store()
     assert _outputs(d) == want
-    diagrams.clear_store()
+    kept = d.tables
+    object.__setattr__(d, "tables", _Evicting())
+    try:
+        assert _outputs(d) == want
+    finally:
+        object.__setattr__(d, "tables", kept)

@@ -96,6 +96,26 @@ def test_vertex_without_in_edges_is_a_parse_error(capsys, work):
     assert "no incoming edge" in err
 
 
+def test_more_vertices_than_edges_is_one_diagnostic(capsys, work):
+    # every vertex needs an in-edge, so a level that claims more vertices
+    # than it has edges is reported once, with no walk over its vertices
+    spec = {"levels": [{"num_sources": 1, "num_ranges": 10 ** 9,
+                        "edges": [[0, 0]], "in_order": [[0]]}]}
+    (work / "wide.json").write_text(json.dumps(spec))
+    t0 = time.perf_counter()
+    rc, out, _ = run(capsys, ["validate", "--diagram",
+                              str(work / "wide.json")])
+    assert time.perf_counter() - t0 < 1
+    assert rc == 0
+    assert json.loads(out)["diagnostics"] == [
+        "level 1: 1000000000 vertices but 1 edges: some vertex has no "
+        "incoming edge", "level 1: in_order has wrong vertex count"]
+    rc, _, err = run(capsys, ["paths", "--diagram", str(work / "wide.json"),
+                              "--level", "1"])
+    assert rc == 2
+    assert "1000000000 vertices but 1 edges" in err
+
+
 def test_paths_csv(capsys):
     rc, out, _ = run(capsys, ["paths", "--diagram", "odo2",
                               "--level", "2", "--emit", "csv"])

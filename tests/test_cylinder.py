@@ -17,7 +17,8 @@ from adic.diagrams import (FinitePath, LazyPath, TAIL_MAX, TAIL_MIN,
                            enumerate_paths, extreme_path, materialize,
                            path_index, path_range, path_source, path_table,
                            successor)
-from adic.errors import NotProperlyOrderedError, PreconditionError
+from adic.errors import (LevelOverflowError, NotProperlyOrderedError,
+                         PreconditionError)
 from adic.martingale import (compose_level, compose_phi, from_vector,
                              gather, holder_norm, lift, nu_mean,
                              phi_transient, project)
@@ -190,26 +191,16 @@ def test_gather_matches_pointwise_composition():
                                 (d, m, power, k, i, tail.kind)
 
 
-def _charge(built):
-    """The integers a build of the store holds."""
-    if isinstance(built, tuple):
-        return len(built)
-    return len(built.offsets) + len(built.parent) + len(built.first)
-
-
-def test_path_table_cache_is_bounded(monkeypatch, odo2):
-    # path tables and gathers share one store bounded in integers: a charge
-    # past the budget empties every member, and the new build is kept
-    monkeypatch.setattr(diagrams_module, "STORE_BUDGET", 200)
-    path_table.cache_clear()
-    largest, emptied = 0, set()
-    for k in range(1, 9):
-        for member, args in ((path_table, (odo2, k)),
-                             (gather, (odo2, 1, 1, k))):
-            sizes = {m: m.cache_info().currsize for m in (path_table, gather)}
-            largest = max(largest, _charge(member(*args)))
-            assert diagrams_module.store_charge <= 200 + largest
-            emptied |= {m for m, n in sizes.items()
-                        if m.cache_info().currsize < n}
-            assert member.cache_info().currsize >= 1
-    assert largest > 200 and emptied == {path_table, gather}
+def test_path_table_cache_is_bounded(odo2):
+    # path tables and gathers are kept with the diagram and built once; a
+    # diagram holds one path table per level, none past LEVEL_BUDGET
+    odo2.tables.clear()
+    built = [(path_table(odo2, k), gather(odo2, 1, 1, k)) for k in range(1, 9)]
+    assert [(path_table(odo2, k), gather(odo2, 1, 1, k))
+            for k in range(1, 9)] == built
+    assert all(path_table(odo2, k) is t and gather(odo2, 1, 1, k) is g
+               for k, (t, g) in enumerate(built, 1))
+    assert sorted(odo2.tables["path_table"]) == [(k,) for k in range(9)]
+    with pytest.raises(LevelOverflowError):
+        path_table(odo2, diagrams_module.LEVEL_BUDGET + 1)
+    assert len(odo2.tables["path_table"]) == 9

@@ -14,8 +14,8 @@ import adic.martingale
 from test_algebra import _drawn_diagrams
 from test_step import _prefixed, _random_diagram, _random_prefix
 
-from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN, clear_store,
-                           enumerate_paths, make_level, out_edges, path_table)
+from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN,
+                           enumerate_paths, make_level, path_table)
 from adic.errors import PreconditionError
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
@@ -141,7 +141,7 @@ def test_holder_norm_matches_pairwise_maximum(monkeypatch):
                         lambda d, k: swept.append(k) or path_table(d, k))
     r = rng(104)
     single = _random_diagram(r, 2, 4)
-    while min(map(len, out_edges(single.levels[-1]))) != 1:
+    while min(map(len, single.levels[-1].out_edges)) != 1:
         single = _random_diagram(r, 2, 4)
     ds = [single, _random_diagram(r, 2, 5), _random_diagram(r, 3, 5)]
     ds.append(_prefixed(ds[-1]))
@@ -199,7 +199,7 @@ def test_holder_norm_reads_single_runs_and_childless_vertices():
     fs = [rand_function(r, d, level) for level in range(6) for _ in range(4)]
     for run in ("cold", "warm", "cleared"):
         if run != "warm":
-            clear_store()
+            d.tables.clear()
         for f in fs:
             for alpha, lam in ((0.75, 2.0), (3.0, 2.0), (0.0, 2.0),
                                (3.0, 1.0)):

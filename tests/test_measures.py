@@ -24,17 +24,16 @@ def test_odo2_exact_doubling(odo2):
 
 def test_one_perron_record_per_diagram(fib, pisot31):
     # renorm_data keeps one record per diagram, and xi_vector reads its xi
-    # vectors, so the solenoid caches keyed by the record's identity hit
-    # across reads: a second read adds no complexes entry
+    # vectors, so the complexes keyed by the record's identity are built
+    # once across reads: a second read adds no complexes entry
     for d in (fib, pisot31):
         assert renorm_data(d) is renorm_data(d)
         assert all(xi_vector(d, k) == list(renorm_data(d).xis[k])
                    for k in range(len(d.levels) + 1))
-    solenoid.cached_complexes.cache_clear()
-    for _ in range(2):
-        solenoid.cached_complexes(fib, renorm_data(fib), 3)
-    info = solenoid.cached_complexes.cache_info()
-    assert (info.currsize, info.hits) == (1, 1)
+    fib.tables.clear()
+    got = solenoid.cached_complexes(fib, renorm_data(fib), 3)
+    assert solenoid.cached_complexes(fib, renorm_data(fib), 3) is got
+    assert list(fib.tables["cached_complexes"]) == [(renorm_data(fib), 3)]
 
 
 def test_quadratic_field_meets_floats():

@@ -228,14 +228,15 @@ def test_diameter_against_point_distances():
         assert best == diam
 
 
-def test_complex_cache_is_bounded(odo2):
+def test_complexes_are_built_once(odo2):
+    # one tuple per (Perron data, level), kept with the diagram
     rd = renorm_data(odo2)
-    bound = solenoid.COMPLEX_CACHE_SIZE
-    cached_complexes.cache_clear()
-    for n in range(bound + 4):
-        got = cached_complexes(odo2, rd, n)
-    assert cached_complexes.cache_info().currsize == bound
-    assert cached_complexes(odo2, rd, bound + 3) is got
+    odo2.tables.clear()
+    got = [cached_complexes(odo2, rd, n) for n in range(4)]
+    assert all(cached_complexes(odo2, rd, n) is cxs
+               for n, cxs in enumerate(got))
+    assert list(odo2.tables["cached_complexes"]) == [(rd, n)
+                                                     for n in range(4)]
 
 
 def test_diameter_is_kept_per_complex(fib):
@@ -312,10 +313,11 @@ def test_point_table_rounds_each_exact_value_once(odo2, fib, pisot31):
                                        for x, w in zip(dist[a], dist[b]))
 
 
-def _clear_point_caches():
+def _clear_point_caches(*ds):
     # a rebuilt complex computes its metric tables afresh
     solenoid.cached_point.cache_clear()
-    solenoid.cached_complexes.cache_clear()
+    for d in ds:
+        d.tables.pop("cached_complexes", None)
 
 
 def test_disconnected_complex_raises_a_typed_error(monkeypatch, fib):
@@ -361,9 +363,9 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
             cases.append((d, rd, pairs, margin))
     cold = []
     for d, rd, pairs, margin in cases:
-        _clear_point_caches()
+        _clear_point_caches(odo2, fib)
         cold.append(bilip_check(d, rd, pairs, 0.25, margin))
-    _clear_point_caches()
+    _clear_point_caches(odo2, fib)
     for _ in range(2):
         warm = [bilip_check(d, rd, pairs, 0.25, margin)
                 for d, rd, pairs, margin in cases]

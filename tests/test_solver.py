@@ -526,19 +526,18 @@ def test_birkhoff_cost_grows_like_log_n(odo2, pisot31):
 
 def test_functions_of_one_level_share_an_orbit_schedule(pisot31):
     # the schedule reads tower heights alone: a second function of the same
-    # level, on the same diagram and from the same start, walks the cached
-    # one, and both reports are those of calls from an empty cache
+    # level, on the same diagram and from the same start, walks the kept
+    # one, and both reports are those of calls from empty tables
     r = rng(414)
     start = LazyPath(FinitePath(()), TAIL_MIN)
     hs = [rand_function(r, pisot31, 2) for _ in range(2)]
     cold = []
     for h in hs:
-        adic.solver._orbit_schedule.cache_clear()
+        pisot31.tables.clear()
         cold.append(birkhoff(pisot31, h, start, 1000))
-    adic.solver._orbit_schedule.cache_clear()
+    pisot31.tables.clear()
     warm = [birkhoff(pisot31, h, start, 1000) for h in hs]
-    info = adic.solver._orbit_schedule.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    assert list(pisot31.tables["_orbit_schedule"]) == [(start, 2, 1000)]
     assert list(map(repr, warm)) == list(map(repr, cold))
     assert hs[0].values != hs[1].values
 
