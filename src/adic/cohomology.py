@@ -78,8 +78,7 @@ class ClassTower:
             base=base, step=mat_mul(_inverse(shifted), proj),
             norms=tuple(_dot(w, b, b) for b in basis),
             rows=[_integer_rows(mat_mul(
-                [[wi * bi for wi, bi in zip(w, b)] for b in basis], proj))],
-            xi={})
+                [[wi * bi for wi, bi in zip(w, b)] for b in basis], proj))])
 
 
 def _independent(vectors):
@@ -188,14 +187,11 @@ class Functionals:
     """The h-independent part of the distributions of a tower: rows[j]
     holds the d vertex rows of level base + j as (den, integer rows over
     den), norms the Gram norms, and step the Drazin inverse of A, which
-    carries the rows one level up.  xi[m] holds the cylinder weights of
-    level m as integer columns (D, cols, field), kept for the levels that
-    `solver.solve` gauges at (`solver._xi`)."""
+    carries the rows one level up."""
     base: int
     step: list
     norms: tuple
     rows: list
-    xi: dict
 
 
 def _integer_rows(rows):

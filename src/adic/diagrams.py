@@ -94,8 +94,6 @@ TABLES.cache_clear = _clear_tables
 class OrderedDiagram:
     levels: tuple
     stationary: bool = False
-    # taken once: the point cache of `solenoid` hashes diagrams
-    _hash: int = field(init=False, repr=False, compare=False)
     tables: Tables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,11 +101,7 @@ class OrderedDiagram:
         tables = TABLES.get(key)
         if tables is None:
             tables = TABLES[key] = Tables()
-        object.__setattr__(self, "_hash", hash(key))
         object.__setattr__(self, "tables", tables)
-
-    def __hash__(self):
-        return self._hash
 
     def __reduce__(self):
         return OrderedDiagram, (self.levels, self.stationary)
@@ -268,7 +262,7 @@ def eventual_image(fmap):
 class FinitePath:
     edges: tuple  # from level 1 up: every path starts at V_0
     root: int = None  # the V_0 vertex of a path with no edges, else None
-    # taken once: point caches hash paths many times
+    # taken once: the point tables of `solenoid` hash paths many times
     _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

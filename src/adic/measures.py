@@ -35,7 +35,7 @@ def cocycle_product(diagram, n):
     return tuple(tuple(row) for row in prod)
 
 
-# Compared and hashed by identity: the solenoid caches are keyed by it, and
+# Compared and hashed by identity: the solenoid tables are keyed by it, and
 # `renorm_data` hands one, frozen, to every reader of a diagram.
 @dataclass(frozen=True, eq=False)
 class RenormData:

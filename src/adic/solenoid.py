@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import inf
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
@@ -253,18 +253,12 @@ class SolenoidPoint:
         return tuple(near), tuple(far)
 
 
-# Conjugacy points per (diagram, Perron data, path, depth margin), in one
-# cache for every diagram, since paths are unbounded in number; Perron
-# data hashes by identity.
-POINT_CACHE_SIZE = 1024
-
-
 @owned
 def cached_complexes(diagram, renorm, n):
     return tuple(build_complex(diagram, renorm, k) for k in range(n + 1))
 
 
-@lru_cache(maxsize=POINT_CACHE_SIZE)
+@owned
 def cached_point(diagram, renorm, p, depth_margin):
     """The conjugacy point of the minimal continuation of the finite path
     p, depth_margin levels below it."""
@@ -409,8 +403,8 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     and the extra levels separate them again.  The upper bound is
     depth-independent, since the tail terms sum to at most d / (lam - 1).
 
-    Each point is built once per process and kept, with its near and far
-    rows, by the bounded `cached_point`, so a pair costs one
+    Each point is built once and kept, with its near and far rows, in the
+    diagram's tables (`cached_point`), so a pair costs one
     `solenoid_metric` pass over p's near rows and q's far rows.  Equal
     paths give the same point, so dbar is exactly 0.0.  No NaN reaches the
     running extremes, so comparisons keep them as max() and min() would."""
@@ -418,15 +412,9 @@ def bilip_check(diagram, renorm, pairs, epsilon, depth_margin=4):
     kbest = inf
     worst_slack = 0.0
     checked = 0
-    # This call's points, so that pairs over more paths than the cache
-    # holds do not evict and rebuild a point on every pair.
-    points = {}
     for p, q in pairs:
-        for x in (p, q):
-            if x not in points:
-                points[x] = cached_point(diagram, renorm, x, depth_margin)
-        y, z = points[p], points[q]
-        dbar = solenoid_metric(y, z)
+        dbar = solenoid_metric(cached_point(diagram, renorm, p, depth_margin),
+                               cached_point(diagram, renorm, q, depth_margin))
         d = _ultrametric(p, q, lamf)
         if d == 0.0:
             if dbar != 0.0:

@@ -81,16 +81,12 @@ def _residual(diagram, h, g):
     return max(map(abs, field_values(hq * gq, diffs, hd or gd)))
 
 
-def _xi(tower, level):
+@owned
+def _xi(diagram, level):
     """The cylinder weights xi of a level (`measures.xi_vector`) as integer
-    columns (D, cols, field), built once per level and kept with the
-    tower's functionals: past the materialized levels each build raises
-    1/lambda to a power."""
-    kept = tower.functionals.xi
-    xi = kept.get(level)
-    if xi is None:
-        xi = kept[level] = integer_parts(xi_vector(tower.diagram, level))
-    return xi
+    columns (D, cols, field), kept with the diagram: past the materialized
+    levels each build raises 1/lambda to a power."""
+    return integer_parts(xi_vector(diagram, level))
 
 
 def _gauged(level, q, runs, totals, d, xq, xcols, xd):
@@ -138,7 +134,7 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
         runs.append([x for a, b in blocks
                      for x in accumulate(lifted[a:b - 1], initial=0)])
     totals = [[sum(run[a:b]) for a, b in blocks] for run in runs]
-    gauge, g = _gauged(level, q, runs, totals, d, *_xi(tower, level))
+    gauge, g = _gauged(level, q, runs, totals, d, *_xi(diagram, level))
     norms = None
     if alpha is not None:
         norms = solution_norms(

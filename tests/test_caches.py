@@ -1,17 +1,16 @@
-"""Derived tables are owned by their diagram, and the one module-level
-cache of the package is bounded.
+"""Derived data is owned by its diagram, and the package has no
+module-level cache.
 
 Every table derived from a diagram (path tables, gathers, residual rows,
-compose levels, orbit schedules, the Perron record, triangles, complexes)
-is kept in the diagram's `tables`, one dict per class of equal diagrams,
-and freed with the last of them.  The scan imports each module of the
-package and reads `cache_parameters()` off every module-level function
-that has one: only the conjugacy points of `solenoid.cached_point` are
-left there, keyed by paths, and bounded by their maxsize.  No module-level
-dict whose name contains "cache" stands in for one.  The benchmark times
-its set-up from cold caches, so `cache_resets` of `bench/run.py` must reach
-the point cache and the tables of every live diagram.  Emptying the tables
-changes no output."""
+compose levels, orbit schedules, the Perron record, the solver's cylinder
+weights, triangles, complexes, conjugacy points) is kept in the diagram's
+`tables`, one dict per class of equal diagrams, and freed with the last of
+them.  The scan imports each module of the package and reads
+`cache_parameters()` off every module-level function that has one: none
+is left.  No module-level dict whose name contains "cache" stands in for
+one.  The benchmark times its set-up from cold caches, so `cache_resets`
+of `bench/run.py` must reach the tables of every live diagram, points
+included.  Emptying the tables changes no output."""
 
 import functools
 import gc
@@ -24,7 +23,7 @@ import types
 import weakref
 
 import pytest
-from test_coboundary_golden import _inputs, _path
+from test_coboundary_golden import _coboundary, _inputs, _path
 from test_step import _prefixed, _random_diagram
 
 import adic
@@ -33,7 +32,8 @@ from adic.algebra import convolve, element, rand_element
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (FinitePath, LazyPath, TAIL_MIN,
-                           diagram_from_json_dict)
+                           diagram_from_json_dict, enumerate_paths)
+from adic.errors import AdicError, ObstructedError
 from adic.martingale import rand_function
 from adic.measures import renorm_data
 
@@ -66,8 +66,7 @@ def package_modules():
 
 def test_package_caches_are_bounded():
     found = {m.__name__: module_caches(m) for m in package_modules()}
-    assert {name: caches for name, caches in found.items() if caches} == {
-        "adic.solenoid": {"cached_point": solenoid.POINT_CACHE_SIZE}}
+    assert {name: caches for name, caches in found.items() if caches} == {}
 
 
 def bench_run():
@@ -84,8 +83,7 @@ def test_benchmark_resets_every_cache():
     caches = {"%s.%s" % (m.__name__, name): value.cache_clear
               for m in package_modules() for name, value in vars(m).items()
               if callable(getattr(value, "cache_clear", None))}
-    assert sorted(caches) == ["adic.diagrams.TABLES",
-                              "adic.solenoid.cached_point"]
+    assert sorted(caches) == ["adic.diagrams.TABLES"]
     assert sorted(name for name, reset in caches.items()
                   if reset not in resets) == []
 
@@ -100,13 +98,13 @@ def test_every_reset_empties_the_tables(odo2, fib):
     run, package = bench_run()
     martingale.gather(odo2, 1, 1, 4)
     martingale.residual_rows(fib, 1, 2)
-    solenoid.cached_point(odo2, renorm_data(odo2), FinitePath((0, 1)), 2)
-    assert odo2.tables and fib.tables
+    for d in (odo2, fib):
+        solenoid.cached_point(d, renorm_data(d), FinitePath((0, 1)), 2)
+    assert "cached_point" in odo2.tables and "cached_point" in fib.tables
     for reset in run.cache_resets(package):
         reset()
     assert not odo2.tables and not fib.tables
     assert all(not tables for tables in diagrams.TABLES.values())
-    assert solenoid.cached_point.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("name", ["crossed_product", "coboundary",
@@ -127,15 +125,20 @@ def test_benchmark_set_up_starts_from_empty_tables(monkeypatch, name):
 
 
 def test_tables_are_freed_with_the_last_equal_diagram():
+    # the points of bilip_check and the cylinder weights of solve are kept
+    # in the diagram's tables too, so they hold no diagram alive
     d = _random_diagram(random.Random(4611), 2, 5)
     twin = diagram_from_json_dict(d.to_json_dict())
     assert twin is not d and twin.tables is d.tables
     h = rand_function(random.Random(4612), twin, 2)
     solver.birkhoff(twin, h, LazyPath(FinitePath(()), TAIL_MIN), 100)
     martingale.residual_rows(d, 2, 1)
-    renorm_data(d)
-    assert {"path_table", "renorm_data", "_orbit_schedule",
-            "residual_rows"} <= set(d.tables)
+    paths = enumerate_paths(d, 3)
+    solenoid.bilip_check(d, renorm_data(d), list(zip(paths, paths[1:])),
+                         0.25)
+    solver.solve(_coboundary(d, h), limit_rank(d, renorm_data(d)))
+    assert {"path_table", "renorm_data", "_orbit_schedule", "residual_rows",
+            "cached_point", "_xi"} <= set(d.tables)
     tables = weakref.ref(d.tables)
     del d, h
     gc.collect()
@@ -170,10 +173,17 @@ def test_residual_rows_stores_no_gathers(odo2, fib):
 
 
 def _outputs(d):
-    """Distributions, solve, Birkhoff sums and products on d, as values."""
+    """Distributions, solve, Birkhoff sums, products and a metric report
+    on d, as values; a refused report as its typed error."""
     r = random.Random(2811)
     tower = limit_rank(d, renorm_data(d))
     out = [_path(d, tower, h) for _, h in _inputs(d, r)[:6]]
+    paths = enumerate_paths(d, 3)
+    pairs = [tuple(r.sample(paths, 2)) for _ in range(6)]
+    try:
+        out.append(solenoid.bilip_check(d, renorm_data(d), pairs, 0.25, 2))
+    except AdicError as exc:
+        out.append((type(exc), str(exc)))
     lam = renorm_data(d).lam_float
     for _ in range(3):
         # shifts of a <= 0: fib composes with nonnegative powers only
@@ -209,3 +219,25 @@ def test_emptying_the_tables_changes_no_output(name):
         assert _outputs(d) == want
     finally:
         object.__setattr__(d, "tables", kept)
+
+
+@pytest.mark.parametrize("name", ["odo2", "fib", "pisot31"])
+def test_towers_of_one_diagram_share_the_xi_columns(name):
+    # the cylinder weights of a certificate level are kept with the
+    # diagram, not the tower: a second tower's solve adds no table
+    d = builtin_diagram(name)
+    d.tables.pop("_xi", None)
+    first, second = (limit_rank(d, renorm_data(d)) for _ in range(2))
+    assert first is not second
+    levels = set()
+    for _, h in _inputs(d, random.Random(2812)):
+        try:
+            levels.add(solver.solve(h, first).level)
+        except ObstructedError:
+            continue
+        kept = {(kind, args): id(built) for kind, table in d.tables.items()
+                for args, built in table.items()}
+        solver.solve(h, second)
+        assert {(kind, args): id(built) for kind, table in d.tables.items()
+                for args, built in table.items()} == kept
+    assert levels and sorted(d.tables["_xi"]) == [(m,) for m in sorted(levels)]

@@ -27,7 +27,7 @@ from adic.solver import birkhoff
 
 
 def test_equal_diagrams_hash_equal_and_share_cache_entries(pisot31):
-    # the hash is taken once per instance, from the compared fields only
+    # the hash is read off the compared fields only, not the tables
     twin = diagram_from_json_dict(pisot31.to_json_dict())
     assert twin is not pisot31 and twin == pisot31
     assert hash(twin) == hash(pisot31) == hash((pisot31.levels, True))

@@ -315,8 +315,8 @@ def test_point_table_rounds_each_exact_value_once(odo2, fib, pisot31):
 
 def _clear_point_caches(*ds):
     # a rebuilt complex computes its metric tables afresh
-    solenoid.cached_point.cache_clear()
     for d in ds:
+        d.tables.pop("cached_point", None)
         d.tables.pop("cached_complexes", None)
 
 
@@ -341,16 +341,16 @@ def test_disconnected_complex_raises_a_typed_error(monkeypatch, fib):
     assert pairs
     monkeypatch.setattr(solenoid, "cached_complexes",
                         lambda d, renorm, n: (apart,) * (n + 1))
-    solenoid.cached_point.cache_clear()
+    fib.tables.pop("cached_point", None)
     try:
         with pytest.raises(NumericError, match="complex is disconnected"):
             bilip_check(fib, rd, pairs[:1], 0.25, depth_margin=0)
     finally:
-        solenoid.cached_point.cache_clear()
+        fib.tables.pop("cached_point", None)
 
 
 def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
-    # the point cache is keyed by diagram, Perron data, path and depth
+    # each diagram keeps its points keyed by Perron data, path and depth
     # margin: a warm call repeats the cold report to the float, and calls
     # with another margin or on another diagram, whose paths share edge
     # indices, do not read each other's points
@@ -370,8 +370,8 @@ def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
         warm = [bilip_check(d, rd, pairs, 0.25, margin)
                 for d, rd, pairs, margin in cases]
         assert warm == cold
-    assert solenoid.cached_point.cache_info().currsize == sum(
-        2 * len(enumerate_paths(d, 4)) for d in (odo2, fib))
+    for d in (odo2, fib):
+        assert len(d.tables["cached_point"]) == 2 * len(enumerate_paths(d, 4))
     assert cold[0] != cold[1] and cold[0] != cold[2]
 
 
