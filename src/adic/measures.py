@@ -1,15 +1,18 @@
-"""Renormalization cocycle products, tail-invariant measure vectors, and
-the Perron/Lyapunov data with the roof vector, for stationary diagrams.
+"""Tail-invariant measure vectors, the Perron/Lyapunov data and the tower
+heights, for stationary diagrams.
 
 Every quantity here is exact, in the field of the Perron root of the
-repeating matrix (`scalars.perron_data`): the cylinder weights are
-xi_k = lam**-(k-k0) times an exact eigenvector, and the roof is an exact
-solution of its stationary system, a positive one where one is found, else
-the exact minimum-norm least-squares solution.  `renorm_data` builds them
-into one cached record per diagram (`RenormData`, with the xi vectors of
-the materialized levels), which `xi_vector` reads.  A non-stationary
-diagram has no repeating matrix to renormalize by: `xi_vector` and
-`renorm_data` refuse it with NotStationaryError.
+repeating matrix A (`scalars.perron_data`): the cylinder weights are
+xi_k = lam**-(k-k0) times an exact eigenvector.  The tower heights h_k over
+V_k, in level-0 time units with xi_k . h_k = 1, follow one rule.  Let j be
+the last level whose matrix is not A.  Level j has h_j = right / (xi_j .
+right), and every level k > j has lam**(k-j) h_j.  A level k < j has the
+unique solution of A_j ... A_(k+1) h = h_j, and reading it refuses with
+PreconditionError where that product has a kernel or misses h_j.
+`renorm_data` builds them into one cached record per diagram (`RenormData`,
+with the xi vectors of the materialized levels), which `xi_vector` reads.
+A non-stationary diagram has no repeating matrix to renormalize by:
+`xi_vector` and `renorm_data` refuse it with NotStationaryError.
 """
 
 from __future__ import annotations
@@ -20,19 +23,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagrams import owned
-from .errors import NotStationaryError
-from .scalars import mat_mul, mat_vec, perron_data, solve_linear
-
-
-def cocycle_product(diagram, n):
-    """A_n ... A_1 over exact integers, as a tuple of rows."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    prod = [[1 if i == j else 0 for j in range(diagram.num_vertices(0))]
-            for i in range(diagram.num_vertices(0))]
-    for k in range(1, n + 1):
-        prod = mat_mul(diagram.matrix(k), prod)
-    return tuple(tuple(row) for row in prod)
+from .errors import NotStationaryError, PreconditionError
+from .scalars import (identity, mat_mul, mat_vec, nullspace, perron_data,
+                      solve_linear)
 
 
 # Compared and hashed by identity: the solenoid tables are keyed by it, and
@@ -40,9 +33,24 @@ def cocycle_product(diagram, n):
 @dataclass(frozen=True, eq=False)
 class RenormData:
     lambda_mu: object  # exact scalar
-    roof: tuple
-    certificates: dict
+    heights: tuple  # tower heights of levels 0..j, None where refused
     xis: tuple  # exact xi vectors of levels 0..L, L = len(levels)
+
+    def tower_heights(self, k):
+        """The exact level-k tower heights, one per vertex of V_k."""
+        j = len(self.heights) - 1
+        if k > j:
+            scale = self.lambda_mu ** (k - j)
+            return tuple(scale * h for h in self.heights[j])
+        if self.heights[k] is None:
+            raise PreconditionError(
+                "the level-%d tower heights are not fixed by those of level "
+                "%d, the last level that does not repeat" % (k, j))
+        return self.heights[k]
+
+    @property
+    def roof(self):
+        return self.tower_heights(0)
 
     @cached_property
     def lam_float(self):
@@ -69,45 +77,27 @@ def xi_vector(diagram, k):
     return [x * scale for x in rd.xis[L]]
 
 
-def _least_squares(P, u):
-    """The minimum-norm least-squares solution of P x = u: x = P^T w for
-    any w with (P P^T)^2 w = P P^T u, the normal equations of
-    min |P P^T w - u|, which are consistent."""
-    Pt = [list(col) for col in zip(*P)]
-    M = mat_mul(P, Pt)
-    return mat_vec(Pt, solve_linear(mat_mul(M, M), mat_vec(M, u)))
-
-
 @owned
 def renorm_data(diagram):
     """The Perron data of a stationary diagram, one record per diagram:
-    the Perron multiplier lambda_mu, the roof vector l (normalized against
-    the level-0 cylinder measures), and the xi vectors of levels 0..L."""
+    the Perron multiplier lambda_mu, the tower heights of levels 0..j and
+    the xi vectors of levels 0..L."""
     if not diagram.stationary:
         raise NotStationaryError()
     L = len(diagram.levels)
-    pd = perron_data(diagram.matrix(L + 1))  # the repeating matrix
+    mats = [diagram.matrix(k) for k in range(1, L + 1)]
+    pd = perron_data(mats[-1])  # the repeating matrix A
     xis = [list(pd.left)]
-    for k in range(L, 0, -1):
-        xis.insert(0, mat_vec(list(zip(*diagram.matrix(k))), xis[0]))
+    for m in reversed(mats):
+        xis.insert(0, mat_vec(list(zip(*m)), xis[0]))
     scale = Fraction(1) / sum(xis[0])
     xis = tuple(tuple(x * scale for x in v) for v in xis)
-    # boundedness of lam**-k (A_(0..k) l) pins the direction of A_(0..L) l
-    # to the right eigenvector of the repeating matrix
-    P = [list(r) for r in cocycle_product(diagram, L)]
-    right = list(pd.right)
-    sol = solve_linear(P, right)
-    if sol is not None and not all(x > 0 for x in sol):
-        # a singular square P leaves a family of solutions; right * lam^-L
-        # is a positive member whenever it solves the system
-        scale = (1 / pd.lam) ** L
-        sol = [x * scale for x in right]
-        if len(sol) != len(P[0]) or mat_vec(P, sol) != right:
-            sol = None
-    if sol is None:
-        sol = _least_squares(P, right)
-    residual = [a - b for a, b in zip(mat_vec(P, sol), right)]
-    scale = Fraction(1) / sum(si * x0 for si, x0 in zip(sol, xis[0]))
-    cert = {"stationary_exact": all(r == 0 for r in residual),
-            "roof_residual": math.sqrt(float(sum(r * r for r in residual)))}
-    return RenormData(pd.lam, tuple(si * scale for si in sol), cert, xis)
+    j = max((k for k, m in enumerate(mats, 1) if m != mats[-1]), default=0)
+    scale = Fraction(1) / sum(x * r for x, r in zip(xis[j], pd.right))
+    top = tuple(r * scale for r in pd.right)
+    heights, prod = [top], identity(len(top))  # prod = A_j ... A_(k+1)
+    for m in reversed(mats[:j]):
+        prod = mat_mul(prod, m)
+        h = None if nullspace(prod) else solve_linear(prod, top)
+        heights.insert(0, h if h is None else tuple(h))
+    return RenormData(pd.lam, tuple(heights), xis)

@@ -2,7 +2,8 @@
 finite-level conjugacy between path space and the inverse limit.
 
 The level-k approximant has one oriented edge per level-k vertex, of exact
-length lam^(-k) * (A_(0..k) roof)_v.  Endpoint gluing combines successor
+length lam^(-k) h_k(v), h_k the level-k tower heights of
+`measures.RenormData.tower_heights`.  Endpoint gluing combines successor
 adjacency (consecutive in-edges at any higher level, pushed down through
 max/min source maps) with the wrap rule joining every eventually-maximal
 tower end to every eventually-minimal tower start.  Gluing needs the level
@@ -20,8 +21,6 @@ from math import inf
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        owned, path_source)
 from .errors import GluingUndefinedError, NumericError, PreconditionError
-from .measures import cocycle_product
-from .scalars import mat_vec
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,6 @@ class ApproxComplex:
     @cached_property
     def float_diameter(self):
         return float(self.diameter)
-
-
-def roof_heights(diagram, renorm, k):
-    """Exact level-k tower heights (A_(0..k) roof)_v in level-0 time units."""
-    if k == 0:
-        return renorm.roof
-    return tuple(mat_vec(cocycle_product(diagram, k), renorm.roof))
 
 
 class _UnionFind:
@@ -167,10 +159,12 @@ def class_graph(diagram, k):
 
 def build_complex(diagram, renorm, k):
     """The level-k approximant: one edge per vertex v of V_k, of exact
-    length lam^(-k) * (A_(0..k) roof)_v, the level-k tower length, with
-    its ends glued into `class_graph`."""
+    length lam^(-k) h_k(v), h_k the level-k tower heights, with its ends
+    glued into `class_graph`.  From the last level j that does not repeat
+    on, these lengths are those of level j; below j the heights are unique
+    but may be negative, which refuses the complex."""
     scale = renorm.lam_inverse ** k if k else 1
-    lengths = tuple(scale * h for h in roof_heights(diagram, renorm, k))
+    lengths = tuple(scale * h for h in renorm.tower_heights(k))
     if any(x < 0 for x in lengths):
         raise PreconditionError("the level-%d complex has an edge of "
                                 "negative length" % k)

@@ -561,22 +561,54 @@ def test_the_one_edge_loop_is_refused(capsys, tmp_path, command):
 
 
 def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
-    # the exact roofs of `_dump_diagrams()` 18, 19 and 20 have negative
-    # entries; only their level-0 complexes carry them, so the repeating
-    # levels still build
-    for d in _dump_diagrams()[18:21]:
-        (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
-        rc, out, err = run(capsys, ["complex", "--diagram",
-                                    str(tmp_path / "d.json"), "--level", "0"])
-        assert (rc, out) == (3, "")
-        assert err == ("error: the level-0 complex has an edge of negative "
-                       "length\n")
-        assert min(build_complex(d, renorm_data(d), 1).lengths) > 0
+    # the level-0 tower heights of `_dump_diagrams()[20]` are unique and
+    # have a negative entry, so its level-0 complex is refused; level 1, the
+    # last that does not repeat, and the levels above it build
+    d = _dump_diagrams()[20]
+    (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
+    rc, out, err = run(capsys, ["complex", "--diagram",
+                                str(tmp_path / "d.json"), "--level", "0"])
+    assert (rc, out) == (3, "")
+    assert err == ("error: the level-0 complex has an edge of negative "
+                   "length\n")
+    rd = renorm_data(d)
+    assert len(rd.heights) == 2 and min(rd.roof) < 0
+    assert min(build_complex(d, rd, 1).lengths) > 0
 
 
-# two `_prefixed` 3-vertex diagrams whose roof gives a negative (the first)
-# or zero (the second) level-1 tower length; the Gram weights are the
-# level-1 path counts, so they read no roof
+@pytest.mark.parametrize("command, rc", [
+    ("measure --diagram {d}", 3), ("lyapunov --diagram {d}", 3),
+    ("complex --diagram {d} --level 0", 3),
+    ("decompose --diagram {d} --function {h}", 3),
+    ("solve --diagram {d} --function {h} --alpha 3", 3),
+    ("complex --diagram {d} --level 1", 0), ("cohomology --diagram {d}", 0),
+    ("distributions --diagram {d} --function {h}", 0),
+    ("solve --diagram {d} --function {h}", 0),
+    ("birkhoff --diagram {d} --function {h} -N 9", 0),
+    ("algebra check --diagram {d} --trials 1", 0),
+])
+def test_heights_below_the_repeating_levels_refuse_when_read(
+        capsys, tmp_path, command, rc):
+    # the first level of `_dump_diagrams()[18]` has rank 2, so its level-0
+    # tower heights are not fixed by those of level 1: the commands that
+    # read the roof exit 3 and name both levels, and the rest read no
+    # heights, so they solve h = 0 or print what they print elsewhere
+    d, h = tmp_path / "d.json", tmp_path / "h.json"
+    d.write_text(json.dumps(_dump_diagrams()[18].to_json_dict()))
+    h.write_text(json.dumps({"level": 1, "values": {}}))
+    got, out, err = run(capsys, [a.format(d=d, h=h)
+                                 for a in command.split()])
+    assert got == rc, err
+    if rc:
+        assert out == ""
+        assert err == ("error: the level-0 tower heights are not fixed by "
+                       "those of level 1, the last level that does not "
+                       "repeat\n")
+
+
+# two `_prefixed` 3-vertex diagrams whose first level has rank 2, so their
+# level-0 tower heights are not fixed and reading them refuses; the Gram
+# weights are the level-1 path counts, so they read no tower height
 _PREFIX_LEVEL = {"num_sources": 3, "num_ranges": 3,
                  "edges": [[0, 0], [1, 0], [2, 0], [0, 1], [0, 2]],
                  "in_order": [[0, 1, 2], [3], [4]]}

@@ -63,8 +63,8 @@ def _h1_dim(cx):
 
 def _cli_dims(capsys, tmp_path, d):
     """The per-level dimensions `adic cohomology` prints for levels 0..8,
-    checked against `_h1_dim` of each complex, or, where a negative roof
-    entry refuses the complex, of its class graph: the gluing alone.
+    checked against `_h1_dim` of each complex, or, where its tower heights
+    refuse the complex, of its class graph: the gluing alone.
     Returns (dims, the number of levels whose complex is refused)."""
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(d.to_json_dict()))
@@ -90,8 +90,9 @@ def test_h1_dimensions(capsys, tmp_path, odo2, fib, pisot31):
 def test_cohomology_needs_no_roof(capsys, tmp_path):
     # the dimensions read the gluing alone: on the builtins, 30 drawn
     # diagrams and 240 `_prefix_draws`, `adic cohomology` exits 0 on every
-    # diagram with Perron data, also on the 30 whose level-0 complex a
-    # negative roof entry refuses, and every complex that builds has the
+    # diagram with Perron data, also on the 184 with a complex below the
+    # repeating levels that is refused, because its tower heights are not
+    # fixed or are negative, and every complex that builds has the
     # dimension of its class graph
     r = random.Random(5)
     ds = [builtin_diagram(name)
@@ -107,7 +108,7 @@ def test_cohomology_needs_no_roof(capsys, tmp_path):
             continue
         accepted += 1
         refused += _cli_dims(capsys, tmp_path, d)[1] > 0
-    assert (accepted, refused) == (233, 30)
+    assert (accepted, refused) == (233, 184)
 
 
 def test_induced_maps_hand_values(odo2, fib):
@@ -283,7 +284,8 @@ def test_cached_functionals_match_a_fresh_tower(odo2, odo3, fib, pisot31):
                                        for m in (4, 5, 6)]
     for d in ds:
         rd = renorm_data(d)
-        assert rd.certificates["stationary_exact"]
+        assert mat_vec(d.matrix(1), rd.roof) == \
+            [rd.lambda_mu * x for x in rd.roof]
         warm = limit_rank(d, rd)
         for level in range(4):
             h = rand_function(r, d, level)
@@ -387,20 +389,19 @@ def test_tower_of_a_diagram_with_a_non_repeating_first_level(capsys,
                                                              tmp_path):
     # behind the extra first level of `_prefixed`, the level-0 complex has
     # a smaller first Betti number than those of the repeating levels, and
-    # the tower is the repeating matrix.  Two of the three draws have a roof
-    # with negative entries: their level-0 complex is refused, and the
-    # repeating levels still build.  `cohomology` reads the gluing alone,
-    # so it prints the same dimensions on all three
+    # the tower is the repeating matrix.  On 3 vertices that first level
+    # has rank 2, so the level-0 tower heights are not fixed: the level-0
+    # complex is refused on all three draws, and the repeating levels
+    # build.  `cohomology` reads the gluing alone, so it prints the same
+    # dimensions on all three
     r = random.Random(7)
     draws = [_random_diagram(r, n, 6) for n in (2, 2, 2, 3, 3, 2, 3)]
-    refused = 0
     for d in (_prefixed(d) for d in draws if d.num_vertices(0) == 3):
         tower = _tower(d)
         assert len(tower.map) == 3 and tower.d == 3
-        negative = min(renorm_data(d).roof) < 0
-        assert _cli_dims(capsys, tmp_path, d) == ([2] + [3] * 8, negative)
-        refused += negative
-    assert refused == 2
+        with pytest.raises(PreconditionError, match="level-0 tower heights"):
+            renorm_data(d).roof
+        assert _cli_dims(capsys, tmp_path, d) == ([2] + [3] * 8, 1)
     r = rng(306)
     for name in ("fib", "odo2", "odo3"):
         d = _prefixed(builtin_diagram(name))

@@ -21,7 +21,6 @@ from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
 from adic.errors import (HorizonExceededError, LevelOverflowError,
                          NotProperlyOrderedError, ParseError)
 from adic.martingale import from_vector, phi_transient
-from adic.measures import cocycle_product
 from adic.solenoid import _ultrametric
 from adic.solver import birkhoff
 
@@ -148,8 +147,6 @@ def test_negative_levels_are_refused(odo2):
     for call in (enumerate_paths, count_paths):
         with pytest.raises(LevelOverflowError):
             call(odo2, -1)
-    with pytest.raises(ValueError, match="need n >= 0"):
-        cocycle_product(odo2, -1)
 
 
 def test_one_loop_lists_a_deep_level_at_once():

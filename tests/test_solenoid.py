@@ -6,19 +6,24 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
-from test_step import _prefix_draws, _prefixed, _random_diagram
+from test_algebra import _drawn_diagrams
+from test_step import (_prefix_draws, _prefixed, _random_diagram,
+                       _random_prefix, telescope2)
 
 from adic import solenoid
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
                            materialize, path_source)
 from adic.errors import NumericError, PreconditionError
-from adic.measures import renorm_data
+from adic.measures import renorm_data, xi_vector
+from adic.scalars import nullspace
 from adic.solenoid import (ApproxComplex, SolenoidPoint, bilip_check,
                            build_complex, cached_complexes, conjugacy_point,
                            diameter, euler_characteristic,
-                           first_betti_number, point_distance, roof_heights,
+                           first_betti_number, point_distance,
                            solenoid_metric, wrapping)
 
 
@@ -128,7 +133,7 @@ def test_float_metric_matches_exact(odo2, fib, pisot31):
     extra = 3
     for d in (odo2, fib, pisot31):
         rd = renorm_data(d)
-        heights = [roof_heights(d, rd, k) for k in range(5 + extra)]
+        heights = [rd.tower_heights(k) for k in range(5 + extra)]
         for level in range(6):
             deep = [materialize(d, LazyPath(p, TAIL_MIN), level + extra)
                     for p in enumerate_paths(d, level)]
@@ -413,3 +418,40 @@ def test_gluing_pairs_against_consecutive_paths():
             want, wrap = _consecutive_pairs(d, n, k)
             assert want <= set(solenoid.gluing_pairs(d, k)) <= want | wrap, \
                 (d, k)
+
+
+def _float_lengths(d, rd, k):
+    """The float edge lengths of the level-k complex, or None where it is
+    refused."""
+    try:
+        return [float(x) for x in build_complex(d, rd, k).lengths]
+    except PreconditionError:
+        return None
+
+
+@example(_prefixed(builtin_diagram("pisot31")), 0)
+@given(_drawn_diagrams(), st.integers(0, 2 ** 16))
+def test_telescope_keeps_complex_lengths_and_xi(d, seed):
+    # d behind 0-2 random prefix levels, with an invertible repeating
+    # matrix, read at level 2k and its telescope at level k: the tower
+    # heights follow from the same data, so the complexes have equal float
+    # lengths or both are refused, and xi_k(t) = xi_2k(d).  The fields
+    # Q(lam) and Q(lam^2) differ, so values meet as correctly rounded
+    # floats.  A singular repeating matrix A lets the telescope's first
+    # level A P solve P h = h_1 only up to the kernel of A, so one side may
+    # refuse a level the other builds
+    r = random.Random(seed)
+    d = _random_prefix(r, d, r.randint(0, 2))
+    assume(not nullspace(d.matrix(len(d.levels))))
+    t = telescope2(d)
+    try:
+        rd = renorm_data(d)
+    except PreconditionError:  # Perron root 1: a finite path space
+        with pytest.raises(PreconditionError):
+            renorm_data(t)
+        return
+    rt = renorm_data(t)
+    for k in range(5):
+        assert _float_lengths(t, rt, k) == _float_lengths(d, rd, 2 * k), k
+        assert [float(x) for x in xi_vector(t, k)] == \
+            [float(x) for x in xi_vector(d, 2 * k)], k

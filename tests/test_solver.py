@@ -29,7 +29,7 @@ from adic.errors import (NotProperlyOrderedError, ObstructedError,
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data, xi_vector
-from adic.scalars import sqrt_field
+from adic.scalars import mat_vec, sqrt_field
 from adic.solver import birkhoff, chained_constant, solution_norms, solve
 
 
@@ -255,13 +255,15 @@ def test_columns_of_h_are_read_once(odo2, monkeypatch):
 
 
 def test_singular_repeating_matrix_is_not_obstructed():
-    # A = [[2,1],[2,1]] is singular, so the pivot solution of
-    # A_(0..L) x = right is not positive; the roof must still be exact
+    # A = [[2,1],[2,1]] is singular, and every level repeats it, so the
+    # roof is the exact Perron eigenvector with no system to solve
     level = make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)],
                        [[2, 1, 0], [5, 3, 4]])
     d = OrderedDiagram((level,), stationary=True)
     rd = renorm_data(d)
-    assert rd.certificates["stationary_exact"] is True
+    assert mat_vec(d.matrix(1), rd.roof) == \
+        [rd.lambda_mu * x for x in rd.roof]
+    assert min(rd.roof) > 0
     paths = enumerate_paths(d, 1)
     g0 = from_vector(d, 1, [Fraction(i % 3) for i in range(len(paths))])
     sol = solve(_coboundary(d, g0), _tower(d))
@@ -285,7 +287,7 @@ def _hard_diagrams():
     every level ([[1,1],[1,1]] in both proper orders); the singular
     [[2,1],[2,1]]; a cubic Perron root; and first levels that do not
     repeat, where the roof has a zero entry, as (3/2, 0) on
-    `_prefixed(pisot31)`, or is a least-squares solution."""
+    `_prefixed(pisot31)`, or is not fixed by the repeating levels."""
     out = [_square([[1, 1], [1, 1]], [[0, 1], [2, 3]]),
            _square([[1, 1], [1, 1]], [[1, 0], [3, 2]]),
            OrderedDiagram((make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1),
@@ -300,9 +302,9 @@ def _hard_diagrams():
 
 def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
     # a true coboundary is never reported obstructed, and h + 1 always is;
-    # the Perron root, the roof and the gauge are exact on all of them, so
-    # the residual is the int 0 and every distribution numerator an exact
-    # zero
+    # the Perron root and the gauge are exact on all of them, and no tower
+    # height is read, so the residual is the int 0 and every distribution
+    # numerator an exact zero
     r = rng(412)
     for d in _hard_diagrams():
         rd = renorm_data(d)
