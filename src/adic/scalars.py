@@ -13,8 +13,8 @@ it, keeping the factor with theta as a root: dynamic evaluation, "D5"
 (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
 operands mix freely; a float operand is refused (TypeError, and == is
 False).  On top of that: dense linear algebra over any of these fields,
-and the Perron data of a nonnegative integer matrix, built without
-factoring (`perron_data`).
+a division-free rank, and the Perron data of a nonnegative integer matrix,
+read in integers off its characteristic polynomial and adjugate.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import operator
 import weakref
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import PreconditionError
 
@@ -429,7 +430,7 @@ def _rref(rows, ncols):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
+        inv = Fraction(1) / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c] != 0:
@@ -442,20 +443,23 @@ def _rref(rows, ncols):
     return pivots
 
 
-def _exact(A):
-    """The rows of A as lists, ints read as Fractions."""
-    return [[Fraction(x) if isinstance(x, int) else x for x in row]
-            for row in A]
-
-
 def rank(A):
-    return len(_rref(_exact(A), len(A[0]))) if A else 0
+    """The rank of A, eliminating without division: each row is multiplied
+    by the pivot and the pivot row subtracted, so integers stay integers."""
+    rows, r = [list(row) for row in A], 0
+    for c in range(len(A[0]) if A else 0):
+        p = next((row for row in rows if row[c] != 0), None)
+        if p is not None:
+            r += 1
+            rows = [[p[c] * x - row[c] * y for x, y in zip(row, p)]
+                    if row[c] != 0 else row for row in rows if row is not p]
+    return r
 
 
 def solve_linear(A, b):
     """One exact solution of A x = b, or None if inconsistent."""
     m = len(A[0])
-    rows = _exact(list(row) + [y] for row, y in zip(A, b))
+    rows = [list(row) + [y] for row, y in zip(A, b)]
     pivots = _rref(rows, m + 1)
     if m in pivots:
         return None
@@ -470,7 +474,7 @@ def nullspace(A):
     if not A:
         return []
     m = len(A[0])
-    rows = _exact(A)
+    rows = [list(row) for row in A]
     pivots = _rref(rows, m)
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
@@ -482,20 +486,25 @@ def nullspace(A):
     return basis
 
 
-def char_poly(A):
-    """Monic characteristic polynomial coefficients [c_0, ..., c_{n-1}, 1]
-    of an integer matrix via Faddeev-LeVerrier, whose traces divide
-    exactly."""
+def _char_adj(A):
+    """Faddeev-LeVerrier on an integer matrix A, whose traces divide exactly:
+    [c_0, ..., c_n = 1] of det(xI - A), and the integer matrices M_1 = I,
+    ..., M_n of the loop, with adj(xI - A) = sum of M_k x^(n-k)."""
     n = len(A)
-    M = identity(n)
-    coeffs = [1]
+    M, adj, coeffs = identity(n), [], [1]
     for k in range(1, n + 1):
+        adj.append(M)
         AM = mat_mul(A, M)
         c = -sum(AM[i][i] for i in range(n)) // k
         coeffs.append(c)
         M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     coeffs.reverse()  # now [c_0, ..., c_n=1]
-    return coeffs
+    return coeffs, adj
+
+
+def char_poly(A):
+    """The characteristic polynomial of an integer matrix (`_char_adj`)."""
+    return _char_adj(A)[0]
 
 
 # Dominant eigendata of a primitive nonnegative integer matrix: the root
@@ -503,43 +512,49 @@ def char_poly(A):
 PerronData = namedtuple("PerronData", "lam right left")
 
 
-def _positive_eigvec(A, lam):
-    n = len(A)
-    ker = nullspace([[A[i][j] - (lam if i == j else 0) for j in range(n)]
-                     for i in range(n)])
-    # oriented positively, it is positive when A is primitive
-    if len(ker) == 1:
-        v = [-x for x in ker[0]] if ker[0][0] < 0 else ker[0]
-        if all(x > 0 for x in v):
-            return v
-    raise PreconditionError("the repeating matrix is not primitive")
+def _eigvec(vectors, lam):
+    """sum of vectors[k] lam^(n-1-k), by Horner, divided by its last entry
+    unless that is 0."""
+    v = vectors[0]
+    for w in vectors[1:]:
+        v = [x * lam + y for x, y in zip(v, w)]
+    return [x / v[-1] for x in v[:-1]] + [1] if v[-1] else v
 
 
 def perron_data(A):
-    """Exact dominant eigendata.  lam is the largest real root of the
-    square-free part p of the characteristic polynomial.  Every eigenvalue
-    lies within the largest row sum, so the integer roots of p are found by
-    trying each integer up to it; they are divided out, and what is left of
-    p has no rational root.  lam is the largest integer root unless the
-    rest has a larger real root: then lam generates its field, Q(sqrt d)
-    when the rest is quadratic.  lam = 1 only for the one-edge loop, whose
-    path space is finite and is no Cantor system: it is refused."""
-    p = [Fraction(c) for c in char_poly(A)]
-    p = _pdivmod(p, _gcd(p, [k * c for k, c in enumerate(p)][1:]))[0]
+    """Exact dominant eigendata, in integers up to lam.  The integer roots of
+    the characteristic polynomial chi lie within the largest row sum; each
+    is divided out exactly, with multiplicity.  The rest p has no rational
+    root: irreducible up to degree 3, else cut to its square-free part.
+    lam is the largest integer root unless p has a larger real root, which
+    then generates lam's field, Q(sqrt d) for a quadratic p.  lam = 1, the
+    one-edge loop's, is refused: its path space is finite.  So is A unless
+    column and row 0 of adj(lam I - A), eigenvectors, are positive and the
+    gcd of n - k over the nonzero c_k of chi is 1: for irreducible A, its
+    index of imprimitivity (Frobenius; Minc, Nonnegative Matrices, 1988)."""
+    chi, adj = _char_adj(A)
+    p, lam = chi, None
     bound = max(sum(row) for row in A)
-    lam = None
     for r in range(-bound, bound + 1):
-        if _peval(p, r) == 0:
-            p, lam = _pdivmod(p, [-r, 1])[0], Fraction(r)
+        while _peval(p, r) == 0:  # p / (x - r) by synthetic division
+            p = list(accumulate(p[:0:-1], lambda q, c: c + r * q))[::-1]
+            lam = Fraction(r)
+    if len(p) > 4:
+        dp = [k * c for k, c in enumerate(p)][1:]
+        p = [int(c) for c in _pdivmod(p, _gcd(p, dp))[0]]
     if len(p) == 3 and p[1] * p[1] > 4 * p[0]:
-        s, d = square_free(int(p[1] * p[1] - 4 * p[0]))
-        top = sqrt_field(d)(-p[1] / 2, Fraction(s, 2))
+        s, d = square_free(p[1] * p[1] - 4 * p[0])
+        top = sqrt_field(d)(Fraction(-p[1], 2), Fraction(s, 2))
         lam = top if lam is None or top > lam else lam
     elif len(p) > 3:
-        field = _largest_root(tuple(map(int, p)), max(lam or 0, 0))
+        field = _largest_root(tuple(p), max(lam or 0, 0))
         lam = lam if field is None else field(0, 1)
     if lam == 1:
         raise PreconditionError("the Perron root is 1: the path space is "
                                 "finite")
-    At = [list(col) for col in zip(*A)]
-    return PerronData(lam, _positive_eigvec(A, lam), _positive_eigvec(At, lam))
+    right = _eigvec([[row[0] for row in M] for M in adj], lam)
+    left = _eigvec([M[0] for M in adj], lam)
+    if math.gcd(*(len(A) - k for k, c in enumerate(chi) if c)) != 1 or \
+            not all(x > 0 for x in right + left):
+        raise PreconditionError("the repeating matrix is not primitive")
+    return PerronData(lam, right, left)

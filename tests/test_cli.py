@@ -560,6 +560,21 @@ def test_the_one_edge_loop_is_refused(capsys, tmp_path, command):
     assert err == "error: the Perron root is 1: the path space is finite\n"
 
 
+def test_a_periodic_repeating_matrix_is_refused(capsys, tmp_path):
+    # A = [[0, 2], [2, 0]] has positive eigenvectors for lambda = 2 but
+    # index of imprimitivity 2: its tail-invariant measures form a segment,
+    # not the one xi = (1/2, 1/2) that a positive eigenvector would give
+    (tmp_path / "d.json").write_text(json.dumps({
+        "stationary": True, "levels": [{
+            "num_sources": 2, "num_ranges": 2,
+            "edges": [[1, 0], [1, 0], [0, 1], [0, 1]],
+            "in_order": [[0, 1], [2, 3]]}]}))
+    rc, out, err = run(capsys, ["measure", "--diagram",
+                                str(tmp_path / "d.json"), "--level", "2"])
+    assert (rc, out) == (3, "")
+    assert err == "error: the repeating matrix is not primitive\n"
+
+
 def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
     # the level-0 tower heights of `_dump_diagrams()[20]` are unique and
     # have a negative entry, so its level-0 complex is refused; level 1, the

@@ -10,25 +10,28 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from adic.errors import PreconditionError
 from adic.martingale import CylinderFunction, float_values, integer_parts
 from adic.scalars import (FieldElement, NumberField, char_poly, mat_vec,
-                          perron_data, sqrt_field)
+                          nullspace, perron_data, rank, sqrt_field)
+
+
+def _is_primitive(m):
+    """Wielandt's test: the power (n - 1)^2 + 1 of m is positive."""
+    power = m
+    for _ in range((len(m) - 1) ** 2):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*m)]
+                 for row in power]
+    return all(x > 0 for row in power for x in row)
 
 
 def _primitive(n, draws, seed):
     """The primitive n x n matrices among `draws` random ones with entries
-    0..2: some power up to Wielandt's (n - 1)^2 + 1 is positive."""
+    0..2."""
     r = random.Random(seed)
-    out = []
-    for _ in range(draws):
-        m = [[r.randint(0, 2) for _ in range(n)] for _ in range(n)]
-        power = m
-        for _ in range((n - 1) ** 2):
-            power = [[sum(a * b for a, b in zip(row, col))
-                      for col in zip(*m)] for row in power]
-        if all(x > 0 for row in power for x in row):
-            out.append(m)
-    return out
+    draws = ([[r.randint(0, 2) for _ in range(n)] for _ in range(n)]
+             for _ in range(draws))
+    return [m for m in draws if _is_primitive(m)]
 
 
 def _check_exact(m):
@@ -49,8 +52,8 @@ def _check_exact(m):
 
 
 def test_perron_data_is_exact_on_the_3x3_census():
-    # the census of ROADMAP item 1: 300 draws, 161 primitive, of which 21
-    # have an integer Perron root, 39 a quadratic and 101 a cubic one
+    # a census of 300 draws, 161 primitive, of which 21 have an integer
+    # Perron root, 39 a quadratic and 101 a cubic one
     kinds = {}
     for m in _primitive(3, 300, 0):
         lam = _check_exact(m)
@@ -80,6 +83,77 @@ def test_perron_field_is_the_minimal_polynomial_on_a_4x4_census():
         if isinstance(lam, FieldElement) and lam.field.n > 2:
             assert lam.field.poly == tuple(coeffs)
     assert degrees == {1, 2, 3, 4}
+
+
+_REFUSALS = ("the repeating matrix is not primitive",
+             "the Perron root is 1: the path space is finite")
+
+
+@example([[0]])
+@example([[1]])
+@example([[0, 2], [2, 0]])
+@example([[2, 0], [0, 2]])
+@example([[2, 1], [0, 2]])
+@example([[1, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 1], [0, 0, 1, 0]])
+@example([[0, 1, 0], [0, 0, 1], [2, 0, 0]])
+@example([[1, 1, 0], [0, 0, 1], [3, 1, 1]])
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_perron_data_accepts_exactly_the_primitive_matrices(m):
+    # reducible and periodic matrices are drawn too; an accepted one has
+    # the eigenvectors of the reference route, a kernel basis vector of
+    # A - lambda I scaled to end in 1
+    rho = max(abs(z) for z in np.linalg.eigvals(np.array(m, dtype=float)))
+    if not _is_primitive(m) or math.isclose(rho, 1):
+        with pytest.raises(PreconditionError) as refused:
+            perron_data(m)
+        assert str(refused.value) in _REFUSALS
+        return
+    pd = perron_data(m)
+    lam = pd.lam
+    assert sum(c * lam ** k for k, c in enumerate(char_poly(m))) == 0
+    for a, got in ((m, pd.right), (list(zip(*m)), pd.left)):
+        ker = nullspace([[x - (lam if i == j else 0)
+                          for j, x in enumerate(row)]
+                         for i, row in enumerate(a)])
+        assert len(ker) == 1
+        assert got == [x / ker[0][-1] for x in ker[0]]
+        assert all(x > 0 for x in got)
+
+
+def _sympy_rank(A, cols):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Matrix(len(A), cols, [sympy.Rational(x.numerator,
+                                                      x.denominator)
+                                       for row in A for x in row]).rank()
+
+
+_ENTRIES = st.one_of(st.integers(-3, 3),
+                     st.fractions(-3, 3, max_denominator=4))
+
+
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5),
+       st.data())
+def test_rank_matches_sympy(rows, inner, cols, data):
+    # A = B C has rank at most `inner`: wide, tall, zero (inner = 0) and
+    # empty (no rows or no columns) matrices of Fractions, and the integer
+    # matrices of their entries' integer parts
+    B, C = (data.draw(st.lists(st.lists(_ENTRIES, min_size=m, max_size=m),
+                               min_size=k, max_size=k))
+            for k, m in ((rows, inner), (inner, cols)))
+    A = [[sum((b * c for b, c in zip(row, col)), Fraction(0))
+          for col in zip(*C)] if C else [Fraction(0)] * cols for row in B]
+    for entries in (A, [[int(x) for x in row] for row in A]):
+        assert rank(entries) == _sympy_rank(entries, cols)
+
+
+def test_rank_over_sqrt5():
+    phi = sqrt_field(5)(Fraction(1, 2), Fraction(1, 2))
+    assert rank([[phi, 1], [phi + 1, phi]]) == 1  # phi^2 = phi + 1
+    assert rank([[phi, 1], [1, phi]]) == 2
+    assert rank([[1, phi, phi ** 2], [phi, phi ** 2, phi ** 3],
+                 [1, 1, 1], [2, phi + 1, phi + 2]]) == 2
 
 
 def test_equality_and_hash_agree_across_a_split():
