@@ -3,9 +3,8 @@
 odo2 / odo3: one vertex per level, 2 (resp. 3) loop edges in counting order.
 fib: two vertices a=0, b=1 with transition matrix [[1,1],[1,0]]; edges
   0: a->a, 1: b->a, 2: a->b; in-orders a: (0,1), b: (2,).  The min in-edge
-  chains give a unique minimal path, the max chains a 2-cycle, so this
-  diagram is not properly orderable; the predecessor of the minimal path and
-  inverse-side compositions are refused at runtime.
+  chains give a unique minimal path, the max chains a 2-cycle: two maximal
+  paths, so phi^-1 of the minimal path and `adic algebra check` are refused.
 pisot31: two vertices with matrix [[3,1],[1,3]], properly ordered (unique
   extreme paths through vertex 0 on the min side and vertex 1 on the max).
 """

@@ -26,10 +26,9 @@ from . import algebra as alg
 from .catalog import BUILTIN_NAMES, builtin_diagram, resolve_diagram
 from .cohomology import distributions, limit_rank
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
-                       extreme_path, lazy_from_json_dict,
-                       lazy_to_json_dict, materialize, path_table, successor,
-                       validate)
-from .errors import AdicError, ParseError
+                       extreme, lazy_from_json_dict, lazy_to_json_dict,
+                       materialize, path_table, successor, validate)
+from .errors import AdicError, ParseError, PreconditionError
 from .martingale import decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .solenoid import (build_complex, class_graph, diameter,
@@ -234,7 +233,7 @@ def load_element(path, diagram=None, alpha=None):
 
 def _load_start(diagram, ref):
     if ref is None:
-        return extreme_path(diagram, 1)
+        return extreme(diagram, 1)[2]
     if ref.strip().startswith("{"):
         data = json.loads(ref)
     else:
@@ -272,7 +271,20 @@ def _lenient_diagram(ref):
 def cmd_validate(args):
     d = _lenient_diagram(args.diagram)
     problems = validate(d)
-    _emit_json({"ok": not problems, "diagnostics": list(problems)})
+    # each fact a command may need, read as its decider reads it: None on
+    # broken structure and, past "stationary", on a diagram not repeating
+    facts = {"stationary": None if problems else d.stationary}
+    for name, decide in (("perron", lambda: renorm_data(d)),
+                         ("unique_min_path", lambda: extreme(d, 1)),
+                         ("unique_max_path", lambda: extreme(d, -1))):
+        facts[name] = facts["stationary"] or None
+        if facts[name]:
+            try:
+                decide()
+            except PreconditionError:
+                facts[name] = False
+    _emit_json({"ok": not problems, "diagnostics": list(problems),
+                "admissible": facts})
     return 0
 
 
@@ -455,6 +467,7 @@ def cmd_algebra_check(args):
     _at_least("trials", args.trials, 0)
     d = resolve_diagram(args.diagram)
     rd = renorm_data(d)
+    extreme(d, 1), extreme(d, -1)  # phi and its inverse, whatever the trials
     lam = rd.lambda_mu
     tri = alg.default_triangle(d, lam)
     rng = random.Random(args.seed)

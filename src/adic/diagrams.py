@@ -12,7 +12,7 @@ MIN/MAX tails extend forward deterministically (at each level take the
 out-edge of the current vertex that is earliest/latest by (in-order position,
 range index)); PERIODIC tails repeat a fixed word of edge indices.  The
 canonical extreme paths are produced in exact PERIODIC form by
-`extreme_path` for stationary diagrams.
+`extreme` for stationary diagrams.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from itertools import chain
 from weakref import WeakValueDictionary
 
 from .errors import (HorizonExceededError, LevelOverflowError,
-                     NotProperlyOrderedError, ParseError)
+                     NotProperlyOrderedError, NotStationaryError, ParseError)
 
 
 @dataclass(frozen=True)
@@ -278,12 +278,6 @@ class FinitePath:
         return len(self.edges)
 
 
-def path_range(diagram, p):
-    if p.edges:
-        return diagram.level(p.level).range(p.edges[-1])
-    return p.root
-
-
 def path_source(diagram, p):
     if p.edges:
         return diagram.level(1).source(p.edges[0])
@@ -420,28 +414,24 @@ def _extreme_chain(diagram, v, k, end):
     return FinitePath(tuple(edges), root=v if not edges else None)
 
 
-def extreme_vertex(diagram, direction):
-    """(fmap, v): the min (direction=1) or max (direction=-1) in-edge source
-    map of the repeating level of a stationary diagram, and the one vertex v
-    of its eventual image.  NotProperlyOrderedError when there are more."""
-    fmap = diagram.levels[-1].source_map[0 if direction == 1 else -1]
-    cyc = eventual_image(fmap)
-    if len(cyc) != 1:
-        raise NotProperlyOrderedError()
-    return fmap, cyc[0]
-
-
-def extreme_path(diagram, direction):
-    """The unique infinite all-min (direction=1) or all-max (direction=-1)
-    path of a stationary diagram, in exact PERIODIC form.  It raises
-    HorizonExceededError on a non-stationary diagram and
-    NotProperlyOrderedError when the path is not unique."""
+@owned
+def extreme(diagram, direction):
+    """(T, v, path): the min (direction=1) or max (direction=-1) in-edge
+    source map of the repeating level takes every vertex to v in T steps,
+    and path is the unique all-min (all-max) path, in PERIODIC form.
+    NotStationaryError on a diagram that does not repeat,
+    NotProperlyOrderedError when the image never shrinks to one vertex."""
     if not diagram.stationary:
-        raise HorizonExceededError()
+        raise NotStationaryError()
     ld, end = diagram.levels[-1], 0 if direction == 1 else -1
-    v = extreme_vertex(diagram, direction)[1]
+    fmap, image, T = ld.source_map[end], set(range(ld.num_ranges)), 0
+    while len(image) > 1:
+        T, image, before = T + 1, {fmap[u] for u in image}, image
+        if len(image) == len(before):
+            raise NotProperlyOrderedError()
+    v = image.pop()
     chain = _extreme_chain(diagram, v, len(diagram.levels), end)
-    return LazyPath(chain, Tail("PERIODIC", (_in_edge(ld, v, end),)))
+    return T, v, LazyPath(chain, Tail("PERIODIC", (_in_edge(ld, v, end),)))
 
 
 def successor(diagram, p, direction=1):
@@ -457,7 +447,7 @@ def successor(diagram, p, direction=1):
         if st is not None:
             if st in seen:
                 # every remaining edge is extreme: wrap around
-                return extreme_path(diagram, direction)
+                return extreme(diagram, direction)[2]
             seen.add(st)
         k, e = w.advance()
         ld = diagram.level(k)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all modules.
 
 Exit-code mapping used by the CLI: ParseError -> 2, PreconditionError -> 3,
-NumericError -> 4.  Message phrases are stable; tests match on them.
+NumericError -> 4.  Message phrases are stable; tests match on them.  A
+diagram that does not repeat has one refusal, NotStationaryError;
+HorizonExceededError is a walk past the last level of one (`PathWalker`).
 """
 
 
@@ -33,11 +35,6 @@ class HorizonExceededError(PreconditionError):
 
 class NotProperlyOrderedError(PreconditionError):
     def __init__(self, msg="not properly ordered"):
-        super().__init__(msg)
-
-
-class GluingUndefinedError(PreconditionError):
-    def __init__(self, msg="gluing undefined"):
         super().__init__(msg)
 
 

@@ -31,9 +31,9 @@ from functools import cached_property
 from itertools import repeat
 from operator import sub
 
-from .diagrams import (LazyPath, count_paths, extreme_path, extreme_vertex,
-                       materialize, owned, path_index, path_range, path_table)
-from .errors import NotProperlyOrderedError, PreconditionError
+from .diagrams import (LazyPath, count_paths, extreme, materialize, owned,
+                       path_index, path_table)
+from .errors import PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -348,37 +348,26 @@ def decompose(diagram, h, renorm):
 # ---------------------------------------------------------------------------
 # composition with the adic map
 
-def phi_transient(diagram, direction=1):
-    """(T, v*) for the min (direction=1) or max (direction=-1) in-edge source
-    map of a stationary diagram: T is the least t with image(map^t) a single
-    vertex v*.  Raises when the eventual image is not a single vertex."""
-    if not diagram.stationary:
-        raise NotProperlyOrderedError("composition needs a stationary diagram")
-    fmap, v = extreme_vertex(diagram, direction)
-    t, cur = 0, set(range(len(fmap)))
-    while len(cur) > 1:
-        t, cur = t + 1, {fmap[u] for u in cur}
-    return t, v
-
-
 def compose_phi(diagram, h, power=1):
     """h composed with phi^power exactly, as a cylinder function of level
     L = max(min(m + n*T, T + max(m, n*)), 1).  Here n = |power|; T and v*
-    come from `phi_transient` (the min in-edge source map, or the max one
-    for negative powers); m is h.level, raised to the first repeating level
-    of the diagram when that is deeper; n* is the least level whose tower
-    over v* holds at least n paths.
+    come from `diagrams.extreme` (the min in-edge source map, or the max
+    one for negative powers); m is h.level, raised to the first repeating
+    level of the diagram when that is deeper; n* is the least level whose
+    tower over v* holds at least n paths.
 
     On level-L paths phi is the next path in the block of its range vertex
     (the tower order that `diagrams.successor` follows), and the last path
     of a block goes to the level-L prefix of the extreme path, the first (for
-    negative powers, the last) path of its block w.  So n steps shift an
-    index inside its block, and an index that runs off the block goes on
-    from the extreme path, cycling through block w.  After j steps the
-    first L - j*T edges agree with phi^j of every point of the cylinder,
-    since extreme chains of repeating levels reach v* within T levels; this
-    needs the relevant extreme path to be unique, else the composition is
-    not transversally locally constant.  That gives L = m + n*T.
+    negative powers, the last) path of block w = v*: L is at least the last
+    level that does not repeat, and from there on that path stays at v*.
+    So n steps shift an index inside its block, and an index that runs off
+    the block goes on from the extreme path, cycling through block w.
+    After j steps the first L - j*T edges agree with phi^j of every point of
+    the cylinder, since extreme chains of repeating levels reach v* within
+    T levels; this needs the relevant extreme path to be unique, else the
+    composition is not transversally locally constant.  That gives
+    L = m + n*T.
 
     At L = T + max(m, n*) one carry is all there is.  Within n steps a
     level-L path carries past level L at most once; its first L - T edges
@@ -391,9 +380,7 @@ def compose_phi(diagram, h, power=1):
         return h
     direction = 1 if power > 0 else -1
     n, L = abs(power), compose_level(diagram, h.level, power)
-    ext = extreme_path(diagram, direction)
-    table = path_table(diagram, L)
-    w = path_range(diagram, materialize(diagram, ext, L))
+    table, w = path_table(diagram, L), extreme(diagram, direction)[1]
     wa, wb = table.offsets[w], table.offsets[w + 1]
     idx = []
     for a, b in table.blocks():
@@ -414,7 +401,7 @@ def compose_level(diagram, m, power):
     """The level of h o phi^power for h of level m, as in `compose_phi`."""
     if power == 0:
         return m
-    T, v = phi_transient(diagram, 1 if power > 0 else -1)
+    T, v, _ = extreme(diagram, 1 if power > 0 else -1)
     n, m = abs(power), max(m, len(diagram.levels) - 1)
     j = m
     while T + j < m + n * T and count_paths(diagram, j)[v] < n:

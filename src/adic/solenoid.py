@@ -20,7 +20,7 @@ from math import inf
 
 from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
                        owned, path_source)
-from .errors import GluingUndefinedError, NumericError, PreconditionError
+from .errors import NotStationaryError, NumericError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def gluing_pairs(diagram, k):
     image) x (eventual min image); each prefix level below pushes them
     down one level and adds its own pairs."""
     if not diagram.stationary:
-        raise GluingUndefinedError()
+        raise NotStationaryError()
     top, pairs = max(k, len(diagram.levels) - 1), set()
     for j in range(top + 1, k, -1):
         ld = diagram.level(j)

@@ -43,8 +43,8 @@ from operator import add, mul
 from fractions import Fraction
 
 from .cohomology import certificate, distributions
-from .diagrams import (FinitePath, PathWalker, extreme_path, owned,
-                       path_index, path_table)
+from .diagrams import (FinitePath, PathWalker, extreme, owned, path_index,
+                       path_table)
 from .errors import AlphaOverflowError, ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
@@ -117,10 +117,13 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     (`CylinderFunction.of_parts`).  Only when the certificate search finds
     none are the distributions computed, for the ObstructedError they
     carry.  The returned residual is computed, not assumed.  The exponent
-    alpha - 2 - epsilon of g's norm must be positive, and is checked first."""
+    alpha - 2 - epsilon of g's norm must be positive, and is checked first;
+    then the minimal path must be unique (`diagrams.extreme`), as g o phi
+    needs phi whatever h is."""
     if alpha is not None:
         _need_alpha(alpha, epsilon)
     diagram = tower.diagram
+    extreme(diagram, 1)
     q, cols, d = h.parts
     cert = certificate(h, tower)
     if cert is None:
@@ -289,7 +292,7 @@ def _orbit_runs(diagram, start, towers):
                 if tall[ld.source(f)][0]:
                     seen.clear()
                     yield k - m, ld.source(f)
-        x = extreme_path(diagram, 1)
+        x = extreme(diagram, 1)[2]
 
 
 @owned

@@ -20,7 +20,7 @@ from adic.algebra import (check_trial, default_triangle, jolissaint_holds,
                           subtract, triangle_phi, unit)
 from adic.cohomology import distributions, is_coboundary_class, limit_rank
 from adic.diagrams import (FinitePath, LazyPath, TAIL_MIN, enumerate_paths,
-                           extreme_path)
+                           extreme)
 from adic.martingale import (compose_phi, delta, from_vector, lift, nu_mean,
                              project, rand_function)
 from adic.measures import renorm_data
@@ -280,7 +280,7 @@ def test_criterion_09_on_an_irrational_lambda(golden2):
     # phi^2 lies in Q(sqrt 5): the coefficients meet field weights
     rd = renorm_data(golden2)
     assert not isinstance(rd.lambda_mu, (int, Fraction))
-    assert extreme_path(golden2, 1) != extreme_path(golden2, -1)
+    assert extreme(golden2, 1)[2] != extreme(golden2, -1)[2]
     tri = default_triangle(golden2, rd.lambda_mu)
     tower = limit_rank(golden2, rd)
     r, bad, counts = rng(9019), [], {}

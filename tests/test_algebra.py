@@ -24,14 +24,14 @@ from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_PATHS, AlgebraElement,
 from adic.catalog import builtin_diagram
 from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
-                           count_paths, enumerate_paths, make_level,
+                           count_paths, enumerate_paths, extreme, make_level,
                            successor)
 from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
                          NormTooLargeError, NotProperlyOrderedError,
                          NumericError, PreconditionError)
 from adic.martingale import (CylinderFunction, compose_phi,
                              constant_function, from_vector, lift,
-                             phi_transient, rand_function)
+                             rand_function)
 from adic.measures import renorm_data
 from adic.scalars import FieldElement, sqrt_field
 
@@ -842,7 +842,7 @@ def _quarter(r):
 def _backward_ok(diagram):
     """Whether phi^-1 is defined: the all-max path is unique."""
     try:
-        phi_transient(diagram, -1)
+        extreme(diagram, -1)
     except NotProperlyOrderedError:
         return False
     return True
@@ -851,7 +851,7 @@ def _backward_ok(diagram):
 def _forward_ok(diagram):
     """Whether phi is defined everywhere: the all-min path is unique."""
     try:
-        phi_transient(diagram, 1)
+        extreme(diagram, 1)
     except NotProperlyOrderedError:
         return False
     return True

@@ -19,12 +19,15 @@ from hypothesis import strategies as st
 
 from test_cohomology import _dump_diagrams
 from test_scalars import sympy_value
-from test_step import _prefixed, _random_diagram, _random_prefix
+from test_step import (_ordered, _prefixed, _random_diagram, _random_matrix,
+                       _random_prefix)
 
 import adic
 from adic.catalog import builtin_diagram
 from adic.cli import main
-from adic.diagrams import OrderedDiagram, make_level, path_table
+from adic.diagrams import (OrderedDiagram, diagram_from_json_dict, extreme,
+                           make_level, path_table)
+from adic.errors import PreconditionError
 from adic.martingale import compose_phi, constant_function, from_vector, lift
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
@@ -63,14 +66,19 @@ def run(capsys, argv):
 def test_validate_builtin(capsys):
     rc, out, _ = run(capsys, ["validate", "--diagram", "odo2"])
     assert rc == 0
-    assert out == '{\n  "diagnostics": [],\n  "ok": true\n}\n'
+    assert out == ('{\n  "admissible": {\n    "perron": true,\n'
+                   '    "stationary": true,\n    "unique_max_path": true,\n'
+                   '    "unique_min_path": true\n  },\n'
+                   '  "diagnostics": [],\n  "ok": true\n}\n')
 
 
 def test_validate_reports_broken_order(capsys, work):
     rc, out, _ = run(capsys,
                      ["validate", "--diagram", str(work / "bad.json")])
     assert rc == 0
-    assert out == ('{\n  "diagnostics": [\n'
+    assert out == ('{\n  "admissible": {\n    "perron": null,\n'
+                   '    "stationary": null,\n    "unique_max_path": null,\n'
+                   '    "unique_min_path": null\n  },\n  "diagnostics": [\n'
                    '    "level 1 vertex 0: order not a permutation"\n'
                    '  ],\n  "ok": false\n}\n')
 
@@ -84,7 +92,9 @@ def test_vertex_without_in_edges_is_a_parse_error(capsys, work):
     rc, out, _ = run(capsys,
                      ["validate", "--diagram", str(work / "no_in.json")])
     assert rc == 0
-    assert out == ('{\n  "diagnostics": [\n'
+    assert out == ('{\n  "admissible": {\n    "perron": null,\n'
+                   '    "stationary": null,\n    "unique_max_path": null,\n'
+                   '    "unique_min_path": null\n  },\n  "diagnostics": [\n'
                    '    "level 1 vertex 1: no incoming edge"\n'
                    '  ],\n  "ok": false\n}\n')
     (work / "h2.json").write_text(json.dumps(
@@ -194,8 +204,11 @@ def test_diagram_files_take_json_integers_only(capsys, tmp_path, spec):
         assert (rc, out) == (2, "")
         assert err.startswith("error: malformed diagram: ")
     path.write_text(json.dumps(_odo2_spec()))
-    assert run(capsys, ["validate", "--diagram", str(path)]) == \
-        (0, '{\n  "diagnostics": [],\n  "ok": true\n}\n', "")
+    assert run(capsys, ["validate", "--diagram", str(path)]) == (0, (
+        '{\n  "admissible": {\n    "perron": true,\n'
+        '    "stationary": true,\n    "unique_max_path": true,\n'
+        '    "unique_min_path": true\n  },\n'
+        '  "diagnostics": [],\n  "ok": true\n}\n'), "")
 
 
 @pytest.mark.parametrize("command", [
@@ -573,6 +586,103 @@ def test_a_periodic_repeating_matrix_is_refused(capsys, tmp_path):
                                 str(tmp_path / "d.json"), "--level", "2"])
     assert (rc, out) == (3, "")
     assert err == "error: the repeating matrix is not primitive\n"
+
+
+# primitive, but its min in-edge source map is the identity and its max
+# one a swap: two minimal and two maximal paths
+TWOMIN = {"stationary": True, "levels": [{
+    "num_sources": 2, "num_ranges": 2,
+    "edges": [[0, 0], [1, 0], [0, 1], [1, 1]], "in_order": [[0, 1], [3, 2]]}]}
+
+
+def test_solve_refuses_two_minimal_paths_whatever_h(capsys, tmp_path):
+    # g o phi needs phi, so the refusal comes before the certificate: for
+    # h = 0, a coboundary, and for an h with D = [-1] alike
+    (tmp_path / "d.json").write_text(json.dumps(TWOMIN))
+    for values in ({}, {str(i): i % 3 - 1 for i in range(4)}):
+        (tmp_path / "h.json").write_text(json.dumps({"level": 1,
+                                                     "values": values}))
+        assert run(capsys, ["solve", "--diagram", str(tmp_path / "d.json"),
+                            "--function", str(tmp_path / "h.json")]) == \
+            (3, "", "error: not properly ordered\n")
+
+
+@pytest.mark.parametrize("diagram", ["fib", "twomin"])
+def test_algebra_check_refuses_before_any_trial(capsys, tmp_path, diagram):
+    # the suite composes with phi and its inverse, so a second maximal or
+    # minimal path is refused with no trial run
+    if diagram == "twomin":
+        diagram = str(tmp_path / "d.json")
+        pathlib.Path(diagram).write_text(json.dumps(TWOMIN))
+    assert run(capsys, ["algebra", "check", "--diagram", diagram,
+                        "--trials", "0"]) == \
+        (3, "", "error: not properly ordered\n")
+
+
+# Per command, the facts of `validate`'s "admissible" record that it needs,
+# in the order in which it reads their deciders; "F" is a function file.
+NEEDS = {
+    ("measure", "--level", "1"): ("stationary", "perron"),
+    ("distributions", "--function", "F"): ("stationary", "perron"),
+    ("orbit", "-N", "3"): ("stationary", "unique_min_path"),
+    ("birkhoff", "-N", "8", "--function", "F"): ("stationary",
+                                                 "unique_min_path"),
+    ("solve", "--function", "F"): ("stationary", "perron",
+                                   "unique_min_path"),
+    ("algebra", "check", "--trials", "0"): ("stationary", "perron",
+                                            "unique_min_path",
+                                            "unique_max_path"),
+}
+DECIDERS = {"stationary": renorm_data, "perron": renorm_data,
+            "unique_min_path": lambda d: extreme(d, 1),
+            "unique_max_path": lambda d: extreme(d, -1)}
+
+
+def test_refusals_agree_with_validate(capsys, tmp_path, golden2):
+    # a command exits 3 with a decider's message exactly when `validate`
+    # reports a fact it needs as false, and then with the message of the
+    # first such fact: on the builtins, golden2, twomin, the one-edge loop,
+    # a periodic matrix, a diagram that does not repeat, and unfiltered
+    # draws, primitive or not, properly ordered or not, behind 0 to 2
+    # prefix levels
+    fib = builtin_diagram("fib")
+    ds = [builtin_diagram(name) for name in ("odo2", "odo3", "pisot31")] + [
+        fib, golden2, diagram_from_json_dict(TWOMIN),
+        OrderedDiagram((make_level(1, 1, [(0, 0)], [[0]]),), True),
+        OrderedDiagram((make_level(2, 2, [(1, 0), (1, 0), (0, 1), (0, 1)],
+                                   [[0, 1], [2, 3]]),), True),
+        OrderedDiagram(fib.levels * 3)]
+    r = random.Random(50)
+    ds += [_random_prefix(r, _ordered(r, _random_matrix(r, r.randint(1, 3),
+                                                        6)), r.randint(0, 2))
+           for _ in range(80)]
+    files = {w: str(tmp_path / name) for w, name in (("D", "d.json"),
+                                                     ("F", "h.json"))}
+    failed, refusals, passed = set(), set(), []
+    for d in ds:
+        pathlib.Path(files["D"]).write_text(json.dumps(d.to_json_dict()))
+        pathlib.Path(files["F"]).write_text(json.dumps({"level": 1, "values": {
+            str(i): i % 3 - 1 for i in range(path_table(d, 1).offsets[-1])}}))
+        _, out, _ = run(capsys, ["validate", "--diagram", files["D"]])
+        facts = json.loads(out)["admissible"]
+        for command, needs in NEEDS.items():
+            words = 2 if command[0] == "algebra" else 1
+            argv = list(command[:words]) + ["--diagram", files["D"]] + [
+                files.get(w, w) for w in command[words:]]
+            got = run(capsys, argv)
+            fails = [fact for fact in needs if facts[fact] is False]
+            if not fails:
+                passed.append((argv, facts, got))
+                continue
+            with pytest.raises(PreconditionError) as refusal:
+                DECIDERS[fails[0]](d)
+            assert got == (3, "", "error: %s\n" % refusal.value), \
+                (d, argv, facts)
+            failed.add(fails[0])
+            refusals.add(got[2])
+    for argv, facts, (rc, _, err) in passed:
+        assert rc != 3 or err not in refusals, (argv, facts, err)
+    assert failed == set(DECIDERS)
 
 
 def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
@@ -1104,7 +1214,11 @@ def test_compute_commands_refuse_non_stationary(capsys, non_stationary,
 def test_validate_and_paths_take_non_stationary(capsys, non_stationary):
     ns = str(non_stationary / "ns.json")
     rc, out, _ = run(capsys, ["validate", "--diagram", ns])
-    assert (rc, out) == (0, '{\n  "diagnostics": [],\n  "ok": true\n}\n')
+    assert (rc, out) == (0, '{\n  "admissible": {\n    "perron": null,\n'
+                            '    "stationary": false,\n'
+                            '    "unique_max_path": null,\n'
+                            '    "unique_min_path": null\n  },\n'
+                            '  "diagnostics": [],\n  "ok": true\n}\n')
     rc, out, _ = run(capsys, ["paths", "--diagram", ns, "--level", "2",
                               "--emit", "csv"])
     assert rc == 0

@@ -19,7 +19,9 @@ from test_cohomology import _dump_diagrams
 
 from adic.catalog import builtin_diagram
 from adic.cohomology import certificate, distributions, limit_rank
-from adic.diagrams import enumerate_paths, extreme_path, path_range
+from test_step import path_range
+
+from adic.diagrams import enumerate_paths, extreme
 from adic.errors import ObstructedError
 from adic.martingale import CylinderFunction, compose_phi, from_vector, lift
 from adic.measures import renorm_data, xi_vector
@@ -86,7 +88,7 @@ def _path(d, tower, h):
 
 
 def _birkhoff(d, h):
-    return repr(birkhoff(d, h, extreme_path(d, 1), STEPS))
+    return repr(birkhoff(d, h, extreme(d, 1)[2], STEPS))
 
 
 def _as_floats(h):

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import rng
 
 from test_algebra import _drawn_diagrams
-from test_step import _prefix_draws, _prefixed, _random_diagram
+from test_step import (_prefix_draws, _prefixed, _random_diagram,
+                       path_range)
 
 import adic
 from adic.cli import main
@@ -21,8 +22,7 @@ from adic.cohomology import (birkhoff_cochain, certificate, distributions,
                              evaluation_level, is_coboundary_class,
                              limit_rank, vertex_functionals)
 from adic.catalog import builtin_diagram
-from adic.diagrams import (LazyPath, TAIL_MIN, enumerate_paths, path_range,
-                           path_table)
+from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths, path_table
 from adic.errors import AdicError, PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)

@@ -8,20 +8,19 @@ from fractions import Fraction
 
 import pytest
 
-from test_step import _prefix_draws, _prefixed, _random_diagram
+from test_step import (_prefix_draws, _prefixed, _random_diagram,
+                       path_range)
 
 from adic import diagrams as diagrams_module
 from adic.catalog import builtin_diagram
 from adic.cohomology import birkhoff_cochain
 from adic.diagrams import (FinitePath, LazyPath, TAIL_MAX, TAIL_MIN,
-                           enumerate_paths, extreme_path, materialize,
-                           path_index, path_range, path_source, path_table,
-                           successor)
+                           enumerate_paths, extreme, materialize,
+                           path_index, path_source, path_table, successor)
 from adic.errors import (LevelOverflowError, NotProperlyOrderedError,
                          PreconditionError)
 from adic.martingale import (compose_level, compose_phi, from_vector,
-                             gather, holder_norm, lift, nu_mean,
-                             phi_transient, project)
+                             gather, holder_norm, lift, nu_mean, project)
 from adic.measures import renorm_data, xi_vector
 
 TOP = 3
@@ -140,11 +139,11 @@ def test_compose_phi_matches_stepped_reference(diagrams):
             for power in (1, 2, 3, -1, -2, -3):
                 direction = 1 if power > 0 else -1
                 try:
-                    T, _ = phi_transient(d, direction)
+                    T, _, wrapped = extreme(d, direction)
                 except NotProperlyOrderedError:
                     continue
                 L = max(max(m, len(d.levels) - 1) + abs(power) * T, 1)
-                wrapped = materialize(d, extreme_path(d, direction), L).edges
+                wrapped = materialize(d, wrapped, L).edges
                 paths = enumerate_paths(d, L)
                 nxt = {}
                 for v in range(d.num_vertices(L)):

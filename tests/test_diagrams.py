@@ -9,19 +9,20 @@ from fractions import Fraction
 
 import pytest
 
-from test_step import _prefixed, _random_diagram, first_disagreement
+from test_step import (_prefixed, _random_diagram, first_disagreement,
+                       path_range)
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
                            TAIL_MAX, TAIL_MIN, Tail, count_paths,
-                           diagram_from_json_dict, enumerate_paths,
-                           extreme_path, load_diagram, make_level,
-                           materialize, path_range, path_table,
+                           diagram_from_json_dict, enumerate_paths, extreme,
+                           load_diagram, make_level, materialize, path_table,
                            successor, validate)
 from adic.errors import (HorizonExceededError, LevelOverflowError,
-                         NotProperlyOrderedError, ParseError)
-from adic.martingale import from_vector, phi_transient
-from adic.solenoid import _ultrametric
+                         NotProperlyOrderedError, NotStationaryError,
+                         ParseError)
+from adic.martingale import compose_phi, from_vector
+from adic.solenoid import _ultrametric, gluing_pairs
 from adic.solver import birkhoff
 
 
@@ -261,7 +262,7 @@ def _lazy_points(d, r):
     words = [_cycle(d.levels[-1], r) for _ in range(2)]
     for direction in (1, -1):
         try:
-            words.append(extreme_path(d, direction).tail.word)
+            words.append(extreme(d, direction)[2].tail.word)
         except NotProperlyOrderedError:
             pass
     out = []
@@ -296,11 +297,11 @@ def test_predecessor_inverts_successor():
                 assert first_disagreement(d, back, x) == 0, \
                     (d, x, direction)
         try:
-            top = extreme_path(d, -1)
+            top = extreme(d, -1)[2]
         except NotProperlyOrderedError:
             continue
         assert first_disagreement(d, successor(d, top),
-                                  extreme_path(d, 1)) == 0
+                                  extreme(d, 1)[2]) == 0
 
 
 def test_walker_state_starts_past_the_prefix_and_the_levels(odo2, fib):
@@ -329,21 +330,22 @@ def test_fib_predecessor_of_min_is_improper(fib):
     parallel = OrderedDiagram(
         (make_level(2, 2, [(0, 0), (1, 1)], [[0], [1]]),), stationary=True)
     for call in (lambda: successor(fib, lo, -1),
-                 lambda: extreme_path(parallel, 1),
-                 lambda: phi_transient(parallel, -1)):
+                 lambda: extreme(parallel, 1),
+                 lambda: extreme(parallel, -1)):
         with pytest.raises(NotProperlyOrderedError):
             call()
 
 
 def test_non_stationary_extreme_errors():
-    # both read `extreme_vertex` and keep their own error for a diagram
-    # without a repeating level
+    # the extreme paths, the composition and the gluing have one refusal
+    # of a diagram without a repeating level
     d = OrderedDiagram((make_level(1, 1, [(0, 0), (0, 0)], [[0, 1]]),))
-    with pytest.raises(HorizonExceededError):
-        extreme_path(d, 1)
-    with pytest.raises(NotProperlyOrderedError,
-                       match="composition needs a stationary diagram"):
-        phi_transient(d, 1)
+    h = from_vector(d, 1, [Fraction(1), Fraction(2)])
+    for call in (lambda: extreme(d, 1), lambda: compose_phi(d, h, 1),
+                 lambda: gluing_pairs(d, 0)):
+        with pytest.raises(NotStationaryError,
+                           match="needs a stationary diagram"):
+            call()
 
 
 def test_vertex_without_in_edges_is_a_parse_error():
@@ -354,7 +356,7 @@ def test_vertex_without_in_edges_is_a_parse_error():
     assert "level 1 vertex 1: no incoming edge" in validate(d)
     h = from_vector(d, 1, [Fraction(1), Fraction(2)])
     start = LazyPath(FinitePath((0,)), TAIL_MIN)
-    for call in (lambda: extreme_path(d, 1),
+    for call in (lambda: extreme(d, 1),
                  lambda: birkhoff(d, h, start, 7)):
         with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
             call()

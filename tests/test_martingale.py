@@ -15,12 +15,12 @@ from test_algebra import _drawn_diagrams
 from test_step import _prefixed, _random_diagram, _random_prefix
 
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN,
-                           enumerate_paths, make_level, path_table)
+                           enumerate_paths, extreme, make_level, path_table)
 from adic.errors import PreconditionError
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
-                             holder_norm, lift, nu_mean, phi_transient,
-                             project, rand_function)
+                             holder_norm, lift, nu_mean, project,
+                             rand_function)
 from adic.measures import renorm_data
 
 
@@ -257,11 +257,10 @@ def test_compose_phi_odometer_rotation(odo2):
 
 
 def test_phi_transients(odo2, fib, pisot31):
-    assert phi_transient(odo2, 1)[0] == 0
-    assert phi_transient(odo2, -1)[0] == 0
-    assert phi_transient(fib, 1)[0] == 1
-    assert phi_transient(pisot31, 1)[0] == 1
-    assert phi_transient(pisot31, -1)[0] == 1
+    assert extreme(odo2, 1)[:2] == extreme(odo2, -1)[:2] == (0, 0)
+    assert extreme(fib, 1)[:2] == (1, 0)
+    assert extreme(pisot31, 1)[:2] == (1, 0)
+    assert extreme(pisot31, -1)[:2] == (1, 1)
 
 
 def test_compose_phi_shifts_level_by_transient(pisot31):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from test_cohomology import _dump_diagrams
-from test_step import _prefix_draws
+from test_step import _prefix_draws, path_range
 
 from adic import solenoid
 from adic.catalog import BUILTIN_NAMES, builtin_diagram
-from adic.diagrams import enumerate_paths, path_range
+from adic.diagrams import enumerate_paths
 from adic.errors import PreconditionError
 from adic.measures import renorm_data, xi_vector
 from adic.scalars import FieldElement, identity, mat_mul, mat_vec, sqrt_field

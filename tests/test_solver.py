@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import rng
 
 from test_algebra import _drawn_diagrams
-from test_step import _prefixed, _random_diagram, _random_prefix, telescope2
+from test_step import (_prefixed, _random_diagram, _random_prefix, path_range,
+                       telescope2)
 
 import adic.cohomology
 import adic.martingale
@@ -21,9 +22,8 @@ from adic.catalog import builtin_diagram
 from adic.cohomology import (certificate, distributions, is_coboundary_class,
                              limit_rank)
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
-                           TAIL_MIN, enumerate_paths, extreme_path,
-                           make_level, materialize, path_range, path_table,
-                           successor)
+                           TAIL_MIN, enumerate_paths, extreme, make_level,
+                           materialize, path_table, successor)
 from adic.errors import (NotProperlyOrderedError, ObstructedError,
                          PreconditionError)
 from adic.martingale import (compose_phi, constant_function, from_vector,
@@ -149,8 +149,8 @@ def test_telescope_keeps_orbit_sums_and_verdict(d, T, cobound, seed):
         h = lift(d, h, h.level + h.level % 2)
     ht = from_vector(t, h.level // 2, h.values)
     total = r.randint(1, 500)
-    got = birkhoff(t, ht, extreme_path(t, 1), total)
-    want = birkhoff(d, h, extreme_path(d, 1), total)
+    got = birkhoff(t, ht, extreme(t, 1)[2], total)
+    want = birkhoff(d, h, extreme(d, 1)[2], total)
     assert (got.checkpoints, got.sup_abs) == (want.checkpoints, want.sup_abs)
     verdict = certificate(h, tower_d) is not None
     assert (certificate(ht, tower_t) is not None) == verdict
@@ -445,7 +445,7 @@ def _orbit_starts(r, d):
     step 1, 2, 6 and 21; random prefixes with MIN and MAX tails."""
     out = [LazyPath(FinitePath(()), TAIL_MIN)]
     try:
-        tops = [extreme_path(d, -1)]
+        tops = [extreme(d, -1)[2]]
     except NotProperlyOrderedError:
         tops = [LazyPath(FinitePath((), root=v), TAIL_MAX)
                 for v in range(d.num_vertices(0))]
@@ -625,7 +625,7 @@ def test_birkhoff_reads_long_blocks(odo3, fib):
     for d, level, K, value in cases:
         h = from_vector(d, level, [value() for _ in
                                    enumerate_paths(d, level)])
-        w = path_range(d, materialize(d, extreme_path(d, 1), K))
+        w = path_range(d, materialize(d, extreme(d, 1)[2], K))
         a, b = path_table(d, K).offsets[w:w + 2]
         vals = lift(d, h, K).values[a:b]
         floats = isinstance(vals[0], float)

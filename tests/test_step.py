@@ -1,7 +1,8 @@
 """The adic step in tower order, `compose_phi` against pointwise evaluation
 at lazy successors, and the random properly ordered diagrams, their
-telescopes (`telescope2`) and the exact path comparison
-(`first_disagreement`) that the other test modules use."""
+telescopes (`telescope2`), the exact path comparison
+(`first_disagreement`) and the end vertex of a path (`path_range`) that the
+other test modules use."""
 
 import itertools
 import random
@@ -11,10 +12,17 @@ import pytest
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (LazyPath, OrderedDiagram, PathWalker, TAIL_MAX,
-                           TAIL_MIN, count_paths, enumerate_paths, make_level,
-                           materialize, path_range, successor)
+                           TAIL_MIN, count_paths, enumerate_paths, extreme,
+                           make_level, materialize, successor)
 from adic.errors import NotProperlyOrderedError
-from adic.martingale import compose_phi, from_vector, phi_transient
+from adic.martingale import compose_phi, from_vector
+
+
+def path_range(diagram, p):
+    """The vertex at which the finite path p ends."""
+    if p.edges:
+        return diagram.level(p.level).range(p.edges[-1])
+    return p.root
 
 
 def first_disagreement(diagram, p, q):
@@ -40,30 +48,47 @@ def first_disagreement(diagram, p, q):
             return kp
 
 
+def _random_matrix(r, n, max_edges):
+    """An n x n matrix of entries 0 to 2 that add up to at most max_edges,
+    with no zero row or column: every vertex has an in-edge and an
+    out-edge."""
+    while True:
+        mat = [[r.randint(0, 2) for _ in range(n)] for _ in range(n)]
+        if sum(map(sum, mat)) <= max_edges and all(map(any, mat)) and \
+                all(map(any, zip(*mat))):
+            return mat
+
+
+def _ordered(r, mat):
+    """The stationary diagram of mat, entry (v, w) counting the edges
+    w -> v, with shuffled in-orders: primitive or not, properly ordered or
+    not."""
+    n = len(mat)
+    edges = [(w, v) for v in range(n) for w in range(n)
+             for _ in range(mat[v][w])]
+    in_order = []
+    for v in range(n):
+        order = [e for e, (_, rng) in enumerate(edges) if rng == v]
+        r.shuffle(order)
+        in_order.append(order)
+    return OrderedDiagram((make_level(n, n, edges, in_order),), True)
+
+
 def _random_diagram(r, n, max_edges):
     """A primitive stationary diagram on n vertices with shuffled in-orders,
     properly ordered (unique all-min and all-max paths)."""
     while True:
-        mat = [[r.randint(0, 2) for _ in range(n)] for _ in range(n)]
-        if sum(map(sum, mat)) > max_edges:
-            continue
+        mat = _random_matrix(r, n, max_edges)
         power = mat
         for _ in range(n * n):
             power = [[sum(power[i][k] * mat[k][j] for k in range(n))
                       for j in range(n)] for i in range(n)]
         if not all(x > 0 for row in power for x in row):
             continue
-        edges = [(w, v) for v in range(n) for w in range(n)
-                 for _ in range(mat[v][w])]
-        in_order = []
-        for v in range(n):
-            order = [e for e, (_, rng) in enumerate(edges) if rng == v]
-            r.shuffle(order)
-            in_order.append(order)
-        d = OrderedDiagram((make_level(n, n, edges, in_order),), True)
+        d = _ordered(r, mat)
         try:
-            phi_transient(d, 1)
-            phi_transient(d, -1)
+            extreme(d, 1)
+            extreme(d, -1)
         except NotProperlyOrderedError:
             continue
         return d
@@ -148,7 +173,7 @@ def transient_two():
     r = random.Random(5)
     while True:
         d = _random_diagram(r, 3, 7)
-        if phi_transient(d, 1)[0] == phi_transient(d, -1)[0] == 2:
+        if extreme(d, 1)[0] == extreme(d, -1)[0] == 2:
             return d
 
 
@@ -192,7 +217,7 @@ def test_compose_phi_matches_lazy_successors(diagrams, transient_two):
         for k in [s * p for p in powers for s in (1, -1)]:
             direction = 1 if k > 0 else -1
             try:
-                T, v = phi_transient(d, direction)
+                T, v, _ = extreme(d, direction)
             except NotProperlyOrderedError:
                 with pytest.raises(NotProperlyOrderedError):
                     compose_phi(d, h, k)
