@@ -1,0 +1,222 @@
+"""Rewrite the CLI golden corpus in tests/cli_golden/.
+
+    python tests/regen_cli_golden.py
+
+The corpus is the byte-for-byte regression oracle of the `adic` command:
+`inputs/` holds the files the runs read, and each `<group>.json` a list of
+records, one per run, with its argv, exit code, stdout and stderr (the
+streams as lists of lines, so a diff shows the lines that moved).  Every
+run is made in process through `adic.cli.main` from `inputs/`, so paths
+are relative and no output names a temporary directory.
+`test_cli_golden.py` replays the records.  Rewrite them only for a
+declared output change, and list the records it changes.
+"""
+
+import json
+import pathlib
+import shutil
+import sys
+from fractions import Fraction
+
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
+
+from adic.catalog import builtin_diagram  # noqa: E402
+from adic.diagrams import (OrderedDiagram, enumerate_paths,  # noqa: E402
+                           make_level)
+from adic.errors import PreconditionError  # noqa: E402
+from adic.martingale import compose_phi, from_vector, lift  # noqa: E402
+from test_cli_golden import CORPUS, INPUTS, replay  # noqa: E402
+
+
+def _one_level(n, edges, in_order):
+    return OrderedDiagram((make_level(n, n, edges, in_order),), True)
+
+
+def diagrams():
+    """label -> (the --diagram argument, the diagram or None)."""
+    fib = builtin_diagram("fib")
+    pisot31 = builtin_diagram("pisot31")
+    prefix = [(s, 0) for s in range(2)] + [(0, 1)]
+    files = {
+        # [[2, 1], [1, 1]]: lambda = phi^2, properly ordered
+        "golden2": _one_level(2, [(0, 0), (0, 0), (1, 0), (0, 1), (1, 1)],
+                              [[2, 0, 1], [4, 3]]),
+        # primitive, with two minimal and two maximal paths
+        "twomin": _one_level(2, [(0, 0), (1, 0), (0, 1), (1, 1)],
+                             [[0, 1], [3, 2]]),
+        # [[0, 2], [2, 0]]: positive eigenvectors, not primitive
+        "period2": _one_level(2, [(1, 0), (1, 0), (0, 1), (0, 1)],
+                              [[0, 1], [2, 3]]),
+        # Perron root 1: the path space is one point
+        "loop": _one_level(1, [(0, 0)], [[0]]),
+        # [[1, 1, 0], [0, 0, 1], [3, 1, 1]]: a cubic Perron root
+        "cubic": _one_level(3, [(0, 0), (1, 0), (2, 1), (0, 2), (0, 2),
+                                (0, 2), (1, 2), (2, 2)],
+                            [[0, 1], [2], [3, 4, 5, 6, 7]]),
+        # pisot31 behind a level that does not repeat; its roof has a zero
+        "prefixed": OrderedDiagram((make_level(2, 2, prefix, [[0, 1], [2]]),)
+                                   + pisot31.levels, True),
+        # three fib levels that do not repeat
+        "nonstat": OrderedDiagram(fib.levels * 3),
+    }
+    out = {name: (name, builtin_diagram(name))
+           for name in ("odo2", "odo3", "fib", "pisot31")}
+    out.update({name: (name + ".json", d) for name, d in files.items()})
+    out["missing"] = ("missing.json", None)
+    return out
+
+
+def _function(d, level, values):
+    return {"level": level, "values": {str(i): str(Fraction(v))
+                                       for i, v in enumerate(values)
+                                       if v != 0}}
+
+
+def inputs(label, ref, d):
+    """The files a diagram's runs read: the diagram, a level-1 function h,
+    a coboundary (h = g o phi - g where phi is defined, else 0), a start
+    path, and two elements near the unit."""
+    files = {}
+    if label not in ("odo2", "odo3", "fib", "pisot31"):
+        files[label + ".json"] = d.to_json_dict()
+    n1 = len(enumerate_paths(d, 1))
+    files[label + "-h.json"] = _function(d, 1, [i % 3 - 1
+                                                for i in range(n1)])
+    g = from_vector(d, 1, [Fraction(i % 2) for i in range(n1)])
+    try:
+        gphi = compose_phi(d, g, 1)
+        cob = [a - b for a, b in zip(gphi.values,
+                                     lift(d, g, gphi.level).values)]
+        files[label + "-cob.json"] = _function(d, gphi.level, cob)
+    except PreconditionError:
+        files[label + "-cob.json"] = _function(d, 0, [])
+    p = enumerate_paths(d, 2)[-1]
+    files[label + "-start.json"] = {"prefix": list(p.edges), "tail": "MIN"}
+    unit = {"level": 0, "values": {str(v): "1"
+                                   for v in range(d.num_vertices(0))}}
+    files[label + "-e0.json"] = {"diagram": ref,
+                                 "alpha": 3, "coeffs": {"0": unit}}
+    files[label + "-e.json"] = {
+        "alpha": 3, "coeffs": {"0": unit, "1": {
+            "level": 1, "values": {"0": "1/100000"}}}}
+    if label in ("period2", "nonstat"):
+        files[label + "-e0.json"]["lam"] = 2
+    return files
+
+
+# The runs on every diagram: "D" is the diagram, "H" its function, "C" its
+# coboundary, "S" its start path file, "E" an element with a shift-1
+# coefficient and "E0" one on shift 0 that names its diagram.
+RUNS = (
+    ["validate", "--diagram", "D"],
+    ["paths", "--diagram", "D", "--level", "2"],
+    ["paths", "--diagram", "D", "--level", "2", "--emit", "csv"],
+    ["paths", "--diagram", "D", "--level", "-1"],
+    ["orbit", "--diagram", "D", "-N", "5"],
+    ["orbit", "--diagram", "D", "-N", "4", "--emit", "csv"],
+    ["orbit", "--diagram", "D", "--start", "S", "-N", "4"],
+    ["orbit", "--diagram", "D", "--start", '{"prefix": [], "tail": "MAX"}',
+     "-N", "2", "--emit", "csv"],
+    ["orbit", "--diagram", "D", "-N", "-1"],
+    ["measure", "--diagram", "D"],
+    ["measure", "--diagram", "D", "--level", "1"],
+    ["measure", "--diagram", "D", "--level", "-1"],
+    ["lyapunov", "--diagram", "D"],
+    ["complex", "--diagram", "D", "--level", "1"],
+    ["complex", "--diagram", "D", "--level", "2", "--emit", "dot"],
+    ["complex", "--diagram", "D", "--level", "-1"],
+    ["decompose", "--diagram", "D", "--function", "H"],
+    ["decompose", "--diagram", "D", "--function", "H", "--emit", "json"],
+    ["decompose", "--diagram", "D", "--function", "nofile.json"],
+    ["cohomology", "--diagram", "D", "--max-level", "3"],
+    ["coho", "--diagram", "D", "--max-level", "2"],
+    ["cohomology", "--diagram", "D", "--max-level", "-1"],
+    ["distributions", "--diagram", "D", "--function", "H"],
+    ["distributions", "--diagram", "D", "--function", "C"],
+    ["solve", "--diagram", "D", "--function", "C"],
+    ["solve", "--diagram", "D", "--function", "C", "--alpha", "3"],
+    ["solve", "--diagram", "D", "--function", "H", "--alpha", "3.5",
+     "--eps", "0.5"],
+    ["solve", "--diagram", "D", "--function", "C", "--alpha", "1e300"],
+    ["solve", "--diagram", "D", "--function", "C", "--eps", "0"],
+    ["birkhoff", "--diagram", "D", "--function", "H", "-N", "100"],
+    ["birkhoff", "--diagram", "D", "--function", "C", "-N", "9",
+     "--emit", "csv"],
+    ["birkhoff", "--diagram", "D", "--function", "H", "--start", "S",
+     "-N", "7"],
+    ["birkhoff", "--diagram", "D", "--function", "H", "-N", "0"],
+    ["algebra", "check", "--diagram", "D", "--trials", "0"],
+    ["algebra", "check", "--diagram", "D", "--trials", "1", "--seed", "3"],
+    ["algebra", "check", "--diagram", "D", "--trials", "1",
+     "--alpha", "2.5"],
+    ["algebra", "check", "--diagram", "D", "--trials", "-1"],
+    ["algebra", "invert", "--diagram", "D", "--element", "E",
+     "--tol", "0.01"],
+    ["algebra", "invert", "--element", "E0"],
+    ["algebra", "invert", "--element", "E0", "--alpha", "2", "--tol", "0"],
+)
+
+# Runs on no diagram in particular: help, parser errors, a numeric failure,
+# a listing over the edge budget, and a diagram file that is structurally
+# broken or not JSON.
+PARSER_RUNS = (
+    [], ["--help"], ["nope"], ["algebra"], ["algebra", "--help"],
+    ["paths", "--diagram", "odo2"],
+    ["paths", "--diagram", "odo2", "--level", "x"],
+    ["complex", "--diagram", "odo2", "--level", "1", "--emit", "csv"],
+    ["orbit", "--diagram", "odo2", "-N"],
+    ["validate", "--help"], ["paths", "--help"], ["orbit", "--help"],
+    ["measure", "--help"], ["lyapunov", "--help"], ["complex", "--help"],
+    ["decompose", "--help"], ["cohomology", "--help"], ["coho", "--help"],
+    ["distributions", "--help"], ["solve", "--help"], ["birkhoff", "--help"],
+    ["algebra", "check", "--help"], ["algebra", "invert", "--help"],
+    ["solve", "--diagram", "odo2", "--function", "h1.json",
+     "--alpha", "1e300"],
+    ["paths", "--diagram", "loop.json", "--level", "100000000"],
+    ["validate", "--diagram", "broken.json"],
+    ["measure", "--diagram", "broken.json"],
+    ["validate", "--diagram", "cut.json"],
+    ["orbit", "--diagram", "cut.json"],
+)
+
+
+def main():
+    if INPUTS.exists():
+        shutil.rmtree(INPUTS)
+    INPUTS.mkdir(parents=True)
+    for old in CORPUS.glob("*.json"):
+        old.unlink()
+    (INPUTS / "h1.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": "-1", "1": "1"}}) + "\n")
+    # odo2 with an in-order that is not a permutation, and a cut file
+    (INPUTS / "broken.json").write_text(json.dumps(
+        {"stationary": True, "levels": [{
+            "num_sources": 1, "num_ranges": 1, "edges": [[0, 0], [0, 0]],
+            "in_order": [[0]]}]}) + "\n")
+    (INPUTS / "cut.json").write_text('{"stationary": true, "lev')
+    groups = {}
+    for label, (ref, d) in diagrams().items():
+        if d is not None:
+            for name, obj in inputs(label, ref, d).items():
+                (INPUTS / name).write_text(json.dumps(obj) + "\n")
+        words = {"D": ref, "H": label + "-h.json", "C": label + "-cob.json",
+                 "S": label + "-start.json", "E": label + "-e.json",
+                 "E0": label + "-e0.json"}
+        groups[label] = [[words.get(w, w) for w in argv] for argv in RUNS]
+    groups["parser"] = [list(argv) for argv in PARSER_RUNS]
+    for group, runs in groups.items():
+        records = []
+        for argv in runs:
+            code, out, err = replay(argv)
+            records.append({"argv": argv, "exit": code,
+                            "stdout": out.split("\n"),
+                            "stderr": err.split("\n")})
+        (CORPUS / (group + ".json")).write_text(
+            json.dumps(records, indent=1, ensure_ascii=False) + "\n")
+    print("%d records in %d groups" % (sum(map(len, groups.values())),
+                                       len(groups)))
+
+
+if __name__ == "__main__":
+    main()
