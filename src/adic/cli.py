@@ -2,7 +2,10 @@
 
 Subcommands cover every module: validate, paths, orbit (Vershik
 iteration), measure, lyapunov, complex, decompose, cohomology,
-distributions, solve, birkhoff, and algebra (check | invert).
+distributions, solve, birkhoff, and algebra (check | invert).  Each is
+one row of `COMMANDS`: its flags, the admissibility facts of `FACTS` it
+needs, and a function returning its output.  `main` parses, reads the
+inputs, refuses on the first needed fact that fails, and renders.
 
 Outputs are deterministic: JSON objects are emitted with sorted keys,
 floats at 17 significant digits, exact rationals as "p/q" strings, and
@@ -20,6 +23,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import algebra as alg
@@ -28,7 +32,8 @@ from .cohomology import distributions, limit_rank
 from .diagrams import (check_path, diagram_from_json_dict, enumerate_paths,
                        extreme, lazy_from_json_dict, lazy_to_json_dict,
                        materialize, path_table, successor, validate)
-from .errors import AdicError, ParseError, PreconditionError
+from .errors import (AdicError, NotStationaryError, ParseError,
+                     PreconditionError)
 from .martingale import decompose, from_vector
 from .measures import renorm_data, xi_vector
 from .solenoid import (build_complex, class_graph, diameter,
@@ -77,21 +82,20 @@ def _render(obj, out, indent):
         out.write("%.17g" % float(obj))
 
 
-def dumps_canonical(obj):
-    buf = io.StringIO()
-    _render(obj, buf, 0)
-    return buf.getvalue()
-
-
-def _emit_json(obj):
-    sys.stdout.write(dumps_canonical(obj) + "\n")
-
-
-def _emit_csv(header, rows):
-    w = csv.writer(sys.stdout, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_csv_cell(x) for x in row])
+def _write(out):
+    """A command's output: a str (DOT) as it is, a (header, rows) pair as
+    CSV, anything else as canonical JSON, rendered whole before writing."""
+    if isinstance(out, str):
+        sys.stdout.write(out)
+    elif isinstance(out, tuple):
+        w = csv.writer(sys.stdout, lineterminator="\n")
+        w.writerow(out[0])
+        for row in out[1]:
+            w.writerow([_csv_cell(x) for x in row])
+    else:
+        buf = io.StringIO()
+        _render(out, buf, 0)
+        sys.stdout.write(buf.getvalue() + "\n")
 
 
 def _csv_cell(x):
@@ -100,12 +104,6 @@ def _csv_cell(x):
     if isinstance(x, Fraction):
         return str(x)
     return x
-
-
-def _scalar_out(x):
-    if isinstance(x, (bool, int, float, Fraction)) or x is None:
-        return x
-    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +172,8 @@ def function_from_dict(diagram, data):
     return from_vector(diagram, level, vec)
 
 
-def function_out(diagram, h):
-    values = {str(i): _scalar_out(v) for i, v in enumerate(h.values)
-              if not (v == 0)}
+def function_out(h):
+    values = {str(i): v for i, v in enumerate(h.values) if not (v == 0)}
     return {"level": h.level, "values": values}
 
 
@@ -257,91 +254,85 @@ def _load_start(diagram, ref):
     return p
 
 
-def _lenient_diagram(ref):
-    if ref in BUILTIN_NAMES:
-        return builtin_diagram(ref)
-    with open(ref) as fh:
+def _lenient_diagram(args):
+    """The --diagram flag's diagram, its structure not yet validated."""
+    if args.diagram in BUILTIN_NAMES:
+        return builtin_diagram(args.diagram)
+    with open(args.diagram) as fh:
         data = json.load(fh)
     return diagram_from_json_dict(data)
 
 
-# ---------------------------------------------------------------------------
-# subcommands
+def _read_element(args):
+    """The diagram of the --element file's element, kept as args.element:
+    the --diagram flag's, or else the one the file names."""
+    d = resolve_diagram(args.diagram) if args.diagram else None
+    _positive("tol", args.tol)
+    args.element = load_element(args.element, diagram=d, alpha=args.alpha)
+    return args.element.diagram
 
-def cmd_validate(args):
-    d = _lenient_diagram(args.diagram)
+
+# ---------------------------------------------------------------------------
+# subcommands: each takes the parsed flags and the diagram, and returns
+# its output
+
+def cmd_validate(args, d):
     problems = validate(d)
-    # each fact a command may need, read as its decider reads it: None on
-    # broken structure and, past "stationary", on a diagram not repeating
-    facts = {"stationary": None if problems else d.stationary}
-    for name, decide in (("perron", lambda: renorm_data(d)),
-                         ("unique_min_path", lambda: extreme(d, 1)),
-                         ("unique_max_path", lambda: extreme(d, -1))):
-        facts[name] = facts["stationary"] or None
-        if facts[name]:
+    # each fact as its decider reads it: None on broken structure and, past
+    # "stationary", on a diagram not repeating
+    facts, known = {}, not problems
+    for name, decide in FACTS:
+        facts[name] = known or None
+        if known:
             try:
-                decide()
+                decide(d)
             except PreconditionError:
                 facts[name] = False
-    _emit_json({"ok": not problems, "diagnostics": list(problems),
-                "admissible": facts})
-    return 0
+        known = facts["stationary"]
+    return {"ok": not problems, "diagnostics": list(problems),
+            "admissible": facts}
 
 
-def cmd_paths(args):
-    d = resolve_diagram(args.diagram)
+def cmd_paths(args, d):
     ps = enumerate_paths(d, _at_least("level", args.level, 0))
     if args.emit == "csv":
-        _emit_csv(["index", "edges"],
-                  [(i, " ".join(map(str, p.edges))) for i, p in enumerate(ps)])
-    else:
-        _emit_json({"level": args.level, "count": len(ps),
-                    "paths": [list(p.edges) for p in ps]})
-    return 0
+        return ["index", "edges"], [(i, " ".join(map(str, p.edges)))
+                                    for i, p in enumerate(ps)]
+    return {"level": args.level, "count": len(ps),
+            "paths": [list(p.edges) for p in ps]}
 
 
-def cmd_orbit(args):
-    d = resolve_diagram(args.diagram)
+def cmd_orbit(args, d):
     p = _load_start(d, args.start)
     steps = [p]
-    for _ in range(_at_least("N", args.n, 0)):
+    for _ in range(_at_least("N", args.N, 0)):
         p = successor(d, p, 1)
         steps.append(p)
     if args.emit == "csv":
         depth = max(len(q.prefix.edges) for q in steps)
-        rows = [(i, " ".join(map(str, materialize(d, q, depth).edges)))
-                for i, q in enumerate(steps)]
-        _emit_csv(["n", "edges"], rows)
-    else:
-        _emit_json({"steps": [lazy_to_json_dict(q) for q in steps]})
-    return 0
+        return ["n", "edges"], [
+            (i, " ".join(map(str, materialize(d, q, depth).edges)))
+            for i, q in enumerate(steps)]
+    return {"steps": [lazy_to_json_dict(q) for q in steps]}
 
 
-def _renorm_out(d, rd, xi_levels):
+def _renorm_out(d, xi_levels):
     # every roof printed is exact, or reading it has already refused, so
     # the certificates are constants, kept for the readers of this object
+    _at_least("level", xi_levels, 0)
+    rd = renorm_data(d)
     return {
         "lambda_mu": float(rd.lambda_mu),
         "exponent": rd.exponent,
         "exact": True,
-        "roof": [_scalar_out(x) for x in rd.roof],
-        "xi": {str(k): [_scalar_out(x) for x in xi_vector(d, k)]
-               for k in range(xi_levels + 1)},
+        "roof": rd.roof,
+        "xi": {str(k): xi_vector(d, k) for k in range(xi_levels + 1)},
         "certificates": {"roof_residual": 0, "stationary_exact": True},
     }
 
 
-def cmd_measure(args):
-    d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
-    _emit_json(_renorm_out(d, rd, _at_least("level", args.level, 0)))
-    return 0
-
-
-def cmd_complex(args):
-    d = resolve_diagram(args.diagram)
-    rd = renorm_data(d)
-    cx = build_complex(d, rd, _at_least("level", args.level, 0))
+def cmd_complex(args, d):
+    cx = build_complex(d, renorm_data(d), _at_least("level", args.level, 0))
     if args.emit == "dot":
         lines = ["digraph approx {", "  graph [rankdir=LR];"]
         for c in range(len(cx.classes)):
@@ -351,159 +342,220 @@ def cmd_complex(args):
                          % (cx.start_class[e], cx.end_class[e], e,
                             float(cx.lengths[e])))
         lines.append("}")
-        sys.stdout.write("\n".join(lines) + "\n")
-    else:
-        _emit_json({
-            "level": cx.level,
-            "num_edges": cx.num_edges,
-            "lengths": [float(x) for x in cx.lengths],
-            "start_class": list(cx.start_class),
-            "end_class": list(cx.end_class),
-            "classes": [[[s, e] for s, e in members]
-                        for members in cx.classes],
-            "glued_pairs": [list(p) for p in cx.glued_pairs],
-            "euler_characteristic": euler_characteristic(cx),
-            "total_length": float(cx.total_length()),
-            "diameter": float(diameter(cx)),
-        })
-    return 0
+        return "\n".join(lines) + "\n"
+    return {
+        "level": cx.level,
+        "num_edges": cx.num_edges,
+        "lengths": [float(x) for x in cx.lengths],
+        "start_class": list(cx.start_class),
+        "end_class": list(cx.end_class),
+        "classes": [[[s, e] for s, e in members] for members in cx.classes],
+        "glued_pairs": [list(p) for p in cx.glued_pairs],
+        "euler_characteristic": euler_characteristic(cx),
+        "total_length": float(cx.total_length()),
+        "diameter": float(diameter(cx)),
+    }
 
 
-def cmd_decompose(args):
-    d = resolve_diagram(args.diagram)
-    h = load_function(d, args.function)
+def cmd_decompose(args, d):
     rd = renorm_data(d)
-    comps = decompose(d, h, rd)
     lam = rd.lam_float
     rows = [(c.level, c.peak, c.cr_norm(0, lam), c.cr_norm(1, lam))
-            for c in comps]
-    if args.emit == "json":
-        _emit_json({"components": [
-            {"level": lv, "peak": pk, "c0_norm": c0, "c1_norm": c1}
-            for lv, pk, c0, c1 in rows]})
-    else:
-        _emit_csv(["level", "peak", "c0_norm", "c1_norm"], rows)
-    return 0
+            for c in decompose(d, args.h, rd)]
+    if args.emit == "csv":
+        return ["level", "peak", "c0_norm", "c1_norm"], rows
+    return {"components": [{"level": lv, "peak": pk, "c0_norm": c0,
+                            "c1_norm": c1} for lv, pk, c0, c1 in rows]}
 
 
-def cmd_cohomology(args):
-    # renorm_data refuses a diagram without Perron data; the dimensions
-    # read the gluing alone, so no level's tower heights are read
-    d = resolve_diagram(args.diagram)
+def cmd_cohomology(args, d):
     tower = limit_rank(d, renorm_data(d))
     _at_least("max level", args.max_level, 0)
-    _emit_json({
+    return {
         "d": tower.d,
         "k_prime": tower.k_prime,
         "per_level_dims": [first_betti_number(class_graph(d, k))
                            for k in range(args.max_level + 1)],
         "ranks": list(tower.ranks),
         "stabilized": tower.ranks[-1] == tower.ranks[-2],
-    })
-    return 0
+    }
 
 
-def cmd_distributions(args):
-    d = resolve_diagram(args.diagram)
-    h = load_function(d, args.function)
-    tower = limit_rank(d, renorm_data(d))
-    dvs = distributions(h, tower)
-    _emit_json({
+def cmd_distributions(args, d):
+    dvs = distributions(args.h, limit_rank(d, renorm_data(d)))
+    return {
         "D": [dv.value for dv in dvs],
         "exact_zero": [dv.exact_zero for dv in dvs],
         "coboundary": all(dv.exact_zero for dv in dvs),
-    })
-    return 0
+    }
 
 
-def cmd_solve(args):
-    _positive("eps", args.eps)
-    # read as a rational of denominator at most 10**6, which must stay > 0
-    eps = _positive("eps", Fraction(args.eps).limit_denominator(10 ** 6))
+def _solve_flags(args):
+    # eps is read as a rational of denominator at most 10**6, which must
+    # stay > 0
+    eps = _positive("eps", Fraction(_positive("eps", args.eps))
+                    .limit_denominator(10 ** 6))
     if args.alpha is not None and \
             not _positive("alpha", args.alpha) - 2 - float(eps) > 0:
         raise ParseError("alpha must be > 2 + eps, got alpha %s and eps %s"
                          % (args.alpha, args.eps))
-    d = resolve_diagram(args.diagram)
-    h = load_function(d, args.function)
+    args.eps = eps
+
+
+def cmd_solve(args, d):
     rd = renorm_data(d)
-    tower = limit_rank(d, rd)
-    sol = solve(h, tower, alpha=args.alpha, epsilon=eps)
-    out = {
-        "level": sol.level,
-        "gauge": _scalar_out(sol.gauge),
-        "residual": _scalar_out(sol.residual),
-        "g": function_out(d, sol.g),
-        "norms": sol.norms,
-    }
+    sol = solve(args.h, limit_rank(d, rd), alpha=args.alpha,
+                epsilon=args.eps)
+    out = {"level": sol.level, "gauge": sol.gauge, "residual": sol.residual,
+           "g": function_out(sol.g), "norms": sol.norms}
     if args.alpha is not None:
-        out["chained_constant"] = chained_constant(d, rd, args.alpha, eps)
-    _emit_json(out)
-    return 0
+        out["chained_constant"] = chained_constant(d, rd, args.alpha,
+                                                   args.eps)
+    return out
 
 
-def cmd_birkhoff(args):
-    d = resolve_diagram(args.diagram)
-    h = load_function(d, args.function)
-    start = _load_start(d, args.start)
-    rep = birkhoff(d, h, start, _at_least("N", args.n, 1))
+def cmd_birkhoff(args, d):
+    rep = birkhoff(d, args.h, _load_start(d, args.start),
+                   _at_least("N", args.N, 1))
     if args.emit == "csv":
-        _emit_csv(["n", "S_n"], rep.checkpoints)
-    else:
-        _emit_json({
-            "n_total": rep.n_total,
-            "sup_abs": _scalar_out(rep.sup_abs),
-            "mean_rate": rep.mean_rate,
-            "exponent": rep.exponent,
-            "r_squared": rep.r_squared,
-            "claimed": rep.claimed,
-            "checkpoints": [[n, _scalar_out(s)] for n, s in rep.checkpoints],
-        })
-    return 0
+        return ["n", "S_n"], rep.checkpoints
+    return {
+        "n_total": rep.n_total,
+        "sup_abs": rep.sup_abs,
+        "mean_rate": rep.mean_rate,
+        "exponent": rep.exponent,
+        "r_squared": rep.r_squared,
+        "claimed": rep.claimed,
+        "checkpoints": rep.checkpoints,
+    }
 
 
-def cmd_algebra_check(args):
-    alpha = 3 if args.alpha is None else _positive("alpha", args.alpha)
+def _check_flags(args):
+    args.alpha = 3 if args.alpha is None else _positive("alpha", args.alpha)
     _at_least("trials", args.trials, 0)
-    d = resolve_diagram(args.diagram)
+
+
+def cmd_algebra_check(args, d):
     rd = renorm_data(d)
-    extreme(d, 1), extreme(d, -1)  # phi and its inverse, whatever the trials
     lam = rd.lambda_mu
     tri = alg.default_triangle(d, lam)
     rng = random.Random(args.seed)
     tower = limit_rank(d, rd)
     failures, counts = [], {}
     for _ in range(args.trials):
-        for name, ok in alg.check_trial(rng, d, lam, alpha, tri, tower):
+        for name, ok in alg.check_trial(rng, d, lam, args.alpha, tri, tower):
             counts[name] = counts.get(name, 0) + 1
             if not ok:
                 failures.append(name)
-    out = {"trials": args.trials, "seed": args.seed,
-           "triangle": tri,
-           "checks": counts, "failures": failures, "ok": not failures}
-    _emit_json(out)
-    return 0 if not failures else 4
+    return {"trials": args.trials, "seed": args.seed, "triangle": tri,
+            "checks": counts, "failures": failures, "ok": not failures}
 
 
-def cmd_algebra_invert(args):
-    diagram = resolve_diagram(args.diagram) if args.diagram else None
-    tol = _positive("tol", args.tol)
-    a = load_element(args.element, diagram=diagram, alpha=args.alpha)
-    res = alg.neumann_invert(a, tol=tol)
+def cmd_algebra_invert(args, d):
+    res = alg.neumann_invert(args.element, tol=args.tol)
     inv = res.element
-    _emit_json({
+    return {
         "terms": res.terms,
         "residual": res.residual,
         "support": list(inv.support()),
         "mu": {str(q): alg.norms(inv, 0, q)["mu_q"] for q in (1, 2, 4)},
-        "coeffs": {str(k): function_out(inv.diagram, f)
-                   for k, f in inv.coeffs.items()},
-    })
-    return 0
+        "coeffs": {str(k): function_out(f) for k, f in inv.coeffs.items()},
+    }
 
 
 # ---------------------------------------------------------------------------
-# parser
+# the command table
+
+def _stationary(d):
+    if not d.stationary:
+        raise NotStationaryError()
+
+
+# The facts of `validate`'s "admissible" record, in the README table's
+# column order, each with the decider that refuses a diagram without it.
+FACTS = (("stationary", _stationary),
+         ("perron", renorm_data),
+         ("unique_min_path", lambda d: extreme(d, 1)),
+         ("unique_max_path", lambda d: extreme(d, -1)))
+ALL_FACTS = tuple(name for name, _ in FACTS)
+PERRON = ("stationary", "perron")
+MIN_PATH = ("stationary", "unique_min_path")
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand ("algebra check" in the algebra group): its flags as
+    argparse (flag, keywords) pairs, the checks of its flags made before
+    any file is read, the facts it needs of the diagram `read` returns,
+    `run` from the flags and that diagram to its output, and `failed`,
+    true of an output that exits 4."""
+    name: str
+    help: str
+    flags: tuple
+    run: object
+    needs: tuple = ()
+    read: object = lambda args: resolve_diagram(args.diagram)
+    check: object = None
+    failed: object = None
+    aliases: tuple = ()
+
+
+DIAGRAM = ("--diagram", dict(required=True))
+FUNCTION = ("--function", dict(required=True))
+LEVEL = ("--level", dict(type=int, required=True))
+ALPHA = ("--alpha", dict(type=float, default=None))
+
+
+def _emit(*choices):
+    """--emit, its first choice the default."""
+    return "--emit", dict(choices=choices, default=choices[0])
+
+
+COMMANDS = (
+    Command("validate", "diagnostics for a diagram file", (DIAGRAM,),
+            cmd_validate, read=_lenient_diagram),
+    Command("paths", "enumerate E_{0,k} in order",
+            (DIAGRAM, LEVEL, _emit("json", "csv")), cmd_paths),
+    Command("orbit", "iterate the Vershik map",
+            (DIAGRAM, ("--start", dict(help="path JSON (inline or file); "
+                                            "default all-min")),
+             ("-N", dict(type=int, default=10)), _emit("json", "csv")),
+            cmd_orbit, MIN_PATH),
+    Command("measure", "invariant measure data",
+            (DIAGRAM, ("--level", dict(type=int, default=5,
+                                       help="deepest xi vector to include"))),
+            lambda args, d: _renorm_out(d, args.level), PERRON),
+    Command("lyapunov", "Perron multiplier and exponent", (DIAGRAM,),
+            lambda args, d: _renorm_out(d, 3), PERRON),
+    Command("complex", "level-k solenoid approximant",
+            (DIAGRAM, LEVEL, _emit("json", "dot")), cmd_complex, PERRON),
+    Command("decompose", "martingale level components",
+            (DIAGRAM, FUNCTION, _emit("csv", "json")), cmd_decompose,
+            PERRON),
+    Command("cohomology", "limit rank of the class tower",
+            (DIAGRAM, ("--max-level", dict(type=int, default=8))),
+            cmd_cohomology, PERRON, aliases=("coho",)),
+    Command("distributions", "invariant distribution values of a function",
+            (DIAGRAM, FUNCTION), cmd_distributions, PERRON),
+    Command("solve", "constructive coboundary solver",
+            (DIAGRAM, FUNCTION, ALPHA,
+             ("--eps", dict(type=float, default=0.25))),
+            cmd_solve, PERRON + ("unique_min_path",), check=_solve_flags),
+    Command("birkhoff", "orbit sums along the Vershik map",
+            (DIAGRAM, FUNCTION, ("--start", {}),
+             ("-N", dict(type=int, required=True)), _emit("json", "csv")),
+            cmd_birkhoff, MIN_PATH),
+    Command("algebra check", "randomized property suite",
+            (DIAGRAM, ("--seed", dict(type=int, default=0)),
+             ("--trials", dict(type=int, default=25)), ALPHA),
+            cmd_algebra_check, ALL_FACTS, check=_check_flags,
+            failed=lambda out: out["failures"]),
+    Command("algebra invert", "Neumann series inverse",
+            (("--element", dict(required=True)), ("--diagram", {}), ALPHA,
+             ("--tol", dict(type=float, default=1e-10))),
+            cmd_algebra_invert, ALL_FACTS, read=_read_element),
+)
+
 
 def _build_parser():
     ap = argparse.ArgumentParser(
@@ -511,95 +563,39 @@ def _build_parser():
         description="Bratteli-Vershik dynamics, solenoid approximants, "
                     "invariant distributions, coboundary solving, and the "
                     "crossed-product trace algebra.")
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
-        p.set_defaults(fn=fn)
-        return p
-
-    p = add("validate", cmd_validate, help="diagnostics for a diagram file")
-    p.add_argument("--diagram", required=True)
-
-    p = add("paths", cmd_paths, help="enumerate E_{0,k} in order")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
-
-    p = add("orbit", cmd_orbit, help="iterate the Vershik map")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--start", default=None,
-                   help="path JSON (inline or file); default all-min")
-    p.add_argument("-N", dest="n", type=int, default=10)
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
-
-    p = add("measure", cmd_measure, help="invariant measure data")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--level", type=int, default=5,
-                   help="deepest xi vector to include")
-
-    p = add("lyapunov", cmd_measure, help="Perron multiplier and exponent")
-    p.add_argument("--diagram", required=True)
-    p.set_defaults(level=3)
-
-    p = add("complex", cmd_complex, help="level-k solenoid approximant")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--emit", choices=("json", "dot"), default="json")
-
-    p = add("decompose", cmd_decompose, help="martingale level components")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--emit", choices=("csv", "json"), default="csv")
-
-    p = add("cohomology", cmd_cohomology, aliases=["coho"],
-            help="limit rank of the class tower")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--max-level", type=int, default=8)
-
-    p = add("distributions", cmd_distributions,
-            help="invariant distribution values of a function")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--function", required=True)
-
-    p = add("solve", cmd_solve, help="constructive coboundary solver")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--eps", type=float, default=0.25)
-
-    p = add("birkhoff", cmd_birkhoff, help="orbit sums along the Vershik map")
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--start", default=None)
-    p.add_argument("-N", dest="n", type=int, required=True)
-    p.add_argument("--emit", choices=("json", "csv"), default="json")
-
-    pa = sub.add_parser("algebra", help="crossed-product operations")
-    asub = pa.add_subparsers(dest="subcommand", required=True)
-
-    p = asub.add_parser("check", help="randomized property suite")
-    p.set_defaults(fn=cmd_algebra_check)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=25)
-    p.add_argument("--alpha", type=float, default=None)
-
-    p = asub.add_parser("invert", help="Neumann series inverse")
-    p.set_defaults(fn=cmd_algebra_invert)
-    p.add_argument("--element", required=True)
-    p.add_argument("--diagram", default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--tol", type=float, default=1e-10)
-
+    subs = {"": ap.add_subparsers(dest="command", required=True)}
+    for row in COMMANDS:
+        group, _, name = row.name.rpartition(" ")
+        if group not in subs:  # "algebra", the one group
+            subs[group] = subs[""].add_parser(
+                group, help="crossed-product operations").add_subparsers(
+                dest="subcommand", required=True)
+        p = subs[group].add_parser(name, aliases=row.aliases, help=row.help)
+        p.set_defaults(row=row)
+        for flag, kw in row.flags:
+            p.add_argument(flag, **kw)
     return ap
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    """Parse and check the flags, read the diagram and the --function file
+    (as args.h), refuse on the first fact the command needs that fails
+    (with a --start, orbit and birkhoff need none), and write the output
+    of the command's run."""
+    args = _build_parser().parse_args(argv)
+    row = args.row
     try:
-        return args.fn(args)
+        if row.check:
+            row.check(args)
+        d = row.read(args)
+        if "function" in args:
+            args.h = load_function(d, args.function)
+        if getattr(args, "start", None) is None:
+            for name, decide in FACTS:
+                if name in row.needs:
+                    decide(d)
+        out = row.run(args, d)
+        _write(out)
     except AdicError as exc:
         sys.stderr.write("error: %s\n" % exc)
         return getattr(type(exc), "exit_code", 1)
@@ -612,6 +608,7 @@ def main(argv=None):
     except OverflowError:
         sys.stderr.write("error: a value overflows a float\n")
         return 4
+    return 4 if row.failed and row.failed(out) else 0
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import subprocess
 import sys
 import time
@@ -23,6 +24,7 @@ from test_step import (_ordered, _prefixed, _random_diagram, _random_matrix,
                        _random_prefix)
 
 import adic
+from adic import cli
 from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.diagrams import (OrderedDiagram, diagram_from_json_dict, extreme,
@@ -619,32 +621,51 @@ def test_algebra_check_refuses_before_any_trial(capsys, tmp_path, diagram):
         (3, "", "error: not properly ordered\n")
 
 
-# Per command, the facts of `validate`'s "admissible" record that it needs,
-# in the order in which it reads their deciders; "F" is a function file.
-NEEDS = {
-    ("measure", "--level", "1"): ("stationary", "perron"),
-    ("distributions", "--function", "F"): ("stationary", "perron"),
-    ("orbit", "-N", "3"): ("stationary", "unique_min_path"),
-    ("birkhoff", "-N", "8", "--function", "F"): ("stationary",
-                                                 "unique_min_path"),
-    ("solve", "--function", "F"): ("stationary", "perron",
-                                   "unique_min_path"),
-    ("algebra", "check", "--trials", "0"): ("stationary", "perron",
-                                            "unique_min_path",
-                                            "unique_max_path"),
-}
-DECIDERS = {"stationary": renorm_data, "perron": renorm_data,
-            "unique_min_path": lambda d: extreme(d, 1),
-            "unique_max_path": lambda d: extreme(d, -1)}
+@pytest.mark.parametrize("diagram, lam, message", [
+    ("fib", None, "not properly ordered"),
+    ("twomin", None, "not properly ordered"),
+    ("period2", 2, "the repeating matrix is not primitive"),
+    ("nonstat", 2, "needs a stationary diagram"),
+])
+def test_algebra_invert_needs_every_fact_of_its_diagram(capsys, tmp_path,
+                                                        diagram, lam,
+                                                        message):
+    # the crossed product is by phi, so invert refuses a diagram without a
+    # unique extreme path or Perron data, as algebra check does, whatever
+    # the shifts of the element and whether its file gives lam; the
+    # diagram is the one the element file names
+    specs = {"twomin": TWOMIN, "period2": {"stationary": True, "levels": [{
+        "num_sources": 2, "num_ranges": 2,
+        "edges": [[1, 0], [1, 0], [0, 1], [0, 1]],
+        "in_order": [[0, 1], [2, 3]]}]},
+        "nonstat": OrderedDiagram(builtin_diagram("fib").levels * 3)
+        .to_json_dict()}
+    if diagram in specs:
+        (tmp_path / "d.json").write_text(json.dumps(specs[diagram]))
+        diagram = str(tmp_path / "d.json")
+    element = {"diagram": diagram, "alpha": 1, "coeffs": {
+        "0": {"level": 0, "values": {"0": "1", "1": "1"}}}}
+    if lam is not None:
+        element["lam"] = lam
+    (tmp_path / "e.json").write_text(json.dumps(element))
+    assert run(capsys, ["algebra", "invert", "--element",
+                        str(tmp_path / "e.json")]) == \
+        (3, "", "error: %s\n" % message)
+
+
+# A value for each flag that a row of `cli.COMMANDS` may take past
+# --diagram; "F" is a function file and "E" an element file.
+FLAG_VALUES = {"--level": "1", "-N": "8", "--max-level": "2",
+               "--trials": "0", "--function": "F", "--element": "E"}
 
 
 def test_refusals_agree_with_validate(capsys, tmp_path, golden2):
-    # a command exits 3 with a decider's message exactly when `validate`
-    # reports a fact it needs as false, and then with the message of the
-    # first such fact: on the builtins, golden2, twomin, the one-edge loop,
-    # a periodic matrix, a diagram that does not repeat, and unfiltered
-    # draws, primitive or not, properly ordered or not, behind 0 to 2
-    # prefix levels
+    # every command exits 3 with a decider's message exactly when
+    # `validate` reports a fact it needs as false, and then with the
+    # message of the first such fact: on the builtins, golden2, twomin, the
+    # one-edge loop, a periodic matrix, a diagram that does not repeat, and
+    # unfiltered draws, primitive or not, properly ordered or not, behind 0
+    # to 2 prefix levels
     fib = builtin_diagram("fib")
     ds = [builtin_diagram(name) for name in ("odo2", "odo3", "pisot31")] + [
         fib, golden2, diagram_from_json_dict(TWOMIN),
@@ -656,33 +677,63 @@ def test_refusals_agree_with_validate(capsys, tmp_path, golden2):
     ds += [_random_prefix(r, _ordered(r, _random_matrix(r, r.randint(1, 3),
                                                         6)), r.randint(0, 2))
            for _ in range(80)]
-    files = {w: str(tmp_path / name) for w, name in (("D", "d.json"),
-                                                     ("F", "h.json"))}
+    files = {w: str(tmp_path / name) for w, name in (
+        ("D", "d.json"), ("F", "h.json"), ("E", "e.json"))}
+    commands = [(row, row.name.split() + ["--diagram", files["D"]] + [
+        w for flag, _ in row.flags if flag in FLAG_VALUES
+        for w in (flag, files.get(FLAG_VALUES[flag], FLAG_VALUES[flag]))])
+        for row in cli.COMMANDS]
+    deciders = dict(cli.FACTS)
     failed, refusals, passed = set(), set(), []
     for d in ds:
         pathlib.Path(files["D"]).write_text(json.dumps(d.to_json_dict()))
         pathlib.Path(files["F"]).write_text(json.dumps({"level": 1, "values": {
             str(i): i % 3 - 1 for i in range(path_table(d, 1).offsets[-1])}}))
+        pathlib.Path(files["E"]).write_text(json.dumps(
+            {"alpha": 3, "coeffs": {"0": {"level": 0, "values": {
+                str(v): 1 for v in range(d.num_vertices(0))}}}}))
         _, out, _ = run(capsys, ["validate", "--diagram", files["D"]])
         facts = json.loads(out)["admissible"]
-        for command, needs in NEEDS.items():
-            words = 2 if command[0] == "algebra" else 1
-            argv = list(command[:words]) + ["--diagram", files["D"]] + [
-                files.get(w, w) for w in command[words:]]
+        for row, argv in commands:
             got = run(capsys, argv)
-            fails = [fact for fact in needs if facts[fact] is False]
+            fails = [fact for fact in deciders
+                     if fact in row.needs and facts[fact] is False]
             if not fails:
                 passed.append((argv, facts, got))
                 continue
             with pytest.raises(PreconditionError) as refusal:
-                DECIDERS[fails[0]](d)
+                deciders[fails[0]](d)
             assert got == (3, "", "error: %s\n" % refusal.value), \
                 (d, argv, facts)
             failed.add(fails[0])
             refusals.add(got[2])
     for argv, facts, (rc, _, err) in passed:
         assert rc != 3 or err not in refusals, (argv, facts, err)
-    assert failed == set(DECIDERS)
+    assert failed == set(deciders)
+
+
+def test_readme_facts_table_matches_the_command_table():
+    # one README row per set of facts, its commands in backticks; every
+    # row of `cli.COMMANDS` is named once, with the check marks of its
+    # needs under the column of each fact
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = readme.read_text().splitlines()
+    top = lines.index("| command | stationary | perron | unique min path "
+                      "| unique max path |")
+    columns = [c.strip().replace(" ", "_")
+               for c in lines[top].split("|")[2:-1]]
+    assert columns == [name for name, _ in cli.FACTS]
+    marked = {}
+    for line in lines[top + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = line.split("|")[1:-1]
+        facts = tuple(f for f, c in zip(columns, cells[1:]) if c.strip())
+        assert {c.strip() for c in cells[1:]} <= {"", "✓"}, line
+        for name in re.findall(r"`([a-z][a-z ]*)`", cells[0]):
+            assert name not in marked, name
+            marked[name] = facts
+    assert marked == {row.name: row.needs for row in cli.COMMANDS}
 
 
 def test_complex_refuses_negative_edge_lengths(capsys, tmp_path):
