@@ -54,6 +54,10 @@ def diagrams():
         "cubic": _one_level(3, [(0, 0), (1, 0), (2, 1), (0, 2), (0, 2),
                                 (0, 2), (1, 2), (2, 2)],
                             [[0, 1], [2], [3, 4, 5, 6, 7]]),
+        # [[0, 0, 1], [1, 1, 0], [1, 1, 1]]: singular, of index 2, so
+        # k' = 2, d = 1 and lambda = 2; properly ordered
+        "index2": _one_level(3, [(2, 0), (0, 1), (1, 1), (0, 2), (1, 2),
+                                 (2, 2)], [[0], [2, 1], [4, 3, 5]]),
         # pisot31 behind a level that does not repeat; its roof has a zero
         "prefixed": OrderedDiagram((make_level(2, 2, prefix, [[0, 1], [2]]),)
                                    + pisot31.levels, True),
