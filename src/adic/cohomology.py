@@ -38,7 +38,8 @@ from operator import mul
 
 from .diagrams import path_table
 from .martingale import field_values
-from .scalars import mat_mul, mat_pow, mat_vec, nullspace, rank, solve_linear
+from .scalars import (eliminate, identity, mat_mul, mat_pow, mat_vec,
+                      solve_linear)
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,8 @@ class ClassTower:
     map: tuple        # A, carrying the block sums of level k-1 to level k
     k_prime: int
     d: int
-    w_basis: tuple    # vectors spanning W at level k_prime
+    w_basis: tuple    # the pivot columns of A^k', a basis of W
+    kernel_rows: tuple  # the reduced rows of A^k', 0 on the eventual kernel
     ranks: tuple
 
     @cached_property
@@ -61,50 +63,62 @@ class ClassTower:
         x -> <P x, b_i>_w on block sums, for the projection P onto W and
         the Gram basis b_i of W (P w, the measure direction, first)
         weighted by the path counts w of level b, the block sums of 1:
-        positive integers, so all is rational.  A^D = (A + I - P)^-1 P
-        inverts A on W and is 0 on the eventual kernel, so A^D A = P: rows
-        times A^D read lifts of h as h."""
+        positive integers, so all is rational.  P and the Drazin inverse
+        A^D, which inverts A on W and is 0 on the eventual kernel, so that
+        A^D A = P and rows times A^D read lifts of h as h, both come from
+        the rank factorization of A^k' (`_on_w`)."""
         diagram, m = self.diagram, self.map
         base = max(self.k_prime, len(diagram.levels) - 1)
-        proj = _projection(self)
+        proj = _on_w(self, identity(len(m)))
         w = [b - a for a, b in path_table(diagram, base).blocks()]
         push = mat_pow(m, base - self.k_prime)
-        basis = _gram_schmidt(_independent(
-            [mat_vec(proj, w)] + [mat_vec(push, v) for v in self.w_basis]),
-            w)
-        shifted = [[m[i][j] + (1 if i == j else 0) - proj[i][j]
-                    for j in range(len(m))] for i in range(len(m))]
+        basis = _gram_schmidt(
+            [mat_vec(proj, w)] + [mat_vec(push, v) for v in self.w_basis], w)
         return Functionals(
-            base=base, step=mat_mul(_inverse(shifted), proj),
+            base=base, step=_on_w(self, m),
             norms=tuple(_dot(w, b, b) for b in basis),
             rows=[_integer_rows(mat_mul(
                 [[wi * bi for wi, bi in zip(w, b)] for b in basis], proj))])
 
 
-def _independent(vectors):
-    """The vectors, in order, that raise the rank of those kept before."""
-    basis = []
-    for c in vectors:
-        if rank(basis + [list(c)]) > len(basis):
-            basis.append(list(c))
-    return basis
+def _on_w(tower, mat):
+    """W (R mat W)^-1 R for the basis columns W of the eventual image and
+    the reduced rows R of A^k', whose kernel is the eventual kernel, so
+    R W is invertible (Campbell and Meyer, Generalized Inverses of Linear
+    Transformations, 1979): 0 on the eventual kernel and, for mat mapping
+    W onto itself, the inverse of mat on W.  mat = I gives P, mat = A the
+    Drazin inverse."""
+    cols = [list(row) for row in zip(*tower.w_basis)]
+    rw = mat_mul(tower.kernel_rows, mat_mul(mat, cols))
+    return mat_mul(cols, [list(row) for row in zip(*(
+        solve_linear(rw, col) for col in zip(*tower.kernel_rows)))])
+
+
+def _reduced(power):
+    """(power, its pivot columns, its rows after `eliminate`)."""
+    rows = [list(row) for row in power]
+    return power, eliminate(rows, len(power)), rows
 
 
 def limit_rank(diagram, renorm):
     """The tower of the repeating matrix A, with the level k' at which the
-    ranks of the powers of A stop falling and the image W there.  The rank
-    falls at every step up to k', so k' <= dim."""
+    ranks of the powers of A stop falling, and W, the image of A^k'.  The
+    rank falls at every step up to k', so k' <= dim.  Each power is
+    eliminated once, and the elimination of A^k' is kept: its pivot columns
+    are a basis of W and its nonzero rows vanish exactly on the eventual
+    kernel."""
     m = tuple(tuple(row) for row in diagram.matrix(len(diagram.levels)))
-    ranks, power = [len(m), rank(m)], m
-    while ranks[-1] < ranks[-2]:
-        power = mat_mul(m, power)
-        ranks.append(rank(power))
-    k_prime = len(ranks) - 2
+    eye = identity(len(m))  # A^0, reduced already
+    steps = [(eye, range(len(m)), eye), _reduced(m)]
+    while len(steps[-1][1]) < len(steps[-2][1]):
+        steps.append(_reduced(mat_mul(m, steps[-1][0])))
+    power, pivots, rows = steps[-2]
     return ClassTower(diagram=diagram, renorm=renorm, map=m,
-                      k_prime=k_prime, d=ranks[-1],
-                      w_basis=tuple(map(tuple, _independent(
-                          zip(*mat_pow(m, k_prime))))),
-                      ranks=tuple(ranks))
+                      k_prime=len(steps) - 2, d=len(pivots),
+                      w_basis=tuple(tuple(row[c] for row in power)
+                                    for c in pivots),
+                      kernel_rows=tuple(map(tuple, rows[:len(pivots)])),
+                      ranks=tuple(len(step[1]) for step in steps))
 
 
 # ---------------------------------------------------------------------------
@@ -149,37 +163,20 @@ def _dot(w, x, y):
 
 
 def _gram_schmidt(vectors, w):
-    """The w-weighted Gram basis of linearly independent vectors, each
-    with its first nonzero entry positive."""
+    """The w-weighted Gram basis of the span of vectors, in order: each
+    vector less its part along those kept before, kept unless that is 0
+    (w is positive, so it is 0 exactly on their span), with its first
+    nonzero entry positive."""
     basis = []
     for v in vectors:
         cur = list(v)
         for b in basis:
             coef = _dot(w, cur, b) / _dot(w, b, b)
             cur = [c - coef * bb for c, bb in zip(cur, b)]
-        if next(c for c in cur if c != 0) < 0:
-            cur = [-c for c in cur]
-        basis.append(cur)
+        lead = next((c for c in cur if c != 0), None)
+        if lead is not None:
+            basis.append(cur if lead > 0 else [-c for c in cur])
     return basis
-
-
-def _inverse(mat):
-    """The inverse of an invertible rational matrix."""
-    dim = len(mat)
-    cols = [solve_linear(mat, [1 if i == c else 0 for i in range(dim)])
-            for c in range(dim)]
-    return [[col[i] for col in cols] for i in range(dim)]
-
-
-def _projection(tower):
-    """The projection onto W along the eventual kernel of A, as a rational
-    dim x dim matrix."""
-    m = tower.map
-    w_vecs = [list(v) for v in tower.w_basis]
-    cols = w_vecs + nullspace(mat_pow(m, len(m)))
-    # W and the eventual kernel split Q^V, so the basis matrix is invertible
-    inv = _inverse([list(row) for row in zip(*cols)])
-    return mat_mul([list(row) for row in zip(*w_vecs)], inv[:len(w_vecs)])
 
 
 @dataclass(frozen=True)

@@ -337,12 +337,8 @@ class LevelComponent:
 def decompose(diagram, h, renorm):
     """Level components of the bump-smoothed martingale expansion of h."""
     bump = bump_from_roof(renorm)
-    comps = []
-    for k in range(h.level + 1):
-        d = delta(diagram, h, k)
-        peak = max((abs(float(v)) for v in d.values), default=0.0)
-        comps.append(LevelComponent(level=k, peak=peak, bump=bump))
-    return comps
+    return [LevelComponent(level=k, peak=delta(diagram, h, k).sup_norm(),
+                           bump=bump) for k in range(h.level + 1)]
 
 
 # ---------------------------------------------------------------------------

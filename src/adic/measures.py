@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .diagrams import owned
 from .errors import NotStationaryError, PreconditionError
-from .scalars import (identity, mat_mul, mat_vec, nullspace, perron_data,
+from .scalars import (identity, mat_mul, mat_vec, perron_data, rank,
                       solve_linear)
 
 
@@ -98,6 +98,6 @@ def renorm_data(diagram):
     heights, prod = [top], identity(len(top))  # prod = A_j ... A_(k+1)
     for m in reversed(mats[:j]):
         prod = mat_mul(prod, m)
-        h = None if nullspace(prod) else solve_linear(prod, top)
+        h = solve_linear(prod, top) if rank(prod) == len(prod[0]) else None
         heights.insert(0, h if h is None else tuple(h))
     return RenormData(pd.lam, tuple(heights), xis)

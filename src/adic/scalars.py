@@ -13,8 +13,9 @@ it, keeping the factor with theta as a root: dynamic evaluation, "D5"
 (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
 operands mix freely; a float operand is refused (TypeError, and == is
 False).  On top of that: dense linear algebra over any of these fields,
-a division-free rank, and the Perron data of a nonnegative integer matrix,
-read in integers off its characteristic polynomial and adjugate.
+whose rank and solve read one division-free Gauss-Jordan elimination
+(`eliminate`), and the Perron data of a nonnegative integer matrix, read
+in integers off its characteristic polynomial and adjugate.
 """
 
 from __future__ import annotations
@@ -417,73 +418,45 @@ def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns pivot column list."""
+def eliminate(rows, ncols):
+    """Gauss-Jordan on the first ncols columns of rows, in place and
+    without division: each other row with an entry in the pivot column is
+    multiplied by the pivot and the pivot row, times that entry, subtracted,
+    so integer rows stay integers.  Returns the pivot columns; rows[i] is
+    the row of pivots[i], 0 in every other pivot column, and the rows
+    after them are 0 on the first ncols columns."""
     pivots = []
-    r = 0
     for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if i is not None:
+            rows[r], rows[i] = rows[i], rows[r]
+            p = rows[r]
+            rows[:] = [[p[c] * x - row[c] * y for x, y in zip(row, p)]
+                       if row is not p and row[c] != 0 else row
+                       for row in rows]
+            pivots.append(c)
     return pivots
 
 
 def rank(A):
-    """The rank of A, eliminating without division: each row is multiplied
-    by the pivot and the pivot row subtracted, so integers stay integers."""
-    rows, r = [list(row) for row in A], 0
-    for c in range(len(A[0]) if A else 0):
-        p = next((row for row in rows if row[c] != 0), None)
-        if p is not None:
-            r += 1
-            rows = [[p[c] * x - row[c] * y for x, y in zip(row, p)]
-                    if row[c] != 0 else row for row in rows if row is not p]
-    return r
+    """The rank of A, by `eliminate`."""
+    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0))
 
 
 def solve_linear(A, b):
-    """One exact solution of A x = b, or None if inconsistent."""
+    """One exact solution of A x = b, or None if inconsistent: the reduced
+    rows of (A | b) (`eliminate`) with one division per pivot, 0 for the
+    free unknowns."""
     m = len(A[0])
     rows = [list(row) + [y] for row, y in zip(A, b)]
-    pivots = _rref(rows, m + 1)
+    pivots = eliminate(rows, m + 1)
     if m in pivots:
         return None
     x = [0] * m
-    for r, c in enumerate(pivots):
-        x[c] = rows[r][m]
+    for row, c in zip(rows, pivots):
+        x[c] = Fraction(1) / row[c] * row[m]
     return x
-
-
-def nullspace(A):
-    """Basis of the right kernel of A, exact."""
-    if not A:
-        return []
-    m = len(A[0])
-    rows = [list(row) for row in A]
-    pivots = _rref(rows, m)
-    basis = []
-    for fc in (c for c in range(m) if c not in pivots):
-        v = [0] * m
-        v[fc] = 1
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(v)
-    return basis
 
 
 def _char_adj(A):

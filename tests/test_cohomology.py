@@ -27,7 +27,7 @@ from adic.errors import AdicError, PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data
-from adic.scalars import mat_mul, mat_vec
+from adic.scalars import mat_mul, mat_pow, mat_vec
 from adic.solenoid import build_complex, class_graph
 from adic.solver import solve
 
@@ -268,6 +268,30 @@ def test_rank_sequence_decreasing(fib, pisot31):
         rs = list(t.ranks)
         assert all(rs[i] >= rs[i + 1] for i in range(len(rs) - 1))
         assert rs[-1] == t.d
+
+
+def test_step_is_the_drazin_inverse():
+    # the step X of the functionals satisfies the three equations that fix
+    # the Drazin inverse of A, of index k': X A X = X, A X = X A and
+    # A^(k'+1) X = A^k', exactly, on 60 `_random_diagram` and 60
+    # `_prefix_draws` draws, 19 of them with a singular A (2 of index 2);
+    # and the projection it gives, X A, is idempotent
+    r = rng(52)
+    ds = [_random_diagram(r, 1 + i % 3, 6) for i in range(60)]
+    singular = []
+    for d in ds + _prefix_draws(52, 60):
+        try:
+            tower = _tower(d)
+        except AdicError:  # Perron root 1: a finite path space
+            continue
+        a, x, k = tower.map, tower.functionals.step, tower.k_prime
+        assert mat_mul(mat_mul(x, a), x) == x
+        assert mat_mul(a, x) == mat_mul(x, a)
+        assert mat_mul(mat_pow(a, k + 1), x) == mat_pow(a, k)
+        p = mat_mul(x, a)
+        assert mat_mul(p, p) == p
+        singular.append(k)
+    assert sorted(k for k in singular if k) == [1] * 17 + [2] * 2
 
 
 def _dump(dvs):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from adic.errors import PreconditionError
 from adic.martingale import CylinderFunction, float_values, integer_parts
 from adic.scalars import (FieldElement, NumberField, char_poly, mat_vec,
-                          nullspace, perron_data, rank, sqrt_field)
+                          perron_data, rank, solve_linear, sqrt_field)
 
 
 def _is_primitive(m):
@@ -102,8 +102,8 @@ _REFUSALS = ("the repeating matrix is not primitive",
     min_size=n, max_size=n)))
 def test_perron_data_accepts_exactly_the_primitive_matrices(m):
     # reducible and periodic matrices are drawn too; an accepted one has
-    # the eigenvectors of the reference route, a kernel basis vector of
-    # A - lambda I scaled to end in 1
+    # the eigenvectors of the reference route: A - lambda I has rank n - 1,
+    # so its kernel is one line, and the vector lies on it and ends in 1
     rho = max(abs(z) for z in np.linalg.eigvals(np.array(m, dtype=float)))
     if not _is_primitive(m) or math.isclose(rho, 1):
         with pytest.raises(PreconditionError) as refused:
@@ -114,12 +114,11 @@ def test_perron_data_accepts_exactly_the_primitive_matrices(m):
     lam = pd.lam
     assert sum(c * lam ** k for k, c in enumerate(char_poly(m))) == 0
     for a, got in ((m, pd.right), (list(zip(*m)), pd.left)):
-        ker = nullspace([[x - (lam if i == j else 0)
-                          for j, x in enumerate(row)]
-                         for i, row in enumerate(a)])
-        assert len(ker) == 1
-        assert got == [x / ker[0][-1] for x in ker[0]]
-        assert all(x > 0 for x in got)
+        shifted = [[x - (lam if i == j else 0) for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        assert rank(shifted) == len(m) - 1
+        assert mat_vec(shifted, got) == [0] * len(m)
+        assert got[-1] == 1 and all(x > 0 for x in got)
 
 
 def _sympy_rank(A, cols):
@@ -146,6 +145,41 @@ def test_rank_matches_sympy(rows, inner, cols, data):
           for col in zip(*C)] if C else [Fraction(0)] * cols for row in B]
     for entries in (A, [[int(x) for x in row] for row in A]):
         assert rank(entries) == _sympy_rank(entries, cols)
+
+
+@given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 4),
+       st.sampled_from(["int", "fraction", "sqrt 5"]), st.data())
+def test_solve_linear_matches_sympy(rows, inner, cols, field, data):
+    # A = B C of rank at most `inner` and of any shape, so singular, wide
+    # and tall systems, with an integer, Fraction or Q(sqrt 5) right-hand
+    # side b, consistent (b = A x0) or, where A has rank < rows, maybe
+    # not.  A is rational, so A x = b0 + b1 sqrt 5 is solvable exactly
+    # when sympy finds rank (A | b0 | b1) = rank A; then solve_linear
+    # returns a solution, else None
+    B, C = (data.draw(st.lists(st.lists(
+        _ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
+        for k, m in ((rows, inner), (inner, cols)))
+    A = [[sum((x * y for x, y in zip(row, col)), Fraction(0))
+          for col in zip(*C)] if C else [Fraction(0)] * cols for row in B]
+    vals = data.draw(st.lists(_ENTRIES, min_size=2 * (rows + cols),
+                              max_size=2 * (rows + cols)))
+    if field == "int":
+        A = [[int(x) for x in row] for row in A]
+        vals = [int(x) for x in vals]
+    elif field == "sqrt 5":
+        vals = [FIELDS["sqrt 5"](x, y)
+                for x, y in zip(vals[::2], vals[1::2])]
+    b, x0 = vals[:rows], vals[rows:rows + cols]
+    if data.draw(st.booleans()):
+        b = mat_vec(A, x0)
+    x = solve_linear(A, b)
+    parts = [[y.c[k] if isinstance(y, FieldElement) else (y, 0)[k]
+              for y in b] for k in (0, 1)]
+    augmented = [row + [p, q] for row, p, q in zip(A, *parts)]
+    assert (x is not None) == \
+        (_sympy_rank(A, cols) == _sympy_rank(augmented, cols + 2))
+    if x is not None:
+        assert len(x) == cols and mat_vec(A, x) == b
 
 
 def test_rank_over_sqrt5():
