@@ -161,6 +161,26 @@ RUNS = (
     ["algebra", "invert", "--element", "E0", "--alpha", "2", "--tol", "0"],
 )
 
+# Start paths with a PERIODIC tail, per diagram: "P" a prefix followed by a
+# word repeated forever, not eventually extreme; "R" a word with an edge
+# index out of range; "X" a word whose edges do not chain (both exit 2).
+PERIODIC = {
+    "fib": {"P": {"prefix": [0], "tail": {"periodic": [2, 1, 0]}},
+            "R": {"prefix": [0], "tail": {"periodic": [2, 3]}},
+            "X": {"prefix": [], "tail": {"periodic": [2, 2]}}},
+    "pisot31": {"P": {"prefix": [2], "tail": {"periodic": [1, 4, 6, 3]}},
+                "R": {"prefix": [2], "tail": {"periodic": [1, 8]}},
+                "X": {"prefix": [], "tail": {"periodic": [4, 4]}}},
+}
+PERIODIC_RUNS = (
+    ["orbit", "--diagram", "D", "--start", "P", "-N", "4"],
+    ["orbit", "--diagram", "D", "--start", "P", "-N", "4", "--emit", "csv"],
+    ["birkhoff", "--diagram", "D", "--function", "H", "--start", "P",
+     "-N", "7"],
+    ["orbit", "--diagram", "D", "--start", "R", "-N", "2"],
+    ["orbit", "--diagram", "D", "--start", "X", "-N", "2"],
+)
+
 # Runs on no diagram in particular: help, parser errors, a numeric failure,
 # a listing over the edge budget, and a diagram file that is structurally
 # broken or not JSON.
@@ -208,6 +228,12 @@ def main():
                  "S": label + "-start.json", "E": label + "-e.json",
                  "E0": label + "-e0.json"}
         groups[label] = [[words.get(w, w) for w in argv] for argv in RUNS]
+        if label in PERIODIC:
+            for key, start in PERIODIC[label].items():
+                words[key] = "%s-periodic-%s.json" % (label, key)
+                (INPUTS / words[key]).write_text(json.dumps(start) + "\n")
+            groups[label] += [[words.get(w, w) for w in argv]
+                              for argv in PERIODIC_RUNS]
     groups["parser"] = [list(argv) for argv in PARSER_RUNS]
     for group, runs in groups.items():
         records = []
