@@ -38,8 +38,7 @@ from operator import mul
 
 from .diagrams import path_table
 from .martingale import field_values
-from .scalars import (eliminate, identity, mat_mul, mat_pow, mat_vec,
-                      solve_linear)
+from .scalars import eliminate, identity, mat_mul, mat_vec, solve_linear
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +70,10 @@ class ClassTower:
         base = max(self.k_prime, len(diagram.levels) - 1)
         proj = _on_w(self, identity(len(m)))
         w = [b - a for a, b in path_table(diagram, base).blocks()]
-        push = mat_pow(m, base - self.k_prime)
-        basis = _gram_schmidt(
-            [mat_vec(proj, w)] + [mat_vec(push, v) for v in self.w_basis], w)
+        pushed = self.w_basis  # A^(base - k') W, column by column
+        for _ in range(base - self.k_prime):
+            pushed = [mat_vec(m, v) for v in pushed]
+        basis = _gram_schmidt([mat_vec(proj, w), *pushed], w)
         return Functionals(
             base=base, step=_on_w(self, m),
             norms=tuple(_dot(w, b, b) for b in basis),

@@ -24,8 +24,7 @@ from functools import cached_property
 
 from .diagrams import owned
 from .errors import NotStationaryError, PreconditionError
-from .scalars import (identity, mat_mul, mat_vec, perron_data, rank,
-                      solve_linear)
+from .scalars import identity, mat_mul, mat_vec, perron_data, solve_linear
 
 
 # Compared and hashed by identity: the solenoid tables are keyed by it, and
@@ -98,6 +97,6 @@ def renorm_data(diagram):
     heights, prod = [top], identity(len(top))  # prod = A_j ... A_(k+1)
     for m in reversed(mats[:j]):
         prod = mat_mul(prod, m)
-        h = solve_linear(prod, top) if rank(prod) == len(prod[0]) else None
+        h = solve_linear(prod, top)
         heights.insert(0, h if h is None else tuple(h))
     return RenormData(pd.lam, tuple(heights), xis)

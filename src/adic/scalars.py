@@ -13,9 +13,10 @@ it, keeping the factor with theta as a root: dynamic evaluation, "D5"
 (Della Dora, Dicrescenzo and Duval, EUROCAL 1985).  Fraction and int
 operands mix freely; a float operand is refused (TypeError, and == is
 False).  On top of that: dense linear algebra over any of these fields,
-whose rank and solve read one division-free Gauss-Jordan elimination
-(`eliminate`), and the Perron data of a nonnegative integer matrix, read
-in integers off its characteristic polynomial and adjugate.
+whose one solve, field inverses included, reads one division-free
+Gauss-Jordan elimination (`eliminate`), and the Perron data of a
+nonnegative integer matrix, read in integers off its characteristic
+polynomial and adjugate.
 """
 
 from __future__ import annotations
@@ -162,19 +163,16 @@ class NumberField:
         return not any(self.norm(c))
 
     def inverse(self, c):
-        """1/c by Cayley-Hamilton on the integer numerators a = q c: with
-        chi the characteristic polynomial of multiplication by a,
-        1/a = -(chi(a) - chi(0)) / (a chi(0)).  chi(0) = 0 makes c 0 or a
-        zero divisor, whose gcd with poly is split off."""
+        """1/c as the solution x of a x = q on the integer numerators
+        a = q c: one `solve_linear` on the matrix whose column j is
+        a theta^j.  It has none when c is 0 or a zero divisor, whose gcd
+        with poly is split off."""
         a, q = _numerators(self.norm(c))
-        chi = char_poly([self.reduce((0,) * j + tuple(a))
-                         for j in range(self.n)])
-        if chi[0]:
-            r = (1,)
-            for x in reversed(chi[1:-1]):
-                r = self.reduce(_pmul(r, a))
-                r = (r[0] + x,) + r[1:]
-            return tuple(Fraction(-q * x, chi[0]) for x in r)
+        x = solve_linear(list(zip(*(self.reduce((0,) * j + tuple(a))
+                                    for j in range(self.n)))),
+                         (q,) + (0,) * (self.n - 1))
+        if x is not None:
+            return tuple(x)
         if not any(a):
             raise ZeroDivisionError("division by zero in %r" % (self,))
         self._split(_gcd(self.norm(c), self.poly))
@@ -402,18 +400,6 @@ def mat_vec(A, x):
     return [sum(row[j] * x[j] for j in range(len(x))) for row in A]
 
 
-def mat_pow(A, k):
-    n = len(A)
-    out = identity(n)
-    base = [row[:] for row in A]
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -439,24 +425,15 @@ def eliminate(rows, ncols):
     return pivots
 
 
-def rank(A):
-    """The rank of A, by `eliminate`."""
-    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0))
-
-
 def solve_linear(A, b):
-    """One exact solution of A x = b, or None if inconsistent: the reduced
-    rows of (A | b) (`eliminate`) with one division per pivot, 0 for the
-    free unknowns."""
+    """The unique solution of A x = b, or None when it has none or more
+    than one: one `eliminate` of (A | b), whose pivots must be exactly the
+    columns of A, and one division per pivot."""
     m = len(A[0])
     rows = [list(row) + [y] for row, y in zip(A, b)]
-    pivots = eliminate(rows, m + 1)
-    if m in pivots:
+    if eliminate(rows, m + 1) != list(range(m)):
         return None
-    x = [0] * m
-    for row, c in zip(rows, pivots):
-        x[c] = Fraction(1) / row[c] * row[m]
-    return x
+    return [Fraction(1) / row[c] * row[m] for c, row in enumerate(rows[:m])]
 
 
 def _char_adj(A):
@@ -473,11 +450,6 @@ def _char_adj(A):
         M = [[AM[i][j] + (c if i == j else 0) for j in range(n)] for i in range(n)]
     coeffs.reverse()  # now [c_0, ..., c_n=1]
     return coeffs, adj
-
-
-def char_poly(A):
-    """The characteristic polynomial of an integer matrix (`_char_adj`)."""
-    return _char_adj(A)[0]
 
 
 # Dominant eigendata of a primitive nonnegative integer matrix: the root

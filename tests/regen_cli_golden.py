@@ -10,6 +10,15 @@ run is made in process through `adic.cli.main` from `inputs/`, so paths
 are relative and no output names a temporary directory.
 `test_cli_golden.py` replays the records.  Rewrite them only for a
 declared output change, and list the records it changes.
+
+Run under Python 3.10 to 3.12, the script rewrites the inputs and the
+records.  Python 3.13 wraps argparse's usage and words its invalid-choice
+errors differently, so a record may also hold a "3.13" variant of its run,
+which the replay reads from 3.13 on.  Run under 3.13 or later, the script
+rewrites those variants alone: it replays every record and keeps the run
+as its variant where it differs.  A rewrite under 3.10 to 3.12 keeps the
+variants, so rerun the script under 3.13 after one that changes a record
+holding a variant.
 """
 
 import json
@@ -205,7 +214,36 @@ PARSER_RUNS = (
 )
 
 
+def _run(argv):
+    """The exit code and the streams, as lists of lines, of one run."""
+    code, out, err = replay(argv)
+    return {"exit": code, "stdout": out.split("\n"),
+            "stderr": err.split("\n")}
+
+
+def _write(path, records):
+    path.write_text(json.dumps(records, indent=1, ensure_ascii=False) + "\n")
+
+
+def variants():
+    """Each record's "3.13" variant: the run of this interpreter where it
+    differs from the record, none where it does not."""
+    for path in sorted(CORPUS.glob("*.json")):
+        records = json.loads(path.read_text())
+        for r in records:
+            r.pop("3.13", None)
+            run = _run(r["argv"])
+            if run != {key: r[key] for key in run}:
+                r["3.13"] = run
+        _write(path, records)
+
+
 def main():
+    if sys.version_info >= (3, 13):
+        return variants()
+    kept = {(path.stem, json.dumps(r["argv"])): r["3.13"]
+            for path in CORPUS.glob("*.json")
+            for r in json.loads(path.read_text()) if "3.13" in r}
     if INPUTS.exists():
         shutil.rmtree(INPUTS)
     INPUTS.mkdir(parents=True)
@@ -236,14 +274,12 @@ def main():
                               for argv in PERIODIC_RUNS]
     groups["parser"] = [list(argv) for argv in PARSER_RUNS]
     for group, runs in groups.items():
-        records = []
-        for argv in runs:
-            code, out, err = replay(argv)
-            records.append({"argv": argv, "exit": code,
-                            "stdout": out.split("\n"),
-                            "stderr": err.split("\n")})
-        (CORPUS / (group + ".json")).write_text(
-            json.dumps(records, indent=1, ensure_ascii=False) + "\n")
+        records = [{"argv": argv, **_run(argv)} for argv in runs]
+        for r in records:
+            variant = kept.get((group, json.dumps(r["argv"])))
+            if variant:
+                r["3.13"] = variant
+        _write(CORPUS / (group + ".json"), records)
     print("%d records in %d groups" % (sum(map(len, groups.values())),
                                        len(groups)))
 

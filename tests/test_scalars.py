@@ -12,8 +12,13 @@ from hypothesis import strategies as st
 
 from adic.errors import PreconditionError
 from adic.martingale import CylinderFunction, float_values, integer_parts
-from adic.scalars import (FieldElement, NumberField, char_poly, mat_vec,
-                          perron_data, rank, solve_linear, sqrt_field)
+from adic.scalars import (FieldElement, NumberField, _char_adj, eliminate,
+                          mat_vec, perron_data, solve_linear, sqrt_field)
+
+
+def _pivots(A):
+    """The pivot count of A, its rank: `eliminate` on a copy."""
+    return len(eliminate([list(row) for row in A], len(A[0]) if A else 0))
 
 
 def _is_primitive(m):
@@ -41,7 +46,7 @@ def _check_exact(m):
     pd = perron_data(m)
     lam = pd.lam
     assert isinstance(lam, (Fraction, FieldElement))
-    assert sum(c * lam ** k for k, c in enumerate(char_poly(m))) == 0
+    assert sum(c * lam ** k for k, c in enumerate(_char_adj(m)[0])) == 0
     assert mat_vec(m, pd.right) == [lam * x for x in pd.right]
     assert mat_vec([list(c) for c in zip(*m)], pd.left) == \
         [lam * x for x in pd.left]
@@ -112,11 +117,11 @@ def test_perron_data_accepts_exactly_the_primitive_matrices(m):
         return
     pd = perron_data(m)
     lam = pd.lam
-    assert sum(c * lam ** k for k, c in enumerate(char_poly(m))) == 0
+    assert sum(c * lam ** k for k, c in enumerate(_char_adj(m)[0])) == 0
     for a, got in ((m, pd.right), (list(zip(*m)), pd.left)):
         shifted = [[x - (lam if i == j else 0) for j, x in enumerate(row)]
                    for i, row in enumerate(a)]
-        assert rank(shifted) == len(m) - 1
+        assert _pivots(shifted) == len(m) - 1
         assert mat_vec(shifted, got) == [0] * len(m)
         assert got[-1] == 1 and all(x > 0 for x in got)
 
@@ -144,7 +149,7 @@ def test_rank_matches_sympy(rows, inner, cols, data):
     A = [[sum((b * c for b, c in zip(row, col)), Fraction(0))
           for col in zip(*C)] if C else [Fraction(0)] * cols for row in B]
     for entries in (A, [[int(x) for x in row] for row in A]):
-        assert rank(entries) == _sympy_rank(entries, cols)
+        assert _pivots(entries) == _sympy_rank(entries, cols)
 
 
 @given(st.integers(1, 4), st.integers(0, 3), st.integers(1, 4),
@@ -153,9 +158,9 @@ def test_solve_linear_matches_sympy(rows, inner, cols, field, data):
     # A = B C of rank at most `inner` and of any shape, so singular, wide
     # and tall systems, with an integer, Fraction or Q(sqrt 5) right-hand
     # side b, consistent (b = A x0) or, where A has rank < rows, maybe
-    # not.  A is rational, so A x = b0 + b1 sqrt 5 is solvable exactly
-    # when sympy finds rank (A | b0 | b1) = rank A; then solve_linear
-    # returns a solution, else None
+    # not.  A is rational, so A x = b0 + b1 sqrt 5 has exactly one
+    # solution when sympy finds rank A = cols = rank (A | b0 | b1); then
+    # solve_linear returns it, else None
     B, C = (data.draw(st.lists(st.lists(
         _ENTRIES, min_size=m, max_size=m), min_size=k, max_size=k))
         for k, m in ((rows, inner), (inner, cols)))
@@ -177,17 +182,17 @@ def test_solve_linear_matches_sympy(rows, inner, cols, field, data):
               for y in b] for k in (0, 1)]
     augmented = [row + [p, q] for row, p, q in zip(A, *parts)]
     assert (x is not None) == \
-        (_sympy_rank(A, cols) == _sympy_rank(augmented, cols + 2))
+        (_sympy_rank(A, cols) == cols == _sympy_rank(augmented, cols + 2))
     if x is not None:
         assert len(x) == cols and mat_vec(A, x) == b
 
 
 def test_rank_over_sqrt5():
     phi = sqrt_field(5)(Fraction(1, 2), Fraction(1, 2))
-    assert rank([[phi, 1], [phi + 1, phi]]) == 1  # phi^2 = phi + 1
-    assert rank([[phi, 1], [1, phi]]) == 2
-    assert rank([[1, phi, phi ** 2], [phi, phi ** 2, phi ** 3],
-                 [1, 1, 1], [2, phi + 1, phi + 2]]) == 2
+    assert _pivots([[phi, 1], [phi + 1, phi]]) == 1  # phi^2 = phi + 1
+    assert _pivots([[phi, 1], [1, phi]]) == 2
+    assert _pivots([[1, phi, phi ** 2], [phi, phi ** 2, phi ** 3],
+                    [1, 1, 1], [2, phi + 1, phi + 2]]) == 2
 
 
 def test_equality_and_hash_agree_across_a_split():
@@ -264,6 +269,63 @@ def sympy_value(x):
 
 FIELDS = {"sqrt %d" % d: sqrt_field(d) for d in (2, 3, 5, 21)}
 FIELDS["cubic"] = perron_data([[1, 1, 0], [0, 0, 1], [3, 1, 1]]).lam.field
+
+
+def _split_quartic():
+    """Q[x]/(p), p = (x^2 - 3x - 3)(x^2 + x + 2), theta = (3 + sqrt 21)/2:
+    a fresh field each call, since an inverse may split it."""
+    return NumberField((-6, -9, -4, -2, 1), Fraction(3), Fraction(4))
+
+
+# each field with the minimal polynomial of its theta
+_INVERSE_FIELDS = {"sqrt 5": (lambda: FIELDS["sqrt 5"], (-5, 0, 1)),
+                   "cubic": (lambda: FIELDS["cubic"], FIELDS["cubic"].poly),
+                   "quartic": (_split_quartic, (-3, -3, 1))}
+
+
+@example("quartic", [Fraction(2), Fraction(1), Fraction(1), Fraction(0)], 1)
+@example("quartic", [Fraction(-3), Fraction(-3), Fraction(1), Fraction(0)],
+         2)
+@given(st.sampled_from(sorted(_INVERSE_FIELDS)),
+       st.lists(st.fractions(-50, 50, max_denominator=20), min_size=4,
+                max_size=4), st.integers(1, 4))
+def test_field_inverse_matches_sympy(name, coeffs, k):
+    # for c != 0 in Q(sqrt 5), the cubic field of [[1, 1, 0], [0, 0, 1],
+    # [3, 1, 1]] and the quartic that splits when c is a zero divisor:
+    # c (1/c) = 1, and c^-k times c^k is 1 modulo theta's minimal
+    # polynomial in sympy's arithmetic; 1/0 raises.  The inverse is taken
+    # first, since a zero test would split the quartic before it
+    sympy = pytest.importorskip("sympy")
+    make, minimal = _INVERSE_FIELDS[name]
+    field = make()
+    c = field(*coeffs[:field.n])
+    try:
+        inverse = 1 / c
+    except ZeroDivisionError:
+        assert c == 0
+        return
+    assert c * inverse == 1
+    t = sympy.symbols("t")
+
+    def poly(coeffs):
+        return sympy.Poly([sympy.Rational(x.numerator, x.denominator)
+                           for x in reversed(coeffs)], t)
+
+    got = poly(field.norm((c ** -k).c)) * poly(c.c) ** k - 1
+    assert got.rem(poly(list(map(Fraction, minimal)))).is_zero
+
+
+def test_inverse_of_a_zero_divisor_splits_the_field():
+    # theta^2 + theta + 2 divides p, so it has no inverse mod p; the
+    # inverse splits p down to x^2 - 3x - 3, where it is 4 theta + 5
+    f = _split_quartic()
+    t = f(0, 1)
+    inv = 1 / (t * t + t + 2)
+    assert f.poly == (-3, -3, 1)
+    assert inv == 1 / (4 * t + 5)
+    assert f.norm(inv.c) == (Fraction(17, 37), Fraction(-4, 37))
+    with pytest.raises(ZeroDivisionError):
+        1 / (t * 0)
 
 
 def _near_cancelling(test):
