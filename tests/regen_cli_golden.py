@@ -180,6 +180,10 @@ PERIODIC = {
     "pisot31": {"P": {"prefix": [2], "tail": {"periodic": [1, 4, 6, 3]}},
                 "R": {"prefix": [2], "tail": {"periodic": [1, 8]}},
                 "X": {"prefix": [], "tail": {"periodic": [4, 4]}}},
+    # levels that do not repeat: the tail is checked on them alone
+    "nonstat": {"P": {"prefix": [], "tail": {"periodic": [0]}},
+                "R": {"prefix": [0], "tail": {"periodic": [2, 3]}},
+                "X": {"prefix": [], "tail": {"periodic": [2, 2]}}},
 }
 PERIODIC_RUNS = (
     ["orbit", "--diagram", "D", "--start", "P", "-N", "4"],
@@ -206,6 +210,8 @@ PARSER_RUNS = (
     ["algebra", "check", "--help"], ["algebra", "invert", "--help"],
     ["solve", "--diagram", "odo2", "--function", "h1.json",
      "--alpha", "1e300"],
+    ["solve", "--diagram", "odo2", "--function", "h1.json",
+     "--alpha", "1022"],
     ["paths", "--diagram", "loop.json", "--level", "100000000"],
     ["validate", "--diagram", "broken.json"],
     ["measure", "--diagram", "broken.json"],
