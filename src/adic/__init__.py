@@ -9,7 +9,7 @@ from .diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                        validate)
 from .martingale import CylinderFunction, constant_function, decompose
 from .measures import renorm_data
-from .cohomology import distributions, is_coboundary_class, limit_rank
+from .cohomology import distributions, limit_rank
 from .solver import birkhoff, chained_constant, solve
 
 __version__ = "0.1.0"
@@ -18,7 +18,6 @@ __all__ = [
     "BUILTIN_NAMES", "CylinderFunction", "FinitePath", "LazyPath",
     "OrderedDiagram", "TAIL_MAX", "TAIL_MIN", "birkhoff", "builtin_diagram",
     "chained_constant", "constant_function", "decompose", "distributions",
-    "enumerate_paths", "is_coboundary_class", "limit_rank", "load_diagram",
-    "renorm_data", "resolve_diagram", "solve", "successor",
-    "validate", "__version__",
+    "enumerate_paths", "limit_rank", "load_diagram", "renorm_data",
+    "resolve_diagram", "solve", "successor", "validate", "__version__",
 ]

@@ -1,6 +1,6 @@
-"""The class tower (Q^V, A) of a stationary diagram, the invariant
-distributions obstructing transfer equations, and the exact coboundary
-verdict.
+"""The class tower (Q^V, A) of a stationary diagram and the invariant
+distributions obstructing transfer equations, whose exact zeros are the
+coboundary verdict.
 
 Over the rationals, K_0 of the crossed product is the dimension group
 lim (Q^V, A) of the repeating matrix A (Herman, Putnam and Skau 1992;
@@ -23,9 +23,10 @@ as integer rows over one denominator (`vertex_functionals`).  A trace is
 compatible across levels, so the functionals of level k + 1 are those of
 level k times the Drazin inverse of A (the inverse of A on W, 0 on the
 kernel), and a function reads the same values at every level it is lifted
-to.  h is a coboundary exactly when P kills its block sums; they then die
-under A within k' levels, and the first level at which every block sum is
-0 is the certificate that `solver.solve` builds the solution from.
+to.  h is a coboundary exactly when P kills its block sums, which is when
+every distribution numerator is 0; they then die under A within k' levels,
+and `solver.solve` builds the solution at the first level at which every
+block sum is 0, the certificate.
 """
 
 from __future__ import annotations
@@ -242,36 +243,3 @@ def distributions(h, tower):
                               value=float(num) / math.sqrt(float(norm)),
                               exact_zero=num == 0) for i, (num, norm)
             in enumerate(zip(nums, tower.functionals.norms))]
-
-
-def certificate(h, tower):
-    """The first level from the evaluation level on at which every block sum
-    of h is exactly 0, as {"level"}; None when there is none.  Block sums
-    one level up are A times these, so they stay 0, and h is a coboundary.
-    The eventual kernel of A is the kernel of A^k', so the search ends k'
-    levels up: a certificate exists exactly when the block sums lie in the
-    eventual kernel, i.e. when their projection onto W is 0.  That is the
-    exact joint verdict; it is rational, so it needs no roof and no Perron
-    root.  The block sums are integers (`block_sums` of h's columns),
-    tested for 0."""
-    k_eval = evaluation_level(tower, h)
-    sums = block_sums(tower.diagram, h.level, h.parts[1], k_eval)
-    for level in range(k_eval, k_eval + tower.k_prime + 1):
-        if level > k_eval:
-            sums = [mat_vec(tower.map, s) for s in sums]
-        if not any(map(any, sums)):
-            return {"level": level}
-    return None
-
-
-def is_coboundary_class(h, tower):
-    """Exact obstruction test with a constructive certificate: the joint
-    verdict (a certificate exists), the distributions, and the certificate
-    level."""
-    dvals = distributions(h, tower)
-    cert = certificate(h, tower)
-    return {
-        "is_coboundary": cert is not None,
-        "distributions": dvals,
-        "certificate": cert,
-    }

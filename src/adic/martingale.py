@@ -248,8 +248,9 @@ def holder_norm(diagram, h, alpha, lam):
     runs, the slices [u, u + n) of the level-j ranges for u in
     `path_table(diagram, j).runs[s]`, n the block size of s, or the empty
     range (+inf, -inf) when s has no out-edges.  alpha < 0, lam < 1 and a
-    value that is not finite raise PreconditionError; a value or a weight
-    lam^alpha beyond the floats raises OverflowError.
+    value that is not finite raise PreconditionError; a value, a weight
+    lam^alpha or a weighted oscillation beyond the floats raises
+    OverflowError.
 
     The sweep goes down from level m and stops once the seminorm so far is
     positive and at least span = max - min, which bounds every oscillation,
@@ -283,6 +284,8 @@ def holder_norm(diagram, h, alpha, lam):
             best = max(map(sub, hi, lo), default=0.0)
         if best > 0:
             semi = max(semi, best * lamf ** ((j - 1) * alpha))
+            if semi == math.inf:
+                raise OverflowError("a weighted oscillation beyond the floats")
         if semi > 0 and span * lamf ** ((j - 2) * alpha) <= semi:
             break
     return {"sup": sup, "seminorm": semi, "norm": sup + semi}

@@ -42,7 +42,7 @@ from itertools import accumulate
 from operator import add, mul
 from fractions import Fraction
 
-from .cohomology import certificate, distributions
+from .cohomology import block_sums, distributions, evaluation_level
 from .diagrams import (FinitePath, PathWalker, extreme, owned, path_index,
                        path_table)
 from .errors import AlphaOverflowError, ObstructedError, PreconditionError
@@ -50,6 +50,7 @@ from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
                          one_field, padded, residual_rows)
 from .measures import xi_vector
+from .scalars import mat_vec
 from .solenoid import build_complex, diameter
 
 
@@ -111,7 +112,10 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
 
     h's integer columns over one denominator q (`CylinderFunction.parts`)
     feed the certificate search, the partial sums of h along each tower
-    and the residual check, all on integers.  The gauge is xi's integer
+    and the residual check, all on integers.  The certificate is the first
+    level from the evaluation level on at which every block sum of h is 0;
+    A carries them up a level, and the eventual kernel of A is the kernel
+    of A^k', so the search ends k' levels up.  The gauge is xi's integer
     columns (`_xi`) times the integer tower totals of the partial sums,
     over q (`_gauged`), and g is built from its own integer columns
     (`CylinderFunction.of_parts`).  Only when the certificate search finds
@@ -125,10 +129,13 @@ def solve(h, tower, alpha=None, epsilon=Fraction(1, 4)):
     diagram = tower.diagram
     extreme(diagram, 1)
     q, cols, d = h.parts
-    cert = certificate(h, tower)
-    if cert is None:
-        raise ObstructedError([dv.value for dv in distributions(h, tower)])
-    level = cert["level"]
+    level = evaluation_level(tower, h)
+    top = level + tower.k_prime
+    sums = block_sums(diagram, h.level, cols, level)
+    while any(map(any, sums)):
+        if level == top:
+            raise ObstructedError([dv.value for dv in distributions(h, tower)])
+        sums, level = [mat_vec(tower.map, s) for s in sums], level + 1
     idx = gather(diagram, h.level, 0, level)
     blocks = list(path_table(diagram, level).blocks())
     runs = []
@@ -189,9 +196,11 @@ def chained_constant(diagram, renorm, alpha, epsilon):
         raise AlphaOverflowError(alpha) from None
     c_mean = diam
     c_return = 1.0 + diam / (1.0 - lam ** (2.0 + eps - a))
+    constant = c_bump * c_mean * c_return
+    if not math.isfinite(constant):
+        raise AlphaOverflowError(alpha)
     return {"bump_factor": c_bump, "mean_variation_factor": c_mean,
-            "return_factor": c_return,
-            "constant": c_bump * c_mean * c_return}
+            "return_factor": c_return, "constant": constant}
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ and prints floats with repr-faithful precision, so any drift in numerics or
 formatting shows up as a diff, not as a tolerance miss."""
 
 import json
+import math
 import os
 import pathlib
 import random
@@ -29,10 +30,12 @@ from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.diagrams import (OrderedDiagram, diagram_from_json_dict, extreme,
                            make_level, path_table)
-from adic.errors import PreconditionError
+from adic.cohomology import limit_rank
+from adic.errors import AlphaOverflowError, PreconditionError
 from adic.martingale import compose_phi, constant_function, from_vector, lift
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
+from adic.solver import solve
 
 
 @pytest.fixture()
@@ -498,6 +501,40 @@ def test_solve_alpha_that_overflows_is_a_numeric_error(capsys, work, alpha):
     assert json.loads(out)["chained_constant"]["bump_factor"] > 1e123
 
 
+def test_solve_near_the_float_limit_prints_json_or_exits_4(capsys, work):
+    # lam ** alpha = 2 ** alpha fits up to alpha 1023, but the bump factor
+    # 2 lam^alpha cr_norm(1) / ... overflows from about 1014, and the
+    # weight 2^alpha times the level-1 oscillation 2 of the level-2 h at
+    # 1023: a product beyond the floats is the same overflow as a power, so
+    # no run prints inf, which is not JSON, and solve's own norms are
+    # finite or refused
+    d = builtin_diagram("odo2")
+    tower = limit_rank(d, renorm_data(d))
+    printed = set()
+    for level, values in ((1, [-1, 1]), (2, [-1, 1, 1, -1])):
+        path = work / ("sweep%d.json" % level)
+        path.write_text(json.dumps({"level": level, "values": {
+            str(i): str(v) for i, v in enumerate(values)}}))
+        h = from_vector(d, level, [Fraction(v) for v in values])
+        for alpha in range(1000, 1031):
+            rc, out, err = run(capsys, ["solve", "--diagram", "odo2",
+                                        "--function", str(path),
+                                        "--alpha", str(alpha)])
+            if rc == 4:
+                assert (out, err) == ("", "error: alpha %s overflows the "
+                                      "float norms\n" % float(alpha))
+            else:
+                assert (rc, err) == (0, "")
+                assert json.loads(out)["level"] == level
+                printed.add(alpha)
+            try:
+                norms = solve(h, tower, alpha=alpha).norms
+            except AlphaOverflowError:
+                continue
+            assert all(map(math.isfinite, norms.values())), (level, alpha)
+    assert 1000 in printed and 1022 not in printed
+
+
 def test_algebra_alpha_that_overflows_is_a_numeric_error(capsys, work):
     # the weights 2^alpha of the crossed-product norms overflow, as
     # lam ** alpha does for solve; invert reads --alpha as a Fraction
@@ -902,6 +939,25 @@ def test_algebra_check_golden(capsys):
         "l1_product", "product_norm", "tail_le_norm",
         "trace_commutator", "trace_positive"}
     assert all(v == 2 for v in data["checks"].values())
+
+
+def test_a_failed_algebra_check_exits_4(capsys, monkeypatch):
+    # the suite runs to the end and names each check that failed, once per
+    # trial, and a failed suite exits 4
+    original = adic.algebra.check_trial
+
+    def broken(*args):
+        for name, ok in original(*args):
+            yield name, ok and name != "associativity"
+
+    monkeypatch.setattr(adic.algebra, "check_trial", broken)
+    rc, out, _ = run(capsys, ["algebra", "check", "--diagram", "odo2",
+                              "--seed", "7", "--trials", "2"])
+    assert rc == 4
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["failures"] == ["associativity", "associativity"]
+    assert data["checks"]["associativity"] == 2
 
 
 def test_algebra_check_exponential_regime(capsys):

@@ -18,7 +18,7 @@ from fractions import Fraction
 from test_cohomology import _dump_diagrams
 
 from adic.catalog import builtin_diagram
-from adic.cohomology import certificate, distributions, limit_rank
+from adic.cohomology import distributions, limit_rank
 from test_step import path_range
 
 from adic.diagrams import enumerate_paths, extreme
@@ -72,13 +72,13 @@ def _path(d, tower, h):
     rec = {"distributions": [[repr(dv.numerator), repr(dv.value),
                               dv.exact_zero]
                              for dv in distributions(h, tower)]}
-    cert = certificate(h, tower)
-    rec["certificate"] = cert and cert["level"]
     try:
         sol = solve(h, tower, alpha=ALPHA)
     except ObstructedError as exc:
+        rec["certificate"] = None
         rec["obstructed"] = repr(exc.distribution_values)
     else:
+        rec["certificate"] = sol.level
         rec["solve"] = {"level": sol.level, "g": repr(sol.g.values),
                         "gauge": repr(sol.gauge),
                         "residual": repr(sol.residual),
@@ -121,7 +121,7 @@ def test_coboundary_path_matches_golden():
 
 
 def test_float_values_read_as_the_rationals_they_store():
-    # distributions, certificate and solve read a finite float as the
+    # distributions and solve read a finite float as the
     # dyadic rational it stores, so float h gives what its rational twin
     # gives; the orbit sums alone report floats (`float_birkhoff` above)
     r = random.Random(1508)

@@ -18,12 +18,11 @@ from test_step import (_prefix_draws, _prefixed, _random_diagram,
 
 import adic
 from adic.cli import main
-from adic.cohomology import (birkhoff_cochain, certificate, distributions,
-                             evaluation_level, is_coboundary_class,
-                             limit_rank, vertex_functionals)
+from adic.cohomology import (birkhoff_cochain, distributions,
+                             evaluation_level, limit_rank, vertex_functionals)
 from adic.catalog import builtin_diagram
 from adic.diagrams import LazyPath, TAIL_MIN, enumerate_paths, path_table
-from adic.errors import AdicError, PreconditionError
+from adic.errors import AdicError, ObstructedError, PreconditionError
 from adic.martingale import (compose_phi, constant_function, from_vector,
                              lift, nu_mean, rand_function)
 from adic.measures import renorm_data
@@ -118,8 +117,9 @@ def test_induced_maps_hand_values(odo2, fib):
 
 
 def test_tower_builds_no_complex(monkeypatch, odo2, odo3, fib, pisot31):
-    # the tower, the distributions, the certificate and the solver read the
-    # repeating matrix and block sums only, never an approximant complex
+    # the tower, the distributions and the solver, its certificate search
+    # included, read the repeating matrix and block sums only, never an
+    # approximant complex
     def refuse(*args):
         raise AssertionError("build_complex called")
 
@@ -132,7 +132,6 @@ def test_tower_builds_no_complex(monkeypatch, odo2, odo3, fib, pisot31):
         moved = compose_phi(d, g0, 1)
         h = moved - lift(d, g0, moved.level)
         assert all(dv.exact_zero for dv in distributions(h, tower))
-        assert certificate(h, tower) is not None
         assert solve(h, tower).residual == 0
 
 
@@ -248,18 +247,18 @@ def test_coboundary_round_trip_class(odo2, fib):
         for _ in range(10):
             g0 = rand_function(r, d, 2)
             f = compose_phi(d, g0, 1) - lift(d, g0, compose_phi(d, g0, 1).level)
-            rep = is_coboundary_class(f, tower)
-            assert rep["is_coboundary"] is True
-            assert all(dv.exact_zero for dv in rep["distributions"])
-            assert rep["certificate"]["level"] >= f.level
+            assert all(dv.exact_zero for dv in distributions(f, tower))
+            assert solve(f, tower).level >= f.level
 
 
 def test_constant_obstructed(odo2):
     tower = _tower(odo2)
     one = constant_function(odo2, Fraction(1), 0)
-    rep = is_coboundary_class(one, tower)
-    assert rep["is_coboundary"] is False
-    assert rep["distributions"][0].value == 1.0
+    dvals = distributions(one, tower)
+    assert not dvals[0].exact_zero
+    assert dvals[0].value == 1.0
+    with pytest.raises(ObstructedError):
+        solve(one, tower)
 
 
 def test_rank_sequence_decreasing(fib, pisot31):
@@ -395,7 +394,7 @@ def test_vertex_functionals_are_a_trace_on_the_dimension_group():
 def test_distributions_on_non_positive_tower_lengths(seed):
     # on these `_prefixed` draws the level-1 tower lengths are not all
     # positive; the Gram weights are path counts, which are, so
-    # g o phi - g reads exact zeros and has a certificate, and h and its
+    # g o phi - g reads exact zeros and solves, and h and its
     # lift read the same rational numerators
     d = _prefixed(_random_diagram(random.Random(seed), 3, 6))
     tower = _tower(d)
@@ -404,7 +403,7 @@ def test_distributions_on_non_positive_tower_lengths(seed):
     moved = compose_phi(d, g, 1)
     f = moved - lift(d, g, moved.level)
     assert all(dv.exact_zero for dv in distributions(f, tower))
-    assert certificate(f, tower) is not None
+    assert solve(f, tower).residual == 0
     h = rand_function(r, d, 2)
     nums = [dv.numerator for dv in distributions(h, tower)]
     assert [dv.numerator for dv in distributions(lift(d, h, 3), tower)] \

@@ -354,6 +354,46 @@ def test_disconnected_complex_raises_a_typed_error(monkeypatch, fib):
         fib.tables.pop("cached_point", None)
 
 
+def _three_classes(lengths, start_class, end_class):
+    """A complex on classes 0, 1, 2, one edge per entry of lengths, each
+    from its start class to its end class."""
+    members = [[], [], []]
+    for e, (a, b) in enumerate(zip(start_class, end_class)):
+        members[a].append(("-", e))
+        members[b].append(("+", e))
+    return ApproxComplex(level=0, lengths=tuple(map(Fraction, lengths)),
+                         start_class=start_class, end_class=end_class,
+                         classes=tuple(map(tuple, members)),
+                         glued_pairs=())
+
+
+def test_class_distances_go_through_a_third_class():
+    # a chain 0 -1- 1 -2- 2 has no edge from 0 to 2, and in the triangle
+    # with edges 0 -1- 1 -1- 2 and 0 -5- 2 the route through class 1 is
+    # shorter than the direct edge: either way the distance from class 0
+    # to class 2 is a sum of two edges, found only through class 1
+    chain = _three_classes((1, 2), (0, 1), (1, 2))
+    assert chain.distances == ((0, 1, 3), (1, 0, 2), (3, 2, 0))
+    assert chain.float_distances == ((0.0, 1.0, 3.0), (1.0, 0.0, 2.0),
+                                     (3.0, 2.0, 0.0))
+    # a path of length 3, whose ends are farthest apart
+    assert diameter(chain) == 3
+    assert point_distance(chain, (0, Fraction(1, 2)), (1, 1)) == \
+        Fraction(3, 2)
+    assert point_distance(chain, (0, 0), (1, 2)) == 3
+    triangle = _three_classes((1, 1, 5), (0, 1, 0), (1, 2, 2))
+    assert triangle.distances == ((0, 1, 2), (1, 0, 1), (2, 1, 0))
+    assert triangle.float_distances == ((0.0, 1.0, 2.0), (1.0, 0.0, 1.0),
+                                        (2.0, 1.0, 0.0))
+    # a cycle of length 7: every point has one at distance 7/2
+    assert diameter(triangle) == Fraction(7, 2)
+    # 1/2 from each end of the long edge: 3 round the cycle, 4 along it
+    assert point_distance(triangle, (2, Fraction(1, 2)),
+                          (2, Fraction(9, 2))) == 3
+    assert point_distance(triangle, (0, Fraction(1, 2)),
+                          (2, Fraction(5, 2))) == 3
+
+
 def test_bilip_check_is_the_same_cold_and_warm(odo2, fib):
     # each diagram keeps its points keyed by Perron data, path and depth
     # margin: a warm call repeats the cold report to the float, and calls

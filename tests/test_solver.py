@@ -19,8 +19,7 @@ import adic.cohomology
 import adic.martingale
 import adic.solver
 from adic.catalog import builtin_diagram
-from adic.cohomology import (certificate, distributions, is_coboundary_class,
-                             limit_rank)
+from adic.cohomology import distributions, evaluation_level, limit_rank
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, TAIL_MAX,
                            TAIL_MIN, enumerate_paths, extreme, make_level,
                            materialize, path_table, successor)
@@ -78,10 +77,9 @@ def test_solve_runs_the_distributions_only_when_obstructed(monkeypatch,
             del calls[:]
             sol = solve(h, tower)
             assert calls == []
-            rep = is_coboundary_class(h, tower)
-            assert rep["is_coboundary"] is True
-            assert rep["certificate"] == certificate(h, tower)
-            assert rep["certificate"]["level"] == sol.level
+            assert all(dv.exact_zero for dv in original(h, tower))
+            low = evaluation_level(tower, h)
+            assert low <= sol.level <= low + tower.k_prime
             obstructed = h + constant_function(d, Fraction(1, 3), h.level)
             del calls[:]
             with pytest.raises(ObstructedError) as ei:
@@ -89,18 +87,16 @@ def test_solve_runs_the_distributions_only_when_obstructed(monkeypatch,
             assert calls == [obstructed]
             want = original(obstructed, tower)
             assert ei.value.distribution_values == [dv.value for dv in want]
-            rep = is_coboundary_class(obstructed, tower)
-            assert rep["is_coboundary"] is False
-            assert rep["certificate"] is None
+            assert not all(dv.exact_zero for dv in want)
 
 
 @example(_prefixed(builtin_diagram("pisot31")), True, 0)
 @example(_prefixed(builtin_diagram("pisot31")), False, 0)
 @given(_drawn_diagrams(), st.booleans(), st.integers(0, 2 ** 16))
 def test_joint_verdict_decides_the_solver(d, cobound, seed):
-    # the paper's joint verdict: a certificate exists exactly when every
-    # invariant distribution vanishes exactly, and exactly then solve
-    # succeeds with the int residual 0; otherwise it raises ObstructedError.
+    # the paper's joint verdict: solve finds a certificate exactly when
+    # every invariant distribution vanishes exactly, and then succeeds with
+    # the int residual 0; otherwise it raises ObstructedError.
     # Half the draws are coboundaries g o phi - g, the rest random h of
     # level 1-2.  The one-edge loop has Perron root 1: refused
     if d.matrix(len(d.levels)) == [[1]]:
@@ -112,9 +108,7 @@ def test_joint_verdict_decides_the_solver(d, cobound, seed):
     h = rand_function(r, d, r.randint(1, 2))
     if cobound:
         h = _coboundary(d, h)
-    cert = certificate(h, tower)
     vanish = all(dv.exact_zero for dv in distributions(h, tower))
-    assert (cert is not None) == vanish
     assert vanish or not cobound
     if vanish:
         residual = solve(h, tower).residual
@@ -132,7 +126,7 @@ def test_telescope_keeps_orbit_sums_and_verdict(d, T, cobound, seed):
     # level T have the same paths in the same order and the same adic map,
     # so one rational vector (h, or g o phi - g lifted to an even level)
     # has the same exact orbit sums along the minimal orbit, the same
-    # certificate verdict and the same rank d
+    # distributions verdict and the same rank d
     r = random.Random(seed)
     d = _random_prefix(r, d, r.randint(0, 1))
     t = telescope2(d)
@@ -152,8 +146,8 @@ def test_telescope_keeps_orbit_sums_and_verdict(d, T, cobound, seed):
     got = birkhoff(t, ht, extreme(t, 1)[2], total)
     want = birkhoff(d, h, extreme(d, 1)[2], total)
     assert (got.checkpoints, got.sup_abs) == (want.checkpoints, want.sup_abs)
-    verdict = certificate(h, tower_d) is not None
-    assert (certificate(ht, tower_t) is not None) == verdict
+    verdict = all(dv.exact_zero for dv in distributions(h, tower_d))
+    assert all(dv.exact_zero for dv in distributions(ht, tower_t)) == verdict
     assert verdict or not cobound
     assert tower_t.d == tower_d.d
 
@@ -232,7 +226,7 @@ def test_residual_is_the_sup_over_every_cylinder(d, seed):
 
 
 def test_columns_of_h_are_read_once(odo2, monkeypatch):
-    # two rounds of distributions, certificate, solve and birkhoff on one h
+    # two rounds of distributions, solve and birkhoff on one h
     # read its integer columns once: h keeps them
     read, seen = adic.martingale.integer_parts, []
 
@@ -247,8 +241,7 @@ def test_columns_of_h_are_read_once(odo2, monkeypatch):
     h = _coboundary(odo2, rand_function(rng(413), odo2, 2))
     start = LazyPath(FinitePath(()), TAIL_MIN)
     for _ in range(2):
-        distributions(h, tower)
-        assert certificate(h, tower) is not None
+        assert all(dv.exact_zero for dv in distributions(h, tower))
         assert solve(h, tower, alpha=3).residual == 0
         birkhoff(odo2, h, start, 100)
     assert sum(v is h.values for v in seen) == 1
@@ -312,11 +305,10 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
         for level in (1, 2):
             g0 = rand_function(r, d, level)
             h = _coboundary(d, g0)
-            assert is_coboundary_class(h, tower)["is_coboundary"] is True
             sol = solve(h, tower)
             obstructed = h + constant_function(d, Fraction(1), h.level)
-            assert is_coboundary_class(obstructed, tower)["is_coboundary"] \
-                is False
+            assert not all(dv.exact_zero
+                           for dv in distributions(obstructed, tower))
             with pytest.raises(ObstructedError):
                 solve(obstructed, tower)
             assert sol.residual == 0
@@ -332,15 +324,15 @@ def test_verdict_and_solve_on_singular_cubic_and_prefixed_diagrams():
 
 def test_certificate_may_lie_above_the_evaluation_level():
     # the block sums (1, -2) of h at level 1, its evaluation level, are not
-    # 0, but A sends them to 0, so h is a coboundary whose certificate is
-    # level 2
+    # 0, but A sends them to 0, so h is a coboundary, and solve finds its
+    # certificate at level 2
     level = make_level(2, 2, [(1, 0), (0, 0), (0, 0), (0, 1), (1, 1), (0, 1)],
                        [[2, 1, 0], [5, 3, 4]])
     d = OrderedDiagram((level,), stationary=True)
     h = from_vector(d, 1, [Fraction(x) for x in (1, 0, 0, -1, -1, 0)])
     tower = limit_rank(d, renorm_data(d))
-    rep = is_coboundary_class(h, tower)
-    assert rep["is_coboundary"] is True and rep["certificate"] == {"level": 2}
+    assert evaluation_level(tower, h) == 1
+    assert all(dv.exact_zero for dv in distributions(h, tower))
     sol = solve(h, tower)
     assert (sol.level, sol.residual) == (2, 0)
 
