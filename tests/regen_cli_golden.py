@@ -195,8 +195,9 @@ PERIODIC_RUNS = (
 )
 
 # Runs on no diagram in particular: help, parser errors, a numeric failure,
-# a listing over the edge budget, and a diagram file that is structurally
-# broken or not JSON.
+# a listing over the edge budget, a diagram file that is structurally
+# broken or not JSON, start paths that are not paths, and a function whose
+# values span more than the floats hold.
 PARSER_RUNS = (
     [], ["--help"], ["nope"], ["algebra"], ["algebra", "--help"],
     ["paths", "--diagram", "odo2"],
@@ -217,6 +218,17 @@ PARSER_RUNS = (
     ["measure", "--diagram", "broken.json"],
     ["validate", "--diagram", "cut.json"],
     ["orbit", "--diagram", "cut.json"],
+    ["orbit", "--diagram", "fib", "--start", '{"prefix": [7], "tail": "MIN"}',
+     "-N", "2"],
+    ["orbit", "--diagram", "fib", "--start",
+     '{"prefix": [0, 1], "tail": "MIN"}', "-N", "2"],
+    # the word breaks its chain at level 2 and leaves the edge indices at 3
+    ["orbit", "--diagram", "fib", "--start",
+     '{"prefix": [], "tail": {"periodic": [2, 2, 7]}}', "-N", "2"],
+    ["solve", "--diagram", "odo2", "--function", "h308.json",
+     "--alpha", "3"],
+    ["decompose", "--diagram", "odo2", "--function", "h308.json",
+     "--emit", "json"],
 )
 
 
@@ -257,6 +269,8 @@ def main():
         old.unlink()
     (INPUTS / "h1.json").write_text(json.dumps(
         {"level": 1, "values": {"0": "-1", "1": "1"}}) + "\n")
+    (INPUTS / "h308.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": -1e308, "1": 1e308}}) + "\n")
     # odo2 with an in-order that is not a permutation, and a cut file
     (INPUTS / "broken.json").write_text(json.dumps(
         {"stationary": True, "levels": [{
