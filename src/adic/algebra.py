@@ -53,7 +53,7 @@ from .errors import (AlphaOverflowError, InsufficientStabilizationError,
                      NotProperlyOrderedError, NumericError, PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, nu_mean,
-                         one_field, padded, rand_function)
+                         one_field, rand_function)
 
 # the default distortion sweep climbs past level 3 only through levels of
 # at most this many paths.  The sweep costs one successor per path and
@@ -268,17 +268,10 @@ def power(a, n):
     if n == 0:
         return unit(a.diagram, a.lam, a.alpha)
     field, fa = _compatible(a, a), _columns(a)
-    out = _first(fa, field.n) if field else fa
+    out = fa
     for _ in range(1, n):
         out = _product(a.diagram, out, fa, field)
     return _wrap(a, out, field)
-
-
-def _first(fa, n):
-    """The bare columns of 1 a in a field of degree n, from those of a:
-    rational columns padded with zeros to n columns."""
-    q, cols = fa
-    return q, {k: (level, padded(c, n)) for k, (level, c) in cols.items()}
 
 
 def project_support(a, n):
@@ -467,7 +460,7 @@ def neumann_invert(h, tol=1e-10):
     small = weight(fc)
     if not small < 0.5:
         raise NormTooLargeError()
-    terms, n = [_first(fc, f_field.n) if f_field else fc], small
+    terms, n = [fc], small
     while n * small / (1.0 - small) > tol and \
             len(terms) < NEUMANN_MAX_TERMS:
         terms.append(_product(d, terms[-1], fc, f_field))

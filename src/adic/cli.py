@@ -236,22 +236,7 @@ def _load_start(diagram, ref):
     else:
         with open(ref) as fh:
             data = json.load(fh)
-    p = lazy_from_json_dict(data)
-    check_path(diagram, p.prefix)
-    if p.tail.kind == "PERIODIC":
-        # the word repeats from level len(prefix)+1; past the materialized
-        # levels one period covers every (word index, level) pairing, and
-        # one edge more the junction of the word with its repeat
-        word, pl = p.tail.word, len(p.prefix.edges)
-        top = max(pl, len(diagram.levels)) + len(word) + 1
-        if not diagram.stationary:
-            top = min(top, len(diagram.levels))
-        for k in range(pl + 1, top + 1):
-            e = word[(k - pl - 1) % len(word)]
-            if not 0 <= e < len(diagram.level(k).edges):
-                raise ParseError("periodic tail edge index out of range")
-        materialize(diagram, p, top)  # raises when the word does not chain
-    return p
+    return check_path(diagram, lazy_from_json_dict(data))
 
 
 def _lenient_diagram(args):

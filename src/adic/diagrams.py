@@ -284,18 +284,6 @@ def path_source(diagram, p):
     return p.root
 
 
-def check_path(diagram, p):
-    v = None
-    for i, e in enumerate(p.edges):
-        ld = diagram.level(1 + i)
-        if not (0 <= e < len(ld.edges)):
-            raise ParseError("path edge index out of range")
-        if v is not None and ld.source(e) != v:
-            raise ParseError("path edges do not chain")
-        v = ld.range(e)
-    return p
-
-
 @dataclass(frozen=True)
 class Tail:
     kind: str  # "MIN" | "MAX" | "PERIODIC"
@@ -356,15 +344,22 @@ class PathWalker:
                 self.vertex = 0
 
     def advance(self):
-        """Returns (level, edge index); raises at the materialization horizon."""
+        """(level, edge index); ParseError at a prefix or word edge not of
+        its level or not chaining, HorizonExceededError past the horizon."""
         self.k += 1
         k, lz = self.k, self.lazy
         ld = self.diagram.level(k)
         pl = len(lz.prefix.edges)
         if k <= pl:
             e = lz.prefix.edges[k - 1]
+            if not 0 <= e < len(ld.edges):
+                raise ParseError("path edge index out of range")
+            if self.vertex is not None and ld.source(e) != self.vertex:
+                raise ParseError("path edges do not chain")
         elif lz.tail.kind == "PERIODIC":
             e = lz.tail.word[(k - pl - 1) % len(lz.tail.word)]
+            if not 0 <= e < len(ld.edges):
+                raise ParseError("periodic tail edge index out of range")
             if self.vertex is not None and ld.source(e) != self.vertex:
                 raise ParseError("periodic tail does not chain")
         else:
@@ -397,6 +392,20 @@ def materialize(diagram, lazy, k):
     """The level-k FinitePath prefix of a LazyPath."""
     w = PathWalker(diagram, lazy)
     return FinitePath(tuple(w.advance()[1] for _ in range(k)))
+
+
+def check_path(diagram, p):
+    """p, read through `materialize` past every edge that can go wrong: its
+    prefix, and for a word every (index, level) pairing and the junction
+    with its repeat, to one period and one edge past the materialized
+    levels where the diagram repeats."""
+    top = len(p.prefix.edges)
+    if p.tail.kind == "PERIODIC":
+        top = max(top, len(diagram.levels))
+        if diagram.stationary:
+            top += len(p.tail.word) + 1
+    materialize(diagram, p, top)
+    return p
 
 
 # ---------------------------------------------------------------------------

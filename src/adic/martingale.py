@@ -33,7 +33,7 @@ from operator import sub
 
 from .diagrams import (LazyPath, count_paths, extreme, materialize, owned,
                        path_index, path_table)
-from .errors import PreconditionError
+from .errors import NumericError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -248,9 +248,9 @@ def holder_norm(diagram, h, alpha, lam):
     runs, the slices [u, u + n) of the level-j ranges for u in
     `path_table(diagram, j).runs[s]`, n the block size of s, or the empty
     range (+inf, -inf) when s has no out-edges.  alpha < 0, lam < 1 and a
-    value that is not finite raise PreconditionError; a value, a weight
-    lam^alpha or a weighted oscillation beyond the floats raises
-    OverflowError.
+    value that is not finite raise PreconditionError; a span max - min
+    beyond the floats raises NumericError, whatever alpha; a value, a
+    weight lam^alpha or a weighted oscillation beyond them OverflowError.
 
     The sweep goes down from level m and stops once the seminorm so far is
     positive and at least span = max - min, which bounds every oscillation,
@@ -269,6 +269,8 @@ def holder_norm(diagram, h, alpha, lam):
         raise PreconditionError("the Hoelder norm needs finite values")
     sup = max(map(abs, lo), default=0.0)
     span = max(lo, default=0.0) - min(lo, default=0.0)
+    if span == math.inf:
+        raise NumericError("a value overflows a float")
     for j in range(h.level, 0, -1):
         best = span
         if j > 1:
@@ -304,7 +306,9 @@ class BumpProfile:
         return Fraction(175, 32) / self.tau
 
     def deriv_sup(self, j):
-        """Closed-form sup |u^{(j)}| for j = 0 or 1."""
+        """Closed-form sup |u^{(j)}| for j = 0 or 1, else ValueError."""
+        if j not in (0, 1):
+            raise ValueError("no closed form of sup |u^(%s)|" % (j,))
         c = float(self.height)
         if j == 0:
             return c
@@ -332,9 +336,13 @@ class LevelComponent:
     bump: BumpProfile
 
     def cr_norm(self, r, lam):
+        """The C^r norm for r = 0 or 1; OverflowError beyond the floats."""
         lamf = float(lam)
-        return sum(lamf ** (j * self.level) * self.bump.deriv_sup(j)
+        norm = sum(lamf ** (j * self.level) * self.bump.deriv_sup(j)
                    for j in range(r + 1)) * self.peak
+        if not math.isfinite(norm):
+            raise OverflowError("a C^r norm beyond the floats")
+        return norm
 
 
 def decompose(diagram, h, renorm):

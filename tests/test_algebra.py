@@ -433,6 +433,21 @@ def test_power_and_neumann_build_only_their_results(odo2, pisot31,
         len(f.coeffs) + 1
 
 
+def test_power_one_keeps_a_rational_coefficient_rational(golden2):
+    # a(0) lives in Q(lambda) = Q(sqrt 5) and a(1) is rational: a^1 is a
+    # itself, each coefficient's values of the type they were built of
+    lam = renorm_data(golden2).lambda_mu
+    r5 = sqrt_field(5)
+    a = element(golden2, lam, 3, {
+        0: from_vector(golden2, 0, [r5(1, 1), r5(Fraction(1, 2), 0)]),
+        1: from_vector(golden2, 1, [Fraction(1, 3), 0, -2, 0, 1])})
+    got = power(a, 1)
+    assert equal_elements(got, a)
+    assert [{type(x) for x in f.values} for f in got.coeffs.values()] == \
+        [{FieldElement}, {Fraction}]
+    assert equal_elements(power(a, 2), convolve(a, a))
+
+
 def test_neumann_of_a_field_one_matches_the_public_loop(odo2):
     # h(0) is 1 in Q(sqrt 5) and the other shifts are rational, so
     # f = 1 - h drops shift 0 and has no field: the inverse stays rational,

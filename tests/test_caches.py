@@ -99,7 +99,7 @@ def test_every_reset_empties_the_tables(odo2, fib):
     martingale.gather(odo2, 1, 1, 4)
     martingale.residual_rows(fib, 1, 2)
     for d in (odo2, fib):
-        solenoid.cached_point(d, renorm_data(d), FinitePath((0, 1)), 2)
+        solenoid.cached_point(d, renorm_data(d), FinitePath((0, 0)), 2)
     assert "cached_point" in odo2.tables and "cached_point" in fib.tables
     for reset in run.cache_resets(package):
         reset()

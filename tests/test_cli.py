@@ -576,6 +576,20 @@ def test_value_that_overflows_is_a_numeric_error(capsys, work, argv):
     assert err == "error: a value overflows a float\n"
 
 
+@pytest.mark.parametrize("argv", [["solve", "--alpha", "3"], ["decompose"],
+                                  ["decompose", "--emit", "json"]])
+def test_a_span_beyond_the_floats_is_no_alpha_overflow(capsys, work, argv):
+    # both values fit a float, but max - min = 2e308 does not: solve names
+    # the value, not an alpha whose weights are 1 at level 0, and decompose
+    # prints no C^r norm of inf, which is not JSON
+    (work / "h308.json").write_text(json.dumps(
+        {"level": 1, "values": {"0": -1e308, "1": 1e308}}))
+    rc, out, err = run(capsys, argv + ["--diagram", "odo2", "--function",
+                                       str(work / "h308.json")])
+    assert (rc, out) == (4, "")
+    assert err == "error: a value overflows a float\n"
+
+
 def test_decompose_refuses_a_zero_roof(capsys, tmp_path):
     # the exact roof of `_prefixed(pisot31)` is (3/2, 0): no bump fits
     d = _prefixed(builtin_diagram("pisot31"))

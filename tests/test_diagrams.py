@@ -9,12 +9,13 @@ from fractions import Fraction
 
 import pytest
 
+import adic.diagrams as diagrams
 from test_step import (_prefixed, _random_diagram, first_disagreement,
                        path_range)
 
 from adic.catalog import builtin_diagram
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
-                           TAIL_MAX, TAIL_MIN, Tail, count_paths,
+                           TAIL_MAX, TAIL_MIN, Tail, check_path, count_paths,
                            diagram_from_json_dict, enumerate_paths, extreme,
                            load_diagram, make_level, materialize, path_table,
                            successor, validate)
@@ -360,6 +361,43 @@ def test_vertex_without_in_edges_is_a_parse_error():
                  lambda: birkhoff(d, h, start, 7)):
         with pytest.raises(ParseError, match="vertex 1: no incoming edge"):
             call()
+
+
+@pytest.mark.parametrize("prefix, word, message", [
+    ((7,), None, "path edge index out of range"),
+    ((1, 1), None, "path edges do not chain"),
+    ((), (2, 1, 7), "periodic tail edge index out of range"),
+    ((), (2, 2), "periodic tail does not chain"),
+    # the first bad edge in level order: the chain breaks at level 2,
+    # before the index 7 at level 3
+    ((), (2, 2, 7), "periodic tail does not chain")])
+def test_every_walk_refuses_a_malformed_path(fib, prefix, word, message):
+    # on fib, edges 1: b->a and 2: a->b are the last in-edges of their
+    # ranges, so the successor carries past them to the bad edge
+    start = LazyPath(FinitePath(prefix),
+                     Tail("PERIODIC", word) if word else TAIL_MIN)
+    h = from_vector(fib, 1, [Fraction(1), Fraction(0), Fraction(-1)])
+    for call in (lambda: successor(fib, start),
+                 lambda: materialize(fib, start, 3),
+                 lambda: birkhoff(fib, h, start, 7),
+                 lambda: check_path(fib, start)):
+        with pytest.raises(ParseError, match="^%s$" % message):
+            call()
+
+
+def test_check_path_reads_as_deep_as_a_word_can_go_wrong(fib, monkeypatch):
+    # the prefix alone, or for a word one period and one edge past the
+    # prefix and the materialized levels, on a diagram that does not
+    # repeat its levels alone, but never less than the prefix
+    tops = []
+    monkeypatch.setattr(diagrams, "materialize",
+                        lambda d, p, k: tops.append(k))
+    for d in (fib, OrderedDiagram(fib.levels * 3)):
+        for p in (LazyPath(FinitePath((0, 2, 1, 2))),
+                  LazyPath(FinitePath((0,)), Tail("PERIODIC", (2, 1, 0))),
+                  LazyPath(FinitePath((0, 2, 1, 2)), Tail("PERIODIC", (0,)))):
+            assert check_path(d, p) is p
+    assert tops == [4, 5, 6, 4, 3, 4]
 
 
 def test_first_disagreement_stationary_equality(odo2):

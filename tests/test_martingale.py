@@ -16,12 +16,15 @@ from test_step import _prefixed, _random_diagram, _random_prefix
 
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MIN,
                            enumerate_paths, extreme, make_level, path_table)
-from adic.errors import PreconditionError
+import adic.algebra as alg
+from adic.cohomology import limit_rank
+from adic.errors import AlphaOverflowError, NumericError, PreconditionError
 from adic.martingale import (bump_from_roof, compose_phi,
                              constant_function, decompose, delta, from_vector,
                              holder_norm, lift, nu_mean, project,
                              rand_function)
 from adic.measures import renorm_data
+from adic.solver import solve
 
 
 def test_reconstruction_exact(odo2, fib, pisot31):
@@ -302,3 +305,38 @@ def test_bump_profile_smoothness(odo2):
     assert bp.cr_norm(0) >= 1.0
     assert bp.cr_norm(1) > bp.cr_norm(0)
     assert bp.deriv_sup(0) > 0
+
+
+def test_bump_profile_refuses_derivatives_without_a_closed_form(odo2):
+    # sup |u''| = 6 c (5 / tau)^2 at t = 0 is no first-derivative bound
+    bp = bump_from_roof(renorm_data(odo2))
+    for j in (-1, 2, 3):
+        with pytest.raises(ValueError, match=r"u\^\(%d\)" % j):
+            bp.deriv_sup(j)
+    with pytest.raises(ValueError):
+        bp.cr_norm(2)
+    with pytest.raises(ValueError):
+        decompose(odo2, rand_function(rng(110), odo2, 1),
+                  renorm_data(odo2))[1].cr_norm(2, 2)
+
+
+def test_a_span_beyond_the_floats_is_a_value_overflow(odo2):
+    # -1e308 and 1e308 fit a float, their oscillation 2e308 does not: at
+    # alpha = 0 every weight is 1, so the overflow is no alpha's, and the
+    # solver and the algebra norms pass it on as it is
+    rd = renorm_data(odo2)
+    h = from_vector(odo2, 1, [-1e308, 1e308])
+    message = "^a value overflows a float$"
+    for call in (lambda: holder_norm(odo2, h, 0.0, 2.0),
+                 lambda: holder_norm(odo2, h, 3.0, 2.0),
+                 lambda: solve(h, limit_rank(odo2, rd), alpha=3),
+                 lambda: alg.norms(alg.element(odo2, 2, 3, {1: h}), 0, 1)):
+        with pytest.raises(NumericError, match=message) as info:
+            call()
+        assert not isinstance(info.value, AlphaOverflowError)
+    comps = decompose(odo2, h, rd)
+    assert comps[1].peak == 1e308
+    for r in (0, 1):
+        with pytest.raises(OverflowError, match="beyond the floats"):
+            comps[1].cr_norm(r, rd.lam_float)
+    assert comps[0].cr_norm(1, rd.lam_float) == 0.0
