@@ -40,7 +40,7 @@ seminorms are theorems rather than near-misses at concentrated supports.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from os.path import commonprefix
@@ -62,16 +62,16 @@ from .martingale import (CylinderFunction, compose_level, constant_function,
 TRIANGLE_PATHS = 512
 
 
-@dataclass(frozen=True, eq=False)
 class AlgebraElement:
     """An element stored as cylinder functions that hold their integer
-    columns: coeffs maps each shift k to a(k), all-zero shifts dropped,
-    shifts ascending.  The columns are not reduced, so elements compare
-    with `equal_elements`, not ==."""
-    diagram: object
-    lam: object      # metric base of the coefficient Hoelder space
-    alpha: object    # Hoelder exponent
-    coeffs: object   # dict k -> CylinderFunction
+    columns: coeffs maps each shift k to a(k), a CylinderFunction, all-zero
+    shifts dropped, shifts ascending; lam is the metric base of the
+    coefficient Hoelder space and alpha its exponent.  The columns are not
+    reduced, so elements compare with `equal_elements`, not ==."""
+
+    def __init__(self, diagram, lam, alpha, coeffs):
+        self.diagram, self.lam, self.alpha = diagram, lam, alpha
+        self.coeffs = coeffs
 
     def support(self):
         return tuple(sorted(self.coeffs))
@@ -289,10 +289,7 @@ def complement_support(a, n):
 # ---------------------------------------------------------------------------
 # distortion estimate
 
-@dataclass(frozen=True)
-class TriangleEstimate:
-    value: float
-    level: int
+TriangleEstimate = namedtuple("TriangleEstimate", "value level")
 
 
 @owned
@@ -417,11 +414,11 @@ def lemma_constant(triangle, alpha, q):
 # ---------------------------------------------------------------------------
 # Neumann inversion
 
-@dataclass(frozen=True)
-class NeumannInverse:
-    element: object
-    residual: float   # certified ||h . inverse - 1|| in the l1 norm
-    terms: int        # highest power of (1 - h) included
+class NeumannInverse(namedtuple("NeumannInverse", "element residual terms")):
+    """The inverse of `neumann_invert`: residual is the certified
+    ||h . inverse - 1|| in the l1 norm, terms the highest power of (1 - h)
+    included."""
+    __slots__ = ()
 
 
 NEUMANN_MAX_TERMS = 200

@@ -23,7 +23,7 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import algebra as alg
@@ -73,34 +73,44 @@ def _render(obj, out, indent):
     elif isinstance(obj, int):
         out.write(str(obj))
     elif isinstance(obj, float):
-        out.write("%.17g" % obj)
+        out.write(_finite(obj))
     elif isinstance(obj, Fraction):
         out.write(json.dumps(str(obj)))
     elif isinstance(obj, str):
         out.write(json.dumps(obj))
     else:
-        out.write("%.17g" % float(obj))
+        out.write(_finite(float(obj)))
+
+
+def _finite(x):
+    """A float at 17 significant digits; OverflowError for inf and nan,
+    which are no JSON and no number a reader can use."""
+    if not math.isfinite(x):
+        raise OverflowError("a value overflows a float")
+    return "%.17g" % x
 
 
 def _write(out):
     """A command's output: a str (DOT) as it is, a (header, rows) pair as
-    CSV, anything else as canonical JSON, rendered whole before writing."""
+    CSV, anything else as canonical JSON, rendered whole before writing, so
+    that a refused value leaves stdout empty."""
+    buf = io.StringIO()
     if isinstance(out, str):
-        sys.stdout.write(out)
+        buf.write(out)
     elif isinstance(out, tuple):
-        w = csv.writer(sys.stdout, lineterminator="\n")
+        w = csv.writer(buf, lineterminator="\n")
         w.writerow(out[0])
         for row in out[1]:
             w.writerow([_csv_cell(x) for x in row])
     else:
-        buf = io.StringIO()
         _render(out, buf, 0)
-        sys.stdout.write(buf.getvalue() + "\n")
+        buf.write("\n")
+    sys.stdout.write(buf.getvalue())
 
 
 def _csv_cell(x):
     if isinstance(x, float):
-        return "%.17g" % x
+        return _finite(x)
     if isinstance(x, Fraction):
         return str(x)
     return x
@@ -467,22 +477,16 @@ PERRON = ("stationary", "perron")
 MIN_PATH = ("stationary", "unique_min_path")
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(namedtuple("Command", "name help flags run needs read check "
+                          "failed aliases", defaults=(
+                              (), lambda args: resolve_diagram(args.diagram),
+                              None, None, ()))):
     """A subcommand ("algebra check" in the algebra group): its flags as
     argparse (flag, keywords) pairs, the checks of its flags made before
     any file is read, the facts it needs of the diagram `read` returns,
     `run` from the flags and that diagram to its output, and `failed`,
     true of an output that exits 4."""
-    name: str
-    help: str
-    flags: tuple
-    run: object
-    needs: tuple = ()
-    read: object = lambda args: resolve_diagram(args.diagram)
-    check: object = None
-    failed: object = None
-    aliases: tuple = ()
+    __slots__ = ()
 
 
 DIAGRAM = ("--diagram", dict(required=True))

@@ -32,7 +32,7 @@ block sum is 0, the certificate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -45,16 +45,11 @@ from .scalars import eliminate, identity, mat_mul, mat_vec, solve_linear
 # ---------------------------------------------------------------------------
 # tower and limit rank
 
-@dataclass
-class ClassTower:
-    diagram: object
-    renorm: object
-    map: tuple        # A, carrying the block sums of level k-1 to level k
-    k_prime: int
-    d: int
-    w_basis: tuple    # the pivot columns of A^k', a basis of W
-    kernel_rows: tuple  # the reduced rows of A^k', 0 on the eventual kernel
-    ranks: tuple
+class ClassTower(namedtuple("ClassTower", "diagram renorm map k_prime d "
+                             "w_basis kernel_rows ranks")):
+    """The tower of `limit_rank`: map is A, carrying the block sums of
+    level k-1 to level k; w_basis the pivot columns of A^k', a basis of W;
+    kernel_rows the reduced rows of A^k', 0 on the eventual kernel."""
 
     @cached_property
     def functionals(self):
@@ -148,12 +143,11 @@ def birkhoff_cochain(diagram, h, k):
     return tuple(field_values(q, block_sums(diagram, h.level, cols, k), d))
 
 
-@dataclass(frozen=True)
-class DistributionValue:
-    index: int
-    value: float
-    numerator: object  # exact pairing before normalization
-    exact_zero: bool
+class DistributionValue(namedtuple("DistributionValue",
+                                   "index value numerator exact_zero")):
+    """One invariant distribution of h: value is a float, numerator the
+    exact pairing before normalization."""
+    __slots__ = ()
 
 
 def _dot(w, x, y):
@@ -180,16 +174,12 @@ def _gram_schmidt(vectors, w):
     return basis
 
 
-@dataclass(frozen=True)
-class Functionals:
+class Functionals(namedtuple("Functionals", "base step norms rows")):
     """The h-independent part of the distributions of a tower: rows[j]
     holds the d vertex rows of level base + j as (den, integer rows over
     den), norms the Gram norms, and step the Drazin inverse of A, which
     carries the rows one level up."""
-    base: int
-    step: list
-    norms: tuple
-    rows: list
+    __slots__ = ()
 
 
 def _integer_rows(rows):

@@ -18,7 +18,7 @@ canonical extreme paths are produced in exact PERIODIC form by
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property, wraps
 from itertools import chain
 from weakref import WeakValueDictionary
@@ -27,12 +27,10 @@ from .errors import (HorizonExceededError, LevelOverflowError,
                      NotProperlyOrderedError, NotStationaryError, ParseError)
 
 
-@dataclass(frozen=True)
-class LevelData:
-    num_sources: int
-    num_ranges: int
-    edges: tuple  # of (source, range) pairs
-    in_order: tuple  # per range vertex, tuple of edge indices
+class LevelData(namedtuple("LevelData",
+                            "num_sources num_ranges edges in_order")):
+    """One level: edges, its (source, range) pairs, and in_order, per range
+    vertex the tuple of its edge indices."""
 
     def source(self, e):
         return self.edges[e][0]
@@ -90,21 +88,18 @@ TABLES = WeakValueDictionary()  # by (levels, stationary)
 TABLES.cache_clear = _clear_tables
 
 
-@dataclass(frozen=True)
-class OrderedDiagram:
-    levels: tuple
-    stationary: bool = False
-    tables: Tables = field(init=False, repr=False, compare=False)
+class OrderedDiagram(namedtuple("OrderedDiagram", "levels stationary",
+                                defaults=(False,))):
+    """A tuple of LevelData, the last repeating forever when stationary."""
 
-    def __post_init__(self):
-        key = (self.levels, self.stationary)
-        tables = TABLES.get(key)
-        if tables is None:
-            tables = TABLES[key] = Tables()
-        object.__setattr__(self, "tables", tables)
+    @cached_property
+    def tables(self):
+        """The Tables of every equal diagram, interned by the plain tuple
+        (levels, stationary): no field, and a pickle leaves it out."""
+        return TABLES.setdefault(tuple(self), Tables())
 
     def __reduce__(self):
-        return OrderedDiagram, (self.levels, self.stationary)
+        return OrderedDiagram, tuple(self)
 
     def level(self, k):
         if k < 1:
@@ -258,20 +253,14 @@ def eventual_image(fmap):
 # ---------------------------------------------------------------------------
 # paths
 
-@dataclass(frozen=True)
-class FinitePath:
-    edges: tuple  # from level 1 up: every path starts at V_0
-    root: int = None  # the V_0 vertex of a path with no edges, else None
-    # taken once: the point tables of `solenoid` hash paths many times
-    _hash: int = field(init=False, repr=False, compare=False)
+class FinitePath(namedtuple("FinitePath", "edges root")):
+    """edges from level 1 up, since every path starts at V_0, and root,
+    the V_0 vertex of a path with no edges, else None."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        object.__setattr__(self, "root", None if self.edges else self.root)
-        object.__setattr__(self, "_hash", hash((self.edges, self.root)))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, edges, root=None):
+        edges = tuple(edges)
+        return tuple.__new__(cls, (edges, None if edges else root))
 
     @property
     def level(self):
@@ -284,27 +273,24 @@ def path_source(diagram, p):
     return p.root
 
 
-@dataclass(frozen=True)
-class Tail:
-    kind: str  # "MIN" | "MAX" | "PERIODIC"
-    word: tuple = ()
+class Tail(namedtuple("Tail", "kind word")):
+    """kind "MIN", "MAX" or "PERIODIC", and word, the edge indices a
+    PERIODIC tail repeats."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("MIN", "MAX", "PERIODIC"):
-            raise ParseError("unknown tail policy %r" % (self.kind,))
-        if self.kind == "PERIODIC" and not self.word:
+    def __new__(cls, kind, word=()):
+        if kind not in ("MIN", "MAX", "PERIODIC"):
+            raise ParseError("unknown tail policy %r" % (kind,))
+        if kind == "PERIODIC" and not word:
             raise ParseError("empty periodic word")
-        object.__setattr__(self, "word", tuple(self.word))
+        return tuple.__new__(cls, (kind, tuple(word)))
 
 
 TAIL_MIN = Tail("MIN")
 TAIL_MAX = Tail("MAX")
 
 
-@dataclass(frozen=True)
-class LazyPath:
-    prefix: FinitePath
-    tail: Tail = TAIL_MIN
+LazyPath = namedtuple("LazyPath", "prefix tail", defaults=(TAIL_MIN,))
 
 
 def lazy_from_json_dict(data):
@@ -528,16 +514,16 @@ def _check_budget(level, count):
                                  % (level, count, PATH_BUDGET))
 
 
-@dataclass(frozen=True)
-class PathTable:
+class PathTable(namedtuple("PathTable", "offsets parent first runs")):
     """Index columns of E_{0,k} in `enumerate_paths` order.  The order is
     range-major, so the paths into vertex v of V_k form the block
     offsets[v]:offsets[v+1]; inside it the paths through each in-edge e of
-    v form one run, starting at first[e], in the order of their parents."""
-    offsets: tuple  # per vertex of V_k its block start, then |E_{0,k}|
-    parent: tuple   # per path: index of its first k-1 edges at level k-1
-    first: tuple    # per edge of level k: index of the first path through it
-    runs: tuple     # per vertex of V_(k-1): first[e] of its out-edges, rising
+    v form one run, starting at first[e], in the order of their parents.
+    offsets holds per vertex of V_k its block start, then |E_{0,k}|;
+    parent per path the index of its first k-1 edges at level k-1; first
+    per edge of level k the index of the first path through it; runs per
+    vertex of V_(k-1) first[e] of its out-edges, rising."""
+    __slots__ = ()
 
     def blocks(self):
         """(start, stop) of the block of each vertex of V_k."""

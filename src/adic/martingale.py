@@ -25,7 +25,7 @@ but jumps there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -296,9 +296,9 @@ def holder_norm(diagram, h, alpha, lam):
 # ---------------------------------------------------------------------------
 # bump profile and level components
 
-@dataclass
-class BumpProfile:
-    tau: object  # exact positive scalar; support radius is tau/5
+class BumpProfile(namedtuple("BumpProfile", "tau")):
+    """The bump of support radius tau/5, tau an exact positive scalar."""
+    __slots__ = ()
 
     @property
     def height(self):
@@ -329,11 +329,10 @@ def bump_from_roof(renorm):
     return BumpProfile(tau)
 
 
-@dataclass
-class LevelComponent:
-    level: int
-    peak: float  # max |delta_k h| over level-k cylinders
-    bump: BumpProfile
+class LevelComponent(namedtuple("LevelComponent", "level peak bump")):
+    """The level-k component of `decompose`: peak is max |delta_k h| over
+    level-k cylinders, bump the BumpProfile."""
+    __slots__ = ()
 
     def cr_norm(self, r, lam):
         """The C^r norm for r = 0 or 1; OverflowError beyond the floats."""

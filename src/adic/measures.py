@@ -18,7 +18,6 @@ A non-stationary diagram has no repeating matrix to renormalize by:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -27,13 +26,15 @@ from .errors import NotStationaryError, PreconditionError
 from .scalars import identity, mat_mul, mat_vec, perron_data, solve_linear
 
 
-# Compared and hashed by identity: the solenoid tables are keyed by it, and
-# `renorm_data` hands one, frozen, to every reader of a diagram.
-@dataclass(frozen=True, eq=False)
 class RenormData:
-    lambda_mu: object  # exact scalar
-    heights: tuple  # tower heights of levels 0..j, None where refused
-    xis: tuple  # exact xi vectors of levels 0..L, L = len(levels)
+    """lambda_mu, the exact Perron multiplier; heights, the tower heights
+    of levels 0..j, None where refused; xis, the exact xi vectors of levels
+    0..L, L = len(levels).  Compared and hashed by identity, since the
+    solenoid tables are keyed by it: `renorm_data` builds one per diagram,
+    which no reader changes."""
+
+    def __init__(self, lambda_mu, heights, xis):
+        self.lambda_mu, self.heights, self.xis = lambda_mu, heights, xis
 
     def tower_heights(self, k):
         """The exact level-k tower heights, one per vertex of V_k."""

@@ -14,7 +14,6 @@ diagrams only.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cached_property
 from math import inf
 
@@ -23,14 +22,13 @@ from .diagrams import (LazyPath, TAIL_MIN, eventual_image, materialize,
 from .errors import NotStationaryError, NumericError, PreconditionError
 
 
-@dataclass(frozen=True)
-class ApproxComplex:
-    level: int
-    lengths: tuple        # exact scalar per edge (one edge per vertex)
-    start_class: tuple    # vertex class of the negative end of each edge
-    end_class: tuple      # vertex class of the positive end of each edge
-    classes: tuple        # members per class: (sign, edge) with sign in -+
-    glued_pairs: tuple    # (a, b) meaning end of e_a meets start of e_b
+class ApproxComplex(namedtuple("ApproxComplex", "level lengths start_class "
+                               "end_class classes glued_pairs")):
+    """The level complex: lengths, an exact scalar per edge (one edge per
+    vertex); start_class and end_class, the vertex class of the negative
+    and of the positive end of each edge; classes, the members of each
+    class as (sign, edge) with sign in -+; glued_pairs, (a, b) where the
+    end of e_a meets the start of e_b."""
 
     @property
     def num_edges(self):
@@ -42,8 +40,8 @@ class ApproxComplex:
             total = total + x
         return total
 
-    # Metric tables, computed once per instance; they are not fields, so
-    # equality and hashing see only the exact data.
+    # Metric tables, computed once per instance and kept outside the
+    # tuple, so equality and hashing see only the exact data.
 
     @cached_property
     def distances(self):
@@ -187,12 +185,11 @@ def first_betti_number(graph):
 # ---------------------------------------------------------------------------
 # wrapping maps
 
-@dataclass(frozen=True)
-class WrappingMap:
-    level: int            # maps the level complex onto the coarser one
-    words: tuple          # per edge: ordered coarse-edge itinerary
-    fine_lengths: tuple
-    coarse_lengths: tuple
+class WrappingMap(namedtuple("WrappingMap",
+                             "level words fine_lengths coarse_lengths")):
+    """The map of the level complex onto the coarser one: words holds per
+    edge its ordered coarse-edge itinerary."""
+    __slots__ = ()
 
     def word_total(self, v):
         return sum(self.coarse_lengths[w] for w in self.words[v])
@@ -218,13 +215,11 @@ def wrapping(diagram, renorm, k):
 # ---------------------------------------------------------------------------
 # conjugacy with path space
 
-@dataclass(frozen=True)
-class SolenoidPoint:
-    """A point of the inverse limit truncated at `level`, with its table."""
-    level: int
-    coords: tuple  # (edge, exact offset) per level 0..level
-    complexes: tuple
-    lam: float  # lam_float of the Perron data, for the level weights
+class SolenoidPoint(namedtuple("SolenoidPoint",
+                               "level coords complexes lam")):
+    """A point of the inverse limit truncated at `level`, with its table:
+    coords holds (edge, exact offset) per level 0..level, and lam is the
+    lam_float of the Perron data, for the level weights."""
 
     @cached_property
     def table(self):

@@ -36,6 +36,7 @@ wraps to the minimal path, phi(max) = min.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
@@ -56,6 +57,8 @@ from .solenoid import build_complex, diameter
 
 @dataclass(frozen=True)
 class TransferSolution:
+    """The solution of `solve`.  The one dataclass of the package: the
+    benchmark's self-test bends a solution with `dataclasses.replace`."""
     g: object            # CylinderFunction at the certificate level
     gauge: object        # additive constant removed (nu-mean of the raw g)
     residual: object     # exact sup norm of h - (g o phi - g)
@@ -206,15 +209,14 @@ def chained_constant(diagram, renorm, alpha, epsilon):
 # ---------------------------------------------------------------------------
 # orbit sums
 
-@dataclass(frozen=True)
-class BirkhoffReport:
-    n_total: int
-    checkpoints: tuple   # (n, S_n) pairs; S_n exact when h is exact
-    sup_abs: object      # max |S_n| over 1 <= n <= n_total
-    mean_rate: float     # S_N / N as a float
-    exponent: object     # fitted log-log slope, or None
-    r_squared: object
-    claimed: bool        # fit accepted: >= 3 points and R^2 >= 0.9
+class BirkhoffReport(namedtuple("BirkhoffReport", "n_total checkpoints "
+                                "sup_abs mean_rate exponent r_squared "
+                                "claimed")):
+    """The orbit sums of `birkhoff`: checkpoints, (n, S_n) pairs, S_n exact
+    when h is exact; sup_abs, max |S_n| over 1 <= n <= n_total; mean_rate,
+    S_N / N as a float; exponent, the fitted log-log slope, or None;
+    claimed, whether the fit is accepted: >= 3 points and R^2 >= 0.9."""
+    __slots__ = ()
 
 
 def _fit_exponent(points, n_total):

@@ -13,6 +13,7 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -35,7 +36,7 @@ from adic.errors import AlphaOverflowError, PreconditionError
 from adic.martingale import compose_phi, constant_function, from_vector, lift
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
-from adic.solver import solve
+from adic.solver import BirkhoffReport, solve
 
 
 @pytest.fixture()
@@ -586,6 +587,27 @@ def test_a_span_beyond_the_floats_is_no_alpha_overflow(capsys, work, argv):
         {"level": 1, "values": {"0": -1e308, "1": 1e308}}))
     rc, out, err = run(capsys, argv + ["--diagram", "odo2", "--function",
                                        str(work / "h308.json")])
+    assert (rc, out) == (4, "")
+    assert err == "error: a value overflows a float\n"
+
+
+@pytest.mark.parametrize("emit, change", [
+    ("json", {"mean_rate": math.inf}),
+    ("json", {"sup_abs": Decimal("1e400")}),  # rendered through float()
+    ("csv", {"checkpoints": ((1, 0.5), (2, math.nan))}),
+])
+def test_no_output_prints_a_value_beyond_the_floats(capsys, monkeypatch,
+                                                     work, emit, change):
+    # no command prints inf today; the renderer refuses one in either form,
+    # and a CSV refused at its second row prints no first row
+    report = BirkhoffReport(n_total=2, checkpoints=((1, 0.5), (2, 1.0)),
+                            sup_abs=1.0, mean_rate=0.5, exponent=None,
+                            r_squared=None, claimed=False)
+    monkeypatch.setattr(cli, "birkhoff", lambda *args: report._replace(
+        **change))
+    rc, out, err = run(capsys, ["birkhoff", "--diagram", "odo2", "--function",
+                                str(work / "h.json"), "-N", "2",
+                                "--emit", emit])
     assert (rc, out) == (4, "")
     assert err == "error: a value overflows a float\n"
 

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import sys
 
 from adic.cli import main
@@ -43,18 +44,29 @@ def replay(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def records():
+    """Every record of the corpus, in file order."""
+    return [r for group in sorted(CORPUS.glob("*.json"))
+            for r in json.loads(group.read_text())]
+
+
 def test_every_record_replays_byte_for_byte():
-    records = [r for group in sorted(CORPUS.glob("*.json"))
-               for r in json.loads(group.read_text())]
-    assert len(records) > 400
+    found = records()
+    assert len(found) > 400
     drifted = []
-    for r in records:
+    for r in found:
         if sys.version_info >= (3, 13):
             r = {**r, **r.get("3.13", {})}
         want = (r["exit"], "\n".join(r["stdout"]), "\n".join(r["stderr"]))
         if replay(r["argv"]) != want:
             drifted.append(r["argv"])
     assert not drifted, drifted
+
+
+def test_the_readme_counts_every_record():
+    readme = (CORPUS.parents[1] / "README.md").read_text()
+    assert re.findall(r"(\d+) runs of\s+`adic`", readme) == \
+        [str(len(records()))]
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ def test_equal_diagrams_hash_equal_and_share_cache_entries(pisot31):
 
 
 def test_equal_paths_hash_equal():
-    # the hash is taken once, from the compared fields: edges given as a
+    # the hash is the tuple's, of the compared fields: edges given as a
     # list or a tuple make the same path, the root still tells paths apart,
     # and the repr shows the compared fields only
     a, b = FinitePath([1, 0, 2]), FinitePath((1, 0, 2))

@@ -11,7 +11,8 @@ count: the package's own modules (not the re-exports of `__init__.py`),
 the benchmark and the acceptance tests, never a unit test.  A top-level
 `def` or `class` must be read in its own module, or imported or reached as
 an attribute of its module from a user.  A method or property of a class
-(dunders aside), and a field of a dataclass, must be read by a user as an
+(dunders aside), a field of a dataclass or of a namedtuple, and an
+attribute that `__init__` sets on self, must be read by a user as an
 attribute of something.  A parameter with a default must be set by some
 call of a user whose callee can be the package's def, not a namesake.
 Only `CylinderFunction.parts` and the solver's cylinder weights (`_xi`)
@@ -238,16 +239,33 @@ def _is_dataclass(cls):
                          for d in cls.decorator_list))
 
 
+def _namedtuple_fields(node):
+    """The field names of a `namedtuple("X", "a b")` call, else []."""
+    if isinstance(node, ast.Call) and \
+            getattr(node.func, "id", getattr(node.func, "attr", None)) == \
+            "namedtuple" and len(node.args) > 1 and \
+            isinstance(node.args[1], ast.Constant):
+        return node.args[1].value.replace(",", " ").split()
+    return []
+
+
 def unused_members(modules, users):
     """Sorted "module.Class.name" of the methods and properties (dunders
-    aside) of the top-level classes of `modules` ({module: source}), and of
-    the fields of their dataclasses, that no source in `users` reads as an
-    attribute.  Matching is by name only: `x.name` counts for any x."""
+    aside) of the top-level classes of `modules` ({module: source}), of the
+    fields of their dataclasses and namedtuple bases and the attributes
+    their `__init__` sets on self, and of the fields of the module's
+    `X = namedtuple("X", ...)` records, that no source in `users` reads as
+    an attribute.  Matching is by name only: `x.name` counts for any x."""
     read = {n.attr for src in users for n in ast.walk(ast.parse(src))
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
     out = []
     for module, source in modules.items():
         for cls in ast.parse(source).body:
+            if isinstance(cls, ast.Assign) and \
+                    isinstance(cls.targets[0], ast.Name):
+                out.extend("%s.%s.%s" % (module, cls.targets[0].id, name)
+                           for name in _namedtuple_fields(cls.value)
+                           if name not in read)
             if not isinstance(cls, ast.ClassDef):
                 continue
             names = [n.name for n in cls.body
@@ -258,8 +276,16 @@ def unused_members(modules, users):
                 names += [n.target.id for n in cls.body
                           if isinstance(n, ast.AnnAssign)
                           and isinstance(n.target, ast.Name)]
+            for base in cls.bases:
+                names += _namedtuple_fields(base)
+            for init in cls.body:
+                if getattr(init, "name", None) == "__init__":
+                    names += [n.attr for n in ast.walk(init)
+                              if isinstance(n, ast.Attribute)
+                              and isinstance(n.ctx, ast.Store)
+                              and getattr(n.value, "id", None) == "self"]
             out.extend("%s.%s.%s" % (module, cls.name, name)
-                       for name in names if name not in read)
+                       for name in dict.fromkeys(names) if name not in read)
     return sorted(out)
 
 
@@ -268,20 +294,48 @@ def test_scan_finds_an_unused_member():
                + "\n\n@dataclass(frozen=True)\nclass Orphan:\n"
                "    kept: int\n    spare: int\n\n"
                "    def __len__(self):\n        return 0\n\n"
-               "    @property\n    def idle(self):\n        return 0\n"}
+               "    @property\n    def idle(self):\n        return 0\n"
+               "\n\nStray = namedtuple(\"Stray\", \"kept, lost\")\n"
+               "\n\nclass Waif(namedtuple(\"Waif\", \"kept \"\n"
+               "                         \"gone\")):\n    __slots__ = ()\n"
+               "\n\nclass Loner:\n    def __init__(self):\n"
+               "        self.kept, self.alone = 0, 1\n"}
     users = _user_sources()
-    assert unused_members(modules, users) == ["scalars.Orphan.idle",
-                                              "scalars.Orphan.kept",
-                                              "scalars.Orphan.spare"]
+    every = ["scalars.Loner.alone", "scalars.Loner.kept",
+             "scalars.Orphan.idle", "scalars.Orphan.kept",
+             "scalars.Orphan.spare", "scalars.Stray.kept",
+             "scalars.Stray.lost", "scalars.Waif.gone", "scalars.Waif.kept"]
+    assert unused_members(modules, users) == every
     assert unused_members(modules, users + ["o.kept\ns.Orphan(1).idle\n"]) \
-        == ["scalars.Orphan.spare"]
-    assert unused_members(modules, users + ["o.spare = 1\n"]) == \
-        ["scalars.Orphan.idle", "scalars.Orphan.kept", "scalars.Orphan.spare"]
+        == ["scalars.Loner.alone", "scalars.Orphan.spare",
+            "scalars.Stray.lost", "scalars.Waif.gone"]
+    assert unused_members(modules, users + ["o.spare = o.lost = 1\n"]) == \
+        every
 
 
 def test_package_has_no_unused_members():
     assert unused_members(_package_sources(), _user_sources()) == \
         [name for name in sorted(REFERENCES) if name.count(".") == 2]
+
+
+def dataclasses_of(source):
+    """Sorted names of the classes of the source that `@dataclass`
+    decorates."""
+    return sorted(c.name for c in ast.walk(ast.parse(source))
+                  if isinstance(c, ast.ClassDef) and _is_dataclass(c))
+
+
+def test_transfer_solution_is_the_one_dataclass():
+    # @dataclass runs exec on generated methods while a module loads, about
+    # a quarter of the package's import, so records are namedtuples; the
+    # benchmark's self-test bends a TransferSolution with dataclasses.replace
+    assert dataclasses_of("@dataclass(frozen=True)\nclass A:\n    x: int\n"
+                          "\n\nclass B:\n    @dataclass\n    class C:\n"
+                          "        y: int\n") == ["A", "C"]
+    found = {p.stem: dataclasses_of(p.read_text())
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {module: names for module, names in found.items() if names} == \
+        {"solver": ["TransferSolution"]}
 
 
 def imports_numpy(source):
