@@ -48,12 +48,12 @@ from os.path import commonprefix
 from .cohomology import distributions, evaluation_level
 from .diagrams import (LazyPath, TAIL_MIN, count_paths, enumerate_paths,
                        materialize, owned, successor)
-from .errors import (AlphaOverflowError, InsufficientStabilizationError,
-                     LevelOverflowError, NormTooLargeError,
-                     NotProperlyOrderedError, NumericError, PreconditionError)
+from .errors import (InsufficientStabilizationError, LevelOverflowError,
+                     NormTooLargeError, NotProperlyOrderedError, NumericError,
+                     PreconditionError)
 from .martingale import (CylinderFunction, compose_level, constant_function,
                          float_values, gather, holder_norm, nu_mean,
-                         one_field, rand_function)
+                         one_field, rand_function, weighted)
 
 # the default distortion sweep climbs past level 3 only through levels of
 # at most this many paths.  The sweep costs one successor per path and
@@ -359,17 +359,14 @@ def norms(a, s, q, triangle=None):
         else float(triangle)
     by_k, s_alpha = _weighted_norms(a.diagram, a.alpha, a.lam, s, tri, {
         k: (f.level, *f.parts) for k, f in a.coeffs.items()})
-    l1 = sum(by_k.values(), 0.0)
+    l1 = weighted(sum(by_k.values(), 0.0), alpha=a.alpha)
     expo, qf, af = tri > 1.0, float(q), float(a.alpha)
     n_max = max((abs(k) for k in a.coeffs), default=0)
     mu = 0.0
-    try:
-        for n in range(-1, n_max + 1):
-            tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
-            w = tri ** ((af + qf) * (n + 1)) if expo else (n + 1.0) ** qf
-            mu = max(mu, w * tail)
-    except OverflowError:
-        raise AlphaOverflowError(a.alpha) from None
+    for n in range(-1, n_max + 1):
+        tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
+        mu = max(mu, weighted(tail, tri, (af + qf) * (n + 1), a.alpha)
+                 if expo else weighted(tail, n + 1.0, qf, a.alpha))
     return {"l1_alpha": l1, "s_alpha": s_alpha, "mu_q": mu,
             "triangle": tri, "regime": "exponential" if expo
             else "polynomial"}
@@ -384,17 +381,15 @@ def _weighted_norms(diagram, alpha, lam, s, tri, coeffs):
     otherwise.  Summing in ascending shift order keeps the float sums
     independent of the order the coeffs dict was built in."""
     af, sf, lamf = float(alpha), float(s), float(lam)
-    # read before the try: a value beyond the floats is no alpha overflow
+    # every value before any weight: a value beyond the floats is no alpha's
     fns = {k: CylinderFunction(level, float_values(q, cols, field))
            for k, (level, q, cols, field) in sorted(coeffs.items())}
-    try:
-        by_k = {k: holder_norm(diagram, f, af, lamf)["norm"]
-                for k, f in fns.items()}
-        return by_k, sum((nk * (tri ** ((af + sf) * abs(k)) if tri > 1.0
-                                else (1.0 + abs(k)) ** sf)
-                          for k, nk in by_k.items()), 0.0)
-    except OverflowError:
-        raise AlphaOverflowError(alpha) from None
+    by_k = {k: holder_norm(diagram, f, alpha, lamf)["norm"]
+            for k, f in fns.items()}
+    return by_k, weighted(sum((
+        weighted(nk, tri, (af + sf) * abs(k), alpha) if tri > 1.0
+        else weighted(nk, 1.0 + abs(k), sf, alpha)
+        for k, nk in by_k.items()), 0.0), alpha=alpha)
 
 
 def lemma_constant(triangle, alpha, q):
@@ -405,10 +400,7 @@ def lemma_constant(triangle, alpha, q):
     if tri <= 1.0:
         raise PreconditionError("comparison constant needs distortion > 1")
     x = af + qf
-    try:
-        return 2.0 * tri ** (2.0 * x) / (1.0 - tri ** (-x))
-    except OverflowError:
-        raise AlphaOverflowError(alpha) from None
+    return weighted(2.0, tri, 2.0 * x, alpha) / (1.0 - tri ** (-x))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: ParseError -> 2, PreconditionError -> 3,
 NumericError -> 4.  Message phrases are stable; tests match on them.  A
 diagram that does not repeat has one refusal, NotStationaryError;
 HorizonExceededError is a walk past the last level of one (`PathWalker`).
+The float norms overflow by one rule, `martingale.weighted`: beyond the
+floats, weights blame alpha (AlphaOverflowError), values NumericError.
 """
 
 

@@ -33,7 +33,7 @@ from operator import sub
 
 from .diagrams import (LazyPath, count_paths, extreme, materialize, owned,
                        path_index, path_table)
-from .errors import NumericError, PreconditionError
+from .errors import AlphaOverflowError, NumericError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
 
@@ -235,6 +235,22 @@ def delta(diagram, h, k):
     return pk - pk1
 
 
+def weighted(value, base=1.0, exponent=0, alpha=None):
+    """value * base ** exponent, each weight lam^e, t^e or (1 + |k|)^s of
+    the float norms, or with no base a sum of weighted terms.  A power or
+    result beyond the floats (or NaN) raises AlphaOverflowError(alpha), or
+    NumericError with no alpha: a norm is finite or refused."""
+    try:
+        out = value * base ** exponent
+        if math.isfinite(out):
+            return out
+    except OverflowError:
+        pass
+    if alpha is None:
+        raise NumericError("a value overflows a float")
+    raise AlphaOverflowError(alpha)
+
+
 def holder_norm(diagram, h, alpha, lam):
     """Exact-attained Hoelder data of a cylinder function.
 
@@ -248,9 +264,9 @@ def holder_norm(diagram, h, alpha, lam):
     runs, the slices [u, u + n) of the level-j ranges for u in
     `path_table(diagram, j).runs[s]`, n the block size of s, or the empty
     range (+inf, -inf) when s has no out-edges.  alpha < 0, lam < 1 and a
-    value that is not finite raise PreconditionError; a span max - min
-    beyond the floats raises NumericError, whatever alpha; a value, a
-    weight lam^alpha or a weighted oscillation beyond them OverflowError.
+    value that is not finite raise PreconditionError.  Beyond the floats
+    (`weighted`), the norm at alpha = 0, sup + (max - min), raises
+    NumericError, and a weighted oscillation or norm AlphaOverflowError.
 
     The sweep goes down from level m and stops once the seminorm so far is
     positive and at least span = max - min, which bounds every oscillation,
@@ -263,14 +279,13 @@ def holder_norm(diagram, h, alpha, lam):
                                 % (alpha, lam))
     if h.level == 0:
         h = lift(diagram, h, 1)
-    lamf, semi = float(lam), 0.0
+    af, lamf, semi = float(alpha), float(lam), 0.0
     lo = hi = list(map(float, h.values))
     if not all(map(math.isfinite, lo)):
         raise PreconditionError("the Hoelder norm needs finite values")
     sup = max(map(abs, lo), default=0.0)
     span = max(lo, default=0.0) - min(lo, default=0.0)
-    if span == math.inf:
-        raise NumericError("a value overflows a float")
+    weighted(sup + span)  # the norm at alpha = 0: a value overflow
     for j in range(h.level, 0, -1):
         best = span
         if j > 1:
@@ -285,12 +300,11 @@ def holder_norm(diagram, h, alpha, lam):
                 hi += map(max, *hs, hs[0]) if us else repeat(-math.inf, b - a)
             best = max(map(sub, hi, lo), default=0.0)
         if best > 0:
-            semi = max(semi, best * lamf ** ((j - 1) * alpha))
-            if semi == math.inf:
-                raise OverflowError("a weighted oscillation beyond the floats")
-        if semi > 0 and span * lamf ** ((j - 2) * alpha) <= semi:
+            semi = max(semi, weighted(best, lamf, (j - 1) * af, alpha))
+        if semi > 0 and span * lamf ** ((j - 2) * af) <= semi:
             break
-    return {"sup": sup, "seminorm": semi, "norm": sup + semi}
+    return {"sup": sup, "seminorm": semi,
+            "norm": weighted(sup + semi, alpha=alpha)}
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +349,10 @@ class LevelComponent(namedtuple("LevelComponent", "level peak bump")):
     __slots__ = ()
 
     def cr_norm(self, r, lam):
-        """The C^r norm for r = 0 or 1; OverflowError beyond the floats."""
-        lamf = float(lam)
-        norm = sum(lamf ** (j * self.level) * self.bump.deriv_sup(j)
-                   for j in range(r + 1)) * self.peak
-        if not math.isfinite(norm):
-            raise OverflowError("a C^r norm beyond the floats")
-        return norm
+        """The C^r norm for r = 0 or 1, `weighted` with no alpha."""
+        return weighted(sum(weighted(self.bump.deriv_sup(j), float(lam),
+                                     j * self.level)
+                            for j in range(r + 1)) * self.peak)
 
 
 def decompose(diagram, h, renorm):

@@ -46,10 +46,10 @@ from fractions import Fraction
 from .cohomology import block_sums, distributions, evaluation_level
 from .diagrams import (FinitePath, PathWalker, extreme, owned, path_index,
                        path_table)
-from .errors import AlphaOverflowError, ObstructedError, PreconditionError
+from .errors import ObstructedError, PreconditionError
 from .martingale import (CylinderFunction, bump_from_roof, field_values,
                          float_values, gather, holder_norm, integer_parts,
-                         one_field, padded, residual_rows)
+                         one_field, padded, residual_rows, weighted)
 from .measures import xi_vector
 from .scalars import mat_vec
 from .solenoid import build_complex, diameter
@@ -167,12 +167,9 @@ def _need_alpha(alpha, epsilon):
 
 def solution_norms(diagram, renorm, h, g, alpha, epsilon):
     lam = renorm.lam_float
-    try:
-        hn = holder_norm(diagram, h, float(alpha), lam)["norm"]
-        gn = holder_norm(diagram, g, float(alpha) - 2.0 -
-                         float(epsilon), lam)["norm"]
-    except OverflowError:
-        raise AlphaOverflowError(alpha) from None
+    hn = holder_norm(diagram, h, alpha, lam)["norm"]
+    gn = holder_norm(diagram, g, float(alpha) - 2.0 - float(epsilon),
+                     lam)["norm"]
     return {"h_norm": hn, "g_norm": gn,
             "k_ratio": 0.0 if hn == 0.0 else gn / hn}
 
@@ -192,16 +189,11 @@ def chained_constant(diagram, renorm, alpha, epsilon):
     e = eps / 3.0
     u = bump_from_roof(renorm)
     diam = float(diameter(build_complex(diagram, renorm, 0)))
-    try:
-        c_bump = 2.0 * lam ** a * u.cr_norm(1) / ((lam - 1.0) *
-                                                  (1.0 - lam ** (-e)))
-    except OverflowError:
-        raise AlphaOverflowError(alpha) from None
+    c_bump = weighted(2.0, lam, a, alpha) * u.cr_norm(1) / (
+        (lam - 1.0) * (1.0 - lam ** (-e)))
     c_mean = diam
     c_return = 1.0 + diam / (1.0 - lam ** (2.0 + eps - a))
-    constant = c_bump * c_mean * c_return
-    if not math.isfinite(constant):
-        raise AlphaOverflowError(alpha)
+    constant = weighted(c_bump * c_mean * c_return, alpha=alpha)
     return {"bump_factor": c_bump, "mean_variation_factor": c_mean,
             "return_factor": c_return, "constant": constant}
 

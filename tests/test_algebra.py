@@ -15,9 +15,9 @@ from test_step import (_prefix_draws, _prefixed, _random_diagram,
 
 import adic.algebra as alg
 from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_PATHS, AlgebraElement,
-                          _columns, _sum, add, check_trial, complement_support, convolve,
-                          default_triangle, element,
-                          equal_elements, involution, jolissaint_holds,
+                          _columns, _sum, add, check_trial, complement_support,
+                          convolve, default_triangle, element, equal_elements,
+                          involution, jolissaint_holds, lemma_constant,
                           neumann_invert, norms, power, project_support,
                           rand_element, scale, subtract, trace, triangle_phi,
                           unit)
@@ -26,9 +26,10 @@ from adic.cohomology import limit_rank
 from adic.diagrams import (LazyPath, OrderedDiagram, TAIL_MAX, TAIL_MIN,
                            count_paths, enumerate_paths, extreme, make_level,
                            successor)
-from adic.errors import (InsufficientStabilizationError, LevelOverflowError,
-                         NormTooLargeError, NotProperlyOrderedError,
-                         NumericError, PreconditionError)
+from adic.errors import (AlphaOverflowError, InsufficientStabilizationError,
+                         LevelOverflowError, NormTooLargeError,
+                         NotProperlyOrderedError, NumericError,
+                         PreconditionError)
 from adic.martingale import (CylinderFunction, compose_phi,
                              constant_function, from_vector, lift,
                              rand_function)
@@ -217,6 +218,17 @@ def test_norm_inequalities(suite):
         "product_norm": (50, True), "involution_norm": (50, True),
         "l1_product": (50, True), "tail_le_norm": (50, True),
         "norm_le_tail": (25, True)}
+
+
+def test_a_product_beyond_the_floats_is_an_alpha_overflow(pisot31):
+    # the weights 4^(2 x) and 4^((107 + 107) 2) fit the floats, their
+    # products with 2 and with a coefficient's norm do not: that is the
+    # overflow of a weight beyond them, and it names the caller's alpha
+    with pytest.raises(AlphaOverflowError, match="^alpha 255.5 overflows"):
+        lemma_constant(4.0, 255.5, 0.3)
+    a = rand_element(rng(107), pisot31, renorm_data(pisot31).lambda_mu, 107)
+    with pytest.raises(AlphaOverflowError, match="^alpha 107 overflows"):
+        norms(a, 107, 1, triangle=4.0)
 
 
 def test_support_zero_mu_conventions(odo2, pisot31):

@@ -4,6 +4,7 @@ Every golden below is asserted byte for byte: the JSON renderer sorts keys
 and prints floats with repr-faithful precision, so any drift in numerics or
 formatting shows up as a diff, not as a tolerance miss."""
 
+import csv
 import json
 import math
 import os
@@ -26,17 +27,19 @@ from test_step import (_ordered, _prefixed, _random_diagram, _random_matrix,
                        _random_prefix)
 
 import adic
+from adic import algebra as alg
 from adic import cli
 from adic.catalog import builtin_diagram
 from adic.cli import main
 from adic.diagrams import (OrderedDiagram, diagram_from_json_dict, extreme,
                            make_level, path_table)
 from adic.cohomology import limit_rank
-from adic.errors import AlphaOverflowError, PreconditionError
-from adic.martingale import compose_phi, constant_function, from_vector, lift
+from adic.errors import AdicError, AlphaOverflowError, PreconditionError
+from adic.martingale import (compose_phi, constant_function, decompose,
+                             from_vector, lift)
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
-from adic.solver import BirkhoffReport, solve
+from adic.solver import BirkhoffReport, chained_constant, solve
 
 
 @pytest.fixture()
@@ -610,6 +613,93 @@ def test_no_output_prints_a_value_beyond_the_floats(capsys, monkeypatch,
                                 "--emit", emit])
     assert (rc, out) == (4, "")
     assert err == "error: a value overflows a float\n"
+
+
+def _strict_json(text):
+    """json.loads, refusing the Infinity and NaN that it accepts by
+    default."""
+    def refuse(name):
+        raise ValueError("%s is not JSON" % name)
+    return json.loads(text, parse_constant=refuse)
+
+
+# alpha up to the largest float, denser where the weights of pisot31 leave
+# the floats (lam is about 1.32, the distortion estimate 4.0 below); values
+# m 2^e with |m| <= 1 and e up to 1023, so up to +-9e307 at every scale
+BIG_ALPHAS = st.floats(2.5, 300.0) | st.floats(2.5, 4000.0) | \
+    st.floats(2.5, sys.float_info.max)
+
+
+@example(100.0, [1.0, -0.5, 0.75, -1.0, 0.25, 0.5, -0.25, 1.0], 250, 0).via(
+    "weights that fit the floats and products with the norms that do not")
+@example(2600.0, [0.5, -1.0, 1.0, -0.5, 1.0, 0.0, -1.0, 0.5], 0, 1).via(
+    "lam^alpha near the float limit")
+@settings(max_examples=30,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(BIG_ALPHAS, st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       st.integers(-1074, 1023), st.integers(0, 2 ** 16))
+def test_no_weight_reaches_stdout_beyond_the_floats(capsys, tmp_path, alpha,
+                                                    mantissas, e, seed):
+    # one rule for every float norm: a run prints output a reader can
+    # parse, with no inf or nan in it, or refuses with an empty stdout; a
+    # norm of the library is a finite float or a typed refusal
+    values = [math.ldexp(m, e) for m in mantissas]
+    d = builtin_diagram("pisot31")
+    rd = renorm_data(d)
+    f = from_vector(d, 1, [Fraction(v) / 2 for v in values])
+    phi_f = compose_phi(d, f, 1)
+    cob = [a - b for a, b in zip(phi_f.values,
+                                 lift(d, f, phi_f.level).values)]
+    files = {
+        "h.json": {"level": 1, "values": {
+            str(i): v for i, v in enumerate(values)}},
+        "cob.json": {"level": phi_f.level, "values": {
+            str(i): str(v) for i, v in enumerate(cob)}},
+        "e.json": {"diagram": "pisot31", "alpha": 3, "coeffs": {
+            "0": {"level": 0, "values": {"0": "1"}},
+            "1": {"level": 1, "values": {
+                str(i): v for i, v in enumerate(values)}}}},
+    }
+    for name, payload in files.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    a = repr(alpha)
+    for argv, emit in (
+            (["solve", "--diagram", "pisot31", "--function",
+              str(tmp_path / "cob.json"), "--alpha", a], "json"),
+            (["decompose", "--diagram", "pisot31", "--function",
+              str(tmp_path / "h.json")], "csv"),
+            (["decompose", "--diagram", "pisot31", "--function",
+              str(tmp_path / "h.json"), "--emit", "json"], "json"),
+            (["algebra", "check", "--diagram", "pisot31", "--trials", "1",
+              "--seed", str(seed), "--alpha", a], "json"),
+            (["algebra", "invert", "--element", str(tmp_path / "e.json"),
+              "--tol", "0.01", "--alpha", a], "json")):
+        rc, out, err = run(capsys, argv)
+        assert rc in (0, 3, 4), (argv, rc, err)
+        if not out:
+            assert rc != 0 and err.startswith("error: "), (argv, rc, err)
+        elif emit == "json":
+            _strict_json(out)
+        else:
+            for row in list(csv.reader(out.splitlines()))[1:]:
+                assert all(map(math.isfinite, map(float, row))), (argv, row)
+    el = alg.element(d, rd.lam_float, alpha, {1: f, -2: lift(d, f, 2)})
+    tower = limit_rank(d, rd)
+    for call in [lambda s=s, q=q, t=t: alg.norms(el, s, q, triangle=t)
+                 for s in (0, alpha) for q in (1, 2) for t in (0.5, 4.0)] + [
+            lambda: alg.lemma_constant(4.0, alpha, 1),
+            lambda: chained_constant(d, rd, alpha, Fraction(1, 4)),
+            lambda: solve(from_vector(d, phi_f.level, cob), tower,
+                          alpha=alpha).norms] + [
+            lambda c=c, r=r: c.cr_norm(r, rd.lam_float)
+            for c in decompose(d, f, rd) for r in (0, 1)]:
+        try:
+            got = call()
+        except AdicError:
+            continue
+        floats = got.values() if isinstance(got, dict) else [got]
+        assert all(math.isfinite(v) for v in floats
+                   if isinstance(v, float)), got
 
 
 def test_decompose_refuses_a_zero_roof(capsys, tmp_path):

@@ -385,6 +385,18 @@ def test_every_walk_refuses_a_malformed_path(fib, prefix, word, message):
             call()
 
 
+def test_a_walk_checks_only_the_edges_it_reads(fib):
+    # edge 0 (a->a) is not the last in-edge of its range, so the successor
+    # of (0, 1) carries at level 1 and never reads the bad edge 1 (b->a)
+    # at level 2: it returns the non-path (1, 1); check_path reads both
+    start = LazyPath(FinitePath((0, 1)), TAIL_MIN)
+    after = successor(fib, start)
+    assert after == LazyPath(FinitePath((1, 1)), TAIL_MIN)
+    for p in (start, after):
+        with pytest.raises(ParseError, match="^path edges do not chain$"):
+            check_path(fib, p)
+
+
 def test_check_path_reads_as_deep_as_a_word_can_go_wrong(fib, monkeypatch):
     # the prefix alone, or for a word one period and one edge past the
     # prefix and the materialized levels, on a diagram that does not

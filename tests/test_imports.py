@@ -362,24 +362,34 @@ def test_package_does_not_import_numpy():
             if imports_numpy(p.read_text())] == []
 
 
-def column_reads(source):
-    """Sorted names of the innermost defs of the source that read
-    `integer_parts`, by name or as an attribute; "<module>" for a read
-    outside every def.  Passing the function on counts as a read."""
+def _defs_where(source, hit):
+    """Sorted names of the innermost defs of the source holding a node for
+    which hit is true; "<module>" for one outside every def."""
     found = set()
 
     def visit(node, owner):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             owner = node.name
-        if isinstance(getattr(node, "ctx", None), ast.Load) and \
-                "integer_parts" in (getattr(node, "id", None),
-                                    getattr(node, "attr", None)):
+        if hit(node):
             found.add(owner)
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
 
     visit(ast.parse(source), "<module>")
     return sorted(found)
+
+
+def _named(node, name):
+    """Whether node is the name, bare or as an attribute."""
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def column_reads(source):
+    """Sorted names of the innermost defs of the source that read
+    `integer_parts`, by name or as an attribute; "<module>" for a read
+    outside every def.  Passing the function on counts as a read."""
+    return _defs_where(source, lambda n: isinstance(
+        getattr(n, "ctx", None), ast.Load) and _named(n, "integer_parts"))
 
 
 def test_scan_finds_a_column_read():
@@ -400,6 +410,45 @@ def test_columns_are_read_in_one_place():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: defs for module, defs in found.items() if defs} == \
         {"martingale": ["parts"], "solver": ["_xi"]}
+
+
+def alpha_overflow_raisers(source):
+    """Sorted names of the innermost defs of the source that construct an
+    AlphaOverflowError, by name or as an attribute."""
+    return _defs_where(source, lambda n: isinstance(n, ast.Call)
+                       and _named(n.func, "AlphaOverflowError"))
+
+
+def overflow_catchers(source):
+    """Sorted names of the innermost defs of the source with an except
+    clause that names OverflowError, alone or in a tuple."""
+    return _defs_where(source, lambda n: isinstance(n, ast.ExceptHandler)
+                       and any(_named(t, "OverflowError") for t in
+                               getattr(n.type, "elts", [n.type])))
+
+
+def test_scan_finds_an_overflow_rule():
+    source = ("def f(a):\n    raise AlphaOverflowError(a)\n\n\n"
+              "def g(a):\n    try:\n        return 2.0 ** a\n"
+              "    except (ValueError, OverflowError):\n"
+              "        raise errors.AlphaOverflowError(a) from None\n"
+              "    except OverflowError:\n        pass\n\n\n"
+              "def h(a):\n    return AlphaOverflowError\n")
+    assert alpha_overflow_raisers(source) == ["f", "g"]
+    assert overflow_catchers(source) == ["g"]
+
+
+def test_alpha_overflow_is_decided_in_one_function():
+    # every float norm weighs through `martingale.weighted`, the one place
+    # that blames alpha; the other except clauses read a value: an infinite
+    # one in an input file (`_parse_value`), a float that has no exact
+    # ratio (`integer_parts`), and one beyond the floats (`main`, exit 4)
+    found = {p.stem: (alpha_overflow_raisers(p.read_text()),
+                      overflow_catchers(p.read_text()))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert {m: pair for m, pair in found.items() if pair != ([], [])} == {
+        "martingale": (["weighted"], ["integer_parts", "weighted"]),
+        "cli": ([], ["_parse_value", "main"])}
 
 
 def defaulted_parameters(source):
