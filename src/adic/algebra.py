@@ -2,16 +2,15 @@
 
 An element is a finitely supported map k -> cylinder function standing for
 the formal sum of a(k) u^k, with u the shift unitary of the adic map.  It
-stores its coefficients as cylinder functions that hold their integer
-columns over a common denominator (`martingale.CylinderFunction.parts`),
-read once by `element`, so floats are read as the dyadic rationals they
-store.  There is no element field: each coefficient carries its own, and
-an operation takes the one field of its operands' coefficients.  Shifts
-come out ascending.  Two kernels work on bare columns, (q, {k: (level,
-cols)}) with one denominator per element: `_product` convolves and the
-n-ary `_sum` adds.  `convolve` and `add` wrap one call; `power` chains
-products and `neumann_invert` sums its terms once, both building cylinder
-functions (`CylinderFunction.of_parts`) for their results only.  Products and
+is stored as the bare columns the kernels read: (q, {k: (level, cols)}),
+the integer columns of every coefficient over one common denominator q
+(`martingale.CylinderFunction.parts`, read once and rescaled by
+`element`), so floats are read as the dyadic rationals they store, and
+the one field of the values.  Shifts come out ascending.  Two kernels
+work on these columns: `_product` convolves and the n-ary `_sum` adds;
+every operation returns their result as the element it stores, and the
+coefficients a(k) are cylinder functions built from the columns
+(`CylinderFunction.of_parts`) only when read.  Products and
 involutions read coefficients through cached index gathers
 (`martingale.gather`): composing with a power of the map and lifting to a
 finer level move indices, never field elements.  A composition
@@ -42,6 +41,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cached_property
 from itertools import groupby
 from os.path import commonprefix
 
@@ -63,33 +63,48 @@ TRIANGLE_PATHS = 512
 
 
 class AlgebraElement:
-    """An element stored as cylinder functions that hold their integer
-    columns: coeffs maps each shift k to a(k), a CylinderFunction, all-zero
-    shifts dropped, shifts ascending; lam is the metric base of the
-    coefficient Hoelder space and alpha its exponent.  The columns are not
-    reduced, so elements compare with `equal_elements`, not ==."""
+    """An element stored as the bare columns the kernels read: cols maps
+    each shift k, ascending, all-zero shifts dropped, to (level, integer
+    columns of a(k)) over the one denominator q, and field is the number
+    field of the values, None unless some shift has more than one column
+    (one column is rational, as in `CylinderFunction.of_parts`).  lam is
+    the metric base of the coefficient Hoelder space and alpha its
+    exponent.  The columns are not reduced, so elements compare with
+    `equal_elements`, not ==."""
 
-    def __init__(self, diagram, lam, alpha, coeffs):
+    def __init__(self, diagram, lam, alpha, q, cols, field):
         self.diagram, self.lam, self.alpha = diagram, lam, alpha
-        self.coeffs = coeffs
+        self.q, self.cols = q, cols
+        self.field = field if field is not None and any(
+            len(c) > 1 for _, c in cols.values()) else None
+
+    @cached_property
+    def coeffs(self):
+        """{k: a(k)}, each a CylinderFunction built from its columns."""
+        return {k: self.coeff(k) for k in self.cols}
 
     def support(self):
-        return tuple(sorted(self.coeffs))
+        return tuple(self.cols)
 
     def coeff(self, k):
-        return self.coeffs[k] if k in self.coeffs else constant_function(
-            self.diagram, Fraction(0), 0)
+        """a(k), built from the columns of shift k alone."""
+        if k not in self.cols:
+            return constant_function(self.diagram, Fraction(0), 0)
+        level, cols = self.cols[k]
+        return CylinderFunction.of_parts(level, self.q, cols, self.field)
 
 
 def element(diagram, lam, alpha, coeffs):
-    """The element sum_k coeffs[k] u^k, each coefficient read once as
-    integer columns (`CylinderFunction.parts`).  Values of two fields, or
-    of no exact field, raise PreconditionError."""
+    """The element sum_k coeffs[k] u^k, each coefficient's integer columns
+    (`CylinderFunction.parts`) read once and rescaled to their least
+    common denominator.  Values of two fields, or of no exact field, raise
+    PreconditionError."""
     out = {int(k): f for k, f in coeffs.items()}
-    out = {k: CylinderFunction.of_parts(f.level, *f.parts)
-           for k, f in sorted(out.items()) if any(map(any, f.parts[1]))}
-    one_field(f.parts[2] for f in out.values())
-    return AlgebraElement(diagram, lam, alpha, out)
+    out = {k: f for k, f in sorted(out.items()) if any(map(any, f.parts[1]))}
+    q = math.lcm(*(f.parts[0] for f in out.values()))
+    return AlgebraElement(diagram, lam, alpha, q, {
+        k: (f.level, _times(f.parts[1], q // f.parts[0]))
+        for k, f in out.items()}, one_field(f.parts[2] for f in out.values()))
 
 
 def unit(diagram, lam, alpha):
@@ -98,33 +113,21 @@ def unit(diagram, lam, alpha):
 
 
 def _compatible(a, b):
-    """The one field of the coefficients of a and b, which must live on
-    the same algebra."""
+    """The one field of a and b, which must live on the same algebra."""
     if a.diagram is not b.diagram or a.lam != b.lam or a.alpha != b.alpha:
         raise PreconditionError("elements live on different algebras")
-    return one_field(f.parts[2] for e in (a, b) for f in e.coeffs.values())
+    return one_field((a.field, b.field))
+
+
+def _like(a, out, field):
+    """The element of a's algebra with the bare columns out = (q, cols)."""
+    return AlgebraElement(a.diagram, a.lam, a.alpha, *out, field)
 
 
 def add(a, b):
     """a + b on columns (`_sum`)."""
-    return _wrap(a, _sum(a.diagram, _columns(a), _columns(b)),
+    return _like(a, _sum(a.diagram, (a.q, a.cols), (b.q, b.cols)),
                  _compatible(a, b))
-
-
-def _columns(a):
-    """(q, {shift: (level, cols)}): the coefficients of a as bare columns
-    over their least common denominator q."""
-    q = math.lcm(*(f.parts[0] for f in a.coeffs.values()))
-    return q, {k: (f.level, _times(f.parts[1], q // f.parts[0]))
-               for k, f in a.coeffs.items()}
-
-
-def _wrap(a, out, field):
-    """The element of a's algebra with the bare columns out."""
-    q, cols = out
-    return AlgebraElement(a.diagram, a.lam, a.alpha, {
-        k: CylinderFunction.of_parts(level, q, c, field)
-        for k, (level, c) in cols.items()})
 
 
 def _times(cols, m):
@@ -174,8 +177,8 @@ def _sum(diagram, *operands):
 
 def scale(a, c):
     """c a for a rational c (an int or a Fraction)."""
-    return _wrap(a, _scaled(_columns(a), c.numerator, c.denominator)
-                 if c else (1, {}), _compatible(a, a))
+    return _like(a, _scaled((a.q, a.cols), c.numerator, c.denominator)
+                 if c else (1, {}), a.field)
 
 
 def subtract(a, b):
@@ -183,14 +186,14 @@ def subtract(a, b):
 
 
 def equal_elements(a, b):
-    return not subtract(a, b).coeffs
+    return not subtract(a, b).cols
 
 
 def convolve(a, b):
     """a b on columns (`_product`)."""
     field = _compatible(a, b)
-    return _wrap(a, _product(a.diagram, _columns(a), _columns(b), field),
-                 field)
+    return _like(a, _product(a.diagram, (a.q, a.cols), (b.q, b.cols),
+                             field), field)
 
 
 def _product(diagram, fa, fb, field):
@@ -249,16 +252,14 @@ def _product(diagram, fa, fb, field):
 
 def involution(a):
     """a*(k) = a(-k) o phi^{-k}; coefficients are real, so conjugation is
-    the identity.  The composition reads each coefficient's columns
-    through a cached index gather."""
+    the identity.  The composition reads each shift's columns through a
+    cached index gather."""
     diagram, out = a.diagram, {}
-    for k, f in sorted(a.coeffs.items(), reverse=True):
-        level = compose_level(diagram, f.level, k)
-        idx = gather(diagram, f.level, k, level)
-        q, cols, field = f.parts
-        out[-k] = CylinderFunction.of_parts(
-            level, q, [[col[x] for x in idx] for col in cols], field)
-    return AlgebraElement(diagram, a.lam, a.alpha, out)
+    for k, (level, cols) in sorted(a.cols.items(), reverse=True):
+        top = compose_level(diagram, level, k)
+        idx = gather(diagram, level, k, top)
+        out[-k] = (top, [[col[x] for x in idx] for col in cols])
+    return AlgebraElement(diagram, a.lam, a.alpha, a.q, out, a.field)
 
 
 def power(a, n):
@@ -267,23 +268,22 @@ def power(a, n):
         raise PreconditionError("negative powers need neumann_invert")
     if n == 0:
         return unit(a.diagram, a.lam, a.alpha)
-    field, fa = _compatible(a, a), _columns(a)
-    out = fa
+    out = fa = a.q, a.cols
     for _ in range(1, n):
-        out = _product(a.diagram, out, fa, field)
-    return _wrap(a, out, field)
+        out = _product(a.diagram, out, fa, a.field)
+    return _like(a, out, a.field)
 
 
 def project_support(a, n):
     """P_n a: the coefficients with |k| <= n."""
-    return AlgebraElement(a.diagram, a.lam, a.alpha,
-                          {k: f for k, f in a.coeffs.items() if abs(k) <= n})
+    return _like(a, (a.q, {k: x for k, x in a.cols.items() if abs(k) <= n}),
+                 a.field)
 
 
 def complement_support(a, n):
     """(1 - P_n) a: the coefficients with |k| > n."""
-    return AlgebraElement(a.diagram, a.lam, a.alpha,
-                          {k: f for k, f in a.coeffs.items() if abs(k) > n})
+    return _like(a, (a.q, {k: x for k, x in a.cols.items() if abs(k) > n}),
+                 a.field)
 
 
 # ---------------------------------------------------------------------------
@@ -357,11 +357,10 @@ def norms(a, s, q, triangle=None):
     columns."""
     tri = default_triangle(a.diagram, a.lam) if triangle is None \
         else float(triangle)
-    by_k, s_alpha = _weighted_norms(a.diagram, a.alpha, a.lam, s, tri, {
-        k: (f.level, *f.parts) for k, f in a.coeffs.items()})
+    by_k, s_alpha = _weighted_norms(a, s, tri)
     l1 = weighted(sum(by_k.values(), 0.0), alpha=a.alpha)
     expo, qf, af = tri > 1.0, float(q), float(a.alpha)
-    n_max = max((abs(k) for k in a.coeffs), default=0)
+    n_max = max((abs(k) for k in a.cols), default=0)
     mu = 0.0
     for n in range(-1, n_max + 1):
         tail = sum(nk for k, nk in by_k.items() if abs(k) > n)
@@ -372,19 +371,18 @@ def norms(a, s, q, triangle=None):
             else "polynomial"}
 
 
-def _weighted_norms(diagram, alpha, lam, s, tri, coeffs):
-    """(by_k, s_alpha) of coefficients given as integer columns,
-    {k: (level, q, cols, field)}: by_k maps each shift, ascending, to the
-    alpha-Hoelder norm of its coefficient, whose floats are read off the
-    columns (`martingale.float_values`), and s_alpha sums by_k weighted by
-    the estimate tri ** ((alpha + s) |k|) when tri > 1, by (1 + |k|) ** s
-    otherwise.  Summing in ascending shift order keeps the float sums
-    independent of the order the coeffs dict was built in."""
-    af, sf, lamf = float(alpha), float(s), float(lam)
+def _weighted_norms(a, s, tri):
+    """(by_k, s_alpha) of the element a: by_k maps each shift, ascending,
+    to the alpha-Hoelder norm of its coefficient, whose floats are read
+    off the columns (`martingale.float_values`), and s_alpha sums by_k
+    weighted by the estimate tri ** ((alpha + s) |k|) when tri > 1, by
+    (1 + |k|) ** s otherwise.  Summing in ascending shift order keeps the
+    float sums independent of the order the cols dict was built in."""
+    alpha, af, sf = a.alpha, float(a.alpha), float(s)
     # every value before any weight: a value beyond the floats is no alpha's
-    fns = {k: CylinderFunction(level, float_values(q, cols, field))
-           for k, (level, q, cols, field) in sorted(coeffs.items())}
-    by_k = {k: holder_norm(diagram, f, alpha, lamf)["norm"]
+    fns = {k: CylinderFunction(level, float_values(a.q, cols, a.field))
+           for k, (level, cols) in sorted(a.cols.items())}
+    by_k = {k: holder_norm(a.diagram, f, alpha, float(a.lam))["norm"]
             for k, f in fns.items()}
     return by_k, weighted(sum((
         weighted(nk, tri, (af + sf) * abs(k), alpha) if tri > 1.0
@@ -400,7 +398,11 @@ def lemma_constant(triangle, alpha, q):
     if tri <= 1.0:
         raise PreconditionError("comparison constant needs distortion > 1")
     x = af + qf
-    return weighted(2.0, tri, 2.0 * x, alpha) / (1.0 - tri ** (-x))
+    gap = 1.0 - tri ** (-x)
+    if not gap > 0.0:
+        raise PreconditionError("comparison constant needs t^-(alpha + q) "
+                                "< 1, got alpha + q = %r" % x)
+    return weighted(2.0, tri, 2.0 * x, alpha) / gap
 
 
 # ---------------------------------------------------------------------------
@@ -437,32 +439,25 @@ def neumann_invert(h, tol=1e-10):
         raise PreconditionError("tol must be finite and > 0, got %r"
                                 % (tol,))
     tri = default_triangle(h.diagram, h.lam)
-    d, field, hc = h.diagram, _compatible(h, h), _columns(h)
-    one = _columns(unit(d, h.lam, h.alpha))
-    fc = _sum(d, one, _scaled(hc, -1))
-    f_field = field if any(len(c) > 1 for _, c in fc[1].values()) else None
-
-    def weight(fx):
-        q, cols = fx
-        return _weighted_norms(d, h.alpha, h.lam, h.alpha, tri, {
-            k: (level, q, c, f_field) for k, (level, c) in cols.items()})[1]
-    small = weight(fc)
+    d, one = h.diagram, unit(h.diagram, h.lam, h.alpha)
+    f = subtract(one, h)
+    fc = f.q, f.cols
+    small = _weighted_norms(f, h.alpha, tri)[1]
     if not small < 0.5:
         raise NormTooLargeError()
     terms, n = [fc], small
     while n * small / (1.0 - small) > tol and \
             len(terms) < NEUMANN_MAX_TERMS:
-        terms.append(_product(d, terms[-1], fc, f_field))
-        n = weight(terms[-1])
+        terms.append(_product(d, terms[-1], fc, f.field))
+        n = _weighted_norms(_like(h, terms[-1], f.field), h.alpha, tri)[1]
     terms = [t for t in terms if t[1]]
-    inv = _sum(d, one, *terms)
-    residual = _sum(d, _product(d, hc, inv, field),
-                    _scaled(one, -1))
-    res = norms(_wrap(h, residual, field), 0, 1, triangle=tri)["l1_alpha"]
+    inv = _like(h, _sum(d, (one.q, one.cols), *terms), f.field)
+    residual = _like(h, _product(d, (h.q, h.cols), (inv.q, inv.cols),
+                                 h.field), h.field)
+    res = norms(subtract(residual, one), 0, 1, triangle=tri)["l1_alpha"]
     if res > tol:
         raise NumericError("Neumann residual %r above tol %r" % (res, tol))
-    return NeumannInverse(element=_wrap(h, inv, field), residual=res,
-                          terms=len(terms))
+    return NeumannInverse(element=inv, residual=res, terms=len(terms))
 
 
 # ---------------------------------------------------------------------------

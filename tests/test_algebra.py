@@ -15,7 +15,7 @@ from test_step import (_prefix_draws, _prefixed, _random_diagram,
 
 import adic.algebra as alg
 from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_PATHS, AlgebraElement,
-                          _columns, _sum, add, check_trial, complement_support,
+                          _sum, add, check_trial, complement_support,
                           convolve, default_triangle, element, equal_elements,
                           involution, jolissaint_holds, lemma_constant,
                           neumann_invert, norms, power, project_support,
@@ -229,6 +229,15 @@ def test_a_product_beyond_the_floats_is_an_alpha_overflow(pisot31):
     a = rand_element(rng(107), pisot31, renorm_data(pisot31).lambda_mu, 107)
     with pytest.raises(AlphaOverflowError, match="^alpha 107 overflows"):
         norms(a, 107, 1, triangle=4.0)
+
+
+def test_a_comparison_constant_without_a_gap_is_refused():
+    # t^-(alpha + q) rounds to 1 at alpha + q = 1e-17, and exceeds 1 at a
+    # negative alpha + q: 1 - t^-(alpha + q) is no positive denominator
+    for alpha, q in ((0.0, 1e-17), (-2.0, 1.0)):
+        with pytest.raises(PreconditionError,
+                           match=r"needs t\^-\(alpha \+ q\) < 1"):
+            lemma_constant(4.0, alpha, q)
 
 
 def test_support_zero_mu_conventions(odo2, pisot31):
@@ -445,6 +454,48 @@ def test_power_and_neumann_build_only_their_results(odo2, pisot31,
         len(f.coeffs) + 1
 
 
+def test_operations_build_no_coefficient_until_read(odo2, monkeypatch):
+    # an element stores bare columns: no operation builds a cylinder
+    # function before its coeffs are read, and coeff(k) builds shift k
+    # alone
+    build, built = CylinderFunction.of_parts.__func__, []
+
+    def counted(cls, *parts):
+        built.append(build(cls, *parts))
+        return built[-1]
+
+    r = rng(513)
+    a, b = (element(odo2, 2, 3, {k: rand_function(r, odo2, r.randint(0, 2))
+                                 for k in ks}) for ks in ((-1, 0, 2), (0, 1)))
+    f = scale(a, Fraction(2, 5) / Fraction(norms(a, 3, 1)["s_alpha"]))
+    h = subtract(unit(odo2, 2, 3), f)
+    monkeypatch.setattr(CylinderFunction, "of_parts", classmethod(counted))
+    ab, *_ = (convolve(a, b), add(a, b), subtract(a, b),
+              scale(a, Fraction(3, 2)), involution(a), power(a, 4),
+              project_support(a, 1), neumann_invert(h, tol=1e-6))
+    assert built == [] and 0 in ab.cols and len(ab.cols) > 2
+    assert built == [ab.coeff(0)]
+    assert list(ab.coeffs) == list(ab.cols)
+    assert len(built) == 1 + len(ab.cols)
+
+
+def test_an_element_stores_one_denominator(odo2):
+    # shifts over 3 and 4 and one in Q(sqrt 5) share one q and one field,
+    # and read back the values, and value types, they were built of
+    r5 = sqrt_field(5)
+    coeffs = {2: from_vector(odo2, 1, [Fraction(3, 4), Fraction(-1, 2)]),
+              -1: from_vector(odo2, 1, [Fraction(1, 3), Fraction(-2, 3)]),
+              0: constant_function(odo2, r5(1, Fraction(1, 2)))}
+    a = element(odo2, 2, 3, coeffs)
+    assert (a.q, list(a.cols), a.field) == (12, [-1, 0, 2], r5(1).field)
+    assert [len(cols) for _, cols in a.cols.values()] == [1, 2, 1]
+    assert {f.parts[0] for f in a.coeffs.values()} == {12}
+    for k, f in coeffs.items():
+        g = a.coeffs[k]
+        assert (g.level, g.values) == (f.level, f.values), k
+        assert list(map(type, g.values)) == list(map(type, f.values)), k
+
+
 def test_power_one_keeps_a_rational_coefficient_rational(golden2):
     # a(0) lives in Q(lambda) = Q(sqrt 5) and a(1) is rational: a^1 is a
     # itself, each coefficient's values of the type they were built of
@@ -508,13 +559,13 @@ def test_norms_do_not_depend_on_the_order_of_the_coeffs_dict(odo2):
     # 1 + 2^-53 + 2^-53 is 1.0 summed from the left and 1 + 2^-52 from
     # the right, so an order-dependent sum reads different floats
     tiny = Fraction(1, 2 ** 53)
-    coeffs = element(odo2, 2, 3, {k: constant_function(odo2, v) for k, v in
-                                  ((0, Fraction(1)), (1, tiny),
-                                   (2, tiny))}).coeffs
-    want = norms(element(odo2, 2, 3, coeffs), 0, 1, triangle=1.0)
-    for order in permutations(coeffs):
-        a = AlgebraElement(odo2, 2, 3, {k: coeffs[k] for k in order})
-        assert norms(a, 0, 1, triangle=1.0) == want, order
+    a = element(odo2, 2, 3, {k: constant_function(odo2, v) for k, v in
+                             ((0, Fraction(1)), (1, tiny), (2, tiny))})
+    want = norms(a, 0, 1, triangle=1.0)
+    for order in permutations(a.cols):
+        b = AlgebraElement(odo2, 2, 3, a.q, {k: a.cols[k] for k in order},
+                           a.field)
+        assert norms(b, 0, 1, triangle=1.0) == want, order
 
 
 # the n-ary sum of bare columns against the pairwise left fold
@@ -523,7 +574,8 @@ def _series(spec, n=4):
     """(diagram name, bare columns of 1, f, ..., f^(n-1)) for the element
     f of a spec: the operands of a Neumann partial sum."""
     f = _spec_element(spec)[0]
-    return spec[0], [_columns(power(f, i)) for i in range(n)]
+    powers = (power(f, i) for i in range(n))
+    return spec[0], [(p.q, p.cols) for p in powers]
 
 
 # On odo2: shift 0 at level 2, then its negative, then at level 0.  The

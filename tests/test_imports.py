@@ -362,13 +362,14 @@ def test_package_does_not_import_numpy():
             if imports_numpy(p.read_text())] == []
 
 
-def _defs_where(source, hit):
-    """Sorted names of the innermost defs of the source holding a node for
-    which hit is true; "<module>" for one outside every def."""
+def _defs_where(source, hit, kinds=(ast.FunctionDef, ast.AsyncFunctionDef)):
+    """Sorted names of the innermost defs (or other nodes of the kinds) of
+    the source holding a node for which hit is true; "<module>" for one
+    outside all of them."""
     found = set()
 
     def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, kinds):
             owner = node.name
         if hit(node):
             found.add(owner)
@@ -410,6 +411,42 @@ def test_columns_are_read_in_one_place():
              for p in sorted(PACKAGE.glob("*.py"))}
     assert {module: defs for module, defs in found.items() if defs} == \
         {"martingale": ["parts"], "solver": ["_xi"]}
+
+
+def coefficient_builders(source):
+    """Sorted names of the innermost classes of the source that call
+    `of_parts`, by name or as an attribute; "<module>" for a call outside
+    every class."""
+    return _defs_where(source, lambda n: isinstance(n, ast.Call)
+                       and _named(n.func, "of_parts"), (ast.ClassDef,))
+
+
+def names_columns(source):
+    """Whether the source defines, imports or reads the name `_columns`."""
+    return any(_named(n, "_columns") or getattr(n, "name", None) ==
+               "_columns" for n in ast.walk(ast.parse(source)))
+
+
+def test_scan_finds_a_coefficient_builder():
+    source = (PACKAGE / "algebra.py").read_text()
+    assert coefficient_builders(
+        source + "\n\ndef f(q, cols):\n"
+        "    return CylinderFunction.of_parts(0, q, cols, None)\n") == \
+        ["<module>", "AlgebraElement"]
+    assert coefficient_builders("class A:\n    class B:\n        x = "
+                                "of_parts(0, 1, [[1]], None)\n") == ["B"]
+    assert names_columns(source + "\n\ndef _columns(a):\n    pass\n")
+    assert names_columns("from .algebra import _columns\n")
+    assert names_columns("def f(a):\n    return alg._columns(a)\n")
+
+
+def test_elements_build_coefficients_in_one_place():
+    # an element stores the bare columns of its kernels: only its own
+    # coeff view builds cylinder functions from them, and no operation
+    # converts an operand to columns
+    source = (PACKAGE / "algebra.py").read_text()
+    assert coefficient_builders(source) == ["AlgebraElement"]
+    assert not names_columns(source)
 
 
 def alpha_overflow_raisers(source):
