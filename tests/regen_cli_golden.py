@@ -194,10 +194,48 @@ PERIODIC_RUNS = (
     ["orbit", "--diagram", "D", "--start", "X", "-N", "2"],
 )
 
+# Malformed input files, each refused by one check of the loaders or
+# reported by validate: "fn-" function files, read by distributions on
+# odo2; "el-" element files, read by algebra invert with --diagram odo2,
+# and "own-" ones without it; "bad-" diagram files, read by validate.
+_UNIT = {"level": 0, "values": {"0": "1"}}
+REFUSALS = {
+    "fn-bool.json": {"level": 1, "values": {"0": True}},
+    "fn-value.json": {"level": 1, "values": {"0": "x"}},
+    "fn-level.json": {"level": -1, "values": {}},
+    "fn-index.json": {"level": 1, "values": {"a": "1"}},
+    "fn-range.json": {"level": 1, "values": {"2": "1"}},
+    "fn-dup.json": {"level": 1, "values": {"1": "1", "01": "2"}},
+    "fn-list.json": {"level": 1, "values": [["0", "-1"], ["1", "1"]]},
+    "el-list.json": [],
+    "el-noalpha.json": {"coeffs": {"0": _UNIT}},
+    "el-lam.json": {"alpha": 3, "lam": "x", "coeffs": {"0": _UNIT}},
+    "el-shift.json": {"alpha": 3, "coeffs": {"a": _UNIT}},
+    "el-dupshift.json": {"alpha": 3, "coeffs": {"1": _UNIT, "+1": _UNIT}},
+    "el-coeff.json": {"alpha": 3, "coeffs": {"0": 3}},
+    "own-none.json": {"alpha": 3, "coeffs": {"0": _UNIT}},
+    "own-int.json": {"diagram": 2, "alpha": 3, "coeffs": {"0": _UNIT}},
+    # level 2 reads one source where level 1 has two ranges, and its
+    # in_order lists two vertices
+    "bad-counts.json": {"levels": [
+        {"num_sources": 1, "num_ranges": 2, "edges": [[0, 0], [0, 1]],
+         "in_order": [[0], [1]]},
+        {"num_sources": 1, "num_ranges": 1, "edges": [[0, 0]],
+         "in_order": [[0], []]}]},
+    "bad-edges.json": {"levels": [
+        {"num_sources": 1, "num_ranges": 1, "edges": [[1, 0], [0, 1]],
+         "in_order": [[0]]}]},
+    # the repeating level is 3 x 2, and vertices 1 and 2 have no out-edge
+    "bad-repeat.json": {"stationary": True, "levels": [
+        {"num_sources": 3, "num_ranges": 2, "edges": [[0, 0], [0, 1]],
+         "in_order": [[0], [1]]}]},
+    "bad-nolevels.json": {"levels": []},
+}
+
 # Runs on no diagram in particular: help, parser errors, a numeric failure,
 # a listing over the edge budget, a diagram file that is structurally
-# broken or not JSON, start paths that are not paths, and a function whose
-# values span more than the floats hold.
+# broken or not JSON, start paths that are not paths, a function whose
+# values span more than the floats hold, and the files of REFUSALS.
 PARSER_RUNS = (
     [], ["--help"], ["nope"], ["algebra"], ["algebra", "--help"],
     ["paths", "--diagram", "odo2"],
@@ -229,6 +267,14 @@ PARSER_RUNS = (
      "--alpha", "3"],
     ["decompose", "--diagram", "odo2", "--function", "h308.json",
      "--emit", "json"],
+    *(["distributions", "--diagram", "odo2", "--function", name]
+      for name in REFUSALS if name.startswith("fn-")),
+    *(["algebra", "invert", "--diagram", "odo2", "--element", name]
+      for name in REFUSALS if name.startswith("el-")),
+    *(["algebra", "invert", "--element", name]
+      for name in REFUSALS if name.startswith("own-")),
+    *(["validate", "--diagram", name]
+      for name in REFUSALS if name.startswith("bad-")),
 )
 
 
@@ -277,6 +323,8 @@ def main():
             "num_sources": 1, "num_ranges": 1, "edges": [[0, 0], [0, 0]],
             "in_order": [[0]]}]}) + "\n")
     (INPUTS / "cut.json").write_text('{"stationary": true, "lev')
+    for name, obj in REFUSALS.items():
+        (INPUTS / name).write_text(json.dumps(obj) + "\n")
     groups = {}
     for label, (ref, d) in diagrams().items():
         if d is not None:
