@@ -156,10 +156,12 @@ def function_from_dict(diagram, data):
     """{"level": m, "values": {"path-index": value}}, indices in the
     lexicographic order of enumerate_paths, one key per index."""
     try:
-        level = data["level"]
-        raw = dict(data.get("values", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+        level, raw = data["level"], data.get("values", {})
+    except (KeyError, TypeError) as exc:
         raise ParseError("malformed function: %s" % exc) from None
+    if not isinstance(raw, dict):
+        raise ParseError("function values must be an object, not %s"
+                         % type(raw).__name__)
     if type(level) is not int or level < 0:
         raise ParseError("function level must be an integer >= 0, got %r"
                          % (level,))

@@ -38,6 +38,7 @@ from functools import cached_property
 from operator import mul
 
 from .diagrams import path_table
+from .errors import LevelOverflowError
 from .martingale import field_values
 from .scalars import eliminate, identity, mat_mul, mat_vec, solve_linear
 
@@ -199,6 +200,8 @@ def vertex_functionals(tower, m):
     compatible across levels, so the rows of level m + 1 are those of m
     times the Drazin inverse of A, and times A they are those of m."""
     fn = tower.functionals
+    if m < fn.base:
+        raise LevelOverflowError()
     while len(fn.rows) <= m - fn.base:
         den, rows = fn.rows[-1]
         fn.rows.append(_integer_rows(mat_mul(

@@ -31,8 +31,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import sub
 
-from .diagrams import (LazyPath, count_paths, extreme, materialize, owned,
-                       path_index, path_table)
+from .diagrams import count_paths, extreme, owned, path_table
 from .errors import AlphaOverflowError, NumericError, PreconditionError
 from .measures import xi_vector
 from .scalars import FieldElement
@@ -41,7 +40,8 @@ from .scalars import FieldElement
 class CylinderFunction:
     """values, one scalar per level-m path in enumerate_paths order, or
     parts, their (q, cols, field) from `integer_parts`: each form is built
-    from the other on first read and kept, so values is never written."""
+    from the other on first read and kept, so values is never written.  A
+    record with no arithmetic: callers combine values at one level."""
 
     def __init__(self, level, values):
         self.level, self.values = level, values
@@ -61,38 +61,13 @@ class CylinderFunction:
     def parts(self):
         return integer_parts(self.values)
 
-    def evaluate(self, diagram, x):
-        if isinstance(x, LazyPath):
-            x = materialize(diagram, x, max(self.level, 1))
-        elif len(x.edges) < self.level:
-            raise ValueError("path too short for this cylinder function")
-        return self.values[path_index(diagram, x, self.level)]
-
-    def __add__(self, other):
-        return _pointwise(self, other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return _pointwise(self, other, lambda a, b: a - b)
-
     def sup_norm(self):
         return max((abs(float(v)) for v in self.values), default=0.0)
-
-    def is_zero(self):
-        return all(v == 0 for v in self.values)
 
 
 def constant_function(diagram, value, level=0):
     return CylinderFunction(level,
                             [value] * path_table(diagram, level).offsets[-1])
-
-
-def _pointwise(a, b, op):
-    if a.level != b.level:
-        raise ValueError("align levels with lift() before combining")
-    if len(a.values) != len(b.values):
-        raise ValueError("cylinder supports differ")
-    return CylinderFunction(a.level, [op(x, y)
-                                      for x, y in zip(a.values, b.values)])
 
 
 def integer_parts(values):
@@ -232,7 +207,7 @@ def delta(diagram, h, k):
     if k == 0:
         return pk
     pk1 = lift(diagram, project(diagram, h, min(k - 1, h.level)), pk.level)
-    return pk - pk1
+    return CylinderFunction(pk.level, list(map(sub, pk.values, pk1.values)))
 
 
 def weighted(value, base=1.0, exponent=0, alpha=None):

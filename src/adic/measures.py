@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .diagrams import owned
-from .errors import NotStationaryError, PreconditionError
+from .errors import LevelOverflowError, NotStationaryError, PreconditionError
 from .scalars import identity, mat_mul, mat_vec, perron_data, solve_linear
 
 
@@ -38,6 +38,8 @@ class RenormData:
 
     def tower_heights(self, k):
         """The exact level-k tower heights, one per vertex of V_k."""
+        if k < 0:
+            raise LevelOverflowError()
         j = len(self.heights) - 1
         if k > j:
             scale = self.lambda_mu ** (k - j)
@@ -69,6 +71,8 @@ def xi_vector(diagram, k):
     """Exact cylinder-measure weights over V_k: every level-k cylinder with
     range v has measure xi_k(v).  Past the materialized levels xi steps by
     1/lam per level."""
+    if k < 0:
+        raise LevelOverflowError()
     rd = renorm_data(diagram)
     L = len(diagram.levels)
     if k <= L:

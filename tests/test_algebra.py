@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import rng
 from test_step import (_prefix_draws, _prefixed, _random_diagram,
-                       _random_prefix, first_disagreement)
+                       _random_prefix, evaluate, first_disagreement)
 
 import adic.algebra as alg
 from adic.algebra import (NEUMANN_MAX_TERMS, TRIANGLE_PATHS, AlgebraElement,
@@ -697,10 +697,10 @@ def _pointwise_sum(d, fa, fb, c=1):
     for k in set(fa) | set(fb):
         x, y = (_exact(d, f.get(k, zero)) for f in (fa, fb))
         top = max(x.level, y.level)
-        y = lift(d, y, top)
-        s = lift(d, x, top) + from_vector(d, top, [c * v for v in y.values])
-        if not s.is_zero():
-            out[k] = s
+        s = [a + c * b for a, b in zip(lift(d, x, top).values,
+                                       lift(d, y, top).values, strict=True)]
+        if any(s):
+            out[k] = from_vector(d, top, s)
     return out
 
 
@@ -726,13 +726,13 @@ def test_sums_scales_and_involutions_match_pointwise(pair):
     _same_values(subtract(a, b), _pointwise_sum(d, fa, fb, -1))
     _same_values(scale(b, c), _pointwise_sum(d, {}, fb, c))
     # a*(k)(x) = a(-k)(phi^{-k} x), of the type of a(-k)'s exact values
-    nonzero = {k: _exact(d, f) for k, f in fa.items() if not f.is_zero()}
+    nonzero = {k: _exact(d, f) for k, f in fa.items() if any(f.values)}
     star = involution(a)
     assert set(star.coeffs) == {-k for k in nonzero}
     for k, f in star.coeffs.items():
         for x in _points(d, f.level):
-            assert f.evaluate(d, x) == \
-                nonzero[-k].evaluate(d, _phi(d, x, -k))
+            assert evaluate(d, f, x) == \
+                evaluate(d, nonzero[-k], _phi(d, x, -k))
         assert set(map(type, f.values)) == set(map(type, nonzero[-k].values))
 
 
@@ -747,7 +747,7 @@ def test_deep_product_is_computed_within_the_path_budget(fib):
     paths = enumerate_paths(fib, 22)
     for i in r.sample(range(len(paths)), 3):
         x = _phi(fib, LazyPath(paths[i], TAIL_MIN), 20000)
-        assert f.values[i] == b.evaluate(fib, x)
+        assert f.values[i] == evaluate(fib, b, x)
 
 
 def test_product_past_the_path_budget_is_refused(fib):
@@ -891,9 +891,9 @@ def _check_product(diagram, a, b, ab):
             want = 0
             for i, ai in a.coeffs.items():
                 if k - i in b.coeffs:
-                    want = want + ai.evaluate(diagram, x) * \
-                        b.coeffs[k - i].evaluate(diagram, _phi(diagram, x, -i))
-            assert (got.evaluate(diagram, x) if got else 0) == want, \
+                    want = want + evaluate(diagram, ai, x) * evaluate(
+                        diagram, b.coeffs[k - i], _phi(diagram, x, -i))
+            assert (evaluate(diagram, got, x) if got else 0) == want, \
                 (k, x.prefix.edges, x.tail.kind)
 
 
@@ -902,8 +902,8 @@ def _check_involution(diagram, a, star):
     assert set(star.coeffs) == {-k for k in a.coeffs}
     for k, f in star.coeffs.items():
         for x in _points(diagram, f.level):
-            assert f.evaluate(diagram, x) == \
-                a.coeffs[-k].evaluate(diagram, _phi(diagram, x, -k))
+            assert evaluate(diagram, f, x) == \
+                evaluate(diagram, a.coeffs[-k], _phi(diagram, x, -k))
 
 
 def _oracle_element(r, diagram, value, shifts=range(-2, 3), max_level=2,

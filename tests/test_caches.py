@@ -23,8 +23,8 @@ import types
 import weakref
 
 import pytest
-from test_coboundary_golden import _coboundary, _inputs, _path
-from test_step import _prefixed, _random_diagram
+from test_coboundary_golden import _inputs, _path
+from test_step import _prefixed, _random_diagram, coboundary
 
 import adic
 from adic import diagrams, martingale, solenoid, solver
@@ -136,7 +136,7 @@ def test_tables_are_freed_with_the_last_equal_diagram():
     paths = enumerate_paths(d, 3)
     solenoid.bilip_check(d, renorm_data(d), list(zip(paths, paths[1:])),
                          0.25)
-    solver.solve(_coboundary(d, h), limit_rank(d, renorm_data(d)))
+    solver.solve(coboundary(d, h), limit_rank(d, renorm_data(d)))
     assert {"path_table", "renorm_data", "_orbit_schedule", "residual_rows",
             "cached_point", "_xi"} <= set(d.tables)
     tables = weakref.ref(d.tables)

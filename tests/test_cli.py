@@ -35,8 +35,7 @@ from adic.diagrams import (OrderedDiagram, diagram_from_json_dict, extreme,
                            make_level, path_table)
 from adic.cohomology import limit_rank
 from adic.errors import AdicError, AlphaOverflowError, PreconditionError
-from adic.martingale import (compose_phi, constant_function, decompose,
-                             from_vector, lift)
+from adic.martingale import compose_phi, decompose, from_vector, lift
 from adic.measures import renorm_data, xi_vector
 from adic.solenoid import build_complex
 from adic.solver import BirkhoffReport, chained_constant, solve
@@ -429,12 +428,12 @@ def test_distributions_are_exact_on_a_roof_with_a_zero_entry(capsys,
     d = _prefixed(builtin_diagram("pisot31"))
     g0 = from_vector(d, 2, [Fraction(i % 3, 2) for i in range(12)])
     moved = compose_phi(d, g0, 1)
-    h = moved - lift(d, g0, moved.level)
+    h = [a - b for a, b in zip(moved.values,
+                               lift(d, g0, moved.level).values, strict=True)]
     (tmp_path / "d.json").write_text(json.dumps(d.to_json_dict()))
-    one = constant_function(d, Fraction(1), h.level)
-    for name, f in (("h.json", h), ("h1.json", h + one)):
-        values = {str(i): str(v) for i, v in enumerate(f.values)}
-        (tmp_path / name).write_text(json.dumps({"level": f.level,
+    for name, f in (("h.json", h), ("h1.json", [v + 1 for v in h])):
+        values = {str(i): str(v) for i, v in enumerate(f)}
+        (tmp_path / name).write_text(json.dumps({"level": moved.level,
                                                  "values": values}))
     verdicts = []
     for name, zeros in (("h.json", [True, True]), ("h1.json", [False, True])):
@@ -1317,6 +1316,18 @@ def test_function_file_rejects_two_keys_of_one_index(capsys, work, first,
     assert (rc, out) == (2, "")
     assert err == "error: indices %r and %r are both index %d\n" % (
         first, second, int(first))
+
+
+@pytest.mark.parametrize("values, kind", [
+    ([["0", "-1"], ["1", "1"]], "list"), ("ab", "str"), (None, "NoneType")])
+def test_function_values_must_be_an_object(capsys, work, values, kind):
+    # dict() would read a list of pairs as the mapping it spells
+    (work / "list_f.json").write_text(json.dumps({"level": 1,
+                                                  "values": values}))
+    rc, out, err = run(capsys, ["distributions", "--diagram", "odo2",
+                                "--function", str(work / "list_f.json")])
+    assert (rc, out) == (2, "")
+    assert err == "error: function values must be an object, not %s\n" % kind
 
 
 def test_element_with_lam_below_one_is_refused(capsys, work):

@@ -14,6 +14,7 @@ from test_step import (_prefixed, _random_diagram, first_disagreement,
                        path_range)
 
 from adic.catalog import builtin_diagram
+from adic.cohomology import limit_rank, vertex_functionals
 from adic.diagrams import (FinitePath, LazyPath, OrderedDiagram, PathWalker,
                            TAIL_MAX, TAIL_MIN, Tail, check_path, count_paths,
                            diagram_from_json_dict, enumerate_paths, extreme,
@@ -23,6 +24,7 @@ from adic.errors import (HorizonExceededError, LevelOverflowError,
                          NotProperlyOrderedError, NotStationaryError,
                          ParseError)
 from adic.martingale import compose_phi, from_vector
+from adic.measures import renorm_data, xi_vector
 from adic.solenoid import _ultrametric, gluing_pairs
 from adic.solver import birkhoff
 
@@ -145,10 +147,19 @@ def test_enumeration_matches_concatenated_paths(odo2, fib, pisot31):
             FinitePath((), v) for v in range(d.num_vertices(0))]
 
 
-def test_negative_levels_are_refused(odo2):
+def test_negative_levels_are_refused(odo2, fib):
     for call in (enumerate_paths, count_paths):
         with pytest.raises(LevelOverflowError):
             call(odo2, -1)
+    # the per-level lists would read level -1 as their last entry, and the
+    # trace rows a level below their base as another level's
+    rd = renorm_data(fib)
+    tower = limit_rank(fib, rd)
+    for call in (lambda: xi_vector(fib, -1), lambda: rd.tower_heights(-1),
+                 lambda: vertex_functionals(tower,
+                                            tower.functionals.base - 1)):
+        with pytest.raises(LevelOverflowError):
+            call()
 
 
 def test_one_loop_lists_a_deep_level_at_once():

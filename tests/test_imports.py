@@ -40,8 +40,6 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 REFERENCES = {
     "solenoid.point_distance":
         "test_solenoid.py::test_diameter_against_point_distances",
-    "martingale.CylinderFunction.evaluate":
-        "test_step.py::test_compose_phi_matches_lazy_successors",
     "cohomology.birkhoff_cochain":
         "test_cohomology.py::test_distributions_match_rows_times_cochain",
 }
